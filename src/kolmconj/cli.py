@@ -16,10 +16,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import theorems
-from .eigensolve import ConvergenceError, EigenPair, sym_eig_min
+from .eigensolve import ConvergenceError, EigenPair, check_tol
 from .spectral import (CertificationError, CertifiedResult, CoeffVector,
-                       SpectralWindow, assemble_quadform, certify_candidate,
-                       constrain, minimizer_coefficients, reduce_symmetric)
+                       SpectralWindow, block_minimum, certify_candidate,
+                       minimizer_coefficients, quadform_blocks, reduce_symmetric)
 from .theorems import VerificationError
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
                        conjugate_time_bound, grad_energy, misiolek_index)
@@ -95,21 +95,24 @@ class MinimizeResult:
     eigen: EigenPair
     coeffs: CoeffVector
     certified: CertifiedResult
+    blocks: int           # bracket chains the window splits into
+    block_dim_max: int    # modes in the largest chain
+    block_mode: Mode      # first mode of the chain that holds the minimum
 
 
 def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
                  subspace: str = COS, constraints: Sequence[Mode] = (),
                  tol: float = 1e-10, max_denominator: int = 10 ** 6) -> MinimizeResult:
+    """Lowest eigenpair over the window's bracket chains, certified exactly."""
     if N is None:
         N = 2 * max(flow.m, flow.n) + 4
     window = SpectralWindow(N, subspace)
-    reduced = reduce_symmetric(assemble_quadform(flow, window), p)
-    if constraints:
-        reduced = constrain(reduced, constraints)
-    pair = sym_eig_min(reduced.matrix, tol)
+    blocks = [reduce_symmetric(q, p) for q in quadform_blocks(flow, window)]
+    pair, reduced = block_minimum(blocks, constraints, tol)
     coeffs = minimizer_coefficients(reduced, pair.vector)
     certified = certify_candidate(coeffs, flow, max_denominator)
-    return MinimizeResult(flow, subspace, p, N, pair, coeffs, certified)
+    return MinimizeResult(flow, subspace, p, N, pair, coeffs, certified, len(blocks),
+                          max(len(r.modes) for r in blocks), reduced.quadform.modes[0])
 
 
 def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
@@ -117,6 +120,7 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
     """One row per minimization run: cosine subspace first, sine as fallback."""
     if nmax is None:
         nmax = mmax
+    check_tol(tol)
     rows = []
     for m in range(1, mmax + 1):
         for n in range(1, min(m, nmax) + 1):

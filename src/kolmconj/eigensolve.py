@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +19,21 @@ class EigenPair:
     residual: float     # ||S v - value * v||_2
 
 
+def check_tol(tol: float) -> None:
+    """Reject a residual tolerance that would disable the residual guard."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def sym_eig_min(S: np.ndarray, tol: float = 1e-10) -> EigenPair:
     """Algebraically smallest eigenpair of a symmetric matrix.
 
     Deterministic for fixed input (LAPACK dsyevd via numpy, fixed sign
-    convention).  Raises ValueError on non-symmetric input and
-    ConvergenceError if the residual exceeds tol * max|S| * dim.
+    convention).  Raises ValueError on non-symmetric input or a tol that is
+    not finite and positive, and ConvergenceError if the residual exceeds
+    tol * max|S| * dim.
     """
+    check_tol(tol)
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] < 1:
         raise ValueError("expected a square matrix of dimension >= 1")

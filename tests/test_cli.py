@@ -244,3 +244,17 @@ class TestFieldFiles:
         path.write_text("{not json")
         code, _, _ = run(capsys, "mi", str(path))
         assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_bad_minimize_tolerance_is_usage_error(capsys, tol):
+    code, out, err = run(capsys, "minimize", "--m", "2", "--n", "1", "--N", "4",
+                         "--tol", tol)
+    assert code == 2
+    assert "tolerance" in err and out == ""
+
+
+def test_bad_sweep_tolerance_is_usage_error(capsys):
+    code, out, err = run(capsys, "sweep", "--mmax", "2", "--tol", "nan")
+    assert code == 2
+    assert "tolerance" in err and out == ""

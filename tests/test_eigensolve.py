@@ -81,3 +81,9 @@ class TestSymEigMin:
 
     def test_convergence_error_exported(self):
         assert issubclass(ConvergenceError, RuntimeError)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_rejects_tolerance_that_disables_the_residual_guard(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        sym_eig_min(np.diag([1.0, 2.0]), tol)
