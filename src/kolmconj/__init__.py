@@ -8,10 +8,9 @@ of the Misiolek index.
 from .eigensolve import ConvergenceError, EigenPair, sym_eig_min
 from .spectral import (CertificationError, CertifiedResult, CoeffVector,
                        QuadForm, ReducedForm, SpectralWindow,
-                       assemble_bracket_matrix, assemble_L_cos, assemble_L_sin,
-                       assemble_quadform, certify_candidate, coefficient_vector,
-                       constrain, fold_index, minimizer_coefficients,
-                       reduce_symmetric)
+                       assemble_bracket_matrix, assemble_quadform,
+                       certify_candidate, coefficient_vector, constrain,
+                       minimizer_coefficients, reduce_symmetric)
 from .theorems import (CriticalPoint, QuadraticFormInParams, SignReport,
                        VerificationError, diag_candidate, diag_form,
                        drivas_check, drivas_field, offdiag_candidate,

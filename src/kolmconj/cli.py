@@ -7,142 +7,24 @@ Exit codes: 0 success / verdict holds, 1 assertion failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from . import theorems
-from .eigensolve import ConvergenceError, EigenPair, check_tol
-from .spectral import (CertificationError, CertifiedResult, CoeffVector,
-                       SpectralWindow, block_minimum, certify_candidate,
-                       minimizer_coefficients, quadform_blocks, reduce_symmetric)
+from .eigensolve import ConvergenceError
+from .pipeline import (MinimizeResult, deformed_stream, read_field_file,
+                       run_minimize, run_sweep, write_field_file, write_grid_file)
+from .spectral import CertificationError
 from .theorems import VerificationError
-from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
+from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, bracket,
                        conjugate_time_bound, grad_energy, misiolek_index)
 
 OK, FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 
-TWO_PI = 2.0 * np.pi
 
-
-# ------------------------------------------------------------ field files
-
-def field_to_document(flow: KolmogorovFlow, field: TrigPoly, description: str) -> dict:
-    modes = []
-    for mode in sorted(field.terms):
-        modes.append({"parity": mode.parity, "j": mode.j, "k": mode.k,
-                      "value": str(field.terms[mode])})
-    return {"m": flow.m, "n": flow.n, "description": description, "modes": modes}
-
-
-def write_field_file(path: str, flow: KolmogorovFlow, field: TrigPoly,
-                     description: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(field_to_document(flow, field, description), fh, indent=2)
-        fh.write("\n")
-
-
-def read_field_file(path: str) -> Tuple[KolmogorovFlow, TrigPoly, str]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    flow = KolmogorovFlow(int(doc["m"]), int(doc["n"]))
-    terms = [(entry["parity"], int(entry["j"]), int(entry["k"]),
-              Fraction(str(entry["value"])))
-             for entry in doc.get("modes", [])]
-    return flow, TrigPoly.from_terms(terms), doc.get("description", "")
-
-
-# ------------------------------------------------------------ grid export
-
-def grid_eval(field: TrigPoly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    out = np.zeros(np.broadcast(xs, ys).shape)
-    for mode, c in field.terms.items():
-        fn = np.cos if mode.parity == COS else np.sin
-        out += float(c) * fn(mode.j * xs + mode.k * ys)
-    return out
-
-
-def write_grid_file(path: str, values_at) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for x, y, v in values_at:
-            fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
-
-
-def sample_grid(field_eval, grid: int):
-    step = TWO_PI / grid
-    xs = np.arange(grid) * step
-    ys = np.arange(grid) * step
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    V = field_eval(X, Y)
-    for i in range(grid):
-        for j in range(grid):
-            yield xs[i], ys[j], V[i, j]
-
-
-# ------------------------------------------------------------ minimize pipeline
-
-@dataclass
-class MinimizeResult:
-    flow: KolmogorovFlow
-    subspace: str
-    p: int
-    N: int
-    eigen: EigenPair
-    coeffs: CoeffVector
-    certified: CertifiedResult
-    blocks: int           # bracket chains the window splits into
-    block_dim_max: int    # modes in the largest chain
-    block_mode: Mode      # first mode of the chain that holds the minimum
-
-
-def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
-                 subspace: str = COS, constraints: Sequence[Mode] = (),
-                 tol: float = 1e-10, max_denominator: int = 10 ** 6) -> MinimizeResult:
-    """Lowest eigenpair over the window's bracket chains, certified exactly."""
-    if N is None:
-        N = 2 * max(flow.m, flow.n) + 4
-    window = SpectralWindow(N, subspace)
-    blocks = [reduce_symmetric(q, p) for q in quadform_blocks(flow, window)]
-    pair, reduced = block_minimum(blocks, constraints, tol)
-    coeffs = minimizer_coefficients(reduced, pair.vector)
-    certified = certify_candidate(coeffs, flow, max_denominator)
-    return MinimizeResult(flow, subspace, p, N, pair, coeffs, certified, len(blocks),
-                          max(len(r.modes) for r in blocks), reduced.quadform.modes[0])
-
-
-def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
-              tol: float = 1e-10, max_denominator: int = 10 ** 6) -> List[dict]:
-    """One row per minimization run: cosine subspace first, sine as fallback."""
-    if nmax is None:
-        nmax = mmax
-    check_tol(tol)
-    rows = []
-    for m in range(1, mmax + 1):
-        for n in range(1, min(m, nmax) + 1):
-            flow = KolmogorovFlow(m, n)
-            detected = False
-            for subspace in (COS, SIN):
-                row = {"m": m, "n": n, "subspace": subspace,
-                       "eigenvalue": None, "certified_q": None, "verdict": None}
-                try:
-                    res = run_minimize(flow, p=p, N=N, subspace=subspace, tol=tol,
-                                       max_denominator=max_denominator)
-                    row["eigenvalue"] = res.eigen.value
-                    row["certified_q"] = res.certified.mi_over_pi2
-                    detected = res.certified.detected
-                    row["verdict"] = ("conjugate point detected" if detected
-                                      else "not detected")
-                except (CertificationError, ConvergenceError, ValueError) as exc:
-                    row["verdict"] = f"error: {exc}"
-                rows.append(row)
-                if detected:
-                    break
-    return rows
+class UsageError(Exception):
+    """Bad command-line arguments; the message is printed as is, exit 2."""
 
 
 # ------------------------------------------------------------ verify reporting
@@ -154,48 +36,35 @@ def _report(name: str, expected, computed) -> bool:
     return ok
 
 
-def _verify_offdiag(m: int, n: int) -> bool:
-    print(f"off-diagonal family (m,n)=({m},{n})")
-    form = theorems.offdiag_form(m, n)
-    ref = theorems.offdiag_reference(m, n)
+def _verify_family(m: int, n: int) -> bool:
+    """Report one closed-form family: off-diagonal if m > n, diagonal if m = n."""
+    if m > n:
+        print(f"off-diagonal family (m,n)=({m},{n})")
+        variables, labels = ("a", "b"), ("minimum value", "minimum negative")
+        form, ref = theorems.offdiag_form(m, n), theorems.offdiag_reference(m, n)
+        cand = theorems.offdiag_candidate(m, n)
+        refc = theorems.offdiag_reference_candidate(m, n)
+    else:
+        print(f"diagonal family n={n}")
+        cand = theorems.diag_candidate(n)
+        if n == 1:
+            # the closed forms assume n >= 2 (mode collisions at n = 1 change
+            # the index form); report the exact value without comparisons
+            print(f"  n=1 critical value reported without sign assertion: {cand.value}")
+            return True
+        variables = ("a", "b", "c", "d")
+        labels = ("critical value", "critical value negative")
+        form, ref = theorems.diag_form(n), theorems.diag_reference(n)
+        refc = theorems.diag_reference_candidate(n)
     ok = True
     for mono in sorted(ref, reverse=True):
-        name = "coeff " + _mono_name(("a", "b"), mono)
-        ok &= _report(name, ref[mono], form.coefficient(mono))
-    cand = theorems.offdiag_candidate(m, n)
-    refc = theorems.offdiag_reference_candidate(m, n)
-    for var in ("a", "b"):
+        name = "".join(v * e for v, e in zip(variables, mono)) or "1"
+        ok &= _report("coeff " + name, ref[mono], form.coefficient(mono))
+    for var in variables:
         ok &= _report(f"{var}0", refc.values[var], cand.values[var])
-    ok &= _report("minimum value", refc.value, cand.value)
-    ok &= _report("minimum negative", True, cand.value < 0)
+    ok &= _report(labels[0], refc.value, cand.value)
+    ok &= _report(labels[1], True, cand.value < 0)
     return ok
-
-
-def _verify_diag(n: int) -> bool:
-    print(f"diagonal family n={n}")
-    cand = theorems.diag_candidate(n)
-    if n == 1:
-        # the closed forms assume n >= 2 (mode collisions at n = 1 change
-        # the index form); report the exact value without comparisons
-        print(f"  n=1 critical value reported without sign assertion: {cand.value}")
-        return True
-    form = theorems.diag_form(n)
-    ref = theorems.diag_reference(n)
-    ok = True
-    for mono in sorted(ref, reverse=True):
-        name = "coeff " + _mono_name(("a", "b", "c", "d"), mono)
-        ok &= _report(name, ref[mono], form.coefficient(mono))
-    refc = theorems.diag_reference_candidate(n)
-    for var in ("a", "b", "c", "d"):
-        ok &= _report(f"{var}0", refc.values[var], cand.values[var])
-    ok &= _report("critical value", refc.value, cand.value)
-    ok &= _report("critical value negative", True, cand.value < 0)
-    return ok
-
-
-def _mono_name(variables: Tuple[str, ...], mono: Tuple[int, ...]) -> str:
-    parts = [v * e for v, e in zip(variables, mono) if e]
-    return "".join(parts) if parts else "1"
 
 
 def _verify_drivas() -> bool:
@@ -224,42 +93,28 @@ def _verify_signs() -> bool:
 
 
 def cmd_verify(args) -> int:
-    scope = args.scope
-    params = args.params
-    ok = True
+    scope, params = args.scope, args.params
     if scope == "offdiag":
         if len(params) != 2:
-            print("usage: verify offdiag M N", file=sys.stderr)
-            return USAGE
-        m, n = params
-        if not m > n >= 1:
-            print("verify offdiag requires m > n >= 1", file=sys.stderr)
-            return USAGE
-        ok = _verify_offdiag(m, n)
+            raise UsageError("usage: verify offdiag M N")
+        if not params[0] > params[1] >= 1:
+            raise UsageError("verify offdiag requires m > n >= 1")
+        ok = _verify_family(*params)
     elif scope == "diag":
         if len(params) != 1:
-            print("usage: verify diag N", file=sys.stderr)
-            return USAGE
+            raise UsageError("usage: verify diag N")
         if params[0] < 1:
-            print("verify diag requires n >= 1", file=sys.stderr)
-            return USAGE
-        ok = _verify_diag(params[0])
+            raise UsageError("verify diag requires n >= 1")
+        ok = _verify_family(params[0], params[0])
     elif scope == "drivas":
         ok = _verify_drivas()
     elif scope == "signs":
         ok = _verify_signs()
-    elif scope == "all":
-        results = []
-        for m in range(2, 7):
-            for n in range(1, m):
-                results.append(_verify_offdiag(m, n))
-        for n in range(1, 7):
-            results.append(_verify_diag(n))
-        results.append(_verify_drivas())
-        results.append(_verify_signs())
-        ok = all(results)
-    else:  # pragma: no cover - argparse restricts choices
-        return USAGE
+    else:  # all
+        pairs = [(m, n) for m in range(2, 7) for n in range(1, m)]
+        pairs += [(n, n) for n in range(1, 7)]
+        results = [_verify_family(m, n) for m, n in pairs]
+        ok = all(results + [_verify_drivas(), _verify_signs()])
     print("PASS" if ok else "FAIL")
     return OK if ok else FAIL
 
@@ -336,13 +191,18 @@ def cmd_sweep(args) -> int:
     return OK
 
 
+def _flow_override(args, flow: KolmogorovFlow) -> KolmogorovFlow:
+    """The flow that --m and --n name when both are given, else `flow`."""
+    if args.m is None and args.n is None:
+        return flow
+    if args.m is None or args.n is None:
+        raise UsageError("provide both --m and --n to override the file")
+    return KolmogorovFlow(args.m, args.n)
+
+
 def cmd_mi(args) -> int:
     flow, field, _ = read_field_file(args.file)
-    if args.m is not None or args.n is not None:
-        if args.m is None or args.n is None:
-            print("provide both --m and --n to override the file", file=sys.stderr)
-            return USAGE
-        flow = KolmogorovFlow(args.m, args.n)
+    flow = _flow_override(args, flow)
     phi = bracket(flow.stream(), field)
     if phi.is_zero():
         print("field is in the kernel of the bracket operator "
@@ -362,36 +222,21 @@ def cmd_mi(args) -> int:
 
 
 def cmd_field(args) -> int:
+    if args.grid < 16:
+        raise UsageError("grid resolution must be >= 16")
     if args.what == "stream":
         if args.m is None or args.n is None:
-            print("field stream requires --m and --n", file=sys.stderr)
-            return USAGE
-        flow = KolmogorovFlow(args.m, args.n)
-        psi = flow.stream()
-        values = sample_grid(lambda X, Y: grid_eval(psi, X, Y), args.grid)
-    elif args.what == "minimizer":
+            raise UsageError("field stream requires --m and --n")
+        values_at = KolmogorovFlow(args.m, args.n).stream().eval
+    else:
         if not args.field:
-            print("field minimizer requires --field FILE", file=sys.stderr)
-            return USAGE
-        _, f, _ = read_field_file(args.field)
-        values = sample_grid(lambda X, Y: grid_eval(f, X, Y), args.grid)
-    else:  # deformed
-        if not args.field:
-            print("field deformed requires --field FILE", file=sys.stderr)
-            return USAGE
+            raise UsageError(f"field {args.what} requires --field FILE")
         flow, f, _ = read_field_file(args.field)
-        if args.m is not None and args.n is not None:
-            flow = KolmogorovFlow(args.m, args.n)
-        psi = flow.stream()
-        fx, fy = f.dx(), f.dy()
-        eps = args.epsilon
-
-        def deformed(X, Y):
-            return grid_eval(psi, X - eps * grid_eval(fy, X, Y),
-                             Y + eps * grid_eval(fx, X, Y))
-
-        values = sample_grid(deformed, args.grid)
-    write_grid_file(args.out, values)
+        if args.what == "minimizer":
+            values_at = f.eval
+        else:
+            values_at = deformed_stream(_flow_override(args, flow), f, args.epsilon)
+    write_grid_file(args.out, args.grid, values_at)
     print(f"wrote {args.out}")
     return OK
 
@@ -462,18 +307,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "grid", 16) < 16:
-        print("grid resolution must be >= 16", file=sys.stderr)
-        return USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return USAGE
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return FAIL
-    except (ConvergenceError, CertificationError) as exc:
+    except (ConvergenceError, CertificationError, OverflowError) as exc:
+        # OverflowError: an exact value too large to print as a float
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC
 

@@ -18,8 +18,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .eigensolve import EigenPair, sym_eig_min
-from .trigpoly import (COS, SIN, CONSTANT_MODE, KolmogorovFlow, Mode, TrigPoly,
-                       bracket, canonicalize, misiolek_index)
+from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
+                       misiolek_index)
 
 FULL = "full"
 SUBSPACES = (COS, SIN, FULL)
@@ -29,19 +29,6 @@ TIE_RTOL = 1e-12
 
 class CertificationError(RuntimeError):
     """Raised when a numerical candidate cannot be certified exactly."""
-
-
-def fold_index(j: int, k: int, N: int, parity: str = COS) -> Tuple[Optional[Mode], int]:
-    """Map an arbitrary integer pair to its canonical in-window mode.
-
-    Returns (mode, sign) with sign +1/-1 from the parity folding rules, or
-    (None, 0) when the folded index falls outside the order-N window (or
-    hits the excluded constant mode).
-    """
-    mode, sign = canonicalize(parity, j, k)
-    if mode is None or mode == CONSTANT_MODE or mode.j > N or abs(mode.k) > N:
-        return None, 0
-    return mode, sign
 
 
 class SpectralWindow:
@@ -226,20 +213,6 @@ def assemble_bracket_matrix(flow: KolmogorovFlow, win_in: SpectralWindow,
     return mat
 
 
-def assemble_L_cos(flow: KolmogorovFlow, win_in: SpectralWindow,
-                   win_out: SpectralWindow) -> np.ndarray:
-    if win_in.subspace != COS:
-        raise ValueError("expected cosine windows")
-    return assemble_bracket_matrix(flow, win_in, win_out)
-
-
-def assemble_L_sin(flow: KolmogorovFlow, win_in: SpectralWindow,
-                   win_out: SpectralWindow) -> np.ndarray:
-    if win_in.subspace != SIN:
-        raise ValueError("expected sine windows")
-    return assemble_bracket_matrix(flow, win_in, win_out)
-
-
 @dataclass
 class QuadForm:
     """Symmetric matrix B with v^T B v = MI({psi, f_v}) / (2 pi^2).
@@ -249,7 +222,6 @@ class QuadForm:
     """
 
     window: SpectralWindow
-    flow: KolmogorovFlow
     matrix: np.ndarray
     modes: Tuple[Mode, ...] = ()
 
@@ -269,7 +241,7 @@ def quadform_blocks(flow: KolmogorovFlow, window: SpectralWindow) -> List[QuadFo
         weights = np.array([md.laplace_weight for md in block.out_modes],
                            dtype=float) - flow.lambda2
         B = block.matrix.T @ (weights[:, None] * block.matrix)
-        forms.append(QuadForm(window, flow, 0.5 * (B + B.T), block.modes))
+        forms.append(QuadForm(window, 0.5 * (B + B.T), block.modes))
     return forms
 
 
@@ -279,7 +251,7 @@ def assemble_quadform(flow: KolmogorovFlow, window: SpectralWindow) -> QuadForm:
     for q in quadform_blocks(flow, window):
         idx = [window.index_of(mode) for mode in q.modes]
         B[np.ix_(idx, idx)] = q.matrix
-    return QuadForm(window, flow, B)
+    return QuadForm(window, B)
 
 
 @dataclass

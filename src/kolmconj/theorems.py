@@ -108,32 +108,19 @@ class QuadraticFormInParams:
         return h
 
     def hessian_minors_positive(self) -> bool:
-        """Leading principal minors of the Hessian, all strictly positive."""
+        """Leading principal minors of the Hessian, all strictly positive.
+
+        Minor k+1 is minor k times the Schur pivot h[k][k] - b^T H_k^-1 b,
+        b = h[:k, k], so the minors are all positive iff the pivots are.
+        Stopping at the first pivot <= 0 keeps every H_k solved nonsingular.
+        """
         h = self.hessian()
-        for size in range(1, len(self.variables) + 1):
-            if _determinant([row[:size] for row in h[:size]]) <= 0:
+        for k in range(len(h)):
+            b = [row[k] for row in h[:k]]
+            x = solve_linear([row[:k] for row in h[:k]], b)
+            if h[k][k] - sum((bi * xi for bi, xi in zip(b, x)), F(0)) <= 0:
                 return False
         return True
-
-
-def _determinant(mat: List[List[Fraction]]) -> Fraction:
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = F(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return F(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / inv
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return det
 
 
 def _interpolate_quadratic(variables: Tuple[str, ...], value_at) -> QuadraticFormInParams:
@@ -283,22 +270,8 @@ def diag_candidate(n: int) -> CriticalPoint:
     at n = 1 the value is reported without a sign assertion.
     """
     form = diag_form(n)
-    nvars = 4
-    matrix = []
-    rhs = []
-    for i in range(nvars):
-        row = []
-        for j in range(nvars):
-            mono = [0] * nvars
-            mono[i] += 1
-            mono[j] += 1
-            c = form.coefficient(tuple(mono))
-            row.append(2 * c if i == j else c)
-        matrix.append(row)
-        lin = [0] * nvars
-        lin[i] = 1
-        rhs.append(-form.coefficient(tuple(lin)))
-    sol = solve_linear(matrix, rhs)
+    # a quadratic's gradient at x is H x + (its gradient at 0)
+    sol = solve_linear(form.hessian(), [-g for g in form.gradient([F(0)] * 4)])
     value = form.evaluate(sol)
     if n >= 2 and value >= 0:
         raise VerificationError(f"diagonal candidate for n={n} is not negative: {value}")

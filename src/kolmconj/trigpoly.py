@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
+import numpy as np
+
 COS = "cos"
 SIN = "sin"
 
@@ -203,11 +205,12 @@ class TrigPoly:
             return Fraction(0)
         return sign * self.terms.get(mode, Fraction(0))
 
-    def eval(self, x: float, y: float) -> float:
+    def eval(self, x, y):
+        """Float value at (x, y); x and y may be numpy arrays of one shape."""
         total = 0.0
         for m, c in self.terms.items():
-            arg = m.j * x + m.k * y
-            total += float(c) * (math.cos(arg) if m.parity == COS else math.sin(arg))
+            fn = np.cos if m.parity == COS else np.sin
+            total = total + float(c) * fn(m.j * x + m.k * y)
         return total
 
     def __eq__(self, other) -> bool:

@@ -128,7 +128,7 @@ def test_criterion_6_quadform_matches_index():
 
 
 def test_criterion_7_sweep_certifies_all_pairs():
-    from kolmconj.cli import run_sweep
+    from kolmconj.pipeline import run_sweep
     start = time.monotonic()
     rows = run_sweep(4, N=12, p=3)
     elapsed = time.monotonic() - start

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from kolmconj.cli import run_minimize
+from kolmconj.pipeline import run_minimize
 from kolmconj.spectral import (FULL, ReducedForm, SpectralWindow,
                                assemble_bracket_matrix, assemble_quadform,
                                block_minimum, bracket_blocks, coefficient_vector,

@@ -3,9 +3,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from kolmconj.cli import (main, read_field_file, run_minimize, run_sweep,
-                          write_field_file)
+from kolmconj.cli import main
+from kolmconj.pipeline import (read_field_file, run_minimize, run_sweep,
+                               write_field_file)
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly
 
 
@@ -215,6 +217,17 @@ class TestFieldCommand:
         assert code == 2
         assert "grid" in err
 
+    def test_deformed_partial_override_is_usage_error(self, capsys, tmp_path):
+        field_file = tmp_path / "f.json"
+        write_field_file(str(field_file), KolmogorovFlow(2, 1),
+                         TrigPoly.cosine(1, 0), "probe")
+        out_file = tmp_path / "d.csv"
+        code, _, err = run(capsys, "field", "deformed", "--field", str(field_file),
+                           "--m", "3", "--grid", "16", "--out", str(out_file))
+        assert code == 2
+        assert "--m and --n" in err
+        assert not out_file.exists()
+
     def test_missing_field_arg_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "field", "minimizer",
                          "--out", str(tmp_path / "x.csv"))
@@ -244,6 +257,81 @@ class TestFieldFiles:
         path.write_text("{not json")
         code, _, _ = run(capsys, "mi", str(path))
         assert code == 2
+
+
+def _field_doc(m=3, n=2, parity="cos", value="1"):
+    return {"m": m, "n": n, "description": "probe",
+            "modes": [{"parity": parity, "j": 1, "k": 0, "value": value}]}
+
+
+BAD_FIELD_FILES = {
+    "unknown parity": _field_doc(parity="tan"),
+    "zero denominator": _field_doc(value="1/0"),
+    "bool and float wavenumbers": _field_doc(m=True, n=2.7),
+    "top-level list": [_field_doc()],
+    "missing m": {key: v for key, v in _field_doc().items() if key != "m"},
+}
+
+
+@pytest.mark.parametrize("doc", BAD_FIELD_FILES.values(), ids=BAD_FIELD_FILES.keys())
+def test_bad_field_file_is_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "mi", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: field file: ") and err.count("\n") == 1
+
+
+def test_index_beyond_float_range_is_numerical_failure(capsys, tmp_path):
+    doc = _field_doc()
+    doc["modes"][0]["j"] = 10 ** 200
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "mi", str(path))
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.sampled_from(["cos", "sin", "tan", "-3/7", "1/0", "2.5", "x"])
+            | st.text(max_size=6))
+_VALID_DOCS = st.fixed_dictionaries({
+    "m": st.integers(1, 4), "n": st.integers(1, 4),
+    "modes": st.lists(st.fixed_dictionaries({
+        "parity": st.sampled_from(["cos", "sin"]),
+        "j": st.integers(-4, 4), "k": st.integers(-4, 4),
+        "value": st.integers(-9, 9) | st.fractions().map(str)}), max_size=3)})
+
+
+@st.composite
+def _field_docs(draw):
+    """A valid document, or one with a single fault: replaced whole, or one
+    member of the top level or of a mode deleted or set to any JSON scalar."""
+    doc = draw(_VALID_DOCS)
+    where = draw(st.sampled_from(["none", "whole", "top"] + ["mode"] * bool(doc["modes"])))
+    if where == "none":
+        return doc
+    if where == "whole":
+        return draw(_SCALARS | st.lists(_SCALARS, max_size=3))
+    obj = doc if where == "top" else draw(st.sampled_from(doc["modes"]))
+    key = draw(st.sampled_from(sorted(obj)))
+    if draw(st.booleans()):
+        del obj[key]
+    else:
+        obj[key] = draw(_SCALARS)
+    return doc
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_field_docs())
+def test_any_field_file_ends_in_an_exit_code(capsys, tmp_path, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "mi", str(path))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1"])

@@ -6,13 +6,12 @@ import pytest
 
 from kolmconj.eigensolve import sym_eig_min
 from kolmconj.spectral import (CertificationError, SpectralWindow,
-                               assemble_bracket_matrix, assemble_L_cos,
-                               assemble_L_sin, assemble_quadform,
+                               assemble_bracket_matrix, assemble_quadform,
                                certify_candidate, coefficient_vector, constrain,
-                               fold_index, minimizer_coefficients,
-                               reduce_symmetric, CoeffVector)
+                               minimizer_coefficients, reduce_symmetric,
+                               CoeffVector)
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
-                               bracket, misiolek_index)
+                               bracket, canonicalize, misiolek_index)
 
 
 def zeta32_field():
@@ -70,22 +69,32 @@ class TestWindow:
 
 
 class TestFoldIndex:
+    """A lattice index folds into a window by canonicalize, then window lookup."""
+
     def test_negative_j(self):
-        assert fold_index(-2, 3, 4) == (Mode(2, -3, COS), 1)
+        mode, sign = canonicalize(COS, -2, 3)
+        assert (mode, sign) == (Mode(2, -3, COS), 1)
+        assert SpectralWindow(4, COS).index_of(mode) is not None
 
     def test_j_zero(self):
-        assert fold_index(0, -4, 4) == (Mode(0, 4, COS), 1)
+        mode, sign = canonicalize(COS, 0, -4)
+        assert (mode, sign) == (Mode(0, 4, COS), 1)
+        assert SpectralWindow(4, COS).index_of(mode) is not None
 
     def test_outside_window(self):
         N = 4
-        assert fold_index(N + 1, 0, N) == (None, 0)
-        assert fold_index(2, N + 1, N) == (None, 0)
+        win = SpectralWindow(N, COS)
+        assert win.index_of(canonicalize(COS, N + 1, 0)[0]) is None
+        assert win.index_of(canonicalize(COS, 2, N + 1)[0]) is None
+        assert win.index_of(canonicalize(COS, -2, -N - 1)[0]) is None
 
     def test_constant_excluded(self):
-        assert fold_index(0, 0, 4) == (None, 0)
+        assert SpectralWindow(4, COS).index_of(canonicalize(COS, 0, 0)[0]) is None
 
     def test_sin_fold_sign(self):
-        assert fold_index(-2, 3, 4, SIN) == (Mode(2, -3, SIN), -1)
+        mode, sign = canonicalize(SIN, -2, 3)
+        assert (mode, sign) == (Mode(2, -3, SIN), -1)
+        assert SpectralWindow(4, SIN).index_of(mode) is not None
 
 
 class TestBracketMatrix:
@@ -93,7 +102,7 @@ class TestBracketMatrix:
         flow = KolmogorovFlow(2, 1)
         win = SpectralWindow(1, COS)
         ext = SpectralWindow(3, COS)
-        M = assemble_L_cos(flow, win, ext)
+        M = assemble_bracket_matrix(flow, win, ext)
         v = np.zeros(len(win))
         v[win.index_of(Mode(1, 0, COS))] = 1.0
         out = M @ v
@@ -107,7 +116,7 @@ class TestBracketMatrix:
             flow = KolmogorovFlow(m, n)
             win = SpectralWindow(max(m, n), COS)
             ext = SpectralWindow(2 * max(m, n), COS)
-            M = assemble_L_cos(flow, win, ext)
+            M = assemble_bracket_matrix(flow, win, ext)
             v = coefficient_vector(flow.stream(), win).values
             assert np.max(np.abs(M @ v)) < 1e-14
 
@@ -115,7 +124,7 @@ class TestBracketMatrix:
         flow = KolmogorovFlow(1, 1)
         win = SpectralWindow(1, SIN)
         ext = SpectralWindow(2, SIN)
-        M = assemble_L_sin(flow, win, ext)
+        M = assemble_bracket_matrix(flow, win, ext)
         v = np.zeros(len(win))
         v[win.index_of(Mode(1, 0, SIN))] = 1.0
         want = coefficient_vector(bracket(flow.stream(), TrigPoly.sine(1, 0)),
@@ -126,7 +135,7 @@ class TestBracketMatrix:
         flow = KolmogorovFlow(2, 1)
         win = SpectralWindow(2, SIN)
         ext = SpectralWindow(4, SIN)
-        M = assemble_L_sin(flow, win, ext)
+        M = assemble_bracket_matrix(flow, win, ext)
         assert np.max(np.abs(M @ np.zeros(len(win)))) == 0.0
 
     def test_undersized_output_rejected(self):
@@ -135,12 +144,10 @@ class TestBracketMatrix:
             assemble_bracket_matrix(flow, SpectralWindow(4, COS),
                                     SpectralWindow(5, COS))
 
-    def test_parity_wrappers_validate(self):
+    def test_mismatched_subspaces_rejected(self):
         flow = KolmogorovFlow(1, 1)
         with pytest.raises(ValueError):
-            assemble_L_cos(flow, SpectralWindow(2, SIN), SpectralWindow(4, SIN))
-        with pytest.raises(ValueError):
-            assemble_L_sin(flow, SpectralWindow(2, COS), SpectralWindow(4, COS))
+            assemble_bracket_matrix(flow, SpectralWindow(2, SIN), SpectralWindow(4, COS))
 
     @pytest.mark.parametrize("parity", [COS, SIN])
     def test_matches_exact_bracket_random(self, parity):

@@ -10,7 +10,7 @@ from kolmconj.theorems import (DIAG_MIN_DENOMINATOR, DIAG_MIN_NUMERATOR,
                                offdiag_reference, offdiag_reference_candidate,
                                offdiag_scaled_minimum,
                                offdiag_scaled_minimum_reference,
-                               sign_certificates)
+                               QuadraticFormInParams, sign_certificates)
 from kolmconj.trigpoly import KolmogorovFlow, TrigPoly, bracket, misiolek_index
 
 
@@ -116,6 +116,17 @@ class TestDiagForm:
         assert set(cand.values) == {"a", "b", "c", "d"}
         assert cand.value == diag_form(1).evaluate(
             tuple(cand.values[v] for v in ("a", "b", "c", "d")))
+
+
+@pytest.mark.parametrize("coeffs,expected", [
+    ({(0, 2): 1}, False),                        # leading entry 0
+    ({(2, 0): 1, (0, 2): -1}, False),            # indefinite, diagonal
+    ({(2, 0): 1, (1, 1): 3, (0, 2): 1}, False),  # indefinite through the cross term
+    ({(2, 0): 1, (1, 1): 1, (0, 2): 1}, True),
+])
+def test_hessian_minors_positive(coeffs, expected):
+    form = QuadraticFormInParams(("a", "b"), {mono: F(c) for mono, c in coeffs.items()})
+    assert form.hessian_minors_positive() is expected
 
 
 class TestDrivas:
