@@ -233,6 +233,9 @@ def cmd_field(args) -> int:
             raise UsageError(f"field {args.what} requires --field FILE")
         flow, f, _ = read_field_file(args.field)
         if args.what == "minimizer":
+            if args.m is not None or args.n is not None:
+                raise UsageError("field minimizer takes no --m or --n: "
+                                 "the grid does not depend on the flow")
             values_at = f.eval
         else:
             values_at = deformed_stream(_flow_override(args, flow), f, args.epsilon)

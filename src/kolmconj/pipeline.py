@@ -9,6 +9,7 @@ files sample a field on the uniform grid of the torus as CSV.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -112,8 +113,17 @@ def _integer(obj: dict, key: str, where: str) -> int:
     return value
 
 
+_MAX_EXPONENT = 4300  # CPython's default digit limit for int strings
+
+
 def _rational(value) -> Fraction:
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        # Fraction("1e1000000") would build 10**1000000: bound the exponent
+        exponent = re.search(r"[eE][-+]?([\d_]+)\s*$", str(value))
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"field file: value {value!r} has a decimal exponent "
+                             f"beyond {_MAX_EXPONENT} in magnitude")
         try:
             return Fraction(str(value))
         except (ValueError, ZeroDivisionError):

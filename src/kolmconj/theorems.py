@@ -2,10 +2,10 @@
 
 The scaled Misiolek index of the two-parameter (m > n) and four-parameter
 (m = n) candidate families is a quadratic form in the free coefficients.
-Rather than transcribing the known closed forms, each form is reconstructed
-here by sampling the exact index at rational parameter values and
-interpolating; the published displays then serve purely as golden values,
-so a mismatch catches transcription errors on either side.
+Rather than transcribing the known closed forms, each form is expanded here
+by bilinearity from the exact index of the family's brackets; the published
+displays then serve purely as golden values, so a mismatch catches
+transcription errors on either side.
 """
 
 from __future__ import annotations
@@ -29,38 +29,6 @@ class VerificationError(Exception):
 OFFDIAG_EDGE_COEFFS = (-83, -520, -992, -896, -464, -128)
 DIAG_MIN_NUMERATOR = (-802799, -868412, -349200, -61952, -4096)
 DIAG_MIN_DENOMINATOR = (3798226, 3627508, 1298224, 206336, 12288)
-
-
-def _monomials(nvars: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples of all monomials of total degree <= 2."""
-    monos = [tuple(0 for _ in range(nvars))]
-    for i in range(nvars):
-        e = [0] * nvars
-        e[i] = 1
-        monos.append(tuple(e))
-    for i in range(nvars):
-        for j in range(i, nvars):
-            e = [0] * nvars
-            e[i] += 1
-            e[j] += 1
-            monos.append(tuple(e))
-    return monos
-
-
-def _sample_points(nvars: int) -> List[Tuple[Fraction, ...]]:
-    """Unisolvent sample set for quadratics: 0, e_i, 2 e_i, e_i + e_j."""
-    pts = [tuple(F(0) for _ in range(nvars))]
-    for i in range(nvars):
-        for scale in (1, 2):
-            p = [F(0)] * nvars
-            p[i] = F(scale)
-            pts.append(tuple(p))
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            p = [F(0)] * nvars
-            p[i] = p[j] = F(1)
-            pts.append(tuple(p))
-    return pts
 
 
 def _mono_eval(mono: Tuple[int, ...], point: Sequence[Fraction]) -> Fraction:
@@ -123,15 +91,34 @@ class QuadraticFormInParams:
         return True
 
 
-def _interpolate_quadratic(variables: Tuple[str, ...], value_at) -> QuadraticFormInParams:
+def _family_form(flow: KolmogorovFlow, variables: Tuple[str, ...], base: TrigPoly,
+                 directions: Sequence[TrigPoly]) -> QuadraticFormInParams:
+    """Scaled index MI * 4 / (pi^2 n^2) of f = base + sum_i x_i directions_i.
+
+    With phi_0 = {psi, base} and phi_i = {psi, directions_i}, the index of
+    phi_0 + sum_i x_i phi_i expands by polarization: MI(phi_0) is the
+    constant, MI(phi_i) the coefficient of x_i^2, and MI(p + q) - MI(p) - MI(q)
+    that of x_i (p, q = phi_0, phi_i) and of x_i x_j (p, q = phi_i, phi_j).
+    """
+    psi = flow.stream()
+    phi0 = bracket(psi, base)
+    phis = [bracket(psi, d) for d in directions]
+    squares = [misiolek_index(phi, flow) for phi in phis]
+    const = misiolek_index(phi0, flow)
     nvars = len(variables)
-    monos = _monomials(nvars)
-    pts = _sample_points(nvars)
-    rows = [[_mono_eval(mono, pt) for mono in monos] for pt in pts]
-    rhs = [value_at(pt) for pt in pts]
-    sol = solve_linear(rows, rhs)
-    coeffs = {mono: c for mono, c in zip(monos, sol) if c}
-    return QuadraticFormInParams(variables, coeffs)
+
+    def mono(*indices):
+        return tuple(indices.count(i) for i in range(nvars))
+
+    coeffs = {mono(): const}
+    for i, phi in enumerate(phis):
+        coeffs[mono(i)] = misiolek_index(phi0 + phi, flow) - const - squares[i]
+        coeffs[mono(i, i)] = squares[i]
+        for j in range(i + 1, nvars):
+            coeffs[mono(i, j)] = (misiolek_index(phi + phis[j], flow)
+                                  - squares[i] - squares[j])
+    scale = F(4, flow.n ** 2)
+    return QuadraticFormInParams(variables, {k: c * scale for k, c in coeffs.items() if c})
 
 
 @dataclass(frozen=True)
@@ -145,23 +132,13 @@ class CriticalPoint:
 def offdiag_form(m: int, n: int) -> QuadraticFormInParams:
     """Scaled index MI * 4 / (pi^2 n^2) of f = cos x (1 + a cos 2mx + b cos 2ny).
 
-    Reconstructed by exact sampling + interpolation; quadratic in (a, b).
+    Expanded by bilinearity (see `_family_form`); quadratic in (a, b).
     """
     if not (m > n >= 1):
         raise ValueError("off-diagonal family requires m > n >= 1")
-    flow = KolmogorovFlow(m, n)
-    psi = flow.stream()
     cosx = TrigPoly.cosine(1, 0)
-
-    def value_at(point):
-        a, b = point
-        envelope = (TrigPoly.constant(1)
-                    + TrigPoly.cosine(2 * m, 0, a)
-                    + TrigPoly.cosine(0, 2 * n, b))
-        f = cosx * envelope
-        return misiolek_index(bracket(psi, f), flow) * 4 / n ** 2
-
-    return _interpolate_quadratic(("a", "b"), value_at)
+    return _family_form(KolmogorovFlow(m, n), ("a", "b"), cosx,
+                        [cosx * TrigPoly.cosine(2 * m, 0), cosx * TrigPoly.cosine(0, 2 * n)])
 
 
 def offdiag_reference(m: int, n: int) -> Dict[Tuple[int, int], Fraction]:
@@ -221,25 +198,16 @@ def offdiag_scaled_minimum_reference(m: int, n: int) -> Fraction:
 def diag_form(n: int) -> QuadraticFormInParams:
     """Scaled index of the four-parameter diagonal family.
 
-    f = cos x (1 + a cos 2ny + b cos 4ny + c cos 2nx) + d sin x sin 2nx.
+    f = cos x (1 + a cos 2ny + b cos 4ny + c cos 2nx) + d sin x sin 2nx,
+    expanded by bilinearity (see `_family_form`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    flow = KolmogorovFlow(n, n)
-    psi = flow.stream()
     cosx = TrigPoly.cosine(1, 0)
-    sinx = TrigPoly.sine(1, 0)
-
-    def value_at(point):
-        a, b, c, d = point
-        envelope = (TrigPoly.constant(1)
-                    + TrigPoly.cosine(0, 2 * n, a)
-                    + TrigPoly.cosine(0, 4 * n, b)
-                    + TrigPoly.cosine(2 * n, 0, c))
-        f = cosx * envelope + sinx * TrigPoly.sine(2 * n, 0, d)
-        return misiolek_index(bracket(psi, f), flow) * 4 / n ** 2
-
-    return _interpolate_quadratic(("a", "b", "c", "d"), value_at)
+    directions = [cosx * TrigPoly.cosine(0, 2 * n), cosx * TrigPoly.cosine(0, 4 * n),
+                  cosx * TrigPoly.cosine(2 * n, 0),
+                  TrigPoly.sine(1, 0) * TrigPoly.sine(2 * n, 0)]
+    return _family_form(KolmogorovFlow(n, n), ("a", "b", "c", "d"), cosx, directions)
 
 
 def diag_reference(n: int) -> Dict[Tuple[int, int, int, int], Fraction]:

@@ -228,6 +228,18 @@ class TestFieldCommand:
         assert "--m and --n" in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("flag", ["--m", "--n"])
+    def test_minimizer_flow_flag_is_usage_error(self, capsys, tmp_path, flag):
+        field_file = tmp_path / "f.json"
+        write_field_file(str(field_file), KolmogorovFlow(2, 1),
+                         TrigPoly.cosine(1, 0), "probe")
+        out_file = tmp_path / "g.csv"
+        code, _, err = run(capsys, "field", "minimizer", "--field", str(field_file),
+                           flag, "7", "--grid", "16", "--out", str(out_file))
+        assert code == 2
+        assert flag in err
+        assert not out_file.exists()
+
     def test_missing_field_arg_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "field", "minimizer",
                          "--out", str(tmp_path / "x.csv"))
@@ -270,6 +282,7 @@ BAD_FIELD_FILES = {
     "bool and float wavenumbers": _field_doc(m=True, n=2.7),
     "top-level list": [_field_doc()],
     "missing m": {key: v for key, v in _field_doc().items() if key != "m"},
+    "huge exponent": _field_doc(value="1e1000000"),
 }
 
 
@@ -329,9 +342,14 @@ def _field_docs(draw):
 def test_any_field_file_ends_in_an_exit_code(capsys, tmp_path, doc):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "mi", str(path))
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err
+    for argv in (["mi", str(path)],
+                 ["field", "minimizer", "--field", str(path), "--grid", "16",
+                  "--out", str(tmp_path / "grid.csv")],
+                 ["field", "deformed", "--field", str(path), "--grid", "16",
+                  "--out", str(tmp_path / "grid.csv")]):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1"])

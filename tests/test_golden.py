@@ -25,6 +25,9 @@ CASES = {
     "verify_offdiag_7_3": ("verify", "offdiag", "7", "3"),
     "verify_diag_1": ("verify", "diag", "1"),
     "verify_diag_9": ("verify", "diag", "9"),
+    # the top of the exact range: the largest numbers the exact route prints
+    "verify_offdiag_30_29": ("verify", "offdiag", "30", "29"),
+    "verify_diag_30": ("verify", "diag", "30"),
     # a field the index certifies, and one it does not
     "mi_drivas_11": ("mi", str(GOLDEN / "drivas_11.json")),
     "mi_cosx_32": ("mi", str(GOLDEN / "cosx_32.json")),

@@ -129,6 +129,34 @@ def test_hessian_minors_positive(coeffs, expected):
     assert form.hessian_minors_positive() is expected
 
 
+def _rational_points(rng, nvars, count=5):
+    return [tuple(F(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(nvars))
+            for _ in range(count)]
+
+
+def _scaled_index(flow, f):
+    return misiolek_index(bracket(flow.stream(), f), flow) * 4 / flow.n ** 2
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (7, 3), (27, 1), (30, 29)])
+def test_offdiag_form_is_the_exact_index(rng, m, n):
+    form = offdiag_form(m, n)
+    for a, b in _rational_points(rng, 2):
+        f = TrigPoly.cosine(1, 0) * (TrigPoly.constant(1) + TrigPoly.cosine(2 * m, 0, a)
+                                     + TrigPoly.cosine(0, 2 * n, b))
+        assert form.evaluate((a, b)) == _scaled_index(KolmogorovFlow(m, n), f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 30])
+def test_diag_form_is_the_exact_index(rng, n):
+    form = diag_form(n)
+    for a, b, c, d in _rational_points(rng, 4):
+        envelope = (TrigPoly.constant(1) + TrigPoly.cosine(0, 2 * n, a)
+                    + TrigPoly.cosine(0, 4 * n, b) + TrigPoly.cosine(2 * n, 0, c))
+        f = TrigPoly.cosine(1, 0) * envelope + TrigPoly.sine(1, 0) * TrigPoly.sine(2 * n, 0, d)
+        assert form.evaluate((a, b, c, d)) == _scaled_index(KolmogorovFlow(n, n), f)
+
+
 class TestDrivas:
     def test_value(self):
         assert drivas_check() == F(-3, 200)
