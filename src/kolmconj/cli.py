@@ -41,8 +41,8 @@ def _verify_family(m: int, n: int) -> bool:
     if m > n:
         print(f"off-diagonal family (m,n)=({m},{n})")
         variables, labels = ("a", "b"), ("minimum value", "minimum negative")
-        form, ref = theorems.offdiag_form(m, n), theorems.offdiag_reference(m, n)
         cand = theorems.offdiag_candidate(m, n)
+        ref = theorems.offdiag_reference(m, n)
         refc = theorems.offdiag_reference_candidate(m, n)
     else:
         print(f"diagonal family n={n}")
@@ -54,12 +54,12 @@ def _verify_family(m: int, n: int) -> bool:
             return True
         variables = ("a", "b", "c", "d")
         labels = ("critical value", "critical value negative")
-        form, ref = theorems.diag_form(n), theorems.diag_reference(n)
+        ref = theorems.diag_reference(n)
         refc = theorems.diag_reference_candidate(n)
     ok = True
     for mono in sorted(ref, reverse=True):
         name = "".join(v * e for v, e in zip(variables, mono)) or "1"
-        ok &= _report("coeff " + name, ref[mono], form.coefficient(mono))
+        ok &= _report("coeff " + name, ref[mono], cand.form.coefficient(mono))
     for var in variables:
         ok &= _report(f"{var}0", refc.values[var], cand.values[var])
     ok &= _report(labels[0], refc.value, cand.value)
@@ -200,6 +200,14 @@ def _flow_override(args, flow: KolmogorovFlow) -> KolmogorovFlow:
     return KolmogorovFlow(args.m, args.n)
 
 
+def _exact_str(value: Fraction, name: str) -> str:
+    """str(value); past CPython's int-to-string digit limit, OverflowError (exit 3)."""
+    try:
+        return str(value)
+    except ValueError:
+        raise OverflowError(f"{name} has too many digits to print") from None
+
+
 def cmd_mi(args) -> int:
     flow, field, _ = read_field_file(args.file)
     flow = _flow_override(args, flow)
@@ -209,15 +217,18 @@ def cmd_mi(args) -> int:
               "(constant on streamlines)")
         return FAIL
     q = misiolek_index(phi, flow)
-    print(f"flow: m={flow.m} n={flow.n}")
-    print(f"MI/pi^2 = {q} (~ {float(q):.6e})")
+    # every value is formatted before the first print: a failure prints nothing
+    lines = [f"flow: m={flow.m} n={flow.n}",
+             f"MI/pi^2 = {_exact_str(q, 'MI/pi^2')} (~ {float(q):.6e})"]
     if q < 0:
         tstar = conjugate_time_bound(field, flow)
-        print("verdict: conjugate point detected")
-        print(f"conjugate point occurs before any T > T* = {tstar:.12e} "
-              f"(T*^2/pi^2 = {grad_energy(field) / -q})")
+        ratio = _exact_str(grad_energy(field) / -q, "T*^2/pi^2")
+        lines += ["verdict: conjugate point detected",
+                  f"conjugate point occurs before any T > T* = {tstar:.12e} "
+                  f"(T*^2/pi^2 = {ratio})"]
     else:
-        print("verdict: not detected by this field")
+        lines.append("verdict: not detected by this field")
+    print("\n".join(lines))
     return OK
 
 
@@ -322,7 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return FAIL
     except (ConvergenceError, CertificationError, OverflowError) as exc:
-        # OverflowError: an exact value too large to print as a float
+        # OverflowError: an exact value too large to print, as a float or in digits
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC
 

@@ -359,6 +359,8 @@ def certify_candidate(v: CoeffVector, flow: KolmogorovFlow,
         raise ValueError("cannot certify the zero vector")
     terms = {}
     for mode, val in zip(v.window.modes, v.values):
+        if val == 0:  # modes outside the winning block; a zero is dropped anyway
+            continue
         c = Fraction(float(val / peak)).limit_denominator(max_denominator)
         if c:
             terms[mode] = c

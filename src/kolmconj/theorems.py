@@ -10,9 +10,9 @@ transcription errors on either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (fit_polynomial, fit_rational, poly_eval, poly_shift,
                        solve_linear)
@@ -125,6 +125,8 @@ def _family_form(flow: KolmogorovFlow, variables: Tuple[str, ...], base: TrigPol
 class CriticalPoint:
     values: Dict[str, Fraction]
     value: Fraction  # the form evaluated at the point
+    # the family's form the point was solved from; None for the published ones
+    form: Optional[QuadraticFormInParams] = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------- m > n
@@ -167,7 +169,7 @@ def offdiag_candidate(m: int, n: int) -> CriticalPoint:
     if value >= 0:
         raise VerificationError(
             f"off-diagonal candidate for (m,n)=({m},{n}) is not negative: {value}")
-    return CriticalPoint({"a": a0, "b": b0}, value)
+    return CriticalPoint({"a": a0, "b": b0}, value, form)
 
 
 def offdiag_reference_candidate(m: int, n: int) -> CriticalPoint:
@@ -243,7 +245,7 @@ def diag_candidate(n: int) -> CriticalPoint:
     value = form.evaluate(sol)
     if n >= 2 and value >= 0:
         raise VerificationError(f"diagonal candidate for n={n} is not negative: {value}")
-    return CriticalPoint(dict(zip(("a", "b", "c", "d"), sol)), value)
+    return CriticalPoint(dict(zip(("a", "b", "c", "d"), sol)), value, form)
 
 
 def diag_reference_candidate(n: int) -> CriticalPoint:
@@ -304,11 +306,11 @@ def sign_certificates(max_check: int = 10) -> SignReport:
     if max_check < 1:
         raise ValueError("max_check must be >= 1")
 
-    # (i) worst-case off-diagonal polynomial in k
+    # (i) worst-case off-diagonal polynomial in k = m - 1
+    offdiag_values = {m: offdiag_scaled_minimum(m, m - 1) for m in range(2, 9)}
     ks = [F(k) for k in range(1, 7)]
-    vals = [offdiag_scaled_minimum(k + 1, k) for k in range(1, 7)]
-    edge = fit_polynomial(ks, vals)
-    if poly_eval(edge, F(7)) != offdiag_scaled_minimum(8, 7):
+    edge = fit_polynomial(ks, [offdiag_values[k + 1] for k in range(1, 7)])
+    if poly_eval(edge, F(7)) != offdiag_values[8]:
         raise VerificationError("worst-case off-diagonal value is not a quintic in k")
     if any(c >= 0 for c in edge):
         raise VerificationError(f"off-diagonal edge coefficients not all negative: {edge}")
@@ -337,7 +339,9 @@ def sign_certificates(max_check: int = 10) -> SignReport:
     # (iii) integer spot checks
     offdiag_spots = {}
     for m in range(2, max_check + 2):
-        val = offdiag_scaled_minimum(m, m - 1)
+        val = offdiag_values.get(m)
+        if val is None:
+            val = offdiag_scaled_minimum(m, m - 1)
         if val >= 0:
             raise VerificationError(f"spot check failed at (m,n)=({m},{m - 1})")
         offdiag_spots[m] = val

@@ -66,7 +66,34 @@ def _accumulate(acc: Dict[Mode, Fraction], parity: str, j: int, k: int, coeff: F
     mode, sign = canonicalize(parity, j, k)
     if mode is None:
         return
-    acc[mode] = acc.get(mode, Fraction(0)) + sign * coeff
+    old = acc.get(mode)
+    if old is None:
+        acc[mode] = coeff if sign > 0 else -coeff
+    else:
+        acc[mode] = old + coeff if sign > 0 else old - coeff
+
+
+def _accumulate_product(acc: Dict[Mode, Fraction], p1: str, j1: int, k1: int,
+                        p2: str, j2: int, k2: int, c: Fraction) -> None:
+    """Add 2c * T1(j1 x + k1 y) * T2(j2 x + k2 y) by product-to-sum.
+
+    With a, b the two arguments: 2 cos a cos b = cos(a-b) + cos(a+b),
+    2 sin a sin b = cos(a-b) - cos(a+b), 2 sin a cos b = sin(a+b) + sin(a-b)
+    and 2 cos a sin b = sin(a+b) - sin(a-b).
+    """
+    js, ks, jd, kd = j1 + j2, k1 + k2, j1 - j2, k1 - k2
+    if p1 == COS and p2 == COS:
+        _accumulate(acc, COS, jd, kd, c)
+        _accumulate(acc, COS, js, ks, c)
+    elif p1 == SIN and p2 == SIN:
+        _accumulate(acc, COS, jd, kd, c)
+        _accumulate(acc, COS, js, ks, -c)
+    elif p1 == SIN:  # sin * cos
+        _accumulate(acc, SIN, js, ks, c)
+        _accumulate(acc, SIN, jd, kd, c)
+    else:  # cos * sin
+        _accumulate(acc, SIN, js, ks, c)
+        _accumulate(acc, SIN, jd, kd, -c)
 
 
 class TrigPoly:
@@ -78,7 +105,7 @@ class TrigPoly:
         clean: Dict[Mode, Fraction] = {}
         if terms:
             for mode, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c:
                     clean[mode] = c
         object.__setattr__(self, "terms", clean)
@@ -140,25 +167,11 @@ class TrigPoly:
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
             return self.scaled(other)
-        # product-to-sum expansion, term by term
         acc: Dict[Mode, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                c = c1 * c2 / 2
-                js, ks = m1.j + m2.j, m1.k + m2.k
-                jd, kd = m1.j - m2.j, m1.k - m2.k
-                if m1.parity == COS and m2.parity == COS:
-                    _accumulate(acc, COS, jd, kd, c)
-                    _accumulate(acc, COS, js, ks, c)
-                elif m1.parity == SIN and m2.parity == SIN:
-                    _accumulate(acc, COS, jd, kd, c)
-                    _accumulate(acc, COS, js, ks, -c)
-                elif m1.parity == SIN and m2.parity == COS:
-                    _accumulate(acc, SIN, js, ks, c)
-                    _accumulate(acc, SIN, jd, kd, c)
-                else:  # cos * sin
-                    _accumulate(acc, SIN, js, ks, c)
-                    _accumulate(acc, SIN, jd, kd, -c)
+                _accumulate_product(acc, m1.parity, m1.j, m1.k, m2.parity, m2.j, m2.k,
+                                    c1 * c2 / 2)
         return TrigPoly(acc)
 
     __rmul__ = __mul__
@@ -226,9 +239,27 @@ class TrigPoly:
         return "TrigPoly(" + " + ".join(parts) + ")"
 
 
+# the derivative of each basis function: cos' = -sin, sin' = cos
+_DERIVATIVE = {COS: (SIN, -1), SIN: (COS, 1)}
+
+
 def bracket(p: TrigPoly, q: TrigPoly) -> TrigPoly:
-    """Poisson bracket {p, q} = p_x q_y - p_y q_x, exact."""
-    return p.dx() * q.dy() - p.dy() * q.dx()
+    """Poisson bracket {p, q} = p_x q_y - p_y q_x, exact.
+
+    Term by term, {c1 T1(a.x), c2 T2(b.x)} = c1 c2 (a1 b2 - a2 b1) T1'(a.x) T2'(b.x),
+    so each pair of terms is one product; pairs with a1 b2 = a2 b1 vanish.
+    """
+    acc: Dict[Mode, Fraction] = {}
+    for m1, c1 in p.terms.items():
+        d1, s1 = _DERIVATIVE[m1.parity]
+        for m2, c2 in q.terms.items():
+            cross = m1.j * m2.k - m1.k * m2.j
+            if cross:
+                d2, s2 = _DERIVATIVE[m2.parity]
+                half = Fraction(c1.numerator * c2.numerator * s1 * s2 * cross,
+                                2 * c1.denominator * c2.denominator)
+                _accumulate_product(acc, d1, m1.j, m1.k, d2, m2.j, m2.k, half)
+    return TrigPoly(acc)
 
 
 def inner(p: TrigPoly, q: TrigPoly) -> Fraction:
@@ -291,9 +322,13 @@ def misiolek_index(phi: TrigPoly, flow: KolmogorovFlow) -> Fraction:
     """
     if phi.constant_coeff:
         raise ValueError("misiolek_index requires a mean-zero input")
+    # sum numerator^2 * (w - lambda^2) in integers per coefficient denominator
     lam2 = flow.lambda2
-    return sum((2 * c * c * (m.laplace_weight - lam2) for m, c in phi.terms.items()),
-               Fraction(0))
+    sums: Dict[int, int] = {}
+    for m, c in phi.terms.items():
+        d = c.denominator
+        sums[d] = sums.get(d, 0) + c.numerator * c.numerator * (m.laplace_weight - lam2)
+    return 2 * sum((Fraction(s, d * d) for d, s in sums.items()), Fraction(0))
 
 
 def conjugate_time_bound(f: TrigPoly, flow: KolmogorovFlow) -> Optional[float]:

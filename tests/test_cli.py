@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -364,3 +365,56 @@ def test_bad_sweep_tolerance_is_usage_error(capsys):
     code, out, err = run(capsys, "sweep", "--mmax", "2", "--tol", "nan")
     assert code == 2
     assert "tolerance" in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["1e2200", "1e-2200"])
+def test_index_too_long_to_print_is_numerical_failure(capsys, tmp_path, value):
+    # a legal value near the exponent bound gives an index of more than 4300
+    # digits, beyond what CPython converts to a string
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_field_doc(value=value)))
+    code, out, err = run(capsys, "mi", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_time_bound_too_long_to_print_is_numerical_failure(capsys, tmp_path):
+    # psi = -cos x cos y is in the bracket's kernel: the index is that of
+    # the certifying field, and only T*^2/pi^2 carries the 1e-2200
+    doc = json.loads((Path(__file__).parent / "golden" / "drivas_11.json").read_text())
+    doc["modes"] += [{"parity": "cos", "j": 1, "k": k, "value": "1e-2200"} for k in (1, -1)]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "mi", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: T*^2/pi^2 has too many digits to print\n"
+
+
+_SMALL_INTS = st.integers(-4, 4).map(str)
+_CONSTRAINT_INTS = st.one_of(
+    _SMALL_INTS,
+    st.tuples(st.sampled_from(["", " ", "\t", "+", "0", "_"]), _SMALL_INTS,
+              st.sampled_from(["", " ", "_", "_0"])).map("".join),
+    # non-ASCII digits, which int() accepts: Arabic-Indic 3, fullwidth 1, Devanagari 2
+    st.sampled_from(["٣", "１", "२", "-０", "1_0", "１_２"]),
+    # long digit runs on both sides of CPython's 4300-digit limit
+    st.sampled_from(["9" * 30, "9" * 4300, "9" * 4301]))
+_CONSTRAINT_SPECS = st.one_of(
+    st.tuples(st.sampled_from(["", "cos:", "sin:"]), _CONSTRAINT_INTS, st.just(","),
+              _CONSTRAINT_INTS).map("".join),
+    st.tuples(st.sampled_from(["", "cos:", "sin:", "tan:", ":", "cos:sin:", " cos:"]),
+              _CONSTRAINT_INTS, st.sampled_from([",", " , ", ",,", ";", ""]),
+              _CONSTRAINT_INTS, st.sampled_from(["", ",1", ":"])).map("".join),
+    st.text(alphabet="0123456789,:_-+ cosin٣１", max_size=10))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_CONSTRAINT_SPECS)
+def test_any_constraint_spec_ends_in_an_exit_code(capsys, spec):
+    code, _, err = run(capsys, "minimize", "--m", "2", "--n", "1", "--N", "4",
+                       "--constrain=" + spec)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err

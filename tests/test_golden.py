@@ -31,6 +31,8 @@ CASES = {
     # a field the index certifies, and one it does not
     "mi_drivas_11": ("mi", str(GOLDEN / "drivas_11.json")),
     "mi_cosx_32": ("mi", str(GOLDEN / "cosx_32.json")),
+    # a rationalized minimizer: 61 sine terms, denominators up to 10**6
+    "mi_sin_22_30": ("mi", str(GOLDEN / "sin_22_30.json")),
 }
 
 

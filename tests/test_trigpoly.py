@@ -262,3 +262,104 @@ class TestKolmogorovFlow:
         psi = KolmogorovFlow(1, 1).stream()
         assert psi.eval(0.0, 0.0) == pytest.approx(-1.0)
         assert psi.eval(math.pi / 2, 1.234) == pytest.approx(0.0, abs=1e-15)
+
+
+def _textbook_bracket(p, q):
+    return p.dx() * q.dy() - p.dy() * q.dx()
+
+
+def _textbook_index(phi, flow):
+    return sum((2 * c * c * (m.laplace_weight - flow.lambda2) for m, c in phi.terms.items()),
+               F(0))
+
+
+def _big_poly(rng, n_terms, bandwidth, max_den):
+    """Random cos/sin mix over negative, zero and positive indices."""
+    return TrigPoly.from_terms(
+        (rng.choice((COS, SIN)), rng.randint(-bandwidth, bandwidth),
+         rng.randint(-bandwidth, bandwidth),
+         F(rng.randint(-max_den, max_den), rng.randint(1, max_den)))
+        for _ in range(n_terms))
+
+
+def _assert_same_poly(got, want):
+    assert got.terms == want.terms
+    assert all(type(c) is F for c in got.terms.values())
+
+
+class TestKernelMatchesTextbook:
+    """The term-pair bracket and the integer-sum index against their formulas."""
+
+    @pytest.fixture
+    def rng(self):
+        return random.Random(5)
+
+    @pytest.mark.parametrize("max_den", [1, 12, 10 ** 6])
+    def test_bracket(self, rng, max_den):
+        for _ in range(60):
+            p = _big_poly(rng, rng.randint(1, 6), 5, max_den)
+            q = _big_poly(rng, rng.randint(1, 6), 5, max_den)
+            if rng.random() < 0.5:
+                q = q + TrigPoly.constant(F(rng.randint(-9, 9), rng.randint(1, max_den)))
+            _assert_same_poly(bracket(p, q), _textbook_bracket(p, q))
+
+    def test_bracket_with_stream(self, rng):
+        for _ in range(20):
+            flow = KolmogorovFlow(rng.randint(1, 5), rng.randint(1, 5))
+            f = _big_poly(rng, 40, 10, 10 ** 6)
+            _assert_same_poly(bracket(flow.stream(), f), _textbook_bracket(flow.stream(), f))
+
+    def test_zero_cross_products(self):
+        # every pair of terms below has parallel wavevectors, so each vanishes
+        p = TrigPoly.from_terms([(COS, 2, 1, F(3, 7)), (SIN, -4, -2, F(-5, 2)),
+                                 (COS, 0, 0, F(1, 3))])
+        q = TrigPoly.from_terms([(SIN, 2, 1, F(999999, 1000000)), (COS, 6, 3, 4),
+                                 (SIN, -2, -1, 1), (COS, 0, 0, 2)])
+        assert bracket(p, q).is_zero() and _textbook_bracket(p, q).is_zero()
+        # one non-parallel term on top of them
+        r = q + TrigPoly.cosine(1, -3, F(2, 9))
+        _assert_same_poly(bracket(p, r), _textbook_bracket(p, r))
+
+    @pytest.mark.parametrize("max_den", [1, 12, 10 ** 6])
+    def test_index(self, rng, max_den):
+        for _ in range(40):
+            flow = KolmogorovFlow(rng.randint(1, 6), rng.randint(1, 6))
+            phi = bracket(flow.stream(), _big_poly(rng, rng.randint(1, 30), 8, max_den))
+            got = misiolek_index(phi, flow)
+            assert type(got) is F and got == _textbook_index(phi, flow)
+
+    def test_index_with_shared_denominators(self, rng):
+        # many coefficients over the same few denominators, so sums collect
+        flow = KolmogorovFlow(3, 2)
+        dens = (1, 2, 7, 10 ** 6, 999983)
+        for _ in range(30):
+            phi = TrigPoly.from_terms(
+                (rng.choice((COS, SIN)), rng.randint(-6, 6), rng.randint(1, 6),
+                 F(rng.randint(-10 ** 6, 10 ** 6), rng.choice(dens)))
+                for _ in range(25))
+            got = misiolek_index(phi, flow)
+            assert type(got) is F and got == _textbook_index(phi, flow)
+
+
+def test_certify_candidate_rationalizes_every_nonzero_entry():
+    """Skipping exact zeros gives the field that rationalizing all entries gives."""
+    import numpy as np
+
+    from kolmconj.spectral import CoeffVector, SpectralWindow, certify_candidate
+
+    rng = random.Random(11)
+    flow = KolmogorovFlow(3, 2)
+    window = SpectralWindow(6, "full")
+    for _ in range(10):
+        values = np.array([rng.choice([0.0, -0.0, 0.0, rng.uniform(-1, 1),
+                                       rng.uniform(-1e-7, 1e-7)])
+                           for _ in range(len(window))])
+        peak = np.max(np.abs(values))
+        want = {}
+        for mode, val in zip(window.modes, values):
+            c = F(float(val / peak)).limit_denominator(10 ** 6)
+            if c:
+                want[mode] = c
+        got = certify_candidate(CoeffVector(window, values), flow).field
+        assert got.terms == want
+        assert all(type(c) is F for c in got.terms.values())
