@@ -141,15 +141,17 @@ def _parse_constraints(specs: Sequence[str], subspace: str) -> List[Mode]:
 
 def _print_minimize(res: MinimizeResult) -> None:
     q = res.certified.mi_over_pi2
-    print(f"flow: m={res.flow.m} n={res.flow.n} (lambda^2={res.flow.lambda2})")
-    print(f"subspace: {res.subspace}  p: {res.p}  N: {res.N}  "
-          f"dim: {len(res.coeffs.values)}")
-    print(f"min eigenvalue: {res.eigen.value:.12e}")
-    print(f"residual: {res.eigen.residual:.3e}")
-    print(f"dominant mode: {res.coeffs.dominant_mode()!r}")
-    print(f"certified MI/pi^2 = {q} (~ {float(q):.6e})")
-    print("verdict: conjugate point detected" if res.certified.detected
-          else "verdict: not detected on this window")
+    # every value is formatted before the first print: a failure prints nothing
+    lines = [f"flow: m={res.flow.m} n={res.flow.n} (lambda^2={res.flow.lambda2})",
+             f"subspace: {res.subspace}  p: {res.p}  N: {res.N}  "
+             f"dim: {len(res.coeffs.values)}",
+             f"min eigenvalue: {res.eigen.value:.12e}",
+             f"residual: {res.eigen.residual:.3e}",
+             f"dominant mode: {res.coeffs.dominant_mode()!r}",
+             f"certified MI/pi^2 = {_exact_str(q, 'MI/pi^2')} (~ {float(q):.6e})",
+             "verdict: conjugate point detected" if res.certified.detected
+             else "verdict: not detected on this window"]
+    print("\n".join(lines))
 
 
 def cmd_minimize(args) -> int:
@@ -177,7 +179,7 @@ def cmd_sweep(args) -> int:
     lines = ["m,n,subspace,eigenvalue,certified_q,verdict"]
     for row in rows:
         eig = "" if row["eigenvalue"] is None else f"{row['eigenvalue']:.12e}"
-        q = "" if row["certified_q"] is None else str(row["certified_q"])
+        q = "" if row["certified_q"] is None else _exact_str(row["certified_q"], "certified_q")
         lines.append(f"{row['m']},{row['n']},{row['subspace']},{eig},{q},"
                      f"{row['verdict']}")
     text = "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -41,16 +42,54 @@ def sym_eig_min(S: np.ndarray, tol: float = 1e-10) -> EigenPair:
     if np.max(np.abs(S - S.T)) > 1e-12 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
     values, vectors = np.linalg.eigh(S)
-    value = float(values[0])
-    v = vectors[:, 0].copy()
-    nz = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
-    if v[nz[0]] < 0:
-        v = -v
-    v /= np.linalg.norm(v)
+    return eigen_pair(S, float(values[0]), _positive_first(vectors[:, 0]), tol)
+
+
+def _positive_first(v: np.ndarray) -> np.ndarray:
+    """v (or each row of v) negated where its first significant entry is negative."""
+    significant = np.abs(v) > 1e-12 * np.max(np.abs(v), axis=-1, keepdims=True)
+    first = np.take_along_axis(v, np.argmax(significant, axis=-1)[..., None], axis=-1)
+    return np.where(first < 0, -v, v)
+
+
+def eigen_pair(S: np.ndarray, value: float, vector: np.ndarray, tol: float) -> EigenPair:
+    """The EigenPair of S's lowest eigenvalue, from its sign-fixed eigenvector.
+
+    Normalizes the vector and raises ConvergenceError if the residual
+    exceeds tol * max|S| * dim.
+    """
+    v = vector / np.linalg.norm(vector)
     residual = float(np.linalg.norm(S @ v - value * v))
-    bound = tol * max(scale, 1e-300) * S.shape[0]
+    bound = tol * max(float(np.max(np.abs(S))), 1e-300) * S.shape[0]
     if residual > bound:
         raise ConvergenceError(
             f"residual {residual:.3e} exceeds bound {bound:.3e} "
             f"(dim={S.shape[0]}, tol={tol:.1e})")
     return EigenPair(value, v, residual)
+
+
+def sym_eig_min_stack(stack: np.ndarray, tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray]:
+    """`sym_eig_min` for each matrix of a stack of shape (count, dim, dim).
+
+    One LAPACK call solves the whole stack, and each matrix gets every
+    check of `sym_eig_min`; where one fails, `sym_eig_min` on the first
+    failing matrix raises its error.  Returns the lowest eigenvalues and,
+    row by row, their eigenvectors with the first significant entry
+    positive; `eigen_pair(stack[i], values[i], vectors[i], tol)` is then
+    what `sym_eig_min(stack[i], tol)` returns.
+    """
+    check_tol(tol)
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
+        raise ValueError("expected a stack of square matrices of dimension >= 1")
+    scale = np.max(np.abs(stack), axis=(1, 2))
+    asymmetry = np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2))
+    values, vectors = np.linalg.eigh(stack)
+    values, vectors = values[:, 0], _positive_first(vectors[:, :, 0])
+    unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    residual = np.linalg.norm((stack @ unit[:, :, None])[:, :, 0] - values[:, None] * unit,
+                              axis=1)
+    bound = tol * np.maximum(scale, 1e-300) * stack.shape[1]
+    for i in np.flatnonzero((asymmetry > 1e-12 * np.maximum(scale, 1.0)) | (residual > bound)):
+        sym_eig_min(stack[i], tol)
+    return values, vectors

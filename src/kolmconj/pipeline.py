@@ -19,7 +19,7 @@ import numpy as np
 from .eigensolve import ConvergenceError, EigenPair, check_tol
 from .spectral import (CertificationError, CertifiedResult, CoeffVector,
                        SpectralWindow, block_minimum, certify_candidate,
-                       minimizer_coefficients, quadform_blocks, reduce_symmetric)
+                       iter_quadform_blocks, minimizer_coefficients, reduce_symmetric)
 from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly
 
 # ------------------------------------------------------------ minimize
@@ -45,12 +45,18 @@ def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
     if N is None:
         N = 2 * max(flow.m, flow.n) + 4
     window = SpectralWindow(N, subspace)
-    blocks = [reduce_symmetric(q, p) for q in quadform_blocks(flow, window)]
-    pair, reduced = block_minimum(blocks, constraints, tol)
+    sizes = []
+
+    def blocks():  # one at a time, so that only the blocks that can win are kept
+        for q in iter_quadform_blocks(flow, window):
+            sizes.append(len(q.modes))
+            yield reduce_symmetric(q, p)
+
+    pair, reduced = block_minimum(blocks(), constraints, tol)
     coeffs = minimizer_coefficients(reduced, pair.vector)
     certified = certify_candidate(coeffs, flow, max_denominator)
-    return MinimizeResult(flow, subspace, p, N, pair, coeffs, certified, len(blocks),
-                          max(len(r.modes) for r in blocks), reduced.quadform.modes[0])
+    return MinimizeResult(flow, subspace, p, N, pair, coeffs, certified, len(sizes),
+                          max(sizes), reduced.quadform.modes[0])
 
 
 def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,

@@ -11,13 +11,15 @@ re-evaluating the index with exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .eigensolve import EigenPair, sym_eig_min
+from .eigensolve import (ConvergenceError, EigenPair, eigen_pair, sym_eig_min,
+                         sym_eig_min_stack)
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
                        misiolek_index)
 
@@ -25,6 +27,9 @@ FULL = "full"
 SUBSPACES = (COS, SIN, FULL)
 # two block minima this close, relative to the larger, are a tie
 TIE_RTOL = 1e-12
+# one stacked LAPACK call holds at most this many matrix entries, so blocks
+# of more than 45 modes are solved one at a time
+STACK_ENTRIES = 4096
 
 
 class CertificationError(RuntimeError):
@@ -35,33 +40,44 @@ class SpectralWindow:
     """Canonical mode window: 0 < j^2+k^2, |j| <= N, |k| <= N, constant excluded.
 
     Each parity subspace holds exactly 2N^2 + 2N modes, ordered
-    lexicographically by (j, k, parity) -- deterministic across runs.
+    lexicographically by (j, k, parity) -- deterministic across runs.  The
+    window is held as integer arrays `j`, `k`, a boolean `sin` and the
+    float `laplace` = j^2 + k^2; its `Mode` objects and their index are
+    built on first use.
     """
 
-    __slots__ = ("N", "subspace", "modes", "_index")
+    __slots__ = ("N", "subspace", "j", "k", "sin", "laplace", "_modes", "_index")
 
     def __init__(self, N: int, subspace: str = COS):
         if N < 1:
             raise ValueError("window order must be >= 1")
         if subspace not in SUBSPACES:
             raise ValueError(f"unknown subspace {subspace!r}")
-        parities = (COS, SIN) if subspace == FULL else (subspace,)
-        modes = []
-        for parity in parities:
-            for j in range(0, N + 1):
-                ks = range(1, N + 1) if j == 0 else range(-N, N + 1)
-                for k in ks:
-                    modes.append(Mode(j, k, parity))
-        modes.sort()
+        parities = (False, True) if subspace == FULL else (subspace == SIN,)
+        # C order of an ij-indexed grid is already (j, k, parity) order
+        j, k, sin = np.meshgrid(np.arange(N + 1), np.arange(-N, N + 1),
+                                np.array(parities), indexing="ij")
+        canonical = (j > 0) | (k > 0)
         self.N = N
         self.subspace = subspace
-        self.modes = tuple(modes)
-        self._index = {m: i for i, m in enumerate(self.modes)}
+        self.j, self.k, self.sin = j[canonical], k[canonical], sin[canonical]
+        self.laplace = (self.j * self.j + self.k * self.k).astype(float)
+        self._modes = None
+        self._index = None
+
+    @property
+    def modes(self) -> Tuple[Mode, ...]:
+        if self._modes is None:
+            parities = [SIN if s else COS for s in self.sin.tolist()]
+            self._modes = tuple(map(Mode, self.j.tolist(), self.k.tolist(), parities))
+        return self._modes
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return len(self.j)
 
     def index_of(self, mode: Mode) -> Optional[int]:
+        if self._index is None:
+            self._index = {m: i for i, m in enumerate(self.modes)}
         return self._index.get(mode)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -96,8 +112,8 @@ def coefficient_vector(f: TrigPoly, window: SpectralWindow) -> CoeffVector:
 
 
 def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
-             out_modes: Sequence[Mode]) -> Tuple[np.ndarray, np.ndarray]:
-    """The bracket's input terms for each output mode, folded into the window.
+             out: SpectralWindow) -> Tuple[np.ndarray, np.ndarray]:
+    """The bracket's input terms for each mode of `out`, folded into the window.
 
     Output coefficient at canonical mode (j, k):
 
@@ -106,18 +122,15 @@ def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
 
     where A is the even (cosine) or odd (sine) extension of the input
     coefficients to the full integer lattice.  Returns (cols, coeffs), both
-    of shape (len(out_modes), 4): the window index each term folds to and
-    its coefficient.  A coefficient is 0 where the weight vanishes, the
-    term folds outside the window, or an earlier term of the row folds to
-    the same mode (that term then holds the sum).
+    of shape (len(out), 4): the window index each term folds to and its
+    coefficient.  A coefficient is 0 where the weight vanishes, the term
+    folds outside the window, or an earlier term of the row folds to the
+    same mode (that term then holds the sum).
     """
     m, n, N = flow.m, flow.n, window.N
     lookup = np.full((2, N + 1, 2 * N + 1), -1)
-    for i, mode in enumerate(window.modes):
-        lookup[int(mode.parity == SIN), mode.j, mode.k + N] = i
-    j = np.array([mode.j for mode in out_modes])[:, None]
-    k = np.array([mode.k for mode in out_modes])[:, None]
-    sin = np.array([mode.parity == SIN for mode in out_modes])[:, None]
+    lookup[window.sin.astype(int), window.j, window.k + N] = np.arange(len(window))
+    j, k, sin = out.j[:, None], out.k[:, None], out.sin[:, None]
     weight = np.hstack([m * k - n * j, n * j - m * k, m * k + n * j, -(m * k + n * j)])
     jj = j + np.array([-m, m, -m, m])
     kk = k + np.array([-n, n, n, -n])
@@ -151,6 +164,50 @@ def _chain_labels(cols: np.ndarray, linked: np.ndarray, size: int) -> np.ndarray
         labels = new
 
 
+def _extended(flow: KolmogorovFlow, window: SpectralWindow) -> SpectralWindow:
+    """The output window, large enough that the bracket loses no mode."""
+    return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
+
+
+def _chains(flow: KolmogorovFlow, window: SpectralWindow,
+            ext: SpectralWindow) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The bracket per chain, ordered by first mode: (index, rows, L).
+
+    `index` holds the window positions of the chain's modes, `rows` the
+    positions in `ext` of the outputs they reach (both ascending), and L
+    the bracket from the one to the other.
+    """
+    size = len(window)
+    cols, coeffs = _stencil(flow, window, ext)
+    linked = coeffs != 0
+    labels = _chain_labels(cols, linked, size)
+    rows = np.flatnonzero(linked.any(axis=1))
+    row_labels = labels[cols[rows, np.argmax(linked[rows], axis=1)]]
+    # one stable sort each lays every chain's modes and rows out together,
+    # in window order
+    order = np.argsort(labels, kind="stable")
+    by_chain = np.argsort(row_labels, kind="stable")
+    rows, row_labels = rows[by_chain], row_labels[by_chain]
+    firsts = np.flatnonzero(labels == np.arange(size))
+    mode_ends = np.searchsorted(labels[order], firsts, side="right")
+    row_ends = np.searchsorted(row_labels, firsts, side="right")
+    sizes = np.diff(mode_ends, prepend=0)
+    local = np.empty(size, dtype=int)  # each mode's position within its chain
+    local[order] = np.arange(size) - np.repeat(mode_ends - sizes, sizes)
+    r, t = np.nonzero(linked[rows])
+    entry_cols = local[cols[rows[r], t]]
+    entry_values = coeffs[rows[r], t]
+    entry_ends = np.searchsorted(r, row_ends)
+    mode_start = row_start = entry_start = 0
+    for mode_end, row_end, entry_end in zip(mode_ends.tolist(), row_ends.tolist(),
+                                            entry_ends.tolist()):
+        entries = slice(entry_start, entry_end)
+        L = np.zeros((row_end - row_start, mode_end - mode_start))
+        L[r[entries] - row_start, entry_cols[entries]] = entry_values[entries]
+        yield order[mode_start:mode_end], rows[row_start:row_end], L
+        mode_start, row_start, entry_start = mode_end, row_end, entry_end
+
+
 @dataclass
 class BracketBlock:
     """The bracket f -> {psi, f} on one connected component of its stencil.
@@ -172,24 +229,10 @@ def bracket_blocks(flow: KolmogorovFlow, window: SpectralWindow) -> List[Bracket
     The output window is large enough that no bracket mode is lost, which
     makes the quadratic forms built from the blocks exact on the span.
     """
-    ext = SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
-    cols, coeffs = _stencil(flow, window, ext.modes)
-    linked = coeffs != 0
-    labels = _chain_labels(cols, linked, len(window))
-    rows = np.flatnonzero(linked.any(axis=1))
-    row_labels = labels[cols[rows, np.argmax(linked[rows], axis=1)]]
-    blocks = []
-    for label in np.flatnonzero(labels == np.arange(len(window))):
-        chain = np.flatnonzero(labels == label)
-        chain_rows = rows[row_labels == label]
-        local = np.zeros(len(window), dtype=int)
-        local[chain] = np.arange(len(chain))
-        r, t = np.nonzero(linked[chain_rows])
-        mat = np.zeros((len(chain_rows), len(chain)))
-        mat[r, local[cols[chain_rows[r], t]]] = coeffs[chain_rows[r], t]
-        blocks.append(BracketBlock(tuple(window.modes[i] for i in chain),
-                                   tuple(ext.modes[i] for i in chain_rows), mat))
-    return blocks
+    ext = _extended(flow, window)
+    return [BracketBlock(tuple(window.modes[i] for i in index.tolist()),
+                         tuple(ext.modes[i] for i in rows.tolist()), L)
+            for index, rows, L in _chains(flow, window, ext)]
 
 
 def assemble_bracket_matrix(flow: KolmogorovFlow, win_in: SpectralWindow,
@@ -217,40 +260,47 @@ def assemble_bracket_matrix(flow: KolmogorovFlow, win_in: SpectralWindow,
 class QuadForm:
     """Symmetric matrix B with v^T B v = MI({psi, f_v}) / (2 pi^2).
 
-    v holds the coefficients of f_v on `modes`: the whole window for the
-    dense form, one bracket chain for a block of it.
+    v holds the coefficients of f_v on `modes`, the window modes at
+    positions `index`: the whole window for the dense form, one bracket
+    chain for a block of it.
     """
 
     window: SpectralWindow
     matrix: np.ndarray
-    modes: Tuple[Mode, ...] = ()
+    index: Optional[np.ndarray] = None
+    modes: Tuple[Mode, ...] = field(init=False)
 
     def __post_init__(self):
-        if not self.modes:
-            self.modes = self.window.modes
+        if self.index is None:
+            self.index = np.arange(len(self.window))
+        modes = self.window.modes
+        self.modes = tuple([modes[i] for i in self.index.tolist()])
 
 
-def quadform_blocks(flow: KolmogorovFlow, window: SpectralWindow) -> List[QuadForm]:
+def iter_quadform_blocks(flow: KolmogorovFlow, window: SpectralWindow) -> Iterator[QuadForm]:
     """B = L^T W L per bracket chain, W = diag(j^2+k^2 - lambda^2) on outputs.
 
     B couples two modes only through a shared bracket output, so the form
-    is block-diagonal over the chains of `bracket_blocks`.
+    is block-diagonal over the chains of `bracket_blocks`.  Each block is
+    built when the iteration reaches it.
     """
-    forms = []
-    for block in bracket_blocks(flow, window):
-        weights = np.array([md.laplace_weight for md in block.out_modes],
-                           dtype=float) - flow.lambda2
-        B = block.matrix.T @ (weights[:, None] * block.matrix)
-        forms.append(QuadForm(window, 0.5 * (B + B.T), block.modes))
-    return forms
+    ext = _extended(flow, window)
+    weights = ext.laplace - flow.lambda2
+    for index, rows, L in _chains(flow, window, ext):
+        B = L.T @ (weights[rows][:, None] * L)
+        yield QuadForm(window, 0.5 * (B + B.T), index)
+
+
+def quadform_blocks(flow: KolmogorovFlow, window: SpectralWindow) -> List[QuadForm]:
+    """The blocks of `iter_quadform_blocks`, as a list."""
+    return list(iter_quadform_blocks(flow, window))
 
 
 def assemble_quadform(flow: KolmogorovFlow, window: SpectralWindow) -> QuadForm:
     """Dense view: the blocks of `quadform_blocks` scattered into one matrix."""
     B = np.zeros((len(window), len(window)))
-    for q in quadform_blocks(flow, window):
-        idx = [window.index_of(mode) for mode in q.modes]
-        B[np.ix_(idx, idx)] = q.matrix
+    for q in iter_quadform_blocks(flow, window):
+        B[np.ix_(q.index, q.index)] = q.matrix
     return QuadForm(window, B)
 
 
@@ -272,7 +322,7 @@ class ReducedForm:
 def reduce_symmetric(q: QuadForm, p: int) -> ReducedForm:
     if p < 0:
         raise ValueError("Sobolev order must be >= 0")
-    d = np.array([m.laplace_weight for m in q.modes], dtype=float)
+    d = q.window.laplace[q.index]
     scale = d ** (-p / 2)
     S = q.matrix * np.outer(scale, scale)
     return ReducedForm(q, p, q.modes, 0.5 * (S + S.T))
@@ -294,26 +344,111 @@ def constrain(r: ReducedForm, zeroed: Iterable[Mode]) -> ReducedForm:
     return ReducedForm(r.quadform, r.p, tuple(r.modes[i] for i in keep), sub)
 
 
-def block_minimum(blocks: Sequence[ReducedForm], zeroed: Iterable[Mode] = (),
+class _ChainMinimum:
+    """The scan of `block_minimum`, with blocks of equal size solved together.
+
+    Blocks are numbered in listed order but solved in stacks of equal
+    size, as the stacks fill, or alone when too large to share a stack.
+    The tie rule runs over every block's minimum once all are solved; until
+    then only blocks that can still win it are kept.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.values: List[float] = []  # lowest eigenvalue of each block
+        self.low = math.inf            # the lowest of them so far
+        self.contenders = {}           # position -> (block, EigenPair or eigenvector)
+        self.stacks = {}               # dim -> [(position, block)] awaiting a solve
+        self.failure = None            # (position, error) of the first failed block
+
+    def add(self, block: ReducedForm) -> None:
+        position = len(self.values)
+        self.values.append(math.nan)
+        S = block.matrix
+        if S.ndim == 2 and S.shape[0] == S.shape[1] and 0 < 2 * S.size <= STACK_ENTRIES:
+            stack = self.stacks.setdefault(S.shape[0], [])
+            stack.append((position, block))
+            if len(stack) == STACK_ENTRIES // S.size:
+                self._solve_stack(self.stacks.pop(S.shape[0]))
+        else:
+            self._solve_alone(position, block)
+
+    def _solve_alone(self, position: int, block: ReducedForm) -> None:
+        try:
+            pair = sym_eig_min(block.matrix, self.tol)
+        except (ValueError, ConvergenceError) as exc:
+            if self.failure is None or position < self.failure[0]:
+                self.failure = position, exc
+            return
+        self._record([position], [block], np.array([pair.value]), [pair])
+
+    def _solve_stack(self, stack: List[Tuple[int, ReducedForm]]) -> None:
+        positions, blocks = zip(*stack)
+        try:
+            values, vectors = sym_eig_min_stack(np.stack([r.matrix for r in blocks]),
+                                                self.tol)
+        except (ValueError, ConvergenceError):
+            # one by one, so that each failing block raises its own error
+            for position, block in stack:
+                self._solve_alone(position, block)
+            return
+        self._record(positions, blocks, values, vectors)
+
+    def _record(self, positions, blocks, values: np.ndarray, found) -> None:
+        for position, value in zip(positions, values.tolist()):
+            self.values[position] = value
+        low = float(np.fmin.reduce(values, initial=self.low))
+        # a block whose minimum lies above another's by more than twice the
+        # tie tolerance (relative) can no longer win the tie rule
+        def beaten(value):
+            return value > low + 2 * TIE_RTOL * np.maximum(np.abs(value), abs(low))
+        if low < self.low:
+            self.contenders = {position: kept for position, kept in self.contenders.items()
+                               if not beaten(self.values[position])}
+            self.low = low
+        for i in np.flatnonzero(~beaten(values)).tolist():
+            self.contenders[positions[i]] = blocks[i], found[i]
+
+    def minimum(self) -> Tuple[EigenPair, ReducedForm]:
+        for stack in list(self.stacks.values()):
+            self._solve_stack(stack)
+        if self.failure is not None:
+            raise self.failure[1]
+        best = 0
+        for position, value in enumerate(self.values):
+            if value < self.values[best] - TIE_RTOL * max(abs(value), abs(self.values[best])):
+                best = position
+        block, found = self.contenders[best]
+        if not isinstance(found, EigenPair):
+            found = eigen_pair(block.matrix, self.values[best], found, self.tol)
+        return found, block
+
+
+def block_minimum(blocks: Iterable[ReducedForm], zeroed: Iterable[Mode] = (),
                   tol: float = 1e-10) -> Tuple[EigenPair, ReducedForm]:
     """Lowest eigenpair over a window's blocks, with the zeroed modes constrained.
 
     Returns the pair and the (constrained) block it belongs to.  Blocks the
     constraints zero out entirely are skipped.  Two minima within TIE_RTOL
     of each other (relative) are a tie, won by the block listed first.
+    Blocks may come from a generator: only those that can still win are
+    kept.  Each block gets every check of `sym_eig_min`, and the first
+    listed block that fails one raises its error.
     """
     zero_set = set(zeroed)
-    if zero_set:
-        # when every block is zeroed out, constrain the first anyway: it raises
-        kept = [r for r in blocks if not zero_set.issuperset(r.modes)] or blocks[:1]
-        blocks = [constrain(r, zero_set) for r in kept]
-    best = None
+    chains = _ChainMinimum(tol)
+    first = None
     for reduced in blocks:
-        pair = sym_eig_min(reduced.matrix, tol)
-        if best is None or pair.value < best[0].value - TIE_RTOL * max(
-                abs(pair.value), abs(best[0].value)):
-            best = pair, reduced
-    return best
+        if first is None:
+            first = reduced
+        if zero_set:
+            if zero_set.issuperset(reduced.modes):
+                continue
+            reduced = constrain(reduced, zero_set)
+        chains.add(reduced)
+    if not chains.values:
+        constrain(first, zero_set)  # every block is zeroed out: this raises
+    return chains.minimum()
 
 
 def minimizer_coefficients(r: ReducedForm, vector: np.ndarray) -> CoeffVector:

@@ -8,13 +8,15 @@ the dense minimization gave before the split.
 """
 
 import random
+from collections import defaultdict
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from kolmconj.eigensolve import ConvergenceError, eigen_pair, sym_eig_min, sym_eig_min_stack
 from kolmconj.pipeline import run_minimize
-from kolmconj.spectral import (FULL, ReducedForm, SpectralWindow,
+from kolmconj.spectral import (FULL, STACK_ENTRIES, ReducedForm, SpectralWindow,
                                assemble_bracket_matrix, assemble_quadform,
                                block_minimum, bracket_blocks, coefficient_vector,
                                constrain, quadform_blocks, reduce_symmetric)
@@ -150,11 +152,56 @@ def test_tie_goes_to_earlier_block():
 
 
 def test_tie_goes_to_block_with_lowest_first_mode():
-    # the cosine and sine chains of a full window have the same spectra
-    res = run_minimize(KolmogorovFlow(2, 1), N=20, subspace=FULL)
-    assert res.block_mode.parity == COS
-    assert res.coeffs.dominant_mode() == Mode(1, 0, COS)
-    assert res.certified.detected
+    # the cosine and sine chains of a full window have the same spectra; at
+    # N=6 the two lowest hold 21 modes each and share one stacked eigensolve
+    for N in (20, 6):
+        res = run_minimize(KolmogorovFlow(2, 1), N=N, subspace=FULL)
+        assert res.block_mode.parity == COS
+        assert res.coeffs.dominant_mode() == Mode(1, 0, COS)
+        assert res.certified.detected
+    assert 2 * 21 ** 2 <= STACK_ENTRIES
+    assert res.block_mode == Mode(1, -6, COS)
+    winner = [q for q in quadform_blocks(KolmogorovFlow(2, 1), SpectralWindow(6, FULL))
+              if q.modes[0] in (Mode(1, -6, COS), Mode(1, -6, SIN))]
+    assert [len(q.modes) for q in winner] == [21, 21]
+
+
+def _sweep_chains(mmax):
+    """Every reduced chain that `sweep --mmax` minimizes, grouped by size."""
+    chains = defaultdict(list)
+    for m in range(1, mmax + 1):
+        for n in range(1, m + 1):
+            for subspace in (COS, SIN):
+                for q in quadform_blocks(KolmogorovFlow(m, n), SpectralWindow(12, subspace)):
+                    chains[len(q.modes)].append(reduce_symmetric(q, 3).matrix)
+    return chains
+
+
+def test_stacked_eigensolve_matches_one_at_a_time_on_sweep_chains():
+    for dim, mats in _sweep_chains(6).items():
+        values, vectors = sym_eig_min_stack(np.stack(mats))
+        for S, value, vector in zip(mats, values, vectors):
+            got, want = eigen_pair(S, value, vector, 1e-10), sym_eig_min(S)
+            assert got.value == want.value
+            assert np.array_equal(got.vector, want.vector)
+            assert got.residual == want.residual
+
+
+def test_first_listed_failing_block_raises_its_error():
+    # the blocks of 2 modes share a stack that is solved before the block of
+    # 3, yet the block of 3, the first listed to fail, raises its own error
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 3))
+    unsymmetric = np.array([[1.0, 2.0], [0.0, 1.0]])
+    blocks = [ReducedForm(None, 0, (), S) for S in
+              (np.diag([1.0, 2.0]), a + a.T, unsymmetric, np.diag([3.0, 1.0]))]
+    with pytest.raises(ConvergenceError) as want:
+        sym_eig_min(blocks[1].matrix, 1e-300)
+    with pytest.raises(ConvergenceError) as got:
+        block_minimum(blocks, tol=1e-300)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        block_minimum(blocks[2:], tol=1e-300)
 
 
 def test_minimize_result_records_blocks():

@@ -392,6 +392,32 @@ def test_time_bound_too_long_to_print_is_numerical_failure(capsys, tmp_path):
     assert err == "numerical failure: T*^2/pi^2 has too many digits to print\n"
 
 
+# past CPython's 4300-digit limit for int strings, yet a float (0.0)
+_Q_TOO_LONG = F(-1, 10 ** 4400)
+
+
+def test_minimize_q_too_long_to_print_is_numerical_failure(capsys, monkeypatch, tmp_path):
+    res = run_minimize(KolmogorovFlow(2, 1), N=4)
+    res.certified.mi_over_pi2 = _Q_TOO_LONG
+    monkeypatch.setattr("kolmconj.cli.run_minimize", lambda *args, **kwargs: res)
+    out_file = tmp_path / "min.json"
+    code, out, err = run(capsys, "minimize", "--m", "2", "--n", "1", "--out", str(out_file))
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: MI/pi^2 has too many digits to print\n"
+    assert not out_file.exists()
+
+
+def test_sweep_q_too_long_to_print_is_numerical_failure(capsys, monkeypatch):
+    row = {"m": 1, "n": 1, "subspace": COS, "eigenvalue": -1.0,
+           "certified_q": _Q_TOO_LONG, "verdict": "conjugate point detected"}
+    monkeypatch.setattr("kolmconj.cli.run_sweep", lambda *args, **kwargs: [row])
+    code, out, err = run(capsys, "sweep", "--mmax", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: certified_q has too many digits to print\n"
+
+
 _SMALL_INTS = st.integers(-4, 4).map(str)
 _CONSTRAINT_INTS = st.one_of(
     _SMALL_INTS,

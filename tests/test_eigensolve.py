@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from kolmconj.eigensolve import ConvergenceError, sym_eig_min
+from kolmconj.eigensolve import (ConvergenceError, eigen_pair, sym_eig_min,
+                                 sym_eig_min_stack)
 
 
 def random_symmetric(rng, n):
@@ -87,3 +88,56 @@ class TestSymEigMin:
 def test_rejects_tolerance_that_disables_the_residual_guard(tol):
     with pytest.raises(ValueError, match="tolerance"):
         sym_eig_min(np.diag([1.0, 2.0]), tol)
+
+
+def assert_same_pair(got, want):
+    assert got.value == want.value
+    assert np.array_equal(got.vector, want.vector)
+    assert got.residual == want.residual
+
+
+def assert_stack_matches_one_at_a_time(stack, tol=1e-10):
+    values, vectors = sym_eig_min_stack(stack, tol)
+    for S, value, vector in zip(stack, values, vectors):
+        assert_same_pair(eigen_pair(S, value, vector, tol), sym_eig_min(S, tol))
+
+
+class TestSymEigMinStack:
+    def test_random_stacks_match_one_at_a_time(self):
+        rng = random.Random(9)
+        for dim, count in [(1, 5), (2, 40), (3, 17), (7, 9), (12, 4), (30, 3)]:
+            stack = np.stack([random_symmetric(rng, dim) for _ in range(count)])
+            assert_stack_matches_one_at_a_time(stack)
+
+    def test_sign_convention_per_matrix(self):
+        stack = np.stack([np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([2.0, -1.0])])
+        _, vectors = sym_eig_min_stack(stack)
+        assert vectors[0, 0] > 0 and vectors[1, 1] > 0
+
+    def test_one_nonsymmetric_matrix_raises(self):
+        rng = random.Random(10)
+        stack = np.stack([random_symmetric(rng, 4) for _ in range(5)])
+        stack[3, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            sym_eig_min_stack(stack)
+
+    def test_residual_failure_raises_the_per_matrix_error(self):
+        # a diagonal matrix is solved with residual 0 and meets any tol; the
+        # first random one cannot meet tol = 1e-300
+        rng = random.Random(11)
+        stack = np.stack([np.diag([1.0, 2.0, 3.0]), random_symmetric(rng, 3),
+                          np.diag([4.0, 1.0, 2.0]), random_symmetric(rng, 3)])
+        with pytest.raises(ConvergenceError) as want:
+            sym_eig_min(stack[1], 1e-300)
+        with pytest.raises(ConvergenceError) as got:
+            sym_eig_min_stack(stack, 1e-300)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0])
+    def test_rejects_tolerance_that_disables_the_residual_guard(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            sym_eig_min_stack(np.diag([1.0, 2.0])[None], tol)
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            sym_eig_min_stack(np.zeros((2, 3, 2)))

@@ -1,8 +1,10 @@
 """Byte-exact CLI output of the exact route, pinned in tests/golden/.
 
 Only commands whose output is exact arithmetic are pinned: `minimize` and
-`sweep` print float digits that depend on the BLAS build.  To re-pin after
-an intended change of output, run from the repository root:
+`sweep` print float digits that depend on the BLAS build.  Of the
+numerical route, only what it certifies exactly is pinned: the certified
+index, verdict, dominant mode and winning chain.  To re-pin after an
+intended change of output, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +18,9 @@ from pathlib import Path
 import pytest
 
 from kolmconj.cli import main
+from kolmconj.pipeline import run_minimize, run_sweep
+from kolmconj.spectral import FULL
+from kolmconj.trigpoly import COS, KolmogorovFlow
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
@@ -36,6 +41,28 @@ CASES = {
 }
 
 
+def sweep_certified(mmax):
+    """certified_q and verdict of each `sweep` row; the eigenvalue is left out."""
+    return "".join(f"{r['m']},{r['n']},{r['subspace']},"
+                   f"{'' if r['certified_q'] is None else r['certified_q']},{r['verdict']}\n"
+                   for r in run_sweep(mmax))
+
+
+def minimize_certified(m, n, N, subspace=COS):
+    res = run_minimize(KolmogorovFlow(m, n), N=N, subspace=subspace)
+    return (f"certified MI/pi^2 = {res.certified.mi_over_pi2}\n"
+            f"dominant mode: {res.coeffs.dominant_mode()!r}\n"
+            f"block mode: {res.block_mode!r}\n")
+
+
+NUMERICAL = {
+    "sweep_10": lambda: sweep_certified(10),
+    "minimize_3_2_N20": lambda: minimize_certified(3, 2, 20),
+    "minimize_4_1_N40": lambda: minimize_certified(4, 1, 40),
+    "minimize_1_1_N20_full": lambda: minimize_certified(1, 1, 20, FULL),
+}
+
+
 def capture(argv):
     out = io.StringIO()
     with redirect_stdout(out):
@@ -51,10 +78,17 @@ def test_output_matches_golden(name):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(NUMERICAL))
+def test_numerical_route_matches_golden(name):
+    assert NUMERICAL[name]() == (GOLDEN / f"{name}.out").read_text()
+
+
 if __name__ == "__main__":
     codes = {}
     for name, argv in sorted(CASES.items()):
         codes[name], out = capture(argv)
         (GOLDEN / f"{name}.out").write_text(out)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    for name, record in sorted(NUMERICAL.items()):
+        (GOLDEN / f"{name}.out").write_text(record())
     sys.exit(0)

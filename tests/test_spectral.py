@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kolmconj.eigensolve import sym_eig_min
-from kolmconj.spectral import (CertificationError, SpectralWindow,
+from kolmconj.spectral import (FULL, CertificationError, SpectralWindow,
                                assemble_bracket_matrix, assemble_quadform,
                                certify_candidate, coefficient_vector, constrain,
                                minimizer_coefficients, reduce_symmetric,
@@ -56,10 +56,17 @@ class TestWindow:
         win = SpectralWindow(4, COS)
         assert Mode(0, 0, COS) not in win.modes
 
-    def test_ordering_deterministic_and_sorted(self):
-        win = SpectralWindow(5, COS)
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("subspace", [COS, SIN, FULL])
+    def test_ordering_deterministic_and_sorted(self, N, subspace):
+        win = SpectralWindow(N, subspace)
         assert list(win.modes) == sorted(win.modes)
-        assert win.modes == SpectralWindow(5, COS).modes
+        assert win.modes == SpectralWindow(N, subspace).modes
+        assert all(win.index_of(mode) == i for i, mode in enumerate(win.modes))
+        assert [(m.j, m.k, m.parity == SIN) for m in win.modes] == list(
+            zip(win.j.tolist(), win.k.tolist(), win.sin.tolist()))
+        for parity in ((COS, SIN) if subspace == FULL else (subspace,)):
+            assert sum(m.parity == parity for m in win.modes) == 2 * N * N + 2 * N
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
