@@ -18,8 +18,8 @@ import numpy as np
 
 from .eigensolve import ConvergenceError, EigenPair, check_tol
 from .spectral import (CertificationError, CertifiedResult, CoeffVector,
-                       SpectralWindow, block_minimum, certify_candidate,
-                       iter_quadform_blocks, minimizer_coefficients, reduce_symmetric)
+                       SpectralWindow, certify_candidate, minimizer_coefficients,
+                       window_minimum)
 from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly
 
 # ------------------------------------------------------------ minimize
@@ -45,18 +45,11 @@ def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
     if N is None:
         N = 2 * max(flow.m, flow.n) + 4
     window = SpectralWindow(N, subspace)
-    sizes = []
-
-    def blocks():  # one at a time, so that only the blocks that can win are kept
-        for q in iter_quadform_blocks(flow, window):
-            sizes.append(len(q.modes))
-            yield reduce_symmetric(q, p)
-
-    pair, reduced = block_minimum(blocks(), constraints, tol)
+    pair, reduced, blocks, largest = window_minimum(flow, window, p, constraints, tol)
     coeffs = minimizer_coefficients(reduced, pair.vector)
     certified = certify_candidate(coeffs, flow, max_denominator)
-    return MinimizeResult(flow, subspace, p, N, pair, coeffs, certified, len(sizes),
-                          max(sizes), reduced.quadform.modes[0])
+    return MinimizeResult(flow, subspace, p, N, pair, coeffs, certified, blocks, largest,
+                          reduced.quadform.modes[0])
 
 
 def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
@@ -64,7 +57,14 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
     """One row per minimization run: cosine subspace first, sine as fallback."""
     if nmax is None:
         nmax = mmax
+    # bad options fail every row alike: reject them before the first
     check_tol(tol)
+    if p < 0:
+        raise ValueError("Sobolev order must be >= 0")
+    if N < 1:
+        raise ValueError("window order must be >= 1")
+    if max_denominator < 1:
+        raise ValueError("denominator cap must be >= 1")
     rows = []
     for m in range(1, mmax + 1):
         for n in range(1, min(m, nmax) + 1):

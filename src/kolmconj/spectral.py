@@ -12,9 +12,10 @@ re-evaluating the index with exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +43,11 @@ class SpectralWindow:
     Each parity subspace holds exactly 2N^2 + 2N modes, ordered
     lexicographically by (j, k, parity) -- deterministic across runs.  The
     window is held as integer arrays `j`, `k`, a boolean `sin` and the
-    float `laplace` = j^2 + k^2; its `Mode` objects and their index are
-    built on first use.
+    float `laplace` = j^2 + k^2; its `Mode` tuple is built on first use,
+    and `modes_at` builds only the modes asked for.
     """
 
-    __slots__ = ("N", "subspace", "j", "k", "sin", "laplace", "_modes", "_index")
+    __slots__ = ("N", "subspace", "j", "k", "sin", "laplace", "_modes")
 
     def __init__(self, N: int, subspace: str = COS):
         if N < 1:
@@ -63,22 +64,30 @@ class SpectralWindow:
         self.j, self.k, self.sin = j[canonical], k[canonical], sin[canonical]
         self.laplace = (self.j * self.j + self.k * self.k).astype(float)
         self._modes = None
-        self._index = None
 
     @property
     def modes(self) -> Tuple[Mode, ...]:
         if self._modes is None:
-            parities = [SIN if s else COS for s in self.sin.tolist()]
-            self._modes = tuple(map(Mode, self.j.tolist(), self.k.tolist(), parities))
+            self._modes = self.modes_at(np.arange(len(self)))
         return self._modes
+
+    def modes_at(self, index: Sequence[int]) -> Tuple[Mode, ...]:
+        """The modes at the given window positions."""
+        parities = [SIN if s else COS for s in self.sin[index].tolist()]
+        return tuple(map(Mode, self.j[index].tolist(), self.k[index].tolist(), parities))
 
     def __len__(self) -> int:
         return len(self.j)
 
     def index_of(self, mode: Mode) -> Optional[int]:
-        if self._index is None:
-            self._index = {m: i for i, m in enumerate(self.modes)}
-        return self._index.get(mode)
+        """The window position of `mode`, or None if the window lacks it."""
+        parities = (COS, SIN) if self.subspace == FULL else (self.subspace,)
+        j, k, N = mode.j, mode.k, self.N
+        if mode.parity not in parities or abs(k) > N or not (0 < j <= N or (j == 0 and k > 0)):
+            return None
+        # (j, k, parity) order over the grid 0 <= j <= N, |k| <= N, less the
+        # N + 1 points j = 0, k <= 0 that precede every canonical mode
+        return (j * (2 * N + 1) + k - 1) * len(parities) + parities.index(mode.parity)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpectralWindow(N={self.N}, subspace={self.subspace!r}, dim={len(self)})"
@@ -97,7 +106,7 @@ class CoeffVector:
             raise ValueError("coefficient length does not match window")
 
     def dominant_mode(self) -> Mode:
-        return self.window.modes[int(np.argmax(np.abs(self.values)))]
+        return self.window.modes_at([int(np.argmax(np.abs(self.values)))])[0]
 
 
 def coefficient_vector(f: TrigPoly, window: SpectralWindow) -> CoeffVector:
@@ -169,13 +178,17 @@ def _extended(flow: KolmogorovFlow, window: SpectralWindow) -> SpectralWindow:
     return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
 
 
-def _chains(flow: KolmogorovFlow, window: SpectralWindow,
-            ext: SpectralWindow) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The bracket per chain, ordered by first mode: (index, rows, L).
+def _chains(flow: KolmogorovFlow, window: SpectralWindow, ext: SpectralWindow
+            ) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """The bracket per chain, in groups of one shape: (positions, index, rows, L).
 
-    `index` holds the window positions of the chain's modes, `rows` the
-    positions in `ext` of the outputs they reach (both ascending), and L
-    the bracket from the one to the other.
+    Chains are numbered by first mode.  A group holds chains of d modes
+    whose bracket reaches r outputs, in numbered order, at most
+    STACK_ENTRIES // d^2 of them and never fewer than one: `positions`
+    are their numbers, `index` (count, d) the window positions of their
+    modes, `rows` (count, r) the positions in `ext` of the outputs they
+    reach (both ascending per chain), and L (count, r, d) the bracket from
+    the one to the other.
     """
     size = len(window)
     cols, coeffs = _stencil(flow, window, ext)
@@ -191,21 +204,38 @@ def _chains(flow: KolmogorovFlow, window: SpectralWindow,
     firsts = np.flatnonzero(labels == np.arange(size))
     mode_ends = np.searchsorted(labels[order], firsts, side="right")
     row_ends = np.searchsorted(row_labels, firsts, side="right")
-    sizes = np.diff(mode_ends, prepend=0)
+    sizes, outs = np.diff(mode_ends, prepend=0), np.diff(row_ends, prepend=0)
+    mode_starts, row_starts = mode_ends - sizes, row_ends - outs
     local = np.empty(size, dtype=int)  # each mode's position within its chain
-    local[order] = np.arange(size) - np.repeat(mode_ends - sizes, sizes)
-    r, t = np.nonzero(linked[rows])
-    entry_cols = local[cols[rows[r], t]]
-    entry_values = coeffs[rows[r], t]
-    entry_ends = np.searchsorted(r, row_ends)
-    mode_start = row_start = entry_start = 0
-    for mode_end, row_end, entry_end in zip(mode_ends.tolist(), row_ends.tolist(),
-                                            entry_ends.tolist()):
+    local[order] = np.arange(size) - np.repeat(mode_starts, sizes)
+    # chains by shape, each shape in numbered order and cut into stacks
+    count = len(firsts)
+    shaped = np.lexsort((outs, sizes))
+    d, r = sizes[shaped], outs[shaped]
+    new_shape = np.r_[True, (d[1:] != d[:-1]) | (r[1:] != r[:-1])]
+    run = np.arange(count) - np.maximum.accumulate(np.where(new_shape, np.arange(count), 0))
+    slots = run % np.maximum(1, STACK_ENTRIES // (d * d))
+    group_ends = np.flatnonzero(np.r_[slots[1:] == 0, True]) + 1
+    group, slot = np.empty(count, dtype=int), np.empty(count, dtype=int)
+    group[shaped], slot[shaped] = np.cumsum(slots == 0) - 1, slots
+    # every nonzero of the bracket, ordered by group
+    entry_rows, t = np.nonzero(linked[rows])
+    chain = np.repeat(np.arange(count), outs)[entry_rows]
+    by_group = np.argsort(group[chain], kind="stable")
+    entry_rows, t, chain = entry_rows[by_group], t[by_group], chain[by_group]
+    entry_ends = np.searchsorted(group[chain], np.arange(len(group_ends)), side="right")
+    at = (slot[chain], entry_rows - row_starts[chain], local[cols[rows[entry_rows], t]])
+    values = coeffs[rows[entry_rows], t]
+    start = entry_start = 0
+    for end, entry_end in zip(group_ends.tolist(), entry_ends.tolist()):
+        members = shaped[start:end]
+        modes, outputs = sizes[members[0]], outs[members[0]]
         entries = slice(entry_start, entry_end)
-        L = np.zeros((row_end - row_start, mode_end - mode_start))
-        L[r[entries] - row_start, entry_cols[entries]] = entry_values[entries]
-        yield order[mode_start:mode_end], rows[row_start:row_end], L
-        mode_start, row_start, entry_start = mode_end, row_end, entry_end
+        L = np.zeros((end - start, outputs, modes))
+        L[at[0][entries], at[1][entries], at[2][entries]] = values[entries]
+        yield (members.tolist(), order[mode_starts[members][:, None] + np.arange(modes)],
+               rows[row_starts[members][:, None] + np.arange(outputs)], L)
+        start, entry_start = end, entry_end
 
 
 @dataclass
@@ -230,9 +260,11 @@ def bracket_blocks(flow: KolmogorovFlow, window: SpectralWindow) -> List[Bracket
     makes the quadratic forms built from the blocks exact on the span.
     """
     ext = _extended(flow, window)
-    return [BracketBlock(tuple(window.modes[i] for i in index.tolist()),
-                         tuple(ext.modes[i] for i in rows.tolist()), L)
-            for index, rows, L in _chains(flow, window, ext)]
+    blocks = {}
+    for positions, index, rows, L in _chains(flow, window, ext):
+        for position, i, o, block in zip(positions, index, rows, L):
+            blocks[position] = BracketBlock(window.modes_at(i), ext.modes_at(o), block)
+    return [blocks[position] for position in range(len(blocks))]
 
 
 def assemble_bracket_matrix(flow: KolmogorovFlow, win_in: SpectralWindow,
@@ -268,39 +300,45 @@ class QuadForm:
     window: SpectralWindow
     matrix: np.ndarray
     index: Optional[np.ndarray] = None
-    modes: Tuple[Mode, ...] = field(init=False)
 
     def __post_init__(self):
         if self.index is None:
             self.index = np.arange(len(self.window))
-        modes = self.window.modes
-        self.modes = tuple([modes[i] for i in self.index.tolist()])
+
+    @cached_property
+    def modes(self) -> Tuple[Mode, ...]:
+        return self.window.modes_at(self.index)
 
 
-def iter_quadform_blocks(flow: KolmogorovFlow, window: SpectralWindow) -> Iterator[QuadForm]:
+def _gram_groups(flow: KolmogorovFlow, window: SpectralWindow
+                 ) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
     """B = L^T W L per bracket chain, W = diag(j^2+k^2 - lambda^2) on outputs.
 
     B couples two modes only through a shared bracket output, so the form
-    is block-diagonal over the chains of `bracket_blocks`.  Each block is
-    built when the iteration reaches it.
+    is block-diagonal over the chains of `bracket_blocks`.  Yields
+    (positions, index, B) per group of `_chains`, B stacked like its L.
     """
     ext = _extended(flow, window)
     weights = ext.laplace - flow.lambda2
-    for index, rows, L in _chains(flow, window, ext):
-        B = L.T @ (weights[rows][:, None] * L)
-        yield QuadForm(window, 0.5 * (B + B.T), index)
+    for positions, index, rows, L in _chains(flow, window, ext):
+        B = L.transpose(0, 2, 1) @ (weights[rows][:, :, None] * L)
+        yield positions, index, 0.5 * (B + B.transpose(0, 2, 1))
 
 
 def quadform_blocks(flow: KolmogorovFlow, window: SpectralWindow) -> List[QuadForm]:
-    """The blocks of `iter_quadform_blocks`, as a list."""
-    return list(iter_quadform_blocks(flow, window))
+    """The form on `window`, one block per chain, ordered by first mode."""
+    blocks = {}
+    for positions, index, B in _gram_groups(flow, window):
+        for position, i, block in zip(positions, index, B):
+            blocks[position] = QuadForm(window, block, i)
+    return [blocks[position] for position in range(len(blocks))]
 
 
 def assemble_quadform(flow: KolmogorovFlow, window: SpectralWindow) -> QuadForm:
     """Dense view: the blocks of `quadform_blocks` scattered into one matrix."""
     B = np.zeros((len(window), len(window)))
-    for q in iter_quadform_blocks(flow, window):
-        B[np.ix_(q.index, q.index)] = q.matrix
+    for _, index, blocks in _gram_groups(flow, window):
+        B[index[:, :, None], index[:, None, :]] = blocks
     return QuadForm(window, B)
 
 
@@ -310,22 +348,42 @@ class ReducedForm:
 
     The minimal eigenvalue of S has the same sign as the infimum of the
     Misiolek index over the (possibly constrained) window span; `modes`
-    tracks which window modes remain after constraints.
+    tracks which window modes remain after constraints, `index` their
+    window positions.
     """
 
     quadform: QuadForm
     p: int
     modes: Tuple[Mode, ...]
     matrix: np.ndarray
+    index: Optional[np.ndarray] = None
+
+
+def _sobolev_scale(laplace: np.ndarray, p: int) -> np.ndarray:
+    """D^{-p/2} on the diagonal, D = j^2+k^2."""
+    if p < 0:
+        raise ValueError("Sobolev order must be >= 0")
+    return laplace ** (-p / 2)
+
+
+def _reduce(B: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """S = D^{-p/2} B D^{-p/2}, symmetrized, for B (..., d, d) and its scale (..., d)."""
+    S = B * (scale[..., :, None] * scale[..., None, :])
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
 def reduce_symmetric(q: QuadForm, p: int) -> ReducedForm:
-    if p < 0:
-        raise ValueError("Sobolev order must be >= 0")
-    d = q.window.laplace[q.index]
-    scale = d ** (-p / 2)
-    S = q.matrix * np.outer(scale, scale)
-    return ReducedForm(q, p, q.modes, 0.5 * (S + S.T))
+    scale = _sobolev_scale(q.window.laplace[q.index], p)
+    return ReducedForm(q, p, q.modes, _reduce(q.matrix, scale), q.index)
+
+
+def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
+    """Window positions of `modes`; ValueError if the window lacks any."""
+    at = {mode: window.index_of(mode) for mode in modes}
+    unknown = {mode for mode, i in at.items() if i is None}
+    if unknown:
+        raise ValueError(f"cannot constrain modes outside the window: {sorted(unknown)}")
+    return np.array(list(at.values()), dtype=int)
 
 
 def constrain(r: ReducedForm, zeroed: Iterable[Mode]) -> ReducedForm:
@@ -333,72 +391,54 @@ def constrain(r: ReducedForm, zeroed: Iterable[Mode]) -> ReducedForm:
 
     Listed window modes outside r.modes (another block's) are left alone.
     """
-    zero_set = set(zeroed)
-    unknown = {mode for mode in zero_set if r.quadform.window.index_of(mode) is None}
-    if unknown:
-        raise ValueError(f"cannot constrain modes outside the window: {sorted(unknown)}")
-    keep = [i for i, m in enumerate(r.modes) if m not in zero_set]
-    if not keep:
+    keep = np.flatnonzero(~np.isin(r.index, _positions(r.quadform.window, set(zeroed))))
+    if not keep.size:
         raise ValueError("constraining away every mode leaves nothing to minimize")
-    sub = r.matrix[np.ix_(keep, keep)]
-    return ReducedForm(r.quadform, r.p, tuple(r.modes[i] for i in keep), sub)
+    return ReducedForm(r.quadform, r.p, tuple(r.modes[i] for i in keep.tolist()),
+                       r.matrix[np.ix_(keep, keep)], r.index[keep])
 
 
 class _ChainMinimum:
-    """The scan of `block_minimum`, with blocks of equal size solved together.
+    """The scan of `block_minimum`, a stack of chains at a time.
 
-    Blocks are numbered in listed order but solved in stacks of equal
-    size, as the stacks fill, or alone when too large to share a stack.
-    The tie rule runs over every block's minimum once all are solved; until
-    then only blocks that can still win it are kept.
+    Chains come numbered in listed order, in stacks of one size, each
+    solved by one LAPACK call, or one by one when too large to share one.
+    The tie rule runs over every chain's minimum once all are solved; until
+    then only chains that can still win it are kept.
     """
 
     def __init__(self, tol: float):
         self.tol = tol
-        self.values: List[float] = []  # lowest eigenvalue of each block
-        self.low = math.inf            # the lowest of them so far
-        self.contenders = {}           # position -> (block, EigenPair or eigenvector)
-        self.stacks = {}               # dim -> [(position, block)] awaiting a solve
-        self.failure = None            # (position, error) of the first failed block
+        self.values = {}      # number -> lowest eigenvalue of the chain
+        self.low = math.inf   # the lowest of them so far
+        self.contenders = {}  # number -> (block, i, matrix, EigenPair or eigenvector)
+        self.failure = None   # (number, error) of the first failed chain
 
-    def add(self, block: ReducedForm) -> None:
-        position = len(self.values)
-        self.values.append(math.nan)
-        S = block.matrix
-        if S.ndim == 2 and S.shape[0] == S.shape[1] and 0 < 2 * S.size <= STACK_ENTRIES:
-            stack = self.stacks.setdefault(S.shape[0], [])
-            stack.append((position, block))
-            if len(stack) == STACK_ENTRIES // S.size:
-                self._solve_stack(self.stacks.pop(S.shape[0]))
-        else:
-            self._solve_alone(position, block)
+    def add(self, positions: List[int], stack: np.ndarray,
+            block: Callable[[int], ReducedForm]) -> None:
+        """Solve the chains numbered `positions`, whose matrices `stack` holds.
 
-    def _solve_alone(self, position: int, block: ReducedForm) -> None:
-        try:
-            pair = sym_eig_min(block.matrix, self.tol)
-        except (ValueError, ConvergenceError) as exc:
-            if self.failure is None or position < self.failure[0]:
-                self.failure = position, exc
-            return
-        self._record([position], [block], np.array([pair.value]), [pair])
-
-    def _solve_stack(self, stack: List[Tuple[int, ReducedForm]]) -> None:
-        positions, blocks = zip(*stack)
-        try:
-            values, vectors = sym_eig_min_stack(np.stack([r.matrix for r in blocks]),
-                                                self.tol)
-        except (ValueError, ConvergenceError):
-            # one by one, so that each failing block raises its own error
-            for position, block in stack:
-                self._solve_alone(position, block)
-            return
-        self._record(positions, blocks, values, vectors)
-
-    def _record(self, positions, blocks, values: np.ndarray, found) -> None:
-        for position, value in zip(positions, values.tolist()):
-            self.values[position] = value
+        `block(i)` builds the ReducedForm of the i-th, should it win.
+        """
+        found = None
+        if 2 * stack[0].size <= STACK_ENTRIES:
+            try:
+                values, found = sym_eig_min_stack(stack, self.tol)
+            except (ValueError, ConvergenceError):
+                pass  # one by one below, so that each failing chain raises its own error
+        if found is None:
+            values, found = np.full(len(positions), np.nan), [None] * len(positions)
+            for i, position in enumerate(positions):
+                try:
+                    found[i] = sym_eig_min(stack[i], self.tol)
+                except (ValueError, ConvergenceError) as exc:
+                    if self.failure is None or position < self.failure[0]:
+                        self.failure = position, exc
+                else:
+                    values[i] = found[i].value
+        self.values.update(zip(positions, values.tolist()))
         low = float(np.fmin.reduce(values, initial=self.low))
-        # a block whose minimum lies above another's by more than twice the
+        # a chain whose minimum lies above another's by more than twice the
         # tie tolerance (relative) can no longer win the tie rule
         def beaten(value):
             return value > low + 2 * TIE_RTOL * np.maximum(np.abs(value), abs(low))
@@ -407,21 +447,21 @@ class _ChainMinimum:
                                if not beaten(self.values[position])}
             self.low = low
         for i in np.flatnonzero(~beaten(values)).tolist():
-            self.contenders[positions[i]] = blocks[i], found[i]
+            if found[i] is not None:
+                self.contenders[positions[i]] = block, i, stack[i], found[i]
 
     def minimum(self) -> Tuple[EigenPair, ReducedForm]:
-        for stack in list(self.stacks.values()):
-            self._solve_stack(stack)
         if self.failure is not None:
             raise self.failure[1]
-        best = 0
-        for position, value in enumerate(self.values):
+        best = min(self.values)
+        for position in sorted(self.values):
+            value = self.values[position]
             if value < self.values[best] - TIE_RTOL * max(abs(value), abs(self.values[best])):
                 best = position
-        block, found = self.contenders[best]
+        block, i, S, found = self.contenders[best]
         if not isinstance(found, EigenPair):
-            found = eigen_pair(block.matrix, self.values[best], found, self.tol)
-        return found, block
+            found = eigen_pair(S, self.values[best], found, self.tol)
+        return found, block(i)
 
 
 def block_minimum(blocks: Iterable[ReducedForm], zeroed: Iterable[Mode] = (),
@@ -431,24 +471,80 @@ def block_minimum(blocks: Iterable[ReducedForm], zeroed: Iterable[Mode] = (),
     Returns the pair and the (constrained) block it belongs to.  Blocks the
     constraints zero out entirely are skipped.  Two minima within TIE_RTOL
     of each other (relative) are a tie, won by the block listed first.
-    Blocks may come from a generator: only those that can still win are
-    kept.  Each block gets every check of `sym_eig_min`, and the first
-    listed block that fails one raises its error.
+    Blocks of one size are solved together.  Each block gets every check of
+    `sym_eig_min`, and the first listed block that fails one raises its
+    error.
     """
     zero_set = set(zeroed)
-    chains = _ChainMinimum(tol)
-    first = None
+    forms, skipped = [], None
     for reduced in blocks:
-        if first is None:
-            first = reduced
-        if zero_set:
-            if zero_set.issuperset(reduced.modes):
+        if zero_set and zero_set.issuperset(reduced.modes):
+            skipped = reduced
+        else:
+            forms.append(constrain(reduced, zero_set) if zero_set else reduced)
+    if not forms:
+        constrain(skipped, zero_set)  # every block is zeroed out: this raises
+    by_shape = {}
+    for position, reduced in enumerate(forms):
+        by_shape.setdefault(np.shape(reduced.matrix), []).append(position)
+    scan = _ChainMinimum(tol)
+    for shape, positions in by_shape.items():
+        cap = max(1, STACK_ENTRIES // max(1, int(np.prod(shape))))
+        for start in range(0, len(positions), cap):
+            batch = [forms[i] for i in positions[start:start + cap]]
+            scan.add(positions[start:start + cap], np.stack([r.matrix for r in batch]),
+                     batch.__getitem__)
+    return scan.minimum()
+
+
+def _chain_form(window: SpectralWindow, p: int, index: np.ndarray, B: np.ndarray,
+                S: np.ndarray, i: int) -> ReducedForm:
+    """The i-th chain of a group of `window_minimum`, as a ReducedForm."""
+    q = QuadForm(window, B[i], index[i])
+    return ReducedForm(q, p, q.modes, S[i], index[i])
+
+
+def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,
+                   zeroed: Iterable[Mode] = (), tol: float = 1e-10
+                   ) -> Tuple[EigenPair, ReducedForm, int, int]:
+    """`block_minimum` over the reduced bracket chains of `window`.
+
+    Each group of `_chains` goes through the Gram product, the Sobolev
+    reduction and the eigensolve as one stack; the chains that hold a
+    zeroed mode leave their group to be constrained.  A chain's QuadForm
+    and ReducedForm are built only if it is constrained or wins.
+    Returns the pair, the ReducedForm of its chain, the number of chains
+    and the modes in the largest.
+    """
+    scale = _sobolev_scale(window.laplace, p)
+    zero_set = set(zeroed)
+    zero_at = _positions(window, zero_set)
+    scan = _ChainMinimum(tol)
+    chains = largest = 0
+    skipped = None
+    for positions, index, B in _gram_groups(flow, window):
+        chains += len(positions)
+        largest = max(largest, index.shape[1])
+        S = _reduce(B, scale[index])
+        if zero_at.size:
+            held = np.isin(index, zero_at)
+            for i in np.flatnonzero(held.any(axis=1)).tolist():
+                reduced = _chain_form(window, p, index, B, S, i)
+                if held[i].all():
+                    skipped = reduced
+                else:
+                    reduced = constrain(reduced, zero_set)
+                    scan.add([positions[i]], reduced.matrix[None], [reduced].__getitem__)
+            free = ~held.any(axis=1)
+            if not free.any():
                 continue
-            reduced = constrain(reduced, zero_set)
-        chains.add(reduced)
-    if not chains.values:
-        constrain(first, zero_set)  # every block is zeroed out: this raises
-    return chains.minimum()
+            positions = [positions[i] for i in np.flatnonzero(free).tolist()]
+            index, B, S = index[free], B[free], S[free]
+        scan.add(positions, S, partial(_chain_form, window, p, index, B, S))
+    if not scan.values:
+        constrain(skipped, zero_set)  # every chain is zeroed out: this raises
+    pair, reduced = scan.minimum()
+    return pair, reduced, chains, largest
 
 
 def minimizer_coefficients(r: ReducedForm, vector: np.ndarray) -> CoeffVector:
@@ -460,8 +556,9 @@ def minimizer_coefficients(r: ReducedForm, vector: np.ndarray) -> CoeffVector:
     """
     window = r.quadform.window
     values = np.zeros(len(window))
-    for u, mode in zip(np.asarray(vector, dtype=float), r.modes):
-        values[window.index_of(mode)] = u * mode.laplace_weight ** (-r.p / 2)
+    # Python's pow: numpy's SIMD power can differ from it in the last bit
+    scale = [d ** (-r.p / 2) for d in window.laplace[r.index].tolist()]
+    values[r.index] = np.asarray(vector, dtype=float) * scale
     peak = np.max(np.abs(values))
     if peak == 0:
         raise ValueError("zero eigenvector")
@@ -493,9 +590,9 @@ def certify_candidate(v: CoeffVector, flow: KolmogorovFlow,
     if peak == 0:
         raise ValueError("cannot certify the zero vector")
     terms = {}
-    for mode, val in zip(v.window.modes, v.values):
-        if val == 0:  # modes outside the winning block; a zero is dropped anyway
-            continue
+    # modes outside the winning block are 0, and a zero is dropped anyway
+    nonzero = np.flatnonzero(v.values)
+    for mode, val in zip(v.window.modes_at(nonzero), v.values[nonzero]):
         c = Fraction(float(val / peak)).limit_denominator(max_denominator)
         if c:
             terms[mode] = c

@@ -14,9 +14,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from kolmconj import spectral
 from kolmconj.eigensolve import ConvergenceError, eigen_pair, sym_eig_min, sym_eig_min_stack
 from kolmconj.pipeline import run_minimize
-from kolmconj.spectral import (FULL, STACK_ENTRIES, ReducedForm, SpectralWindow,
+from kolmconj.spectral import (FULL, STACK_ENTRIES, CertificationError, ReducedForm,
+                               SpectralWindow,
                                assemble_bracket_matrix, assemble_quadform,
                                block_minimum, bracket_blocks, coefficient_vector,
                                constrain, quadform_blocks, reduce_symmetric)
@@ -185,6 +187,84 @@ def test_stacked_eigensolve_matches_one_at_a_time_on_sweep_chains():
             assert got.value == want.value
             assert np.array_equal(got.vector, want.vector)
             assert got.residual == want.residual
+
+
+@pytest.mark.parametrize("m,n,N,subspace", [(30, 22, 64, COS), (5, 4, 20, COS),
+                                             (1, 1, 20, FULL), (3, 3, 30, SIN)])
+def test_chain_groups_hold_one_shape_within_the_stack_cap(m, n, N, subspace):
+    flow = KolmogorovFlow(m, n)
+    window = SpectralWindow(N, subspace)
+    blocks = bracket_blocks(flow, window)
+    numbers, groups = [], defaultdict(list)
+    for positions, index, rows, L in spectral._chains(flow, window, extended(flow, window)):
+        count, d = index.shape
+        assert 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
+        assert positions == sorted(positions)
+        assert rows.shape[0] == count and L.shape == (count, rows.shape[1], d)
+        for position in positions:
+            assert (len(blocks[position].modes), len(blocks[position].out_modes)) == (d, L.shape[1])
+        numbers += positions
+        groups[L.shape[1:]].append(count)
+    assert sorted(numbers) == list(range(len(blocks)))
+    # each shape fills as few stacks as the cap allows
+    for (r, d), counts in groups.items():
+        assert len(counts) == -(-sum(counts) // max(1, STACK_ENTRIES // d ** 2))
+
+
+def _per_chain_products(flow, window, p):
+    """Window positions, B and S of each chain, one chain at a time.
+
+    The reference for the grouped path: the Gram product of each chain's
+    bracket block, symmetrized, then the Sobolev reduction.
+    """
+    ext = extended(flow, window)
+    weights = ext.laplace - flow.lambda2
+    for block in bracket_blocks(flow, window):
+        index = [window.index_of(mode) for mode in block.modes]
+        rows = [ext.index_of(mode) for mode in block.out_modes]
+        L = block.matrix
+        B = L.T @ (weights[rows][:, None] * L)
+        B = 0.5 * (B + B.T)
+        scale = window.laplace[index] ** (-p / 2)
+        S = B * np.outer(scale, scale)
+        yield index, B, 0.5 * (S + S.T)
+
+
+GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
+                    for subspace in (COS, SIN)]
+                   + [(1, 1, 20, FULL), (4, 1, 40, COS)])
+
+
+def test_grouped_products_equal_per_chain_products(monkeypatch):
+    # every chain the scan receives: its reduced matrix as the eigensolve
+    # gets it, and the forms built for it should it win
+    seen = {}
+    add = spectral._ChainMinimum.add
+
+    def spy(self, positions, stack, block):
+        for i, position in enumerate(positions):
+            seen[position] = stack[i], block(i)
+        add(self, positions, stack, block)
+
+    monkeypatch.setattr(spectral._ChainMinimum, "add", spy)
+    for m, n, N, subspace in GROUPED_WINDOWS:
+        flow = KolmogorovFlow(m, n)
+        seen.clear()
+        try:
+            run_minimize(flow, N=N, subspace=subspace)
+        except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
+            pass
+        window = seen[0][1].quadform.window
+        assert window._modes is None
+        reference = list(_per_chain_products(flow, SpectralWindow(N, subspace), 3))
+        assert sorted(seen) == list(range(len(reference)))
+        for position, (index, B, S) in enumerate(reference):
+            stacked, reduced = seen[position]
+            assert reduced.quadform.window is window
+            assert reduced.index.tolist() == index
+            assert np.array_equal(reduced.quadform.matrix, B)
+            assert np.array_equal(stacked, S)
+            assert np.array_equal(reduced.matrix, S)
 
 
 def test_first_listed_failing_block_raises_its_error():

@@ -367,6 +367,17 @@ def test_bad_sweep_tolerance_is_usage_error(capsys):
     assert "tolerance" in err and out == ""
 
 
+@pytest.mark.parametrize("option,value,word", [
+    ("--cap", "0", "denominator cap"), ("--p", "-1", "Sobolev order"),
+    ("--N", "0", "window order")])
+def test_bad_sweep_option_is_usage_error(capsys, option, value, word):
+    # rejected before the first row, not reported as a failure of every row
+    code, out, err = run(capsys, "sweep", "--mmax", "2", option, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and word in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["1e2200", "1e-2200"])
 def test_index_too_long_to_print_is_numerical_failure(capsys, tmp_path, value):
     # a legal value near the exponent bound gives an index of more than 4300

@@ -20,7 +20,7 @@ import pytest
 from kolmconj.cli import main
 from kolmconj.pipeline import run_minimize, run_sweep
 from kolmconj.spectral import FULL
-from kolmconj.trigpoly import COS, KolmogorovFlow
+from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
@@ -41,15 +41,16 @@ CASES = {
 }
 
 
-def sweep_certified(mmax):
+def sweep_certified(mmax, N=12):
     """certified_q and verdict of each `sweep` row; the eigenvalue is left out."""
     return "".join(f"{r['m']},{r['n']},{r['subspace']},"
                    f"{'' if r['certified_q'] is None else r['certified_q']},{r['verdict']}\n"
-                   for r in run_sweep(mmax))
+                   for r in run_sweep(mmax, N=N))
 
 
-def minimize_certified(m, n, N, subspace=COS):
-    res = run_minimize(KolmogorovFlow(m, n), N=N, subspace=subspace)
+def minimize_certified(m, n, N=None, subspace=COS, constraints=()):
+    res = run_minimize(KolmogorovFlow(m, n), N=N, subspace=subspace,
+                       constraints=constraints)
     return (f"certified MI/pi^2 = {res.certified.mi_over_pi2}\n"
             f"dominant mode: {res.coeffs.dominant_mode()!r}\n"
             f"block mode: {res.block_mode!r}\n")
@@ -57,9 +58,14 @@ def minimize_certified(m, n, N, subspace=COS):
 
 NUMERICAL = {
     "sweep_10": lambda: sweep_certified(10),
+    "sweep_8_N16": lambda: sweep_certified(8, N=16),
     "minimize_3_2_N20": lambda: minimize_certified(3, 2, 20),
     "minimize_4_1_N40": lambda: minimize_certified(4, 1, 40),
     "minimize_1_1_N20_full": lambda: minimize_certified(1, 1, 20, FULL),
+    "minimize_2_2_N30_sin": lambda: minimize_certified(2, 2, 30, SIN),
+    # a zeroed mode splits its chain off from the chains of its shape
+    "minimize_3_3_constrain_0_1": lambda: minimize_certified(3, 3, constraints=[Mode(0, 1, COS)]),
+    "minimize_4_4_constrain_0_1": lambda: minimize_certified(4, 4, constraints=[Mode(0, 1, COS)]),
 }
 
 
