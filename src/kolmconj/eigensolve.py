@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,25 +24,6 @@ def check_tol(tol: float) -> None:
     """Reject a residual tolerance that would disable the residual guard."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-
-
-def sym_eig_min(S: np.ndarray, tol: float = 1e-10) -> EigenPair:
-    """Algebraically smallest eigenpair of a symmetric matrix.
-
-    Deterministic for fixed input (LAPACK dsyevd via numpy, fixed sign
-    convention).  Raises ValueError on non-symmetric input or a tol that is
-    not finite and positive, and ConvergenceError if the residual exceeds
-    tol * max|S| * dim.
-    """
-    check_tol(tol)
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] < 1:
-        raise ValueError("expected a square matrix of dimension >= 1")
-    scale = float(np.max(np.abs(S)))
-    if np.max(np.abs(S - S.T)) > 1e-12 * max(scale, 1.0):
-        raise ValueError("matrix is not symmetric")
-    values, vectors = np.linalg.eigh(S)
-    return eigen_pair(S, float(values[0]), _positive_first(vectors[:, 0]), tol)
 
 
 def _positive_first(v: np.ndarray) -> np.ndarray:
@@ -68,28 +49,68 @@ def eigen_pair(S: np.ndarray, value: float, vector: np.ndarray, tol: float) -> E
     return EigenPair(value, v, residual)
 
 
-def sym_eig_min_stack(stack: np.ndarray, tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray]:
-    """`sym_eig_min` for each matrix of a stack of shape (count, dim, dim).
+def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
+                      ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[int, Exception]]]:
+    """Lowest eigenpair of each matrix of a stack (count, dim, dim), in one LAPACK call.
 
-    One LAPACK call solves the whole stack, and each matrix gets every
-    check of `sym_eig_min`; where one fails, `sym_eig_min` on the first
-    failing matrix raises its error.  Returns the lowest eigenvalues and,
-    row by row, their eigenvectors with the first significant entry
-    positive; `eigen_pair(stack[i], values[i], vectors[i], tol)` is then
-    what `sym_eig_min(stack[i], tol)` returns.
+    Deterministic for fixed input (LAPACK dsyevd via numpy, fixed sign
+    convention).  Raises ValueError if `stack` is not a stack of square
+    matrices or tol is not finite and positive.  Each matrix is checked:
+    it must be symmetric, and its residual at most tol * max|S| * dim.
+    Returns the lowest eigenvalues, row by row their eigenvectors with the
+    first significant entry positive, and (i, error) for the first matrix
+    i that fails a check, or None; `eigen_pair(stack[i], values[i],
+    vectors[i], tol)` is the EigenPair of matrix i.
     """
     check_tol(tol)
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
-        raise ValueError("expected a stack of square matrices of dimension >= 1")
+        raise ValueError("expected a square matrix or a stack of square matrices "
+                         "of dimension >= 1")
     scale = np.max(np.abs(stack), axis=(1, 2))
-    asymmetry = np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2))
+    asymmetric = (np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2))
+                  > 1e-12 * np.maximum(scale, 1.0))
     values, vectors = np.linalg.eigh(stack)
     values, vectors = values[:, 0], _positive_first(vectors[:, :, 0])
     unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
     residual = np.linalg.norm((stack @ unit[:, :, None])[:, :, 0] - values[:, None] * unit,
                               axis=1)
     bound = tol * np.maximum(scale, 1e-300) * stack.shape[1]
-    for i in np.flatnonzero((asymmetry > 1e-12 * np.maximum(scale, 1.0)) | (residual > bound)):
-        sym_eig_min(stack[i], tol)
+    # a flagged matrix fails if asymmetric, or if its own EigenPair does
+    for i in np.flatnonzero(asymmetric | (residual > bound)).tolist():
+        if asymmetric[i]:
+            return values, vectors, (i, ValueError("matrix is not symmetric"))
+        try:
+            eigen_pair(stack[i], values[i], vectors[i], tol)
+        except ConvergenceError as error:
+            return values, vectors, (i, error)
+    return values, vectors, None
+
+
+def sym_eig_min(S: np.ndarray, tol: float = 1e-10) -> EigenPair:
+    """Algebraically smallest eigenpair of a symmetric matrix.
+
+    The one-matrix case of `lowest_eigenpairs`: raises ValueError on a
+    non-square or non-symmetric matrix or a tol that is not finite and
+    positive, and ConvergenceError if the residual exceeds
+    tol * max|S| * dim.
+    """
+    S = np.asarray(S, dtype=float)
+    values, vectors, failure = lowest_eigenpairs(S[None], tol)
+    if failure is not None:
+        raise failure[1]
+    return eigen_pair(S, float(values[0]), vectors[0], tol)
+
+
+def sym_eig_min_stack(stack: np.ndarray, tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray]:
+    """`sym_eig_min` for each matrix of a stack of shape (count, dim, dim).
+
+    `lowest_eigenpairs` that raises the first failing matrix's error.
+    Returns the lowest eigenvalues and, row by row, their eigenvectors;
+    `eigen_pair(stack[i], values[i], vectors[i], tol)` is then what
+    `sym_eig_min(stack[i], tol)` returns.
+    """
+    values, vectors, failure = lowest_eigenpairs(stack, tol)
+    if failure is not None:
+        raise failure[1]
     return values, vectors

@@ -59,6 +59,8 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
         nmax = mmax
     # bad options fail every row alike: reject them before the first
     check_tol(tol)
+    if min(mmax, nmax) < 1:
+        raise ValueError("sweep bounds mmax and nmax must be >= 1")
     if p < 0:
         raise ValueError("Sobolev order must be >= 0")
     if N < 1:

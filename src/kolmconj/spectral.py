@@ -12,15 +12,14 @@ re-evaluating the index with exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigensolve import (ConvergenceError, EigenPair, eigen_pair, sym_eig_min,
-                         sym_eig_min_stack)
+from .eigensolve import EigenPair, eigen_pair, lowest_eigenpairs
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
                        misiolek_index)
 
@@ -238,41 +237,12 @@ def _chains(flow: KolmogorovFlow, window: SpectralWindow, ext: SpectralWindow
         start, entry_start = end, entry_end
 
 
-@dataclass
-class BracketBlock:
-    """The bracket f -> {psi, f} on one connected component of its stencil.
-
-    The bracket sends mode (j, k) only to (j +- m, k +- n), folded, so the
-    window splits into mode chains that no bracket row couples: `modes`
-    (window order) are one chain's inputs and `out_modes` the outputs they
-    reach, in the extended window of order N + max(m, n).
-    """
-
-    modes: Tuple[Mode, ...]
-    out_modes: Tuple[Mode, ...]
-    matrix: np.ndarray
-
-
-def bracket_blocks(flow: KolmogorovFlow, window: SpectralWindow) -> List[BracketBlock]:
-    """The bracket on `window`, one block per chain, ordered by first mode.
-
-    The output window is large enough that no bracket mode is lost, which
-    makes the quadratic forms built from the blocks exact on the span.
-    """
-    ext = _extended(flow, window)
-    blocks = {}
-    for positions, index, rows, L in _chains(flow, window, ext):
-        for position, i, o, block in zip(positions, index, rows, L):
-            blocks[position] = BracketBlock(window.modes_at(i), ext.modes_at(o), block)
-    return [blocks[position] for position in range(len(blocks))]
-
-
 def assemble_bracket_matrix(flow: KolmogorovFlow, win_in: SpectralWindow,
                             win_out: SpectralWindow) -> np.ndarray:
     """Dense matrix of f -> {psi, f} from win_in into win_out.
 
-    The blocks of `bracket_blocks` scattered into one matrix.  The output
-    window must be large enough that no bracket mode is lost.
+    The chains of `_chains` scattered into one matrix.  The output window
+    must be large enough that no bracket mode is lost.
     """
     if win_in.subspace != win_out.subspace:
         raise ValueError("input and output windows must share a subspace")
@@ -281,10 +251,8 @@ def assemble_bracket_matrix(flow: KolmogorovFlow, win_in: SpectralWindow,
         raise ValueError(
             f"output window order {win_out.N} too small: need >= {win_in.N + max(m, n)}")
     mat = np.zeros((len(win_out), len(win_in)))
-    for block in bracket_blocks(flow, win_in):
-        rows = [win_out.index_of(mode) for mode in block.out_modes]
-        cols = [win_in.index_of(mode) for mode in block.modes]
-        mat[np.ix_(rows, cols)] = block.matrix
+    for _, index, rows, L in _chains(flow, win_in, win_out):
+        mat[rows[:, :, None], index[:, None, :]] = L
     return mat
 
 
@@ -315,7 +283,7 @@ def _gram_groups(flow: KolmogorovFlow, window: SpectralWindow
     """B = L^T W L per bracket chain, W = diag(j^2+k^2 - lambda^2) on outputs.
 
     B couples two modes only through a shared bracket output, so the form
-    is block-diagonal over the chains of `bracket_blocks`.  Yields
+    is block-diagonal over the chains of `_chains`.  Yields
     (positions, index, B) per group of `_chains`, B stacked like its L.
     """
     ext = _extended(flow, window)
@@ -325,17 +293,8 @@ def _gram_groups(flow: KolmogorovFlow, window: SpectralWindow
         yield positions, index, 0.5 * (B + B.transpose(0, 2, 1))
 
 
-def quadform_blocks(flow: KolmogorovFlow, window: SpectralWindow) -> List[QuadForm]:
-    """The form on `window`, one block per chain, ordered by first mode."""
-    blocks = {}
-    for positions, index, B in _gram_groups(flow, window):
-        for position, i, block in zip(positions, index, B):
-            blocks[position] = QuadForm(window, block, i)
-    return [blocks[position] for position in range(len(blocks))]
-
-
 def assemble_quadform(flow: KolmogorovFlow, window: SpectralWindow) -> QuadForm:
-    """Dense view: the blocks of `quadform_blocks` scattered into one matrix."""
+    """Dense view: the chains of `_gram_groups` scattered into one matrix."""
     B = np.zeros((len(window), len(window)))
     for _, index, blocks in _gram_groups(flow, window):
         B[index[:, :, None], index[:, None, :]] = blocks
@@ -347,16 +306,19 @@ class ReducedForm:
     """Sobolev-weighted reduction S = D^{-p/2} B D^{-p/2}, D = diag(j^2+k^2).
 
     The minimal eigenvalue of S has the same sign as the infimum of the
-    Misiolek index over the (possibly constrained) window span; `modes`
-    tracks which window modes remain after constraints, `index` their
-    window positions.
+    Misiolek index over the (possibly constrained) window span; `index`
+    holds the window positions of the modes that remain after
+    constraints, `modes` the modes themselves.
     """
 
     quadform: QuadForm
     p: int
-    modes: Tuple[Mode, ...]
     matrix: np.ndarray
-    index: Optional[np.ndarray] = None
+    index: np.ndarray = field(kw_only=True)
+
+    @cached_property
+    def modes(self) -> Tuple[Mode, ...]:
+        return self.quadform.window.modes_at(self.index)
 
 
 def _sobolev_scale(laplace: np.ndarray, p: int) -> np.ndarray:
@@ -374,7 +336,7 @@ def _reduce(B: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def reduce_symmetric(q: QuadForm, p: int) -> ReducedForm:
     scale = _sobolev_scale(q.window.laplace[q.index], p)
-    return ReducedForm(q, p, q.modes, _reduce(q.matrix, scale), q.index)
+    return ReducedForm(q, p, _reduce(q.matrix, scale), index=q.index)
 
 
 def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
@@ -394,50 +356,40 @@ def constrain(r: ReducedForm, zeroed: Iterable[Mode]) -> ReducedForm:
     keep = np.flatnonzero(~np.isin(r.index, _positions(r.quadform.window, set(zeroed))))
     if not keep.size:
         raise ValueError("constraining away every mode leaves nothing to minimize")
-    return ReducedForm(r.quadform, r.p, tuple(r.modes[i] for i in keep.tolist()),
-                       r.matrix[np.ix_(keep, keep)], r.index[keep])
+    return ReducedForm(r.quadform, r.p, r.matrix[np.ix_(keep, keep)], index=r.index[keep])
 
 
 class _ChainMinimum:
-    """The scan of `block_minimum`, a stack of chains at a time.
+    """The scan of `window_minimum`, a group of chains at a time.
 
-    Chains come numbered in listed order, in stacks of one size, each
-    solved by one LAPACK call, or one by one when too large to share one.
-    The tie rule runs over every chain's minimum once all are solved; until
-    then only chains that can still win it are kept.
+    Chains come numbered in listed order, in stacks of one shape, each
+    solved by one LAPACK call.  The tie rule runs over every chain's
+    minimum once all are solved; until then only chains that can still
+    win it are kept.  The first listed chain that fails a check of
+    `lowest_eigenpairs` raises its error.
     """
 
     def __init__(self, tol: float):
         self.tol = tol
         self.values = {}      # number -> lowest eigenvalue of the chain
         self.low = math.inf   # the lowest of them so far
-        self.contenders = {}  # number -> (block, i, matrix, EigenPair or eigenvector)
+        self.contenders = {}  # number -> (block, i, matrix, eigenvector)
         self.failure = None   # (number, error) of the first failed chain
 
     def add(self, positions: List[int], stack: np.ndarray,
             block: Callable[[int], ReducedForm]) -> None:
-        """Solve the chains numbered `positions`, whose matrices `stack` holds.
+        """Solve the chains numbered `positions` (ascending), whose matrices `stack` holds.
 
         `block(i)` builds the ReducedForm of the i-th, should it win.
         """
-        found = None
-        if 2 * stack[0].size <= STACK_ENTRIES:
-            try:
-                values, found = sym_eig_min_stack(stack, self.tol)
-            except (ValueError, ConvergenceError):
-                pass  # one by one below, so that each failing chain raises its own error
-        if found is None:
-            values, found = np.full(len(positions), np.nan), [None] * len(positions)
-            for i, position in enumerate(positions):
-                try:
-                    found[i] = sym_eig_min(stack[i], self.tol)
-                except (ValueError, ConvergenceError) as exc:
-                    if self.failure is None or position < self.failure[0]:
-                        self.failure = position, exc
-                else:
-                    values[i] = found[i].value
+        values, vectors, failure = lowest_eigenpairs(stack, self.tol)
+        if failure is not None:
+            # positions ascend, so the stack's first failure is its lowest
+            failure = positions[failure[0]], failure[1]
+            if self.failure is None or failure[0] < self.failure[0]:
+                self.failure = failure
         self.values.update(zip(positions, values.tolist()))
-        low = float(np.fmin.reduce(values, initial=self.low))
+        low = float(values.min(initial=self.low))
         # a chain whose minimum lies above another's by more than twice the
         # tie tolerance (relative) can no longer win the tie rule
         def beaten(value):
@@ -447,8 +399,7 @@ class _ChainMinimum:
                                if not beaten(self.values[position])}
             self.low = low
         for i in np.flatnonzero(~beaten(values)).tolist():
-            if found[i] is not None:
-                self.contenders[positions[i]] = block, i, stack[i], found[i]
+            self.contenders[positions[i]] = block, i, stack[i], vectors[i]
 
     def minimum(self) -> Tuple[EigenPair, ReducedForm]:
         if self.failure is not None:
@@ -458,63 +409,30 @@ class _ChainMinimum:
             value = self.values[position]
             if value < self.values[best] - TIE_RTOL * max(abs(value), abs(self.values[best])):
                 best = position
-        block, i, S, found = self.contenders[best]
-        if not isinstance(found, EigenPair):
-            found = eigen_pair(S, self.values[best], found, self.tol)
-        return found, block(i)
-
-
-def block_minimum(blocks: Iterable[ReducedForm], zeroed: Iterable[Mode] = (),
-                  tol: float = 1e-10) -> Tuple[EigenPair, ReducedForm]:
-    """Lowest eigenpair over a window's blocks, with the zeroed modes constrained.
-
-    Returns the pair and the (constrained) block it belongs to.  Blocks the
-    constraints zero out entirely are skipped.  Two minima within TIE_RTOL
-    of each other (relative) are a tie, won by the block listed first.
-    Blocks of one size are solved together.  Each block gets every check of
-    `sym_eig_min`, and the first listed block that fails one raises its
-    error.
-    """
-    zero_set = set(zeroed)
-    forms, skipped = [], None
-    for reduced in blocks:
-        if zero_set and zero_set.issuperset(reduced.modes):
-            skipped = reduced
-        else:
-            forms.append(constrain(reduced, zero_set) if zero_set else reduced)
-    if not forms:
-        constrain(skipped, zero_set)  # every block is zeroed out: this raises
-    by_shape = {}
-    for position, reduced in enumerate(forms):
-        by_shape.setdefault(np.shape(reduced.matrix), []).append(position)
-    scan = _ChainMinimum(tol)
-    for shape, positions in by_shape.items():
-        cap = max(1, STACK_ENTRIES // max(1, int(np.prod(shape))))
-        for start in range(0, len(positions), cap):
-            batch = [forms[i] for i in positions[start:start + cap]]
-            scan.add(positions[start:start + cap], np.stack([r.matrix for r in batch]),
-                     batch.__getitem__)
-    return scan.minimum()
+        block, i, S, vector = self.contenders[best]
+        return eigen_pair(S, self.values[best], vector, self.tol), block(i)
 
 
 def _chain_form(window: SpectralWindow, p: int, index: np.ndarray, B: np.ndarray,
                 S: np.ndarray, i: int) -> ReducedForm:
     """The i-th chain of a group of `window_minimum`, as a ReducedForm."""
-    q = QuadForm(window, B[i], index[i])
-    return ReducedForm(q, p, q.modes, S[i], index[i])
+    return ReducedForm(QuadForm(window, B[i], index[i]), p, S[i], index=index[i])
 
 
 def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,
                    zeroed: Iterable[Mode] = (), tol: float = 1e-10
                    ) -> Tuple[EigenPair, ReducedForm, int, int]:
-    """`block_minimum` over the reduced bracket chains of `window`.
+    """Lowest eigenpair over the reduced bracket chains of `window`.
 
     Each group of `_chains` goes through the Gram product, the Sobolev
     reduction and the eigensolve as one stack; the chains that hold a
-    zeroed mode leave their group to be constrained.  A chain's QuadForm
-    and ReducedForm are built only if it is constrained or wins.
-    Returns the pair, the ReducedForm of its chain, the number of chains
-    and the modes in the largest.
+    zeroed mode leave their group to be constrained, and chains zeroed
+    out entirely are skipped.  A chain's QuadForm and ReducedForm are
+    built only if it is constrained or wins.  Two minima within TIE_RTOL
+    of each other (relative) are a tie, won by the chain with the lowest
+    first mode; the first listed chain that fails an eigensolve check
+    raises its error.  Returns the pair, the ReducedForm of its chain, the
+    number of chains and the modes in the largest.
     """
     scale = _sobolev_scale(window.laplace, p)
     zero_set = set(zeroed)

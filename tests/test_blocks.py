@@ -2,9 +2,14 @@
 
 The bracket with psi = -cos mx cos ny sends mode (j, k) only to
 (j +- m, k +- n), so the window splits into chains that no bracket row and
-no entry of the index form couples.  These tests check the split against
-the dense views and the exact bracket, and pin the certified values that
-the dense minimization gave before the split.
+no entry of the index form couples.  The numerical route has one scan over
+them: `_chains` and `_gram_groups` lay the chains out in groups of one
+shape, and `window_minimum` feeds each group to `_ChainMinimum`, which
+solves it in one stacked eigensolve.  These tests check that scan against
+the dense views (`assemble_bracket_matrix`, `assemble_quadform`, cut at
+each chain's window positions) and the exact bracket, drive `_ChainMinimum`
+with hand-built stacks for its tie and failure rules, and pin the certified
+values that the dense minimization gave before the split.
 """
 
 import random
@@ -17,16 +22,40 @@ import pytest
 from kolmconj import spectral
 from kolmconj.eigensolve import ConvergenceError, eigen_pair, sym_eig_min, sym_eig_min_stack
 from kolmconj.pipeline import run_minimize
-from kolmconj.spectral import (FULL, STACK_ENTRIES, CertificationError, ReducedForm,
-                               SpectralWindow,
+from kolmconj.spectral import (FULL, STACK_ENTRIES, CertificationError, QuadForm,
+                               ReducedForm, SpectralWindow,
                                assemble_bracket_matrix, assemble_quadform,
-                               block_minimum, bracket_blocks, coefficient_vector,
-                               constrain, quadform_blocks, reduce_symmetric)
+                               coefficient_vector, constrain, reduce_symmetric,
+                               window_minimum)
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
 
 def extended(flow, window):
     return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
+
+
+def chain_layout(flow, window):
+    """(index, rows) of each chain of `_chains`, by chain number.
+
+    `index` holds the window positions of the chain's modes, `rows` the
+    positions in the extended window of the outputs its bracket reaches.
+    """
+    layout = {}
+    for positions, index, rows, _ in spectral._chains(flow, window, extended(flow, window)):
+        layout.update(zip(positions, zip(index, rows)))
+    return [layout[number] for number in range(len(layout))]
+
+
+def chain_modes(flow, window):
+    """The modes of each chain, by chain number."""
+    return [window.modes_at(index) for index, _ in chain_layout(flow, window)]
+
+
+def chain_forms(flow, window, p):
+    """Each chain's ReducedForm, cut from the dense form at its window positions."""
+    B = assemble_quadform(flow, window).matrix
+    return [reduce_symmetric(QuadForm(window, B[np.ix_(index, index)], index), p)
+            for index, _ in chain_layout(flow, window)]
 
 
 @pytest.mark.parametrize("m,n,N,subspace", [
@@ -35,23 +64,28 @@ def extended(flow, window):
 def test_blocks_partition_the_window(m, n, N, subspace):
     flow = KolmogorovFlow(m, n)
     window = SpectralWindow(N, subspace)
-    blocks = bracket_blocks(flow, window)
-    modes = [mode for block in blocks for mode in block.modes]
-    assert sorted(modes) == list(window.modes)
-    outputs = [mode for block in blocks for mode in block.out_modes]
+    layout = chain_layout(flow, window)
+    chains = chain_modes(flow, window)
+    assert sorted(mode for modes in chains for mode in modes) == list(window.modes)
+    outputs = [row for _, rows in layout for row in rows.tolist()]
     assert len(outputs) == len(set(outputs))
-    for block in blocks:
-        assert list(block.modes) == sorted(block.modes)
-        assert block.matrix.shape == (len(block.out_modes), len(block.modes))
-    assert [b.modes[0] for b in blocks] == sorted(b.modes[0] for b in blocks)
-    assert [q.modes for q in quadform_blocks(flow, window)] == [b.modes for b in blocks]
+    for modes, (_, rows) in zip(chains, layout):
+        assert list(modes) == sorted(modes)
+        assert rows.tolist() == sorted(rows.tolist())
+    assert [modes[0] for modes in chains] == sorted(modes[0] for modes in chains)
+    # the form's chains are the bracket's
+    form_index = {}
+    for positions, index, _ in spectral._gram_groups(flow, window):
+        form_index.update(zip(positions, index.tolist()))
+    assert [form_index[number] for number in range(len(form_index))] == [
+        index.tolist() for index, _ in layout]
 
 
 @pytest.mark.parametrize("m,n,blocks,largest", [(1, 1, 4, 220), (3, 2, 14, 77),
                                                  (4, 4, 34, 30)])
 def test_block_counts_at_N20(m, n, blocks, largest):
-    found = bracket_blocks(KolmogorovFlow(m, n), SpectralWindow(20, COS))
-    assert (len(found), max(len(b.modes) for b in found)) == (blocks, largest)
+    found = chain_layout(KolmogorovFlow(m, n), SpectralWindow(20, COS))
+    assert (len(found), max(len(index) for index, _ in found)) == (blocks, largest)
 
 
 def test_scattered_brackets_match_exact_bracket():
@@ -62,12 +96,11 @@ def test_scattered_brackets_match_exact_bracket():
         window = SpectralWindow(rng.randint(1, 6), rng.choice((COS, SIN, FULL)))
         ext = extended(flow, window)
         M = assemble_bracket_matrix(flow, window, ext)
-        for block in bracket_blocks(flow, window):
-            cols = [window.index_of(mode) for mode in block.modes]
-            rows = [ext.index_of(mode) for mode in block.out_modes]
-            others = np.setdiff1d(np.arange(len(ext)), rows)
-            assert np.all(M[np.ix_(others, cols)] == 0.0)
-            assert np.array_equal(M[np.ix_(rows, cols)], block.matrix)
+        for _, index, rows, L in spectral._chains(flow, window, ext):
+            for cols, out, block in zip(index, rows, L):
+                others = np.setdiff1d(np.arange(len(ext)), out)
+                assert np.all(M[np.ix_(others, cols)] == 0.0)
+                assert np.array_equal(M[np.ix_(out, cols)], block)
         terms, v = {}, np.zeros(len(window))
         for i, mode in enumerate(window.modes):
             c = F(rng.randint(-6, 6), 4)
@@ -98,11 +131,6 @@ def _dense_minimum(flow, window, p, zeroed):
     return np.linalg.eigh(r.matrix)[0][0], np.max(np.abs(r.matrix))
 
 
-def _block_minimum(flow, window, p, zeroed):
-    blocks = [reduce_symmetric(q, p) for q in quadform_blocks(flow, window)]
-    return block_minimum(blocks, zeroed)
-
-
 def test_block_minimum_equals_dense_eigh():
     # 1e-12 relative to the larger of the eigenvalue and the matrix scale,
     # which covers minima that sit on the bracket kernel (about 1e-17)
@@ -113,7 +141,7 @@ def test_block_minimum_equals_dense_eigh():
         window = SpectralWindow(rng.randint(1, 10), rng.choice((COS, SIN, FULL)))
         zeroed = rng.sample(window.modes, rng.choice((0, 1, 3)))
         p = rng.randint(0, 3)
-        pair, _ = _block_minimum(flow, window, p, zeroed)
+        pair = window_minimum(flow, window, p, zeroed)[0]
         want, scale = _dense_minimum(flow, window, p, zeroed)
         assert abs(pair.value - want) <= 1e-12 * max(abs(want), scale)
 
@@ -121,15 +149,15 @@ def test_block_minimum_equals_dense_eigh():
 def test_zeroed_block_is_skipped():
     flow = KolmogorovFlow(3, 2)
     window = SpectralWindow(8, COS)
-    blocks = quadform_blocks(flow, window)
-    for q in blocks[:3]:
-        zeroed = list(q.modes)
-        pair, winner = _block_minimum(flow, window, 3, zeroed)
-        assert winner.quadform.modes != q.modes
+    chains = chain_modes(flow, window)
+    for modes in chains[:3]:
+        zeroed = list(modes)
+        pair, winner, _, _ = window_minimum(flow, window, 3, zeroed)
+        assert winner.quadform.modes != modes
         want, scale = _dense_minimum(flow, window, 3, zeroed)
         assert abs(pair.value - want) <= 1e-12 * max(abs(want), scale)
-    res = run_minimize(flow, N=8, constraints=list(blocks[0].modes))
-    assert res.block_mode != blocks[0].modes[0]
+    res = run_minimize(flow, N=8, constraints=list(chains[0]))
+    assert res.block_mode != chains[0][0]
 
 
 def test_constraint_errors_unchanged():
@@ -144,13 +172,16 @@ def test_constraint_errors_unchanged():
 
 
 def test_tie_goes_to_earlier_block():
-    flow = KolmogorovFlow(3, 2)
-    first = reduce_symmetric(quadform_blocks(flow, SpectralWindow(6, COS))[0], 3)
-    value = block_minimum([first])[0].value
+    # two chains of one shape, solved in one stack: the later one wins
+    # only if its minimum lies below the first's by more than TIE_RTOL
+    first = chain_forms(KolmogorovFlow(3, 2), SpectralWindow(6, COS), 3)[0]
+    value = sym_eig_min(first.matrix).value
     for shift, winner in [(1e-14, 0), (1e-9, 1)]:
-        lowered = first.matrix - shift * abs(value) * np.eye(len(first.modes))
-        later = ReducedForm(first.quadform, first.p, first.modes, lowered)
-        assert block_minimum([first, later])[1] is [first, later][winner]
+        lowered = first.matrix - shift * abs(value) * np.eye(len(first.index))
+        later = ReducedForm(first.quadform, first.p, lowered, index=first.index)
+        scan = spectral._ChainMinimum(1e-10)
+        scan.add([0, 1], np.stack([first.matrix, lowered]), [first, later].__getitem__)
+        assert scan.minimum()[1] is [first, later][winner]
 
 
 def test_tie_goes_to_block_with_lowest_first_mode():
@@ -163,9 +194,9 @@ def test_tie_goes_to_block_with_lowest_first_mode():
         assert res.certified.detected
     assert 2 * 21 ** 2 <= STACK_ENTRIES
     assert res.block_mode == Mode(1, -6, COS)
-    winner = [q for q in quadform_blocks(KolmogorovFlow(2, 1), SpectralWindow(6, FULL))
-              if q.modes[0] in (Mode(1, -6, COS), Mode(1, -6, SIN))]
-    assert [len(q.modes) for q in winner] == [21, 21]
+    winner = [modes for modes in chain_modes(KolmogorovFlow(2, 1), SpectralWindow(6, FULL))
+              if modes[0] in (Mode(1, -6, COS), Mode(1, -6, SIN))]
+    assert [len(modes) for modes in winner] == [21, 21]
 
 
 def _sweep_chains(mmax):
@@ -174,8 +205,8 @@ def _sweep_chains(mmax):
     for m in range(1, mmax + 1):
         for n in range(1, m + 1):
             for subspace in (COS, SIN):
-                for q in quadform_blocks(KolmogorovFlow(m, n), SpectralWindow(12, subspace)):
-                    chains[len(q.modes)].append(reduce_symmetric(q, 3).matrix)
+                for r in chain_forms(KolmogorovFlow(m, n), SpectralWindow(12, subspace), 3):
+                    chains[len(r.index)].append(r.matrix)
     return chains
 
 
@@ -194,18 +225,20 @@ def test_stacked_eigensolve_matches_one_at_a_time_on_sweep_chains():
 def test_chain_groups_hold_one_shape_within_the_stack_cap(m, n, N, subspace):
     flow = KolmogorovFlow(m, n)
     window = SpectralWindow(N, subspace)
-    blocks = bracket_blocks(flow, window)
-    numbers, groups = [], defaultdict(list)
+    firsts, groups, held = {}, defaultdict(list), []
     for positions, index, rows, L in spectral._chains(flow, window, extended(flow, window)):
         count, d = index.shape
         assert 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
         assert positions == sorted(positions)
         assert rows.shape[0] == count and L.shape == (count, rows.shape[1], d)
-        for position in positions:
-            assert (len(blocks[position].modes), len(blocks[position].out_modes)) == (d, L.shape[1])
-        numbers += positions
+        assert not firsts.keys() & set(positions)
+        firsts.update(zip(positions, index[:, 0].tolist()))
+        held += index.ravel().tolist()
         groups[L.shape[1:]].append(count)
-    assert sorted(numbers) == list(range(len(blocks)))
+    # the chains are numbered by first mode, and together hold the window
+    assert sorted(firsts) == list(range(len(firsts)))
+    assert [firsts[number] for number in range(len(firsts))] == sorted(firsts.values())
+    assert sorted(held) == list(range(len(window)))
     # each shape fills as few stacks as the cap allows
     for (r, d), counts in groups.items():
         assert len(counts) == -(-sum(counts) // max(1, STACK_ENTRIES // d ** 2))
@@ -215,19 +248,22 @@ def _per_chain_products(flow, window, p):
     """Window positions, B and S of each chain, one chain at a time.
 
     The reference for the grouped path: the Gram product of each chain's
-    bracket block, symmetrized, then the Sobolev reduction.
+    bracket block from `_chains` (checked against the exact bracket by
+    `test_scattered_brackets_match_exact_bracket`), symmetrized, then the
+    Sobolev reduction.
     """
     ext = extended(flow, window)
     weights = ext.laplace - flow.lambda2
-    for block in bracket_blocks(flow, window):
-        index = [window.index_of(mode) for mode in block.modes]
-        rows = [ext.index_of(mode) for mode in block.out_modes]
-        L = block.matrix
+    chains = {}
+    for positions, index, rows, L in spectral._chains(flow, window, ext):
+        chains.update(zip(positions, zip(index, rows, L)))
+    for number in range(len(chains)):
+        index, rows, L = chains[number]
         B = L.T @ (weights[rows][:, None] * L)
         B = 0.5 * (B + B.T)
         scale = window.laplace[index] ** (-p / 2)
         S = B * np.outer(scale, scale)
-        yield index, B, 0.5 * (S + S.T)
+        yield index.tolist(), B, 0.5 * (S + S.T)
 
 
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
@@ -268,28 +304,43 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
 
 
 def test_first_listed_failing_block_raises_its_error():
-    # the blocks of 2 modes share a stack that is solved before the block of
-    # 3, yet the block of 3, the first listed to fail, raises its own error
+    # chains 0, 2 and 3 hold 2 modes and share a stack that is solved
+    # before chain 1 of 3 modes, yet chain 1, the first listed to fail,
+    # raises its own error
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 3))
     unsymmetric = np.array([[1.0, 2.0], [0.0, 1.0]])
-    blocks = [ReducedForm(None, 0, (), S) for S in
-              (np.diag([1.0, 2.0]), a + a.T, unsymmetric, np.diag([3.0, 1.0]))]
+    pairs = np.stack([np.diag([1.0, 2.0]), unsymmetric, np.diag([3.0, 1.0])])
     with pytest.raises(ConvergenceError) as want:
-        sym_eig_min(blocks[1].matrix, 1e-300)
+        sym_eig_min(a + a.T, 1e-300)
+    scan = spectral._ChainMinimum(1e-300)
+    scan.add([0, 2, 3], pairs, None)
+    scan.add([1], (a + a.T)[None], None)
     with pytest.raises(ConvergenceError) as got:
-        block_minimum(blocks, tol=1e-300)
+        scan.minimum()
     assert str(got.value) == str(want.value)
+    scan = spectral._ChainMinimum(1e-300)
+    scan.add([0, 1], pairs[1:], None)
     with pytest.raises(ValueError, match="matrix is not symmetric"):
-        block_minimum(blocks[2:], tol=1e-300)
+        scan.minimum()
+
+
+@pytest.mark.parametrize("m,n,options,dim", [(3, 2, {}, 15),
+                                             (1, 1, dict(N=40, subspace=FULL), 820)])
+def test_failing_eigensolve_names_the_first_failing_chain(m, n, options, dim):
+    # no chain meets tol = 1e-300; the error names the first listed one,
+    # of 15 modes in a stack, or of 820 modes solved alone (the residual
+    # digits depend on the BLAS build)
+    with pytest.raises(ConvergenceError, match=rf"\(dim={dim}, tol=1\.0e-300\)$"):
+        run_minimize(KolmogorovFlow(m, n), tol=1e-300, **options)
 
 
 def test_minimize_result_records_blocks():
     res = run_minimize(KolmogorovFlow(3, 2), N=20)
     assert (res.blocks, res.block_dim_max) == (14, 77)
-    winner = [q for q in quadform_blocks(KolmogorovFlow(3, 2), SpectralWindow(20, COS))
-              if q.modes[0] == res.block_mode]
-    assert len(winner) == 1 and Mode(1, 0, COS) in winner[0].modes
+    winner = [modes for modes in chain_modes(KolmogorovFlow(3, 2), SpectralWindow(20, COS))
+              if modes[0] == res.block_mode]
+    assert len(winner) == 1 and Mode(1, 0, COS) in winner[0]
     assert run_minimize(KolmogorovFlow(4, 4), N=20).blocks == 34
 
 

@@ -369,9 +369,11 @@ def test_bad_sweep_tolerance_is_usage_error(capsys):
 
 @pytest.mark.parametrize("option,value,word", [
     ("--cap", "0", "denominator cap"), ("--p", "-1", "Sobolev order"),
-    ("--N", "0", "window order")])
+    ("--N", "0", "window order"), ("--mmax", "0", "mmax and nmax"),
+    ("--nmax", "-1", "mmax and nmax"), ("--nmax", "0", "mmax and nmax")])
 def test_bad_sweep_option_is_usage_error(capsys, option, value, word):
     # rejected before the first row, not reported as a failure of every row
+    # or as an empty sweep (a later --mmax overrides the --mmax 2 below)
     code, out, err = run(capsys, "sweep", "--mmax", "2", option, value)
     assert code == 2
     assert out == ""

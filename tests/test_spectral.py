@@ -9,7 +9,7 @@ from kolmconj.spectral import (FULL, CertificationError, SpectralWindow,
                                assemble_bracket_matrix, assemble_quadform,
                                certify_candidate, coefficient_vector, constrain,
                                minimizer_coefficients, reduce_symmetric,
-                               CoeffVector)
+                               CoeffVector, ReducedForm)
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, canonicalize, misiolek_index)
 
@@ -236,6 +236,13 @@ class TestReduceConstrain:
             pair = sym_eig_min(reduce_symmetric(q, p).matrix)
             signs.add(pair.value < 0)
         assert signs == {True}
+
+    def test_reduced_form_index_is_keyword_only(self):
+        # the form's modes come from `index`; a call that passes modes and
+        # matrix by position fails here instead of binding the wrong fields
+        r = reduce_symmetric(assemble_quadform(KolmogorovFlow(2, 1), SpectralWindow(3, COS)), 3)
+        with pytest.raises(TypeError):
+            ReducedForm(r.quadform, r.p, r.modes, r.matrix)
 
     def test_constrain_empty_is_identity(self):
         q = assemble_quadform(KolmogorovFlow(2, 1), SpectralWindow(3, COS))
