@@ -101,16 +101,3 @@ def sym_eig_min(S: np.ndarray, tol: float = 1e-10) -> EigenPair:
         raise failure[1]
     return eigen_pair(S, float(values[0]), vectors[0], tol)
 
-
-def sym_eig_min_stack(stack: np.ndarray, tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray]:
-    """`sym_eig_min` for each matrix of a stack of shape (count, dim, dim).
-
-    `lowest_eigenpairs` that raises the first failing matrix's error.
-    Returns the lowest eigenvalues and, row by row, their eigenvectors;
-    `eigen_pair(stack[i], values[i], vectors[i], tol)` is then what
-    `sym_eig_min(stack[i], tol)` returns.
-    """
-    values, vectors, failure = lowest_eigenpairs(stack, tol)
-    if failure is not None:
-        raise failure[1]
-    return values, vectors

@@ -38,12 +38,24 @@ class MinimizeResult:
     block_mode: Mode      # first mode of the chain that holds the minimum
 
 
+def _check_options(p: int, N: int, tol: float, max_denominator: int) -> None:
+    """Reject options that no window can use, before any window is built."""
+    check_tol(tol)
+    if p < 0:
+        raise ValueError("Sobolev order must be >= 0")
+    if N < 1:
+        raise ValueError("window order must be >= 1")
+    if max_denominator < 1:
+        raise ValueError("denominator cap must be >= 1")
+
+
 def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
                  subspace: str = COS, constraints: Sequence[Mode] = (),
                  tol: float = 1e-10, max_denominator: int = 10 ** 6) -> MinimizeResult:
     """Lowest eigenpair over the window's bracket chains, certified exactly."""
     if N is None:
         N = 2 * max(flow.m, flow.n) + 4
+    _check_options(p, N, tol, max_denominator)
     window = SpectralWindow(N, subspace)
     pair, reduced, blocks, largest = window_minimum(flow, window, p, constraints, tol)
     coeffs = minimizer_coefficients(reduced, pair.vector)
@@ -58,15 +70,9 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
     if nmax is None:
         nmax = mmax
     # bad options fail every row alike: reject them before the first
-    check_tol(tol)
+    _check_options(p, N, tol, max_denominator)
     if min(mmax, nmax) < 1:
         raise ValueError("sweep bounds mmax and nmax must be >= 1")
-    if p < 0:
-        raise ValueError("Sobolev order must be >= 0")
-    if N < 1:
-        raise ValueError("window order must be >= 1")
-    if max_denominator < 1:
-        raise ValueError("denominator cap must be >= 1")
     rows = []
     for m in range(1, mmax + 1):
         for n in range(1, min(m, nmax) + 1):

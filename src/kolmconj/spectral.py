@@ -84,9 +84,14 @@ class SpectralWindow:
         j, k, N = mode.j, mode.k, self.N
         if mode.parity not in parities or abs(k) > N or not (0 < j <= N or (j == 0 and k > 0)):
             return None
+        return int(self.locate(j, k, mode.parity == SIN))
+
+    def locate(self, j, k, sin):
+        """The window positions of canonical modes (j, k), sine where `sin`, each in the window."""
+        full = self.subspace == FULL
         # (j, k, parity) order over the grid 0 <= j <= N, |k| <= N, less the
         # N + 1 points j = 0, k <= 0 that precede every canonical mode
-        return (j * (2 * N + 1) + k - 1) * len(parities) + parities.index(mode.parity)
+        return (j * (2 * self.N + 1) + k - 1) * (1 + full) + (sin & full)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpectralWindow(N={self.N}, subspace={self.subspace!r}, dim={len(self)})"
@@ -119,6 +124,12 @@ def coefficient_vector(f: TrigPoly, window: SpectralWindow) -> CoeffVector:
     return CoeffVector(window, values)
 
 
+def _fold(j: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wavevectors (j, k) negated onto canonical ones, and where they were."""
+    flip = (j < 0) | ((j == 0) & (k < 0))
+    return np.where(flip, -j, j), np.where(flip, -k, k), flip
+
+
 def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
              out: SpectralWindow) -> Tuple[np.ndarray, np.ndarray]:
     """The bracket's input terms for each mode of `out`, folded into the window.
@@ -143,8 +154,7 @@ def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
     jj = j + np.array([-m, m, -m, m])
     kk = k + np.array([-n, n, n, -n])
     # fold onto canonical modes: cos(-t) = cos(t), sin(-t) = -sin(t)
-    flip = (jj < 0) | ((jj == 0) & (kk < 0))
-    jj, kk = np.where(flip, -jj, jj), np.where(flip, -kk, kk)
+    jj, kk, flip = _fold(jj, kk)
     inside = (jj <= N) & (np.abs(kk) <= N)
     cols = np.where(inside, lookup[sin.astype(int), np.minimum(jj, N),
                                    np.clip(kk, -N, N) + N], -1)
@@ -177,71 +187,116 @@ def _extended(flow: KolmogorovFlow, window: SpectralWindow) -> SpectralWindow:
     return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
 
 
-def _chains(flow: KolmogorovFlow, window: SpectralWindow, ext: SpectralWindow
-            ) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]]:
-    """The bracket per chain, in groups of one shape: (positions, index, rows, L).
+class _Chains:
+    """The bracket's mode chains on `window`, numbered by first mode.
 
-    Chains are numbered by first mode.  A group holds chains of d modes
-    whose bracket reaches r outputs, in numbered order, at most
-    STACK_ENTRIES // d^2 of them and never fewer than one: `positions`
-    are their numbers, `index` (count, d) the window positions of their
-    modes, `rows` (count, r) the positions in `ext` of the outputs they
-    reach (both ascending per chain), and L (count, r, d) the bracket from
-    the one to the other.
+    A chain is a set of modes that bracket rows link: no bracket row and
+    no entry of the index form couples two chains.  `chain` holds each
+    window mode's chain number and `sizes` each chain's mode count.  The
+    bracket's rows come from `_stencil` into the output window `ext`.
     """
-    size = len(window)
-    cols, coeffs = _stencil(flow, window, ext)
+
+    def __init__(self, flow: KolmogorovFlow, window: SpectralWindow, ext: SpectralWindow):
+        size = len(window)
+        self.flow, self.window = flow, window
+        self.cols, self.coeffs = _stencil(flow, window, ext)
+        linked = self.coeffs != 0
+        labels = _chain_labels(self.cols, linked, size)
+        self.firsts = np.flatnonzero(labels == np.arange(size))
+        self.chain = np.searchsorted(self.firsts, labels)
+        self.sizes = np.bincount(self.chain)
+        # the output rows the bracket reaches, and the chain of each
+        self.rows = np.flatnonzero(linked.any(axis=1))
+        self.row_chain = self.chain[self.cols[self.rows, np.argmax(linked[self.rows], axis=1)]]
+
+    def twins(self, held: np.ndarray) -> np.ndarray:
+        """The chains whose form an earlier chain repeats, as a mask.
+
+        psi = -cos mx cos ny is invariant under x -> -x and y -> -y, and
+        when m = n also under x <-> y.  Each map sends mode (j, k) to the
+        canonical (j, -k), (k, j) or (k, -j) and one chain onto another
+        (or itself) whose form B is the same up to a signed permutation.
+        A chain is a twin if one image of its first mode lies in an earlier
+        chain; neither may be `held` (hold a zeroed mode).
+        """
+        window, first, flow = self.window, self.firsts, self.flow
+        j, k = window.j[first], window.k[first]
+        images = [(j, -k)] + ([(k, j), (k, -j)] if flow.m == flow.n else [])
+        twin = np.zeros(len(first), dtype=bool)
+        for a, b in images:
+            a, b, _ = _fold(a, b)
+            image = self.chain[window.locate(a, b, window.sin[first])]
+            twin |= (image < np.arange(len(first))) & ~held[image]
+        return twin & ~held
+
+    def groups(self, solve: Optional[np.ndarray] = None
+               ) -> Iterator[Tuple[List[int], np.ndarray, Tuple[np.ndarray, ...]]]:
+        """The chains that `solve` marks (all if None), as (positions, index, bracket) per group.
+
+        A group holds chains of d modes, in numbered order, at most
+        STACK_ENTRIES // d^2 of them and never fewer than one: `positions`
+        are their numbers and `index` (count, d) the window positions of
+        their modes, ascending per chain.  `bracket` is (slot, rows, local,
+        coeffs) over the output rows the group reaches, ascending per
+        chain: the group member each row belongs to, its position in
+        `ext`, and its four stencil terms as coefficients and positions
+        within that chain (a term is absent where its coefficient is 0,
+        and its position then means nothing).
+        """
+        count = len(self.sizes)
+        # each chain's modes together, in window order, by one stable sort
+        order = np.argsort(self.chain, kind="stable")
+        mode_starts = np.cumsum(self.sizes) - self.sizes
+        local = np.empty(len(order), dtype=int)  # each mode's position within its chain
+        local[order] = np.arange(len(order)) - np.repeat(mode_starts, self.sizes)
+        # the chains by size, each size in numbered order and cut into stacks
+        shaped = np.arange(count) if solve is None else np.flatnonzero(solve)
+        shaped = shaped[np.argsort(self.sizes[shaped], kind="stable")]
+        d = self.sizes[shaped]
+        new_size = np.r_[True, d[1:] != d[:-1]]
+        run = np.arange(len(d)) - np.maximum.accumulate(np.where(new_size, np.arange(len(d)), 0))
+        slots = run % np.maximum(1, STACK_ENTRIES // (d * d))
+        group_ends = np.flatnonzero(np.r_[slots[1:] == 0, True]) + 1
+        # group and slot per chain; chains not solved sort after every group
+        group, slot = np.full(count, count), np.zeros(count, dtype=int)
+        group[shaped], slot[shaped] = np.cumsum(slots == 0) - 1, slots
+        by_group = np.argsort(group[self.row_chain], kind="stable")
+        row_ends = np.searchsorted(group[self.row_chain][by_group],
+                                   np.arange(len(group_ends)), side="right")
+        start = row_start = 0
+        for end, row_end in zip(group_ends.tolist(), row_ends.tolist()):
+            members = shaped[start:end]
+            index = order[mode_starts[members][:, None] + np.arange(self.sizes[members[0]])]
+            at = by_group[row_start:row_end]
+            rows = self.rows[at]
+            yield members.tolist(), index, (slot[self.row_chain[at]], rows,
+                                            local[self.cols[rows]], self.coeffs[rows])
+            start, row_start = end, row_end
+
+
+def _gram(shape: Tuple[int, int], bracket: Tuple[np.ndarray, ...],
+          weights: np.ndarray) -> np.ndarray:
+    """B = L^T W L of each chain of a group (count, d), from its bracket's nonzeros.
+
+    W = diag(j^2+k^2 - lambda^2) on the outputs.  Each pair of nonzeros
+    on one output row adds one product, summed by one bincount.  L's
+    entries are integers / 4 and W's integers, so every product and
+    partial sum is exact and B is the same in any summation order.
+    """
+    count, d = shape
+    slot, rows, local, coeffs = bracket
     linked = coeffs != 0
-    labels = _chain_labels(cols, linked, size)
-    rows = np.flatnonzero(linked.any(axis=1))
-    row_labels = labels[cols[rows, np.argmax(linked[rows], axis=1)]]
-    # one stable sort each lays every chain's modes and rows out together,
-    # in window order
-    order = np.argsort(labels, kind="stable")
-    by_chain = np.argsort(row_labels, kind="stable")
-    rows, row_labels = rows[by_chain], row_labels[by_chain]
-    firsts = np.flatnonzero(labels == np.arange(size))
-    mode_ends = np.searchsorted(labels[order], firsts, side="right")
-    row_ends = np.searchsorted(row_labels, firsts, side="right")
-    sizes, outs = np.diff(mode_ends, prepend=0), np.diff(row_ends, prepend=0)
-    mode_starts, row_starts = mode_ends - sizes, row_ends - outs
-    local = np.empty(size, dtype=int)  # each mode's position within its chain
-    local[order] = np.arange(size) - np.repeat(mode_starts, sizes)
-    # chains by shape, each shape in numbered order and cut into stacks
-    count = len(firsts)
-    shaped = np.lexsort((outs, sizes))
-    d, r = sizes[shaped], outs[shaped]
-    new_shape = np.r_[True, (d[1:] != d[:-1]) | (r[1:] != r[:-1])]
-    run = np.arange(count) - np.maximum.accumulate(np.where(new_shape, np.arange(count), 0))
-    slots = run % np.maximum(1, STACK_ENTRIES // (d * d))
-    group_ends = np.flatnonzero(np.r_[slots[1:] == 0, True]) + 1
-    group, slot = np.empty(count, dtype=int), np.empty(count, dtype=int)
-    group[shaped], slot[shaped] = np.cumsum(slots == 0) - 1, slots
-    # every nonzero of the bracket, ordered by group
-    entry_rows, t = np.nonzero(linked[rows])
-    chain = np.repeat(np.arange(count), outs)[entry_rows]
-    by_group = np.argsort(group[chain], kind="stable")
-    entry_rows, t, chain = entry_rows[by_group], t[by_group], chain[by_group]
-    entry_ends = np.searchsorted(group[chain], np.arange(len(group_ends)), side="right")
-    at = (slot[chain], entry_rows - row_starts[chain], local[cols[rows[entry_rows], t]])
-    values = coeffs[rows[entry_rows], t]
-    start = entry_start = 0
-    for end, entry_end in zip(group_ends.tolist(), entry_ends.tolist()):
-        members = shaped[start:end]
-        modes, outputs = sizes[members[0]], outs[members[0]]
-        entries = slice(entry_start, entry_end)
-        L = np.zeros((end - start, outputs, modes))
-        L[at[0][entries], at[1][entries], at[2][entries]] = values[entries]
-        yield (members.tolist(), order[mode_starts[members][:, None] + np.arange(modes)],
-               rows[row_starts[members][:, None] + np.arange(outputs)], L)
-        start, entry_start = end, entry_end
+    r, s, t = np.nonzero(linked[:, :, None] & linked[:, None, :])
+    at = (slot[r] * d + local[r, s]) * d + local[r, t]
+    products = coeffs[r, s] * weights[rows[r]] * coeffs[r, t]
+    return np.bincount(at, products, count * d * d).reshape(count, d, d)
 
 
 def assemble_bracket_matrix(flow: KolmogorovFlow, win_in: SpectralWindow,
                             win_out: SpectralWindow) -> np.ndarray:
     """Dense matrix of f -> {psi, f} from win_in into win_out.
 
-    The chains of `_chains` scattered into one matrix.  The output window
+    The chains of `_Chains` scattered into one matrix.  The output window
     must be large enough that no bracket mode is lost.
     """
     if win_in.subspace != win_out.subspace:
@@ -251,8 +306,9 @@ def assemble_bracket_matrix(flow: KolmogorovFlow, win_in: SpectralWindow,
         raise ValueError(
             f"output window order {win_out.N} too small: need >= {win_in.N + max(m, n)}")
     mat = np.zeros((len(win_out), len(win_in)))
-    for _, index, rows, L in _chains(flow, win_in, win_out):
-        mat[rows[:, :, None], index[:, None, :]] = L
+    for _, index, (slot, rows, local, coeffs) in _Chains(flow, win_in, win_out).groups():
+        r, t = np.nonzero(coeffs)
+        mat[rows[r], index[slot[r], local[r, t]]] = coeffs[r, t]
     return mat
 
 
@@ -278,26 +334,17 @@ class QuadForm:
         return self.window.modes_at(self.index)
 
 
-def _gram_groups(flow: KolmogorovFlow, window: SpectralWindow
-                 ) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
-    """B = L^T W L per bracket chain, W = diag(j^2+k^2 - lambda^2) on outputs.
+def assemble_quadform(flow: KolmogorovFlow, window: SpectralWindow) -> QuadForm:
+    """Dense view: the `_gram` of every chain scattered into one matrix.
 
     B couples two modes only through a shared bracket output, so the form
-    is block-diagonal over the chains of `_chains`.  Yields
-    (positions, index, B) per group of `_chains`, B stacked like its L.
+    is block-diagonal over the chains.
     """
     ext = _extended(flow, window)
     weights = ext.laplace - flow.lambda2
-    for positions, index, rows, L in _chains(flow, window, ext):
-        B = L.transpose(0, 2, 1) @ (weights[rows][:, :, None] * L)
-        yield positions, index, 0.5 * (B + B.transpose(0, 2, 1))
-
-
-def assemble_quadform(flow: KolmogorovFlow, window: SpectralWindow) -> QuadForm:
-    """Dense view: the chains of `_gram_groups` scattered into one matrix."""
     B = np.zeros((len(window), len(window)))
-    for _, index, blocks in _gram_groups(flow, window):
-        B[index[:, :, None], index[:, None, :]] = blocks
+    for _, index, bracket in _Chains(flow, window, ext).groups():
+        B[index[:, :, None], index[:, None, :]] = _gram(index.shape, bracket, weights)
     return QuadForm(window, B)
 
 
@@ -424,45 +471,47 @@ def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,
                    ) -> Tuple[EigenPair, ReducedForm, int, int]:
     """Lowest eigenpair over the reduced bracket chains of `window`.
 
-    Each group of `_chains` goes through the Gram product, the Sobolev
+    Each group of `_Chains` goes through the Gram product, the Sobolev
     reduction and the eigensolve as one stack; the chains that hold a
-    zeroed mode leave their group to be constrained, and chains zeroed
-    out entirely are skipped.  A chain's QuadForm and ReducedForm are
+    zeroed mode leave their group to be constrained, chains zeroed out
+    entirely are skipped, and so are the twins of earlier chains, whose
+    spectra those chains share.  A chain's QuadForm and ReducedForm are
     built only if it is constrained or wins.  Two minima within TIE_RTOL
     of each other (relative) are a tie, won by the chain with the lowest
     first mode; the first listed chain that fails an eigensolve check
     raises its error.  Returns the pair, the ReducedForm of its chain, the
-    number of chains and the modes in the largest.
+    number of chains and the modes in the largest, twins included.
     """
     scale = _sobolev_scale(window.laplace, p)
     zero_set = set(zeroed)
     zero_at = _positions(window, zero_set)
+    ext = _extended(flow, window)
+    weights = ext.laplace - flow.lambda2
+    chains = _Chains(flow, window, ext)
+    held = np.zeros(len(chains.sizes), dtype=bool)
+    held[chains.chain[zero_at]] = True
     scan = _ChainMinimum(tol)
-    chains = largest = 0
     skipped = None
-    for positions, index, B in _gram_groups(flow, window):
-        chains += len(positions)
-        largest = max(largest, index.shape[1])
+    for positions, index, bracket in chains.groups(~chains.twins(held)):
+        B = _gram(index.shape, bracket, weights)
         S = _reduce(B, scale[index])
-        if zero_at.size:
-            held = np.isin(index, zero_at)
-            for i in np.flatnonzero(held.any(axis=1)).tolist():
-                reduced = _chain_form(window, p, index, B, S, i)
-                if held[i].all():
-                    skipped = reduced
-                else:
-                    reduced = constrain(reduced, zero_set)
-                    scan.add([positions[i]], reduced.matrix[None], [reduced].__getitem__)
-            free = ~held.any(axis=1)
-            if not free.any():
-                continue
+        free = ~held[positions]
+        for i in np.flatnonzero(~free).tolist():
+            reduced = _chain_form(window, p, index, B, S, i)
+            if np.isin(index[i], zero_at).all():
+                skipped = reduced
+            else:
+                reduced = constrain(reduced, zero_set)
+                scan.add([positions[i]], reduced.matrix[None], [reduced].__getitem__)
+        if not free.all():
             positions = [positions[i] for i in np.flatnonzero(free).tolist()]
             index, B, S = index[free], B[free], S[free]
-        scan.add(positions, S, partial(_chain_form, window, p, index, B, S))
+        if positions:
+            scan.add(positions, S, partial(_chain_form, window, p, index, B, S))
     if not scan.values:
         constrain(skipped, zero_set)  # every chain is zeroed out: this raises
     pair, reduced = scan.minimum()
-    return pair, reduced, chains, largest
+    return pair, reduced, len(chains.sizes), int(chains.sizes.max())
 
 
 def minimizer_coefficients(r: ReducedForm, vector: np.ndarray) -> CoeffVector:

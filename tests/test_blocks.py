@@ -3,13 +3,16 @@
 The bracket with psi = -cos mx cos ny sends mode (j, k) only to
 (j +- m, k +- n), so the window splits into chains that no bracket row and
 no entry of the index form couples.  The numerical route has one scan over
-them: `_chains` and `_gram_groups` lay the chains out in groups of one
-shape, and `window_minimum` feeds each group to `_ChainMinimum`, which
-solves it in one stacked eigensolve.  These tests check that scan against
-the dense views (`assemble_bracket_matrix`, `assemble_quadform`, cut at
-each chain's window positions) and the exact bracket, drive `_ChainMinimum`
-with hand-built stacks for its tie and failure rules, and pin the certified
-values that the dense minimization gave before the split.
+them: `_Chains` lays the chains out in groups of one mode count with
+their bracket's nonzeros, `_gram` builds each group's forms from those
+nonzeros, and `window_minimum` feeds each group to `_ChainMinimum`, which
+solves it in one stacked eigensolve, leaving out the chains that a flow
+symmetry maps onto an earlier chain.  These tests check that scan against
+per-chain dense products L^T W L, the dense views (`assemble_bracket_matrix`,
+`assemble_quadform`) and the exact bracket, check the skipped twins against
+the chains they repeat, drive `_ChainMinimum` with hand-built stacks for its
+tie and failure rules, and pin the certified values that the dense
+minimization gave before the split.
 """
 
 import random
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from kolmconj import spectral
-from kolmconj.eigensolve import ConvergenceError, eigen_pair, sym_eig_min, sym_eig_min_stack
+from kolmconj.eigensolve import ConvergenceError, eigen_pair, lowest_eigenpairs, sym_eig_min
 from kolmconj.pipeline import run_minimize
 from kolmconj.spectral import (FULL, STACK_ENTRIES, CertificationError, QuadForm,
                                ReducedForm, SpectralWindow,
@@ -34,16 +37,30 @@ def extended(flow, window):
     return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
 
 
-def chain_layout(flow, window):
-    """(index, rows) of each chain of `_chains`, by chain number.
+def chain_brackets(flow, window):
+    """(index, rows, L) of each chain of `_Chains`, by chain number.
 
     `index` holds the window positions of the chain's modes, `rows` the
-    positions in the extended window of the outputs its bracket reaches.
+    positions in the extended window of the outputs its bracket reaches,
+    and L the dense bracket block between them, scattered from the
+    nonzeros that `_Chains.groups` yields.
     """
-    layout = {}
-    for positions, index, rows, _ in spectral._chains(flow, window, extended(flow, window)):
-        layout.update(zip(positions, zip(index, rows)))
-    return [layout[number] for number in range(len(layout))]
+    chains = {}
+    for positions, index, (slot, rows, local, coeffs) in spectral._Chains(
+            flow, window, extended(flow, window)).groups():
+        by_slot = np.argsort(slot, kind="stable")
+        ends = np.searchsorted(slot[by_slot], np.arange(len(positions)), side="right")
+        for i, at in enumerate(np.split(by_slot, ends[:-1])):
+            L = np.zeros((len(at), index.shape[1]))
+            r, t = np.nonzero(coeffs[at])
+            L[r, local[at][r, t]] = coeffs[at][r, t]
+            chains[positions[i]] = index[i], rows[at], L
+    return [chains[number] for number in range(len(chains))]
+
+
+def chain_layout(flow, window):
+    """(index, rows) of each chain of `_Chains`, by chain number."""
+    return [(index, rows) for index, rows, _ in chain_brackets(flow, window)]
 
 
 def chain_modes(flow, window):
@@ -73,12 +90,12 @@ def test_blocks_partition_the_window(m, n, N, subspace):
         assert list(modes) == sorted(modes)
         assert rows.tolist() == sorted(rows.tolist())
     assert [modes[0] for modes in chains] == sorted(modes[0] for modes in chains)
-    # the form's chains are the bracket's
-    form_index = {}
-    for positions, index, _ in spectral._gram_groups(flow, window):
-        form_index.update(zip(positions, index.tolist()))
-    assert [form_index[number] for number in range(len(form_index))] == [
-        index.tolist() for index, _ in layout]
+    # the form couples no two chains
+    chain = np.empty(len(window), dtype=int)
+    for number, (index, _) in enumerate(layout):
+        chain[index] = number
+    B = assemble_quadform(flow, window).matrix
+    assert np.all(B[chain[:, None] != chain[None, :]] == 0.0)
 
 
 @pytest.mark.parametrize("m,n,blocks,largest", [(1, 1, 4, 220), (3, 2, 14, 77),
@@ -96,11 +113,10 @@ def test_scattered_brackets_match_exact_bracket():
         window = SpectralWindow(rng.randint(1, 6), rng.choice((COS, SIN, FULL)))
         ext = extended(flow, window)
         M = assemble_bracket_matrix(flow, window, ext)
-        for _, index, rows, L in spectral._chains(flow, window, ext):
-            for cols, out, block in zip(index, rows, L):
-                others = np.setdiff1d(np.arange(len(ext)), out)
-                assert np.all(M[np.ix_(others, cols)] == 0.0)
-                assert np.array_equal(M[np.ix_(out, cols)], block)
+        for cols, out, block in chain_brackets(flow, window):
+            others = np.setdiff1d(np.arange(len(ext)), out)
+            assert np.all(M[np.ix_(others, cols)] == 0.0)
+            assert np.array_equal(M[np.ix_(out, cols)], block)
         terms, v = {}, np.zeros(len(window))
         for i, mode in enumerate(window.modes):
             c = F(rng.randint(-6, 6), 4)
@@ -212,7 +228,8 @@ def _sweep_chains(mmax):
 
 def test_stacked_eigensolve_matches_one_at_a_time_on_sweep_chains():
     for dim, mats in _sweep_chains(6).items():
-        values, vectors = sym_eig_min_stack(np.stack(mats))
+        values, vectors, failure = lowest_eigenpairs(np.stack(mats))
+        assert failure is None
         for S, value, vector in zip(mats, values, vectors):
             got, want = eigen_pair(S, value, vector, 1e-10), sym_eig_min(S)
             assert got.value == want.value
@@ -225,45 +242,90 @@ def test_stacked_eigensolve_matches_one_at_a_time_on_sweep_chains():
 def test_chain_groups_hold_one_shape_within_the_stack_cap(m, n, N, subspace):
     flow = KolmogorovFlow(m, n)
     window = SpectralWindow(N, subspace)
+    ext = extended(flow, window)
     firsts, groups, held = {}, defaultdict(list), []
-    for positions, index, rows, L in spectral._chains(flow, window, extended(flow, window)):
+    for positions, index, (slot, rows, local, coeffs) in spectral._Chains(
+            flow, window, ext).groups():
         count, d = index.shape
         assert 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
         assert positions == sorted(positions)
-        assert rows.shape[0] == count and L.shape == (count, rows.shape[1], d)
+        assert set(slot.tolist()) == set(range(count))
+        assert rows.shape == slot.shape and local.shape == coeffs.shape == (len(rows), 4)
         assert not firsts.keys() & set(positions)
         firsts.update(zip(positions, index[:, 0].tolist()))
         held += index.ravel().tolist()
-        groups[L.shape[1:]].append(count)
+        groups[d].append(count)
     # the chains are numbered by first mode, and together hold the window
     assert sorted(firsts) == list(range(len(firsts)))
     assert [firsts[number] for number in range(len(firsts))] == sorted(firsts.values())
     assert sorted(held) == list(range(len(window)))
-    # each shape fills as few stacks as the cap allows
-    for (r, d), counts in groups.items():
+    # each mode count fills as few stacks as the cap allows
+    for d, counts in groups.items():
         assert len(counts) == -(-sum(counts) // max(1, STACK_ENTRIES // d ** 2))
 
 
 def _per_chain_products(flow, window, p):
     """Window positions, B and S of each chain, one chain at a time.
 
-    The reference for the grouped path: the Gram product of each chain's
-    bracket block from `_chains` (checked against the exact bracket by
+    The reference for the grouped path: the dense Gram product L^T W L of
+    each chain's bracket block (checked against the exact bracket by
     `test_scattered_brackets_match_exact_bracket`), symmetrized, then the
     Sobolev reduction.
     """
-    ext = extended(flow, window)
-    weights = ext.laplace - flow.lambda2
-    chains = {}
-    for positions, index, rows, L in spectral._chains(flow, window, ext):
-        chains.update(zip(positions, zip(index, rows, L)))
-    for number in range(len(chains)):
-        index, rows, L = chains[number]
+    weights = extended(flow, window).laplace - flow.lambda2
+    for index, rows, L in chain_brackets(flow, window):
         B = L.T @ (weights[rows][:, None] * L)
         B = 0.5 * (B + B.T)
         scale = window.laplace[index] ** (-p / 2)
         S = B * np.outer(scale, scale)
         yield index.tolist(), B, 0.5 * (S + S.T)
+
+
+def _symmetries(flow):
+    """The maps (j, k) -> (j', k') of f -> f o g, for each g that fixes psi.
+
+    y -> -y always; when m = n also x <-> y and (x, y) -> (-y, x).
+    """
+    maps = [lambda j, k: (j, -k)]
+    if flow.m == flow.n:
+        maps += [lambda j, k: (k, j), lambda j, k: (k, -j)]
+    return maps
+
+
+def _image(mode, symmetry):
+    """The canonical image of `mode` under `symmetry`, and its sign."""
+    j, k = symmetry(mode.j, mode.k)
+    if j < 0 or (j == 0 and k < 0):
+        return Mode(-j, -k, mode.parity), -1 if mode.parity == SIN else 1
+    return Mode(j, k, mode.parity), 1
+
+
+def _twins(flow, window):
+    """The chains that a symmetry maps onto an earlier chain."""
+    chains = chain_modes(flow, window)
+    number = {mode: c for c, modes in enumerate(chains) for mode in modes}
+    return {c for c, modes in enumerate(chains)
+            if any(number[_image(modes[0], g)[0]] < c for g in _symmetries(flow))}
+
+
+def _solved_chains(monkeypatch, flow, **options):
+    """{chain number: (stacked S, ReducedForm)} of each chain `run_minimize`
+    solves, and its result (None if certification fails)."""
+    seen, result = {}, None
+    add = spectral._ChainMinimum.add
+
+    def spy(self, positions, stack, block):
+        for i, position in enumerate(positions):
+            seen[position] = stack[i], block(i)
+        add(self, positions, stack, block)
+
+    monkeypatch.setattr(spectral._ChainMinimum, "add", spy)
+    try:
+        result = run_minimize(flow, **options)
+    except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
+        pass
+    monkeypatch.undo()
+    return seen, result
 
 
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
@@ -273,34 +335,59 @@ GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1,
 
 def test_grouped_products_equal_per_chain_products(monkeypatch):
     # every chain the scan receives: its reduced matrix as the eigensolve
-    # gets it, and the forms built for it should it win
-    seen = {}
-    add = spectral._ChainMinimum.add
-
-    def spy(self, positions, stack, block):
-        for i, position in enumerate(positions):
-            seen[position] = stack[i], block(i)
-        add(self, positions, stack, block)
-
-    monkeypatch.setattr(spectral._ChainMinimum, "add", spy)
+    # gets it, and the forms built for it should it win; those left out
+    # are the twins of earlier chains
     for m, n, N, subspace in GROUPED_WINDOWS:
         flow = KolmogorovFlow(m, n)
-        seen.clear()
-        try:
-            run_minimize(flow, N=N, subspace=subspace)
-        except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
-            pass
+        seen, _ = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
         window = seen[0][1].quadform.window
         assert window._modes is None
         reference = list(_per_chain_products(flow, SpectralWindow(N, subspace), 3))
-        assert sorted(seen) == list(range(len(reference)))
-        for position, (index, B, S) in enumerate(reference):
-            stacked, reduced = seen[position]
+        twins = _twins(flow, SpectralWindow(N, subspace))
+        assert sorted(seen) == sorted(set(range(len(reference))) - twins)
+        for position, (stacked, reduced) in seen.items():
+            index, B, S = reference[position]
             assert reduced.quadform.window is window
             assert reduced.index.tolist() == index
             assert np.array_equal(reduced.quadform.matrix, B)
             assert np.array_equal(stacked, S)
             assert np.array_equal(reduced.matrix, S)
+
+
+# (m, n, N, subspace) and the chain count and largest chain the window had
+# before twins were skipped
+TWIN_WINDOWS = [((3, 2, 20, COS), 14, 77), ((4, 4, 20, COS), 34, 30),
+                ((2, 2, 14, FULL), 20, 56), ((1, 1, 40, FULL), 8, 840),
+                ((4, 2, 12, SIN), 18, 24)]
+
+
+@pytest.mark.parametrize("case,blocks,largest", TWIN_WINDOWS)
+def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, largest):
+    m, n, N, subspace = case
+    flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
+    solved, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
+    chains = chain_modes(flow, window)
+    products = list(_per_chain_products(flow, window, 3))
+    skipped = set(range(len(chains))) - solved.keys()
+    assert skipped and skipped == _twins(flow, window)
+    for c in skipped:
+        # some symmetry maps chain c onto an earlier chain t, and carries
+        # c's form onto t's exactly, up to the signs of the images
+        matches = 0
+        for g in _symmetries(flow):
+            images = [_image(mode, g) for mode in chains[c]]
+            t = next(t for t, modes in enumerate(chains) if images[0][0] in modes)
+            if t >= c:
+                continue
+            at = {mode: i for i, mode in enumerate(chains[t])}
+            assert sorted(at) == sorted(image for image, _ in images)
+            perm = [at[image] for image, _ in images]
+            sign = np.array([s for _, s in images], dtype=float)
+            B_c, B_t = products[c][1], products[t][1]
+            assert np.array_equal(B_t[np.ix_(perm, perm)], np.outer(sign, sign) * B_c)
+            matches += 1
+        assert matches
+    assert (res.blocks, res.block_dim_max) == (blocks, largest)
 
 
 def test_first_listed_failing_block_raises_its_error():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from kolmconj import pipeline
 from kolmconj.cli import main
 from kolmconj.pipeline import (read_field_file, run_minimize, run_sweep,
                                write_field_file)
@@ -375,6 +376,21 @@ def test_bad_sweep_option_is_usage_error(capsys, option, value, word):
     # rejected before the first row, not reported as a failure of every row
     # or as an empty sweep (a later --mmax overrides the --mmax 2 below)
     code, out, err = run(capsys, "sweep", "--mmax", "2", option, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and word in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option,value,word", [
+    ("--cap", "0", "denominator cap must be >= 1"), ("--p", "-1", "Sobolev order"),
+    ("--N", "0", "window order"), ("--tol", "0", "tolerance")])
+def test_bad_minimize_option_is_rejected_before_any_window(capsys, monkeypatch,
+                                                          option, value, word):
+    def window_minimum(*args, **kwargs):
+        raise AssertionError("window_minimum called")
+
+    monkeypatch.setattr(pipeline, "window_minimum", window_minimum)
+    code, out, err = run(capsys, "minimize", "--m", "4", "--n", "1", option, value)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and word in err and err.count("\n") == 1

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from kolmconj.eigensolve import (ConvergenceError, eigen_pair, sym_eig_min,
-                                 sym_eig_min_stack)
+from kolmconj.eigensolve import (ConvergenceError, eigen_pair, lowest_eigenpairs,
+                                 sym_eig_min)
 
 
 def random_symmetric(rng, n):
@@ -97,12 +97,15 @@ def assert_same_pair(got, want):
 
 
 def assert_stack_matches_one_at_a_time(stack, tol=1e-10):
-    values, vectors = sym_eig_min_stack(stack, tol)
+    values, vectors, failure = lowest_eigenpairs(stack, tol)
+    assert failure is None
     for S, value, vector in zip(stack, values, vectors):
         assert_same_pair(eigen_pair(S, value, vector, tol), sym_eig_min(S, tol))
 
 
 class TestSymEigMinStack:
+    """`lowest_eigenpairs` on stacks: it returns the first failure, (i, error)."""
+
     def test_random_stacks_match_one_at_a_time(self):
         rng = random.Random(9)
         for dim, count in [(1, 5), (2, 40), (3, 17), (7, 9), (12, 4), (30, 3)]:
@@ -111,15 +114,16 @@ class TestSymEigMinStack:
 
     def test_sign_convention_per_matrix(self):
         stack = np.stack([np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([2.0, -1.0])])
-        _, vectors = sym_eig_min_stack(stack)
+        _, vectors, _ = lowest_eigenpairs(stack)
         assert vectors[0, 0] > 0 and vectors[1, 1] > 0
 
     def test_one_nonsymmetric_matrix_raises(self):
         rng = random.Random(10)
         stack = np.stack([random_symmetric(rng, 4) for _ in range(5)])
         stack[3, 0, 1] += 1e-6
-        with pytest.raises(ValueError, match="matrix is not symmetric"):
-            sym_eig_min_stack(stack)
+        i, error = lowest_eigenpairs(stack)[2]
+        assert i == 3 and isinstance(error, ValueError)
+        assert str(error) == "matrix is not symmetric"
 
     def test_residual_failure_raises_the_per_matrix_error(self):
         # a diagonal matrix is solved with residual 0 and meets any tol; the
@@ -129,15 +133,15 @@ class TestSymEigMinStack:
                           np.diag([4.0, 1.0, 2.0]), random_symmetric(rng, 3)])
         with pytest.raises(ConvergenceError) as want:
             sym_eig_min(stack[1], 1e-300)
-        with pytest.raises(ConvergenceError) as got:
-            sym_eig_min_stack(stack, 1e-300)
-        assert str(got.value) == str(want.value)
+        i, error = lowest_eigenpairs(stack, 1e-300)[2]
+        assert i == 1 and isinstance(error, ConvergenceError)
+        assert str(error) == str(want.value)
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0])
     def test_rejects_tolerance_that_disables_the_residual_guard(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
-            sym_eig_min_stack(np.diag([1.0, 2.0])[None], tol)
+            lowest_eigenpairs(np.diag([1.0, 2.0])[None], tol)
 
     def test_rejects_non_stack(self):
         with pytest.raises(ValueError, match="stack of square matrices"):
-            sym_eig_min_stack(np.zeros((2, 3, 2)))
+            lowest_eigenpairs(np.zeros((2, 3, 2)))
