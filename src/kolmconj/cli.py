@@ -334,9 +334,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return FAIL
-    except (ConvergenceError, CertificationError, OverflowError) as exc:
-        # OverflowError: an exact value too large to print, as a float or in digits
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (ConvergenceError, CertificationError, OverflowError, MemoryError) as exc:
+        # OverflowError: an exact value too large to print, as a float or in digits;
+        # MemoryError: a window or grid too large to allocate
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return NUMERIC
 
 

@@ -57,11 +57,11 @@ def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
         N = 2 * max(flow.m, flow.n) + 4
     _check_options(p, N, tol, max_denominator)
     window = SpectralWindow(N, subspace)
-    pair, reduced, blocks, largest = window_minimum(flow, window, p, constraints, tol)
+    pair, reduced, blocks, largest, first = window_minimum(flow, window, p, constraints, tol)
     coeffs = minimizer_coefficients(reduced, pair.vector)
     certified = certify_candidate(coeffs, flow, max_denominator)
     return MinimizeResult(flow, subspace, p, N, pair, coeffs, certified, blocks, largest,
-                          reduced.quadform.modes[0])
+                          window.modes_at([first])[0])
 
 
 def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,

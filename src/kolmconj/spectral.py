@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,17 +147,14 @@ def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
     same mode (that term then holds the sum).
     """
     m, n, N = flow.m, flow.n, window.N
-    lookup = np.full((2, N + 1, 2 * N + 1), -1)
-    lookup[window.sin.astype(int), window.j, window.k + N] = np.arange(len(window))
     j, k, sin = out.j[:, None], out.k[:, None], out.sin[:, None]
     weight = np.hstack([m * k - n * j, n * j - m * k, m * k + n * j, -(m * k + n * j)])
     jj = j + np.array([-m, m, -m, m])
     kk = k + np.array([-n, n, n, -n])
     # fold onto canonical modes: cos(-t) = cos(t), sin(-t) = -sin(t)
     jj, kk, flip = _fold(jj, kk)
-    inside = (jj <= N) & (np.abs(kk) <= N)
-    cols = np.where(inside, lookup[sin.astype(int), np.minimum(jj, N),
-                                   np.clip(kk, -N, N) + N], -1)
+    inside = (jj <= N) & (np.abs(kk) <= N) & ((jj > 0) | (kk > 0))
+    cols = np.where(inside, window.locate(jj, kk, sin), -1)
     coeffs = np.where(cols >= 0, 0.25 * weight * np.where(flip & sin, -1, 1), 0.0)
     for t in range(1, 4):
         for s in range(t):
@@ -194,22 +191,30 @@ class _Chains:
     no entry of the index form couples two chains.  `chain` holds each
     window mode's chain number and `sizes` each chain's mode count.  The
     bracket's rows come from `_stencil` into the output window `ext`.
+    The modes at the window positions `zeroed` stay in their chains, but
+    `kept` counts each chain's other modes, `held` marks the chains that
+    lose one, and the bracket's terms on them are 0.
     """
 
-    def __init__(self, flow: KolmogorovFlow, window: SpectralWindow, ext: SpectralWindow):
+    def __init__(self, flow: KolmogorovFlow, window: SpectralWindow, ext: SpectralWindow,
+                 zeroed: Sequence[int] = ()):
         size = len(window)
         self.flow, self.window = flow, window
-        self.cols, self.coeffs = _stencil(flow, window, ext)
-        linked = self.coeffs != 0
-        labels = _chain_labels(self.cols, linked, size)
+        self.cols, coeffs = _stencil(flow, window, ext)
+        labels = _chain_labels(self.cols, coeffs != 0, size)
         self.firsts = np.flatnonzero(labels == np.arange(size))
         self.chain = np.searchsorted(self.firsts, labels)
         self.sizes = np.bincount(self.chain)
+        self.keep = ~np.isin(np.arange(size), zeroed)
+        self.kept = np.bincount(self.chain[self.keep], minlength=len(self.sizes))
+        self.held = self.kept < self.sizes
+        self.coeffs = np.where(self.keep[self.cols], coeffs, 0.0)
+        linked = self.coeffs != 0
         # the output rows the bracket reaches, and the chain of each
         self.rows = np.flatnonzero(linked.any(axis=1))
         self.row_chain = self.chain[self.cols[self.rows, np.argmax(linked[self.rows], axis=1)]]
 
-    def twins(self, held: np.ndarray) -> np.ndarray:
+    def twins(self) -> np.ndarray:
         """The chains whose form an earlier chain repeats, as a mask.
 
         psi = -cos mx cos ny is invariant under x -> -x and y -> -y, and
@@ -219,7 +224,7 @@ class _Chains:
         A chain is a twin if one image of its first mode lies in an earlier
         chain; neither may be `held` (hold a zeroed mode).
         """
-        window, first, flow = self.window, self.firsts, self.flow
+        window, first, flow, held = self.window, self.firsts, self.flow, self.held
         j, k = window.j[first], window.k[first]
         images = [(j, -k)] + ([(k, j), (k, -j)] if flow.m == flow.n else [])
         twin = np.zeros(len(first), dtype=bool)
@@ -233,26 +238,30 @@ class _Chains:
                ) -> Iterator[Tuple[List[int], np.ndarray, Tuple[np.ndarray, ...]]]:
         """The chains that `solve` marks (all if None), as (positions, index, bracket) per group.
 
-        A group holds chains of d modes, in numbered order, at most
+        A group holds chains of d kept modes, in numbered order, at most
         STACK_ENTRIES // d^2 of them and never fewer than one: `positions`
         are their numbers and `index` (count, d) the window positions of
-        their modes, ascending per chain.  `bracket` is (slot, rows, local,
-        coeffs) over the output rows the group reaches, ascending per
-        chain: the group member each row belongs to, its position in
-        `ext`, and its four stencil terms as coefficients and positions
-        within that chain (a term is absent where its coefficient is 0,
-        and its position then means nothing).
+        their kept modes, ascending per chain.  Chains with no kept mode
+        are left out.  `bracket` is (slot, rows, local, coeffs) over the
+        output rows the group reaches, ascending per chain: the group
+        member each row belongs to, its position in `ext`, and its four
+        stencil terms as coefficients and positions among that chain's
+        kept modes (a term is absent where its coefficient is 0, and its
+        position then means nothing).
         """
-        count = len(self.sizes)
-        # each chain's modes together, in window order, by one stable sort
-        order = np.argsort(self.chain, kind="stable")
-        mode_starts = np.cumsum(self.sizes) - self.sizes
-        local = np.empty(len(order), dtype=int)  # each mode's position within its chain
-        local[order] = np.arange(len(order)) - np.repeat(mode_starts, self.sizes)
+        count, kept = len(self.sizes), self.kept
+        # each chain's kept modes together, in window order, by one stable sort
+        order = np.flatnonzero(self.keep)
+        order = order[np.argsort(self.chain[order], kind="stable")]
+        mode_starts = np.cumsum(kept) - kept
+        local = np.zeros(len(self.keep), dtype=int)  # each kept mode's position in its chain
+        local[order] = np.arange(len(order)) - np.repeat(mode_starts, kept)
         # the chains by size, each size in numbered order and cut into stacks
-        shaped = np.arange(count) if solve is None else np.flatnonzero(solve)
-        shaped = shaped[np.argsort(self.sizes[shaped], kind="stable")]
-        d = self.sizes[shaped]
+        shaped = np.flatnonzero((kept > 0) if solve is None else solve & (kept > 0))
+        if not shaped.size:
+            return
+        shaped = shaped[np.argsort(kept[shaped], kind="stable")]
+        d = kept[shaped]
         new_size = np.r_[True, d[1:] != d[:-1]]
         run = np.arange(len(d)) - np.maximum.accumulate(np.where(new_size, np.arange(len(d)), 0))
         slots = run % np.maximum(1, STACK_ENTRIES // (d * d))
@@ -266,7 +275,7 @@ class _Chains:
         start = row_start = 0
         for end, row_end in zip(group_ends.tolist(), row_ends.tolist()):
             members = shaped[start:end]
-            index = order[mode_starts[members][:, None] + np.arange(self.sizes[members[0]])]
+            index = order[mode_starts[members][:, None] + np.arange(kept[members[0]])]
             at = by_group[row_start:row_end]
             rows = self.rows[at]
             yield members.tolist(), index, (slot[self.row_chain[at]], rows,
@@ -281,7 +290,7 @@ def _gram(shape: Tuple[int, int], bracket: Tuple[np.ndarray, ...],
     W = diag(j^2+k^2 - lambda^2) on the outputs.  Each pair of nonzeros
     on one output row adds one product, summed by one bincount.  L's
     entries are integers / 4 and W's integers, so every product and
-    partial sum is exact and B is the same in any summation order.
+    running sum is exact and B is the same in any summation order.
     """
     count, d = shape
     slot, rows, local, coeffs = bracket
@@ -317,8 +326,7 @@ class QuadForm:
     """Symmetric matrix B with v^T B v = MI({psi, f_v}) / (2 pi^2).
 
     v holds the coefficients of f_v on `modes`, the window modes at
-    positions `index`: the whole window for the dense form, one bracket
-    chain for a block of it.
+    positions `index` (the whole window by default).
     """
 
     window: SpectralWindow
@@ -353,19 +361,19 @@ class ReducedForm:
     """Sobolev-weighted reduction S = D^{-p/2} B D^{-p/2}, D = diag(j^2+k^2).
 
     The minimal eigenvalue of S has the same sign as the infimum of the
-    Misiolek index over the (possibly constrained) window span; `index`
-    holds the window positions of the modes that remain after
+    Misiolek index over the (possibly constrained) span of `window`;
+    `index` holds the window positions of the modes that remain after
     constraints, `modes` the modes themselves.
     """
 
-    quadform: QuadForm
+    window: SpectralWindow
     p: int
     matrix: np.ndarray
     index: np.ndarray = field(kw_only=True)
 
     @cached_property
     def modes(self) -> Tuple[Mode, ...]:
-        return self.quadform.window.modes_at(self.index)
+        return self.window.modes_at(self.index)
 
 
 def _sobolev_scale(laplace: np.ndarray, p: int) -> np.ndarray:
@@ -383,7 +391,7 @@ def _reduce(B: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def reduce_symmetric(q: QuadForm, p: int) -> ReducedForm:
     scale = _sobolev_scale(q.window.laplace[q.index], p)
-    return ReducedForm(q, p, _reduce(q.matrix, scale), index=q.index)
+    return ReducedForm(q.window, p, _reduce(q.matrix, scale), index=q.index)
 
 
 def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
@@ -398,12 +406,13 @@ def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
 def constrain(r: ReducedForm, zeroed: Iterable[Mode]) -> ReducedForm:
     """Force the listed Fourier coefficients to zero (drop rows/columns).
 
-    Listed window modes outside r.modes (another block's) are left alone.
+    The dense reference for the constraints that `window_minimum` applies
+    to its chains.  Listed window modes outside r.modes are left alone.
     """
-    keep = np.flatnonzero(~np.isin(r.index, _positions(r.quadform.window, set(zeroed))))
+    keep = np.flatnonzero(~np.isin(r.index, _positions(r.window, set(zeroed))))
     if not keep.size:
         raise ValueError("constraining away every mode leaves nothing to minimize")
-    return ReducedForm(r.quadform, r.p, r.matrix[np.ix_(keep, keep)], index=r.index[keep])
+    return ReducedForm(r.window, r.p, r.matrix[np.ix_(keep, keep)], index=r.index[keep])
 
 
 class _ChainMinimum:
@@ -412,23 +421,21 @@ class _ChainMinimum:
     Chains come numbered in listed order, in stacks of one shape, each
     solved by one LAPACK call.  The tie rule runs over every chain's
     minimum once all are solved; until then only chains that can still
-    win it are kept.  The first listed chain that fails a check of
+    win it are kept, each with its window positions, matrix and
+    eigenvector.  The first listed chain that fails a check of
     `lowest_eigenpairs` raises its error.
     """
 
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self, window: SpectralWindow, p: int, tol: float):
+        self.window, self.p, self.tol = window, p, tol
         self.values = {}      # number -> lowest eigenvalue of the chain
         self.low = math.inf   # the lowest of them so far
-        self.contenders = {}  # number -> (block, i, matrix, eigenvector)
+        self.contenders = {}  # number -> (index, matrix, eigenvector)
         self.failure = None   # (number, error) of the first failed chain
 
-    def add(self, positions: List[int], stack: np.ndarray,
-            block: Callable[[int], ReducedForm]) -> None:
-        """Solve the chains numbered `positions` (ascending), whose matrices `stack` holds.
-
-        `block(i)` builds the ReducedForm of the i-th, should it win.
-        """
+    def add(self, positions: List[int], index: np.ndarray, stack: np.ndarray) -> None:
+        """Solve the chains numbered `positions` (ascending), whose matrices
+        `stack` holds and whose modes sit at the window positions `index`."""
         values, vectors, failure = lowest_eigenpairs(stack, self.tol)
         if failure is not None:
             # positions ascend, so the stack's first failure is its lowest
@@ -446,72 +453,51 @@ class _ChainMinimum:
                                if not beaten(self.values[position])}
             self.low = low
         for i in np.flatnonzero(~beaten(values)).tolist():
-            self.contenders[positions[i]] = block, i, stack[i], vectors[i]
+            self.contenders[positions[i]] = index[i], stack[i], vectors[i]
 
-    def minimum(self) -> Tuple[EigenPair, ReducedForm]:
+    def minimum(self) -> Tuple[EigenPair, ReducedForm, int]:
+        """The winning chain's eigenpair, its ReducedForm and its number."""
         if self.failure is not None:
             raise self.failure[1]
+        if not self.values:
+            raise ValueError("constraining away every mode leaves nothing to minimize")
         best = min(self.values)
         for position in sorted(self.values):
             value = self.values[position]
             if value < self.values[best] - TIE_RTOL * max(abs(value), abs(self.values[best])):
                 best = position
-        block, i, S, vector = self.contenders[best]
-        return eigen_pair(S, self.values[best], vector, self.tol), block(i)
-
-
-def _chain_form(window: SpectralWindow, p: int, index: np.ndarray, B: np.ndarray,
-                S: np.ndarray, i: int) -> ReducedForm:
-    """The i-th chain of a group of `window_minimum`, as a ReducedForm."""
-    return ReducedForm(QuadForm(window, B[i], index[i]), p, S[i], index=index[i])
+        index, S, vector = self.contenders[best]
+        return (eigen_pair(S, self.values[best], vector, self.tol),
+                ReducedForm(self.window, self.p, S, index=index), best)
 
 
 def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,
                    zeroed: Iterable[Mode] = (), tol: float = 1e-10
-                   ) -> Tuple[EigenPair, ReducedForm, int, int]:
+                   ) -> Tuple[EigenPair, ReducedForm, int, int, int]:
     """Lowest eigenpair over the reduced bracket chains of `window`.
 
-    Each group of `_Chains` goes through the Gram product, the Sobolev
-    reduction and the eigensolve as one stack; the chains that hold a
-    zeroed mode leave their group to be constrained, chains zeroed out
-    entirely are skipped, and so are the twins of earlier chains, whose
-    spectra those chains share.  A chain's QuadForm and ReducedForm are
-    built only if it is constrained or wins.  Two minima within TIE_RTOL
-    of each other (relative) are a tie, won by the chain with the lowest
-    first mode; the first listed chain that fails an eigensolve check
-    raises its error.  Returns the pair, the ReducedForm of its chain, the
-    number of chains and the modes in the largest, twins included.
+    The zeroed modes drop out of their chains as the chains are laid out,
+    and chains zeroed out entirely drop out of the scan.  Each group of
+    `_Chains` then goes through the Gram product, the Sobolev reduction
+    and the eigensolve as one stack, leaving out the twins of earlier
+    chains, whose spectra those chains share.  Only the winning chain's
+    ReducedForm is built.  Two minima within TIE_RTOL of each other
+    (relative) are a tie, won by the chain with the lowest first mode; the
+    first listed chain that fails an eigensolve check raises its error.
+    Returns the pair, the ReducedForm of its chain, the number of chains
+    and the modes in the largest, twins and zeroed modes included, and
+    the window position of the winning chain's first mode, zeroed or not.
     """
     scale = _sobolev_scale(window.laplace, p)
-    zero_set = set(zeroed)
-    zero_at = _positions(window, zero_set)
     ext = _extended(flow, window)
     weights = ext.laplace - flow.lambda2
-    chains = _Chains(flow, window, ext)
-    held = np.zeros(len(chains.sizes), dtype=bool)
-    held[chains.chain[zero_at]] = True
-    scan = _ChainMinimum(tol)
-    skipped = None
-    for positions, index, bracket in chains.groups(~chains.twins(held)):
-        B = _gram(index.shape, bracket, weights)
-        S = _reduce(B, scale[index])
-        free = ~held[positions]
-        for i in np.flatnonzero(~free).tolist():
-            reduced = _chain_form(window, p, index, B, S, i)
-            if np.isin(index[i], zero_at).all():
-                skipped = reduced
-            else:
-                reduced = constrain(reduced, zero_set)
-                scan.add([positions[i]], reduced.matrix[None], [reduced].__getitem__)
-        if not free.all():
-            positions = [positions[i] for i in np.flatnonzero(free).tolist()]
-            index, B, S = index[free], B[free], S[free]
-        if positions:
-            scan.add(positions, S, partial(_chain_form, window, p, index, B, S))
-    if not scan.values:
-        constrain(skipped, zero_set)  # every chain is zeroed out: this raises
-    pair, reduced = scan.minimum()
-    return pair, reduced, len(chains.sizes), int(chains.sizes.max())
+    chains = _Chains(flow, window, ext, _positions(window, set(zeroed)))
+    scan = _ChainMinimum(window, p, tol)
+    for positions, index, bracket in chains.groups(~chains.twins()):
+        scan.add(positions, index, _reduce(_gram(index.shape, bracket, weights), scale[index]))
+    pair, reduced, best = scan.minimum()
+    return (pair, reduced, len(chains.sizes), int(chains.sizes.max()),
+            int(chains.firsts[best]))
 
 
 def minimizer_coefficients(r: ReducedForm, vector: np.ndarray) -> CoeffVector:
@@ -521,7 +507,7 @@ def minimizer_coefficients(r: ReducedForm, vector: np.ndarray) -> CoeffVector:
     as zeros, and normalizes so the largest-magnitude coefficient is 1
     (for reproducible output).
     """
-    window = r.quadform.window
+    window = r.window
     values = np.zeros(len(window))
     # Python's pow: numpy's SIMD power can differ from it in the last bit
     scale = [d ** (-r.p / 2) for d in window.laplace[r.index].tolist()]

@@ -12,8 +12,10 @@ through `kolmconj.cli.main` (exit code, stdout, stderr and every `--out`
 file); the NUMERICAL golden commands of `tests/test_golden.py`; and 150
 seeded random `run_minimize` calls (m, n <= 7, N 3-22, every subspace,
 p 0-4, 0-5 zeroed modes), hashed by eigenvalue and residual bits,
-eigenvector and coefficient bytes, Q, block counts and winning chain.
-pytest does not collect this file.
+eigenvector and coefficient bytes, Q, block counts and winning chain; and,
+for 24 seeded windows, the unconstrained call and two constrained ones:
+the winning chain's first mode zeroed, and every mode of that chain
+zeroed.  pytest does not collect this file.
 """
 
 import hashlib
@@ -26,10 +28,13 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
 TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS.parent), str(TESTS)]
 
 RANDOM_CALLS = 150
+CONSTRAINED_WINDOWS = 24
 
 
 def _digest(*parts):
@@ -73,6 +78,30 @@ def _random_calls():
         yield KolmogorovFlow(m, n), dict(N=N, subspace=subspace, p=p, constraints=zeroed)
 
 
+def _winner_calls():
+    """(flow, options, zeroed label) of an unconstrained call, then, if it
+    certifies, the calls that zero its winning chain's first mode and every
+    mode of that chain."""
+    from kolmconj import spectral
+    from kolmconj.pipeline import run_minimize
+    from kolmconj.trigpoly import KolmogorovFlow
+    rng = random.Random(24)
+    for _ in range(CONSTRAINED_WINDOWS):
+        flow = KolmogorovFlow(rng.randint(1, 6), rng.randint(1, 6))
+        N, subspace = rng.randint(3, 16), rng.choice(spectral.SUBSPACES)
+        options = dict(N=N, subspace=subspace, p=rng.randint(0, 4))
+        yield flow, options, "none"
+        try:
+            first = run_minimize(flow, **options).block_mode
+        except Exception:  # the failure is recorded by the call above
+            continue
+        window = spectral.SpectralWindow(N, subspace)
+        chain = spectral._Chains(flow, window, spectral._extended(flow, window)).chain
+        modes = window.modes_at(np.flatnonzero(chain == chain[window.index_of(first)]))
+        yield flow, dict(options, constraints=[first]), f"first mode {first!r}"
+        yield flow, dict(options, constraints=list(modes)), f"chain of {first!r}"
+
+
 def _minimize(flow, options):
     from kolmconj.pipeline import run_minimize
     try:
@@ -100,6 +129,10 @@ def record():
         options_text = {k: v for k, v in options.items() if k != "constraints"}
         key = f"run_minimize({flow.m}, {flow.n}, {options_text}, zeroed={options['constraints']})"
         entries[key] = _minimize(flow, options)
+    for flow, options, zeroed in _winner_calls():
+        options_text = {k: v for k, v in options.items() if k != "constraints"}
+        entries[f"run_minimize({flow.m}, {flow.n}, {options_text}, zeroed {zeroed})"] = \
+            _minimize(flow, options)
     return entries
 
 

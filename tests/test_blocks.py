@@ -3,16 +3,17 @@
 The bracket with psi = -cos mx cos ny sends mode (j, k) only to
 (j +- m, k +- n), so the window splits into chains that no bracket row and
 no entry of the index form couples.  The numerical route has one scan over
-them: `_Chains` lays the chains out in groups of one mode count with
-their bracket's nonzeros, `_gram` builds each group's forms from those
-nonzeros, and `window_minimum` feeds each group to `_ChainMinimum`, which
-solves it in one stacked eigensolve, leaving out the chains that a flow
-symmetry maps onto an earlier chain.  These tests check that scan against
-per-chain dense products L^T W L, the dense views (`assemble_bracket_matrix`,
-`assemble_quadform`) and the exact bracket, check the skipped twins against
-the chains they repeat, drive `_ChainMinimum` with hand-built stacks for its
-tie and failure rules, and pin the certified values that the dense
-minimization gave before the split.
+them: `_Chains` lays the chains out, less their zeroed modes, in groups of
+one kept-mode count with their bracket's nonzeros, `_gram` builds each
+group's forms from those nonzeros, and `window_minimum` feeds each group
+to `_ChainMinimum`, which solves it in one stacked eigensolve, leaving out
+the chains that a flow symmetry maps onto an earlier chain.  These tests
+check that scan against per-chain dense products L^T W L (restricted to
+the kept modes), the dense views (`assemble_bracket_matrix`,
+`assemble_quadform`, `constrain`) and the exact bracket, check the skipped
+twins against the chains they repeat, drive `_ChainMinimum` with
+hand-built stacks for its tie and failure rules, and pin the certified
+values that the dense minimization gave before the split.
 """
 
 import random
@@ -26,7 +27,7 @@ from kolmconj import spectral
 from kolmconj.eigensolve import ConvergenceError, eigen_pair, lowest_eigenpairs, sym_eig_min
 from kolmconj.pipeline import run_minimize
 from kolmconj.spectral import (FULL, STACK_ENTRIES, CertificationError, QuadForm,
-                               ReducedForm, SpectralWindow,
+                               SpectralWindow,
                                assemble_bracket_matrix, assemble_quadform,
                                coefficient_vector, constrain, reduce_symmetric,
                                window_minimum)
@@ -168,12 +169,28 @@ def test_zeroed_block_is_skipped():
     chains = chain_modes(flow, window)
     for modes in chains[:3]:
         zeroed = list(modes)
-        pair, winner, _, _ = window_minimum(flow, window, 3, zeroed)
-        assert winner.quadform.modes != modes
+        pair, winner, _, _, first = window_minimum(flow, window, 3, zeroed)
+        assert window.modes_at([first])[0] != modes[0]
+        assert not set(winner.modes) & set(modes)
         want, scale = _dense_minimum(flow, window, 3, zeroed)
         assert abs(pair.value - want) <= 1e-12 * max(abs(want), scale)
     res = run_minimize(flow, N=8, constraints=list(chains[0]))
     assert res.block_mode != chains[0][0]
+
+
+def test_zeroed_first_mode_still_names_the_winning_chain():
+    # zeroing the unconstrained winner's first mode leaves its chain the
+    # winner, and that mode, though zeroed, still names the chain
+    flow = KolmogorovFlow(3, 2)
+    assert run_minimize(flow, N=8).block_mode == Mode(1, -8, COS)
+    res = run_minimize(flow, N=8, constraints=[Mode(1, -8, COS)])
+    assert res.block_mode == Mode(1, -8, COS)
+    assert res.coeffs.values[res.coeffs.window.index_of(Mode(1, -8, COS))] == 0.0
+    assert res.certified.mi_over_pi2 == F(
+        "-47145278896885400268991076827890122769409904383593631133431729976762793866399238"
+        "3657176117689124870685035223832032776793800048706596783/"
+        "56255095801896226020943313800349314707656750123766867206971600201102282714299307"
+        "4784666167329743312818510946154919914566078770153587200")
 
 
 def test_constraint_errors_unchanged():
@@ -194,10 +211,14 @@ def test_tie_goes_to_earlier_block():
     value = sym_eig_min(first.matrix).value
     for shift, winner in [(1e-14, 0), (1e-9, 1)]:
         lowered = first.matrix - shift * abs(value) * np.eye(len(first.index))
-        later = ReducedForm(first.quadform, first.p, lowered, index=first.index)
-        scan = spectral._ChainMinimum(1e-10)
-        scan.add([0, 1], np.stack([first.matrix, lowered]), [first, later].__getitem__)
-        assert scan.minimum()[1] is [first, later][winner]
+        scan = spectral._ChainMinimum(first.window, first.p, 1e-10)
+        scan.add([0, 1], np.stack([first.index, first.index + 1]),
+                 np.stack([first.matrix, lowered]))
+        _, reduced, best = scan.minimum()
+        assert best == winner
+        assert reduced.window is first.window and reduced.p == first.p
+        assert np.array_equal(reduced.index, first.index + winner)
+        assert np.array_equal(reduced.matrix, [first.matrix, lowered][winner])
 
 
 def test_tie_goes_to_block_with_lowest_first_mode():
@@ -300,58 +321,101 @@ def _image(mode, symmetry):
     return Mode(j, k, mode.parity), 1
 
 
-def _twins(flow, window):
-    """The chains that a symmetry maps onto an earlier chain."""
+def _twins(flow, window, zeroed=()):
+    """The chains that a symmetry maps onto an earlier chain, where neither
+    chain holds a `zeroed` mode."""
     chains = chain_modes(flow, window)
     number = {mode: c for c, modes in enumerate(chains) for mode in modes}
-    return {c for c, modes in enumerate(chains)
-            if any(number[_image(modes[0], g)[0]] < c for g in _symmetries(flow))}
+    held = {number[mode] for mode in zeroed}
+    return {c for c, modes in enumerate(chains) if c not in held
+            and any(t < c and t not in held
+                    for t in (number[_image(modes[0], g)[0]] for g in _symmetries(flow)))}
 
 
 def _solved_chains(monkeypatch, flow, **options):
-    """{chain number: (stacked S, ReducedForm)} of each chain `run_minimize`
-    solves, and its result (None if certification fails)."""
-    seen, result = {}, None
-    add = spectral._ChainMinimum.add
+    """{chain number: (stacked S, window positions, Gram B)} of each chain
+    `run_minimize` solves, the scan's minimum (pair, ReducedForm, chain
+    number), and its result (None if certification fails)."""
+    seen, grams, winner, result = {}, [], [], None
+    gram, add = spectral._gram, spectral._ChainMinimum.add
+    minimum = spectral._ChainMinimum.minimum
 
-    def spy(self, positions, stack, block):
+    def gram_spy(*args):
+        grams.append(gram(*args))
+        return grams[-1]
+
+    def add_spy(self, positions, index, stack):
         for i, position in enumerate(positions):
-            seen[position] = stack[i], block(i)
-        add(self, positions, stack, block)
+            seen[position] = stack[i], index[i], grams[-1][i]
+        add(self, positions, index, stack)
 
-    monkeypatch.setattr(spectral._ChainMinimum, "add", spy)
+    def minimum_spy(self):
+        winner.extend(minimum(self))
+        return tuple(winner)
+
+    monkeypatch.setattr(spectral, "_gram", gram_spy)
+    monkeypatch.setattr(spectral._ChainMinimum, "add", add_spy)
+    monkeypatch.setattr(spectral._ChainMinimum, "minimum", minimum_spy)
     try:
         result = run_minimize(flow, **options)
     except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
         pass
     monkeypatch.undo()
-    return seen, result
+    return seen, tuple(winner), result
 
 
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
                     for subspace in (COS, SIN)]
                    + [(1, 1, 20, FULL), (4, 1, 40, COS)])
+# windows with twins, where constraints hold chains in each way the scan
+# treats apart (see `_zeroings`)
+CONSTRAINED_WINDOWS = [(3, 2, 20, COS), (4, 4, 20, COS), (2, 2, 14, FULL), (4, 2, 12, SIN)]
+
+
+def _zeroings(flow, window):
+    """Zeroed mode lists: the first mode of chain 0; all of chain 1 and
+    the last mode of chain 0; a mode of the first twin; a mode of the
+    chain that twin repeats."""
+    chains = chain_modes(flow, window)
+    number = {mode: c for c, modes in enumerate(chains) for mode in modes}
+    twin = min(_twins(flow, window))
+    repeated = min(number[_image(chains[twin][0], g)[0]] for g in _symmetries(flow))
+    return [[chains[0][0]], list(chains[1]) + [chains[0][-1]], [chains[twin][-1]],
+            [chains[repeated][0]]]
 
 
 def test_grouped_products_equal_per_chain_products(monkeypatch):
     # every chain the scan receives: its reduced matrix as the eigensolve
-    # gets it, and the forms built for it should it win; those left out
-    # are the twins of earlier chains
-    for m, n, N, subspace in GROUPED_WINDOWS:
-        flow = KolmogorovFlow(m, n)
-        seen, _ = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
-        window = seen[0][1].quadform.window
-        assert window._modes is None
-        reference = list(_per_chain_products(flow, SpectralWindow(N, subspace), 3))
-        twins = _twins(flow, SpectralWindow(N, subspace))
-        assert sorted(seen) == sorted(set(range(len(reference))) - twins)
-        for position, (stacked, reduced) in seen.items():
-            index, B, S = reference[position]
-            assert reduced.quadform.window is window
-            assert reduced.index.tolist() == index
-            assert np.array_equal(reduced.quadform.matrix, B)
-            assert np.array_equal(stacked, S)
-            assert np.array_equal(reduced.matrix, S)
+    # gets it and its Gram product, both restricted to the modes left
+    # after constraints, and the form built for the winner; those left out
+    # are the chains zeroed entirely and the twins of earlier chains where
+    # neither chain holds a zeroed mode
+    cases = [(m, n, N, subspace, []) for m, n, N, subspace in GROUPED_WINDOWS]
+    for m, n, N, subspace in CONSTRAINED_WINDOWS:
+        window = SpectralWindow(N, subspace)
+        cases += [(m, n, N, subspace, zeroed)
+                  for zeroed in _zeroings(KolmogorovFlow(m, n), window)]
+    for m, n, N, subspace, zeroed in cases:
+        flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
+        seen, (_, reduced, best), _ = _solved_chains(monkeypatch, flow, N=N,
+                                                     subspace=subspace, constraints=zeroed)
+        assert reduced.window._modes is None
+        reference = list(_per_chain_products(flow, window, 3))
+        zero_at = {window.index_of(mode) for mode in zeroed}
+        held = {c for c, (index, _, _) in enumerate(reference) if zero_at & set(index)}
+        gone = {c for c, (index, _, _) in enumerate(reference) if set(index) <= zero_at}
+        twins = _twins(flow, window, zeroed)
+        assert sorted(seen) == sorted(set(range(len(reference))) - twins - gone)
+        assert held - gone <= seen.keys()
+        assert not gone & seen.keys()
+        for position, (stacked, index, gram) in seen.items():
+            full, B, S = reference[position]
+            keep = [i for i, at in enumerate(full) if at not in zero_at]
+            assert index.tolist() == [full[i] for i in keep]
+            assert np.array_equal(gram, B[np.ix_(keep, keep)])
+            assert np.array_equal(stacked, S[np.ix_(keep, keep)])
+        assert np.array_equal(reduced.index, seen[best][1])
+        assert np.array_equal(reduced.matrix, seen[best][0])
 
 
 # (m, n, N, subspace) and the chain count and largest chain the window had
@@ -365,7 +429,7 @@ TWIN_WINDOWS = [((3, 2, 20, COS), 14, 77), ((4, 4, 20, COS), 34, 30),
 def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, largest):
     m, n, N, subspace = case
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-    solved, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
+    solved, _, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
     chains = chain_modes(flow, window)
     products = list(_per_chain_products(flow, window, 3))
     skipped = set(range(len(chains))) - solved.keys()
@@ -400,14 +464,14 @@ def test_first_listed_failing_block_raises_its_error():
     pairs = np.stack([np.diag([1.0, 2.0]), unsymmetric, np.diag([3.0, 1.0])])
     with pytest.raises(ConvergenceError) as want:
         sym_eig_min(a + a.T, 1e-300)
-    scan = spectral._ChainMinimum(1e-300)
-    scan.add([0, 2, 3], pairs, None)
-    scan.add([1], (a + a.T)[None], None)
+    scan = spectral._ChainMinimum(None, 3, 1e-300)
+    scan.add([0, 2, 3], np.zeros((3, 2), dtype=int), pairs)
+    scan.add([1], np.zeros((1, 3), dtype=int), (a + a.T)[None])
     with pytest.raises(ConvergenceError) as got:
         scan.minimum()
     assert str(got.value) == str(want.value)
-    scan = spectral._ChainMinimum(1e-300)
-    scan.add([0, 1], pairs[1:], None)
+    scan = spectral._ChainMinimum(None, 3, 1e-300)
+    scan.add([0, 1], np.zeros((2, 2), dtype=int), pairs[1:])
     with pytest.raises(ValueError, match="matrix is not symmetric"):
         scan.minimum()
 

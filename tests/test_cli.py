@@ -473,3 +473,25 @@ def test_any_constraint_spec_ends_in_an_exit_code(capsys, spec):
                        "--constrain=" + spec)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("message,printed", [
+    (("Unable to allocate 7.45 TiB for an array",), "Unable to allocate 7.45 TiB for an array"),
+    ((), "out of memory")])
+@pytest.mark.parametrize("target,command", [
+    ("run_minimize", ["minimize", "--m", "1", "--n", "1", "--N", "1000000"]),
+    ("write_grid_file", ["field", "stream", "--m", "1", "--n", "1", "--grid", "1000000"])])
+def test_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, target, command,
+                                            message, printed):
+    # the allocation is faked: the stand-in raises what numpy raises when a
+    # window or grid this large does not fit in memory
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*message)
+
+    monkeypatch.setattr(f"kolmconj.cli.{target}", exhausted)
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(capsys, *command, "--out", str(out_file))
+    assert code == 3
+    assert out == ""
+    assert err == f"numerical failure: {printed}\n"
+    assert not out_file.exists()

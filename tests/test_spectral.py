@@ -242,7 +242,7 @@ class TestReduceConstrain:
         # matrix by position fails here instead of binding the wrong fields
         r = reduce_symmetric(assemble_quadform(KolmogorovFlow(2, 1), SpectralWindow(3, COS)), 3)
         with pytest.raises(TypeError):
-            ReducedForm(r.quadform, r.p, r.modes, r.matrix)
+            ReducedForm(r.window, r.p, r.modes, r.matrix)
 
     def test_constrain_empty_is_identity(self):
         q = assemble_quadform(KolmogorovFlow(2, 1), SpectralWindow(3, COS))
