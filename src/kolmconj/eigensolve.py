@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -21,9 +20,13 @@ class EigenPair:
 
 
 def check_tol(tol: float) -> None:
-    """Reject a residual tolerance that would disable the residual guard."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    """Reject a residual tolerance that would disable the residual guard.
+
+    The residual is at most 2 ||S||_2 <= 2 * max|S| * dim, so a bound of
+    tol * max|S| * dim with tol >= 2 never fails; tol must lie in (0, 1).
+    """
+    if not 0 < tol < 1:  # False for nan
+        raise ValueError(f"tolerance must be positive and below 1, got {tol!r}")
 
 
 def _positive_first(v: np.ndarray) -> np.ndarray:
@@ -55,7 +58,7 @@ def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
 
     Deterministic for fixed input (LAPACK dsyevd via numpy, fixed sign
     convention).  Raises ValueError if `stack` is not a stack of square
-    matrices or tol is not finite and positive.  Each matrix is checked:
+    matrices or tol is not in (0, 1).  Each matrix is checked:
     it must be symmetric, and its residual at most tol * max|S| * dim.
     Returns the lowest eigenvalues, row by row their eigenvectors with the
     first significant entry positive, and (i, error) for the first matrix
@@ -91,9 +94,8 @@ def sym_eig_min(S: np.ndarray, tol: float = 1e-10) -> EigenPair:
     """Algebraically smallest eigenpair of a symmetric matrix.
 
     The one-matrix case of `lowest_eigenpairs`: raises ValueError on a
-    non-square or non-symmetric matrix or a tol that is not finite and
-    positive, and ConvergenceError if the residual exceeds
-    tol * max|S| * dim.
+    non-square or non-symmetric matrix or a tol that is not in (0, 1),
+    and ConvergenceError if the residual exceeds tol * max|S| * dim.
     """
     S = np.asarray(S, dtype=float)
     values, vectors, failure = lowest_eigenpairs(S[None], tol)

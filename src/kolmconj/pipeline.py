@@ -9,7 +9,9 @@ files sample a field on the uniform grid of the torus as CSV.
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -45,6 +47,11 @@ def _check_options(p: int, N: int, tol: float, max_denominator: int) -> None:
         raise ValueError("Sobolev order must be >= 0")
     if N < 1:
         raise ValueError("window order must be >= 1")
+    # the window's smallest weight D^{-p/2} = (2N^2)^(-p/2), at j = k = N,
+    # must not underflow; compared in logarithms, which take any int
+    if p > -2 * math.log(sys.float_info.min) / math.log(2 * N * N):
+        raise ValueError(f"Sobolev order {p} underflows the window's smallest weight "
+                         f"(2N^2)^(-p/2) at N={N}")
     if max_denominator < 1:
         raise ValueError("denominator cap must be >= 1")
 
@@ -182,6 +189,8 @@ def read_field_file(path: str) -> Tuple[KolmogorovFlow, TrigPoly, str]:
 def deformed_stream(flow: KolmogorovFlow, field: TrigPoly,
                     epsilon: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """psi at each point moved by epsilon times the skew gradient (-f_y, f_x)."""
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
     psi, fx, fy = flow.stream(), field.dx(), field.dy()
     return lambda X, Y: psi.eval(X - epsilon * fy.eval(X, Y), Y + epsilon * fx.eval(X, Y))
 

@@ -11,7 +11,6 @@ re-evaluating the index with exact arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -238,49 +237,38 @@ class _Chains:
                ) -> Iterator[Tuple[List[int], np.ndarray, Tuple[np.ndarray, ...]]]:
         """The chains that `solve` marks (all if None), as (positions, index, bracket) per group.
 
-        A group holds chains of d kept modes, in numbered order, at most
-        STACK_ENTRIES // d^2 of them and never fewer than one: `positions`
-        are their numbers and `index` (count, d) the window positions of
-        their kept modes, ascending per chain.  Chains with no kept mode
-        are left out.  `bracket` is (slot, rows, local, coeffs) over the
-        output rows the group reaches, ascending per chain: the group
-        member each row belongs to, its position in `ext`, and its four
-        stencil terms as coefficients and positions among that chain's
-        kept modes (a term is absent where its coefficient is 0, and its
-        position then means nothing).
+        A group holds chains of d kept modes, in numbered order, and the
+        groups come by ascending d.  The STACK_ENTRIES cap splits the
+        chains of one d into groups of at most STACK_ENTRIES // d^2 and
+        never fewer than one: `positions` are their numbers and `index`
+        (count, d) the window positions of their kept modes, ascending per
+        chain.  Chains with no kept mode are left out.  `bracket` is
+        (slot, rows, local, coeffs) over the output rows the group
+        reaches, ascending: the group member each row belongs to, its
+        position in `ext`, and its four stencil terms as coefficients and
+        positions among that chain's kept modes (a term is absent where
+        its coefficient is 0, and its position then means nothing).
         """
-        count, kept = len(self.sizes), self.kept
+        kept = self.kept
+        wanted = (kept > 0) if solve is None else solve & (kept > 0)
         # each chain's kept modes together, in window order, by one stable sort
         order = np.flatnonzero(self.keep)
         order = order[np.argsort(self.chain[order], kind="stable")]
         mode_starts = np.cumsum(kept) - kept
         local = np.zeros(len(self.keep), dtype=int)  # each kept mode's position in its chain
         local[order] = np.arange(len(order)) - np.repeat(mode_starts, kept)
-        # the chains by size, each size in numbered order and cut into stacks
-        shaped = np.flatnonzero((kept > 0) if solve is None else solve & (kept > 0))
-        if not shaped.size:
-            return
-        shaped = shaped[np.argsort(kept[shaped], kind="stable")]
-        d = kept[shaped]
-        new_size = np.r_[True, d[1:] != d[:-1]]
-        run = np.arange(len(d)) - np.maximum.accumulate(np.where(new_size, np.arange(len(d)), 0))
-        slots = run % np.maximum(1, STACK_ENTRIES // (d * d))
-        group_ends = np.flatnonzero(np.r_[slots[1:] == 0, True]) + 1
-        # group and slot per chain; chains not solved sort after every group
-        group, slot = np.full(count, count), np.zeros(count, dtype=int)
-        group[shaped], slot[shaped] = np.cumsum(slots == 0) - 1, slots
-        by_group = np.argsort(group[self.row_chain], kind="stable")
-        row_ends = np.searchsorted(group[self.row_chain][by_group],
-                                   np.arange(len(group_ends)), side="right")
-        start = row_start = 0
-        for end, row_end in zip(group_ends.tolist(), row_ends.tolist()):
-            members = shaped[start:end]
-            index = order[mode_starts[members][:, None] + np.arange(kept[members[0]])]
-            at = by_group[row_start:row_end]
-            rows = self.rows[at]
-            yield members.tolist(), index, (slot[self.row_chain[at]], rows,
-                                            local[self.cols[rows]], self.coeffs[rows])
-            start, row_start = end, row_end
+        for d in np.flatnonzero(np.bincount(kept[wanted])).tolist():
+            shaped = np.flatnonzero(wanted & (kept == d))
+            step = max(1, STACK_ENTRIES // (d * d))
+            for start in range(0, len(shaped), step):
+                members = shaped[start:start + step]
+                slot = np.full(len(kept), -1)  # each chain's place in the group, or -1
+                slot[members] = np.arange(len(members))
+                at = np.flatnonzero(slot[self.row_chain] >= 0)
+                rows = self.rows[at]
+                yield (members.tolist(), order[mode_starts[members][:, None] + np.arange(d)],
+                       (slot[self.row_chain[at]], rows, local[self.cols[rows]],
+                        self.coeffs[rows]))
 
 
 def _gram(shape: Tuple[int, int], bracket: Tuple[np.ndarray, ...],
@@ -384,9 +372,12 @@ def _sobolev_scale(laplace: np.ndarray, p: int) -> np.ndarray:
 
 
 def _reduce(B: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """S = D^{-p/2} B D^{-p/2}, symmetrized, for B (..., d, d) and its scale (..., d)."""
-    S = B * (scale[..., :, None] * scale[..., None, :])
-    return 0.5 * (S + np.swapaxes(S, -1, -2))
+    """S = D^{-p/2} B D^{-p/2} for B (..., d, d) and its scale (..., d).
+
+    S is exactly symmetric where B is, as `_gram`'s B always is: the
+    outer product of the scale is, and S's entries are single products.
+    """
+    return B * (scale[..., :, None] * scale[..., None, :])
 
 
 def reduce_symmetric(q: QuadForm, p: int) -> ReducedForm:
@@ -415,62 +406,6 @@ def constrain(r: ReducedForm, zeroed: Iterable[Mode]) -> ReducedForm:
     return ReducedForm(r.window, r.p, r.matrix[np.ix_(keep, keep)], index=r.index[keep])
 
 
-class _ChainMinimum:
-    """The scan of `window_minimum`, a group of chains at a time.
-
-    Chains come numbered in listed order, in stacks of one shape, each
-    solved by one LAPACK call.  The tie rule runs over every chain's
-    minimum once all are solved; until then only chains that can still
-    win it are kept, each with its window positions, matrix and
-    eigenvector.  The first listed chain that fails a check of
-    `lowest_eigenpairs` raises its error.
-    """
-
-    def __init__(self, window: SpectralWindow, p: int, tol: float):
-        self.window, self.p, self.tol = window, p, tol
-        self.values = {}      # number -> lowest eigenvalue of the chain
-        self.low = math.inf   # the lowest of them so far
-        self.contenders = {}  # number -> (index, matrix, eigenvector)
-        self.failure = None   # (number, error) of the first failed chain
-
-    def add(self, positions: List[int], index: np.ndarray, stack: np.ndarray) -> None:
-        """Solve the chains numbered `positions` (ascending), whose matrices
-        `stack` holds and whose modes sit at the window positions `index`."""
-        values, vectors, failure = lowest_eigenpairs(stack, self.tol)
-        if failure is not None:
-            # positions ascend, so the stack's first failure is its lowest
-            failure = positions[failure[0]], failure[1]
-            if self.failure is None or failure[0] < self.failure[0]:
-                self.failure = failure
-        self.values.update(zip(positions, values.tolist()))
-        low = float(values.min(initial=self.low))
-        # a chain whose minimum lies above another's by more than twice the
-        # tie tolerance (relative) can no longer win the tie rule
-        def beaten(value):
-            return value > low + 2 * TIE_RTOL * np.maximum(np.abs(value), abs(low))
-        if low < self.low:
-            self.contenders = {position: kept for position, kept in self.contenders.items()
-                               if not beaten(self.values[position])}
-            self.low = low
-        for i in np.flatnonzero(~beaten(values)).tolist():
-            self.contenders[positions[i]] = index[i], stack[i], vectors[i]
-
-    def minimum(self) -> Tuple[EigenPair, ReducedForm, int]:
-        """The winning chain's eigenpair, its ReducedForm and its number."""
-        if self.failure is not None:
-            raise self.failure[1]
-        if not self.values:
-            raise ValueError("constraining away every mode leaves nothing to minimize")
-        best = min(self.values)
-        for position in sorted(self.values):
-            value = self.values[position]
-            if value < self.values[best] - TIE_RTOL * max(abs(value), abs(self.values[best])):
-                best = position
-        index, S, vector = self.contenders[best]
-        return (eigen_pair(S, self.values[best], vector, self.tol),
-                ReducedForm(self.window, self.p, S, index=index), best)
-
-
 def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,
                    zeroed: Iterable[Mode] = (), tol: float = 1e-10
                    ) -> Tuple[EigenPair, ReducedForm, int, int, int]:
@@ -480,24 +415,43 @@ def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,
     and chains zeroed out entirely drop out of the scan.  Each group of
     `_Chains` then goes through the Gram product, the Sobolev reduction
     and the eigensolve as one stack, leaving out the twins of earlier
-    chains, whose spectra those chains share.  Only the winning chain's
-    ReducedForm is built.  Two minima within TIE_RTOL of each other
+    chains, whose spectra those chains share; each chain's lowest
+    eigenpair is kept.  Two minima within TIE_RTOL of each other
     (relative) are a tie, won by the chain with the lowest first mode; the
     first listed chain that fails an eigensolve check raises its error.
-    Returns the pair, the ReducedForm of its chain, the number of chains
-    and the modes in the largest, twins and zeroed modes included, and
-    the window position of the winning chain's first mode, zeroed or not.
+    The winner's group is then summed and reduced again, to the same bits
+    (its Gram sums are exact), for its ReducedForm.  Returns the pair, the
+    ReducedForm of its chain, the number of chains and the modes in the
+    largest, twins and zeroed modes included, and the window position of
+    the winning chain's first mode, zeroed or not.
     """
     scale = _sobolev_scale(window.laplace, p)
     ext = _extended(flow, window)
     weights = ext.laplace - flow.lambda2
     chains = _Chains(flow, window, ext, _positions(window, set(zeroed)))
-    scan = _ChainMinimum(window, p, tol)
+    groups, solved, failures = [], [], []
     for positions, index, bracket in chains.groups(~chains.twins()):
-        scan.add(positions, index, _reduce(_gram(index.shape, bracket, weights), scale[index]))
-    pair, reduced, best = scan.minimum()
-    return (pair, reduced, len(chains.sizes), int(chains.sizes.max()),
-            int(chains.firsts[best]))
+        stack = _reduce(_gram(index.shape, bracket, weights), scale[index])
+        values, vectors, failure = lowest_eigenpairs(stack, tol)
+        if failure is not None:  # positions ascend: a stack's first failure is its lowest
+            failures.append((positions[failure[0]], failure[1]))
+        solved += [(number, value, len(groups), slot, vectors[slot])
+                   for slot, (number, value) in enumerate(zip(positions, values.tolist()))]
+        groups.append((index, bracket))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    if not solved:
+        raise ValueError("constraining away every mode leaves nothing to minimize")
+    solved.sort(key=lambda chain: chain[0])
+    best = solved[0]
+    for chain in solved:
+        if chain[1] < best[1] - TIE_RTOL * max(abs(chain[1]), abs(best[1])):
+            best = chain
+    number, value, group, slot, vector = best
+    index, bracket = groups[group]
+    S = _reduce(_gram(index.shape, bracket, weights), scale[index])[slot]
+    return (eigen_pair(S, value, vector, tol), ReducedForm(window, p, S, index=index[slot]),
+            len(chains.sizes), int(chains.sizes.max()), int(chains.firsts[number]))
 
 
 def minimizer_coefficients(r: ReducedForm, vector: np.ndarray) -> CoeffVector:

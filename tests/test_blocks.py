@@ -5,15 +5,16 @@ The bracket with psi = -cos mx cos ny sends mode (j, k) only to
 no entry of the index form couples.  The numerical route has one scan over
 them: `_Chains` lays the chains out, less their zeroed modes, in groups of
 one kept-mode count with their bracket's nonzeros, `_gram` builds each
-group's forms from those nonzeros, and `window_minimum` feeds each group
-to `_ChainMinimum`, which solves it in one stacked eigensolve, leaving out
-the chains that a flow symmetry maps onto an earlier chain.  These tests
-check that scan against per-chain dense products L^T W L (restricted to
-the kept modes), the dense views (`assemble_bracket_matrix`,
-`assemble_quadform`, `constrain`) and the exact bracket, check the skipped
-twins against the chains they repeat, drive `_ChainMinimum` with
-hand-built stacks for its tie and failure rules, and pin the certified
-values that the dense minimization gave before the split.
+group's forms from those nonzeros, and `window_minimum` solves each group
+in one stacked eigensolve, leaving out the chains that a flow symmetry
+maps onto an earlier chain, then picks the winner among every chain's
+minimum.  These tests check that scan against per-chain dense products
+L^T W L (restricted to the kept modes), the dense views
+(`assemble_bracket_matrix`, `assemble_quadform`, `constrain`) and the
+exact bracket, check the skipped twins against the chains they repeat,
+drive `window_minimum` with hand-built stacks for its tie and failure
+rules, and pin the certified values that the dense minimization gave
+before the split.
 """
 
 import random
@@ -23,7 +24,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from kolmconj import spectral
+from kolmconj import pipeline, spectral
 from kolmconj.eigensolve import ConvergenceError, eigen_pair, lowest_eigenpairs, sym_eig_min
 from kolmconj.pipeline import run_minimize
 from kolmconj.spectral import (FULL, STACK_ENTRIES, CertificationError, QuadForm,
@@ -204,21 +205,40 @@ def test_constraint_errors_unchanged():
         run_minimize(flow, N=3, constraints=[Mode(1, 0, SIN)])
 
 
-def test_tie_goes_to_earlier_block():
-    # two chains of one shape, solved in one stack: the later one wins
-    # only if its minimum lies below the first's by more than TIE_RTOL
-    first = chain_forms(KolmogorovFlow(3, 2), SpectralWindow(6, COS), 3)[0]
+def _scan(monkeypatch, groups, tol=1e-10):
+    """`window_minimum` on (3,2) cos at N=6 over hand-built groups.
+
+    `groups` stands in for `_Chains.groups`, as (positions, index, stack)
+    per group, and each stack for its group's Gram product; at p = 0 the
+    Sobolev reduction multiplies by 1, so the scan solves the stacks as
+    given.  Returns the window and what `window_minimum` returns.
+    """
+    window = SpectralWindow(6, COS)
+    monkeypatch.setattr(spectral._Chains, "groups", lambda self, solve=None: iter(groups))
+    monkeypatch.setattr(spectral, "_gram", lambda shape, stack, weights: stack)
+    return window, window_minimum(KolmogorovFlow(3, 2), window, 0, tol=tol)
+
+
+def test_tie_goes_to_earlier_block(monkeypatch):
+    # two chains of one shape, solved in one stack or the later one first:
+    # the later one wins only if its minimum lies below the first's by
+    # more than TIE_RTOL, and the winner's form is the stack it came from
+    flow, window = KolmogorovFlow(3, 2), SpectralWindow(6, COS)
+    firsts = [index[0] for index, _ in chain_layout(flow, window)]
+    first = chain_forms(flow, window, 3)[0]
     value = sym_eig_min(first.matrix).value
+    index = np.stack([first.index, first.index + 1])
     for shift, winner in [(1e-14, 0), (1e-9, 1)]:
         lowered = first.matrix - shift * abs(value) * np.eye(len(first.index))
-        scan = spectral._ChainMinimum(first.window, first.p, 1e-10)
-        scan.add([0, 1], np.stack([first.index, first.index + 1]),
-                 np.stack([first.matrix, lowered]))
-        _, reduced, best = scan.minimum()
-        assert best == winner
-        assert reduced.window is first.window and reduced.p == first.p
-        assert np.array_equal(reduced.index, first.index + winner)
-        assert np.array_equal(reduced.matrix, [first.matrix, lowered][winner])
+        stack = np.stack([first.matrix, lowered])
+        for groups in ([([0, 1], index, stack)],
+                       [([1], index[1:], stack[1:]), ([0], index[:1], stack[:1])]):
+            got_window, (pair, reduced, _, _, got_first) = _scan(monkeypatch, groups)
+            assert got_first == firsts[winner]
+            assert reduced.window is got_window and reduced.p == 0
+            assert np.array_equal(reduced.index, first.index + winner)
+            assert np.array_equal(reduced.matrix, stack[winner])
+            assert pair.value == np.linalg.eigh(stack[winner])[0][0]
 
 
 def test_tie_goes_to_block_with_lowest_first_mode():
@@ -264,9 +284,11 @@ def test_chain_groups_hold_one_shape_within_the_stack_cap(m, n, N, subspace):
     flow = KolmogorovFlow(m, n)
     window = SpectralWindow(N, subspace)
     ext = extended(flow, window)
+    weights = ext.laplace - flow.lambda2
+    scales = [spectral._sobolev_scale(window.laplace, p) for p in (0, 1, 3)]
     firsts, groups, held = {}, defaultdict(list), []
-    for positions, index, (slot, rows, local, coeffs) in spectral._Chains(
-            flow, window, ext).groups():
+    for positions, index, bracket in spectral._Chains(flow, window, ext).groups():
+        slot, rows, local, coeffs = bracket
         count, d = index.shape
         assert 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
         assert positions == sorted(positions)
@@ -276,6 +298,12 @@ def test_chain_groups_hold_one_shape_within_the_stack_cap(m, n, N, subspace):
         firsts.update(zip(positions, index[:, 0].tolist()))
         held += index.ravel().tolist()
         groups[d].append(count)
+        # B and S are exactly symmetric: the eigensolve takes them as they are
+        B = spectral._gram(index.shape, bracket, weights)
+        assert np.array_equal(B, B.swapaxes(-1, -2))
+        for scale in scales:
+            S = spectral._reduce(B, scale[index])
+            assert np.array_equal(S, S.swapaxes(-1, -2))
     # the chains are numbered by first mode, and together hold the window
     assert sorted(firsts) == list(range(len(firsts)))
     assert [firsts[number] for number in range(len(firsts))] == sorted(firsts.values())
@@ -334,28 +362,35 @@ def _twins(flow, window, zeroed=()):
 
 def _solved_chains(monkeypatch, flow, **options):
     """{chain number: (stacked S, window positions, Gram B)} of each chain
-    `run_minimize` solves, the scan's minimum (pair, ReducedForm, chain
-    number), and its result (None if certification fails)."""
-    seen, grams, winner, result = {}, [], [], None
-    gram, add = spectral._gram, spectral._ChainMinimum.add
-    minimum = spectral._ChainMinimum.minimum
+    `run_minimize` solves, what `window_minimum` returned, and the result
+    (None if certification fails)."""
+    seen, layouts, grams, winner, result = {}, [], [], [], None
+    groups, gram = spectral._Chains.groups, spectral._gram
+    solve, minimum = spectral.lowest_eigenpairs, pipeline.window_minimum
+
+    def groups_spy(self, wanted=None):
+        for positions, index, bracket in groups(self, wanted):
+            layouts.append((positions, index))
+            yield positions, index, bracket
 
     def gram_spy(*args):
         grams.append(gram(*args))
         return grams[-1]
 
-    def add_spy(self, positions, index, stack):
+    def solve_spy(stack, tol):
+        positions, index = layouts[-1]
         for i, position in enumerate(positions):
             seen[position] = stack[i], index[i], grams[-1][i]
-        add(self, positions, index, stack)
+        return solve(stack, tol)
 
-    def minimum_spy(self):
-        winner.extend(minimum(self))
+    def minimum_spy(*args):
+        winner.extend(minimum(*args))
         return tuple(winner)
 
+    monkeypatch.setattr(spectral._Chains, "groups", groups_spy)
     monkeypatch.setattr(spectral, "_gram", gram_spy)
-    monkeypatch.setattr(spectral._ChainMinimum, "add", add_spy)
-    monkeypatch.setattr(spectral._ChainMinimum, "minimum", minimum_spy)
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
+    monkeypatch.setattr(pipeline, "window_minimum", minimum_spy)
     try:
         result = run_minimize(flow, **options)
     except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
@@ -387,9 +422,9 @@ def _zeroings(flow, window):
 def test_grouped_products_equal_per_chain_products(monkeypatch):
     # every chain the scan receives: its reduced matrix as the eigensolve
     # gets it and its Gram product, both restricted to the modes left
-    # after constraints, and the form built for the winner; those left out
-    # are the chains zeroed entirely and the twins of earlier chains where
-    # neither chain holds a zeroed mode
+    # after constraints, and the form built again for the winner; those
+    # left out are the chains zeroed entirely and the twins of earlier
+    # chains where neither chain holds a zeroed mode
     cases = [(m, n, N, subspace, []) for m, n, N, subspace in GROUPED_WINDOWS]
     for m, n, N, subspace in CONSTRAINED_WINDOWS:
         window = SpectralWindow(N, subspace)
@@ -397,10 +432,11 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
                   for zeroed in _zeroings(KolmogorovFlow(m, n), window)]
     for m, n, N, subspace, zeroed in cases:
         flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-        seen, (_, reduced, best), _ = _solved_chains(monkeypatch, flow, N=N,
-                                                     subspace=subspace, constraints=zeroed)
+        seen, (_, reduced, _, _, first), _ = _solved_chains(
+            monkeypatch, flow, N=N, subspace=subspace, constraints=zeroed)
         assert reduced.window._modes is None
         reference = list(_per_chain_products(flow, window, 3))
+        best = next(c for c, (full, _, _) in enumerate(reference) if full[0] == first)
         zero_at = {window.index_of(mode) for mode in zeroed}
         held = {c for c, (index, _, _) in enumerate(reference) if zero_at & set(index)}
         gone = {c for c, (index, _, _) in enumerate(reference) if set(index) <= zero_at}
@@ -414,6 +450,7 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
             assert index.tolist() == [full[i] for i in keep]
             assert np.array_equal(gram, B[np.ix_(keep, keep)])
             assert np.array_equal(stacked, S[np.ix_(keep, keep)])
+            assert np.array_equal(gram, gram.T) and np.array_equal(stacked, stacked.T)
         assert np.array_equal(reduced.index, seen[best][1])
         assert np.array_equal(reduced.matrix, seen[best][0])
 
@@ -454,7 +491,7 @@ def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, larges
     assert (res.blocks, res.block_dim_max) == (blocks, largest)
 
 
-def test_first_listed_failing_block_raises_its_error():
+def test_first_listed_failing_block_raises_its_error(monkeypatch):
     # chains 0, 2 and 3 hold 2 modes and share a stack that is solved
     # before chain 1 of 3 modes, yet chain 1, the first listed to fail,
     # raises its own error
@@ -464,16 +501,12 @@ def test_first_listed_failing_block_raises_its_error():
     pairs = np.stack([np.diag([1.0, 2.0]), unsymmetric, np.diag([3.0, 1.0])])
     with pytest.raises(ConvergenceError) as want:
         sym_eig_min(a + a.T, 1e-300)
-    scan = spectral._ChainMinimum(None, 3, 1e-300)
-    scan.add([0, 2, 3], np.zeros((3, 2), dtype=int), pairs)
-    scan.add([1], np.zeros((1, 3), dtype=int), (a + a.T)[None])
     with pytest.raises(ConvergenceError) as got:
-        scan.minimum()
+        _scan(monkeypatch, [([0, 2, 3], np.zeros((3, 2), dtype=int), pairs),
+                            ([1], np.zeros((1, 3), dtype=int), (a + a.T)[None])], 1e-300)
     assert str(got.value) == str(want.value)
-    scan = spectral._ChainMinimum(None, 3, 1e-300)
-    scan.add([0, 1], np.zeros((2, 2), dtype=int), pairs[1:])
     with pytest.raises(ValueError, match="matrix is not symmetric"):
-        scan.minimum()
+        _scan(monkeypatch, [([0, 1], np.zeros((2, 2), dtype=int), pairs[1:])], 1e-300)
 
 
 @pytest.mark.parametrize("m,n,options,dim", [(3, 2, {}, 15),

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import kolmconj
 from kolmconj import pipeline
 from kolmconj.cli import main
 from kolmconj.pipeline import (read_field_file, run_minimize, run_sweep,
@@ -201,6 +205,18 @@ class TestFieldCommand:
         assert code == 0
         assert deformed_file.read_text() == stream_file.read_text()
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_deformed_non_finite_epsilon_is_usage_error(self, capsys, tmp_path, epsilon):
+        field_file = tmp_path / "f.json"
+        write_field_file(str(field_file), KolmogorovFlow(2, 1),
+                         TrigPoly.cosine(1, 0), "probe")
+        out_file = tmp_path / "d.csv"
+        code, out, err = run(capsys, "field", "deformed", "--field", str(field_file),
+                             "--epsilon", epsilon, "--grid", "16", "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "epsilon" in err and err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_minimizer_grid_matches_eval(self, capsys, tmp_path):
         field_file = tmp_path / "f.json"
         f = TrigPoly.cosine(1, 0) + TrigPoly.sine(2, 3, F(1, 4))
@@ -354,7 +370,7 @@ def test_any_field_file_ends_in_an_exit_code(capsys, tmp_path, doc):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "1e308"])
 def test_bad_minimize_tolerance_is_usage_error(capsys, tol):
     code, out, err = run(capsys, "minimize", "--m", "2", "--n", "1", "--N", "4",
                          "--tol", tol)
@@ -371,7 +387,8 @@ def test_bad_sweep_tolerance_is_usage_error(capsys):
 @pytest.mark.parametrize("option,value,word", [
     ("--cap", "0", "denominator cap"), ("--p", "-1", "Sobolev order"),
     ("--N", "0", "window order"), ("--mmax", "0", "mmax and nmax"),
-    ("--nmax", "-1", "mmax and nmax"), ("--nmax", "0", "mmax and nmax")])
+    ("--nmax", "-1", "mmax and nmax"), ("--nmax", "0", "mmax and nmax"),
+    ("--p", "1000", "Sobolev order")])
 def test_bad_sweep_option_is_usage_error(capsys, option, value, word):
     # rejected before the first row, not reported as a failure of every row
     # or as an empty sweep (a later --mmax overrides the --mmax 2 below)
@@ -383,7 +400,8 @@ def test_bad_sweep_option_is_usage_error(capsys, option, value, word):
 
 @pytest.mark.parametrize("option,value,word", [
     ("--cap", "0", "denominator cap must be >= 1"), ("--p", "-1", "Sobolev order"),
-    ("--N", "0", "window order"), ("--tol", "0", "tolerance")])
+    ("--N", "0", "window order"), ("--tol", "0", "tolerance"),
+    ("--p", "1000", "Sobolev order")])
 def test_bad_minimize_option_is_rejected_before_any_window(capsys, monkeypatch,
                                                           option, value, word):
     def window_minimum(*args, **kwargs):
@@ -495,3 +513,31 @@ def test_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, targe
     assert out == ""
     assert err == f"numerical failure: {printed}\n"
     assert not out_file.exists()
+
+
+# exits 77 if a bare `import numpy` loads numpy.ma (numpy 1.x does)
+_NUMPY_MA_PROBE = """
+import contextlib, io, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    sys.exit(77)
+from kolmconj.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["minimize", "--m", "3", "--n", "2"]), main(["sweep", "--mmax", "3"]),
+             main(["verify", "all"])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_leave_numpy_ma_unloaded():
+    # numpy 2 loads numpy.ma on first use (np.unique loads it), which costs
+    # about 1 MB and 10 ms of import time on every command
+    src = str(Path(kolmconj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    if done.returncode == 77:
+        pytest.skip("a bare `import numpy` loads numpy.ma")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0] False\n"

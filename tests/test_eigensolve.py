@@ -84,7 +84,8 @@ class TestSymEigMin:
         assert issubclass(ConvergenceError, RuntimeError)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+# a tol of 2 or more can never fail: the residual is at most 2 * max|S| * dim
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 1.0, 1e308])
 def test_rejects_tolerance_that_disables_the_residual_guard(tol):
     with pytest.raises(ValueError, match="tolerance"):
         sym_eig_min(np.diag([1.0, 2.0]), tol)
