@@ -7,6 +7,7 @@ Exit codes: 0 success / verdict holds, 1 assertion failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -17,8 +18,8 @@ from .pipeline import (MinimizeResult, deformed_stream, read_field_file,
                        run_minimize, run_sweep, write_field_file, write_grid_file)
 from .spectral import CertificationError
 from .theorems import VerificationError
-from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, bracket,
-                       conjugate_time_bound, grad_energy, misiolek_index)
+from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, bracket, canonicalize,
+                       grad_energy, misiolek_index)
 
 OK, FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 
@@ -135,7 +136,11 @@ def _parse_constraints(specs: Sequence[str], subspace: str) -> List[Mode]:
             j, k = (int(v) for v in body.split(","))
         except Exception as exc:
             raise ValueError(f"bad constraint {spec!r}: expected j,k") from exc
-        modes.append(Mode(j, k, parity))
+        # (j, k) and (-j, -k) name one function up to sign, and zeroing ignores sign
+        mode, _ = canonicalize(parity, j, k)
+        if mode is None:
+            raise ValueError(f"bad constraint {spec!r}: sin(0x+0y) is the zero function")
+        modes.append(mode)
     return modes
 
 
@@ -223,11 +228,11 @@ def cmd_mi(args) -> int:
     lines = [f"flow: m={flow.m} n={flow.n}",
              f"MI/pi^2 = {_exact_str(q, 'MI/pi^2')} (~ {float(q):.6e})"]
     if q < 0:
-        tstar = conjugate_time_bound(field, flow)
-        ratio = _exact_str(grad_energy(field) / -q, "T*^2/pi^2")
+        ratio = grad_energy(field) / -q
+        tstar = math.pi * math.sqrt(ratio)  # conjugate_time_bound's T*
         lines += ["verdict: conjugate point detected",
                   f"conjugate point occurs before any T > T* = {tstar:.12e} "
-                  f"(T*^2/pi^2 = {ratio})"]
+                  f"(T*^2/pi^2 = {_exact_str(ratio, 'T*^2/pi^2')})"]
     else:
         lines.append("verdict: not detected by this field")
     print("\n".join(lines))
@@ -240,6 +245,9 @@ def cmd_field(args) -> int:
     if args.what == "stream":
         if args.m is None or args.n is None:
             raise UsageError("field stream requires --m and --n")
+        if args.field is not None:
+            raise UsageError("field stream takes no --field: "
+                             "the grid is the flow's stream function")
         values_at = KolmogorovFlow(args.m, args.n).stream().eval
     else:
         if not args.field:

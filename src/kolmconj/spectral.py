@@ -163,21 +163,6 @@ def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
     return cols, coeffs
 
 
-def _chain_labels(cols: np.ndarray, linked: np.ndarray, size: int) -> np.ndarray:
-    """Smallest window index of each mode's chain (modes a bracket row links)."""
-    labels = np.arange(size)
-    # lower each mode's label to the smallest label on its bracket rows,
-    # jump labels to their labels' labels, and repeat until nothing moves
-    while True:
-        row_min = np.where(linked, labels[cols], size).min(axis=1)
-        new = labels.copy()
-        np.minimum.at(new, cols[linked], np.broadcast_to(row_min[:, None], cols.shape)[linked])
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
 def _extended(flow: KolmogorovFlow, window: SpectralWindow) -> SpectralWindow:
     """The output window, large enough that the bracket loses no mode."""
     return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
@@ -187,26 +172,38 @@ class _Chains:
     """The bracket's mode chains on `window`, numbered by first mode.
 
     A chain is a set of modes that bracket rows link: no bracket row and
-    no entry of the index form couples two chains.  `chain` holds each
-    window mode's chain number and `sizes` each chain's mode count.  The
-    bracket's rows come from `_stencil` into the output window `ext`.
-    The modes at the window positions `zeroed` stay in their chains, but
-    `kept` counts each chain's other modes, `held` marks the chains that
-    lose one, and the bracket's terms on them are 0.
+    no entry of the index form couples two chains.  The inputs on one row
+    differ by (2m, 0), (0, 2n) or (2m, +-2n), up to negation, so a chain
+    lies in one class of (j mod 2m, k mod 2n) merged with its negation's,
+    per parity.  Each class meets the window in a single chain: of two
+    class neighbours P and P + (2m, 0), the outputs P + (m, +-n) both
+    link them unless one is the origin, and likewise for (0, 2n).  So a
+    window with N > 2 max(m, n) holds 2mn + 2 chains per parity.  `chain`
+    holds each window mode's chain number, `sizes` each chain's mode count
+    and `firsts` its first mode.  The bracket's rows come from `_stencil`
+    into the output window `ext`.  The modes at the window positions
+    `zeroed` stay in their chains, but `kept` counts each chain's other
+    modes, `held` marks the chains that lose one, and the bracket's terms
+    on them are 0.
     """
 
     def __init__(self, flow: KolmogorovFlow, window: SpectralWindow, ext: SpectralWindow,
                  zeroed: Sequence[int] = ()):
         size = len(window)
         self.flow, self.window = flow, window
-        self.cols, coeffs = _stencil(flow, window, ext)
-        labels = _chain_labels(self.cols, coeffs != 0, size)
+        j, k, m2, n2 = window.j, window.k, 2 * flow.m, 2 * flow.n
+        # each mode's class, and the smallest window index in it
+        key = 2 * np.minimum(j % m2 * n2 + k % n2, -j % m2 * n2 + -k % n2) + window.sin
+        first = np.full(2 * m2 * n2, size)
+        np.minimum.at(first, key, np.arange(size))
+        labels = first[key]
         self.firsts = np.flatnonzero(labels == np.arange(size))
         self.chain = np.searchsorted(self.firsts, labels)
         self.sizes = np.bincount(self.chain)
         self.keep = ~np.isin(np.arange(size), zeroed)
         self.kept = np.bincount(self.chain[self.keep], minlength=len(self.sizes))
         self.held = self.kept < self.sizes
+        self.cols, coeffs = _stencil(flow, window, ext)
         self.coeffs = np.where(self.keep[self.cols], coeffs, 0.0)
         linked = self.coeffs != 0
         # the output rows the bracket reaches, and the chain of each

@@ -12,14 +12,18 @@ through `kolmconj.cli.main` (exit code, stdout, stderr and every `--out`
 file); the NUMERICAL golden commands of `tests/test_golden.py`; and 150
 seeded random `run_minimize` calls (m, n <= 7, N 3-22, every subspace,
 p 0-4, 0-5 zeroed modes), hashed by eigenvalue and residual bits,
-eigenvector and coefficient bytes, Q, block counts and winning chain; and,
+eigenvector and coefficient bytes, Q, block counts and winning chain;
 for 24 seeded windows, the unconstrained call and two constrained ones:
 the winning chain's first mode zeroed, and every mode of that chain
-zeroed.  pytest does not collect this file.
+zeroed; and fixed edge windows in every subspace: N = 1 and 2 for four
+small pairs, and (30, 29), (17, 11) and (1, 30) at N = 3 and 12, where
+few or none of the 2mn + 2 chain classes meet the window.  pytest does
+not collect this file.
 """
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -78,6 +82,15 @@ def _random_calls():
         yield KolmogorovFlow(m, n), dict(N=N, subspace=subspace, p=p, constraints=zeroed)
 
 
+def _edge_calls():
+    from kolmconj.spectral import SUBSPACES
+    from kolmconj.trigpoly import KolmogorovFlow
+    pairs = [(pair, N) for N in (1, 2) for pair in ((1, 1), (2, 1), (1, 2), (3, 3))]
+    pairs += [(pair, N) for N in (3, 12) for pair in ((30, 29), (17, 11), (1, 30))]
+    for ((m, n), N), subspace in itertools.product(pairs, SUBSPACES):
+        yield KolmogorovFlow(m, n), dict(N=N, subspace=subspace)
+
+
 def _winner_calls():
     """(flow, options, zeroed label) of an unconstrained call, then, if it
     certifies, the calls that zero its winning chain's first mode and every
@@ -129,6 +142,8 @@ def record():
         options_text = {k: v for k, v in options.items() if k != "constraints"}
         key = f"run_minimize({flow.m}, {flow.n}, {options_text}, zeroed={options['constraints']})"
         entries[key] = _minimize(flow, options)
+    for flow, options in _edge_calls():
+        entries[f"run_minimize({flow.m}, {flow.n}, {options})"] = _minimize(flow, options)
     for flow, options, zeroed in _winner_calls():
         options_text = {k: v for k, v in options.items() if k != "constraints"}
         entries[f"run_minimize({flow.m}, {flow.n}, {options_text}, zeroed {zeroed})"] = \

@@ -17,6 +17,7 @@ rules, and pin the certified values that the dense minimization gave
 before the split.
 """
 
+import itertools
 import random
 from collections import defaultdict
 from fractions import Fraction as F
@@ -105,6 +106,55 @@ def test_blocks_partition_the_window(m, n, N, subspace):
 def test_block_counts_at_N20(m, n, blocks, largest):
     found = chain_layout(KolmogorovFlow(m, n), SpectralWindow(20, COS))
     assert (len(found), max(len(index) for index, _ in found)) == (blocks, largest)
+
+
+def propagated_chains(cols, linked, size):
+    """Smallest window index of each mode's chain, by label propagation.
+
+    The reference for `_Chains`' closed-form labels: lower each mode's
+    label to the smallest label on its bracket rows (`cols` where
+    `linked`), jump labels to their labels' labels, and repeat until
+    nothing moves.
+    """
+    labels = np.arange(size)
+    while True:
+        row_min = np.where(linked, labels[cols], size).min(axis=1)
+        new = labels.copy()
+        np.minimum.at(new, cols[linked], np.broadcast_to(row_min[:, None], cols.shape)[linked])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_chains_are_the_connected_classes(m):
+    # every chain is connected through bracket rows, and no row links two chains
+    for n in range(1, 9):
+        flow = KolmogorovFlow(m, n)
+        for N, subspace in itertools.product((1, 2, 3, 5, 2 * max(m, n) + 4), (COS, SIN, FULL)):
+            window = SpectralWindow(N, subspace)
+            ext = extended(flow, window)
+            chains = spectral._Chains(flow, window, ext)
+            cols, coeffs = spectral._stencil(flow, window, ext)
+            linked = coeffs != 0
+            row_chains = np.where(linked, chains.chain[cols], -1)
+            assert np.all((row_chains == row_chains.max(axis=1)[:, None]) | ~linked)
+            assert np.array_equal(chains.firsts[chains.chain],
+                                  propagated_chains(cols, linked, len(window)))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_window_past_twice_the_wavenumbers_holds_every_class(m):
+    # each of the 2mn + 2 classes of (j mod 2m, k mod 2n) under negation
+    # meets the window once N > 2 max(m, n): 4, 14 and 34 for the pairs
+    # that test_block_counts_at_N20 pins
+    for n in range(1, 7):
+        flow, N = KolmogorovFlow(m, n), 2 * max(m, n) + 1
+        for subspace, parities in ((COS, 1), (SIN, 1), (FULL, 2)):
+            window = SpectralWindow(N, subspace)
+            chains = spectral._Chains(flow, window, extended(flow, window))
+            assert len(chains.sizes) == parities * (2 * m * n + 2)
 
 
 def test_scattered_brackets_match_exact_bracket():

@@ -98,6 +98,23 @@ class TestMinimizeCommand:
         assert code == 2
         assert "constraint" in err
 
+    @pytest.mark.parametrize("subspace,unfolded,canonical", [
+        (COS, "0,-1", "0,1"), (COS, "-1,0", "1,0"), (SIN, "0,-1", "0,1")])
+    def test_negated_constraint_zeroes_the_same_mode(self, capsys, subspace, unfolded,
+                                                     canonical):
+        # cos(-t) = cos(t) and sin(-t) = -sin(t): (j, k) and (-j, -k) name
+        # one mode up to sign, and zeroing it ignores the sign
+        first, second = (run(capsys, "minimize", "--m", "2", "--n", "2", "--subspace",
+                             subspace, "--constrain=" + spec) for spec in (unfolded, canonical))
+        assert first == second
+        assert first[0] == 0 and "conjugate point detected" in first[1]
+
+    def test_zero_function_constraint_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "minimize", "--m", "2", "--n", "1",
+                             "--constrain", "sin:0,0")
+        assert code == 2 and out == ""
+        assert err == "error: bad constraint 'sin:0,0': sin(0x+0y) is the zero function\n"
+
     def test_cos_subspace_11_not_detected(self, capsys):
         # the (1,1) cosine minimum is numerically zero; the rationalized
         # witness certifies a nonnegative value, so no detection
@@ -256,6 +273,15 @@ class TestFieldCommand:
                            flag, "7", "--grid", "16", "--out", str(out_file))
         assert code == 2
         assert flag in err
+        assert not out_file.exists()
+
+    def test_stream_field_flag_is_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "g.csv"
+        code, out, err = run(capsys, "field", "stream", "--m", "2", "--n", "1",
+                             "--field", str(tmp_path / "x"), "--grid", "16",
+                             "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert "--field" in err and err.count("\n") == 1
         assert not out_file.exists()
 
     def test_missing_field_arg_is_usage_error(self, capsys, tmp_path):
