@@ -95,6 +95,8 @@ def _verify_signs() -> bool:
 
 def cmd_verify(args) -> int:
     scope, params = args.scope, args.params
+    if scope in ("all", "drivas", "signs") and params:
+        raise UsageError(f"usage: verify {scope}")
     if scope == "offdiag":
         if len(params) != 2:
             raise UsageError("usage: verify offdiag M N")
@@ -242,6 +244,9 @@ def cmd_mi(args) -> int:
 def cmd_field(args) -> int:
     if args.grid < 16:
         raise UsageError("grid resolution must be >= 16")
+    if args.what != "deformed" and args.epsilon is not None:
+        raise UsageError(f"field {args.what} takes no --epsilon: "
+                         "only the deformed stream depends on it")
     if args.what == "stream":
         if args.m is None or args.n is None:
             raise UsageError("field stream requires --m and --n")
@@ -259,7 +264,8 @@ def cmd_field(args) -> int:
                                  "the grid does not depend on the flow")
             values_at = f.eval
         else:
-            values_at = deformed_stream(_flow_override(args, flow), f, args.epsilon)
+            epsilon = 0.3 if args.epsilon is None else args.epsilon
+            values_at = deformed_stream(_flow_override(args, flow), f, epsilon)
     write_grid_file(args.out, args.grid, values_at)
     print(f"wrote {args.out}")
     return OK
@@ -321,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--n", type=int, default=None)
     p_field.add_argument("--field", default=None, help="field file input")
     p_field.add_argument("--grid", type=int, default=256)
-    p_field.add_argument("--epsilon", type=float, default=0.3)
+    p_field.add_argument("--epsilon", type=float, default=None,
+                         help="deformation amplitude (deformed only; default 0.3)")
     p_field.add_argument("--out", required=True)
     p_field.set_defaults(func=cmd_field)
 

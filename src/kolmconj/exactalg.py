@@ -1,12 +1,12 @@
-"""Small exact-rational linear algebra and polynomial fitting helpers.
+"""Exact rational linear solves and polynomial evaluation.
 
-Polynomials are lists of Fraction coefficients in ascending degree order.
+Polynomials are sequences of Fraction coefficients in ascending degree order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
@@ -32,57 +32,3 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(coeffs):
         total = total * x + c
     return total
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def poly_shift(coeffs: Sequence[Fraction], h: Fraction) -> List[Fraction]:
-    """Coefficients of p(x + h) given those of p(x)."""
-    out = [Fraction(0)] * len(coeffs)
-    basis = [Fraction(1)]  # (x + h)^i
-    for c in coeffs:
-        for i, b in enumerate(basis):
-            out[i] += c * b
-        basis = poly_mul(basis, [Fraction(h), Fraction(1)])
-    return out
-
-
-def fit_polynomial(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> List[Fraction]:
-    """Interpolate the unique degree <= len(xs)-1 polynomial through the points."""
-    n = len(xs)
-    if len(ys) != n:
-        raise ValueError(f"need {n} values for {n} sample points, got {len(ys)}")
-    rows = [[Fraction(x) ** p for p in range(n)] for x in xs]
-    return solve_linear(rows, ys)
-
-
-def fit_rational(xs: Sequence[Fraction], ys: Sequence[Fraction], num_deg: int,
-                 den_deg: int, den_const: Fraction) -> Tuple[List[Fraction], List[Fraction]]:
-    """Fit y = N(x)/D(x) with deg N <= num_deg, deg D <= den_deg, D(0) fixed.
-
-    Linear in the unknown coefficients:  N(x_i) - y_i * (D(x_i) - den_const)
-    = y_i * den_const.  Requires exactly num_deg + den_deg + 1 samples.
-    """
-    unknowns = num_deg + 1 + den_deg
-    if len(xs) != unknowns:
-        raise ValueError(f"need exactly {unknowns} samples, got {len(xs)}")
-    rows = []
-    rhs = []
-    for x, y in zip(xs, ys):
-        x = Fraction(x)
-        row = [x ** p for p in range(num_deg + 1)]
-        row += [-y * x ** p for p in range(1, den_deg + 1)]
-        rows.append(row)
-        rhs.append(y * den_const)
-    sol = solve_linear(rows, rhs)
-    num = sol[: num_deg + 1]
-    den = [Fraction(den_const)] + sol[num_deg + 1:]
-    return num, den

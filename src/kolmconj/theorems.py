@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactalg import (fit_polynomial, fit_rational, poly_eval, poly_shift,
-                       solve_linear)
+from .exactalg import poly_eval, solve_linear
 from .trigpoly import KolmogorovFlow, TrigPoly, bracket, misiolek_index
 
 F = Fraction
@@ -296,63 +295,38 @@ def sign_certificates(max_check: int = 10) -> SignReport:
     """Polynomial sign certificates completing the negativity proofs.
 
     (i) The scaled off-diagonal minimum at the worst case n = m-1, written
-    in m = k+1, is a quintic in k whose coefficients must all be negative.
-    (ii) The diagonal minimum is a ratio of quartics in n^2; written in
-    n^2 = 4+k, the numerator coefficients must all be negative and the
-    denominator coefficients all positive.  Both polynomials are obtained
-    by exact interpolation from the sampled pipeline, over-determined by
-    extra samples, and compared against the stored golden coefficients.
+    in m = k+1, is the quintic OFFDIAG_EDGE_COEFFS in k, whose coefficients
+    are all negative.  (ii) The diagonal minimum is the ratio
+    DIAG_MIN_NUMERATOR / DIAG_MIN_DENOMINATOR of quartics in n^2 = 4+k, with
+    numerator coefficients all negative and denominator coefficients all
+    positive.  Each golden polynomial is checked against the pipeline's
+    exact values at k = 1..7 (m = 2..8) and n = 2..12: one sample more than
+    a quintic's six coefficients, and two more than the nine unknowns of a
+    ratio of quartics whose denominator is 2 at n = 0.  The report's
+    coefficient tuples are the golden tuples, returned only after every
+    sample matched; the spot checks hold the values for m = 2..max_check+1
+    and n = 2..max_check.
     """
     if max_check < 1:
         raise ValueError("max_check must be >= 1")
+    edge, num, den = (tuple(F(c) for c in golden) for golden in
+                      (OFFDIAG_EDGE_COEFFS, DIAG_MIN_NUMERATOR, DIAG_MIN_DENOMINATOR))
+    if any(c >= 0 for c in edge + num) or any(c <= 0 for c in den):
+        raise VerificationError("golden sign certificate coefficients have the wrong sign")
 
-    # (i) worst-case off-diagonal polynomial in k = m - 1
-    offdiag_values = {m: offdiag_scaled_minimum(m, m - 1) for m in range(2, 9)}
-    ks = [F(k) for k in range(1, 7)]
-    edge = fit_polynomial(ks, [offdiag_values[k + 1] for k in range(1, 7)])
-    if poly_eval(edge, F(7)) != offdiag_values[8]:
-        raise VerificationError("worst-case off-diagonal value is not a quintic in k")
-    if any(c >= 0 for c in edge):
-        raise VerificationError(f"off-diagonal edge coefficients not all negative: {edge}")
-    if tuple(edge) != tuple(F(c) for c in OFFDIAG_EDGE_COEFFS):
-        raise VerificationError(f"off-diagonal edge coefficients mismatch: {edge}")
+    # both candidates raise VerificationError on a nonnegative value
+    offdiag = {m: offdiag_scaled_minimum(m, m - 1) for m in range(2, max(9, max_check + 2))}
+    for m in range(2, 9):
+        if poly_eval(edge, F(m - 1)) != offdiag[m]:
+            raise VerificationError("off-diagonal edge quintic disagrees with the "
+                                    f"pipeline at (m,n)=({m},{m - 1})")
+    diag = {n: diag_candidate(n).value for n in range(2, max(13, max_check + 1))}
+    for n in range(2, 13):
+        k = F(n * n - 4)
+        if poly_eval(num, k) != diag[n] * poly_eval(den, k):
+            raise VerificationError("diagonal minimum ratio disagrees with the "
+                                    f"pipeline at (m,n)=({n},{n})")
 
-    # (ii) diagonal minimum as a ratio of quartics in t = n^2
-    diag_values = {n: diag_candidate(n).value for n in range(2, 13)}
-    ts = [F(n * n) for n in range(2, 11)]
-    hs = [diag_values[n] for n in range(2, 11)]
-    num_t, den_t = fit_rational(ts, hs, 4, 4, F(2))
-    for n in (11, 12):
-        t = F(n * n)
-        if poly_eval(num_t, t) != diag_values[n] * poly_eval(den_t, t):
-            raise VerificationError("diagonal minimum is not a ratio of quartics in n^2")
-    num_k = poly_shift(num_t, F(4))
-    den_k = poly_shift(den_t, F(4))
-    if any(c >= 0 for c in num_k) or any(c <= 0 for c in den_k):
-        raise VerificationError(
-            f"diagonal sign certificate failed: num={num_k}, den={den_k}")
-    if tuple(num_k) != tuple(F(c) for c in DIAG_MIN_NUMERATOR):
-        raise VerificationError(f"diagonal numerator coefficients mismatch: {num_k}")
-    if tuple(den_k) != tuple(F(c) for c in DIAG_MIN_DENOMINATOR):
-        raise VerificationError(f"diagonal denominator coefficients mismatch: {den_k}")
-
-    # (iii) integer spot checks
-    offdiag_spots = {}
-    for m in range(2, max_check + 2):
-        val = offdiag_values.get(m)
-        if val is None:
-            val = offdiag_scaled_minimum(m, m - 1)
-        if val >= 0:
-            raise VerificationError(f"spot check failed at (m,n)=({m},{m - 1})")
-        offdiag_spots[m] = val
-    diag_spots = {}
-    for n in range(2, max_check + 1):
-        val = diag_values.get(n)
-        if val is None:
-            val = diag_candidate(n).value
-        if val >= 0:
-            raise VerificationError(f"spot check failed at n={n}")
-        diag_spots[n] = val
-
-    return SignReport(tuple(edge), tuple(num_k), tuple(den_k),
-                      offdiag_spots, diag_spots)
+    return SignReport(edge, num, den,
+                      {m: offdiag[m] for m in range(2, max_check + 2)},
+                      {n: diag[n] for n in range(2, max_check + 1)})

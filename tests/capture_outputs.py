@@ -1,4 +1,4 @@
-"""Record the numerical route's outputs, and list the commands two records differ on.
+"""Record the numerical and exact routes' outputs, and list the commands two records differ on.
 
 Run it once per source tree, then compare the two records:
 
@@ -6,10 +6,11 @@ Run it once per source tree, then compare the two records:
     python tests/capture_outputs.py compare PARENT.json CHANGE.json
 
 A record holds, per command, a hash of everything it outputs and a short
-summary for reading a diff.  The commands: `minimize-ladder` seeds 1-3 of
-`perfbench/workloads.py` and `sweep --mmax 10`, `sweep --mmax 8 --N 16`
-through `kolmconj.cli.main` (exit code, stdout, stderr and every `--out`
-file); the NUMERICAL golden commands of `tests/test_golden.py`; and 150
+summary for reading a diff.  The commands: `minimize-ladder` seeds 1-3 and
+every `exact-all-pairs` command (seed 1) of `perfbench/workloads.py`,
+`verify signs`, `sweep --mmax 10` and `sweep --mmax 8 --N 16` through
+`kolmconj.cli.main` (exit code, stdout, stderr and every `--out` file); the
+NUMERICAL golden commands of `tests/test_golden.py`; and 150
 seeded random `run_minimize` calls (m, n <= 7, N 3-22, every subspace,
 p 0-4, 0-5 zeroed modes), hashed by eigenvalue and residual bits,
 eigenvector and coefficient bytes, Q, block counts and winning chain;
@@ -67,6 +68,9 @@ def _cli_commands(workdir):
     for seed in (1, 2, 3):
         for cmd in build("minimize-ladder", seed, workdir):
             yield cmd.argv
+    for cmd in build("exact-all-pairs", 1, workdir):
+        yield cmd.argv
+    yield ("verify", "signs")
     yield ("sweep", "--mmax", "10", "--out", os.path.join(workdir, "sweep_10.csv"))
     yield ("sweep", "--mmax", "8", "--N", "16")
 

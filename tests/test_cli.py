@@ -66,6 +66,13 @@ class TestVerifyCommand:
         assert "[FAIL]" not in out
         assert out.strip().endswith("PASS")
 
+    @pytest.mark.parametrize("argv", [("all", "3", "2"), ("drivas", "5"),
+                                      ("signs", "1", "2", "3")])
+    def test_stray_params_are_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"usage: verify {argv[0]}\n"
+
 
 class TestMinimizeCommand:
     def test_detects_32(self, capsys, tmp_path):
@@ -283,6 +290,34 @@ class TestFieldCommand:
         assert code == 2 and out == ""
         assert "--field" in err and err.count("\n") == 1
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("what,epsilon", [("stream", "5"), ("minimizer", "nan"),
+                                              ("minimizer", "0.3")])
+    def test_epsilon_outside_deformed_is_usage_error(self, capsys, tmp_path, what, epsilon):
+        field_file = tmp_path / "f.json"
+        write_field_file(str(field_file), KolmogorovFlow(2, 1),
+                         TrigPoly.cosine(1, 0), "probe")
+        source = (["--m", "2", "--n", "1"] if what == "stream"
+                  else ["--field", str(field_file)])
+        out_file = tmp_path / "g.csv"
+        code, out, err = run(capsys, "field", what, *source, "--epsilon", epsilon,
+                             "--grid", "16", "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert "--epsilon" in err and err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_deformed_default_epsilon_is_0_3(self, capsys, tmp_path):
+        field_file = tmp_path / "f.json"
+        write_field_file(str(field_file), KolmogorovFlow(2, 1),
+                         TrigPoly.cosine(1, 0), "probe")
+        grids = []
+        for extra in ([], ["--epsilon", "0.3"]):
+            out_file = tmp_path / f"d{len(grids)}.csv"
+            code, _, _ = run(capsys, "field", "deformed", "--field", str(field_file),
+                             *extra, "--grid", "16", "--out", str(out_file))
+            assert code == 0
+            grids.append(out_file.read_text())
+        assert grids[0] == grids[1]
 
     def test_missing_field_arg_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "field", "minimizer",

@@ -2,8 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kolmconj.exactalg import (fit_polynomial, fit_rational, poly_eval,
-                               poly_mul, poly_shift, solve_linear)
+from kolmconj.exactalg import poly_eval, solve_linear
 
 
 class TestSolveLinear:
@@ -20,37 +19,3 @@ class TestPolynomials:
     def test_eval(self):
         # 1 + 2x + 3x^2 at x = 1/2
         assert poly_eval([F(1), F(2), F(3)], F(1, 2)) == F(11, 4)
-
-    def test_mul(self):
-        assert poly_mul([F(1), F(1)], [F(1), F(-1)]) == [F(1), F(0), F(-1)]
-
-    def test_shift(self):
-        # (x+2)^2 = 4 + 4x + x^2
-        shifted = poly_shift([F(0), F(0), F(1)], F(2))
-        assert shifted == [F(4), F(4), F(1)]
-        for x in (F(0), F(3), F(-1, 2)):
-            assert poly_eval(shifted, x) == (x + 2) ** 2
-
-    def test_fit_polynomial(self):
-        coeffs = [F(2), F(-1), F(1, 3)]
-        xs = [F(k) for k in range(3)]
-        ys = [poly_eval(coeffs, x) for x in xs]
-        assert fit_polynomial(xs, ys) == coeffs
-
-    def test_fit_polynomial_wrong_count(self):
-        with pytest.raises(ValueError):
-            fit_polynomial([F(0), F(1)], [F(0), F(1), F(2)])
-
-
-class TestFitRational:
-    def test_recovers_known_ratio(self):
-        num = [F(1), F(0), F(-2)]
-        den = [F(3), F(1)]
-        xs = [F(k) for k in range(4)]
-        ys = [poly_eval(num, x) / poly_eval(den, x) for x in xs]
-        got_num, got_den = fit_rational(xs, ys, 2, 1, F(3))
-        assert got_num == num and got_den == den
-
-    def test_sample_count_enforced(self):
-        with pytest.raises(ValueError):
-            fit_rational([F(0)], [F(1)], 2, 1, F(1))

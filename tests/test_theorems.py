@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kolmconj import theorems
 from kolmconj.theorems import (DIAG_MIN_DENOMINATOR, DIAG_MIN_NUMERATOR,
                                OFFDIAG_EDGE_COEFFS, VerificationError,
                                diag_candidate, diag_form, diag_reference,
@@ -191,6 +192,19 @@ class TestSignCertificates:
     def test_rejects_bad_argument(self):
         with pytest.raises(ValueError):
             sign_certificates(max_check=0)
+
+    @pytest.mark.parametrize("name,position", [
+        (name, i) for name, golden in (("OFFDIAG_EDGE_COEFFS", OFFDIAG_EDGE_COEFFS),
+                                       ("DIAG_MIN_NUMERATOR", DIAG_MIN_NUMERATOR),
+                                       ("DIAG_MIN_DENOMINATOR", DIAG_MIN_DENOMINATOR))
+        for i in range(len(golden))])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_mutated_golden_coefficient_fails(self, monkeypatch, name, position, delta):
+        mutated = list(getattr(theorems, name))
+        mutated[position] += delta
+        monkeypatch.setattr(theorems, name, tuple(mutated))
+        with pytest.raises(VerificationError, match="disagrees with the pipeline"):
+            sign_certificates(max_check=1)
 
     def test_verification_error_is_exception(self):
         assert issubclass(VerificationError, Exception)
