@@ -7,6 +7,7 @@ Exit codes: 0 success / verdict holds, 1 assertion failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -146,19 +147,17 @@ def _parse_constraints(specs: Sequence[str], subspace: str) -> List[Mode]:
     return modes
 
 
-def _print_minimize(res: MinimizeResult) -> None:
+def _minimize_lines(res: MinimizeResult) -> List[str]:
     q = res.certified.mi_over_pi2
-    # every value is formatted before the first print: a failure prints nothing
-    lines = [f"flow: m={res.flow.m} n={res.flow.n} (lambda^2={res.flow.lambda2})",
-             f"subspace: {res.subspace}  p: {res.p}  N: {res.N}  "
-             f"dim: {len(res.coeffs.values)}",
-             f"min eigenvalue: {res.eigen.value:.12e}",
-             f"residual: {res.eigen.residual:.3e}",
-             f"dominant mode: {res.coeffs.dominant_mode()!r}",
-             f"certified MI/pi^2 = {_exact_str(q, 'MI/pi^2')} (~ {float(q):.6e})",
-             "verdict: conjugate point detected" if res.certified.detected
-             else "verdict: not detected on this window"]
-    print("\n".join(lines))
+    return [f"flow: m={res.flow.m} n={res.flow.n} (lambda^2={res.flow.lambda2})",
+            f"subspace: {res.subspace}  p: {res.p}  N: {res.N}  "
+            f"dim: {len(res.coeffs.values)}",
+            f"min eigenvalue: {res.eigen.value:.12e}",
+            f"residual: {res.eigen.residual:.3e}",
+            f"dominant mode: {res.coeffs.dominant_mode()!r}",
+            f"certified MI/pi^2 = {_exact_str(q, 'MI/pi^2')} (~ {float(q):.6e})",
+            "verdict: conjugate point detected" if res.certified.detected
+            else "verdict: not detected on this window"]
 
 
 def cmd_minimize(args) -> int:
@@ -171,12 +170,15 @@ def cmd_minimize(args) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return NUMERIC
-    _print_minimize(res)
+    # format every line, then write the file, then print: a value too long
+    # to print writes no file, and a failed write prints nothing
+    lines = _minimize_lines(res)
     if args.out:
         description = (f"rationalized minimizer, subspace={res.subspace}, "
                        f"p={res.p}, N={res.N}")
         write_field_file(args.out, flow, res.certified.field, description)
-        print(f"wrote {args.out}")
+        lines.append(f"wrote {args.out}")
+    print("\n".join(lines))
     return OK
 
 
@@ -273,6 +275,7 @@ def cmd_field(args) -> int:
 
 # ------------------------------------------------------------ parser
 
+@functools.cache  # the parser depends on no argument: `main` builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kolmconj",
@@ -336,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -21,13 +21,13 @@ COS = "cos"
 SIN = "sin"
 
 
-@dataclass(frozen=True, order=True)
-class Mode:
+class Mode(NamedTuple):
     """Canonical index of a basis function cos(jx+ky) or sin(jx+ky).
 
     Canonical means j > 0, or j = 0 and k > 0, or (j, k) = (0, 0) with
     cosine parity (the constant function).  Use :func:`canonicalize` to
-    fold arbitrary index pairs onto this form.
+    fold arbitrary index pairs onto this form.  A named tuple: modes
+    compare, sort and hash as the tuple (j, k, parity).
     """
 
     j: int
@@ -38,7 +38,7 @@ class Mode:
     def laplace_weight(self) -> int:
         return self.j * self.j + self.k * self.k
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"{self.parity}({self.j},{self.k})"
 
 

@@ -9,7 +9,10 @@ A record holds, per command, a hash of everything it outputs and a short
 summary for reading a diff.  The commands: `minimize-ladder` seeds 1-3 and
 every `exact-all-pairs` command (seed 1) of `perfbench/workloads.py`,
 `verify signs`, `sweep --mmax 10` and `sweep --mmax 8 --N 16` through
-`kolmconj.cli.main` (exit code, stdout, stderr and every `--out` file); the
+`kolmconj.cli.main` (exit code, stdout, stderr and every `--out` file);
+one interleaved sequence of commands that share `main`'s parser, with
+argparse and usage errors, an unwritable `--out`, and commands run
+before and after others that set `--constrain` or `--epsilon`; the
 NUMERICAL golden commands of `tests/test_golden.py`; and 150
 seeded random `run_minimize` calls (m, n <= 7, N 3-22, every subspace,
 p 0-4, 0-5 zeroed modes), hashed by eigenvalue and residual bits,
@@ -54,7 +57,10 @@ def _cli(argv, workdir):
     from kolmconj.cli import main
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
     files = [Path(arg).read_bytes() for arg in argv if arg.startswith(workdir)
              and os.path.exists(arg)]
     stdout, stderr = (s.getvalue().replace(workdir, "<work>") for s in (out, err))
@@ -73,6 +79,24 @@ def _cli_commands(workdir):
     yield ("verify", "signs")
     yield ("sweep", "--mmax", "10", "--out", os.path.join(workdir, "sweep_10.csv"))
     yield ("sweep", "--mmax", "8", "--N", "16")
+
+
+def _shared_parser_commands(workdir):
+    """One in-process sequence: each command parses after the ones before it."""
+    minimize = ("minimize", "--m", "3", "--n", "2", "--N", "6")
+    field = os.path.join(workdir, "min21.json")
+    deformed = ("field", "deformed", "--field", field, "--grid", "16", "--out")
+    yield minimize + ("--constrain", "0,1", "--constrain", "1,0")
+    yield minimize
+    yield ("minimize", "--m", "2")
+    yield ("verify", "offdiag", "2", "2")
+    yield ("verify", "offdiag", "17", "11")
+    yield ("minimize", "--m", "2", "--n", "1", "--N", "4",
+           "--out", os.path.join(workdir, "missing", "x.json"))
+    yield ("minimize", "--m", "2", "--n", "1", "--N", "4", "--out", field)
+    yield deformed + (os.path.join(workdir, "deformed_5.csv"), "--epsilon", "5")
+    yield deformed + (os.path.join(workdir, "deformed.csv"),)
+    yield minimize
 
 
 def _random_calls():
@@ -138,6 +162,9 @@ def record():
     with tempfile.TemporaryDirectory() as workdir:
         for argv in _cli_commands(workdir):
             key = " ".join(argv).replace(workdir, "<work>")
+            entries[key] = _cli(argv, workdir)
+        for i, argv in enumerate(_shared_parser_commands(workdir), 1):
+            key = f"shared parser {i}: " + " ".join(argv).replace(workdir, "<work>")
             entries[key] = _cli(argv, workdir)
     for name, capture in sorted(NUMERICAL.items()):
         text = capture()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kolmconj
 from kolmconj import pipeline
-from kolmconj.cli import main
+from kolmconj.cli import build_parser, main
 from kolmconj.pipeline import (read_field_file, run_minimize, run_sweep,
                                write_field_file)
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly
@@ -122,6 +123,15 @@ class TestMinimizeCommand:
         assert code == 2 and out == ""
         assert err == "error: bad constraint 'sin:0,0': sin(0x+0y) is the zero function\n"
 
+    def test_unwritable_out_prints_nothing(self, capsys, tmp_path):
+        # the field file is written before the verdict is printed
+        out_file = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "minimize", "--m", "2", "--n", "1", "--N", "4",
+                             "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.parent.exists()
+
     def test_cos_subspace_11_not_detected(self, capsys):
         # the (1,1) cosine minimum is numerically zero; the rationalized
         # witness certifies a nonnegative value, so no detection
@@ -135,6 +145,48 @@ class TestMinimizeCommand:
                            "--subspace", "sin")
         assert code == 0
         assert "conjugate point detected" in out
+
+
+class TestSharedParser:
+    """`main` parses every call with one parser; no call may change the next."""
+
+    def test_constrain_default_is_not_mutated(self, capsys):
+        plain = ("minimize", "--m", "3", "--n", "2", "--N", "6")
+        build_parser.cache_clear()
+        first = run(capsys, *plain)
+        constrained = run(capsys, *plain, "--constrain", "0,1", "--constrain", "1,0")
+        again = run(capsys, *plain)
+        assert first[0] == constrained[0] == 0 and constrained != first
+        assert again == first
+
+    def test_argparse_error_then_good_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--m", "2"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        code, out, _ = run(capsys, "verify", "diag", "2")
+        assert code == 0 and out.strip().endswith("PASS")
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        build_parser.cache_clear()
+        run(capsys, "verify", "diag", "2")
+        assert built  # the first call builds the parser and its subparsers
+        built.clear()
+        for argv in (("verify", "offdiag", "3", "2"), ("verify", "offdiag", "2", "2"),
+                     ("minimize", "--m", "2", "--n", "1", "--N", "4"),
+                     ("sweep", "--mmax", "2", "--N", "4")):
+            run(capsys, *argv)
+        with pytest.raises(SystemExit):
+            main(["minimize", "--m", "2"])
+        assert built == []
 
 
 class TestMiCommand:
@@ -307,17 +359,19 @@ class TestFieldCommand:
         assert not out_file.exists()
 
     def test_deformed_default_epsilon_is_0_3(self, capsys, tmp_path):
+        # --epsilon 5 runs first: the parser `main` shares across calls keeps
+        # no value from one call to the next
         field_file = tmp_path / "f.json"
         write_field_file(str(field_file), KolmogorovFlow(2, 1),
                          TrigPoly.cosine(1, 0), "probe")
         grids = []
-        for extra in ([], ["--epsilon", "0.3"]):
+        for extra in (["--epsilon", "5"], [], ["--epsilon", "0.3"]):
             out_file = tmp_path / f"d{len(grids)}.csv"
             code, _, _ = run(capsys, "field", "deformed", "--field", str(field_file),
                              *extra, "--grid", "16", "--out", str(out_file))
             assert code == 0
             grids.append(out_file.read_text())
-        assert grids[0] == grids[1]
+        assert grids[0] != grids[1] == grids[2]
 
     def test_missing_field_arg_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "field", "minimizer",

@@ -39,6 +39,31 @@ class TestCanonicalization:
         assert p.terms == {}
 
 
+class TestModeContract:
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            Mode(1, 2).j = 3
+
+    def test_sorts_by_j_k_parity_with_cos_default(self):
+        modes = [Mode(2, -1), Mode(1, 5, SIN), Mode(0, 1), Mode(1, 5), Mode(1, -3, SIN)]
+        assert Mode(1, 5).parity == COS
+        assert sorted(modes) == [Mode(0, 1, COS), Mode(1, -3, SIN), Mode(1, 5, COS),
+                                 Mode(1, 5, SIN), Mode(2, -1, COS)]
+
+    def test_repr_and_laplace_weight(self):
+        assert repr(Mode(1, 2)) == "cos(1,2)"
+        assert repr(Mode(0, 3, SIN)) == "sin(0,3)"
+        assert Mode(3, -4, SIN).laplace_weight == 25
+
+    def test_hashes_as_its_fields(self):
+        # a Mode and a TrigPoly hash as they did when Mode hashed (j, k, parity)
+        assert hash(Mode(2, -3, SIN)) == hash((2, -3, SIN))
+        p = TrigPoly.cosine(1, 2, F(3, 4)) + TrigPoly.sine(0, 5, F(-1, 7))
+        q = TrigPoly.sine(0, 5, F(-1, 7)) + TrigPoly.cosine(1, 2, F(3, 4))
+        assert hash(p) == hash(q) == hash(frozenset(
+            ((m.j, m.k, m.parity), c) for m, c in p.terms.items()))
+
+
 class TestProducts:
     def test_cos_squared(self):
         p = TrigPoly.cosine(1, 0)
