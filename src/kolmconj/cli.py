@@ -339,7 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's own exit: 2 on an error, 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

@@ -3,9 +3,9 @@
 The scaled Misiolek index of the two-parameter (m > n) and four-parameter
 (m = n) candidate families is a quadratic form in the free coefficients.
 Rather than transcribing the known closed forms, each form is expanded here
-by bilinearity from the exact index of the family's brackets; the published
-displays then serve purely as golden values, so a mismatch catches
-transcription errors on either side.
+by bilinearity, from the exact Misiolek pairing of the family's brackets;
+the published displays then serve purely as golden values, so a mismatch
+catches transcription errors on either side.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import poly_eval, solve_linear
-from .trigpoly import KolmogorovFlow, TrigPoly, bracket, misiolek_index
+from .trigpoly import (KolmogorovFlow, TrigPoly, bracket, misiolek_index,
+                       misiolek_pairing)
 
 F = Fraction
 
@@ -33,7 +34,8 @@ DIAG_MIN_DENOMINATOR = (3798226, 3627508, 1298224, 206336, 12288)
 def _mono_eval(mono: Tuple[int, ...], point: Sequence[Fraction]) -> Fraction:
     out = F(1)
     for e, x in zip(mono, point):
-        out *= x ** e
+        for _ in range(e):
+            out *= x
     return out
 
 
@@ -45,8 +47,10 @@ class QuadraticFormInParams:
     coeffs: Dict[Tuple[int, ...], Fraction]
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((c * _mono_eval(mono, point) for mono, c in self.coeffs.items()),
-                   F(0))
+        total = F(0)
+        for mono, c in self.coeffs.items():
+            total += c * _mono_eval(mono, point) if any(mono) else c
+        return total
 
     def coefficient(self, mono: Tuple[int, ...]) -> Fraction:
         return self.coeffs.get(mono, F(0))
@@ -94,28 +98,27 @@ def _family_form(flow: KolmogorovFlow, variables: Tuple[str, ...], base: TrigPol
                  directions: Sequence[TrigPoly]) -> QuadraticFormInParams:
     """Scaled index MI * 4 / (pi^2 n^2) of f = base + sum_i x_i directions_i.
 
-    With phi_0 = {psi, base} and phi_i = {psi, directions_i}, the index of
-    phi_0 + sum_i x_i phi_i expands by polarization: MI(phi_0) is the
-    constant, MI(phi_i) the coefficient of x_i^2, and MI(p + q) - MI(p) - MI(q)
-    that of x_i (p, q = phi_0, phi_i) and of x_i x_j (p, q = phi_i, phi_j).
+    With phi_0 = {psi, base}, phi_i = {psi, directions_i} and P the bilinear
+    `misiolek_pairing`, the index of phi_0 + sum_i x_i phi_i is P(phi_0, phi_0)
+    plus 2 P(phi_0, phi_i) x_i, P(phi_i, phi_i) x_i^2 and 2 P(phi_i, phi_j) x_i x_j.
     """
     psi = flow.stream()
     phi0 = bracket(psi, base)
     phis = [bracket(psi, d) for d in directions]
-    squares = [misiolek_index(phi, flow) for phi in phis]
-    const = misiolek_index(phi0, flow)
     nvars = len(variables)
 
     def mono(*indices):
         return tuple(indices.count(i) for i in range(nvars))
 
-    coeffs = {mono(): const}
+    def pair(p, q):
+        return misiolek_pairing(p, q, flow)
+
+    coeffs = {mono(): pair(phi0, phi0)}
     for i, phi in enumerate(phis):
-        coeffs[mono(i)] = misiolek_index(phi0 + phi, flow) - const - squares[i]
-        coeffs[mono(i, i)] = squares[i]
+        coeffs[mono(i)] = 2 * pair(phi0, phi)
+        coeffs[mono(i, i)] = pair(phi, phi)
         for j in range(i + 1, nvars):
-            coeffs[mono(i, j)] = (misiolek_index(phi + phis[j], flow)
-                                  - squares[i] - squares[j])
+            coeffs[mono(i, j)] = 2 * pair(phi, phis[j])
     scale = F(4, flow.n ** 2)
     return QuadraticFormInParams(variables, {k: c * scale for k, c in coeffs.items() if c})
 
@@ -239,8 +242,9 @@ def diag_candidate(n: int) -> CriticalPoint:
     at n = 1 the value is reported without a sign assertion.
     """
     form = diag_form(n)
-    # a quadratic's gradient at x is H x + (its gradient at 0)
-    sol = solve_linear(form.hessian(), [-g for g in form.gradient([F(0)] * 4)])
+    # a quadratic's gradient at x is H x + (its gradient at 0, the linear coefficients)
+    linear = [form.coefficient(tuple(int(i == j) for j in range(4))) for i in range(4)]
+    sol = solve_linear(form.hessian(), [-g for g in linear])
     value = form.evaluate(sol)
     if n >= 2 and value >= 0:
         raise VerificationError(f"diagonal candidate for n={n} is not negative: {value}")

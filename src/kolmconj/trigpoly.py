@@ -322,13 +322,30 @@ def misiolek_index(phi: TrigPoly, flow: KolmogorovFlow) -> Fraction:
     """
     if phi.constant_coeff:
         raise ValueError("misiolek_index requires a mean-zero input")
-    # sum numerator^2 * (w - lambda^2) in integers per coefficient denominator
+    return misiolek_pairing(phi, phi, flow)
+
+
+def misiolek_pairing(p: TrigPoly, q: TrigPoly, flow: KolmogorovFlow) -> Fraction:
+    """Symmetric bilinear form of the Misiolek index: MI(phi) = pairing(phi, phi).
+
+    Returns Q with integral of grad p . grad q - (m^2+n^2) p q = Q * pi^2.
+    Only the modes p and q share contribute, 2 c_p c_q (w - lambda^2) each.
+    Both inputs must be mean-zero, as for `misiolek_index`.
+    """
+    if p.constant_coeff or q.constant_coeff:
+        raise ValueError("misiolek_pairing requires mean-zero inputs")
+    if len(q.terms) < len(p.terms):
+        p, q = q, p
+    # sum numerator products * (w - lambda^2) in integers per denominator product
     lam2 = flow.lambda2
+    other = q.terms
     sums: Dict[int, int] = {}
-    for m, c in phi.terms.items():
-        d = c.denominator
-        sums[d] = sums.get(d, 0) + c.numerator * c.numerator * (m.laplace_weight - lam2)
-    return 2 * sum((Fraction(s, d * d) for d, s in sums.items()), Fraction(0))
+    for m, cp in p.terms.items():
+        cq = other.get(m)
+        if cq is not None:
+            d = cp.denominator * cq.denominator
+            sums[d] = sums.get(d, 0) + cp.numerator * cq.numerator * (m.laplace_weight - lam2)
+    return 2 * sum((Fraction(s, d) for d, s in sums.items()), Fraction(0))
 
 
 def conjugate_time_bound(f: TrigPoly, flow: KolmogorovFlow) -> Optional[float]:

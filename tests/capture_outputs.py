@@ -2,11 +2,15 @@
 
 Run it once per source tree, then compare the two records:
 
-    PYTHONPATH=<tree>/src python tests/capture_outputs.py record OUT.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<tree>/src python tests/capture_outputs.py record OUT.json
     python tests/capture_outputs.py compare PARENT.json CHANGE.json
 
 A record holds, per command, a hash of everything it outputs and a short
-summary for reading a diff.  The commands: `minimize-ladder` seeds 1-3 and
+summary for reading a diff.  Float digits depend on the BLAS thread count,
+so a record also holds the thread settings it was made under, and `compare`
+refuses (exit 2) two records whose thread counts differ.
+
+The commands: `minimize-ladder` seeds 1-3 and
 every `exact-all-pairs` command (seed 1) of `perfbench/workloads.py`,
 `verify signs`, `sweep --mmax 10` and `sweep --mmax 8 --N 16` through
 `kolmconj.cli.main` (exit code, stdout, stderr and every `--out` file);
@@ -57,10 +61,7 @@ def _cli(argv, workdir):
     from kolmconj.cli import main
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse rejected the arguments
-            code = exc.code
+        code = main(list(argv))
     files = [Path(arg).read_bytes() for arg in argv if arg.startswith(workdir)
              and os.path.exists(arg)]
     stdout, stderr = (s.getvalue().replace(workdir, "<work>") for s in (out, err))
@@ -156,6 +157,17 @@ def _minimize(flow, options):
                    res.block_mode), summary
 
 
+def thread_settings():
+    """The BLAS thread count and what set it, read as OpenBLAS reads it: the
+    first of these variables set to a positive count, else the usable CPUs."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return {"blas_threads": int(value), "set_by": f"{name}={value}"}
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"blas_threads": cpus, "set_by": "usable CPUs"}
+
+
 def record():
     from test_golden import NUMERICAL
     entries = {}
@@ -179,10 +191,17 @@ def record():
         options_text = {k: v for k, v in options.items() if k != "constraints"}
         entries[f"run_minimize({flow.m}, {flow.n}, {options_text}, zeroed {zeroed})"] = \
             _minimize(flow, options)
-    return entries
+    return {"settings": thread_settings(), "outputs": entries}
 
 
 def compare(before, after):
+    settings = [r.get("settings", {}).get("blas_threads") for r in (before, after)]
+    if None in settings or settings[0] != settings[1]:
+        print("refused: the records were made under different BLAS thread settings "
+              f"({before.get('settings')} against {after.get('settings')}); "
+              "record both under one OPENBLAS_NUM_THREADS")
+        return 2
+    before, after = before["outputs"], after["outputs"]
     differ = sorted(key for key in before.keys() | after.keys()
                     if before.get(key, [None])[0] != after.get(key, [None])[0])
     for key in differ:

@@ -159,10 +159,21 @@ class TestSharedParser:
         assert first[0] == constrained[0] == 0 and constrained != first
         assert again == first
 
+    @pytest.mark.parametrize("argv,code,stream", [
+        (("minimize", "--m", "2"), 2, "err"),
+        (("verify", "nope"), 2, "err"),
+        (("sweep", "--mmax", "3", "--bogus"), 2, "err"),
+        ((), 2, "err"),
+        (("--help",), 0, "out"),
+        (("minimize", "--help"), 0, "out"),
+    ])
+    def test_argparse_exit_is_returned(self, capsys, argv, code, stream):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert {"out": out, "err": err}[stream].startswith("usage: kolmconj")
+
     def test_argparse_error_then_good_command(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["minimize", "--m", "2"])
-        assert exc.value.code == 2
+        assert main(["minimize", "--m", "2"]) == 2
         assert "--n" in capsys.readouterr().err
         code, out, _ = run(capsys, "verify", "diag", "2")
         assert code == 0 and out.strip().endswith("PASS")
@@ -184,8 +195,7 @@ class TestSharedParser:
                      ("minimize", "--m", "2", "--n", "1", "--N", "4"),
                      ("sweep", "--mmax", "2", "--N", "4")):
             run(capsys, *argv)
-        with pytest.raises(SystemExit):
-            main(["minimize", "--m", "2"])
+        assert main(["minimize", "--m", "2"]) == 2
         assert built == []
 
 

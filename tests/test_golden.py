@@ -1,9 +1,9 @@
 """Byte-exact CLI output of the exact route, pinned in tests/golden/.
 
 Only commands whose output is exact arithmetic are pinned: `minimize` and
-`sweep` print float digits that depend on the BLAS build.  Of the
-numerical route, only what it certifies exactly is pinned: the certified
-index, verdict, dominant mode and winning chain.  To re-pin after an
+`sweep` print float digits that depend on the BLAS build and its thread
+count.  Of the numerical route, only what it certifies exactly is pinned:
+the certified index, verdict, dominant mode and winning chain.  To re-pin after an
 intended change of output, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py

@@ -14,6 +14,8 @@ from kolmconj.theorems import (DIAG_MIN_DENOMINATOR, DIAG_MIN_NUMERATOR,
                                QuadraticFormInParams, sign_certificates)
 from kolmconj.trigpoly import KolmogorovFlow, TrigPoly, bracket, misiolek_index
 
+from conftest import random_trigpoly
+
 
 class TestOffdiagForm:
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 7)
@@ -156,6 +158,96 @@ def test_diag_form_is_the_exact_index(rng, n):
                     + TrigPoly.cosine(0, 4 * n, b) + TrigPoly.cosine(2 * n, 0, c))
         f = TrigPoly.cosine(1, 0) * envelope + TrigPoly.sine(1, 0) * TrigPoly.sine(2 * n, 0, d)
         assert form.evaluate((a, b, c, d)) == _scaled_index(KolmogorovFlow(n, n), f)
+
+
+def _polarized_form(flow, variables, base, directions):
+    """Reference: the family form expanded by polarization of the index alone.
+
+    MI(phi_0) is the constant and MI(phi_i) the coefficient of x_i^2;
+    MI(p + q) - MI(p) - MI(q) is that of x_i (p, q = phi_0, phi_i) and of
+    x_i x_j (p, q = phi_i, phi_j).
+    """
+    psi = flow.stream()
+    phi0 = bracket(psi, base)
+    phis = [bracket(psi, d) for d in directions]
+    squares = [misiolek_index(phi, flow) for phi in phis]
+    const = misiolek_index(phi0, flow)
+    nvars = len(variables)
+
+    def mono(*indices):
+        return tuple(indices.count(i) for i in range(nvars))
+
+    coeffs = {mono(): const}
+    for i, phi in enumerate(phis):
+        coeffs[mono(i)] = misiolek_index(phi0 + phi, flow) - const - squares[i]
+        coeffs[mono(i, i)] = squares[i]
+        for j in range(i + 1, nvars):
+            coeffs[mono(i, j)] = (misiolek_index(phi + phis[j], flow)
+                                  - squares[i] - squares[j])
+    scale = F(4, flow.n ** 2)
+    return QuadraticFormInParams(variables, {k: c * scale for k, c in coeffs.items() if c})
+
+
+class TestFamilyFormByPairing:
+    """`_family_form` pairs the brackets; the polarized index is the reference."""
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_offdiag_equals_polarization(self, m):
+        cosx = TrigPoly.cosine(1, 0)
+        for n in range(1, m):
+            ref = _polarized_form(KolmogorovFlow(m, n), ("a", "b"), cosx,
+                                  [cosx * TrigPoly.cosine(2 * m, 0),
+                                   cosx * TrigPoly.cosine(0, 2 * n)])
+            form = offdiag_form(m, n)
+            assert form.coeffs == ref.coeffs
+            assert list(form.coeffs) == list(ref.coeffs)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_diag_equals_polarization(self, n):
+        cosx = TrigPoly.cosine(1, 0)
+        directions = [cosx * TrigPoly.cosine(0, 2 * n), cosx * TrigPoly.cosine(0, 4 * n),
+                      cosx * TrigPoly.cosine(2 * n, 0),
+                      TrigPoly.sine(1, 0) * TrigPoly.sine(2 * n, 0)]
+        ref = _polarized_form(KolmogorovFlow(n, n), ("a", "b", "c", "d"), cosx, directions)
+        form = diag_form(n)
+        assert form.coeffs == ref.coeffs
+        assert list(form.coeffs) == list(ref.coeffs)
+
+    def test_random_directions_equal_polarization(self, rng):
+        for _ in range(30):
+            flow = KolmogorovFlow(rng.randint(1, 5), rng.randint(1, 5))
+            nvars = rng.randint(1, 4)
+            variables = tuple("abcd"[:nvars])
+            base, *directions = (random_trigpoly(rng, bandwidth=5, n_terms=4)
+                                 for _ in range(nvars + 1))
+            assert (theorems._family_form(flow, variables, base, directions)
+                    == _polarized_form(flow, variables, base, directions))
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("nvars", [1, 2, 4])
+    def test_evaluate_matches_powers(self, rng, nvars):
+        # every monomial of degree <= 2 and one of degree 3, against x ** e
+        monos = {tuple(int(i == j) + int(i == k) for i in range(nvars))
+                 for j in range(nvars) for k in range(nvars)}
+        monos |= {(0,) * nvars, (1,) * nvars, (3,) + (0,) * (nvars - 1)}
+        for point in _rational_points(rng, nvars, count=10):
+            coeffs = {mono: F(rng.randint(-9, 9), rng.randint(1, 9)) for mono in monos}
+            form = QuadraticFormInParams(tuple("abcd"[:nvars]), coeffs)
+            want = F(0)
+            for mono, c in coeffs.items():
+                term = c
+                for e, x in zip(mono, point):
+                    term *= x ** e
+                want += term
+            assert form.evaluate(point) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_linear_coefficients_are_the_gradient_at_zero(self, n):
+        form = diag_form(n)
+        assert form.gradient([F(0)] * 4) == [form.coefficient(tuple(int(i == j)
+                                                                    for j in range(4)))
+                                             for i in range(4)]
 
 
 class TestDrivas:

@@ -7,7 +7,7 @@ import pytest
 from kolmconj.trigpoly import (COS, SIN, CONSTANT_MODE, KolmogorovFlow, Mode,
                                TrigPoly, bracket, canonicalize,
                                conjugate_time_bound, grad_energy, inner,
-                               misiolek_index)
+                               misiolek_index, misiolek_pairing)
 
 from conftest import random_trigpoly
 
@@ -305,6 +305,51 @@ def _big_poly(rng, n_terms, bandwidth, max_den):
          rng.randint(-bandwidth, bandwidth),
          F(rng.randint(-max_den, max_den), rng.randint(1, max_den)))
         for _ in range(n_terms))
+
+
+def _mean_zero_poly(rng, max_den=12):
+    p = _big_poly(rng, rng.randint(0, 12), 5, max_den)
+    return p - TrigPoly.constant(p.constant_coeff)
+
+
+class TestMisiolekPairing:
+    def _flows(self, rng, count=40):
+        return [KolmogorovFlow(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(count)]
+
+    def test_equals_the_integral(self, rng):
+        # integral of grad p . grad q - lambda^2 p q, over pi^2, from derivatives
+        for flow in self._flows(rng):
+            p, q = _mean_zero_poly(rng), _mean_zero_poly(rng, 10 ** 6)
+            want = (inner(p.dx(), q.dx()) + inner(p.dy(), q.dy())
+                    - flow.lambda2 * inner(p, q))
+            got = misiolek_pairing(p, q, flow)
+            assert type(got) is F and got == want
+
+    def test_symmetric(self, rng):
+        for flow in self._flows(rng):
+            p, q = _mean_zero_poly(rng), _mean_zero_poly(rng)
+            assert misiolek_pairing(p, q, flow) == misiolek_pairing(q, p, flow)
+
+    def test_bilinear(self, rng):
+        for flow in self._flows(rng):
+            p, q, r = (_mean_zero_poly(rng) for _ in range(3))
+            a, b = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), 7)
+            assert (misiolek_pairing(p.scaled(a) + r.scaled(b), q, flow)
+                    == a * misiolek_pairing(p, q, flow) + b * misiolek_pairing(r, q, flow))
+
+    def test_diagonal_is_the_index(self, rng):
+        for flow in self._flows(rng):
+            phi = bracket(flow.stream(), _big_poly(rng, rng.randint(1, 20), 8, 1000))
+            assert misiolek_pairing(phi, phi, flow) == misiolek_index(phi, flow)
+            assert misiolek_pairing(phi, TrigPoly.zero(), flow) == 0
+
+    @pytest.mark.parametrize("constant_first", [True, False])
+    def test_rejects_constants(self, constant_first):
+        flow = KolmogorovFlow(1, 1)
+        with_mean = TrigPoly.constant(F(1, 3)) + TrigPoly.cosine(1, 0)
+        pair = (with_mean, TrigPoly.cosine(1, 0))
+        with pytest.raises(ValueError, match="mean-zero"):
+            misiolek_pairing(*(pair if constant_first else pair[::-1]), flow)
 
 
 def _assert_same_poly(got, want):
