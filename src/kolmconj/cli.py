@@ -31,28 +31,36 @@ class UsageError(Exception):
 
 # ------------------------------------------------------------ verify reporting
 
-def _report(name: str, expected, computed) -> bool:
+def _exact_str(value, name: str) -> str:
+    """str(value); past CPython's int-to-string digit limit, OverflowError (exit 3)."""
+    try:
+        return str(value)
+    except ValueError:
+        raise OverflowError(f"{name} has too many digits to print") from None
+
+
+def _report(lines: List[str], name: str, expected, computed) -> bool:
     ok = expected == computed
-    print(f"  {name}: expected {expected}  computed {computed}  "
-          f"[{'OK' if ok else 'FAIL'}]")
+    lines.append(f"  {name}: expected {_exact_str(expected, name)}  "
+                 f"computed {_exact_str(computed, name)}  [{'OK' if ok else 'FAIL'}]")
     return ok
 
 
-def _verify_family(m: int, n: int) -> bool:
-    """Report one closed-form family: off-diagonal if m > n, diagonal if m = n."""
+def _verify_family(m: int, n: int, lines: List[str]) -> bool:
+    """Report one closed-form family into `lines`: off-diagonal if m > n, diagonal if m = n."""
     if m > n:
-        print(f"off-diagonal family (m,n)=({m},{n})")
+        lines.append(f"off-diagonal family (m,n)=({m},{n})")
         variables, labels = ("a", "b"), ("minimum value", "minimum negative")
         cand = theorems.offdiag_candidate(m, n)
         ref = theorems.offdiag_reference(m, n)
         refc = theorems.offdiag_reference_candidate(m, n)
     else:
-        print(f"diagonal family n={n}")
+        lines.append(f"diagonal family n={n}")
         cand = theorems.diag_candidate(n)
         if n == 1:
             # the closed forms assume n >= 2 (mode collisions at n = 1 change
             # the index form); report the exact value without comparisons
-            print(f"  n=1 critical value reported without sign assertion: {cand.value}")
+            lines.append(f"  n=1 critical value reported without sign assertion: {cand.value}")
             return True
         variables = ("a", "b", "c", "d")
         labels = ("critical value", "critical value negative")
@@ -61,34 +69,34 @@ def _verify_family(m: int, n: int) -> bool:
     ok = True
     for mono in sorted(ref, reverse=True):
         name = "".join(v * e for v, e in zip(variables, mono)) or "1"
-        ok &= _report("coeff " + name, ref[mono], cand.form.coefficient(mono))
+        ok &= _report(lines, "coeff " + name, ref[mono], cand.form.coefficient(mono))
     for var in variables:
-        ok &= _report(f"{var}0", refc.values[var], cand.values[var])
-    ok &= _report(labels[0], refc.value, cand.value)
-    ok &= _report(labels[1], True, cand.value < 0)
+        ok &= _report(lines, f"{var}0", refc.values[var], cand.values[var])
+    ok &= _report(lines, labels[0], refc.value, cand.value)
+    ok &= _report(lines, labels[1], True, cand.value < 0)
     return ok
 
 
-def _verify_drivas() -> bool:
-    print("m=n=1 certificate field")
-    return _report("MI/pi^2", Fraction(-3, 200), theorems.drivas_check())
+def _verify_drivas(lines: List[str]) -> bool:
+    lines.append("m=n=1 certificate field")
+    return _report(lines, "MI/pi^2", Fraction(-3, 200), theorems.drivas_check())
 
 
-def _verify_signs() -> bool:
-    print("polynomial sign certificates")
+def _verify_signs(lines: List[str]) -> bool:
+    lines.append("polynomial sign certificates")
     try:
         report = theorems.sign_certificates(10)
     except VerificationError as exc:
-        print(f"  FAIL: {exc}")
+        lines.append(f"  FAIL: {exc}")
         return False
     ok = True
-    ok &= _report("worst-case coefficients (in k)",
+    ok &= _report(lines, "worst-case coefficients (in k)",
                   tuple(Fraction(c) for c in theorems.OFFDIAG_EDGE_COEFFS),
                   report.offdiag_edge_coeffs)
-    ok &= _report("diagonal numerator (in k)",
+    ok &= _report(lines, "diagonal numerator (in k)",
                   tuple(Fraction(c) for c in theorems.DIAG_MIN_NUMERATOR),
                   report.diag_min_numerator)
-    ok &= _report("diagonal denominator (in k)",
+    ok &= _report(lines, "diagonal denominator (in k)",
                   tuple(Fraction(c) for c in theorems.DIAG_MIN_DENOMINATOR),
                   report.diag_min_denominator)
     return ok
@@ -96,6 +104,8 @@ def _verify_signs() -> bool:
 
 def cmd_verify(args) -> int:
     scope, params = args.scope, args.params
+    # every line is formatted before the first print: a failure prints nothing
+    lines: List[str] = []
     if scope in ("all", "drivas", "signs") and params:
         raise UsageError(f"usage: verify {scope}")
     if scope == "offdiag":
@@ -103,23 +113,24 @@ def cmd_verify(args) -> int:
             raise UsageError("usage: verify offdiag M N")
         if not params[0] > params[1] >= 1:
             raise UsageError("verify offdiag requires m > n >= 1")
-        ok = _verify_family(*params)
+        ok = _verify_family(*params, lines)
     elif scope == "diag":
         if len(params) != 1:
             raise UsageError("usage: verify diag N")
         if params[0] < 1:
             raise UsageError("verify diag requires n >= 1")
-        ok = _verify_family(params[0], params[0])
+        ok = _verify_family(params[0], params[0], lines)
     elif scope == "drivas":
-        ok = _verify_drivas()
+        ok = _verify_drivas(lines)
     elif scope == "signs":
-        ok = _verify_signs()
+        ok = _verify_signs(lines)
     else:  # all
         pairs = [(m, n) for m in range(2, 7) for n in range(1, m)]
         pairs += [(n, n) for n in range(1, 7)]
-        results = [_verify_family(m, n) for m, n in pairs]
-        ok = all(results + [_verify_drivas(), _verify_signs()])
-    print("PASS" if ok else "FAIL")
+        results = [_verify_family(m, n, lines) for m, n in pairs]
+        ok = all(results + [_verify_drivas(lines), _verify_signs(lines)])
+    lines.append("PASS" if ok else "FAIL")
+    print("\n".join(lines))
     return OK if ok else FAIL
 
 
@@ -211,14 +222,6 @@ def _flow_override(args, flow: KolmogorovFlow) -> KolmogorovFlow:
     return KolmogorovFlow(args.m, args.n)
 
 
-def _exact_str(value: Fraction, name: str) -> str:
-    """str(value); past CPython's int-to-string digit limit, OverflowError (exit 3)."""
-    try:
-        return str(value)
-    except ValueError:
-        raise OverflowError(f"{name} has too many digits to print") from None
-
-
 def cmd_mi(args) -> int:
     flow, field, _ = read_field_file(args.file)
     flow = _flow_override(args, flow)
@@ -233,7 +236,7 @@ def cmd_mi(args) -> int:
              f"MI/pi^2 = {_exact_str(q, 'MI/pi^2')} (~ {float(q):.6e})"]
     if q < 0:
         ratio = grad_energy(field) / -q
-        tstar = math.pi * math.sqrt(ratio)  # conjugate_time_bound's T*
+        tstar = math.pi * math.sqrt(ratio)
         lines += ["verdict: conjugate point detected",
                   f"conjugate point occurs before any T > T* = {tstar:.12e} "
                   f"(T*^2/pi^2 = {_exact_str(ratio, 'T*^2/pi^2')})"]

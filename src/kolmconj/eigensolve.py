@@ -1,4 +1,4 @@
-"""Minimal eigenpair of a dense symmetric matrix with a residual guarantee."""
+"""Lowest eigenpair of each symmetric matrix of a stack, with a residual guarantee."""
 
 from __future__ import annotations
 
@@ -88,18 +88,4 @@ def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
         except ConvergenceError as error:
             return values, vectors, (i, error)
     return values, vectors, None
-
-
-def sym_eig_min(S: np.ndarray, tol: float = 1e-10) -> EigenPair:
-    """Algebraically smallest eigenpair of a symmetric matrix.
-
-    The one-matrix case of `lowest_eigenpairs`: raises ValueError on a
-    non-square or non-symmetric matrix or a tol that is not in (0, 1),
-    and ConvergenceError if the residual exceeds tol * max|S| * dim.
-    """
-    S = np.asarray(S, dtype=float)
-    values, vectors, failure = lowest_eigenpairs(S[None], tol)
-    if failure is not None:
-        raise failure[1]
-    return eigen_pair(S, float(values[0]), vectors[0], tol)
 

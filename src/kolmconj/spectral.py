@@ -112,17 +112,6 @@ class CoeffVector:
         return self.window.modes_at([int(np.argmax(np.abs(self.values)))])[0]
 
 
-def coefficient_vector(f: TrigPoly, window: SpectralWindow) -> CoeffVector:
-    """Exact coefficients of f laid out on the window; f must fit inside it."""
-    values = np.zeros(len(window))
-    for mode, c in f.terms.items():
-        idx = window.index_of(mode)
-        if idx is None:
-            raise ValueError(f"mode {mode!r} not contained in {window!r}")
-        values[idx] = float(c)
-    return CoeffVector(window, values)
-
-
 def _fold(j: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wavevectors (j, k) negated onto canonical ones, and where they were."""
     flip = (j < 0) | ((j == 0) & (k < 0))
@@ -286,61 +275,6 @@ def _gram(shape: Tuple[int, int], bracket: Tuple[np.ndarray, ...],
     return np.bincount(at, products, count * d * d).reshape(count, d, d)
 
 
-def assemble_bracket_matrix(flow: KolmogorovFlow, win_in: SpectralWindow,
-                            win_out: SpectralWindow) -> np.ndarray:
-    """Dense matrix of f -> {psi, f} from win_in into win_out.
-
-    The chains of `_Chains` scattered into one matrix.  The output window
-    must be large enough that no bracket mode is lost.
-    """
-    if win_in.subspace != win_out.subspace:
-        raise ValueError("input and output windows must share a subspace")
-    m, n = flow.m, flow.n
-    if win_out.N < win_in.N + max(m, n):
-        raise ValueError(
-            f"output window order {win_out.N} too small: need >= {win_in.N + max(m, n)}")
-    mat = np.zeros((len(win_out), len(win_in)))
-    for _, index, (slot, rows, local, coeffs) in _Chains(flow, win_in, win_out).groups():
-        r, t = np.nonzero(coeffs)
-        mat[rows[r], index[slot[r], local[r, t]]] = coeffs[r, t]
-    return mat
-
-
-@dataclass
-class QuadForm:
-    """Symmetric matrix B with v^T B v = MI({psi, f_v}) / (2 pi^2).
-
-    v holds the coefficients of f_v on `modes`, the window modes at
-    positions `index` (the whole window by default).
-    """
-
-    window: SpectralWindow
-    matrix: np.ndarray
-    index: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.index is None:
-            self.index = np.arange(len(self.window))
-
-    @cached_property
-    def modes(self) -> Tuple[Mode, ...]:
-        return self.window.modes_at(self.index)
-
-
-def assemble_quadform(flow: KolmogorovFlow, window: SpectralWindow) -> QuadForm:
-    """Dense view: the `_gram` of every chain scattered into one matrix.
-
-    B couples two modes only through a shared bracket output, so the form
-    is block-diagonal over the chains.
-    """
-    ext = _extended(flow, window)
-    weights = ext.laplace - flow.lambda2
-    B = np.zeros((len(window), len(window)))
-    for _, index, bracket in _Chains(flow, window, ext).groups():
-        B[index[:, :, None], index[:, None, :]] = _gram(index.shape, bracket, weights)
-    return QuadForm(window, B)
-
-
 @dataclass
 class ReducedForm:
     """Sobolev-weighted reduction S = D^{-p/2} B D^{-p/2}, D = diag(j^2+k^2).
@@ -377,11 +311,6 @@ def _reduce(B: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return B * (scale[..., :, None] * scale[..., None, :])
 
 
-def reduce_symmetric(q: QuadForm, p: int) -> ReducedForm:
-    scale = _sobolev_scale(q.window.laplace[q.index], p)
-    return ReducedForm(q.window, p, _reduce(q.matrix, scale), index=q.index)
-
-
 def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
     """Window positions of `modes`; ValueError if the window lacks any."""
     at = {mode: window.index_of(mode) for mode in modes}
@@ -389,18 +318,6 @@ def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
     if unknown:
         raise ValueError(f"cannot constrain modes outside the window: {sorted(unknown)}")
     return np.array(list(at.values()), dtype=int)
-
-
-def constrain(r: ReducedForm, zeroed: Iterable[Mode]) -> ReducedForm:
-    """Force the listed Fourier coefficients to zero (drop rows/columns).
-
-    The dense reference for the constraints that `window_minimum` applies
-    to its chains.  Listed window modes outside r.modes are left alone.
-    """
-    keep = np.flatnonzero(~np.isin(r.index, _positions(r.window, set(zeroed))))
-    if not keep.size:
-        raise ValueError("constraining away every mode leaves nothing to minimize")
-    return ReducedForm(r.window, r.p, r.matrix[np.ix_(keep, keep)], index=r.index[keep])
 
 
 def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,

@@ -55,17 +55,6 @@ class QuadraticFormInParams:
     def coefficient(self, mono: Tuple[int, ...]) -> Fraction:
         return self.coeffs.get(mono, F(0))
 
-    def gradient(self, point: Sequence[Fraction]) -> List[Fraction]:
-        n = len(self.variables)
-        grad = [F(0)] * n
-        for mono, c in self.coeffs.items():
-            for i in range(n):
-                if mono[i]:
-                    lowered = list(mono)
-                    lowered[i] -= 1
-                    grad[i] += c * mono[i] * _mono_eval(tuple(lowered), point)
-        return grad
-
     def hessian(self) -> List[List[Fraction]]:
         n = len(self.variables)
         h = [[F(0)] * n for _ in range(n)]

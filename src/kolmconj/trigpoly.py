@@ -10,7 +10,6 @@ and only that rational factor is returned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
@@ -347,21 +346,3 @@ def misiolek_pairing(p: TrigPoly, q: TrigPoly, flow: KolmogorovFlow) -> Fraction
             sums[d] = sums.get(d, 0) + cp.numerator * cq.numerator * (m.laplace_weight - lam2)
     return 2 * sum((Fraction(s, d) for d, s in sums.items()), Fraction(0))
 
-
-def conjugate_time_bound(f: TrigPoly, flow: KolmogorovFlow) -> Optional[float]:
-    """Threshold time T* for the sinusoidal-in-time variation built from f.
-
-    If MI({psi, f}) < 0, returns T* = pi * sqrt(E / -MI') where E and MI'
-    are the pi^2-normalized Dirichlet energy of f and Misiolek index; for
-    every T > T* the index form is negative, so a conjugate point occurs at
-    some time before T.  Returns None when the index is nonnegative.
-    Raises ValueError when f lies in the kernel of f -> {psi, f}.
-    """
-    phi = bracket(flow.stream(), f)
-    if phi.is_zero():
-        raise ValueError("field is in the kernel of the bracket operator "
-                         "(constant on streamlines)")
-    q = misiolek_index(phi, flow)
-    if q >= 0:
-        return None
-    return math.pi * math.sqrt(grad_energy(f) / -q)

@@ -6,9 +6,10 @@ Run it once per source tree, then compare the two records:
     python tests/capture_outputs.py compare PARENT.json CHANGE.json
 
 A record holds, per command, a hash of everything it outputs and a short
-summary for reading a diff.  Float digits depend on the BLAS thread count,
-so a record also holds the thread settings it was made under, and `compare`
-refuses (exit 2) two records whose thread counts differ.
+summary for reading a diff, and the directory of the `kolmconj` package it
+imported, which `compare` prints first.  Float digits depend on the BLAS
+thread count, so a record also holds the thread settings it was made under,
+and `compare` refuses (exit 2) two records whose thread counts differ.
 
 The commands: `minimize-ladder` seeds 1-3 and
 every `exact-all-pairs` command (seed 1) of `perfbench/workloads.py`,
@@ -169,6 +170,7 @@ def thread_settings():
 
 
 def record():
+    import kolmconj
     from test_golden import NUMERICAL
     entries = {}
     with tempfile.TemporaryDirectory() as workdir:
@@ -191,10 +193,12 @@ def record():
         options_text = {k: v for k, v in options.items() if k != "constraints"}
         entries[f"run_minimize({flow.m}, {flow.n}, {options_text}, zeroed {zeroed})"] = \
             _minimize(flow, options)
-    return {"settings": thread_settings(), "outputs": entries}
+    return {"settings": thread_settings(), "package": str(Path(kolmconj.__file__).parent),
+            "outputs": entries}
 
 
 def compare(before, after):
+    print(f"before: {before.get('package')}\nafter:  {after.get('package')}")
     settings = [r.get("settings", {}).get("blas_threads") for r in (before, after)]
     if None in settings or settings[0] != settings[1]:
         print("refused: the records were made under different BLAS thread settings "

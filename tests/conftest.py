@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from kolmconj import spectral
+from kolmconj.eigensolve import eigen_pair, lowest_eigenpairs
+from kolmconj.spectral import SpectralWindow
 from kolmconj.trigpoly import COS, SIN, TrigPoly
 
 
@@ -21,3 +25,95 @@ def random_trigpoly(rng: random.Random, bandwidth: int = 8, max_coeff: int = 10,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# ------------------------------------------------------------ test-side oracles
+#
+# The numerical route never builds a whole-window matrix: `_Chains.groups`
+# yields each chain's bracket nonzeros and `_gram` each chain's form.  The
+# helpers below lay those out densely, or rebuild them by dense products
+# that share no code with `_gram`, for the tests to check against the
+# exact bracket and index.
+
+def extended(flow, window):
+    return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
+
+
+def window_values(f: TrigPoly, window) -> np.ndarray:
+    """f's coefficients laid out on the window, as floats; f must fit inside it."""
+    values = np.zeros(len(window))
+    for mode, c in f.terms.items():
+        at = window.index_of(mode)
+        if at is None:
+            raise ValueError(f"mode {mode!r} not contained in {window!r}")
+        values[at] = float(c)
+    return values
+
+
+def chain_brackets(flow, window):
+    """(index, rows, L) of each chain of `_Chains`, by chain number.
+
+    `index` holds the window positions of the chain's modes, `rows` the
+    positions in the extended window of the outputs its bracket reaches,
+    and L the dense bracket block between them, scattered from the
+    nonzeros that `_Chains.groups` yields.
+    """
+    chains = {}
+    for positions, index, (slot, rows, local, coeffs) in spectral._Chains(
+            flow, window, extended(flow, window)).groups():
+        by_slot = np.argsort(slot, kind="stable")
+        ends = np.searchsorted(slot[by_slot], np.arange(len(positions)), side="right")
+        for i, at in enumerate(np.split(by_slot, ends[:-1])):
+            L = np.zeros((len(at), index.shape[1]))
+            r, t = np.nonzero(coeffs[at])
+            L[r, local[at][r, t]] = coeffs[at][r, t]
+            chains[positions[i]] = index[i], rows[at], L
+    return [chains[number] for number in range(len(chains))]
+
+
+def bracket_matrix(flow, window) -> np.ndarray:
+    """The chains' bracket blocks scattered into one matrix, window to extended window."""
+    M = np.zeros((len(extended(flow, window)), len(window)))
+    for index, rows, L in chain_brackets(flow, window):
+        M[np.ix_(rows, index)] = L
+    return M
+
+
+def per_chain_products(flow, window, p):
+    """Window positions, B and S of each chain, one chain at a time.
+
+    The dense Gram product L^T W L of each chain's bracket block (checked
+    against the exact bracket by `test_scattered_brackets_match_exact_bracket`),
+    symmetrized, then the Sobolev reduction.
+    """
+    weights = extended(flow, window).laplace - flow.lambda2
+    for index, rows, L in chain_brackets(flow, window):
+        B = L.T @ (weights[rows][:, None] * L)
+        B = 0.5 * (B + B.T)
+        scale = window.laplace[index] ** (-p / 2)
+        S = B * np.outer(scale, scale)
+        yield index.tolist(), B, 0.5 * (S + S.T)
+
+
+def gram_blocks(flow, window):
+    """(index, B) of each chain, by chain number, B as the numerical route builds it
+    with `_gram`."""
+    ext = extended(flow, window)
+    weights = ext.laplace - flow.lambda2
+    chains = {}
+    for positions, index, bracket in spectral._Chains(flow, window, ext).groups():
+        chains.update(zip(positions, zip(index, spectral._gram(index.shape, bracket, weights))))
+    return [chains[number] for number in range(len(chains))]
+
+
+def form_value(flow, window, v: np.ndarray) -> float:
+    """sum over chains of 2 v_c^T B_c v_c, B_c from `_gram`: MI({psi, f_v}) / pi^2."""
+    return sum(2 * float(v[index] @ B @ v[index]) for index, B in gram_blocks(flow, window))
+
+
+def lowest_pair(S: np.ndarray, tol: float = 1e-10):
+    """The EigenPair of one matrix, solved as a stack of one; raises its failure."""
+    values, vectors, failure = lowest_eigenpairs(S[None], tol)
+    if failure is not None:
+        raise failure[1]
+    return eigen_pair(S, values[0], vectors[0], tol)

@@ -3,7 +3,10 @@
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 Tolerances are pinned here and must not be loosened: exact (zero tolerance)
 for the closed-form criteria, 1e-12 per coefficient for the matrix/bracket
-agreement, 1e-10 relative for the quadratic-form/index agreement.
+agreement, 1e-10 relative for the quadratic-form/index agreement.  The
+numerical criteria check the code that `minimize` and `sweep` run: the
+chains' bracket blocks of `_Chains.groups`, their forms from `_gram`, and
+`run_minimize`.
 """
 
 import math
@@ -13,19 +16,17 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from kolmconj.eigensolve import sym_eig_min
-from kolmconj.spectral import (SpectralWindow, assemble_bracket_matrix,
-                               assemble_quadform, coefficient_vector, constrain,
-                               minimizer_coefficients, reduce_symmetric)
+from kolmconj.pipeline import run_minimize
+from kolmconj.spectral import SpectralWindow
 from kolmconj.theorems import (DIAG_MIN_DENOMINATOR, DIAG_MIN_NUMERATOR,
-                               OFFDIAG_EDGE_COEFFS, diag_candidate, diag_form,
-                               diag_reference, drivas_check, drivas_field,
-                               offdiag_candidate, offdiag_form,
-                               offdiag_reference, sign_certificates)
+                               OFFDIAG_EDGE_COEFFS, diag_candidate, drivas_check,
+                               offdiag_candidate, offdiag_form, offdiag_reference,
+                               sign_certificates)
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, grad_energy, inner, misiolek_index)
 
-from conftest import random_trigpoly
+from conftest import (chain_brackets, extended, form_value, random_trigpoly,
+                      window_values)
 
 
 def report(number, description, ok):
@@ -97,8 +98,6 @@ def test_criterion_5_matrix_matches_bracket():
         N = rng.randint(1, 6)
         parity = rng.choice((COS, SIN))
         win = SpectralWindow(N, parity)
-        ext = SpectralWindow(N + max(m, n), parity)
-        M = assemble_bracket_matrix(flow, win, ext)
         v = np.zeros(len(win))
         f_terms = {}
         for i, mode in enumerate(win.modes):
@@ -106,11 +105,14 @@ def test_criterion_5_matrix_matches_bracket():
             if c:
                 f_terms[mode] = c
                 v[i] = float(c)
-        want = coefficient_vector(bracket(flow.stream(), TrigPoly(f_terms)),
-                                  ext).values
-        ok &= bool(np.max(np.abs(M @ v - want)) <= 1e-12)
-    report(5, "bracket matrix agrees with the exact bracket on 50 random "
-              "vectors, m,n <= 3, N <= 6 (<= 1e-12 per coefficient)", ok)
+        ext = extended(flow, win)
+        want = window_values(bracket(flow.stream(), TrigPoly(f_terms)), ext)
+        got = np.zeros(len(ext))
+        for index, rows, L in chain_brackets(flow, win):
+            got[rows] += L @ v[index]
+        ok &= bool(np.max(np.abs(got - want)) <= 1e-12)
+    report(5, "the chains' bracket blocks agree with the exact bracket on 50 "
+              "random vectors, m,n <= 3, N <= 6 (<= 1e-12 per coefficient)", ok)
 
 
 def test_criterion_6_quadform_matches_index():
@@ -118,13 +120,11 @@ def test_criterion_6_quadform_matches_index():
     for flow, field, N in [(KolmogorovFlow(3, 2), zeta32_field(), 7),
                            (KolmogorovFlow(2, 2), fdiag22_field(), 9)]:
         win = SpectralWindow(N, COS)
-        v = coefficient_vector(field, win).values
-        q = assemble_quadform(flow, win)
-        got = 2 * float(v @ q.matrix @ v)
+        got = form_value(flow, win, window_values(field, win))
         want = float(misiolek_index(bracket(flow.stream(), field), flow))
         ok &= abs(got - want) <= 1e-10 * abs(want)
-    report(6, "quadratic form reproduces the exact index for the (3,2) and "
-              "(2,2) certificate fields (<= 1e-10 relative)", ok)
+    report(6, "the chains' quadratic forms reproduce the exact index for the "
+              "(3,2) and (2,2) certificate fields (<= 1e-10 relative)", ok)
 
 
 def test_criterion_7_sweep_certifies_all_pairs():
@@ -147,15 +147,11 @@ def test_criterion_7_sweep_certifies_all_pairs():
 def test_criterion_8_dominant_mode():
     ok = True
     for p in (2, 3):
-        q = assemble_quadform(KolmogorovFlow(3, 2), SpectralWindow(8, COS))
-        r = reduce_symmetric(q, p)
-        coeffs = minimizer_coefficients(r, sym_eig_min(r.matrix).vector)
-        ok &= coeffs.dominant_mode() == Mode(1, 0, COS)
+        res = run_minimize(KolmogorovFlow(3, 2), p=p, N=8)
+        ok &= res.coeffs.dominant_mode() == Mode(1, 0, COS)
 
-        q = assemble_quadform(KolmogorovFlow(2, 2), SpectralWindow(8, COS))
-        r = constrain(reduce_symmetric(q, p), [Mode(0, 1, COS)])
-        coeffs = minimizer_coefficients(r, sym_eig_min(r.matrix).vector)
-        ok &= coeffs.dominant_mode() == Mode(1, 0, COS)
+        res = run_minimize(KolmogorovFlow(2, 2), p=p, N=8, constraints=[Mode(0, 1, COS)])
+        ok &= res.coeffs.dominant_mode() == Mode(1, 0, COS)
     report(8, "minimizers for (3,2) and constrained (2,2) at p in {2,3}, N=8 "
               "are dominated by the cos(x) coefficient", ok)
 

@@ -8,13 +8,14 @@ one kept-mode count with their bracket's nonzeros, `_gram` builds each
 group's forms from those nonzeros, and `window_minimum` solves each group
 in one stacked eigensolve, leaving out the chains that a flow symmetry
 maps onto an earlier chain, then picks the winner among every chain's
-minimum.  These tests check that scan against per-chain dense products
-L^T W L (restricted to the kept modes), the dense views
-(`assemble_bracket_matrix`, `assemble_quadform`, `constrain`) and the
-exact bracket, check the skipped twins against the chains they repeat,
-drive `window_minimum` with hand-built stacks for its tie and failure
-rules, and pin the certified values that the dense minimization gave
-before the split.
+minimum.  These tests check that scan against the oracles of
+`conftest`: the chains' bracket blocks against the exact bracket, each
+chain's form against its dense product L^T W L (restricted to the kept
+modes), and each minimum against the whole window's form scattered from
+those products.  They also check the skipped twins against the chains
+they repeat, drive `window_minimum` with hand-built stacks for its tie
+and failure rules, and pin the certified values that the dense
+minimization gave before the split.
 """
 
 import itertools
@@ -26,39 +27,14 @@ import numpy as np
 import pytest
 
 from kolmconj import pipeline, spectral
-from kolmconj.eigensolve import ConvergenceError, eigen_pair, lowest_eigenpairs, sym_eig_min
+from kolmconj.eigensolve import ConvergenceError, eigen_pair, lowest_eigenpairs
 from kolmconj.pipeline import run_minimize
-from kolmconj.spectral import (FULL, STACK_ENTRIES, CertificationError, QuadForm,
-                               SpectralWindow,
-                               assemble_bracket_matrix, assemble_quadform,
-                               coefficient_vector, constrain, reduce_symmetric,
+from kolmconj.spectral import (FULL, STACK_ENTRIES, CertificationError, SpectralWindow,
                                window_minimum)
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
-
-def extended(flow, window):
-    return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
-
-
-def chain_brackets(flow, window):
-    """(index, rows, L) of each chain of `_Chains`, by chain number.
-
-    `index` holds the window positions of the chain's modes, `rows` the
-    positions in the extended window of the outputs its bracket reaches,
-    and L the dense bracket block between them, scattered from the
-    nonzeros that `_Chains.groups` yields.
-    """
-    chains = {}
-    for positions, index, (slot, rows, local, coeffs) in spectral._Chains(
-            flow, window, extended(flow, window)).groups():
-        by_slot = np.argsort(slot, kind="stable")
-        ends = np.searchsorted(slot[by_slot], np.arange(len(positions)), side="right")
-        for i, at in enumerate(np.split(by_slot, ends[:-1])):
-            L = np.zeros((len(at), index.shape[1]))
-            r, t = np.nonzero(coeffs[at])
-            L[r, local[at][r, t]] = coeffs[at][r, t]
-            chains[positions[i]] = index[i], rows[at], L
-    return [chains[number] for number in range(len(chains))]
+from conftest import (bracket_matrix, chain_brackets, extended, gram_blocks, lowest_pair,
+                      per_chain_products, window_values)
 
 
 def chain_layout(flow, window):
@@ -69,13 +45,6 @@ def chain_layout(flow, window):
 def chain_modes(flow, window):
     """The modes of each chain, by chain number."""
     return [window.modes_at(index) for index, _ in chain_layout(flow, window)]
-
-
-def chain_forms(flow, window, p):
-    """Each chain's ReducedForm, cut from the dense form at its window positions."""
-    B = assemble_quadform(flow, window).matrix
-    return [reduce_symmetric(QuadForm(window, B[np.ix_(index, index)], index), p)
-            for index, _ in chain_layout(flow, window)]
 
 
 @pytest.mark.parametrize("m,n,N,subspace", [
@@ -93,12 +62,6 @@ def test_blocks_partition_the_window(m, n, N, subspace):
         assert list(modes) == sorted(modes)
         assert rows.tolist() == sorted(rows.tolist())
     assert [modes[0] for modes in chains] == sorted(modes[0] for modes in chains)
-    # the form couples no two chains
-    chain = np.empty(len(window), dtype=int)
-    for number, (index, _) in enumerate(layout):
-        chain[index] = number
-    B = assemble_quadform(flow, window).matrix
-    assert np.all(B[chain[:, None] != chain[None, :]] == 0.0)
 
 
 @pytest.mark.parametrize("m,n,blocks,largest", [(1, 1, 4, 220), (3, 2, 14, 77),
@@ -129,7 +92,8 @@ def propagated_chains(cols, linked, size):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_chains_are_the_connected_classes(m):
-    # every chain is connected through bracket rows, and no row links two chains
+    # every chain is connected through bracket rows, and no row links two
+    # chains, so the form L^T W L couples no two chains
     for n in range(1, 9):
         flow = KolmogorovFlow(m, n)
         for N, subspace in itertools.product((1, 2, 3, 5, 2 * max(m, n) + 4), (COS, SIN, FULL)):
@@ -163,19 +127,14 @@ def test_scattered_brackets_match_exact_bracket():
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         flow = KolmogorovFlow(m, n)
         window = SpectralWindow(rng.randint(1, 6), rng.choice((COS, SIN, FULL)))
-        ext = extended(flow, window)
-        M = assemble_bracket_matrix(flow, window, ext)
-        for cols, out, block in chain_brackets(flow, window):
-            others = np.setdiff1d(np.arange(len(ext)), out)
-            assert np.all(M[np.ix_(others, cols)] == 0.0)
-            assert np.array_equal(M[np.ix_(out, cols)], block)
+        M = bracket_matrix(flow, window)
         terms, v = {}, np.zeros(len(window))
         for i, mode in enumerate(window.modes):
             c = F(rng.randint(-6, 6), 4)
             if c:
                 terms[mode] = c
                 v[i] = float(c)
-        want = coefficient_vector(bracket(flow.stream(), TrigPoly(terms)), ext).values
+        want = window_values(bracket(flow.stream(), TrigPoly(terms)), extended(flow, window))
         assert np.max(np.abs(M @ v - want)) <= 1e-12
 
 
@@ -185,18 +144,24 @@ def test_block_gram_equals_dense_gram():
     for m, n, N, subspace in [(3, 2, 6, COS), (1, 1, 5, FULL), (4, 3, 4, SIN)]:
         flow = KolmogorovFlow(m, n)
         window = SpectralWindow(N, subspace)
-        L = assemble_bracket_matrix(flow, window, extended(flow, window))
         weights = np.array([md.laplace_weight for md in extended(flow, window).modes],
                            dtype=float) - flow.lambda2
-        dense = L.T @ (weights[:, None] * L)
-        assert np.array_equal(assemble_quadform(flow, window).matrix, dense)
+        grams, blocks = gram_blocks(flow, window), chain_brackets(flow, window)
+        assert len(grams) == len(blocks)
+        for (index, B), (want, rows, L) in zip(grams, blocks):
+            assert np.array_equal(index, want)
+            assert np.array_equal(B, L.T @ (weights[rows][:, None] * L))
 
 
 def _dense_minimum(flow, window, p, zeroed):
-    r = reduce_symmetric(assemble_quadform(flow, window), p)
-    if zeroed:
-        r = constrain(r, zeroed)
-    return np.linalg.eigh(r.matrix)[0][0], np.max(np.abs(r.matrix))
+    """Lowest eigenvalue and largest entry of the whole window's reduced form,
+    scattered from the per-chain products, less the zeroed modes."""
+    S = np.zeros((len(window), len(window)))
+    for index, _, block in per_chain_products(flow, window, p):
+        S[np.ix_(index, index)] = block
+    keep = np.setdiff1d(np.arange(len(window)), [window.index_of(mode) for mode in zeroed])
+    S = S[np.ix_(keep, keep)]
+    return np.linalg.eigh(S)[0][0], np.max(np.abs(S))
 
 
 def test_block_minimum_equals_dense_eigh():
@@ -275,18 +240,19 @@ def test_tie_goes_to_earlier_block(monkeypatch):
     # more than TIE_RTOL, and the winner's form is the stack it came from
     flow, window = KolmogorovFlow(3, 2), SpectralWindow(6, COS)
     firsts = [index[0] for index, _ in chain_layout(flow, window)]
-    first = chain_forms(flow, window, 3)[0]
-    value = sym_eig_min(first.matrix).value
-    index = np.stack([first.index, first.index + 1])
+    positions, _, S = next(per_chain_products(flow, window, 3))
+    first = np.array(positions)
+    value = lowest_pair(S).value
+    index = np.stack([first, first + 1])
     for shift, winner in [(1e-14, 0), (1e-9, 1)]:
-        lowered = first.matrix - shift * abs(value) * np.eye(len(first.index))
-        stack = np.stack([first.matrix, lowered])
+        lowered = S - shift * abs(value) * np.eye(len(first))
+        stack = np.stack([S, lowered])
         for groups in ([([0, 1], index, stack)],
                        [([1], index[1:], stack[1:]), ([0], index[:1], stack[:1])]):
             got_window, (pair, reduced, _, _, got_first) = _scan(monkeypatch, groups)
             assert got_first == firsts[winner]
             assert reduced.window is got_window and reduced.p == 0
-            assert np.array_equal(reduced.index, first.index + winner)
+            assert np.array_equal(reduced.index, first + winner)
             assert np.array_equal(reduced.matrix, stack[winner])
             assert pair.value == np.linalg.eigh(stack[winner])[0][0]
 
@@ -312,8 +278,9 @@ def _sweep_chains(mmax):
     for m in range(1, mmax + 1):
         for n in range(1, m + 1):
             for subspace in (COS, SIN):
-                for r in chain_forms(KolmogorovFlow(m, n), SpectralWindow(12, subspace), 3):
-                    chains[len(r.index)].append(r.matrix)
+                for index, _, S in per_chain_products(KolmogorovFlow(m, n),
+                                                      SpectralWindow(12, subspace), 3):
+                    chains[len(index)].append(S)
     return chains
 
 
@@ -322,7 +289,7 @@ def test_stacked_eigensolve_matches_one_at_a_time_on_sweep_chains():
         values, vectors, failure = lowest_eigenpairs(np.stack(mats))
         assert failure is None
         for S, value, vector in zip(mats, values, vectors):
-            got, want = eigen_pair(S, value, vector, 1e-10), sym_eig_min(S)
+            got, want = eigen_pair(S, value, vector, 1e-10), lowest_pair(S)
             assert got.value == want.value
             assert np.array_equal(got.vector, want.vector)
             assert got.residual == want.residual
@@ -361,23 +328,6 @@ def test_chain_groups_hold_one_shape_within_the_stack_cap(m, n, N, subspace):
     # each mode count fills as few stacks as the cap allows
     for d, counts in groups.items():
         assert len(counts) == -(-sum(counts) // max(1, STACK_ENTRIES // d ** 2))
-
-
-def _per_chain_products(flow, window, p):
-    """Window positions, B and S of each chain, one chain at a time.
-
-    The reference for the grouped path: the dense Gram product L^T W L of
-    each chain's bracket block (checked against the exact bracket by
-    `test_scattered_brackets_match_exact_bracket`), symmetrized, then the
-    Sobolev reduction.
-    """
-    weights = extended(flow, window).laplace - flow.lambda2
-    for index, rows, L in chain_brackets(flow, window):
-        B = L.T @ (weights[rows][:, None] * L)
-        B = 0.5 * (B + B.T)
-        scale = window.laplace[index] ** (-p / 2)
-        S = B * np.outer(scale, scale)
-        yield index.tolist(), B, 0.5 * (S + S.T)
 
 
 def _symmetries(flow):
@@ -485,7 +435,7 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
         seen, (_, reduced, _, _, first), _ = _solved_chains(
             monkeypatch, flow, N=N, subspace=subspace, constraints=zeroed)
         assert reduced.window._modes is None
-        reference = list(_per_chain_products(flow, window, 3))
+        reference = list(per_chain_products(flow, window, 3))
         best = next(c for c, (full, _, _) in enumerate(reference) if full[0] == first)
         zero_at = {window.index_of(mode) for mode in zeroed}
         held = {c for c, (index, _, _) in enumerate(reference) if zero_at & set(index)}
@@ -518,7 +468,7 @@ def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, larges
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
     solved, _, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
     chains = chain_modes(flow, window)
-    products = list(_per_chain_products(flow, window, 3))
+    products = list(per_chain_products(flow, window, 3))
     skipped = set(range(len(chains))) - solved.keys()
     assert skipped and skipped == _twins(flow, window)
     for c in skipped:
@@ -550,7 +500,7 @@ def test_first_listed_failing_block_raises_its_error(monkeypatch):
     unsymmetric = np.array([[1.0, 2.0], [0.0, 1.0]])
     pairs = np.stack([np.diag([1.0, 2.0]), unsymmetric, np.diag([3.0, 1.0])])
     with pytest.raises(ConvergenceError) as want:
-        sym_eig_min(a + a.T, 1e-300)
+        lowest_pair(a + a.T, 1e-300)
     with pytest.raises(ConvergenceError) as got:
         _scan(monkeypatch, [([0, 2, 3], np.zeros((3, 2), dtype=int), pairs),
                             ([1], np.zeros((1, 3), dtype=int), (a + a.T)[None])], 1e-300)

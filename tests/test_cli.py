@@ -15,7 +15,8 @@ from kolmconj import pipeline
 from kolmconj.cli import build_parser, main
 from kolmconj.pipeline import (read_field_file, run_minimize, run_sweep,
                                write_field_file)
-from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly
+from kolmconj.theorems import drivas_field
+from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, TrigPoly
 
 
 def run(capsys, *argv):
@@ -244,6 +245,37 @@ class TestMiCommand:
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "mi", str(tmp_path / "nope.json"))
         assert code == 2
+
+
+class TestConjugateTimeBound:
+    """The threshold T* = pi * sqrt(E / -MI) that `mi` prints for a negative index."""
+
+    @staticmethod
+    def mi(capsys, tmp_path, flow, field):
+        path = tmp_path / "field.json"
+        write_field_file(str(path), flow, field, "time bound")
+        return run(capsys, "mi", str(path))
+
+    def test_drivas_bound(self, capsys, tmp_path):
+        code, out, _ = self.mi(capsys, tmp_path, KolmogorovFlow(1, 1), drivas_field())
+        assert code == 0
+        [line] = [line for line in out.splitlines() if "T* =" in line]
+        # T*^2 = pi^2 * (43/20) / (3/200) = 430 pi^2 / 3
+        assert line.endswith("(T*^2/pi^2 = 430/3)")
+        tstar = float(line.split("T* = ")[1].split()[0])
+        assert tstar ** 2 == pytest.approx(430 * math.pi ** 2 / 3, rel=1e-12)
+
+    def test_positive_index_returns_none(self, capsys, tmp_path):
+        code, out, _ = self.mi(capsys, tmp_path, KolmogorovFlow(2, 1), TrigPoly.cosine(1, 0))
+        assert code == 0
+        assert "not detected" in out and "T*" not in out
+
+    def test_kernel_field_rejected(self, capsys, tmp_path):
+        for m, n in [(1, 1), (2, 1), (3, 2)]:
+            flow = KolmogorovFlow(m, n)
+            code, out, _ = self.mi(capsys, tmp_path, flow, flow.stream())
+            assert code == 1
+            assert "kernel" in out and "T*" not in out
 
 
 class TestSweepCommand:
@@ -588,6 +620,17 @@ def test_sweep_q_too_long_to_print_is_numerical_failure(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "numerical failure: certified_q has too many digits to print\n"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("offdiag", str(10 ** 800 + 1), str(10 ** 800)), "minimum value"),
+    (("diag", str(10 ** 800)), "a0")])
+def test_verify_value_too_long_to_print_is_numerical_failure(capsys, argv, name):
+    # the family's first value past 4300 digits stops the report before any line
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"numerical failure: {name} has too many digits to print\n"
 
 
 _SMALL_INTS = st.integers(-4, 4).map(str)

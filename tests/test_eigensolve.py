@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from kolmconj.eigensolve import (ConvergenceError, eigen_pair, lowest_eigenpairs,
-                                 sym_eig_min)
+from kolmconj.eigensolve import ConvergenceError, eigen_pair, lowest_eigenpairs
+
+from conftest import lowest_pair
 
 
 def random_symmetric(rng, n):
@@ -12,16 +13,18 @@ def random_symmetric(rng, n):
     return (a + a.T) / 2
 
 
-class TestSymEigMin:
+class TestLowestPair:
+    """One matrix, solved as a stack of one."""
+
     def test_diagonal(self):
-        pair = sym_eig_min(np.diag([3.0, -1.0, 2.0]))
+        pair = lowest_pair(np.diag([3.0, -1.0, 2.0]))
         assert pair.value == pytest.approx(-1.0, rel=1e-14)
         assert np.allclose(np.abs(pair.vector), [0, 1, 0], atol=1e-14)
 
     def test_sign_convention(self):
         # eigenvector of [[0,1],[1,0]] at -1 is (1,-1)/sqrt(2); first
         # significant entry must be positive
-        pair = sym_eig_min(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        pair = lowest_pair(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert pair.value == pytest.approx(-1.0, rel=1e-14)
         assert pair.vector[0] > 0
         assert np.allclose(pair.vector, [2 ** -0.5, -(2 ** -0.5)], atol=1e-14)
@@ -29,14 +32,14 @@ class TestSymEigMin:
     def test_unit_norm(self):
         rng = random.Random(3)
         for _ in range(10):
-            pair = sym_eig_min(random_symmetric(rng, 12))
+            pair = lowest_pair(random_symmetric(rng, 12))
             assert np.linalg.norm(pair.vector) == pytest.approx(1.0, rel=1e-13)
 
     def test_residual_small(self):
         rng = random.Random(4)
         for _ in range(10):
             S = random_symmetric(rng, 20)
-            pair = sym_eig_min(S)
+            pair = lowest_pair(S)
             direct = np.linalg.norm(S @ pair.vector - pair.value * pair.vector)
             assert pair.residual == pytest.approx(direct, rel=1e-12, abs=1e-300)
             assert pair.residual <= 1e-10 * max(np.max(np.abs(S)), 1e-300) * 20
@@ -46,7 +49,7 @@ class TestSymEigMin:
         rng = random.Random(5)
         for _ in range(20):
             S = random_symmetric(rng, 15)
-            pair = sym_eig_min(S)
+            pair = lowest_pair(S)
             for _ in range(10):
                 v = np.array([rng.uniform(-1, 1) for _ in range(15)])
                 assert pair.value <= (v @ S @ v) / (v @ v) + 1e-10
@@ -55,28 +58,28 @@ class TestSymEigMin:
         rng = random.Random(6)
         for _ in range(20):
             S = random_symmetric(rng, 10)
-            assert sym_eig_min(S).value <= np.min(np.diag(S)) + 1e-12
+            assert lowest_pair(S).value <= np.min(np.diag(S)) + 1e-12
 
     def test_orthogonal_similarity_invariance(self):
         rng = random.Random(7)
         S = random_symmetric(rng, 8)
         q, _ = np.linalg.qr(random_symmetric(rng, 8))
-        assert sym_eig_min(q @ S @ q.T).value == pytest.approx(
-            sym_eig_min(S).value, rel=1e-9)
+        assert lowest_pair(q @ S @ q.T).value == pytest.approx(
+            lowest_pair(S).value, rel=1e-9)
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
-            sym_eig_min(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            lowest_pair(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            sym_eig_min(np.zeros((2, 3)))
+            lowest_pair(np.zeros((2, 3)))
 
     def test_deterministic(self):
         rng = random.Random(8)
         S = random_symmetric(rng, 16)
-        a = sym_eig_min(S)
-        b = sym_eig_min(S)
+        a = lowest_pair(S)
+        b = lowest_pair(S)
         assert a.value == b.value
         assert np.array_equal(a.vector, b.vector)
 
@@ -88,7 +91,7 @@ class TestSymEigMin:
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 1.0, 1e308])
 def test_rejects_tolerance_that_disables_the_residual_guard(tol):
     with pytest.raises(ValueError, match="tolerance"):
-        sym_eig_min(np.diag([1.0, 2.0]), tol)
+        lowest_eigenpairs(np.diag([1.0, 2.0])[None], tol)
 
 
 def assert_same_pair(got, want):
@@ -101,10 +104,10 @@ def assert_stack_matches_one_at_a_time(stack, tol=1e-10):
     values, vectors, failure = lowest_eigenpairs(stack, tol)
     assert failure is None
     for S, value, vector in zip(stack, values, vectors):
-        assert_same_pair(eigen_pair(S, value, vector, tol), sym_eig_min(S, tol))
+        assert_same_pair(eigen_pair(S, value, vector, tol), lowest_pair(S, tol))
 
 
-class TestSymEigMinStack:
+class TestLowestEigenpairs:
     """`lowest_eigenpairs` on stacks: it returns the first failure, (i, error)."""
 
     def test_random_stacks_match_one_at_a_time(self):
@@ -133,7 +136,7 @@ class TestSymEigMinStack:
         stack = np.stack([np.diag([1.0, 2.0, 3.0]), random_symmetric(rng, 3),
                           np.diag([4.0, 1.0, 2.0]), random_symmetric(rng, 3)])
         with pytest.raises(ConvergenceError) as want:
-            sym_eig_min(stack[1], 1e-300)
+            lowest_pair(stack[1], 1e-300)
         i, error = lowest_eigenpairs(stack, 1e-300)[2]
         assert i == 1 and isinstance(error, ConvergenceError)
         assert str(error) == str(want.value)

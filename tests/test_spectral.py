@@ -4,14 +4,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from kolmconj.eigensolve import sym_eig_min
-from kolmconj.spectral import (FULL, CertificationError, SpectralWindow,
-                               assemble_bracket_matrix, assemble_quadform,
-                               certify_candidate, coefficient_vector, constrain,
-                               minimizer_coefficients, reduce_symmetric,
-                               CoeffVector, ReducedForm)
+from kolmconj.spectral import (FULL, CertificationError, SpectralWindow, _extended,
+                               _reduce, _sobolev_scale, certify_candidate,
+                               minimizer_coefficients, window_minimum, CoeffVector,
+                               ReducedForm)
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, canonicalize, misiolek_index)
+
+from conftest import bracket_matrix, extended, form_value, gram_blocks, window_values
 
 
 def zeta32_field():
@@ -105,56 +105,36 @@ class TestFoldIndex:
 
 
 class TestBracketMatrix:
+    """The chains' bracket blocks, scattered into one matrix, against the exact bracket."""
+
     def test_cosx_column(self):
         flow = KolmogorovFlow(2, 1)
         win = SpectralWindow(1, COS)
-        ext = SpectralWindow(3, COS)
-        M = assemble_bracket_matrix(flow, win, ext)
+        M = bracket_matrix(flow, win)
         v = np.zeros(len(win))
         v[win.index_of(Mode(1, 0, COS))] = 1.0
         out = M @ v
         expected = {Mode(3, -1, COS): 0.25, Mode(3, 1, COS): -0.25,
                     Mode(1, 1, COS): 0.25, Mode(1, -1, COS): -0.25}
-        for i, mode in enumerate(ext.modes):
+        for i, mode in enumerate(extended(flow, win).modes):
             assert out[i] == pytest.approx(expected.get(mode, 0.0), abs=1e-14)
 
     def test_stream_coefficients_in_kernel(self):
         for m, n in [(1, 1), (3, 2), (2, 2)]:
             flow = KolmogorovFlow(m, n)
             win = SpectralWindow(max(m, n), COS)
-            ext = SpectralWindow(2 * max(m, n), COS)
-            M = assemble_bracket_matrix(flow, win, ext)
-            v = coefficient_vector(flow.stream(), win).values
+            M = bracket_matrix(flow, win)
+            v = window_values(flow.stream(), win)
             assert np.max(np.abs(M @ v)) < 1e-14
 
     def test_sinx_column_matches_bracket(self):
         flow = KolmogorovFlow(1, 1)
         win = SpectralWindow(1, SIN)
-        ext = SpectralWindow(2, SIN)
-        M = assemble_bracket_matrix(flow, win, ext)
+        M = bracket_matrix(flow, win)
         v = np.zeros(len(win))
         v[win.index_of(Mode(1, 0, SIN))] = 1.0
-        want = coefficient_vector(bracket(flow.stream(), TrigPoly.sine(1, 0)),
-                                  ext).values
+        want = window_values(bracket(flow.stream(), TrigPoly.sine(1, 0)), extended(flow, win))
         assert np.max(np.abs(M @ v - want)) < 1e-14
-
-    def test_zero_vector(self):
-        flow = KolmogorovFlow(2, 1)
-        win = SpectralWindow(2, SIN)
-        ext = SpectralWindow(4, SIN)
-        M = assemble_bracket_matrix(flow, win, ext)
-        assert np.max(np.abs(M @ np.zeros(len(win)))) == 0.0
-
-    def test_undersized_output_rejected(self):
-        flow = KolmogorovFlow(3, 2)
-        with pytest.raises(ValueError):
-            assemble_bracket_matrix(flow, SpectralWindow(4, COS),
-                                    SpectralWindow(5, COS))
-
-    def test_mismatched_subspaces_rejected(self):
-        flow = KolmogorovFlow(1, 1)
-        with pytest.raises(ValueError):
-            assemble_bracket_matrix(flow, SpectralWindow(2, SIN), SpectralWindow(4, COS))
 
     @pytest.mark.parametrize("parity", [COS, SIN])
     def test_matches_exact_bracket_random(self, parity):
@@ -162,34 +142,50 @@ class TestBracketMatrix:
         for _ in range(25):
             m, n = rng.randint(1, 3), rng.randint(1, 3)
             flow = KolmogorovFlow(m, n)
-            N = rng.randint(1, 6)
-            win = SpectralWindow(N, parity)
-            ext = SpectralWindow(N + max(m, n), parity)
-            M = assemble_bracket_matrix(flow, win, ext)
+            win = SpectralWindow(rng.randint(1, 6), parity)
+            M = bracket_matrix(flow, win)
             f, v = random_window_vector(rng, win)
-            want = coefficient_vector(bracket(flow.stream(), f), ext).values
+            want = window_values(bracket(flow.stream(), f), extended(flow, win))
             assert np.max(np.abs(M @ v - want)) < 1e-12
 
 
+    @pytest.mark.parametrize("parity", [COS, SIN])
+    def test_extended_window_holds_every_bracket(self, parity):
+        # the chains' output rows live in `_extended`: the bracket of every
+        # window mode must land there, in the window's own parity
+        for m, n in [(1, 1), (2, 1), (3, 2), (2, 2), (4, 3)]:
+            flow = KolmogorovFlow(m, n)
+            for N in range(1, 6):
+                win = SpectralWindow(N, parity)
+                ext = _extended(flow, win)
+                assert ext.subspace == parity
+                for mode in win.modes:
+                    field = (TrigPoly.cosine if parity == COS else TrigPoly.sine)(mode.j, mode.k)
+                    out = bracket(flow.stream(), field)
+                    assert all(ext.index_of(term) is not None for term in out.terms)
+
+
 class TestQuadForm:
+    """Each chain's form as `_gram` builds it, against the exact index."""
+
     def test_diagonal_entry_cosx(self):
         for m, n in [(2, 1), (3, 2), (4, 4)]:
-            q = assemble_quadform(KolmogorovFlow(m, n), SpectralWindow(4, COS))
-            i = q.window.index_of(Mode(1, 0, COS))
-            assert q.matrix[i, i] == pytest.approx(n * n / 4, rel=1e-13)
+            win = SpectralWindow(4, COS)
+            i = win.index_of(Mode(1, 0, COS))
+            [(index, B)] = [(index, B) for index, B in gram_blocks(KolmogorovFlow(m, n), win)
+                            if i in index]
+            at = index.tolist().index(i)
+            assert B[at, at] == pytest.approx(n * n / 4, rel=1e-13)
 
     def test_symmetry(self):
-        q = assemble_quadform(KolmogorovFlow(3, 2), SpectralWindow(6, COS))
-        scale = np.max(np.abs(q.matrix))
-        assert np.max(np.abs(q.matrix - q.matrix.T)) <= 1e-13 * scale
+        for _, B in gram_blocks(KolmogorovFlow(3, 2), SpectralWindow(6, COS)):
+            assert np.array_equal(B, B.T)
 
     def test_matches_exact_index_zeta32(self):
         flow = KolmogorovFlow(3, 2)
         f = zeta32_field()
         win = SpectralWindow(7, COS)
-        q = assemble_quadform(flow, win)
-        v = coefficient_vector(f, win).values
-        got = 2 * float(v @ q.matrix @ v)
+        got = form_value(flow, win, window_values(f, win))
         want = float(misiolek_index(bracket(flow.stream(), f), flow))
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -197,9 +193,7 @@ class TestQuadForm:
         flow = KolmogorovFlow(2, 2)
         f = fdiag22_field()
         win = SpectralWindow(9, COS)
-        q = assemble_quadform(flow, win)
-        v = coefficient_vector(f, win).values
-        got = 2 * float(v @ q.matrix @ v)
+        got = form_value(flow, win, window_values(f, win))
         want = float(misiolek_index(bracket(flow.stream(), f), flow))
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -210,63 +204,61 @@ class TestQuadForm:
             parity = rng.choice((COS, SIN))
             flow = KolmogorovFlow(m, n)
             win = SpectralWindow(rng.randint(2, 5), parity)
-            q = assemble_quadform(flow, win)
             f, v = random_window_vector(rng, win)
-            got = 2 * float(v @ q.matrix @ v)
+            got = form_value(flow, win, v)
             want = float(misiolek_index(bracket(flow.stream(), f), flow))
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 class TestReduceConstrain:
     def test_p_zero_identity(self):
-        q = assemble_quadform(KolmogorovFlow(2, 1), SpectralWindow(4, COS))
-        r = reduce_symmetric(q, 0)
-        assert np.array_equal(r.matrix, q.matrix)
+        win = SpectralWindow(4, COS)
+        for index, B in gram_blocks(KolmogorovFlow(2, 1), win):
+            assert np.array_equal(_reduce(B, _sobolev_scale(win.laplace[index], 0)), B)
 
     def test_unit_weight_mode_unchanged(self):
-        q = assemble_quadform(KolmogorovFlow(2, 1), SpectralWindow(4, COS))
-        r = reduce_symmetric(q, 2)
-        i = q.window.index_of(Mode(1, 0, COS))
-        assert r.matrix[i, i] == q.matrix[i, i]
+        win = SpectralWindow(4, COS)
+        i = win.index_of(Mode(1, 0, COS))
+        [(index, B)] = [(index, B) for index, B in gram_blocks(KolmogorovFlow(2, 1), win)
+                        if i in index]
+        at = index.tolist().index(i)
+        assert _reduce(B, _sobolev_scale(win.laplace[index], 2))[at, at] == B[at, at]
 
     def test_sign_independent_of_p(self):
-        q = assemble_quadform(KolmogorovFlow(3, 2), SpectralWindow(8, COS))
-        signs = set()
-        for p in (0, 1, 2, 3):
-            pair = sym_eig_min(reduce_symmetric(q, p).matrix)
-            signs.add(pair.value < 0)
+        win = SpectralWindow(8, COS)
+        signs = {window_minimum(KolmogorovFlow(3, 2), win, p)[0].value < 0
+                 for p in (0, 1, 2, 3)}
         assert signs == {True}
 
     def test_reduced_form_index_is_keyword_only(self):
         # the form's modes come from `index`; a call that passes modes and
         # matrix by position fails here instead of binding the wrong fields
-        r = reduce_symmetric(assemble_quadform(KolmogorovFlow(2, 1), SpectralWindow(3, COS)), 3)
+        r = window_minimum(KolmogorovFlow(2, 1), SpectralWindow(3, COS), 3)[1]
         with pytest.raises(TypeError):
             ReducedForm(r.window, r.p, r.modes, r.matrix)
 
     def test_constrain_empty_is_identity(self):
-        q = assemble_quadform(KolmogorovFlow(2, 1), SpectralWindow(3, COS))
-        r = reduce_symmetric(q, 3)
-        c = constrain(r, [])
+        flow, win = KolmogorovFlow(2, 1), SpectralWindow(3, COS)
+        pair, r, *counts = window_minimum(flow, win, 3)
+        c_pair, c, *c_counts = window_minimum(flow, win, 3, [])
+        assert c_pair.value == pair.value and np.array_equal(c_pair.vector, pair.vector)
         assert np.array_equal(c.matrix, r.matrix)
         assert c.modes == r.modes
+        assert c_counts == counts
 
     def test_constrain_unknown_mode_rejected(self):
-        q = assemble_quadform(KolmogorovFlow(2, 1), SpectralWindow(3, COS))
-        r = reduce_symmetric(q, 3)
-        with pytest.raises(ValueError):
-            constrain(r, [Mode(99, 0, COS)])
+        with pytest.raises(ValueError, match="outside the window"):
+            window_minimum(KolmogorovFlow(2, 1), SpectralWindow(3, COS), 3,
+                           [Mode(99, 0, COS)])
 
     def test_constrain_everything_rejected(self):
-        q = assemble_quadform(KolmogorovFlow(2, 1), SpectralWindow(3, COS))
-        r = reduce_symmetric(q, 3)
-        with pytest.raises(ValueError):
-            constrain(r, list(r.modes))
+        win = SpectralWindow(3, COS)
+        with pytest.raises(ValueError, match="every mode"):
+            window_minimum(KolmogorovFlow(2, 1), win, 3, list(win.modes))
 
     def test_diag22_constrained_minimizer_shape(self):
-        q = assemble_quadform(KolmogorovFlow(2, 2), SpectralWindow(8, COS))
-        r = constrain(reduce_symmetric(q, 3), [Mode(0, 1, COS)])
-        pair = sym_eig_min(r.matrix)
+        pair, r = window_minimum(KolmogorovFlow(2, 2), SpectralWindow(8, COS), 3,
+                                 [Mode(0, 1, COS)])[:2]
         coeffs = minimizer_coefficients(r, pair.vector)
         assert coeffs.dominant_mode() == Mode(1, 0, COS)
         assert coeffs.values[coeffs.window.index_of(Mode(0, 1, COS))] == 0.0
@@ -286,7 +278,7 @@ class TestCertify:
         flow = KolmogorovFlow(3, 2)
         f = zeta32_field()
         win = SpectralWindow(7, COS)
-        res = certify_candidate(coefficient_vector(f, win), flow)
+        res = certify_candidate(CoeffVector(win, window_values(f, win)), flow)
         # small denominators survive rationalization exactly
         assert res.mi_over_pi2 == misiolek_index(bracket(flow.stream(), f), flow)
         assert res.detected
@@ -295,7 +287,7 @@ class TestCertify:
         flow = KolmogorovFlow(2, 1)
         win = SpectralWindow(3, COS)
         with pytest.raises(CertificationError):
-            certify_candidate(coefficient_vector(flow.stream(), win), flow)
+            certify_candidate(CoeffVector(win, window_values(flow.stream(), win)), flow)
 
     def test_zero_vector_rejected(self):
         flow = KolmogorovFlow(2, 1)
@@ -310,9 +302,7 @@ class TestEndToEnd:
         # produces an exact negative rational witness
         for m, n, parity in [(3, 2, COS), (2, 1, COS), (2, 2, COS), (1, 1, SIN)]:
             flow = KolmogorovFlow(m, n)
-            q = assemble_quadform(flow, SpectralWindow(8, parity))
-            r = reduce_symmetric(q, 3)
-            pair = sym_eig_min(r.matrix)
+            pair, r = window_minimum(flow, SpectralWindow(8, parity), 3)[:2]
             assert pair.value < -1e-6
             res = certify_candidate(minimizer_coefficients(r, pair.vector), flow)
             assert res.detected and res.mi_over_pi2 < 0

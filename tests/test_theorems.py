@@ -17,6 +17,18 @@ from kolmconj.trigpoly import KolmogorovFlow, TrigPoly, bracket, misiolek_index
 from conftest import random_trigpoly
 
 
+def _linear(form):
+    """The form's linear coefficients, its gradient at 0."""
+    n = len(form.variables)
+    return [form.coefficient(tuple(int(i == j) for j in range(n))) for i in range(n)]
+
+
+def _gradient(form, point):
+    """H x + g, a quadratic's gradient at x: the system `diag_candidate` solves."""
+    return [sum((hij * xj for hij, xj in zip(row, point)), gi)
+            for row, gi in zip(form.hessian(), _linear(form))]
+
+
 class TestOffdiagForm:
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 7)
                                      for n in range(1, m)])
@@ -45,8 +57,8 @@ class TestOffdiagForm:
         form = offdiag_form(m, n)
         cand = offdiag_candidate(m, n)
         a0, b0 = cand.values["a"], cand.values["b"]
-        assert form.gradient((a0, F(0)))[0] == 0
-        assert form.gradient((F(0), b0))[1] == 0
+        assert _gradient(form, (a0, F(0)))[0] == 0
+        assert _gradient(form, (F(0), b0))[1] == 0
 
     def test_hessian_positive_definite(self):
         for m, n in [(2, 1), (4, 2), (6, 1)]:
@@ -108,7 +120,7 @@ class TestDiagForm:
         form = diag_form(n)
         cand = diag_candidate(n)
         point = tuple(cand.values[v] for v in ("a", "b", "c", "d"))
-        assert form.gradient(point) == [0, 0, 0, 0]
+        assert _gradient(form, point) == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_hessian_positive_definite(self, n):
@@ -243,11 +255,15 @@ class TestEvaluation:
             assert form.evaluate(point) == want
 
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_linear_coefficients_are_the_gradient_at_zero(self, n):
+    def test_linear_coefficients_are_the_gradient_at_zero(self, rng, n):
+        # f(x) = f(0) + g.x + x^T H x / 2, so H x + g is the gradient of f
         form = diag_form(n)
-        assert form.gradient([F(0)] * 4) == [form.coefficient(tuple(int(i == j)
-                                                                    for j in range(4)))
-                                             for i in range(4)]
+        h, g = form.hessian(), _linear(form)
+        for x in _rational_points(rng, 4):
+            quadratic = sum((xi * hij * xj for xi, row in zip(x, h) for hij, xj in zip(row, x)),
+                            F(0))
+            linear = sum((gi * xi for gi, xi in zip(g, x)), F(0))
+            assert form.evaluate(x) == form.evaluate([F(0)] * 4) + linear + quadratic / 2
 
 
 class TestDrivas:

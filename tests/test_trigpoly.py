@@ -4,9 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from kolmconj.trigpoly import (COS, SIN, CONSTANT_MODE, KolmogorovFlow, Mode,
-                               TrigPoly, bracket, canonicalize,
-                               conjugate_time_bound, grad_energy, inner,
+from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode,
+                               TrigPoly, bracket, canonicalize, grad_energy, inner,
                                misiolek_index, misiolek_pairing)
 
 from conftest import random_trigpoly
@@ -255,22 +254,6 @@ class TestGradEnergy:
                 total += fx.eval(x, y) ** 2 + fy.eval(x, y) ** 2
         total *= (2 * math.pi / size) ** 2
         assert total / math.pi ** 2 == pytest.approx(float(F(43, 20)), rel=1e-12)
-
-
-class TestConjugateTimeBound:
-    def test_drivas_bound(self):
-        from kolmconj.theorems import drivas_field
-        tstar = conjugate_time_bound(drivas_field(), KolmogorovFlow(1, 1))
-        # T*^2 = pi^2 * (43/20) / (3/200) = 430 pi^2 / 3
-        assert tstar ** 2 == pytest.approx(430 * math.pi ** 2 / 3, rel=1e-12)
-
-    def test_positive_index_returns_none(self):
-        assert conjugate_time_bound(TrigPoly.cosine(1, 0), KolmogorovFlow(2, 1)) is None
-
-    def test_kernel_field_rejected(self):
-        flow = KolmogorovFlow(2, 1)
-        with pytest.raises(ValueError):
-            conjugate_time_bound(flow.stream(), flow)
 
 
 class TestKolmogorovFlow:
