@@ -85,7 +85,7 @@ def _verify_drivas(lines: List[str]) -> bool:
 def _verify_signs(lines: List[str]) -> bool:
     lines.append("polynomial sign certificates")
     try:
-        report = theorems.sign_certificates(10)
+        report = theorems.sign_certificates()
     except VerificationError as exc:
         lines.append(f"  FAIL: {exc}")
         return False

@@ -20,9 +20,8 @@ import numpy as np
 
 from .eigensolve import ConvergenceError, EigenPair, check_tol
 from .spectral import (CertificationError, CertifiedResult, CoeffVector,
-                       SpectralWindow, certify_candidate, minimizer_coefficients,
-                       window_minimum)
-from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly
+                       SpectralWindow, certify_candidate, window_minimum)
+from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, canonicalize
 
 # ------------------------------------------------------------ minimize
 
@@ -64,8 +63,7 @@ def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
         N = 2 * max(flow.m, flow.n) + 4
     _check_options(p, N, tol, max_denominator)
     window = SpectralWindow(N, subspace)
-    pair, reduced, blocks, largest, first = window_minimum(flow, window, p, constraints, tol)
-    coeffs = minimizer_coefficients(reduced, pair.vector)
+    pair, coeffs, blocks, largest, first = window_minimum(flow, window, p, constraints, tol)
     certified = certify_candidate(coeffs, flow, max_denominator)
     return MinimizeResult(flow, subspace, p, N, pair, coeffs, certified, blocks, largest,
                           window.modes_at([first])[0])
@@ -158,6 +156,7 @@ def read_field_file(path: str) -> Tuple[KolmogorovFlow, TrigPoly, str]:
     The top level is an object with integers `m`, `n` and a `modes` list;
     each mode is an object with `parity` "cos" or "sin", integers `j`, `k`
     and a `value` that is a finite rational ("p/q" string, int or float).
+    Entries fold (j, k) and (-j, -k) onto one mode; a mode twice, or sin(0,0), is rejected.
     """
     with open(path) as fh:
         try:
@@ -170,7 +169,7 @@ def read_field_file(path: str) -> Tuple[KolmogorovFlow, TrigPoly, str]:
     entries = _member(doc, "modes", "top level")
     if not isinstance(entries, list):
         raise ValueError("field file: 'modes' must be a list")
-    terms = []
+    terms = {}
     for i, entry in enumerate(entries):
         where = f"mode {i}"
         if not isinstance(entry, dict):
@@ -179,9 +178,13 @@ def read_field_file(path: str) -> Tuple[KolmogorovFlow, TrigPoly, str]:
         if parity not in (COS, SIN):
             raise ValueError(f"field file: {where} parity must be 'cos' or 'sin', "
                              f"got {parity!r}")
-        terms.append((parity, _integer(entry, "j", where), _integer(entry, "k", where),
-                      _rational(_member(entry, "value", where))))
-    return flow, TrigPoly.from_terms(terms), doc.get("description", "")
+        mode, sign = canonicalize(parity, _integer(entry, "j", where), _integer(entry, "k", where))
+        if mode is None:
+            raise ValueError(f"field file: {where} is sin(0x+0y), the zero function")
+        if mode in terms:
+            raise ValueError(f"field file: {where} repeats the mode of an earlier entry")
+        terms[mode] = sign * _rational(_member(entry, "value", where))
+    return flow, TrigPoly(terms), doc.get("description", "")
 
 
 # ------------------------------------------------------------ grid files

@@ -11,9 +11,8 @@ re-evaluating the index with exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -275,26 +274,6 @@ def _gram(shape: Tuple[int, int], bracket: Tuple[np.ndarray, ...],
     return np.bincount(at, products, count * d * d).reshape(count, d, d)
 
 
-@dataclass
-class ReducedForm:
-    """Sobolev-weighted reduction S = D^{-p/2} B D^{-p/2}, D = diag(j^2+k^2).
-
-    The minimal eigenvalue of S has the same sign as the infimum of the
-    Misiolek index over the (possibly constrained) span of `window`;
-    `index` holds the window positions of the modes that remain after
-    constraints, `modes` the modes themselves.
-    """
-
-    window: SpectralWindow
-    p: int
-    matrix: np.ndarray
-    index: np.ndarray = field(kw_only=True)
-
-    @cached_property
-    def modes(self) -> Tuple[Mode, ...]:
-        return self.window.modes_at(self.index)
-
-
 def _sobolev_scale(laplace: np.ndarray, p: int) -> np.ndarray:
     """D^{-p/2} on the diagonal, D = j^2+k^2."""
     if p < 0:
@@ -322,7 +301,7 @@ def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
 
 def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,
                    zeroed: Iterable[Mode] = (), tol: float = 1e-10
-                   ) -> Tuple[EigenPair, ReducedForm, int, int, int]:
+                   ) -> Tuple[EigenPair, CoeffVector, int, int, int]:
     """Lowest eigenpair over the reduced bracket chains of `window`.
 
     The zeroed modes drop out of their chains as the chains are laid out,
@@ -334,10 +313,11 @@ def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,
     (relative) are a tie, won by the chain with the lowest first mode; the
     first listed chain that fails an eigensolve check raises its error.
     The winner's group is then summed and reduced again, to the same bits
-    (its Gram sums are exact), for its ReducedForm.  Returns the pair, the
-    ReducedForm of its chain, the number of chains and the modes in the
-    largest, twins and zeroed modes included, and the window position of
-    the winning chain's first mode, zeroed or not.
+    (its Gram sums are exact), for its residual check.  Returns the pair;
+    the minimizer's coefficients, with S = D^{-p/2} B D^{-p/2} undone on
+    the winning chain, 0 off it, and largest magnitude 1; the number of
+    chains and the modes in the largest, twins and zeroed modes included;
+    and the window position of the winning chain's first mode, zeroed or not.
     """
     scale = _sobolev_scale(window.laplace, p)
     ext = _extended(flow, window)
@@ -364,26 +344,16 @@ def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,
     number, value, group, slot, vector = best
     index, bracket = groups[group]
     S = _reduce(_gram(index.shape, bracket, weights), scale[index])[slot]
-    return (eigen_pair(S, value, vector, tol), ReducedForm(window, p, S, index=index[slot]),
-            len(chains.sizes), int(chains.sizes.max()), int(chains.firsts[number]))
-
-
-def minimizer_coefficients(r: ReducedForm, vector: np.ndarray) -> CoeffVector:
-    """Map an eigenvector of the reduced form back to f-coefficients.
-
-    Undoes the D^{-p/2} change of variables, reinstates constrained modes
-    as zeros, and normalizes so the largest-magnitude coefficient is 1
-    (for reproducible output).
-    """
-    window = r.window
-    values = np.zeros(len(window))
-    # Python's pow: numpy's SIMD power can differ from it in the last bit
-    scale = [d ** (-r.p / 2) for d in window.laplace[r.index].tolist()]
-    values[r.index] = np.asarray(vector, dtype=float) * scale
-    peak = np.max(np.abs(values))
+    pair = eigen_pair(S, value, vector, tol)
+    # Python's pow: numpy's SIMD power in `scale` can differ from it in the last bit
+    kept = index[slot]
+    coeffs = np.zeros(len(window))
+    coeffs[kept] = pair.vector * [d ** (-p / 2) for d in window.laplace[kept].tolist()]
+    peak = np.max(np.abs(coeffs))
     if peak == 0:
         raise ValueError("zero eigenvector")
-    return CoeffVector(window, values / peak)
+    return (pair, CoeffVector(window, coeffs / peak), len(chains.sizes),
+            int(chains.sizes.max()), int(chains.firsts[number]))
 
 
 @dataclass
@@ -393,7 +363,6 @@ class CertifiedResult:
     mi_over_pi2: Fraction
     detected: bool
     field: TrigPoly
-    max_denominator: int
 
 
 def certify_candidate(v: CoeffVector, flow: KolmogorovFlow,
@@ -423,4 +392,4 @@ def certify_candidate(v: CoeffVector, flow: KolmogorovFlow,
         raise CertificationError("rationalized candidate lies in the kernel of the "
                                  "bracket operator")
     q = misiolek_index(phi, flow)
-    return CertifiedResult(q, q < 0, f, max_denominator)
+    return CertifiedResult(q, q < 0, f)

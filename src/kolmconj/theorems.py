@@ -284,7 +284,7 @@ class SignReport:
     diag_spot_checks: Dict[int, Fraction]       # n -> diagonal minimum value
 
 
-def sign_certificates(max_check: int = 10) -> SignReport:
+def sign_certificates() -> SignReport:
     """Polynomial sign certificates completing the negativity proofs.
 
     (i) The scaled off-diagonal minimum at the worst case n = m-1, written
@@ -297,29 +297,25 @@ def sign_certificates(max_check: int = 10) -> SignReport:
     a quintic's six coefficients, and two more than the nine unknowns of a
     ratio of quartics whose denominator is 2 at n = 0.  The report's
     coefficient tuples are the golden tuples, returned only after every
-    sample matched; the spot checks hold the values for m = 2..max_check+1
-    and n = 2..max_check.
+    sample matched; the spot checks hold every value computed, for
+    m = 2..11 and n = 2..12.
     """
-    if max_check < 1:
-        raise ValueError("max_check must be >= 1")
     edge, num, den = (tuple(F(c) for c in golden) for golden in
                       (OFFDIAG_EDGE_COEFFS, DIAG_MIN_NUMERATOR, DIAG_MIN_DENOMINATOR))
     if any(c >= 0 for c in edge + num) or any(c <= 0 for c in den):
         raise VerificationError("golden sign certificate coefficients have the wrong sign")
 
     # both candidates raise VerificationError on a nonnegative value
-    offdiag = {m: offdiag_scaled_minimum(m, m - 1) for m in range(2, max(9, max_check + 2))}
+    offdiag = {m: offdiag_scaled_minimum(m, m - 1) for m in range(2, 12)}
     for m in range(2, 9):
         if poly_eval(edge, F(m - 1)) != offdiag[m]:
             raise VerificationError("off-diagonal edge quintic disagrees with the "
                                     f"pipeline at (m,n)=({m},{m - 1})")
-    diag = {n: diag_candidate(n).value for n in range(2, max(13, max_check + 1))}
+    diag = {n: diag_candidate(n).value for n in range(2, 13)}
     for n in range(2, 13):
         k = F(n * n - 4)
         if poly_eval(num, k) != diag[n] * poly_eval(den, k):
             raise VerificationError("diagonal minimum ratio disagrees with the "
                                     f"pipeline at (m,n)=({n},{n})")
 
-    return SignReport(edge, num, den,
-                      {m: offdiag[m] for m in range(2, max_check + 2)},
-                      {n: diag[n] for n in range(2, max_check + 1)})
+    return SignReport(edge, num, den, offdiag, diag)

@@ -211,12 +211,6 @@ class TrigPoly:
     def constant_coeff(self) -> Fraction:
         return self.terms.get(CONSTANT_MODE, Fraction(0))
 
-    def coeff(self, parity: str, j: int, k: int) -> Fraction:
-        mode, sign = canonicalize(parity, j, k)
-        if mode is None:
-            return Fraction(0)
-        return sign * self.terms.get(mode, Fraction(0))
-
     def eval(self, x, y):
         """Float value at (x, y); x and y may be numpy arrays of one shape."""
         total = 0.0

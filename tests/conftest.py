@@ -117,3 +117,50 @@ def lowest_pair(S: np.ndarray, tol: float = 1e-10):
     if failure is not None:
         raise failure[1]
     return eigen_pair(S, values[0], vectors[0], tol)
+
+
+def spy_scan(monkeypatch):
+    """Record what `window_minimum` solves until the patches are undone.
+
+    Returns (seen, checked): `seen` maps the number of each chain solved to
+    its stacked reduced matrix as the eigensolve gets it, its window
+    positions and its Gram product; `checked` lists the matrices that
+    `eigen_pair` checks, one per scan, each the winner's form built again.
+    """
+    seen, checked, layouts, grams = {}, [], [], []
+    groups, gram = spectral._Chains.groups, spectral._gram
+    solve, pair = spectral.lowest_eigenpairs, spectral.eigen_pair
+
+    def groups_spy(self, wanted=None):
+        for positions, index, bracket in groups(self, wanted):
+            layouts.append((positions, index))
+            yield positions, index, bracket
+
+    def gram_spy(*args):
+        grams.append(gram(*args))
+        return grams[-1]
+
+    def solve_spy(stack, tol):
+        positions, index = layouts[-1]
+        for i, position in enumerate(positions):
+            seen[position] = stack[i], index[i], grams[-1][i]
+        return solve(stack, tol)
+
+    def pair_spy(S, *args):
+        checked.append(S)
+        return pair(S, *args)
+
+    monkeypatch.setattr(spectral._Chains, "groups", groups_spy)
+    monkeypatch.setattr(spectral, "_gram", gram_spy)
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
+    monkeypatch.setattr(spectral, "eigen_pair", pair_spy)
+    return seen, checked
+
+
+def assert_winner_solved(seen, checked, coeffs, number):
+    """The winner's form as checked equals chain `number`'s stacked matrix,
+    and its coefficients are 0 off that chain's kept modes."""
+    stacked, index, _ = seen[number]
+    [S] = checked
+    assert np.array_equal(S, stacked)
+    assert not np.delete(coeffs.values, index).any()

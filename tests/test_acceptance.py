@@ -79,7 +79,7 @@ def test_criterion_3_diag_closed_forms():
 
 
 def test_criterion_4_sign_certificates():
-    rep = sign_certificates(max_check=10)
+    rep = sign_certificates()
     ok = (rep.offdiag_edge_coeffs == tuple(F(c) for c in OFFDIAG_EDGE_COEFFS)
           and rep.diag_min_numerator == tuple(F(c) for c in DIAG_MIN_NUMERATOR)
           and rep.diag_min_denominator == tuple(F(c) for c in DIAG_MIN_DENOMINATOR)

@@ -33,8 +33,8 @@ from kolmconj.spectral import (FULL, STACK_ENTRIES, CertificationError, Spectral
                                window_minimum)
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
-from conftest import (bracket_matrix, chain_brackets, extended, gram_blocks, lowest_pair,
-                      per_chain_products, window_values)
+from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, extended,
+                      gram_blocks, lowest_pair, per_chain_products, spy_scan, window_values)
 
 
 def chain_layout(flow, window):
@@ -185,9 +185,9 @@ def test_zeroed_block_is_skipped():
     chains = chain_modes(flow, window)
     for modes in chains[:3]:
         zeroed = list(modes)
-        pair, winner, _, _, first = window_minimum(flow, window, 3, zeroed)
+        pair, coeffs, _, _, first = window_minimum(flow, window, 3, zeroed)
         assert window.modes_at([first])[0] != modes[0]
-        assert not set(winner.modes) & set(modes)
+        assert not any(coeffs.values[window.index_of(mode)] for mode in modes)
         want, scale = _dense_minimum(flow, window, 3, zeroed)
         assert abs(pair.value - want) <= 1e-12 * max(abs(want), scale)
     res = run_minimize(flow, N=8, constraints=list(chains[0]))
@@ -226,18 +226,24 @@ def _scan(monkeypatch, groups, tol=1e-10):
     `groups` stands in for `_Chains.groups`, as (positions, index, stack)
     per group, and each stack for its group's Gram product; at p = 0 the
     Sobolev reduction multiplies by 1, so the scan solves the stacks as
-    given.  Returns the window and what `window_minimum` returns.
+    given.  Returns the window, what `window_minimum` returns and the
+    matrices its `eigen_pair` checks (see `spy_scan`).
     """
     window = SpectralWindow(6, COS)
     monkeypatch.setattr(spectral._Chains, "groups", lambda self, solve=None: iter(groups))
     monkeypatch.setattr(spectral, "_gram", lambda shape, stack, weights: stack)
-    return window, window_minimum(KolmogorovFlow(3, 2), window, 0, tol=tol)
+    _, checked = spy_scan(monkeypatch)
+    try:
+        return window, window_minimum(KolmogorovFlow(3, 2), window, 0, tol=tol), checked
+    finally:
+        monkeypatch.undo()
 
 
 def test_tie_goes_to_earlier_block(monkeypatch):
     # two chains of one shape, solved in one stack or the later one first:
     # the later one wins only if its minimum lies below the first's by
-    # more than TIE_RTOL, and the winner's form is the stack it came from
+    # more than TIE_RTOL, the winner's form is the stack it came from, and
+    # at p = 0 its coefficients are its eigenvector, 0 off its modes
     flow, window = KolmogorovFlow(3, 2), SpectralWindow(6, COS)
     firsts = [index[0] for index, _ in chain_layout(flow, window)]
     positions, _, S = next(per_chain_products(flow, window, 3))
@@ -249,11 +255,13 @@ def test_tie_goes_to_earlier_block(monkeypatch):
         stack = np.stack([S, lowered])
         for groups in ([([0, 1], index, stack)],
                        [([1], index[1:], stack[1:]), ([0], index[:1], stack[:1])]):
-            got_window, (pair, reduced, _, _, got_first) = _scan(monkeypatch, groups)
+            got_window, (pair, coeffs, _, _, got_first), [checked] = _scan(monkeypatch, groups)
             assert got_first == firsts[winner]
-            assert reduced.window is got_window and reduced.p == 0
-            assert np.array_equal(reduced.index, first + winner)
-            assert np.array_equal(reduced.matrix, stack[winner])
+            want = np.zeros(len(got_window))
+            want[first + winner] = pair.vector
+            assert coeffs.window is got_window
+            assert np.array_equal(coeffs.values, want / np.max(np.abs(want)))
+            assert np.array_equal(checked, stack[winner])
             assert pair.value == np.linalg.eigh(stack[winner])[0][0]
 
 
@@ -361,42 +369,23 @@ def _twins(flow, window, zeroed=()):
 
 
 def _solved_chains(monkeypatch, flow, **options):
-    """{chain number: (stacked S, window positions, Gram B)} of each chain
-    `run_minimize` solves, what `window_minimum` returned, and the result
-    (None if certification fails)."""
-    seen, layouts, grams, winner, result = {}, [], [], [], None
-    groups, gram = spectral._Chains.groups, spectral._gram
-    solve, minimum = spectral.lowest_eigenpairs, pipeline.window_minimum
-
-    def groups_spy(self, wanted=None):
-        for positions, index, bracket in groups(self, wanted):
-            layouts.append((positions, index))
-            yield positions, index, bracket
-
-    def gram_spy(*args):
-        grams.append(gram(*args))
-        return grams[-1]
-
-    def solve_spy(stack, tol):
-        positions, index = layouts[-1]
-        for i, position in enumerate(positions):
-            seen[position] = stack[i], index[i], grams[-1][i]
-        return solve(stack, tol)
+    """`spy_scan`'s record of the scan `run_minimize` makes, what
+    `window_minimum` returned, and the result (None if certification fails)."""
+    seen, checked = spy_scan(monkeypatch)
+    winner, result = [], None
+    minimum = pipeline.window_minimum
 
     def minimum_spy(*args):
         winner.extend(minimum(*args))
         return tuple(winner)
 
-    monkeypatch.setattr(spectral._Chains, "groups", groups_spy)
-    monkeypatch.setattr(spectral, "_gram", gram_spy)
-    monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
     monkeypatch.setattr(pipeline, "window_minimum", minimum_spy)
     try:
         result = run_minimize(flow, **options)
     except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
         pass
     monkeypatch.undo()
-    return seen, tuple(winner), result
+    return seen, checked, tuple(winner), result
 
 
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
@@ -432,9 +421,9 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
                   for zeroed in _zeroings(KolmogorovFlow(m, n), window)]
     for m, n, N, subspace, zeroed in cases:
         flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-        seen, (_, reduced, _, _, first), _ = _solved_chains(
+        seen, checked, (_, coeffs, _, _, first), _ = _solved_chains(
             monkeypatch, flow, N=N, subspace=subspace, constraints=zeroed)
-        assert reduced.window._modes is None
+        assert coeffs.window._modes is None
         reference = list(per_chain_products(flow, window, 3))
         best = next(c for c, (full, _, _) in enumerate(reference) if full[0] == first)
         zero_at = {window.index_of(mode) for mode in zeroed}
@@ -451,8 +440,7 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
             assert np.array_equal(gram, B[np.ix_(keep, keep)])
             assert np.array_equal(stacked, S[np.ix_(keep, keep)])
             assert np.array_equal(gram, gram.T) and np.array_equal(stacked, stacked.T)
-        assert np.array_equal(reduced.index, seen[best][1])
-        assert np.array_equal(reduced.matrix, seen[best][0])
+        assert_winner_solved(seen, checked, coeffs, best)
 
 
 # (m, n, N, subspace) and the chain count and largest chain the window had
@@ -466,7 +454,7 @@ TWIN_WINDOWS = [((3, 2, 20, COS), 14, 77), ((4, 4, 20, COS), 34, 30),
 def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, largest):
     m, n, N, subspace = case
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-    solved, _, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
+    solved, _, _, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
     chains = chain_modes(flow, window)
     products = list(per_chain_products(flow, window, 3))
     skipped = set(range(len(chains))) - solved.keys()

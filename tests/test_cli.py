@@ -446,9 +446,14 @@ class TestFieldFiles:
         assert code == 2
 
 
-def _field_doc(m=3, n=2, parity="cos", value="1"):
+def _field_doc(m=3, n=2, parity="cos", value="1", j=1):
     return {"m": m, "n": n, "description": "probe",
-            "modes": [{"parity": parity, "j": 1, "k": 0, "value": value}]}
+            "modes": [{"parity": parity, "j": j, "k": 0, "value": value}]}
+
+
+def _with_cos_x(doc):
+    """`doc` with cos x listed first."""
+    return {**doc, "modes": _field_doc()["modes"] + doc["modes"]}
 
 
 BAD_FIELD_FILES = {
@@ -458,6 +463,10 @@ BAD_FIELD_FILES = {
     "top-level list": [_field_doc()],
     "missing m": {key: v for key, v in _field_doc().items() if key != "m"},
     "huge exponent": _field_doc(value="1e1000000"),
+    # cos(-x) is cos x: not read as 2 cos x
+    "mode repeated after folding": _with_cos_x(_field_doc(j=-1)),
+    # not dropped, as --constrain sin:0,0 is not
+    "zero function sin(0,0)": _with_cos_x(_field_doc(parity="sin", j=0)),
 }
 
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from kolmconj.spectral import (FULL, CertificationError, SpectralWindow, _extended,
-                               _reduce, _sobolev_scale, certify_candidate,
-                               minimizer_coefficients, window_minimum, CoeffVector,
-                               ReducedForm)
+                               _reduce, _sobolev_scale, certify_candidate, window_minimum,
+                               CoeffVector)
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, canonicalize, misiolek_index)
 
-from conftest import bracket_matrix, extended, form_value, gram_blocks, window_values
+from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, extended,
+                      form_value, gram_blocks, spy_scan, window_values)
 
 
 def zeta32_field():
@@ -210,6 +210,18 @@ class TestQuadForm:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+def checked_minimum(monkeypatch, flow, window, p, zeroed=()):
+    """`window_minimum`'s result and the matrix its `eigen_pair` checked,
+    once `assert_winner_solved` holds for them."""
+    seen, checked = spy_scan(monkeypatch)
+    result = window_minimum(flow, window, p, zeroed)
+    monkeypatch.undo()
+    number = next(c for c, (index, _, _) in enumerate(chain_brackets(flow, window))
+                  if index[0] == result[4])
+    assert_winner_solved(seen, checked, result[1], number)
+    return result, checked[0]
+
+
 class TestReduceConstrain:
     def test_p_zero_identity(self):
         win = SpectralWindow(4, COS)
@@ -230,20 +242,13 @@ class TestReduceConstrain:
                  for p in (0, 1, 2, 3)}
         assert signs == {True}
 
-    def test_reduced_form_index_is_keyword_only(self):
-        # the form's modes come from `index`; a call that passes modes and
-        # matrix by position fails here instead of binding the wrong fields
-        r = window_minimum(KolmogorovFlow(2, 1), SpectralWindow(3, COS), 3)[1]
-        with pytest.raises(TypeError):
-            ReducedForm(r.window, r.p, r.modes, r.matrix)
-
-    def test_constrain_empty_is_identity(self):
+    def test_constrain_empty_is_identity(self, monkeypatch):
         flow, win = KolmogorovFlow(2, 1), SpectralWindow(3, COS)
-        pair, r, *counts = window_minimum(flow, win, 3)
-        c_pair, c, *c_counts = window_minimum(flow, win, 3, [])
+        (pair, r, *counts), S = checked_minimum(monkeypatch, flow, win, 3)
+        (c_pair, c, *c_counts), c_S = checked_minimum(monkeypatch, flow, win, 3, [])
         assert c_pair.value == pair.value and np.array_equal(c_pair.vector, pair.vector)
-        assert np.array_equal(c.matrix, r.matrix)
-        assert c.modes == r.modes
+        assert np.array_equal(c_S, S)
+        assert np.array_equal(c.values, r.values)
         assert c_counts == counts
 
     def test_constrain_unknown_mode_rejected(self):
@@ -256,10 +261,9 @@ class TestReduceConstrain:
         with pytest.raises(ValueError, match="every mode"):
             window_minimum(KolmogorovFlow(2, 1), win, 3, list(win.modes))
 
-    def test_diag22_constrained_minimizer_shape(self):
-        pair, r = window_minimum(KolmogorovFlow(2, 2), SpectralWindow(8, COS), 3,
-                                 [Mode(0, 1, COS)])[:2]
-        coeffs = minimizer_coefficients(r, pair.vector)
+    def test_diag22_constrained_minimizer_shape(self, monkeypatch):
+        (_, coeffs, *_), _ = checked_minimum(monkeypatch, KolmogorovFlow(2, 2),
+                                             SpectralWindow(8, COS), 3, [Mode(0, 1, COS)])
         assert coeffs.dominant_mode() == Mode(1, 0, COS)
         assert coeffs.values[coeffs.window.index_of(Mode(0, 1, COS))] == 0.0
 
@@ -302,7 +306,7 @@ class TestEndToEnd:
         # produces an exact negative rational witness
         for m, n, parity in [(3, 2, COS), (2, 1, COS), (2, 2, COS), (1, 1, SIN)]:
             flow = KolmogorovFlow(m, n)
-            pair, r = window_minimum(flow, SpectralWindow(8, parity), 3)[:2]
+            pair, coeffs = window_minimum(flow, SpectralWindow(8, parity), 3)[:2]
             assert pair.value < -1e-6
-            res = certify_candidate(minimizer_coefficients(r, pair.vector), flow)
+            res = certify_candidate(coeffs, flow)
             assert res.detected and res.mi_over_pi2 < 0

@@ -285,21 +285,17 @@ class TestDrivas:
 
 class TestSignCertificates:
     def test_golden_coefficients(self):
-        report = sign_certificates(max_check=8)
+        report = sign_certificates()
         assert report.offdiag_edge_coeffs == tuple(F(c) for c in OFFDIAG_EDGE_COEFFS)
         assert report.diag_min_numerator == tuple(F(c) for c in DIAG_MIN_NUMERATOR)
         assert report.diag_min_denominator == tuple(F(c) for c in DIAG_MIN_DENOMINATOR)
 
     def test_spot_checks_negative(self):
-        report = sign_certificates(max_check=6)
+        report = sign_certificates()
         assert all(v < 0 for v in report.offdiag_spot_checks.values())
         assert all(v < 0 for v in report.diag_spot_checks.values())
         assert report.offdiag_spot_checks[2] == F(-3083)
         assert report.diag_spot_checks[2] == F(-802799, 3798226)
-
-    def test_rejects_bad_argument(self):
-        with pytest.raises(ValueError):
-            sign_certificates(max_check=0)
 
     @pytest.mark.parametrize("name,position", [
         (name, i) for name, golden in (("OFFDIAG_EDGE_COEFFS", OFFDIAG_EDGE_COEFFS),
@@ -312,7 +308,7 @@ class TestSignCertificates:
         mutated[position] += delta
         monkeypatch.setattr(theorems, name, tuple(mutated))
         with pytest.raises(VerificationError, match="disagrees with the pipeline"):
-            sign_certificates(max_check=1)
+            sign_certificates()
 
     def test_verification_error_is_exception(self):
         assert issubclass(VerificationError, Exception)
