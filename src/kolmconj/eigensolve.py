@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def eigen_pair(S: np.ndarray, value: float, vector: np.ndarray, tol: float) -> E
 
 
 def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
-                      ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[int, Exception]]]:
+                      ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, Exception]]]:
     """Lowest eigenpair of each matrix of a stack (count, dim, dim), in one LAPACK call.
 
     Deterministic for fixed input (LAPACK dsyevd via numpy, fixed sign
@@ -61,8 +61,8 @@ def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
     matrices or tol is not in (0, 1).  Each matrix is checked:
     it must be symmetric, and its residual at most tol * max|S| * dim.
     Returns the lowest eigenvalues, row by row their eigenvectors with the
-    first significant entry positive, and (i, error) for the first matrix
-    i that fails a check, or None; `eigen_pair(stack[i], values[i],
+    first significant entry positive, and (i, error) for every matrix i
+    that fails a check, by ascending i; `eigen_pair(stack[i], values[i],
     vectors[i], tol)` is the EigenPair of matrix i.
     """
     check_tol(tol)
@@ -80,12 +80,14 @@ def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
                               axis=1)
     bound = tol * np.maximum(scale, 1e-300) * stack.shape[1]
     # a flagged matrix fails if asymmetric, or if its own EigenPair does
+    failures = []
     for i in np.flatnonzero(asymmetric | (residual > bound)).tolist():
         if asymmetric[i]:
-            return values, vectors, (i, ValueError("matrix is not symmetric"))
+            failures.append((i, ValueError("matrix is not symmetric")))
+            continue
         try:
             eigen_pair(stack[i], values[i], vectors[i], tol)
         except ConvergenceError as error:
-            return values, vectors, (i, error)
-    return values, vectors, None
+            failures.append((i, error))
+    return values, vectors, failures
 

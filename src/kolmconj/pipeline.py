@@ -55,6 +55,17 @@ def _check_options(p: int, N: int, tol: float, max_denominator: int) -> None:
         raise ValueError("denominator cap must be >= 1")
 
 
+def _result(flow: KolmogorovFlow, window: SpectralWindow, p: int, found,
+            max_denominator: int) -> MinimizeResult:
+    """The certified result of one flow's `window_minimum` entry; raises the entry's error."""
+    if isinstance(found, Exception):
+        raise found
+    pair, coeffs, blocks, largest, first = found
+    certified = certify_candidate(coeffs, flow, max_denominator)
+    return MinimizeResult(flow, window.subspace, p, window.N, pair, coeffs, certified, blocks,
+                          largest, window.modes_at([first])[0])
+
+
 def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
                  subspace: str = COS, constraints: Sequence[Mode] = (),
                  tol: float = 1e-10, max_denominator: int = 10 ** 6) -> MinimizeResult:
@@ -63,15 +74,18 @@ def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
         N = 2 * max(flow.m, flow.n) + 4
     _check_options(p, N, tol, max_denominator)
     window = SpectralWindow(N, subspace)
-    pair, coeffs, blocks, largest, first = window_minimum(flow, window, p, constraints, tol)
-    certified = certify_candidate(coeffs, flow, max_denominator)
-    return MinimizeResult(flow, subspace, p, N, pair, coeffs, certified, blocks, largest,
-                          window.modes_at([first])[0])
+    [found] = window_minimum([flow], window, p, constraints, tol)
+    return _result(flow, window, p, found, max_denominator)
 
 
 def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
               tol: float = 1e-10, max_denominator: int = 10 ** 6) -> List[dict]:
-    """One row per minimization run: cosine subspace first, sine as fallback."""
+    """One row per minimization run: cosine subspace first, sine as fallback.
+
+    One scan of the cosine window minimizes every pair, and one scan of
+    the sine window the pairs it leaves undetected.  Rows come by pair,
+    the cosine row first.
+    """
     if nmax is None:
         nmax = mmax
     # bad options fail every row alike: reject them before the first
@@ -79,27 +93,29 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
     if min(mmax, nmax) < 1:
         raise ValueError("sweep bounds mmax and nmax must be >= 1")
     rows = []
-    for m in range(1, mmax + 1):
-        for n in range(1, min(m, nmax) + 1):
-            flow = KolmogorovFlow(m, n)
+    flows = [KolmogorovFlow(m, n) for m in range(1, mmax + 1)
+             for n in range(1, min(m, nmax) + 1)]
+    for subspace in (COS, SIN):
+        window = SpectralWindow(N, subspace)
+        undetected = []
+        for flow, found in zip(flows, window_minimum(flows, window, p, (), tol)):
+            row = {"m": flow.m, "n": flow.n, "subspace": subspace,
+                   "eigenvalue": None, "certified_q": None, "verdict": None}
             detected = False
-            for subspace in (COS, SIN):
-                row = {"m": m, "n": n, "subspace": subspace,
-                       "eigenvalue": None, "certified_q": None, "verdict": None}
-                try:
-                    res = run_minimize(flow, p=p, N=N, subspace=subspace, tol=tol,
-                                       max_denominator=max_denominator)
-                    row["eigenvalue"] = res.eigen.value
-                    row["certified_q"] = res.certified.mi_over_pi2
-                    detected = res.certified.detected
-                    row["verdict"] = ("conjugate point detected" if detected
-                                      else "not detected")
-                except (CertificationError, ConvergenceError, ValueError) as exc:
-                    row["verdict"] = f"error: {exc}"
-                rows.append(row)
-                if detected:
-                    break
-    return rows
+            try:
+                res = _result(flow, window, p, found, max_denominator)
+                row["eigenvalue"] = res.eigen.value
+                row["certified_q"] = res.certified.mi_over_pi2
+                detected = res.certified.detected
+                row["verdict"] = "conjugate point detected" if detected else "not detected"
+            except (CertificationError, ConvergenceError, ValueError) as exc:
+                row["verdict"] = f"error: {exc}"
+            rows.append(row)
+            if not detected:
+                undetected.append(flow)
+        flows = undetected
+    # stable: each pair's cosine row stays before its sine row
+    return sorted(rows, key=lambda row: (row["m"], row["n"]))
 
 
 # ------------------------------------------------------------ field files

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .eigensolve import EigenPair, eigen_pair, lowest_eigenpairs
+from .eigensolve import ConvergenceError, EigenPair, eigen_pair, lowest_eigenpairs
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
                        misiolek_index)
 
@@ -299,61 +299,126 @@ def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
     return np.array(list(at.values()), dtype=int)
 
 
-def window_minimum(flow: KolmogorovFlow, window: SpectralWindow, p: int,
+class _FlowScan:
+    """One flow's chains as the pooled eigensolves return them.
+
+    `values` maps each solved chain's number to its lowest eigenvalue and
+    `failures` each failing chain's number to its error.  `kept` holds the
+    (value, index, S, vector) of the chains that can still win: those
+    within 2 TIE_RTOL |low| of `low`, the lowest value so far.  The tie
+    rule's winner lies within TIE_RTOL |min| (1 + 1e-12) of the minimum,
+    so it is always kept, and its form is never built twice.
+    """
+
+    def __init__(self, chains: _Chains):
+        self.count, self.largest = len(chains.sizes), int(chains.sizes.max())
+        self.firsts = chains.firsts
+        self.values, self.failures, self.kept, self.low = {}, {}, {}, float("inf")
+
+    def take(self, number: int, value: float) -> bool:
+        """Record chain `number`'s minimum; True if the chain can still win."""
+        self.values[number] = value
+        low = min(self.low, value)
+        bar = low + 2 * TIE_RTOL * abs(low)
+        if low < self.low:
+            self.low = low
+            self.kept = {c: chain for c, chain in self.kept.items() if chain[0] <= bar}
+        return value <= bar
+
+    def winner(self, window: SpectralWindow, p: int, tol: float
+               ) -> Tuple[EigenPair, CoeffVector, int, int, int]:
+        if self.failures:
+            raise self.failures[min(self.failures)]
+        if not self.values:
+            raise ValueError("constraining away every mode leaves nothing to minimize")
+        numbers = sorted(self.values)
+        best = numbers[0]
+        for number in numbers:
+            value, lead = self.values[number], self.values[best]
+            if value < lead - TIE_RTOL * max(abs(value), abs(lead)):
+                best = number
+        value, index, S, vector = self.kept[best]
+        pair = eigen_pair(S, value, vector, tol)
+        # Python's pow: numpy's SIMD power in `scale` can differ from it in the last bit
+        coeffs = np.zeros(len(window))
+        coeffs[index] = pair.vector * [d ** (-p / 2) for d in window.laplace[index].tolist()]
+        peak = np.max(np.abs(coeffs))
+        if peak == 0:
+            raise ValueError("zero eigenvector")
+        return (pair, CoeffVector(window, coeffs / peak), self.count, self.largest,
+                int(self.firsts[best]))
+
+
+def _solve(batch: List[tuple], tol: float) -> None:
+    """Solve the pooled chains (scan, number, index, S) of one size in one
+    stacked eigensolve, and hand each eigenpair or failure to its flow's scan.
+
+    A chain solved alone is neither stacked nor copied: with more than 45
+    modes it is its group's whole stack, and with fewer, keeping it keeps
+    at most one group of STACK_ENTRIES entries.
+    """
+    shared = len(batch) > 1
+    stack = np.stack([chain[3] for chain in batch]) if shared else batch[0][3][None]
+    values, vectors, failures = lowest_eigenpairs(stack, tol)
+    for slot, error in failures:
+        scan, number = batch[slot][:2]
+        scan.failures[number] = error
+    for (scan, number, index, S), value, vector in zip(batch, values.tolist(), vectors):
+        if scan.take(number, value):
+            # a copy, so that a shared stack can be freed
+            scan.kept[number] = value, index, S.copy() if shared else S, vector
+
+
+def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: int,
                    zeroed: Iterable[Mode] = (), tol: float = 1e-10
-                   ) -> Tuple[EigenPair, CoeffVector, int, int, int]:
-    """Lowest eigenpair over the reduced bracket chains of `window`.
+                   ) -> List[Union[Tuple[EigenPair, CoeffVector, int, int, int], Exception]]:
+    """Lowest eigenpair over the reduced bracket chains of `window`, for each flow.
 
     The zeroed modes drop out of their chains as the chains are laid out,
     and chains zeroed out entirely drop out of the scan.  Each group of
-    `_Chains` then goes through the Gram product, the Sobolev reduction
-    and the eigensolve as one stack, leaving out the twins of earlier
-    chains, whose spectra those chains share; each chain's lowest
-    eigenpair is kept.  Two minima within TIE_RTOL of each other
-    (relative) are a tie, won by the chain with the lowest first mode; the
-    first listed chain that fails an eigensolve check raises its error.
-    The winner's group is then summed and reduced again, to the same bits
-    (its Gram sums are exact), for its residual check.  Returns the pair;
-    the minimizer's coefficients, with S = D^{-p/2} B D^{-p/2} undone on
-    the winning chain, 0 off it, and largest magnitude 1; the number of
-    chains and the modes in the largest, twins and zeroed modes included;
-    and the window position of the winning chain's first mode, zeroed or not.
+    each flow's `_Chains` goes through the Gram product and the Sobolev
+    reduction, leaving out the twins of earlier chains, whose spectra
+    those chains share.  The reduced chains of all flows are then pooled
+    by size and solved in stacks of at most STACK_ENTRIES entries, and
+    each chain's lowest eigenpair goes back to its flow.  Per flow, two
+    minima within TIE_RTOL of each other (relative) are a tie, won by the
+    chain with the lowest first mode, and the lowest-numbered chain that
+    fails an eigensolve check gives the flow's error.  Returns one entry
+    per flow: its error, or the pair; the minimizer's coefficients, with
+    S = D^{-p/2} B D^{-p/2} undone on the winning chain, 0 off it, and
+    largest magnitude 1; the number of chains and the modes in the
+    largest, twins and zeroed modes included; and the window position of
+    the winning chain's first mode, zeroed or not.  Errors of the window
+    or the options (a bad p, tol or zeroed mode) are raised.
     """
     scale = _sobolev_scale(window.laplace, p)
-    ext = _extended(flow, window)
-    weights = ext.laplace - flow.lambda2
-    chains = _Chains(flow, window, ext, _positions(window, set(zeroed)))
-    groups, solved, failures = [], [], []
-    for positions, index, bracket in chains.groups(~chains.twins()):
-        stack = _reduce(_gram(index.shape, bracket, weights), scale[index])
-        values, vectors, failure = lowest_eigenpairs(stack, tol)
-        if failure is not None:  # positions ascend: a stack's first failure is its lowest
-            failures.append((positions[failure[0]], failure[1]))
-        solved += [(number, value, len(groups), slot, vectors[slot])
-                   for slot, (number, value) in enumerate(zip(positions, values.tolist()))]
-        groups.append((index, bracket))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    if not solved:
-        raise ValueError("constraining away every mode leaves nothing to minimize")
-    solved.sort(key=lambda chain: chain[0])
-    best = solved[0]
-    for chain in solved:
-        if chain[1] < best[1] - TIE_RTOL * max(abs(chain[1]), abs(best[1])):
-            best = chain
-    number, value, group, slot, vector = best
-    index, bracket = groups[group]
-    S = _reduce(_gram(index.shape, bracket, weights), scale[index])[slot]
-    pair = eigen_pair(S, value, vector, tol)
-    # Python's pow: numpy's SIMD power in `scale` can differ from it in the last bit
-    kept = index[slot]
-    coeffs = np.zeros(len(window))
-    coeffs[kept] = pair.vector * [d ** (-p / 2) for d in window.laplace[kept].tolist()]
-    peak = np.max(np.abs(coeffs))
-    if peak == 0:
-        raise ValueError("zero eigenvector")
-    return (pair, CoeffVector(window, coeffs / peak), len(chains.sizes),
-            int(chains.sizes.max()), int(chains.firsts[number]))
+    at = _positions(window, set(zeroed))
+    scans, waiting = [], {}
+    for flow in flows:
+        ext = _extended(flow, window)
+        weights = ext.laplace - flow.lambda2
+        chains = _Chains(flow, window, ext, at)
+        scan = _FlowScan(chains)
+        scans.append(scan)
+        for positions, index, bracket in chains.groups(~chains.twins()):
+            stack = _reduce(_gram(index.shape, bracket, weights), scale[index])
+            d = index.shape[1]
+            batch = waiting.setdefault(d, [])
+            batch += zip([scan] * len(positions), positions, index, stack)
+            step = max(1, STACK_ENTRIES // (d * d))
+            while len(batch) >= step:
+                _solve(batch[:step], tol)
+                del batch[:step]
+    for batch in waiting.values():
+        if batch:
+            _solve(batch, tol)
+    entries = []
+    for scan in scans:
+        try:
+            entries.append(scan.winner(window, p, tol))
+        except (ConvergenceError, ValueError) as error:
+            entries.append(error)
+    return entries
 
 
 @dataclass

@@ -26,8 +26,11 @@ for 24 seeded windows, the unconstrained call and two constrained ones:
 the winning chain's first mode zeroed, and every mode of that chain
 zeroed; and fixed edge windows in every subspace: N = 1 and 2 for four
 small pairs, and (30, 29), (17, 11) and (1, 30) at N = 3 and 12, where
-few or none of the 2mn + 2 chain classes meet the window.  pytest does
-not collect this file.
+few or none of the 2mn + 2 chain classes meet the window; and 16 seeded
+`run_sweep` calls (mmax <= 8, nmax, N 1-16, p 0-4), hashed by each row's
+pair, subspace, eigenvalue bits, Q and verdict, so that windows where few
+or many chain classes meet and rows that end in `error:` go through the
+pooled scan of many pairs.  pytest does not collect this file.
 """
 
 import hashlib
@@ -48,6 +51,7 @@ sys.path[:0] = [str(TESTS.parent), str(TESTS)]
 
 RANDOM_CALLS = 150
 CONSTRAINED_WINDOWS = 24
+SWEEP_CALLS = 16
 
 
 def _digest(*parts):
@@ -158,6 +162,25 @@ def _minimize(flow, options):
                    res.block_mode), summary
 
 
+def _sweep_calls():
+    rng = random.Random(16)
+    for _ in range(SWEEP_CALLS):
+        mmax = rng.randint(1, 8)
+        yield dict(mmax=mmax, nmax=rng.choice((None, rng.randint(1, mmax))),
+                   N=rng.randint(1, 16), p=rng.randint(0, 4))
+
+
+def _sweep(options):
+    from kolmconj.pipeline import run_sweep
+    rows = run_sweep(**options)
+    parts = [(row["m"], row["n"], row["subspace"],
+              None if row["eigenvalue"] is None else row["eigenvalue"].hex(),
+              row["certified_q"], row["verdict"]) for row in rows]
+    errors = sum(row["verdict"].startswith("error:") for row in rows)
+    detected = sum(row["verdict"] == "conjugate point detected" for row in rows)
+    return _digest(*parts), f"{len(rows)} rows; {detected} detected; {errors} errors"
+
+
 def thread_settings():
     """The BLAS thread count and what set it, read as OpenBLAS reads it: the
     first of these variables set to a positive count, else the usable CPUs."""
@@ -193,6 +216,8 @@ def record():
         options_text = {k: v for k, v in options.items() if k != "constraints"}
         entries[f"run_minimize({flow.m}, {flow.n}, {options_text}, zeroed {zeroed})"] = \
             _minimize(flow, options)
+    for options in _sweep_calls():
+        entries[f"run_sweep({options})"] = _sweep(options)
     return {"settings": thread_settings(), "package": str(Path(kolmconj.__file__).parent),
             "outputs": entries}
 

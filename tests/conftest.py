@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -113,22 +114,31 @@ def form_value(flow, window, v: np.ndarray) -> float:
 
 def lowest_pair(S: np.ndarray, tol: float = 1e-10):
     """The EigenPair of one matrix, solved as a stack of one; raises its failure."""
-    values, vectors, failure = lowest_eigenpairs(S[None], tol)
-    if failure is not None:
-        raise failure[1]
+    values, vectors, failures = lowest_eigenpairs(S[None], tol)
+    if failures:
+        raise failures[0][1]
     return eigen_pair(S, values[0], vectors[0], tol)
 
 
+def scan_one(flow, window, p, zeroed=(), tol=1e-10):
+    """`window_minimum` of one flow: its result, or its error raised."""
+    [found] = spectral.window_minimum([flow], window, p, zeroed, tol)
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
 def spy_scan(monkeypatch):
-    """Record what `window_minimum` solves until the patches are undone.
+    """Record what a one-flow `window_minimum` solves until the patches are undone.
 
     Returns (seen, checked): `seen` maps the number of each chain solved to
-    its stacked reduced matrix as the eigensolve gets it, its window
+    its reduced matrix as the pooled eigensolve gets it, its window
     positions and its Gram product; `checked` lists the matrices that
-    `eigen_pair` checks, one per scan, each the winner's form built again.
+    `eigen_pair` checks, one per scan, each the winner's form as kept
+    from its reduction.  A matrix solved that no reduction made fails.
     """
-    seen, checked, layouts, grams = {}, [], [], []
-    groups, gram = spectral._Chains.groups, spectral._gram
+    seen, checked, layouts, grams, reduced = {}, [], [], [], defaultdict(list)
+    groups, gram, reduce = spectral._Chains.groups, spectral._gram, spectral._reduce
     solve, pair = spectral.lowest_eigenpairs, spectral.eigen_pair
 
     def groups_spy(self, wanted=None):
@@ -140,10 +150,17 @@ def spy_scan(monkeypatch):
         grams.append(gram(*args))
         return grams[-1]
 
-    def solve_spy(stack, tol):
+    def reduce_spy(*args):
+        stack = reduce(*args)
         positions, index = layouts[-1]
         for i, position in enumerate(positions):
-            seen[position] = stack[i], index[i], grams[-1][i]
+            reduced[stack[i].tobytes()].append((position, index[i], grams[-1][i]))
+        return stack
+
+    def solve_spy(stack, tol):
+        for S in stack:
+            position, index, B = reduced[S.tobytes()].pop(0)
+            seen[position] = S, index, B
         return solve(stack, tol)
 
     def pair_spy(S, *args):
@@ -152,13 +169,14 @@ def spy_scan(monkeypatch):
 
     monkeypatch.setattr(spectral._Chains, "groups", groups_spy)
     monkeypatch.setattr(spectral, "_gram", gram_spy)
+    monkeypatch.setattr(spectral, "_reduce", reduce_spy)
     monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
     monkeypatch.setattr(spectral, "eigen_pair", pair_spy)
     return seen, checked
 
 
 def assert_winner_solved(seen, checked, coeffs, number):
-    """The winner's form as checked equals chain `number`'s stacked matrix,
+    """The winner's form as checked equals chain `number`'s solved matrix,
     and its coefficients are 0 off that chain's kept modes."""
     stacked, index, _ = seen[number]
     [S] = checked

@@ -29,12 +29,12 @@ import pytest
 from kolmconj import pipeline, spectral
 from kolmconj.eigensolve import ConvergenceError, eigen_pair, lowest_eigenpairs
 from kolmconj.pipeline import run_minimize
-from kolmconj.spectral import (FULL, STACK_ENTRIES, CertificationError, SpectralWindow,
-                               window_minimum)
+from kolmconj.spectral import FULL, STACK_ENTRIES, CertificationError, SpectralWindow
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
 from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, extended,
-                      gram_blocks, lowest_pair, per_chain_products, spy_scan, window_values)
+                      gram_blocks, lowest_pair, per_chain_products, scan_one, spy_scan,
+                      window_values)
 
 
 def chain_layout(flow, window):
@@ -174,7 +174,7 @@ def test_block_minimum_equals_dense_eigh():
         window = SpectralWindow(rng.randint(1, 10), rng.choice((COS, SIN, FULL)))
         zeroed = rng.sample(window.modes, rng.choice((0, 1, 3)))
         p = rng.randint(0, 3)
-        pair = window_minimum(flow, window, p, zeroed)[0]
+        pair = scan_one(flow, window, p, zeroed)[0]
         want, scale = _dense_minimum(flow, window, p, zeroed)
         assert abs(pair.value - want) <= 1e-12 * max(abs(want), scale)
 
@@ -185,7 +185,7 @@ def test_zeroed_block_is_skipped():
     chains = chain_modes(flow, window)
     for modes in chains[:3]:
         zeroed = list(modes)
-        pair, coeffs, _, _, first = window_minimum(flow, window, 3, zeroed)
+        pair, coeffs, _, _, first = scan_one(flow, window, 3, zeroed)
         assert window.modes_at([first])[0] != modes[0]
         assert not any(coeffs.values[window.index_of(mode)] for mode in modes)
         want, scale = _dense_minimum(flow, window, 3, zeroed)
@@ -226,15 +226,16 @@ def _scan(monkeypatch, groups, tol=1e-10):
     `groups` stands in for `_Chains.groups`, as (positions, index, stack)
     per group, and each stack for its group's Gram product; at p = 0 the
     Sobolev reduction multiplies by 1, so the scan solves the stacks as
-    given.  Returns the window, what `window_minimum` returns and the
-    matrices its `eigen_pair` checks (see `spy_scan`).
+    given.  Returns the window, the flow's entry of what `window_minimum`
+    returns and the matrices its `eigen_pair` checks (see `spy_scan`), or
+    raises the entry's error.
     """
     window = SpectralWindow(6, COS)
     monkeypatch.setattr(spectral._Chains, "groups", lambda self, solve=None: iter(groups))
     monkeypatch.setattr(spectral, "_gram", lambda shape, stack, weights: stack)
     _, checked = spy_scan(monkeypatch)
     try:
-        return window, window_minimum(KolmogorovFlow(3, 2), window, 0, tol=tol), checked
+        return window, scan_one(KolmogorovFlow(3, 2), window, 0, tol=tol), checked
     finally:
         monkeypatch.undo()
 
@@ -294,13 +295,119 @@ def _sweep_chains(mmax):
 
 def test_stacked_eigensolve_matches_one_at_a_time_on_sweep_chains():
     for dim, mats in _sweep_chains(6).items():
-        values, vectors, failure = lowest_eigenpairs(np.stack(mats))
-        assert failure is None
+        values, vectors, failures = lowest_eigenpairs(np.stack(mats))
+        assert failures == []
         for S, value, vector in zip(mats, values, vectors):
             got, want = eigen_pair(S, value, vector, 1e-10), lowest_pair(S)
             assert got.value == want.value
             assert np.array_equal(got.vector, want.vector)
             assert got.residual == want.residual
+
+
+SWEEP_FLOWS = [KolmogorovFlow(m, n) for m in range(1, 11) for n in range(1, m + 1)]
+
+
+def _entry_bits(entry):
+    """A `window_minimum` entry as exactly comparable values: its error's
+    type and text, or the eigenvalue, residual, eigenvector, coefficients,
+    chain count, largest chain and first position, floats as their bits."""
+    if isinstance(entry, Exception):
+        return type(entry), str(entry)
+    pair, coeffs, count, largest, first = entry
+    return (pair.value.hex(), pair.residual.hex(), pair.vector.tobytes(),
+            coeffs.values.tobytes(), count, largest, first)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 12])
+def test_many_flow_scan_equals_one_flow_scans(N):
+    # pooling the chains of every pair n <= m <= 10 by size changes no
+    # flow's result in any bit, with and without zeroed modes
+    rng = random.Random(N)
+    for subspace in (COS, SIN, FULL):
+        window = SpectralWindow(N, subspace)
+        for p, zeroed in itertools.product(
+                (0, 3), ([], rng.sample(window.modes, 1 if N == 1 else 3))):
+            many = spectral.window_minimum(SWEEP_FLOWS, window, p, zeroed)
+            assert len(many) == len(SWEEP_FLOWS)
+            for flow, entry in zip(SWEEP_FLOWS, many):
+                [one] = spectral.window_minimum([flow], window, p, zeroed)
+                assert _entry_bits(entry) == _entry_bits(one), (flow, subspace, p, zeroed)
+
+
+def _break_chains(monkeypatch, targets):
+    """Make each chain (flow, subspace, number) in `targets` asymmetric as it
+    is reduced, and record the stacks the pooled eigensolve gets."""
+    groups, reduce, solve = spectral._Chains.groups, spectral._reduce, spectral.lowest_eigenpairs
+    current, stacks = [], []
+
+    def groups_spy(self, wanted=None):
+        for positions, index, bracket in groups(self, wanted):
+            current[:] = [(self.flow, self.window.subspace, number) for number in positions]
+            yield positions, index, bracket
+
+    def reduce_spy(*args):
+        stack = reduce(*args)
+        for slot, chain in enumerate(current):
+            if chain in targets:
+                stack[slot, 0, -1] += np.max(np.abs(stack[slot]))
+        return stack
+
+    def solve_spy(stack, tol):
+        stacks.append(stack)
+        return solve(stack, tol)
+
+    monkeypatch.setattr(spectral._Chains, "groups", groups_spy)
+    monkeypatch.setattr(spectral, "_reduce", reduce_spy)
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
+    return stacks
+
+
+def _solved_sizes(flow, window):
+    """The kept-mode count of each chain a scan of `window` solves, by chain number."""
+    chains = spectral._Chains(flow, window, extended(flow, window))
+    return {number: index.shape[1] for positions, index, _ in chains.groups(~chains.twins())
+            for number in positions}
+
+
+def test_failing_chain_errors_only_its_own_flow(monkeypatch):
+    # the smallest solved chain of 2 or more modes of (3,2) cos at N=12, and
+    # a chain of the same size of another pair, fail the symmetry check in
+    # one pooled stack: each pair's entry and cosine row carry its one-flow
+    # scan's error, its sine row is its own sine minimization, and every
+    # other entry and row is unchanged
+    window = SpectralWindow(12, COS)
+    first = KolmogorovFlow(3, 2)
+    d, number = min((d, c) for c, d in _solved_sizes(first, window).items() if d >= 2)
+    other, other_number = next((flow, c) for flow in SWEEP_FLOWS if flow != first
+                               for c, size in _solved_sizes(flow, window).items() if size == d)
+    targets = {(first, COS, number), (other, COS, other_number)}
+    clean, clean_rows = spectral.window_minimum(SWEEP_FLOWS, window, 3), pipeline.run_sweep(10)
+    stacks = _break_chains(monkeypatch, targets)
+    broken = spectral.window_minimum(SWEEP_FLOWS, window, 3)
+    asymmetric = [int(np.sum(np.any(stack != stack.swapaxes(1, 2), axis=(1, 2))))
+                  for stack in stacks]
+    assert 2 in asymmetric and asymmetric.count(0) == len(asymmetric) - 1
+    assert len(stacks[asymmetric.index(2)]) > 2
+    failed = {first, other}
+    for flow, got, want in zip(SWEEP_FLOWS, broken, clean):
+        if flow in failed:
+            [alone] = spectral.window_minimum([flow], window, 3)
+            assert isinstance(got, ValueError) and str(got) == "matrix is not symmetric"
+            assert _entry_bits(got) == _entry_bits(alone)
+        else:
+            assert _entry_bits(got) == _entry_bits(want)
+    rows = pipeline.run_sweep(10)
+    monkeypatch.undo()
+    pairs = {(flow.m, flow.n) for flow in failed}
+    assert ([row for row in rows if (row["m"], row["n"]) not in pairs]
+            == [row for row in clean_rows if (row["m"], row["n"]) not in pairs])
+    for flow in failed:
+        cos_row, sin_row = [row for row in rows if (row["m"], row["n"]) == (flow.m, flow.n)]
+        assert cos_row == {"m": flow.m, "n": flow.n, "subspace": COS, "eigenvalue": None,
+                           "certified_q": None, "verdict": "error: matrix is not symmetric"}
+        res = run_minimize(flow, N=12, subspace=SIN)
+        assert sin_row["subspace"] == SIN and sin_row["eigenvalue"] == res.eigen.value
+        assert sin_row["certified_q"] == res.certified.mi_over_pi2
 
 
 @pytest.mark.parametrize("m,n,N,subspace", [(30, 22, 64, COS), (5, 4, 20, COS),
@@ -370,14 +477,15 @@ def _twins(flow, window, zeroed=()):
 
 def _solved_chains(monkeypatch, flow, **options):
     """`spy_scan`'s record of the scan `run_minimize` makes, what
-    `window_minimum` returned, and the result (None if certification fails)."""
+    `window_minimum` returned (one entry), and the result (None if
+    certification fails)."""
     seen, checked = spy_scan(monkeypatch)
     winner, result = [], None
     minimum = pipeline.window_minimum
 
     def minimum_spy(*args):
         winner.extend(minimum(*args))
-        return tuple(winner)
+        return winner
 
     monkeypatch.setattr(pipeline, "window_minimum", minimum_spy)
     try:
@@ -385,7 +493,7 @@ def _solved_chains(monkeypatch, flow, **options):
     except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
         pass
     monkeypatch.undo()
-    return seen, checked, tuple(winner), result
+    return seen, checked, winner, result
 
 
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
@@ -421,7 +529,7 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
                   for zeroed in _zeroings(KolmogorovFlow(m, n), window)]
     for m, n, N, subspace, zeroed in cases:
         flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-        seen, checked, (_, coeffs, _, _, first), _ = _solved_chains(
+        seen, checked, [(_, coeffs, _, _, first)], _ = _solved_chains(
             monkeypatch, flow, N=N, subspace=subspace, constraints=zeroed)
         assert coeffs.window._modes is None
         reference = list(per_chain_products(flow, window, 3))

@@ -101,14 +101,14 @@ def assert_same_pair(got, want):
 
 
 def assert_stack_matches_one_at_a_time(stack, tol=1e-10):
-    values, vectors, failure = lowest_eigenpairs(stack, tol)
-    assert failure is None
+    values, vectors, failures = lowest_eigenpairs(stack, tol)
+    assert failures == []
     for S, value, vector in zip(stack, values, vectors):
         assert_same_pair(eigen_pair(S, value, vector, tol), lowest_pair(S, tol))
 
 
 class TestLowestEigenpairs:
-    """`lowest_eigenpairs` on stacks: it returns the first failure, (i, error)."""
+    """`lowest_eigenpairs` on stacks: it returns every failure, as (i, error) by ascending i."""
 
     def test_random_stacks_match_one_at_a_time(self):
         rng = random.Random(9)
@@ -125,21 +125,33 @@ class TestLowestEigenpairs:
         rng = random.Random(10)
         stack = np.stack([random_symmetric(rng, 4) for _ in range(5)])
         stack[3, 0, 1] += 1e-6
-        i, error = lowest_eigenpairs(stack)[2]
+        [(i, error)] = lowest_eigenpairs(stack)[2]
         assert i == 3 and isinstance(error, ValueError)
         assert str(error) == "matrix is not symmetric"
 
     def test_residual_failure_raises_the_per_matrix_error(self):
         # a diagonal matrix is solved with residual 0 and meets any tol; the
-        # first random one cannot meet tol = 1e-300
+        # random ones cannot meet tol = 1e-300, and each fails with its own error
         rng = random.Random(11)
         stack = np.stack([np.diag([1.0, 2.0, 3.0]), random_symmetric(rng, 3),
                           np.diag([4.0, 1.0, 2.0]), random_symmetric(rng, 3)])
-        with pytest.raises(ConvergenceError) as want:
-            lowest_pair(stack[1], 1e-300)
-        i, error = lowest_eigenpairs(stack, 1e-300)[2]
-        assert i == 1 and isinstance(error, ConvergenceError)
-        assert str(error) == str(want.value)
+        failures = lowest_eigenpairs(stack, 1e-300)[2]
+        assert [i for i, _ in failures] == [1, 3]
+        for i, error in failures:
+            with pytest.raises(ConvergenceError) as want:
+                lowest_pair(stack[i], 1e-300)
+            assert isinstance(error, ConvergenceError)
+            assert str(error) == str(want.value)
+
+    def test_every_failure_in_ascending_order(self):
+        # an asymmetric matrix after a residual failure: both come back, by index
+        rng = random.Random(12)
+        stack = np.stack([np.diag([1.0, 2.0]), random_symmetric(rng, 2),
+                          np.array([[1.0, 2.0], [0.0, 1.0]])])
+        failures = lowest_eigenpairs(stack, 1e-300)[2]
+        assert [(i, type(error)) for i, error in failures] == [(1, ConvergenceError),
+                                                                (2, ValueError)]
+        assert str(failures[1][1]) == "matrix is not symmetric"
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0])
     def test_rejects_tolerance_that_disables_the_residual_guard(self, tol):

@@ -11,7 +11,7 @@ from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, canonicalize, misiolek_index)
 
 from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, extended,
-                      form_value, gram_blocks, spy_scan, window_values)
+                      form_value, gram_blocks, scan_one, spy_scan, window_values)
 
 
 def zeta32_field():
@@ -211,10 +211,10 @@ class TestQuadForm:
 
 
 def checked_minimum(monkeypatch, flow, window, p, zeroed=()):
-    """`window_minimum`'s result and the matrix its `eigen_pair` checked,
+    """A one-flow `window_minimum`'s result and the matrix its `eigen_pair` checked,
     once `assert_winner_solved` holds for them."""
     seen, checked = spy_scan(monkeypatch)
-    result = window_minimum(flow, window, p, zeroed)
+    result = scan_one(flow, window, p, zeroed)
     monkeypatch.undo()
     number = next(c for c, (index, _, _) in enumerate(chain_brackets(flow, window))
                   if index[0] == result[4])
@@ -238,7 +238,7 @@ class TestReduceConstrain:
 
     def test_sign_independent_of_p(self):
         win = SpectralWindow(8, COS)
-        signs = {window_minimum(KolmogorovFlow(3, 2), win, p)[0].value < 0
+        signs = {scan_one(KolmogorovFlow(3, 2), win, p)[0].value < 0
                  for p in (0, 1, 2, 3)}
         assert signs == {True}
 
@@ -253,13 +253,13 @@ class TestReduceConstrain:
 
     def test_constrain_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="outside the window"):
-            window_minimum(KolmogorovFlow(2, 1), SpectralWindow(3, COS), 3,
+            window_minimum([KolmogorovFlow(2, 1)], SpectralWindow(3, COS), 3,
                            [Mode(99, 0, COS)])
 
     def test_constrain_everything_rejected(self):
         win = SpectralWindow(3, COS)
         with pytest.raises(ValueError, match="every mode"):
-            window_minimum(KolmogorovFlow(2, 1), win, 3, list(win.modes))
+            scan_one(KolmogorovFlow(2, 1), win, 3, list(win.modes))
 
     def test_diag22_constrained_minimizer_shape(self, monkeypatch):
         (_, coeffs, *_), _ = checked_minimum(monkeypatch, KolmogorovFlow(2, 2),
@@ -306,7 +306,7 @@ class TestEndToEnd:
         # produces an exact negative rational witness
         for m, n, parity in [(3, 2, COS), (2, 1, COS), (2, 2, COS), (1, 1, SIN)]:
             flow = KolmogorovFlow(m, n)
-            pair, coeffs = window_minimum(flow, SpectralWindow(8, parity), 3)[:2]
+            pair, coeffs = scan_one(flow, SpectralWindow(8, parity), 3)[:2]
             assert pair.value < -1e-6
             res = certify_candidate(coeffs, flow)
             assert res.detected and res.mi_over_pi2 < 0
