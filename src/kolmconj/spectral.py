@@ -383,19 +383,23 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     each chain's lowest eigenpair goes back to its flow.  Per flow, two
     minima within TIE_RTOL of each other (relative) are a tie, won by the
     chain with the lowest first mode, and the lowest-numbered chain that
-    fails an eigensolve check gives the flow's error.  Returns one entry
-    per flow: its error, or the pair; the minimizer's coefficients, with
-    S = D^{-p/2} B D^{-p/2} undone on the winning chain, 0 off it, and
-    largest magnitude 1; the number of chains and the modes in the
-    largest, twins and zeroed modes included; and the window position of
-    the winning chain's first mode, zeroed or not.  Errors of the window
-    or the options (a bad p, tol or zeroed mode) are raised.
+    fails an eigensolve check gives the flow's error.  The flows of one
+    max(m, n) share one `_extended` output window, built once.  Returns
+    one entry per flow: its error, or the pair; the minimizer's
+    coefficients, with S = D^{-p/2} B D^{-p/2} undone on the winning
+    chain, 0 off it, and largest magnitude 1; the number of chains and the
+    modes in the largest, twins and zeroed modes included; and the window
+    position of the winning chain's first mode, zeroed or not.  Errors of
+    the window or the options (a bad p, tol or zeroed mode) are raised.
     """
     scale = _sobolev_scale(window.laplace, p)
     at = _positions(window, set(zeroed))
-    scans, waiting = [], {}
+    scans, waiting, extended = [], {}, {}
     for flow in flows:
-        ext = _extended(flow, window)
+        reach = max(flow.m, flow.n)
+        if reach not in extended:
+            extended[reach] = _extended(flow, window)
+        ext = extended[reach]
         weights = ext.laplace - flow.lambda2
         chains = _Chains(flow, window, ext, at)
         scan = _FlowScan(chains)

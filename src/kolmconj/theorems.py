@@ -2,8 +2,8 @@
 
 The scaled Misiolek index of the two-parameter (m > n) and four-parameter
 (m = n) candidate families is a quadratic form in the free coefficients.
-Rather than transcribing the known closed forms, each form is expanded here
-by bilinearity, from the exact Misiolek pairing of the family's brackets;
+Rather than transcribing the known closed forms, each form is built here as
+the Gram matrix of the family's brackets under the exact Misiolek pairing;
 the published displays then serve purely as golden values, so a mismatch
 catches transcription errors on either side.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .exactalg import poly_eval, solve_linear
 from .trigpoly import (KolmogorovFlow, TrigPoly, bracket, misiolek_index,
@@ -31,85 +31,46 @@ DIAG_MIN_NUMERATOR = (-802799, -868412, -349200, -61952, -4096)
 DIAG_MIN_DENOMINATOR = (3798226, 3627508, 1298224, 206336, 12288)
 
 
-def _mono_eval(mono: Tuple[int, ...], point: Sequence[Fraction]) -> Fraction:
-    out = F(1)
-    for e, x in zip(mono, point):
-        for _ in range(e):
-            out *= x
-    return out
-
-
 @dataclass(frozen=True)
 class QuadraticFormInParams:
-    """Quadratic polynomial in named parameters with exact coefficients."""
+    """Quadratic polynomial q(x) = y^T G y in named parameters x, y = (1, x_1..x_n).
+
+    `gram` is the symmetric matrix G, exact, indexed by y: G[0][0] is the
+    constant, 2 G[0][i] the coefficient of x_i, G[i][i] that of x_i^2 and
+    2 G[i][j] that of x_i x_j (i != j).
+    """
 
     variables: Tuple[str, ...]
-    coeffs: Dict[Tuple[int, ...], Fraction]
+    gram: Tuple[Tuple[Fraction, ...], ...]
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        total = F(0)
-        for mono, c in self.coeffs.items():
-            total += c * _mono_eval(mono, point) if any(mono) else c
-        return total
+        y = (F(1), *point)
+        return sum((ya * sum((g * yb for g, yb in zip(row, y)), F(0))
+                    for ya, row in zip(y, self.gram)), F(0))
 
     def coefficient(self, mono: Tuple[int, ...]) -> Fraction:
-        return self.coeffs.get(mono, F(0))
-
-    def hessian(self) -> List[List[Fraction]]:
-        n = len(self.variables)
-        h = [[F(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                mono = [0] * n
-                mono[i] += 1
-                mono[j] += 1
-                c = self.coeffs.get(tuple(mono), F(0))
-                h[i][j] = 2 * c if i == j else c
-        return h
-
-    def hessian_minors_positive(self) -> bool:
-        """Leading principal minors of the Hessian, all strictly positive.
-
-        Minor k+1 is minor k times the Schur pivot h[k][k] - b^T H_k^-1 b,
-        b = h[:k, k], so the minors are all positive iff the pivots are.
-        Stopping at the first pivot <= 0 keeps every H_k solved nonsingular.
-        """
-        h = self.hessian()
-        for k in range(len(h)):
-            b = [row[k] for row in h[:k]]
-            x = solve_linear([row[:k] for row in h[:k]], b)
-            if h[k][k] - sum((bi * xi for bi, xi in zip(b, x)), F(0)) <= 0:
-                return False
-        return True
+        """The coefficient of the monomial with exponents `mono`, of degree <= 2."""
+        a, b = [i + 1 for i, e in enumerate(mono) for _ in range(e)] + [0] * (2 - sum(mono))
+        return self.gram[a][b] if a == b else 2 * self.gram[a][b]
 
 
 def _family_form(flow: KolmogorovFlow, variables: Tuple[str, ...], base: TrigPoly,
                  directions: Sequence[TrigPoly]) -> QuadraticFormInParams:
     """Scaled index MI * 4 / (pi^2 n^2) of f = base + sum_i x_i directions_i.
 
-    With phi_0 = {psi, base}, phi_i = {psi, directions_i} and P the bilinear
-    `misiolek_pairing`, the index of phi_0 + sum_i x_i phi_i is P(phi_0, phi_0)
-    plus 2 P(phi_0, phi_i) x_i, P(phi_i, phi_i) x_i^2 and 2 P(phi_i, phi_j) x_i x_j.
+    The form is the Gram matrix of the family's brackets phi_0 = {psi, base},
+    phi_i = {psi, directions_i} under the bilinear `misiolek_pairing` P:
+    the index of sum_a y_a phi_a is y^T G y with G[a][b] = P(phi_a, phi_b),
+    one pairing per unordered pair, each scaled by 4 / n^2.
     """
     psi = flow.stream()
-    phi0 = bracket(psi, base)
-    phis = [bracket(psi, d) for d in directions]
-    nvars = len(variables)
-
-    def mono(*indices):
-        return tuple(indices.count(i) for i in range(nvars))
-
-    def pair(p, q):
-        return misiolek_pairing(p, q, flow)
-
-    coeffs = {mono(): pair(phi0, phi0)}
-    for i, phi in enumerate(phis):
-        coeffs[mono(i)] = 2 * pair(phi0, phi)
-        coeffs[mono(i, i)] = pair(phi, phi)
-        for j in range(i + 1, nvars):
-            coeffs[mono(i, j)] = 2 * pair(phi, phis[j])
+    phis = [bracket(psi, f) for f in (base, *directions)]
     scale = F(4, flow.n ** 2)
-    return QuadraticFormInParams(variables, {k: c * scale for k, c in coeffs.items() if c})
+    gram = [[F(0)] * len(phis) for _ in phis]
+    for a, p in enumerate(phis):
+        for b in range(a, len(phis)):
+            gram[a][b] = gram[b][a] = scale * misiolek_pairing(p, phis[b], flow)
+    return QuadraticFormInParams(variables, tuple(map(tuple, gram)))
 
 
 @dataclass(frozen=True)
@@ -125,7 +86,7 @@ class CriticalPoint:
 def offdiag_form(m: int, n: int) -> QuadraticFormInParams:
     """Scaled index MI * 4 / (pi^2 n^2) of f = cos x (1 + a cos 2mx + b cos 2ny).
 
-    Expanded by bilinearity (see `_family_form`); quadratic in (a, b).
+    The Gram matrix of its brackets (see `_family_form`), over y = (1, a, b).
     """
     if not (m > n >= 1):
         raise ValueError("off-diagonal family requires m > n >= 1")
@@ -154,8 +115,9 @@ def offdiag_candidate(m: int, n: int) -> CriticalPoint:
     result is a hard failure.
     """
     form = offdiag_form(m, n)
-    a0 = -form.coefficient((1, 0)) / (2 * form.coefficient((2, 0)))
-    b0 = -form.coefficient((0, 1)) / (2 * form.coefficient((0, 2)))
+    g = form.gram
+    a0 = -g[0][1] / g[1][1]
+    b0 = -g[0][2] / g[2][2]
     value = form.evaluate((a0, b0))
     if value >= 0:
         raise VerificationError(
@@ -192,7 +154,7 @@ def diag_form(n: int) -> QuadraticFormInParams:
     """Scaled index of the four-parameter diagonal family.
 
     f = cos x (1 + a cos 2ny + b cos 4ny + c cos 2nx) + d sin x sin 2nx,
-    expanded by bilinearity (see `_family_form`).
+    as the Gram matrix of its brackets (see `_family_form`), over y = (1, a, b, c, d).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -231,9 +193,9 @@ def diag_candidate(n: int) -> CriticalPoint:
     at n = 1 the value is reported without a sign assertion.
     """
     form = diag_form(n)
-    # a quadratic's gradient at x is H x + (its gradient at 0, the linear coefficients)
-    linear = [form.coefficient(tuple(int(i == j) for j in range(4))) for i in range(4)]
-    sol = solve_linear(form.hessian(), [-g for g in linear])
+    # y^T G y is stationary in x where G[1:] y = 0
+    g = form.gram
+    sol = solve_linear([row[1:] for row in g[1:]], [-v for v in g[0][1:]])
     value = form.evaluate(sol)
     if n >= 2 and value >= 0:
         raise VerificationError(f"diagonal candidate for n={n} is not negative: {value}")

@@ -11,10 +11,12 @@ imported, which `compare` prints first.  Float digits depend on the BLAS
 thread count, so a record also holds the thread settings it was made under,
 and `compare` refuses (exit 2) two records whose thread counts differ.
 
-The commands: `minimize-ladder` seeds 1-3 and
-every `exact-all-pairs` command (seed 1) of `perfbench/workloads.py`,
-`verify signs`, `sweep --mmax 10` and `sweep --mmax 8 --N 16` through
-`kolmconj.cli.main` (exit code, stdout, stderr and every `--out` file);
+The commands: `minimize-ladder` seeds 1-3 of `perfbench/workloads.py`;
+every `verify offdiag m n` (1 <= n < m <= 30) and `verify diag n`
+(n <= 30), so every closed-form family the exact route builds, and
+`verify all`, `signs` and `drivas`; and `sweep --mmax 10` and
+`sweep --mmax 8 --N 16`; each through `kolmconj.cli.main` (exit code,
+stdout, stderr and every `--out` file);
 one interleaved sequence of commands that share `main`'s parser, with
 argparse and usage errors, an unwritable `--out`, and commands run
 before and after others that set `--constrain` or `--epsilon`; the
@@ -76,13 +78,16 @@ def _cli(argv, workdir):
 
 
 def _cli_commands(workdir):
-    from perfbench.workloads import build
+    from perfbench.workloads import EXACT_MMAX, build
     for seed in (1, 2, 3):
         for cmd in build("minimize-ladder", seed, workdir):
             yield cmd.argv
-    for cmd in build("exact-all-pairs", 1, workdir):
-        yield cmd.argv
-    yield ("verify", "signs")
+    for m in range(2, EXACT_MMAX + 1):
+        for n in range(1, m):
+            yield ("verify", "offdiag", str(m), str(n))
+    for n in range(1, EXACT_MMAX + 1):
+        yield ("verify", "diag", str(n))
+    yield from (("verify", scope) for scope in ("all", "signs", "drivas"))
     yield ("sweep", "--mmax", "10", "--out", os.path.join(workdir, "sweep_10.csv"))
     yield ("sweep", "--mmax", "8", "--N", "16")
 

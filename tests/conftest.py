@@ -7,6 +7,7 @@ import pytest
 
 from kolmconj import spectral
 from kolmconj.eigensolve import eigen_pair, lowest_eigenpairs
+from kolmconj.exactalg import solve_linear
 from kolmconj.spectral import SpectralWindow
 from kolmconj.trigpoly import COS, SIN, TrigPoly
 
@@ -26,6 +27,33 @@ def random_trigpoly(rng: random.Random, bandwidth: int = 8, max_coeff: int = 10,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# ------------------------------------------------------------ family forms
+
+def monomials(form) -> dict:
+    """The form's nonzero `coefficient`s, by exponent tuple, over every monomial of degree <= 2."""
+    n = len(form.variables)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    monos = [(0,) * n, *units, *(tuple(map(sum, zip(u, v)))
+                                 for i, u in enumerate(units) for v in units[i:])]
+    return {mono: c for mono in monos if (c := form.coefficient(mono))}
+
+
+def hessian_minors_positive(form) -> bool:
+    """Leading principal minors of the form's Hessian H = 2 G[1:, 1:], all strictly positive.
+
+    Minor k+1 is minor k times the Schur pivot h[k][k] - b^T H_k^-1 b,
+    b = h[:k, k], so the minors are all positive iff the pivots are.
+    Stopping at the first pivot <= 0 keeps every H_k solved nonsingular.
+    """
+    h = [[2 * g for g in row[1:]] for row in form.gram[1:]]
+    for k in range(len(h)):
+        b = [row[k] for row in h[:k]]
+        x = solve_linear([row[:k] for row in h[:k]], b)
+        if h[k][k] - sum((bi * xi for bi, xi in zip(b, x)), Fraction(0)) <= 0:
+            return False
+    return True
 
 
 # ------------------------------------------------------------ test-side oracles

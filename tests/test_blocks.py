@@ -320,16 +320,18 @@ def _entry_bits(entry):
 
 @pytest.mark.parametrize("N", [1, 2, 5, 12])
 def test_many_flow_scan_equals_one_flow_scans(N):
-    # pooling the chains of every pair n <= m <= 10 by size changes no
-    # flow's result in any bit, with and without zeroed modes
+    # pooling the chains of every pair n <= m <= 10, and of three with
+    # n > m after pairs of their m, by size changes no flow's result in any
+    # bit, with and without zeroed modes
+    flows = SWEEP_FLOWS + [KolmogorovFlow(1, 2), KolmogorovFlow(3, 5), KolmogorovFlow(9, 10)]
     rng = random.Random(N)
     for subspace in (COS, SIN, FULL):
         window = SpectralWindow(N, subspace)
         for p, zeroed in itertools.product(
                 (0, 3), ([], rng.sample(window.modes, 1 if N == 1 else 3))):
-            many = spectral.window_minimum(SWEEP_FLOWS, window, p, zeroed)
-            assert len(many) == len(SWEEP_FLOWS)
-            for flow, entry in zip(SWEEP_FLOWS, many):
+            many = spectral.window_minimum(flows, window, p, zeroed)
+            assert len(many) == len(flows)
+            for flow, entry in zip(flows, many):
                 [one] = spectral.window_minimum([flow], window, p, zeroed)
                 assert _entry_bits(entry) == _entry_bits(one), (flow, subspace, p, zeroed)
 
@@ -408,6 +410,20 @@ def test_failing_chain_errors_only_its_own_flow(monkeypatch):
         res = run_minimize(flow, N=12, subspace=SIN)
         assert sin_row["subspace"] == SIN and sin_row["eigenvalue"] == res.eigen.value
         assert sin_row["certified_q"] == res.certified.mi_over_pi2
+
+
+def test_sweep_builds_each_window_once(monkeypatch):
+    # `sweep --mmax 10` scans one cosine and one sine window, and the flows
+    # of one max(m, n) share their output window: 10 cosine and 6 sine sizes
+    built, init = [], SpectralWindow.__init__
+
+    def init_spy(self, N, subspace=COS):
+        built.append((N, subspace))
+        init(self, N, subspace)
+
+    monkeypatch.setattr(SpectralWindow, "__init__", init_spy)
+    pipeline.run_sweep(10)
+    assert len(built) == len(set(built)) == 18
 
 
 @pytest.mark.parametrize("m,n,N,subspace", [(30, 22, 64, COS), (5, 4, 20, COS),

@@ -12,9 +12,10 @@ from kolmconj.theorems import (DIAG_MIN_DENOMINATOR, DIAG_MIN_NUMERATOR,
                                offdiag_scaled_minimum,
                                offdiag_scaled_minimum_reference,
                                QuadraticFormInParams, sign_certificates)
-from kolmconj.trigpoly import KolmogorovFlow, TrigPoly, bracket, misiolek_index
+from kolmconj.trigpoly import (KolmogorovFlow, TrigPoly, bracket, misiolek_index,
+                               misiolek_pairing)
 
-from conftest import random_trigpoly
+from conftest import hessian_minors_positive, monomials, random_trigpoly
 
 
 def _linear(form):
@@ -23,10 +24,17 @@ def _linear(form):
     return [form.coefficient(tuple(int(i == j) for j in range(n))) for i in range(n)]
 
 
+def _hessian(form):
+    """The form's second derivatives, from its coefficients of x_i x_j and x_i^2."""
+    n = len(form.variables)
+    return [[form.coefficient(tuple(int(k == i) + int(k == j) for k in range(n))) * (1 + (i == j))
+             for j in range(n)] for i in range(n)]
+
+
 def _gradient(form, point):
     """H x + g, a quadratic's gradient at x: the system `diag_candidate` solves."""
     return [sum((hij * xj for hij, xj in zip(row, point)), gi)
-            for row, gi in zip(form.hessian(), _linear(form))]
+            for row, gi in zip(_hessian(form), _linear(form))]
 
 
 class TestOffdiagForm:
@@ -35,7 +43,7 @@ class TestOffdiagForm:
     def test_matches_reference(self, m, n):
         form = offdiag_form(m, n)
         ref = offdiag_reference(m, n)
-        assert form.coeffs == {k: v for k, v in ref.items() if v}
+        assert monomials(form) == {k: v for k, v in ref.items() if v}
 
     def test_golden_values_32(self):
         cand = offdiag_candidate(3, 2)
@@ -62,7 +70,7 @@ class TestOffdiagForm:
 
     def test_hessian_positive_definite(self):
         for m, n in [(2, 1), (4, 2), (6, 1)]:
-            assert offdiag_form(m, n).hessian_minors_positive()
+            assert hessian_minors_positive(offdiag_form(m, n))
 
     def test_scaled_minimum_is_integer(self):
         for m, n in [(2, 1), (3, 2), (5, 3)]:
@@ -93,12 +101,12 @@ class TestDiagForm:
     def test_matches_reference(self, n):
         form = diag_form(n)
         ref = diag_reference(n)
-        assert form.coeffs == {k: v for k, v in ref.items() if v}
+        assert monomials(form) == {k: v for k, v in ref.items() if v}
 
     def test_n1_form_differs_from_reference(self):
         # mode collisions at n = 1 change the quadratic form, so the
         # closed-form displays only apply from n = 2 on
-        assert diag_form(1).coeffs != {k: v for k, v in diag_reference(1).items() if v}
+        assert monomials(diag_form(1)) != {k: v for k, v in diag_reference(1).items() if v}
 
     def test_golden_values_n2(self):
         cand = diag_candidate(2)
@@ -124,7 +132,7 @@ class TestDiagForm:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_hessian_positive_definite(self, n):
-        assert diag_form(n).hessian_minors_positive()
+        assert hessian_minors_positive(diag_form(n))
 
     def test_n1_candidate_reported_without_sign_assertion(self):
         cand = diag_candidate(1)
@@ -133,15 +141,15 @@ class TestDiagForm:
             tuple(cand.values[v] for v in ("a", "b", "c", "d")))
 
 
-@pytest.mark.parametrize("coeffs,expected", [
-    ({(0, 2): 1}, False),                        # leading entry 0
-    ({(2, 0): 1, (0, 2): -1}, False),            # indefinite, diagonal
-    ({(2, 0): 1, (1, 1): 3, (0, 2): 1}, False),  # indefinite through the cross term
-    ({(2, 0): 1, (1, 1): 1, (0, 2): 1}, True),
+@pytest.mark.parametrize("quadratic,expected", [
+    ([[0, 0], [0, 1]], False),                   # b^2: leading entry 0
+    ([[1, 0], [0, -1]], False),                  # a^2 - b^2: indefinite, diagonal
+    ([[1, F(3, 2)], [F(3, 2), 1]], False),       # a^2 + 3ab + b^2: indefinite through ab
+    ([[1, F(1, 2)], [F(1, 2), 1]], True),        # a^2 + ab + b^2
 ])
-def test_hessian_minors_positive(coeffs, expected):
-    form = QuadraticFormInParams(("a", "b"), {mono: F(c) for mono, c in coeffs.items()})
-    assert form.hessian_minors_positive() is expected
+def test_hessian_minors_positive(quadratic, expected):
+    gram = ((F(0),) * 3, *((F(0), *map(F, row)) for row in quadratic))
+    assert hessian_minors_positive(QuadraticFormInParams(("a", "b"), gram)) is expected
 
 
 def _rational_points(rng, nvars, count=5):
@@ -173,7 +181,8 @@ def test_diag_form_is_the_exact_index(rng, n):
 
 
 def _polarized_form(flow, variables, base, directions):
-    """Reference: the family form expanded by polarization of the index alone.
+    """Reference: the family form's nonzero monomial coefficients, expanded by
+    polarization of the index alone.
 
     MI(phi_0) is the constant and MI(phi_i) the coefficient of x_i^2;
     MI(p + q) - MI(p) - MI(q) is that of x_i (p, q = phi_0, phi_i) and of
@@ -197,7 +206,17 @@ def _polarized_form(flow, variables, base, directions):
             coeffs[mono(i, j)] = (misiolek_index(phi + phis[j], flow)
                                   - squares[i] - squares[j])
     scale = F(4, flow.n ** 2)
-    return QuadraticFormInParams(variables, {k: c * scale for k, c in coeffs.items() if c})
+    return {k: c * scale for k, c in coeffs.items() if c}
+
+
+def _random_families(rng):
+    """30 seeded random families: (flow, variables, base, directions)."""
+    for _ in range(30):
+        flow = KolmogorovFlow(rng.randint(1, 5), rng.randint(1, 5))
+        nvars = rng.randint(1, 4)
+        base, *directions = (random_trigpoly(rng, bandwidth=5, n_terms=4)
+                             for _ in range(nvars + 1))
+        yield flow, tuple("abcd"[:nvars]), base, directions
 
 
 class TestFamilyFormByPairing:
@@ -210,9 +229,7 @@ class TestFamilyFormByPairing:
             ref = _polarized_form(KolmogorovFlow(m, n), ("a", "b"), cosx,
                                   [cosx * TrigPoly.cosine(2 * m, 0),
                                    cosx * TrigPoly.cosine(0, 2 * n)])
-            form = offdiag_form(m, n)
-            assert form.coeffs == ref.coeffs
-            assert list(form.coeffs) == list(ref.coeffs)
+            assert monomials(offdiag_form(m, n)) == ref
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_diag_equals_polarization(self, n):
@@ -221,33 +238,36 @@ class TestFamilyFormByPairing:
                       cosx * TrigPoly.cosine(2 * n, 0),
                       TrigPoly.sine(1, 0) * TrigPoly.sine(2 * n, 0)]
         ref = _polarized_form(KolmogorovFlow(n, n), ("a", "b", "c", "d"), cosx, directions)
-        form = diag_form(n)
-        assert form.coeffs == ref.coeffs
-        assert list(form.coeffs) == list(ref.coeffs)
+        assert monomials(diag_form(n)) == ref
 
     def test_random_directions_equal_polarization(self, rng):
-        for _ in range(30):
-            flow = KolmogorovFlow(rng.randint(1, 5), rng.randint(1, 5))
-            nvars = rng.randint(1, 4)
-            variables = tuple("abcd"[:nvars])
-            base, *directions = (random_trigpoly(rng, bandwidth=5, n_terms=4)
-                                 for _ in range(nvars + 1))
-            assert (theorems._family_form(flow, variables, base, directions)
-                    == _polarized_form(flow, variables, base, directions))
+        for flow, variables, base, directions in _random_families(rng):
+            form = theorems._family_form(flow, variables, base, directions)
+            assert form.variables == variables
+            assert monomials(form) == _polarized_form(flow, variables, base, directions)
+
+    def test_random_gram_is_the_pairing_matrix(self, rng):
+        for flow, variables, base, directions in _random_families(rng):
+            gram = theorems._family_form(flow, variables, base, directions).gram
+            psi = flow.stream()
+            phis = [bracket(psi, f) for f in (base, *directions)]
+            assert gram == tuple(zip(*gram))
+            assert gram == tuple(tuple(F(4, flow.n ** 2) * misiolek_pairing(p, q, flow)
+                                       for q in phis) for p in phis)
 
 
 class TestEvaluation:
     @pytest.mark.parametrize("nvars", [1, 2, 4])
     def test_evaluate_matches_powers(self, rng, nvars):
-        # every monomial of degree <= 2 and one of degree 3, against x ** e
-        monos = {tuple(int(i == j) + int(i == k) for i in range(nvars))
-                 for j in range(nvars) for k in range(nvars)}
-        monos |= {(0,) * nvars, (1,) * nvars, (3,) + (0,) * (nvars - 1)}
+        # y^T G y against every monomial's coefficient times x ** e
         for point in _rational_points(rng, nvars, count=10):
-            coeffs = {mono: F(rng.randint(-9, 9), rng.randint(1, 9)) for mono in monos}
-            form = QuadraticFormInParams(tuple("abcd"[:nvars]), coeffs)
+            gram = [[None] * (nvars + 1) for _ in range(nvars + 1)]
+            for a in range(nvars + 1):
+                for b in range(a, nvars + 1):
+                    gram[a][b] = gram[b][a] = F(rng.randint(-9, 9), rng.randint(1, 9))
+            form = QuadraticFormInParams(tuple("abcd"[:nvars]), tuple(map(tuple, gram)))
             want = F(0)
-            for mono, c in coeffs.items():
+            for mono, c in monomials(form).items():
                 term = c
                 for e, x in zip(mono, point):
                     term *= x ** e
@@ -258,7 +278,7 @@ class TestEvaluation:
     def test_linear_coefficients_are_the_gradient_at_zero(self, rng, n):
         # f(x) = f(0) + g.x + x^T H x / 2, so H x + g is the gradient of f
         form = diag_form(n)
-        h, g = form.hessian(), _linear(form)
+        h, g = _hessian(form), _linear(form)
         for x in _rational_points(rng, 4):
             quadratic = sum((xi * hij * xj for xi, row in zip(x, h) for hij, xj in zip(row, x)),
                             F(0))
