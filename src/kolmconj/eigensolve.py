@@ -1,4 +1,5 @@
-"""Lowest eigenpair of each symmetric matrix of a stack, with a residual guarantee."""
+"""Lowest eigenpair of each symmetric matrix of a stack, with a residual
+guarantee, and a Cholesky test that a matrix's spectrum lies above a floor."""
 
 from __future__ import annotations
 
@@ -52,6 +53,37 @@ def eigen_pair(S: np.ndarray, value: float, vector: np.ndarray, tol: float) -> E
     return EigenPair(value, v, residual)
 
 
+def _asymmetric(stack: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack (count, dim, dim), of largest magnitudes
+    `scale`, differ from their transposes by more than 1e-12 max(scale, 1)."""
+    return (np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2))
+            > 1e-12 * np.maximum(scale, 1.0))
+
+
+def spectrum_above(S: np.ndarray, floor: float, rtol: float) -> bool:
+    """True if one Cholesky factorization shows every eigenvalue of S above `floor`.
+
+    It factors S - tau I, tau = floor + rtol * dim * max|S|.  If that
+    succeeds, S - tau I is positive definite up to the factorization's
+    backward error, of order dim * eps * ||S||_2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 10.1), which the
+    margin over `floor` exceeds for rtol far above eps.  False if the
+    factorization fails, if tau is not finite, or if S fails the symmetry
+    check of `lowest_eigenpairs`: the factorization reads one triangle only.
+    """
+    scale = np.max(np.abs(S))
+    tau = floor + rtol * len(S) * scale
+    if not np.isfinite(tau) or _asymmetric(S[None], scale)[0]:
+        return False
+    shifted = S.copy()
+    shifted[np.diag_indices_from(shifted)] -= tau
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
                       ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, Exception]]]:
     """Lowest eigenpair of each matrix of a stack (count, dim, dim), in one LAPACK call.
@@ -71,8 +103,7 @@ def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
         raise ValueError("expected a square matrix or a stack of square matrices "
                          "of dimension >= 1")
     scale = np.max(np.abs(stack), axis=(1, 2))
-    asymmetric = (np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2))
-                  > 1e-12 * np.maximum(scale, 1.0))
+    asymmetric = _asymmetric(stack, scale)
     values, vectors = np.linalg.eigh(stack)
     values, vectors = values[:, 0], _positive_first(vectors[:, :, 0])
     unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .eigensolve import ConvergenceError, EigenPair, eigen_pair, lowest_eigenpairs
+from .eigensolve import (ConvergenceError, EigenPair, eigen_pair, lowest_eigenpairs,
+                         spectrum_above)
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
                        misiolek_index)
 
@@ -299,6 +300,11 @@ def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
     return np.array(list(at.values()), dtype=int)
 
 
+def _bar(low: float) -> float:
+    """The largest chain minimum that can still win or tie against `low`."""
+    return low + 2 * TIE_RTOL * abs(low)
+
+
 class _FlowScan:
     """One flow's chains as the pooled eigensolves return them.
 
@@ -307,23 +313,33 @@ class _FlowScan:
     (value, index, S, vector) of the chains that can still win: those
     within 2 TIE_RTOL |low| of `low`, the lowest value so far.  The tie
     rule's winner lies within TIE_RTOL |min| (1 + 1e-12) of the minimum,
-    so it is always kept, and its form is never built twice.
+    so it is always kept, and its form is never built twice.  `large`
+    maps each chain of more than 45 modes to its (index, bracket, weights)
+    from `_Chains.groups`, for `window_minimum` to reduce it last; a chain
+    that `beaten` screens out then has no value and is never solved.
     """
 
     def __init__(self, chains: _Chains):
         self.count, self.largest = len(chains.sizes), int(chains.sizes.max())
         self.firsts = chains.firsts
         self.values, self.failures, self.kept, self.low = {}, {}, {}, float("inf")
+        self.large = {}
 
     def take(self, number: int, value: float) -> bool:
         """Record chain `number`'s minimum; True if the chain can still win."""
         self.values[number] = value
         low = min(self.low, value)
-        bar = low + 2 * TIE_RTOL * abs(low)
+        bar = _bar(low)
         if low < self.low:
             self.low = low
             self.kept = {c: chain for c, chain in self.kept.items() if chain[0] <= bar}
         return value <= bar
+
+    def beaten(self, S: np.ndarray) -> bool:
+        """True if reduced chain S can neither win nor tie: one Cholesky
+        factorization puts its spectrum above the keep bar of `low` by
+        TIE_RTOL dim max|S|.  False while the flow has no `low`."""
+        return self.low < float("inf") and spectrum_above(S, _bar(self.low), TIE_RTOL)
 
     def winner(self, window: SpectralWindow, p: int, tol: float
                ) -> Tuple[EigenPair, CoeffVector, int, int, int]:
@@ -354,8 +370,8 @@ def _solve(batch: List[tuple], tol: float) -> None:
     stacked eigensolve, and hand each eigenpair or failure to its flow's scan.
 
     A chain solved alone is neither stacked nor copied: with more than 45
-    modes it is its group's whole stack, and with fewer, keeping it keeps
-    at most one group of STACK_ENTRIES entries.
+    modes it comes alone, once every pooled stack is solved, and with
+    fewer, keeping it keeps at most one group of STACK_ENTRIES entries.
     """
     shared = len(batch) > 1
     stack = np.stack([chain[3] for chain in batch]) if shared else batch[0][3][None]
@@ -380,7 +396,13 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     reduction, leaving out the twins of earlier chains, whose spectra
     those chains share.  The reduced chains of all flows are then pooled
     by size and solved in stacks of at most STACK_ENTRIES entries, and
-    each chain's lowest eigenpair goes back to its flow.  Per flow, two
+    each chain's lowest eigenpair goes back to its flow.  A chain of more
+    than 45 modes, which fills a stack alone, is reduced only after every
+    pooled stack is solved, one at a time in ascending chain number per
+    flow.  It is solved unless its flow has a minimum so far and one
+    Cholesky factorization shows that it can neither win nor tie
+    (`_FlowScan.beaten`); a chain screened out still meets the symmetry
+    check, but has no eigenpair and so no residual to check.  Per flow, two
     minima within TIE_RTOL of each other (relative) are a tie, won by the
     chain with the lowest first mode, and the lowest-numbered chain that
     fails an eigensolve check gives the flow's error.  The flows of one
@@ -405,17 +427,25 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
         scan = _FlowScan(chains)
         scans.append(scan)
         for positions, index, bracket in chains.groups(~chains.twins()):
-            stack = _reduce(_gram(index.shape, bracket, weights), scale[index])
             d = index.shape[1]
+            step = STACK_ENTRIES // (d * d)
+            if not step:  # more than 45 modes: reduced last, and perhaps screened out
+                scan.large[positions[0]] = index, bracket, weights
+                continue
+            stack = _reduce(_gram(index.shape, bracket, weights), scale[index])
             batch = waiting.setdefault(d, [])
             batch += zip([scan] * len(positions), positions, index, stack)
-            step = max(1, STACK_ENTRIES // (d * d))
             while len(batch) >= step:
                 _solve(batch[:step], tol)
                 del batch[:step]
     for batch in waiting.values():
         if batch:
             _solve(batch, tol)
+    for scan in scans:
+        for number, (index, bracket, weights) in sorted(scan.large.items()):
+            [S] = _reduce(_gram(index.shape, bracket, weights), scale[index])
+            if not scan.beaten(S):
+                _solve([(scan, number, index[0], S)], tol)
     entries = []
     for scan in scans:
         try:

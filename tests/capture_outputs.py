@@ -28,7 +28,10 @@ for 24 seeded windows, the unconstrained call and two constrained ones:
 the winning chain's first mode zeroed, and every mode of that chain
 zeroed; and fixed edge windows in every subspace: N = 1 and 2 for four
 small pairs, and (30, 29), (17, 11) and (1, 30) at N = 3 and 12, where
-few or none of the 2mn + 2 chain classes meet the window; and 16 seeded
+few or none of the 2mn + 2 chain classes meet the window; large windows
+where most chains of more than 45 modes are screened out, not solved:
+(1,1) full at N=40, (2,1), (3,2) and (4,1) cos at N=40 and (4,3) full at
+N=30, each at p = 0 and 3; and 16 seeded
 `run_sweep` calls (mmax <= 8, nmax, N 1-16, p 0-4), hashed by each row's
 pair, subspace, eigenvalue bits, Q and verdict, so that windows where few
 or many chain classes meet and rows that end in `error:` go through the
@@ -130,6 +133,14 @@ def _edge_calls():
         yield KolmogorovFlow(m, n), dict(N=N, subspace=subspace)
 
 
+def _large_calls():
+    from kolmconj.trigpoly import KolmogorovFlow
+    windows = [((1, 1), 40, "full"), ((2, 1), 40, "cos"), ((3, 2), 40, "cos"),
+               ((4, 1), 40, "cos"), ((4, 3), 30, "full")]
+    for ((m, n), N, subspace), p in itertools.product(windows, (0, 3)):
+        yield KolmogorovFlow(m, n), dict(N=N, subspace=subspace, p=p)
+
+
 def _winner_calls():
     """(flow, options, zeroed label) of an unconstrained call, then, if it
     certifies, the calls that zero its winning chain's first mode and every
@@ -215,7 +226,7 @@ def record():
         options_text = {k: v for k, v in options.items() if k != "constraints"}
         key = f"run_minimize({flow.m}, {flow.n}, {options_text}, zeroed={options['constraints']})"
         entries[key] = _minimize(flow, options)
-    for flow, options in _edge_calls():
+    for flow, options in itertools.chain(_edge_calls(), _large_calls()):
         entries[f"run_minimize({flow.m}, {flow.n}, {options})"] = _minimize(flow, options)
     for flow, options, zeroed in _winner_calls():
         options_text = {k: v for k, v in options.items() if k != "constraints"}

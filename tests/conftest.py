@@ -156,51 +156,82 @@ def scan_one(flow, window, p, zeroed=(), tol=1e-10):
     return found
 
 
-def spy_scan(monkeypatch):
-    """Record what a one-flow `window_minimum` solves until the patches are undone.
+def follow_groups(monkeypatch):
+    """Patch `_Chains.groups` and `_gram` until the patches are undone, and
+    return a list that holds, after each `_gram` call, the (chains,
+    positions, index, B) of the group whose Gram product B it built.
 
-    Returns (seen, checked): `seen` maps the number of each chain solved to
-    its reduced matrix as the pooled eigensolve gets it, its window
-    positions and its Gram product; `checked` lists the matrices that
-    `eigen_pair` checks, one per scan, each the winner's form as kept
-    from its reduction.  A matrix solved that no reduction made fails.
+    A chain of more than 45 modes is reduced only once every group is laid
+    out, so each `_gram` call is matched to its group by the bracket it
+    gets, not by the group laid out last.
     """
-    seen, checked, layouts, grams, reduced = {}, [], [], [], defaultdict(list)
-    groups, gram, reduce = spectral._Chains.groups, spectral._gram, spectral._reduce
-    solve, pair = spectral.lowest_eigenpairs, spectral.eigen_pair
+    groups, gram = spectral._Chains.groups, spectral._gram
+    layouts, current = {}, []
 
     def groups_spy(self, wanted=None):
         for positions, index, bracket in groups(self, wanted):
-            layouts.append((positions, index))
+            # the bracket stays referenced here, so its id is never reused
+            layouts[id(bracket)] = self, positions, index, bracket
             yield positions, index, bracket
 
-    def gram_spy(*args):
-        grams.append(gram(*args))
-        return grams[-1]
+    def gram_spy(shape, bracket, weights):
+        chains, positions, index, _ = layouts[id(bracket)]
+        current[:] = chains, positions, index, gram(shape, bracket, weights)
+        return current[-1]
+
+    monkeypatch.setattr(spectral._Chains, "groups", groups_spy)
+    monkeypatch.setattr(spectral, "_gram", gram_spy)
+    return current
+
+
+def spy_scan(monkeypatch):
+    """Record what a one-flow `window_minimum` solves and screens out until
+    the patches are undone.
+
+    Returns (solved, screened, checked): `solved` maps the number of each
+    chain solved to its reduced matrix as the pooled eigensolve gets it,
+    its window positions and its Gram product; `screened` does the same for
+    each chain that `_FlowScan.beaten` screens out, with the matrix it
+    gets; `checked` lists the matrices that `eigen_pair` checks, one per
+    scan, each the winner's form as kept from its reduction.  A matrix
+    solved or screened out that no reduction made fails.
+    """
+    solved, screened, checked, reduced = {}, {}, [], defaultdict(list)
+    current = follow_groups(monkeypatch)
+    reduce, solve, pair = spectral._reduce, spectral.lowest_eigenpairs, spectral.eigen_pair
+    beaten = spectral._FlowScan.beaten
 
     def reduce_spy(*args):
         stack = reduce(*args)
-        positions, index = layouts[-1]
+        _, positions, index, grams = current
         for i, position in enumerate(positions):
-            reduced[stack[i].tobytes()].append((position, index[i], grams[-1][i]))
+            reduced[stack[i].tobytes()].append((position, index[i], grams[i]))
         return stack
+
+    def record(chains, S):
+        position, index, B = reduced[S.tobytes()].pop(0)
+        chains[position] = S, index, B
 
     def solve_spy(stack, tol):
         for S in stack:
-            position, index, B = reduced[S.tobytes()].pop(0)
-            seen[position] = S, index, B
+            record(solved, S)
         return solve(stack, tol)
+
+    def beaten_spy(self, S):
+        if not beaten(self, S):
+            return False
+        record(screened, S)
+        return True
 
     def pair_spy(S, *args):
         checked.append(S)
         return pair(S, *args)
 
-    monkeypatch.setattr(spectral._Chains, "groups", groups_spy)
-    monkeypatch.setattr(spectral, "_gram", gram_spy)
     monkeypatch.setattr(spectral, "_reduce", reduce_spy)
     monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
+    monkeypatch.setattr(spectral._FlowScan, "beaten", beaten_spy)
     monkeypatch.setattr(spectral, "eigen_pair", pair_spy)
-    return seen, checked
+    return solved, screened, checked
 
 
 def assert_winner_solved(seen, checked, coeffs, number):

@@ -33,8 +33,8 @@ from kolmconj.spectral import FULL, STACK_ENTRIES, CertificationError, SpectralW
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
 from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, extended,
-                      gram_blocks, lowest_pair, per_chain_products, scan_one, spy_scan,
-                      window_values)
+                      follow_groups, gram_blocks, lowest_pair, per_chain_products, scan_one,
+                      spy_scan, window_values)
 
 
 def chain_layout(flow, window):
@@ -233,7 +233,7 @@ def _scan(monkeypatch, groups, tol=1e-10):
     window = SpectralWindow(6, COS)
     monkeypatch.setattr(spectral._Chains, "groups", lambda self, solve=None: iter(groups))
     monkeypatch.setattr(spectral, "_gram", lambda shape, stack, weights: stack)
-    _, checked = spy_scan(monkeypatch)
+    _, _, checked = spy_scan(monkeypatch)
     try:
         return window, scan_one(KolmogorovFlow(3, 2), window, 0, tol=tol), checked
     finally:
@@ -339,18 +339,14 @@ def test_many_flow_scan_equals_one_flow_scans(N):
 def _break_chains(monkeypatch, targets):
     """Make each chain (flow, subspace, number) in `targets` asymmetric as it
     is reduced, and record the stacks the pooled eigensolve gets."""
-    groups, reduce, solve = spectral._Chains.groups, spectral._reduce, spectral.lowest_eigenpairs
-    current, stacks = [], []
-
-    def groups_spy(self, wanted=None):
-        for positions, index, bracket in groups(self, wanted):
-            current[:] = [(self.flow, self.window.subspace, number) for number in positions]
-            yield positions, index, bracket
+    reduce, solve = spectral._reduce, spectral.lowest_eigenpairs
+    current, stacks = follow_groups(monkeypatch), []
 
     def reduce_spy(*args):
         stack = reduce(*args)
-        for slot, chain in enumerate(current):
-            if chain in targets:
+        chains, positions = current[:2]
+        for slot, number in enumerate(positions):
+            if (chains.flow, chains.window.subspace, number) in targets:
                 stack[slot, 0, -1] += np.max(np.abs(stack[slot]))
         return stack
 
@@ -358,7 +354,6 @@ def _break_chains(monkeypatch, targets):
         stacks.append(stack)
         return solve(stack, tol)
 
-    monkeypatch.setattr(spectral._Chains, "groups", groups_spy)
     monkeypatch.setattr(spectral, "_reduce", reduce_spy)
     monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
     return stacks
@@ -492,10 +487,10 @@ def _twins(flow, window, zeroed=()):
 
 
 def _solved_chains(monkeypatch, flow, **options):
-    """`spy_scan`'s record of the scan `run_minimize` makes, what
-    `window_minimum` returned (one entry), and the result (None if
-    certification fails)."""
-    seen, checked = spy_scan(monkeypatch)
+    """`spy_scan`'s record of the scan `run_minimize` makes (solved,
+    screened, checked), what `window_minimum` returned (one entry), and the
+    result (None if certification fails)."""
+    solved, screened, checked = spy_scan(monkeypatch)
     winner, result = [], None
     minimum = pipeline.window_minimum
 
@@ -509,7 +504,7 @@ def _solved_chains(monkeypatch, flow, **options):
     except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
         pass
     monkeypatch.undo()
-    return seen, checked, winner, result
+    return solved, screened, checked, winner, result
 
 
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
@@ -533,11 +528,12 @@ def _zeroings(flow, window):
 
 
 def test_grouped_products_equal_per_chain_products(monkeypatch):
-    # every chain the scan receives: its reduced matrix as the eigensolve
-    # gets it and its Gram product, both restricted to the modes left
-    # after constraints, and the form built again for the winner; those
-    # left out are the chains zeroed entirely and the twins of earlier
-    # chains where neither chain holds a zeroed mode
+    # every chain the scan receives, solved or screened out: its reduced
+    # matrix as the eigensolve or the screen gets it and its Gram product,
+    # both restricted to the modes left after constraints, and the form
+    # built again for the winner; those left out are the chains zeroed
+    # entirely and the twins of earlier chains where neither chain holds a
+    # zeroed mode
     cases = [(m, n, N, subspace, []) for m, n, N, subspace in GROUPED_WINDOWS]
     for m, n, N, subspace in CONSTRAINED_WINDOWS:
         window = SpectralWindow(N, subspace)
@@ -545,8 +541,10 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
                   for zeroed in _zeroings(KolmogorovFlow(m, n), window)]
     for m, n, N, subspace, zeroed in cases:
         flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-        seen, checked, [(_, coeffs, _, _, first)], _ = _solved_chains(
+        solved, screened, checked, [(_, coeffs, _, _, first)], _ = _solved_chains(
             monkeypatch, flow, N=N, subspace=subspace, constraints=zeroed)
+        assert not solved.keys() & screened.keys()
+        seen = {**solved, **screened}
         assert coeffs.window._modes is None
         reference = list(per_chain_products(flow, window, 3))
         best = next(c for c, (full, _, _) in enumerate(reference) if full[0] == first)
@@ -564,7 +562,7 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
             assert np.array_equal(gram, B[np.ix_(keep, keep)])
             assert np.array_equal(stacked, S[np.ix_(keep, keep)])
             assert np.array_equal(gram, gram.T) and np.array_equal(stacked, stacked.T)
-        assert_winner_solved(seen, checked, coeffs, best)
+        assert_winner_solved(solved, checked, coeffs, best)
 
 
 # (m, n, N, subspace) and the chain count and largest chain the window had
@@ -578,10 +576,10 @@ TWIN_WINDOWS = [((3, 2, 20, COS), 14, 77), ((4, 4, 20, COS), 34, 30),
 def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, largest):
     m, n, N, subspace = case
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-    solved, _, _, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
+    solved, screened, _, _, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
     chains = chain_modes(flow, window)
     products = list(per_chain_products(flow, window, 3))
-    skipped = set(range(len(chains))) - solved.keys()
+    skipped = set(range(len(chains))) - solved.keys() - screened.keys()
     assert skipped and skipped == _twins(flow, window)
     for c in skipped:
         # some symmetry maps chain c onto an earlier chain t, and carries
@@ -601,6 +599,86 @@ def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, larges
             matches += 1
         assert matches
     assert (res.blocks, res.block_dim_max) == (blocks, largest)
+
+
+def _screen_spy(monkeypatch):
+    """Record, by flow and chain number, the kept positions and reduced
+    matrix of each chain that `_FlowScan.beaten` screens out."""
+    current, screened = follow_groups(monkeypatch), defaultdict(dict)
+    beaten = spectral._FlowScan.beaten
+
+    def beaten_spy(self, S):
+        if not beaten(self, S):
+            return False
+        chains, [number], [index], _ = current
+        screened[chains.flow][number] = index, S
+        return True
+
+    monkeypatch.setattr(spectral._FlowScan, "beaten", beaten_spy)
+    return screened
+
+
+def _no_cholesky(*args):
+    raise np.linalg.LinAlgError("screen off")
+
+
+# the windows of GROUPED_WINDOWS, each scanned once over all its flows, and
+# four large ones where most chains of more than 45 modes are screened out
+SCREENED_WINDOWS = defaultdict(list)
+for _m, _n, _N, _subspace in GROUPED_WINDOWS + [(1, 1, 40, FULL), (2, 1, 40, COS),
+                                                (3, 2, 40, COS), (4, 3, 30, FULL)]:
+    SCREENED_WINDOWS[_N, _subspace].append(KolmogorovFlow(_m, _n))
+
+
+@pytest.mark.parametrize("N,subspace", list(SCREENED_WINDOWS))
+def test_screen_changes_no_entry(monkeypatch, N, subspace):
+    # with the Cholesky screen on, every flow's entry is bit for bit the
+    # entry of a scan that solves every chain; and each chain screened out
+    # has, by the dense oracle, its lowest eigenvalue above the flow's
+    # winning value by more than the tie window
+    flows, window = SCREENED_WINDOWS[N, subspace], SpectralWindow(N, subspace)
+    rng, screens = random.Random(N), 0
+    for p, count in itertools.product((0, 3), (0, rng.randint(1, 3))):
+        zeroed = rng.sample(window.modes, count)
+        screened = _screen_spy(monkeypatch)
+        entries = spectral.window_minimum(flows, window, p, zeroed)
+        monkeypatch.undo()
+        monkeypatch.setattr(np.linalg, "cholesky", _no_cholesky)
+        unscreened = spectral.window_minimum(flows, window, p, zeroed)
+        monkeypatch.undo()
+        zero_at = {window.index_of(mode) for mode in zeroed}
+        for flow, entry, want in zip(flows, entries, unscreened):
+            assert _entry_bits(entry) == _entry_bits(want), (flow, p, zeroed)
+            if not screened[flow]:
+                continue
+            value = entry[0].value
+            reference = list(per_chain_products(flow, window, p))
+            for number, (index, S) in screened[flow].items():
+                full, _, dense = reference[number]
+                keep = [i for i, at in enumerate(full) if at not in zero_at]
+                assert index.tolist() == [full[i] for i in keep]
+                lowest = np.linalg.eigvalsh(dense[np.ix_(keep, keep)])[0]
+                assert lowest > value + 2 * spectral.TIE_RTOL * abs(value)
+                screens += 1
+    if N >= 30:
+        assert screens
+
+
+def test_screen_keeps_the_symmetry_check(monkeypatch):
+    # a chain of more than 45 modes that the screen skips, made asymmetric
+    # above its diagonal only, which Cholesky does not read, still ends its
+    # flow with the eigensolve's symmetry error
+    flow, window = KolmogorovFlow(3, 2), SpectralWindow(40, COS)
+    _, screened, _ = spy_scan(monkeypatch)
+    scan_one(flow, window, 3)
+    monkeypatch.undo()
+    number, (S, _, _) = max(screened.items())
+    assert len(S) > 45
+    stacks = _break_chains(monkeypatch, {(flow, COS, number)})
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+        scan_one(flow, window, 3)
+    [broken] = [stack[0] for stack in stacks if not np.array_equal(stack, stack.swapaxes(1, 2))]
+    assert np.array_equal(np.tril(broken), np.tril(S)) and not np.array_equal(broken, S)
 
 
 def test_first_listed_failing_block_raises_its_error(monkeypatch):

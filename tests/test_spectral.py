@@ -213,7 +213,7 @@ class TestQuadForm:
 def checked_minimum(monkeypatch, flow, window, p, zeroed=()):
     """A one-flow `window_minimum`'s result and the matrix its `eigen_pair` checked,
     once `assert_winner_solved` holds for them."""
-    seen, checked = spy_scan(monkeypatch)
+    seen, _, checked = spy_scan(monkeypatch)
     result = scan_one(flow, window, p, zeroed)
     monkeypatch.undo()
     number = next(c for c, (index, _, _) in enumerate(chain_brackets(flow, window))
