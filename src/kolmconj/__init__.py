@@ -6,8 +6,7 @@ of the Misiolek index.
 """
 
 from .eigensolve import ConvergenceError, EigenPair
-from .spectral import (CertificationError, CertifiedResult, CoeffVector,
-                       SpectralWindow, certify_candidate)
+from .spectral import CertificationError, SpectralWindow, certify_candidate
 from .theorems import (CriticalPoint, QuadraticFormInParams, SignReport,
                        VerificationError, diag_candidate, diag_form,
                        drivas_check, drivas_field, offdiag_candidate,

@@ -159,15 +159,13 @@ def _parse_constraints(specs: Sequence[str], subspace: str) -> List[Mode]:
 
 
 def _minimize_lines(res: MinimizeResult) -> List[str]:
-    q = res.certified.mi_over_pi2
     return [f"flow: m={res.flow.m} n={res.flow.n} (lambda^2={res.flow.lambda2})",
-            f"subspace: {res.subspace}  p: {res.p}  N: {res.N}  "
-            f"dim: {len(res.coeffs.values)}",
+            f"subspace: {res.subspace}  p: {res.p}  N: {res.N}  dim: {len(res.coeffs)}",
             f"min eigenvalue: {res.eigen.value:.12e}",
             f"residual: {res.eigen.residual:.3e}",
-            f"dominant mode: {res.coeffs.dominant_mode()!r}",
-            f"certified MI/pi^2 = {_exact_str(q, 'MI/pi^2')} (~ {float(q):.6e})",
-            "verdict: conjugate point detected" if res.certified.detected
+            f"dominant mode: {res.dominant_mode!r}",
+            f"certified MI/pi^2 = {_exact_str(res.q, 'MI/pi^2')} (~ {float(res.q):.6e})",
+            "verdict: conjugate point detected" if res.q < 0
             else "verdict: not detected on this window"]
 
 
@@ -187,30 +185,33 @@ def cmd_minimize(args) -> int:
     if args.out:
         description = (f"rationalized minimizer, subspace={res.subspace}, "
                        f"p={res.p}, N={res.N}")
-        write_field_file(args.out, flow, res.certified.field, description)
+        write_field_file(args.out, flow, res.field, description)
         lines.append(f"wrote {args.out}")
     print("\n".join(lines))
     return OK
 
 
+def _sweep_line(flow: KolmogorovFlow, subspace: str, outcome) -> str:
+    """One CSV row of `sweep` from a run's record, or from the error that ended it."""
+    if isinstance(outcome, Exception):
+        return f"{flow.m},{flow.n},{subspace},,,error: {outcome}"
+    verdict = "conjugate point detected" if outcome.q < 0 else "not detected"
+    return (f"{flow.m},{flow.n},{subspace},{outcome.eigen.value:.12e},"
+            f"{_exact_str(outcome.q, 'certified_q')},{verdict}")
+
+
 def cmd_sweep(args) -> int:
-    rows = run_sweep(args.mmax, args.nmax, p=args.p, N=args.N, tol=args.tol,
+    runs = run_sweep(args.mmax, args.nmax, p=args.p, N=args.N, tol=args.tol,
                      max_denominator=args.cap)
     lines = ["m,n,subspace,eigenvalue,certified_q,verdict"]
-    for row in rows:
-        eig = "" if row["eigenvalue"] is None else f"{row['eigenvalue']:.12e}"
-        q = "" if row["certified_q"] is None else _exact_str(row["certified_q"], "certified_q")
-        lines.append(f"{row['m']},{row['n']},{row['subspace']},{eig},{q},"
-                     f"{row['verdict']}")
+    lines += [_sweep_line(*run) for run in runs]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if any(str(r["verdict"]).startswith("error") for r in rows):
-        return NUMERIC
-    return OK
+    return NUMERIC if any(isinstance(outcome, Exception) for _, _, outcome in runs) else OK
 
 
 def _flow_override(args, flow: KolmogorovFlow) -> KolmogorovFlow:

@@ -1,7 +1,8 @@
 """The numerical route end to end, and the field and grid files around it.
 
 `run_minimize` proposes a minimizer on a Fourier window and certifies it
-exactly; `run_sweep` runs it over wavenumber pairs.  Field files carry an
+exactly, into one `MinimizeResult`; `run_sweep` runs it over wavenumber
+pairs, one record or error per run.  Field files carry an
 exact rational field as JSON and are read against a strict schema; grid
 files sample a field on the uniform grid of the torus as CSV.
 """
@@ -14,26 +15,31 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .eigensolve import ConvergenceError, EigenPair, check_tol
-from .spectral import (CertificationError, CertifiedResult, CoeffVector,
-                       SpectralWindow, certify_candidate, window_minimum)
+from .spectral import CertificationError, SpectralWindow, certify_candidate, window_minimum
 from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, canonicalize
 
 # ------------------------------------------------------------ minimize
 
 @dataclass
 class MinimizeResult:
+    """One certified minimization: the lowest eigenpair over a window's
+    bracket chains, its minimizer, and the exact index q = MI/pi^2 of the
+    rationalized minimizer `field`.  q < 0 certifies a conjugate point."""
+
     flow: KolmogorovFlow
     subspace: str
     p: int
     N: int
     eigen: EigenPair
-    coeffs: CoeffVector
-    certified: CertifiedResult
+    coeffs: np.ndarray    # the minimizer over the window's modes, largest magnitude 1
+    dominant_mode: Mode   # the mode of the largest coefficient
+    field: TrigPoly       # `coeffs` rationalized
+    q: Fraction
     blocks: int           # bracket chains the window splits into
     block_dim_max: int    # modes in the largest chain
     block_mode: Mode      # first mode of the chain that holds the minimum
@@ -61,9 +67,10 @@ def _result(flow: KolmogorovFlow, window: SpectralWindow, p: int, found,
     if isinstance(found, Exception):
         raise found
     pair, coeffs, blocks, largest, first = found
-    certified = certify_candidate(coeffs, flow, max_denominator)
-    return MinimizeResult(flow, window.subspace, p, window.N, pair, coeffs, certified, blocks,
-                          largest, window.modes_at([first])[0])
+    field, q = certify_candidate(window, coeffs, flow, max_denominator)
+    dominant, block_mode = window.modes_at([int(np.argmax(np.abs(coeffs))), first])
+    return MinimizeResult(flow, window.subspace, p, window.N, pair, coeffs, dominant, field, q,
+                          blocks, largest, block_mode)
 
 
 def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
@@ -79,43 +86,41 @@ def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
 
 
 def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
-              tol: float = 1e-10, max_denominator: int = 10 ** 6) -> List[dict]:
-    """One row per minimization run: cosine subspace first, sine as fallback.
+              tol: float = 1e-10, max_denominator: int = 10 ** 6
+              ) -> List[Tuple[KolmogorovFlow, str, Union[MinimizeResult, Exception]]]:
+    """One (flow, subspace, outcome) per minimization run: cosine subspace
+    first, sine as fallback.
 
-    One scan of the cosine window minimizes every pair, and one scan of
-    the sine window the pairs it leaves undetected.  Rows come by pair,
-    the cosine row first.
+    The outcome is the run's `MinimizeResult`, or the certification,
+    convergence or value error that ended it.  One scan of the cosine
+    window minimizes every pair, and one scan of the sine window the pairs
+    it leaves without a certified q < 0.  Runs come by pair, the cosine
+    run first.
     """
     if nmax is None:
         nmax = mmax
-    # bad options fail every row alike: reject them before the first
+    # bad options fail every run alike: reject them before the first
     _check_options(p, N, tol, max_denominator)
     if min(mmax, nmax) < 1:
         raise ValueError("sweep bounds mmax and nmax must be >= 1")
-    rows = []
+    runs = []
     flows = [KolmogorovFlow(m, n) for m in range(1, mmax + 1)
              for n in range(1, min(m, nmax) + 1)]
     for subspace in (COS, SIN):
         window = SpectralWindow(N, subspace)
         undetected = []
         for flow, found in zip(flows, window_minimum(flows, window, p, (), tol)):
-            row = {"m": flow.m, "n": flow.n, "subspace": subspace,
-                   "eigenvalue": None, "certified_q": None, "verdict": None}
-            detected = False
             try:
-                res = _result(flow, window, p, found, max_denominator)
-                row["eigenvalue"] = res.eigen.value
-                row["certified_q"] = res.certified.mi_over_pi2
-                detected = res.certified.detected
-                row["verdict"] = "conjugate point detected" if detected else "not detected"
+                outcome = _result(flow, window, p, found, max_denominator)
             except (CertificationError, ConvergenceError, ValueError) as exc:
-                row["verdict"] = f"error: {exc}"
-            rows.append(row)
-            if not detected:
+                # without its traceback, a kept error holds none of the scan's frames
+                outcome = exc.with_traceback(None)
+            runs.append((flow, subspace, outcome))
+            if isinstance(outcome, Exception) or outcome.q >= 0:
                 undetected.append(flow)
         flows = undetected
-    # stable: each pair's cosine row stays before its sine row
-    return sorted(rows, key=lambda row: (row["m"], row["n"]))
+    # stable: each pair's cosine run stays before its sine run
+    return sorted(runs, key=lambda run: (run[0].m, run[0].n))
 
 
 # ------------------------------------------------------------ field files

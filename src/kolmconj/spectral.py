@@ -11,9 +11,8 @@ re-evaluating the index with exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,22 +93,6 @@ class SpectralWindow:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpectralWindow(N={self.N}, subspace={self.subspace!r}, dim={len(self)})"
-
-
-@dataclass
-class CoeffVector:
-    """Real coefficients aligned with a window's mode list."""
-
-    window: SpectralWindow
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.window),):
-            raise ValueError("coefficient length does not match window")
-
-    def dominant_mode(self) -> Mode:
-        return self.window.modes_at([int(np.argmax(np.abs(self.values)))])[0]
 
 
 def _fold(j: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -342,7 +325,7 @@ class _FlowScan:
         return self.low < float("inf") and spectrum_above(S, _bar(self.low), TIE_RTOL)
 
     def winner(self, window: SpectralWindow, p: int, tol: float
-               ) -> Tuple[EigenPair, CoeffVector, int, int, int]:
+               ) -> Tuple[EigenPair, np.ndarray, int, int, int]:
         if self.failures:
             raise self.failures[min(self.failures)]
         if not self.values:
@@ -361,8 +344,7 @@ class _FlowScan:
         peak = np.max(np.abs(coeffs))
         if peak == 0:
             raise ValueError("zero eigenvector")
-        return (pair, CoeffVector(window, coeffs / peak), self.count, self.largest,
-                int(self.firsts[best]))
+        return pair, coeffs / peak, self.count, self.largest, int(self.firsts[best])
 
 
 def _solve(batch: List[tuple], tol: float) -> None:
@@ -387,7 +369,7 @@ def _solve(batch: List[tuple], tol: float) -> None:
 
 def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: int,
                    zeroed: Iterable[Mode] = (), tol: float = 1e-10
-                   ) -> List[Union[Tuple[EigenPair, CoeffVector, int, int, int], Exception]]:
+                   ) -> List[Union[Tuple[EigenPair, np.ndarray, int, int, int], Exception]]:
     """Lowest eigenpair over the reduced bracket chains of `window`, for each flow.
 
     The zeroed modes drop out of their chains as the chains are laid out,
@@ -408,10 +390,11 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     fails an eigensolve check gives the flow's error.  The flows of one
     max(m, n) share one `_extended` output window, built once.  Returns
     one entry per flow: its error, or the pair; the minimizer's
-    coefficients, with S = D^{-p/2} B D^{-p/2} undone on the winning
-    chain, 0 off it, and largest magnitude 1; the number of chains and the
-    modes in the largest, twins and zeroed modes included; and the window
-    position of the winning chain's first mode, zeroed or not.  Errors of
+    coefficients, a float array over the window's modes, with
+    S = D^{-p/2} B D^{-p/2} undone on the winning chain, 0 off it, and
+    largest magnitude 1; the number of chains and the modes in the
+    largest, twins and zeroed modes included; and the window position of
+    the winning chain's first mode, zeroed or not.  Errors of
     the window or the options (a bad p, tol or zeroed mode) are raised.
     """
     scale = _sobolev_scale(window.laplace, p)
@@ -455,33 +438,36 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     return entries
 
 
-@dataclass
-class CertifiedResult:
-    """Exact Misiolek value of a rationalized candidate field."""
+class Certificate(NamedTuple):
+    """A rationalized field and its exact index; unpacks as (field, q).
+    Named, since perfbench's `spectral.max_denominator` counter reads `.field`."""
 
-    mi_over_pi2: Fraction
-    detected: bool
     field: TrigPoly
+    q: Fraction
 
 
-def certify_candidate(v: CoeffVector, flow: KolmogorovFlow,
-                      max_denominator: int = 10 ** 6) -> CertifiedResult:
-    """Rationalize a float coefficient vector and evaluate the index exactly.
+def certify_candidate(window: SpectralWindow, values: np.ndarray, flow: KolmogorovFlow,
+                      max_denominator: int = 10 ** 6) -> Certificate:
+    """Rationalize a float coefficient vector on `window` and evaluate the index exactly.
 
     Coefficients are scaled so the largest magnitude is 1, rounded to
     nearby rationals (continued fractions, denominator capped), and the
-    Misiolek index of the bracket of the rebuilt field is computed with
-    exact arithmetic.  mi_over_pi2 < 0 is a rigorous conjugate-point
-    certificate; the scaling does not affect the sign (the index is
-    homogeneous of degree 2).
+    Misiolek index q = MI/pi^2 of the bracket of the rebuilt field is
+    computed with exact arithmetic.  Returns (field, q); q < 0 is a
+    rigorous conjugate-point certificate, and the scaling does not affect
+    its sign (the index is homogeneous of degree 2).  A vector whose
+    length is not the window's, or that is 0, raises ValueError.
     """
-    peak = np.max(np.abs(v.values))
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(window),):
+        raise ValueError("coefficient length does not match window")
+    peak = np.max(np.abs(values))
     if peak == 0:
         raise ValueError("cannot certify the zero vector")
     terms = {}
     # modes outside the winning block are 0, and a zero is dropped anyway
-    nonzero = np.flatnonzero(v.values)
-    for mode, val in zip(v.window.modes_at(nonzero), v.values[nonzero]):
+    nonzero = np.flatnonzero(values)
+    for mode, val in zip(window.modes_at(nonzero), values[nonzero]):
         c = Fraction(float(val / peak)).limit_denominator(max_denominator)
         if c:
             terms[mode] = c
@@ -490,5 +476,4 @@ def certify_candidate(v: CoeffVector, flow: KolmogorovFlow,
     if phi.is_zero():
         raise CertificationError("rationalized candidate lies in the kernel of the "
                                  "bracket operator")
-    q = misiolek_index(phi, flow)
-    return CertifiedResult(q, q < 0, f)
+    return Certificate(f, misiolek_index(phi, flow))

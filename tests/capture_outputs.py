@@ -35,7 +35,13 @@ N=30, each at p = 0 and 3; and 16 seeded
 `run_sweep` calls (mmax <= 8, nmax, N 1-16, p 0-4), hashed by each row's
 pair, subspace, eigenvalue bits, Q and verdict, so that windows where few
 or many chain classes meet and rows that end in `error:` go through the
-pooled scan of many pairs.  pytest does not collect this file.
+pooled scan of many pairs.  pytest does not collect this file;
+`tests/test_capture_outputs.py` runs its digests on small inputs.
+
+Results are read through `_current`, which also takes the shapes that
+packages before the flat `MinimizeResult` return (`res.certified`,
+`res.coeffs.values` and `run_sweep` rows as dicts) and digests the same
+bytes from them, so that such a package can be recorded as a base.
 """
 
 import hashlib
@@ -48,6 +54,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -165,17 +172,54 @@ def _winner_calls():
         yield flow, dict(options, constraints=list(modes)), f"chain of {first!r}"
 
 
+def _current(result):
+    """A `run_minimize` result, or `run_sweep`'s list of runs, in the current
+    shape: a `MinimizeResult` with `coeffs`, `q`, `field` and
+    `dominant_mode`, and runs as (flow, subspace, result or error).
+
+    Older packages held q and the field in `res.certified`, the
+    coefficients in `res.coeffs.values`, and returned sweep rows as dicts;
+    the branches below rebuild the current shape from those.
+    TEMPORARY: remove them once the base of every compared change returns
+    the current shape.
+    """
+    if isinstance(result, list):
+        from kolmconj.trigpoly import KolmogorovFlow
+        runs = []
+        for run in result:
+            if isinstance(run, dict):  # an older sweep row
+                verdict = run["verdict"]
+                outcome = (Exception(verdict[len("error: "):]) if verdict.startswith("error: ")
+                           else SimpleNamespace(eigen=SimpleNamespace(value=run["eigenvalue"]),
+                                                q=run["certified_q"]))
+                run = KolmogorovFlow(run["m"], run["n"]), run["subspace"], outcome
+            runs.append(run)
+        return runs
+    if hasattr(result, "certified"):  # an older MinimizeResult
+        return SimpleNamespace(**dict(vars(result), coeffs=result.coeffs.values,
+                                      q=result.certified.mi_over_pi2,
+                                      field=result.certified.field,
+                                      dominant_mode=result.coeffs.dominant_mode()))
+    return result
+
+
+def _minimize_digest(res):
+    """Digest and summary of a `run_minimize` result, in any shape `_current` reads."""
+    res = _current(res)
+    e, q = res.eigen, res.q
+    summary = f"block mode {res.block_mode!r}; Q {str(q)[:60]}; eigenvalue {e.value:.3e}"
+    return _digest(e.value.hex(), e.residual.hex(), e.vector.tobytes(),
+                   res.coeffs.tobytes(), q, res.blocks, res.block_dim_max,
+                   res.block_mode), summary
+
+
 def _minimize(flow, options):
     from kolmconj.pipeline import run_minimize
     try:
         res = run_minimize(flow, **options)
     except Exception as exc:  # every outcome is recorded, failures too
         return _digest(type(exc).__name__, exc), f"{type(exc).__name__}: {exc}"[:200]
-    e, q = res.eigen, res.certified.mi_over_pi2
-    summary = f"block mode {res.block_mode!r}; Q {str(q)[:60]}; eigenvalue {e.value:.3e}"
-    return _digest(e.value.hex(), e.residual.hex(), e.vector.tobytes(),
-                   res.coeffs.values.tobytes(), q, res.blocks, res.block_dim_max,
-                   res.block_mode), summary
+    return _minimize_digest(res)
 
 
 def _sweep_calls():
@@ -186,15 +230,39 @@ def _sweep_calls():
                    N=rng.randint(1, 16), p=rng.randint(0, 4))
 
 
+def _sweep_digest(runs):
+    """Digest and summary of `run_sweep`'s runs, in any shape `_current` reads:
+    per run its pair, subspace, eigenvalue bits, q and `sweep`'s verdict."""
+    parts = []
+    for flow, subspace, res in _current(runs):
+        if isinstance(res, Exception):
+            parts.append((flow.m, flow.n, subspace, None, None, f"error: {res}"))
+        else:
+            verdict = "conjugate point detected" if res.q < 0 else "not detected"
+            parts.append((flow.m, flow.n, subspace, res.eigen.value.hex(), res.q, verdict))
+    errors = sum(part[-1].startswith("error:") for part in parts)
+    detected = sum(part[-1] == "conjugate point detected" for part in parts)
+    return _digest(*parts), f"{len(parts)} rows; {detected} detected; {errors} errors"
+
+
 def _sweep(options):
     from kolmconj.pipeline import run_sweep
-    rows = run_sweep(**options)
-    parts = [(row["m"], row["n"], row["subspace"],
-              None if row["eigenvalue"] is None else row["eigenvalue"].hex(),
-              row["certified_q"], row["verdict"]) for row in rows]
-    errors = sum(row["verdict"].startswith("error:") for row in rows)
-    detected = sum(row["verdict"] == "conjugate point detected" for row in rows)
-    return _digest(*parts), f"{len(rows)} rows; {detected} detected; {errors} errors"
+    return _sweep_digest(run_sweep(**options))
+
+
+def _golden_texts():
+    """The text of each NUMERICAL golden capture of `tests/test_golden.py`,
+    its results read through `_current`.  TEMPORARY with `_current`'s older
+    shapes: once they go, the captures run as they are."""
+    import test_golden
+    from kolmconj import pipeline
+    calls = test_golden.run_minimize, test_golden.run_sweep
+    test_golden.run_minimize = lambda *args, **kw: _current(pipeline.run_minimize(*args, **kw))
+    test_golden.run_sweep = lambda *args, **kw: _current(pipeline.run_sweep(*args, **kw))
+    try:
+        return {name: capture() for name, capture in sorted(test_golden.NUMERICAL.items())}
+    finally:
+        test_golden.run_minimize, test_golden.run_sweep = calls
 
 
 def thread_settings():
@@ -210,7 +278,6 @@ def thread_settings():
 
 def record():
     import kolmconj
-    from test_golden import NUMERICAL
     entries = {}
     with tempfile.TemporaryDirectory() as workdir:
         for argv in _cli_commands(workdir):
@@ -219,8 +286,7 @@ def record():
         for i, argv in enumerate(_shared_parser_commands(workdir), 1):
             key = f"shared parser {i}: " + " ".join(argv).replace(workdir, "<work>")
             entries[key] = _cli(argv, workdir)
-    for name, capture in sorted(NUMERICAL.items()):
-        text = capture()
+    for name, text in _golden_texts().items():
         entries[f"golden {name}"] = _digest(text), text.replace("\n", "; ")[:200]
     for flow, options in _random_calls():
         options_text = {k: v for k, v in options.items() if k != "constraints"}

@@ -108,20 +108,29 @@ def bracket_matrix(flow, window) -> np.ndarray:
     return M
 
 
-def per_chain_products(flow, window, p):
-    """Window positions, B and S of each chain, one chain at a time.
-
-    The dense Gram product L^T W L of each chain's bracket block (checked
-    against the exact bracket by `test_scattered_brackets_match_exact_bracket`),
-    symmetrized, then the Sobolev reduction.
-    """
+def dense_grams(flow, window):
+    """Window positions and B of each chain, by chain number: the dense Gram
+    product L^T W L of each chain's bracket block (checked against the exact
+    bracket by `test_scattered_brackets_match_exact_bracket`), symmetrized."""
     weights = extended(flow, window).laplace - flow.lambda2
+    grams = []
     for index, rows, L in chain_brackets(flow, window):
         B = L.T @ (weights[rows][:, None] * L)
-        B = 0.5 * (B + B.T)
-        scale = window.laplace[index] ** (-p / 2)
-        S = B * np.outer(scale, scale)
-        yield index.tolist(), B, 0.5 * (S + S.T)
+        grams.append((index.tolist(), 0.5 * (B + B.T)))
+    return grams
+
+
+def dense_reduced(window, index, B, p):
+    """S, the Sobolev reduction of one chain's B from `dense_grams`, symmetrized."""
+    scale = window.laplace[index] ** (-p / 2)
+    S = B * np.outer(scale, scale)
+    return 0.5 * (S + S.T)
+
+
+def per_chain_products(flow, window, p):
+    """Window positions, B and S of each chain, one chain at a time."""
+    for index, B in dense_grams(flow, window):
+        yield index, B, dense_reduced(window, index, B, p)
 
 
 def gram_blocks(flow, window):
@@ -240,4 +249,4 @@ def assert_winner_solved(seen, checked, coeffs, number):
     stacked, index, _ = seen[number]
     [S] = checked
     assert np.array_equal(S, stacked)
-    assert not np.delete(coeffs.values, index).any()
+    assert not np.delete(coeffs, index).any()

@@ -130,12 +130,12 @@ def test_criterion_6_quadform_matches_index():
 def test_criterion_7_sweep_certifies_all_pairs():
     from kolmconj.pipeline import run_sweep
     start = time.monotonic()
-    rows = run_sweep(4, N=12, p=3)
+    runs = run_sweep(4, N=12, p=3)
     elapsed = time.monotonic() - start
     detected = {}
-    for row in rows:
-        if row["verdict"] == "conjugate point detected":
-            detected[(row["m"], row["n"])] = row["certified_q"]
+    for flow, _, res in runs:
+        if not isinstance(res, Exception) and res.q < 0:
+            detected[(flow.m, flow.n)] = res.q
     pairs = {(m, n) for m in range(1, 5) for n in range(1, m + 1)}
     ok = (set(detected) == pairs
           and all(q < 0 for q in detected.values())
@@ -148,10 +148,10 @@ def test_criterion_8_dominant_mode():
     ok = True
     for p in (2, 3):
         res = run_minimize(KolmogorovFlow(3, 2), p=p, N=8)
-        ok &= res.coeffs.dominant_mode() == Mode(1, 0, COS)
+        ok &= res.dominant_mode == Mode(1, 0, COS)
 
         res = run_minimize(KolmogorovFlow(2, 2), p=p, N=8, constraints=[Mode(0, 1, COS)])
-        ok &= res.coeffs.dominant_mode() == Mode(1, 0, COS)
+        ok &= res.dominant_mode == Mode(1, 0, COS)
     report(8, "minimizers for (3,2) and constrained (2,2) at p in {2,3}, N=8 "
               "are dominated by the cos(x) coefficient", ok)
 

@@ -32,9 +32,9 @@ from kolmconj.pipeline import run_minimize
 from kolmconj.spectral import FULL, STACK_ENTRIES, CertificationError, SpectralWindow
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
-from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, extended,
-                      follow_groups, gram_blocks, lowest_pair, per_chain_products, scan_one,
-                      spy_scan, window_values)
+from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, dense_grams,
+                      dense_reduced, extended, follow_groups, gram_blocks, lowest_pair,
+                      per_chain_products, scan_one, spy_scan, window_values)
 
 
 def chain_layout(flow, window):
@@ -187,7 +187,7 @@ def test_zeroed_block_is_skipped():
         zeroed = list(modes)
         pair, coeffs, _, _, first = scan_one(flow, window, 3, zeroed)
         assert window.modes_at([first])[0] != modes[0]
-        assert not any(coeffs.values[window.index_of(mode)] for mode in modes)
+        assert not any(coeffs[window.index_of(mode)] for mode in modes)
         want, scale = _dense_minimum(flow, window, 3, zeroed)
         assert abs(pair.value - want) <= 1e-12 * max(abs(want), scale)
     res = run_minimize(flow, N=8, constraints=list(chains[0]))
@@ -201,8 +201,8 @@ def test_zeroed_first_mode_still_names_the_winning_chain():
     assert run_minimize(flow, N=8).block_mode == Mode(1, -8, COS)
     res = run_minimize(flow, N=8, constraints=[Mode(1, -8, COS)])
     assert res.block_mode == Mode(1, -8, COS)
-    assert res.coeffs.values[res.coeffs.window.index_of(Mode(1, -8, COS))] == 0.0
-    assert res.certified.mi_over_pi2 == F(
+    assert res.coeffs[SpectralWindow(8, COS).index_of(Mode(1, -8, COS))] == 0.0
+    assert res.q == F(
         "-47145278896885400268991076827890122769409904383593631133431729976762793866399238"
         "3657176117689124870685035223832032776793800048706596783/"
         "56255095801896226020943313800349314707656750123766867206971600201102282714299307"
@@ -260,8 +260,7 @@ def test_tie_goes_to_earlier_block(monkeypatch):
             assert got_first == firsts[winner]
             want = np.zeros(len(got_window))
             want[first + winner] = pair.vector
-            assert coeffs.window is got_window
-            assert np.array_equal(coeffs.values, want / np.max(np.abs(want)))
+            assert np.array_equal(coeffs, want / np.max(np.abs(want)))
             assert np.array_equal(checked, stack[winner])
             assert pair.value == np.linalg.eigh(stack[winner])[0][0]
 
@@ -272,8 +271,8 @@ def test_tie_goes_to_block_with_lowest_first_mode():
     for N in (20, 6):
         res = run_minimize(KolmogorovFlow(2, 1), N=N, subspace=FULL)
         assert res.block_mode.parity == COS
-        assert res.coeffs.dominant_mode() == Mode(1, 0, COS)
-        assert res.certified.detected
+        assert res.dominant_mode == Mode(1, 0, COS)
+        assert res.q < 0
     assert 2 * 21 ** 2 <= STACK_ENTRIES
     assert res.block_mode == Mode(1, -6, COS)
     winner = [modes for modes in chain_modes(KolmogorovFlow(2, 1), SpectralWindow(6, FULL))
@@ -315,7 +314,16 @@ def _entry_bits(entry):
         return type(entry), str(entry)
     pair, coeffs, count, largest, first = entry
     return (pair.value.hex(), pair.residual.hex(), pair.vector.tobytes(),
-            coeffs.values.tobytes(), count, largest, first)
+            coeffs.tobytes(), count, largest, first)
+
+
+def _run_bits(run):
+    """A `run_sweep` run as exactly comparable values: its flow, subspace and
+    its error's type and text, or its eigenvalue's bits and q."""
+    flow, subspace, outcome = run
+    if isinstance(outcome, Exception):
+        return flow, subspace, type(outcome), str(outcome)
+    return flow, subspace, outcome.eigen.value.hex(), outcome.q
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 12])
@@ -378,7 +386,7 @@ def test_failing_chain_errors_only_its_own_flow(monkeypatch):
     other, other_number = next((flow, c) for flow in SWEEP_FLOWS if flow != first
                                for c, size in _solved_sizes(flow, window).items() if size == d)
     targets = {(first, COS, number), (other, COS, other_number)}
-    clean, clean_rows = spectral.window_minimum(SWEEP_FLOWS, window, 3), pipeline.run_sweep(10)
+    clean, clean_runs = spectral.window_minimum(SWEEP_FLOWS, window, 3), pipeline.run_sweep(10)
     stacks = _break_chains(monkeypatch, targets)
     broken = spectral.window_minimum(SWEEP_FLOWS, window, 3)
     asymmetric = [int(np.sum(np.any(stack != stack.swapaxes(1, 2), axis=(1, 2))))
@@ -393,18 +401,17 @@ def test_failing_chain_errors_only_its_own_flow(monkeypatch):
             assert _entry_bits(got) == _entry_bits(alone)
         else:
             assert _entry_bits(got) == _entry_bits(want)
-    rows = pipeline.run_sweep(10)
+    runs = pipeline.run_sweep(10)
     monkeypatch.undo()
-    pairs = {(flow.m, flow.n) for flow in failed}
-    assert ([row for row in rows if (row["m"], row["n"]) not in pairs]
-            == [row for row in clean_rows if (row["m"], row["n"]) not in pairs])
+    assert ([_run_bits(run) for run in runs if run[0] not in failed]
+            == [_run_bits(run) for run in clean_runs if run[0] not in failed])
     for flow in failed:
-        cos_row, sin_row = [row for row in rows if (row["m"], row["n"]) == (flow.m, flow.n)]
-        assert cos_row == {"m": flow.m, "n": flow.n, "subspace": COS, "eigenvalue": None,
-                           "certified_q": None, "verdict": "error: matrix is not symmetric"}
+        cos_run, sin_run = [run for run in runs if run[0] == flow]
+        assert cos_run[:2] == (flow, COS) and isinstance(cos_run[2], ValueError)
+        assert str(cos_run[2]) == "matrix is not symmetric"
         res = run_minimize(flow, N=12, subspace=SIN)
-        assert sin_row["subspace"] == SIN and sin_row["eigenvalue"] == res.eigen.value
-        assert sin_row["certified_q"] == res.certified.mi_over_pi2
+        assert sin_run[:2] == (flow, SIN) and sin_run[2].eigen.value == res.eigen.value
+        assert sin_run[2].q == res.q
 
 
 def test_sweep_builds_each_window_once(monkeypatch):
@@ -489,13 +496,15 @@ def _twins(flow, window, zeroed=()):
 def _solved_chains(monkeypatch, flow, **options):
     """`spy_scan`'s record of the scan `run_minimize` makes (solved,
     screened, checked), what `window_minimum` returned (one entry), and the
-    result (None if certification fails)."""
+    result (None if certification fails).  Asserts that the run never
+    builds its window's whole mode tuple."""
     solved, screened, checked = spy_scan(monkeypatch)
-    winner, result = [], None
+    winner, windows, result = [], [], None
     minimum = pipeline.window_minimum
 
-    def minimum_spy(*args):
-        winner.extend(minimum(*args))
+    def minimum_spy(flows, window, *args):
+        windows.append(window)
+        winner.extend(minimum(flows, window, *args))
         return winner
 
     monkeypatch.setattr(pipeline, "window_minimum", minimum_spy)
@@ -504,6 +513,8 @@ def _solved_chains(monkeypatch, flow, **options):
     except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
         pass
     monkeypatch.undo()
+    [window] = windows
+    assert window._modes is None
     return solved, screened, checked, winner, result
 
 
@@ -545,7 +556,6 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
             monkeypatch, flow, N=N, subspace=subspace, constraints=zeroed)
         assert not solved.keys() & screened.keys()
         seen = {**solved, **screened}
-        assert coeffs.window._modes is None
         reference = list(per_chain_products(flow, window, 3))
         best = next(c for c, (full, _, _) in enumerate(reference) if full[0] == first)
         zero_at = {window.index_of(mode) for mode in zeroed}
@@ -637,7 +647,7 @@ def test_screen_changes_no_entry(monkeypatch, N, subspace):
     # has, by the dense oracle, its lowest eigenvalue above the flow's
     # winning value by more than the tie window
     flows, window = SCREENED_WINDOWS[N, subspace], SpectralWindow(N, subspace)
-    rng, screens = random.Random(N), 0
+    rng, screens, grams = random.Random(N), 0, {}
     for p, count in itertools.product((0, 3), (0, rng.randint(1, 3))):
         zeroed = rng.sample(window.modes, count)
         screened = _screen_spy(monkeypatch)
@@ -652,11 +662,13 @@ def test_screen_changes_no_entry(monkeypatch, N, subspace):
             if not screened[flow]:
                 continue
             value = entry[0].value
-            reference = list(per_chain_products(flow, window, p))
+            if flow not in grams:  # B does not depend on p or the zeroed modes
+                grams[flow] = dense_grams(flow, window)
             for number, (index, S) in screened[flow].items():
-                full, _, dense = reference[number]
+                full, B = grams[flow][number]
                 keep = [i for i, at in enumerate(full) if at not in zero_at]
                 assert index.tolist() == [full[i] for i in keep]
+                dense = dense_reduced(window, full, B, p)
                 lowest = np.linalg.eigvalsh(dense[np.ix_(keep, keep)])[0]
                 assert lowest > value + 2 * spectral.TIE_RTOL * abs(value)
                 screens += 1
@@ -764,4 +776,4 @@ PINNED = [
 @pytest.mark.parametrize("pair,options,value", PINNED)
 def test_certified_values_match_dense_minimization(pair, options, value):
     res = run_minimize(KolmogorovFlow(*pair), **options)
-    assert res.certified.mi_over_pi2 == F(value)
+    assert res.q == F(value)

@@ -15,6 +15,7 @@ from kolmconj import pipeline
 from kolmconj.cli import build_parser, main
 from kolmconj.pipeline import (read_field_file, run_minimize, run_sweep,
                                write_field_file)
+from kolmconj.spectral import CertificationError
 from kolmconj.theorems import drivas_field
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, TrigPoly
 
@@ -204,10 +205,10 @@ class TestMiCommand:
     def test_round_trip_reproduces_certified_value(self, capsys, tmp_path):
         res = run_minimize(KolmogorovFlow(3, 2), N=8)
         path = tmp_path / "f.json"
-        write_field_file(str(path), res.flow, res.certified.field, "test")
+        write_field_file(str(path), res.flow, res.field, "test")
         code, out, _ = run(capsys, "mi", str(path))
         assert code == 0
-        assert f"MI/pi^2 = {res.certified.mi_over_pi2} " in out
+        assert f"MI/pi^2 = {res.q} " in out
         assert "conjugate point detected" in out
 
     def test_positive_field_not_detected(self, capsys, tmp_path):
@@ -291,9 +292,40 @@ class TestSweepCommand:
         assert pairs == {("1", "1"), ("2", "1"), ("2", "2")}
 
     def test_run_sweep_cos_fallback_to_sin(self):
-        rows = run_sweep(1, N=10)
-        assert [r["subspace"] for r in rows] == ["cos", "sin"]
-        assert rows[1]["verdict"] == "conjugate point detected"
+        runs = run_sweep(1, N=10)
+        assert [subspace for _, subspace, _ in runs] == ["cos", "sin"]
+        assert runs[0][2].q >= 0 and runs[1][2].q < 0
+
+    @staticmethod
+    def _line(flow, subspace, res):
+        """The CSV row of one `run_sweep` run, formatted here from its record."""
+        if isinstance(res, Exception):
+            return f"{flow.m},{flow.n},{subspace},,,error: {res}"
+        verdict = "conjugate point detected" if res.q < 0 else "not detected"
+        return f"{flow.m},{flow.n},{subspace},{res.eigen.value:.12e},{res.q},{verdict}"
+
+    def test_rows_are_formatted_from_the_records(self, capsys):
+        code, out, err = run(capsys, "sweep", "--mmax", "7", "--N", "12")
+        runs = run_sweep(7, N=12)
+        lines = out.splitlines()
+        assert lines == (["m,n,subspace,eigenvalue,certified_q,verdict"]
+                         + [self._line(*r) for r in runs])
+        errors = [line for line in lines if ",error: " in line]
+        assert [line.split(",")[:3] for line in errors] == [
+            ["6", "6", "cos"], ["7", "6", "cos"], ["7", "7", "cos"]]
+        assert code == 3 and err == ""
+
+    def test_error_row_is_followed_by_its_sine_fallback(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--mmax", "1", "--N", "1")
+        runs = run_sweep(1, N=1)
+        [(_, cos, error), (_, sin, res)] = runs
+        assert (cos, sin) == (COS, SIN)
+        assert isinstance(error, CertificationError) and res.q >= 0
+        # a kept traceback would hold the scan's frames, and the runs through them
+        assert error.__traceback__ is None
+        assert out.splitlines()[1:] == [self._line(*r) for r in runs]
+        assert out.splitlines()[1].startswith("1,1,cos,,,error: ")
+        assert code == 3
 
 
 class TestFieldCommand:
@@ -611,7 +643,7 @@ _Q_TOO_LONG = F(-1, 10 ** 4400)
 
 def test_minimize_q_too_long_to_print_is_numerical_failure(capsys, monkeypatch, tmp_path):
     res = run_minimize(KolmogorovFlow(2, 1), N=4)
-    res.certified.mi_over_pi2 = _Q_TOO_LONG
+    res.q = _Q_TOO_LONG
     monkeypatch.setattr("kolmconj.cli.run_minimize", lambda *args, **kwargs: res)
     out_file = tmp_path / "min.json"
     code, out, err = run(capsys, "minimize", "--m", "2", "--n", "1", "--out", str(out_file))
@@ -622,9 +654,12 @@ def test_minimize_q_too_long_to_print_is_numerical_failure(capsys, monkeypatch, 
 
 
 def test_sweep_q_too_long_to_print_is_numerical_failure(capsys, monkeypatch):
-    row = {"m": 1, "n": 1, "subspace": COS, "eigenvalue": -1.0,
-           "certified_q": _Q_TOO_LONG, "verdict": "conjugate point detected"}
-    monkeypatch.setattr("kolmconj.cli.run_sweep", lambda *args, **kwargs: [row])
+    res = run_minimize(KolmogorovFlow(1, 1), N=4)
+    res.q = _Q_TOO_LONG
+    runs = [(res.flow, COS, res),
+            (KolmogorovFlow(2, 1), COS, CertificationError("rationalized candidate lies "
+                                                           "in the kernel"))]
+    monkeypatch.setattr("kolmconj.cli.run_sweep", lambda *args, **kwargs: runs)
     code, out, err = run(capsys, "sweep", "--mmax", "1")
     assert code == 3
     assert out == ""

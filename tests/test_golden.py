@@ -41,18 +41,24 @@ CASES = {
 }
 
 
+def _sweep_row(flow, subspace, res):
+    """A `sweep` row less its eigenvalue: the pair, subspace, q and verdict."""
+    if isinstance(res, Exception):
+        return f"{flow.m},{flow.n},{subspace},,error: {res}\n"
+    verdict = "conjugate point detected" if res.q < 0 else "not detected"
+    return f"{flow.m},{flow.n},{subspace},{res.q},{verdict}\n"
+
+
 def sweep_certified(mmax, N=12):
     """certified_q and verdict of each `sweep` row; the eigenvalue is left out."""
-    return "".join(f"{r['m']},{r['n']},{r['subspace']},"
-                   f"{'' if r['certified_q'] is None else r['certified_q']},{r['verdict']}\n"
-                   for r in run_sweep(mmax, N=N))
+    return "".join(_sweep_row(*run) for run in run_sweep(mmax, N=N))
 
 
 def minimize_certified(m, n, N=None, subspace=COS, constraints=()):
     res = run_minimize(KolmogorovFlow(m, n), N=N, subspace=subspace,
                        constraints=constraints)
-    return (f"certified MI/pi^2 = {res.certified.mi_over_pi2}\n"
-            f"dominant mode: {res.coeffs.dominant_mode()!r}\n"
+    return (f"certified MI/pi^2 = {res.q}\n"
+            f"dominant mode: {res.dominant_mode!r}\n"
             f"block mode: {res.block_mode!r}\n")
 
 

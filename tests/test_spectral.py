@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from kolmconj.spectral import (FULL, CertificationError, SpectralWindow, _extended,
-                               _reduce, _sobolev_scale, certify_candidate, window_minimum,
-                               CoeffVector)
+                               _reduce, _sobolev_scale, certify_candidate, window_minimum)
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, canonicalize, misiolek_index)
 
@@ -248,7 +247,7 @@ class TestReduceConstrain:
         (c_pair, c, *c_counts), c_S = checked_minimum(monkeypatch, flow, win, 3, [])
         assert c_pair.value == pair.value and np.array_equal(c_pair.vector, pair.vector)
         assert np.array_equal(c_S, S)
-        assert np.array_equal(c.values, r.values)
+        assert np.array_equal(c, r)
         assert c_counts == counts
 
     def test_constrain_unknown_mode_rejected(self):
@@ -262,10 +261,11 @@ class TestReduceConstrain:
             scan_one(KolmogorovFlow(2, 1), win, 3, list(win.modes))
 
     def test_diag22_constrained_minimizer_shape(self, monkeypatch):
-        (_, coeffs, *_), _ = checked_minimum(monkeypatch, KolmogorovFlow(2, 2),
-                                             SpectralWindow(8, COS), 3, [Mode(0, 1, COS)])
-        assert coeffs.dominant_mode() == Mode(1, 0, COS)
-        assert coeffs.values[coeffs.window.index_of(Mode(0, 1, COS))] == 0.0
+        win = SpectralWindow(8, COS)
+        (_, coeffs, *_), _ = checked_minimum(monkeypatch, KolmogorovFlow(2, 2), win, 3,
+                                             [Mode(0, 1, COS)])
+        assert win.modes_at([np.argmax(np.abs(coeffs))]) == (Mode(1, 0, COS),)
+        assert coeffs[win.index_of(Mode(0, 1, COS))] == 0.0
 
 
 class TestCertify:
@@ -274,30 +274,38 @@ class TestCertify:
         win = SpectralWindow(2, COS)
         v = np.zeros(len(win))
         v[win.index_of(Mode(1, 0, COS))] = 1.0
-        res = certify_candidate(CoeffVector(win, v), flow)
-        assert res.mi_over_pi2 == F(flow.n ** 2, 2)
-        assert not res.detected
+        _, q = certify_candidate(win, v, flow)
+        assert q == F(flow.n ** 2, 2)
 
     def test_zeta32_exact(self):
         flow = KolmogorovFlow(3, 2)
         f = zeta32_field()
         win = SpectralWindow(7, COS)
-        res = certify_candidate(CoeffVector(win, window_values(f, win)), flow)
+        _, q = certify_candidate(win, window_values(f, win), flow)
         # small denominators survive rationalization exactly
-        assert res.mi_over_pi2 == misiolek_index(bracket(flow.stream(), f), flow)
-        assert res.detected
+        assert q == misiolek_index(bracket(flow.stream(), f), flow)
+        assert q < 0
 
     def test_kernel_candidate_rejected(self):
         flow = KolmogorovFlow(2, 1)
         win = SpectralWindow(3, COS)
         with pytest.raises(CertificationError):
-            certify_candidate(CoeffVector(win, window_values(flow.stream(), win)), flow)
+            certify_candidate(win, window_values(flow.stream(), win), flow)
 
     def test_zero_vector_rejected(self):
         flow = KolmogorovFlow(2, 1)
         win = SpectralWindow(3, COS)
-        with pytest.raises(ValueError):
-            certify_candidate(CoeffVector(win, np.zeros(len(win))), flow)
+        with pytest.raises(ValueError, match="^cannot certify the zero vector$"):
+            certify_candidate(win, np.zeros(len(win)), flow)
+
+    def test_length_mismatch_rejected(self):
+        flow = KolmogorovFlow(2, 1)
+        win = SpectralWindow(3, COS)
+        for length in (len(win) - 1, len(win) + 1):
+            with pytest.raises(ValueError, match="^coefficient length does not match window$"):
+                certify_candidate(win, np.ones(length), flow)
+        with pytest.raises(ValueError, match="does not match"):
+            certify_candidate(win, np.ones((1, len(win))), flow)
 
 
 class TestEndToEnd:
@@ -306,7 +314,8 @@ class TestEndToEnd:
         # produces an exact negative rational witness
         for m, n, parity in [(3, 2, COS), (2, 1, COS), (2, 2, COS), (1, 1, SIN)]:
             flow = KolmogorovFlow(m, n)
-            pair, coeffs = scan_one(flow, SpectralWindow(8, parity), 3)[:2]
+            win = SpectralWindow(8, parity)
+            pair, coeffs = scan_one(flow, win, 3)[:2]
             assert pair.value < -1e-6
-            res = certify_candidate(coeffs, flow)
-            assert res.detected and res.mi_over_pi2 < 0
+            _, q = certify_candidate(win, coeffs, flow)
+            assert q < 0
