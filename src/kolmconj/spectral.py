@@ -18,6 +18,7 @@ import numpy as np
 
 from .eigensolve import (ConvergenceError, EigenPair, eigen_pair, lowest_eigenpairs,
                          spectrum_above)
+from .exactalg import nearest_fraction
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
                        misiolek_index)
 
@@ -450,8 +451,13 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray, flow: Kolmogor
                       max_denominator: int = 10 ** 6) -> Certificate:
     """Rationalize a float coefficient vector on `window` and evaluate the index exactly.
 
-    Coefficients are scaled so the largest magnitude is 1, rounded to
-    nearby rationals (continued fractions, denominator capped), and the
+    Coefficients are scaled so the largest magnitude is 1 and rounded to
+    the nearest rationals with denominator at most `max_denominator`: each
+    x to `Fraction(x).limit_denominator(max_denominator)`, computed in
+    integers by `nearest_fraction`, one Fraction per coefficient.  Every x
+    with |x| <= 1/(4 max_denominator) rounds to 0 (the nearest fraction
+    within the cap is 0 up to 1/(2 max_denominator)), so those, and the
+    zeros outside the winning block, are dropped by one mask first.  The
     Misiolek index q = MI/pi^2 of the bracket of the rebuilt field is
     computed with exact arithmetic.  Returns (field, q); q < 0 is a
     rigorous conjugate-point certificate, and the scaling does not affect
@@ -464,11 +470,13 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray, flow: Kolmogor
     peak = np.max(np.abs(values))
     if peak == 0:
         raise ValueError("cannot certify the zero vector")
+    if max_denominator < 1:
+        raise ValueError("max_denominator should be at least 1")
+    scaled = values / peak
+    kept = np.flatnonzero(np.abs(scaled) > 0.25 / max_denominator)
     terms = {}
-    # modes outside the winning block are 0, and a zero is dropped anyway
-    nonzero = np.flatnonzero(values)
-    for mode, val in zip(window.modes_at(nonzero), values[nonzero]):
-        c = Fraction(float(val / peak)).limit_denominator(max_denominator)
+    for mode, x in zip(window.modes_at(kept), scaled[kept].tolist()):
+        c = nearest_fraction(x, max_denominator)
         if c:
             terms[mode] = c
     f = TrigPoly(terms)

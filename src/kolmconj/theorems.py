@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .exactalg import poly_eval, solve_linear
@@ -44,9 +45,16 @@ class QuadraticFormInParams:
     gram: Tuple[Tuple[Fraction, ...], ...]
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        y = (F(1), *point)
-        return sum((ya * sum((g * yb for g, yb in zip(row, y)), F(0))
-                    for ya, row in zip(y, self.gram)), F(0))
+        """q(point) = Y^T N Y / (e d^2), in integers: d is the lcm of the point's
+        denominators and Y = d y, e that of G's and N = e G.  One Fraction is
+        built from the integer total, and it is normalized, so it equals
+        y^T G y summed one Fraction at a time."""
+        d = lcm(*(x.denominator for x in point))
+        y = [d, *(x.numerator * (d // x.denominator) for x in point)]
+        e = lcm(*(g.denominator for row in self.gram for g in row))
+        total = sum(ya * sum(g.numerator * (e // g.denominator) * yb for g, yb in zip(row, y))
+                    for ya, row in zip(y, self.gram))
+        return F(total, e * d * d)
 
     def coefficient(self, mono: Tuple[int, ...]) -> Fraction:
         """The coefficient of the monomial with exponents `mono`, of degree <= 2."""

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from math import gcd
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -51,30 +52,50 @@ def canonicalize(parity: str, j: int, k: int) -> Tuple[Optional[Mode], int]:
     sin(-t) = -sin(t).  Returns (None, 0) for the identically-zero function
     sin(0x + 0y).
     """
-    sign = 1
+    j, k, sign = _fold(parity, j, k)
+    return (Mode(j, k, parity), sign) if sign else (None, 0)
+
+
+def _fold(parity: str, j: int, k: int) -> Tuple[int, int, int]:
+    """(j, k, sign) of `canonicalize`, with sign 0 for sin(0x + 0y)."""
     if j < 0 or (j == 0 and k < 0):
-        j, k = -j, -k
-        if parity == SIN:
-            sign = -1
-    if parity == SIN and j == 0 and k == 0:
-        return None, 0
-    return Mode(j, k, parity), sign
+        return -j, -k, -1 if parity == SIN else 1
+    return j, k, 0 if parity == SIN and j == 0 and k == 0 else 1
 
 
-def _accumulate(acc: Dict[Mode, Fraction], parity: str, j: int, k: int, coeff: Fraction) -> None:
-    mode, sign = canonicalize(parity, j, k)
-    if mode is None:
-        return
-    old = acc.get(mode)
-    if old is None:
-        acc[mode] = coeff if sign > 0 else -coeff
+def _add_ratio(total: List[int], num: int, den: int) -> None:
+    """total[0] / total[1] += num / den, in integers; total[1] becomes the lcm
+    of the two denominators, so a sum of many terms stays small."""
+    old = total[1]
+    if den == old:
+        total[0] += num
     else:
-        acc[mode] = old + coeff if sign > 0 else old - coeff
+        g = gcd(old, den)
+        total[0] = total[0] * (den // g) + num * (old // g)
+        total[1] = old // g * den
 
 
-def _accumulate_product(acc: Dict[Mode, Fraction], p1: str, j1: int, k1: int,
-                        p2: str, j2: int, k2: int, c: Fraction) -> None:
-    """Add 2c * T1(j1 x + k1 y) * T2(j2 x + k2 y) by product-to-sum.
+# the sums `_accumulate` collects: [numerator, denominator] under each
+# canonical mode's plain (j, k, parity) tuple, which hashes and compares as
+# the Mode does and is cheaper to build
+_Sums = Dict[Tuple[int, int, str], List[int]]
+
+
+def _accumulate(acc: _Sums, parity: str, j: int, k: int, num: int, den: int) -> None:
+    """Add (num / den) T(jx + ky) to acc."""
+    j, k, sign = _fold(parity, j, k)
+    if not sign:
+        return
+    old = acc.get((j, k, parity))
+    if old is None:
+        acc[j, k, parity] = [num * sign, den]
+    else:
+        _add_ratio(old, num * sign, den)
+
+
+def _accumulate_product(acc: _Sums, p1: str, j1: int, k1: int,
+                        p2: str, j2: int, k2: int, num: int, den: int) -> None:
+    """Add 2 (num / den) T1(j1 x + k1 y) * T2(j2 x + k2 y) by product-to-sum.
 
     With a, b the two arguments: 2 cos a cos b = cos(a-b) + cos(a+b),
     2 sin a sin b = cos(a-b) - cos(a+b), 2 sin a cos b = sin(a+b) + sin(a-b)
@@ -82,17 +103,21 @@ def _accumulate_product(acc: Dict[Mode, Fraction], p1: str, j1: int, k1: int,
     """
     js, ks, jd, kd = j1 + j2, k1 + k2, j1 - j2, k1 - k2
     if p1 == COS and p2 == COS:
-        _accumulate(acc, COS, jd, kd, c)
-        _accumulate(acc, COS, js, ks, c)
+        _accumulate(acc, COS, jd, kd, num, den)
+        _accumulate(acc, COS, js, ks, num, den)
     elif p1 == SIN and p2 == SIN:
-        _accumulate(acc, COS, jd, kd, c)
-        _accumulate(acc, COS, js, ks, -c)
+        _accumulate(acc, COS, jd, kd, num, den)
+        _accumulate(acc, COS, js, ks, -num, den)
     elif p1 == SIN:  # sin * cos
-        _accumulate(acc, SIN, js, ks, c)
-        _accumulate(acc, SIN, jd, kd, c)
+        _accumulate(acc, SIN, js, ks, num, den)
+        _accumulate(acc, SIN, jd, kd, num, den)
     else:  # cos * sin
-        _accumulate(acc, SIN, js, ks, c)
-        _accumulate(acc, SIN, jd, kd, -c)
+        _accumulate(acc, SIN, js, ks, num, den)
+        _accumulate(acc, SIN, jd, kd, -num, den)
+
+
+# the derivative of each basis function: cos' = -sin, sin' = cos
+_DERIVATIVE = {COS: (SIN, -1), SIN: (COS, 1)}
 
 
 class TrigPoly:
@@ -109,6 +134,12 @@ class TrigPoly:
                     clean[mode] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _from_sums(cls, acc: _Sums) -> "TrigPoly":
+        """The poly of `_accumulate`'s integer sums: one Fraction per mode, in
+        first-touch order, and no term for a mode whose sum cancelled to 0."""
+        return cls({Mode(*key): Fraction(num, den) for key, (num, den) in acc.items() if num})
+
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("TrigPoly is immutable")
 
@@ -124,22 +155,19 @@ class TrigPoly:
 
     @classmethod
     def cosine(cls, j: int, k: int, coeff=1) -> "TrigPoly":
-        acc: Dict[Mode, Fraction] = {}
-        _accumulate(acc, COS, j, k, Fraction(coeff))
-        return cls(acc)
+        return cls.from_terms([(COS, j, k, coeff)])
 
     @classmethod
     def sine(cls, j: int, k: int, coeff=1) -> "TrigPoly":
-        acc: Dict[Mode, Fraction] = {}
-        _accumulate(acc, SIN, j, k, Fraction(coeff))
-        return cls(acc)
+        return cls.from_terms([(SIN, j, k, coeff)])
 
     @classmethod
     def from_terms(cls, items: Iterable[Tuple[str, int, int, Fraction]]) -> "TrigPoly":
-        acc: Dict[Mode, Fraction] = {}
+        acc: _Sums = {}
         for parity, j, k, coeff in items:
-            _accumulate(acc, parity, j, k, Fraction(coeff))
-        return cls(acc)
+            c = Fraction(coeff)
+            _accumulate(acc, parity, j, k, c.numerator, c.denominator)
+        return cls._from_sums(acc)
 
     # -- ring structure -----------------------------------------------
 
@@ -166,38 +194,32 @@ class TrigPoly:
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
             return self.scaled(other)
-        acc: Dict[Mode, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _accumulate_product(acc, m1.parity, m1.j, m1.k, m2.parity, m2.j, m2.k,
-                                    c1 * c2 / 2)
-        return TrigPoly(acc)
+        acc: _Sums = {}
+        for (j1, k1, p1), c1 in self.terms.items():
+            n1, d1 = c1.numerator, 2 * c1.denominator
+            for (j2, k2, p2), c2 in other.terms.items():
+                _accumulate_product(acc, p1, j1, k1, p2, j2, k2,
+                                    n1 * c2.numerator, d1 * c2.denominator)
+        return TrigPoly._from_sums(acc)
 
     __rmul__ = __mul__
 
     # -- calculus -----------------------------------------------------
 
-    def dx(self) -> "TrigPoly":
-        acc: Dict[Mode, Fraction] = {}
+    def _derivative(self, axis: int) -> "TrigPoly":
+        # each canonical mode with a nonzero wavenumber on the axis maps to its own mode
+        terms = {}
         for m, c in self.terms.items():
-            if m.j == 0:
-                continue
-            if m.parity == COS:
-                _accumulate(acc, SIN, m.j, m.k, -c * m.j)
-            else:
-                _accumulate(acc, COS, m.j, m.k, c * m.j)
-        return TrigPoly(acc)
+            if m[axis]:
+                d, s = _DERIVATIVE[m.parity]
+                terms[Mode(m.j, m.k, d)] = c * (s * m[axis])
+        return TrigPoly(terms)
+
+    def dx(self) -> "TrigPoly":
+        return self._derivative(0)
 
     def dy(self) -> "TrigPoly":
-        acc: Dict[Mode, Fraction] = {}
-        for m, c in self.terms.items():
-            if m.k == 0:
-                continue
-            if m.parity == COS:
-                _accumulate(acc, SIN, m.j, m.k, -c * m.k)
-            else:
-                _accumulate(acc, COS, m.j, m.k, c * m.k)
-        return TrigPoly(acc)
+        return self._derivative(1)
 
     def laplacian(self) -> "TrigPoly":
         return TrigPoly({m: -c * m.laplace_weight for m, c in self.terms.items()})
@@ -232,27 +254,26 @@ class TrigPoly:
         return "TrigPoly(" + " + ".join(parts) + ")"
 
 
-# the derivative of each basis function: cos' = -sin, sin' = cos
-_DERIVATIVE = {COS: (SIN, -1), SIN: (COS, 1)}
-
-
 def bracket(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     """Poisson bracket {p, q} = p_x q_y - p_y q_x, exact.
 
     Term by term, {c1 T1(a.x), c2 T2(b.x)} = c1 c2 (a1 b2 - a2 b1) T1'(a.x) T2'(b.x),
     so each pair of terms is one product; pairs with a1 b2 = a2 b1 vanish.
+    Each output mode sums its products as integers over the lcm of their
+    denominators and becomes one Fraction at the end.  A Fraction is
+    normalized, so it equals the sum of the products taken one at a time.
     """
-    acc: Dict[Mode, Fraction] = {}
-    for m1, c1 in p.terms.items():
-        d1, s1 = _DERIVATIVE[m1.parity]
-        for m2, c2 in q.terms.items():
-            cross = m1.j * m2.k - m1.k * m2.j
+    acc: _Sums = {}
+    others = [(j2, k2, *_DERIVATIVE[p2], c2.numerator, c2.denominator)
+              for (j2, k2, p2), c2 in q.terms.items()]
+    for (j1, k1, p1), c1 in p.terms.items():
+        d1, s1 = _DERIVATIVE[p1]
+        n1, e1 = s1 * c1.numerator, 2 * c1.denominator
+        for j2, k2, d2, s2, n2, e2 in others:
+            cross = j1 * k2 - k1 * j2
             if cross:
-                d2, s2 = _DERIVATIVE[m2.parity]
-                half = Fraction(c1.numerator * c2.numerator * s1 * s2 * cross,
-                                2 * c1.denominator * c2.denominator)
-                _accumulate_product(acc, d1, m1.j, m1.k, d2, m2.j, m2.k, half)
-    return TrigPoly(acc)
+                _accumulate_product(acc, d1, j1, k1, d2, j2, k2, n1 * n2 * s2 * cross, e1 * e2)
+    return TrigPoly._from_sums(acc)
 
 
 def inner(p: TrigPoly, q: TrigPoly) -> Fraction:
@@ -323,9 +344,13 @@ def misiolek_pairing(p: TrigPoly, q: TrigPoly, flow: KolmogorovFlow) -> Fraction
 
     Returns Q with integral of grad p . grad q - (m^2+n^2) p q = Q * pi^2.
     Only the modes p and q share contribute, 2 c_p c_q (w - lambda^2) each.
+    The contributions are summed as integers per denominator, those sums
+    over a running common denominator (the lcm of those seen), and one
+    Fraction is built from the total; being normalized, it equals the sum
+    taken one Fraction at a time.
     Both inputs must be mean-zero, as for `misiolek_index`.
     """
-    if p.constant_coeff or q.constant_coeff:
+    if CONSTANT_MODE in p.terms or CONSTANT_MODE in q.terms:
         raise ValueError("misiolek_pairing requires mean-zero inputs")
     if len(q.terms) < len(p.terms):
         p, q = q, p
@@ -338,5 +363,8 @@ def misiolek_pairing(p: TrigPoly, q: TrigPoly, flow: KolmogorovFlow) -> Fraction
         if cq is not None:
             d = cp.denominator * cq.denominator
             sums[d] = sums.get(d, 0) + cp.numerator * cq.numerator * (m.laplace_weight - lam2)
-    return 2 * sum((Fraction(s, d) for d, s in sums.items()), Fraction(0))
+    total = [0, 1]
+    for d, s in sums.items():
+        _add_ratio(total, s, d)
+    return Fraction(2 * total[0], total[1])
 

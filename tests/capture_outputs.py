@@ -37,11 +37,6 @@ pair, subspace, eigenvalue bits, Q and verdict, so that windows where few
 or many chain classes meet and rows that end in `error:` go through the
 pooled scan of many pairs.  pytest does not collect this file;
 `tests/test_capture_outputs.py` runs its digests on small inputs.
-
-Results are read through `_current`, which also takes the shapes that
-packages before the flat `MinimizeResult` return (`res.certified`,
-`res.coeffs.values` and `run_sweep` rows as dicts) and digests the same
-bytes from them, so that such a package can be recorded as a base.
 """
 
 import hashlib
@@ -54,7 +49,6 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -172,40 +166,8 @@ def _winner_calls():
         yield flow, dict(options, constraints=list(modes)), f"chain of {first!r}"
 
 
-def _current(result):
-    """A `run_minimize` result, or `run_sweep`'s list of runs, in the current
-    shape: a `MinimizeResult` with `coeffs`, `q`, `field` and
-    `dominant_mode`, and runs as (flow, subspace, result or error).
-
-    Older packages held q and the field in `res.certified`, the
-    coefficients in `res.coeffs.values`, and returned sweep rows as dicts;
-    the branches below rebuild the current shape from those.
-    TEMPORARY: remove them once the base of every compared change returns
-    the current shape.
-    """
-    if isinstance(result, list):
-        from kolmconj.trigpoly import KolmogorovFlow
-        runs = []
-        for run in result:
-            if isinstance(run, dict):  # an older sweep row
-                verdict = run["verdict"]
-                outcome = (Exception(verdict[len("error: "):]) if verdict.startswith("error: ")
-                           else SimpleNamespace(eigen=SimpleNamespace(value=run["eigenvalue"]),
-                                                q=run["certified_q"]))
-                run = KolmogorovFlow(run["m"], run["n"]), run["subspace"], outcome
-            runs.append(run)
-        return runs
-    if hasattr(result, "certified"):  # an older MinimizeResult
-        return SimpleNamespace(**dict(vars(result), coeffs=result.coeffs.values,
-                                      q=result.certified.mi_over_pi2,
-                                      field=result.certified.field,
-                                      dominant_mode=result.coeffs.dominant_mode()))
-    return result
-
-
 def _minimize_digest(res):
-    """Digest and summary of a `run_minimize` result, in any shape `_current` reads."""
-    res = _current(res)
+    """Digest and summary of a `run_minimize` result."""
     e, q = res.eigen, res.q
     summary = f"block mode {res.block_mode!r}; Q {str(q)[:60]}; eigenvalue {e.value:.3e}"
     return _digest(e.value.hex(), e.residual.hex(), e.vector.tobytes(),
@@ -231,10 +193,10 @@ def _sweep_calls():
 
 
 def _sweep_digest(runs):
-    """Digest and summary of `run_sweep`'s runs, in any shape `_current` reads:
-    per run its pair, subspace, eigenvalue bits, q and `sweep`'s verdict."""
+    """Digest and summary of `run_sweep`'s runs: per run its pair, subspace,
+    eigenvalue bits, q and `sweep`'s verdict."""
     parts = []
-    for flow, subspace, res in _current(runs):
+    for flow, subspace, res in runs:
         if isinstance(res, Exception):
             parts.append((flow.m, flow.n, subspace, None, None, f"error: {res}"))
         else:
@@ -251,18 +213,9 @@ def _sweep(options):
 
 
 def _golden_texts():
-    """The text of each NUMERICAL golden capture of `tests/test_golden.py`,
-    its results read through `_current`.  TEMPORARY with `_current`'s older
-    shapes: once they go, the captures run as they are."""
+    """The text of each NUMERICAL golden capture of `tests/test_golden.py`."""
     import test_golden
-    from kolmconj import pipeline
-    calls = test_golden.run_minimize, test_golden.run_sweep
-    test_golden.run_minimize = lambda *args, **kw: _current(pipeline.run_minimize(*args, **kw))
-    test_golden.run_sweep = lambda *args, **kw: _current(pipeline.run_sweep(*args, **kw))
-    try:
-        return {name: capture() for name, capture in sorted(test_golden.NUMERICAL.items())}
-    finally:
-        test_golden.run_minimize, test_golden.run_sweep = calls
+    return {name: capture() for name, capture in sorted(test_golden.NUMERICAL.items())}
 
 
 def thread_settings():

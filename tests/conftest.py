@@ -9,7 +9,7 @@ from kolmconj import spectral
 from kolmconj.eigensolve import eigen_pair, lowest_eigenpairs
 from kolmconj.exactalg import solve_linear
 from kolmconj.spectral import SpectralWindow
-from kolmconj.trigpoly import COS, SIN, TrigPoly
+from kolmconj.trigpoly import COS, SIN, Mode, TrigPoly
 
 
 def random_trigpoly(rng: random.Random, bandwidth: int = 8, max_coeff: int = 10,
@@ -27,6 +27,100 @@ def random_trigpoly(rng: random.Random, bandwidth: int = 8, max_coeff: int = 10,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# ------------------------------------------------------------ exact kernel oracles
+#
+# The exact kernel sums integers and builds one Fraction per result.  The
+# references below are the kernel as it was before: one Fraction per
+# operation, and a fold of their own, so they share no code with it.  Each
+# `*_sums` keeps the raw per-mode sums, zeros included, so that tests can
+# see which cancellations their inputs reach.
+
+def _reference_fold(parity, j, k):
+    """(mode, sign) of `canonicalize`: cos(-t) = cos(t), sin(-t) = -sin(t)."""
+    sign = 1
+    if j < 0 or (j == 0 and k < 0):
+        j, k = -j, -k
+        if parity == SIN:
+            sign = -1
+    if parity == SIN and j == 0 and k == 0:
+        return None, 0
+    return Mode(j, k, parity), sign
+
+
+def _reference_accumulate(acc, parity, j, k, coeff):
+    mode, sign = _reference_fold(parity, j, k)
+    if mode is None:
+        return
+    old = acc.get(mode)
+    if old is None:
+        acc[mode] = coeff if sign > 0 else -coeff
+    else:
+        acc[mode] = old + coeff if sign > 0 else old - coeff
+
+
+def _reference_accumulate_product(acc, p1, j1, k1, p2, j2, k2, c):
+    """Add 2c * T1(j1 x + k1 y) * T2(j2 x + k2 y) by product-to-sum."""
+    js, ks, jd, kd = j1 + j2, k1 + k2, j1 - j2, k1 - k2
+    if p1 == COS and p2 == COS:
+        _reference_accumulate(acc, COS, jd, kd, c)
+        _reference_accumulate(acc, COS, js, ks, c)
+    elif p1 == SIN and p2 == SIN:
+        _reference_accumulate(acc, COS, jd, kd, c)
+        _reference_accumulate(acc, COS, js, ks, -c)
+    elif p1 == SIN:
+        _reference_accumulate(acc, SIN, js, ks, c)
+        _reference_accumulate(acc, SIN, jd, kd, c)
+    else:
+        _reference_accumulate(acc, SIN, js, ks, c)
+        _reference_accumulate(acc, SIN, jd, kd, -c)
+
+
+_REFERENCE_DERIVATIVE = {COS: (SIN, -1), SIN: (COS, 1)}
+
+
+def reference_bracket_sums(p: TrigPoly, q: TrigPoly) -> dict:
+    """{p, q}'s per-mode Fraction sums, one Fraction per term pair and per addition."""
+    acc = {}
+    for m1, c1 in p.terms.items():
+        d1, s1 = _REFERENCE_DERIVATIVE[m1.parity]
+        for m2, c2 in q.terms.items():
+            cross = m1.j * m2.k - m1.k * m2.j
+            if cross:
+                d2, s2 = _REFERENCE_DERIVATIVE[m2.parity]
+                half = Fraction(c1.numerator * c2.numerator * s1 * s2 * cross,
+                                2 * c1.denominator * c2.denominator)
+                _reference_accumulate_product(acc, d1, m1.j, m1.k, d2, m2.j, m2.k, half)
+    return acc
+
+
+def reference_product_sums(p: TrigPoly, q: TrigPoly) -> dict:
+    """p * q's per-mode Fraction sums, one Fraction per term pair and per addition."""
+    acc = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            _reference_accumulate_product(acc, m1.parity, m1.j, m1.k, m2.parity, m2.j, m2.k,
+                                          c1 * c2 / 2)
+    return acc
+
+
+def reference_poly(sums: dict) -> TrigPoly:
+    """The TrigPoly of per-mode sums, in their insertion order, zeros dropped."""
+    return TrigPoly({mode: c for mode, c in sums.items() if c})
+
+
+def reference_pairing(p: TrigPoly, q: TrigPoly, flow) -> Fraction:
+    """sum of 2 c_p c_q (w - lambda^2) over shared modes, one Fraction at a time."""
+    return sum((2 * cp * q.terms[m] * (m.laplace_weight - flow.lambda2)
+                for m, cp in p.terms.items() if m in q.terms), Fraction(0))
+
+
+def reference_evaluate(form, point) -> Fraction:
+    """y^T G y with y = (1, point), one Fraction at a time."""
+    y = (Fraction(1), *point)
+    return sum((ya * sum((g * yb for g, yb in zip(row, y)), Fraction(0))
+                for ya, row in zip(y, form.gram)), Fraction(0))
 
 
 # ------------------------------------------------------------ family forms

@@ -1,8 +1,5 @@
-"""`capture_outputs.py` digests on small inputs: its minimize, sweep and
-verify digests run on the current package, and `_current` digests the same
-bytes from the result shapes of older packages."""
-
-from types import SimpleNamespace
+"""`capture_outputs.py` digests on small inputs: its minimize, sweep,
+golden and verify digests run on the current package."""
 
 import pytest
 
@@ -13,60 +10,30 @@ from kolmconj.pipeline import run_minimize, run_sweep
 from kolmconj.trigpoly import KolmogorovFlow
 
 
-def _older_result(res):
-    """`res` as older packages returned it: q and the field under
-    `certified`, the coefficients and dominant mode under `coeffs`."""
-    fields = {k: v for k, v in vars(res).items() if k not in ("q", "field", "dominant_mode")}
-    return SimpleNamespace(
-        **dict(fields, coeffs=SimpleNamespace(values=res.coeffs,
-                                              dominant_mode=lambda: res.dominant_mode),
-               certified=SimpleNamespace(mi_over_pi2=res.q, detected=res.q < 0,
-                                         field=res.field)))
-
-
-def _older_rows(runs):
-    """`run_sweep`'s runs as the row dicts of older packages."""
-    rows = []
-    for flow, subspace, res in runs:
-        row = {"m": flow.m, "n": flow.n, "subspace": subspace,
-               "eigenvalue": None, "certified_q": None, "verdict": f"error: {res}"}
-        if not isinstance(res, Exception):
-            row.update(eigenvalue=res.eigen.value, certified_q=res.q,
-                       verdict="conjugate point detected" if res.q < 0 else "not detected")
-        rows.append(row)
-    return rows
-
-
-def test_minimize_digest_reads_both_shapes():
+def test_minimize_digest():
     flow = KolmogorovFlow(2, 1)
     digest, summary = tool._minimize(flow, dict(N=4))
     res = run_minimize(flow, N=4)
-    assert tool._minimize_digest(res) == tool._minimize_digest(_older_result(res))
     assert tool._minimize_digest(res) == (digest, summary)
     assert summary.startswith(f"block mode {res.block_mode!r}; Q {str(res.q)[:60]};")
     assert tool._minimize(flow, dict(N=0))[1] == "ValueError: window order must be >= 1"
 
 
-def test_sweep_digest_reads_both_shapes():
+def test_sweep_digest():
     # (2,2) cos at N=4, and (1,1) cos at N=1, fail certification and fall back to sine
     for options, summary in [(dict(mmax=2, N=4), "5 rows; 2 detected; 1 errors"),
                              (dict(mmax=1, N=1), "2 rows; 0 detected; 1 errors")]:
         runs = run_sweep(**options)
         digest = tool._sweep_digest(runs)
-        assert digest == tool._sweep_digest(_older_rows(runs)) == tool._sweep(options)
+        assert digest == tool._sweep(options)
         assert digest[1] == summary
 
 
-def test_golden_texts_read_both_shapes(monkeypatch):
+def test_golden_texts(monkeypatch):
     names = ("minimize_3_3_constrain_0_1", "sweep_10")
     monkeypatch.setattr(test_golden, "NUMERICAL",
                         {name: test_golden.NUMERICAL[name] for name in names})
     want = {name: (test_golden.GOLDEN / f"{name}.out").read_text() for name in names}
-    assert tool._golden_texts() == want
-    monkeypatch.setattr("kolmconj.pipeline.run_minimize",
-                        lambda *args, **kw: _older_result(run_minimize(*args, **kw)))
-    monkeypatch.setattr("kolmconj.pipeline.run_sweep",
-                        lambda *args, **kw: _older_rows(run_sweep(*args, **kw)))
     assert tool._golden_texts() == want
     assert test_golden.run_minimize is run_minimize and test_golden.run_sweep is run_sweep
 

@@ -15,7 +15,7 @@ from kolmconj.theorems import (DIAG_MIN_DENOMINATOR, DIAG_MIN_NUMERATOR,
 from kolmconj.trigpoly import (KolmogorovFlow, TrigPoly, bracket, misiolek_index,
                                misiolek_pairing)
 
-from conftest import hessian_minors_positive, monomials, random_trigpoly
+from conftest import hessian_minors_positive, monomials, random_trigpoly, reference_evaluate
 
 
 def _linear(form):
@@ -273,6 +273,32 @@ class TestEvaluation:
                     term *= x ** e
                 want += term
             assert form.evaluate(point) == want
+
+    @pytest.mark.parametrize("nvars", [0, 1, 2, 4])
+    def test_evaluate_matches_reference(self, rng, nvars):
+        # integer Y^T N Y / (e d^2) against y^T G y one Fraction at a time, over
+        # large mixed denominators, zeros and integers
+        dens = (1, 2, 3, 7, 10 ** 6, 999983, 2 ** 40, 10 ** 12 + 39)
+
+        def entry():
+            return F(rng.choice((0, 1, rng.randint(-10 ** 9, 10 ** 9))), rng.choice(dens))
+
+        for _ in range(40):
+            gram = [[None] * (nvars + 1) for _ in range(nvars + 1)]
+            for a in range(nvars + 1):
+                for b in range(a, nvars + 1):
+                    gram[a][b] = gram[b][a] = entry()
+            form = QuadraticFormInParams(tuple("abcd"[:nvars]), tuple(map(tuple, gram)))
+            point = [entry() for _ in range(nvars)]
+            got = form.evaluate(point)
+            assert type(got) is F and got == reference_evaluate(form, point)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 30])
+    def test_candidates_evaluate_as_the_reference(self, n):
+        for form, values in ((diag_form(n), diag_candidate(n).values),
+                             (offdiag_form(n + 1, n), offdiag_candidate(n + 1, n).values)):
+            point = list(values.values())
+            assert form.evaluate(point) == reference_evaluate(form, point)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_linear_coefficients_are_the_gradient_at_zero(self, rng, n):

@@ -8,7 +8,8 @@ from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode,
                                TrigPoly, bracket, canonicalize, grad_energy, inner,
                                misiolek_index, misiolek_pairing)
 
-from conftest import random_trigpoly
+from conftest import (random_trigpoly, reference_bracket_sums, reference_pairing,
+                      reference_poly, reference_product_sums)
 
 
 def grid_values(p, size=64):
@@ -394,25 +395,110 @@ class TestKernelMatchesTextbook:
             assert type(got) is F and got == _textbook_index(phi, flow)
 
 
-def test_certify_candidate_rationalizes_every_nonzero_entry():
-    """Skipping exact zeros gives the field that rationalizing all entries gives."""
+class TestKernelMatchesReference:
+    """The integer kernel against the per-operation Fraction references of
+    conftest: equal values, the same term order, Fraction coefficients."""
+
+    DENOMINATORS = (1, 2, 3, 7, 10 ** 6, 999983, 2 ** 40, 10 ** 12 + 39)
+
+    @pytest.fixture
+    def rng(self):
+        return random.Random(22)
+
+    def _poly(self, rng, parities, bandwidth, coeffs):
+        return TrigPoly.from_terms(
+            (rng.choice(parities), rng.randint(-bandwidth, bandwidth),
+             rng.randint(-bandwidth, bandwidth), rng.choice(coeffs))
+            for _ in range(rng.randint(1, 12)))
+
+    def _pairs(self, rng):
+        """Poly pairs of cos, sin and mixed parity.  Narrow bands with coefficients
+        +-1 and +-1/2 make colliding products cancel; wide coefficients over
+        large mixed denominators keep sums over many denominators."""
+        small = [F(1), F(-1), F(1, 2), F(-1, 2)]
+        for parities in ((COS,), (SIN,), (COS, SIN)):
+            for _ in range(40):
+                p = self._poly(rng, parities, 2, small)
+                q = self._poly(rng, rng.choice(((COS,), (SIN,), (COS, SIN))), 2, small)
+                yield p, q
+                # q sharing p's modes: sin a cos a products reach sin(0,0)
+                yield p, p + q.scaled(F(1, 3))
+            for _ in range(20):
+                big = [F(rng.randint(-10 ** 9, 10 ** 9), rng.choice(self.DENOMINATORS))
+                       for _ in range(8)]
+                yield self._poly(rng, parities, 6, big), self._poly(rng, parities, 6, big)
+
+    @staticmethod
+    def _assert_same(got, sums):
+        want = reference_poly(sums)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is F for c in got.terms.values())
+
+    def test_bracket(self, rng):
+        cancelled = 0
+        for p, q in self._pairs(rng):
+            for a, b in ((p, q), (q, p)):
+                sums = reference_bracket_sums(a, b)
+                cancelled += sum(c == 0 for c in sums.values())
+                self._assert_same(bracket(a, b), sums)
+        assert cancelled > 50
+
+    def test_product(self, rng):
+        cancelled = sin00 = 0
+        for p, q in self._pairs(rng):
+            for a, b in ((p, q), (q, p), (p, p)):
+                sums = reference_product_sums(a, b)
+                cancelled += sum(c == 0 for c in sums.values())
+                sin00 += any(m1.parity != m2.parity and (m1.j, m1.k) == (m2.j, m2.k)
+                             for m1 in a.terms for m2 in b.terms)
+                self._assert_same(a * b, sums)
+        assert cancelled > 50 and sin00 > 50
+
+    def test_bracket_with_stream_of_a_rationalized_field(self, rng):
+        # the certification shape: psi against many terms over distinct denominators
+        for _ in range(10):
+            flow = KolmogorovFlow(rng.randint(1, 4), rng.randint(1, 4))
+            f = _big_poly(rng, 60, 8, 10 ** 6)
+            psi = flow.stream()
+            self._assert_same(bracket(psi, f), reference_bracket_sums(psi, f))
+
+    def test_pairing(self, rng):
+        for p, q in self._pairs(rng):
+            flow = KolmogorovFlow(rng.randint(1, 5), rng.randint(1, 5))
+            p, q = (r - TrigPoly.constant(r.constant_coeff) for r in (p, q))
+            for a, b in ((p, q), (q, p), (p, p)):
+                got = misiolek_pairing(a, b, flow)
+                assert type(got) is F and got == reference_pairing(a, b, flow)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7, 10 ** 3, 10 ** 6])
+def test_certify_candidate_rationalizes_every_entry(cap):
+    """Masking the entries that round to 0 gives the field that rationalizing
+    every entry with `limit_denominator` gives, term for term, in window order."""
     import numpy as np
 
     from kolmconj.spectral import SpectralWindow, certify_candidate
 
-    rng = random.Random(11)
+    rng = random.Random(cap)
     flow = KolmogorovFlow(3, 2)
     window = SpectralWindow(6, "full")
-    for _ in range(10):
-        values = np.array([rng.choice([0.0, -0.0, 0.0, rng.uniform(-1, 1),
-                                       rng.uniform(-1e-7, 1e-7)])
-                           for _ in range(len(window))])
-        peak = np.max(np.abs(values))
-        want = {}
-        for mode, val in zip(window.modes, values):
-            c = F(float(val / peak)).limit_denominator(10 ** 6)
-            if c:
-                want[mode] = c
-        got, _ = certify_candidate(window, values, flow)
-        assert got.terms == want
-        assert all(type(c) is F for c in got.terms.values())
+    # scaled values at and beside 1/(4 cap), 1/(2 cap) (where rounding to 0 ends) and 1/cap
+    edges = [sign * math.nextafter(t / cap, toward) for t in (0.25, 0.5, 1.0)
+             for toward in (0.0, t / cap, 1.0) for sign in (1, -1)]
+    peak_at = window.index_of(Mode(1, 0))
+    for scale in (1.0, 3.7, -1e-5):
+        for _ in range(4):
+            values = np.array([rng.choice([0.0, -0.0, rng.uniform(-1, 1), rng.choice(edges),
+                                           rng.uniform(-1e-7, 1e-7)])
+                               for _ in range(len(window))])
+            values[peak_at] = 1.0
+            values *= scale
+            peak = np.max(np.abs(values))
+            want = {}
+            for mode, val in zip(window.modes, values):
+                c = F(float(val / peak)).limit_denominator(cap)
+                if c:
+                    want[mode] = c
+            got, _ = certify_candidate(window, values, flow, cap)
+            assert list(got.terms.items()) == list(want.items())
+            assert all(type(c) is F for c in got.terms.values())
