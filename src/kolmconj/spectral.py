@@ -454,10 +454,7 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray, flow: Kolmogor
     Coefficients are scaled so the largest magnitude is 1 and rounded to
     the nearest rationals with denominator at most `max_denominator`: each
     x to `Fraction(x).limit_denominator(max_denominator)`, computed in
-    integers by `nearest_fraction`, one Fraction per coefficient.  Every x
-    with |x| <= 1/(4 max_denominator) rounds to 0 (the nearest fraction
-    within the cap is 0 up to 1/(2 max_denominator)), so those, and the
-    zeros outside the winning block, are dropped by one mask first.  The
+    integers by `nearest_fraction`, one Fraction per coefficient.  The
     Misiolek index q = MI/pi^2 of the bracket of the rebuilt field is
     computed with exact arithmetic.  Returns (field, q); q < 0 is a
     rigorous conjugate-point certificate, and the scaling does not affect
@@ -470,12 +467,10 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray, flow: Kolmogor
     peak = np.max(np.abs(values))
     if peak == 0:
         raise ValueError("cannot certify the zero vector")
-    if max_denominator < 1:
-        raise ValueError("max_denominator should be at least 1")
-    scaled = values / peak
-    kept = np.flatnonzero(np.abs(scaled) > 0.25 / max_denominator)
     terms = {}
-    for mode, x in zip(window.modes_at(kept), scaled[kept].tolist()):
+    # modes outside the winning block are 0, and a zero is dropped anyway
+    nonzero = np.flatnonzero(values)
+    for mode, x in zip(window.modes_at(nonzero), (values[nonzero] / peak).tolist()):
         c = nearest_fraction(x, max_denominator)
         if c:
             terms[mode] = c

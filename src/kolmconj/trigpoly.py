@@ -137,8 +137,12 @@ class TrigPoly:
     @classmethod
     def _from_sums(cls, acc: _Sums) -> "TrigPoly":
         """The poly of `_accumulate`'s integer sums: one Fraction per mode, in
-        first-touch order, and no term for a mode whose sum cancelled to 0."""
-        return cls({Mode(*key): Fraction(num, den) for key, (num, den) in acc.items() if num})
+        first-touch order, and no term for a mode whose sum cancelled to 0.
+        These are already the clean terms, so `__init__`'s pass is skipped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", {Mode(*key): Fraction(num, den)
+                                           for key, (num, den) in acc.items() if num})
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("TrigPoly is immutable")

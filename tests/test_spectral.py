@@ -307,6 +307,14 @@ class TestCertify:
         with pytest.raises(ValueError, match="does not match"):
             certify_candidate(win, np.ones((1, len(win))), flow)
 
+    def test_cap_below_one_rejected(self):
+        # the error `limit_denominator` raises
+        flow = KolmogorovFlow(3, 2)
+        win = SpectralWindow(3, COS)
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="^max_denominator should be at least 1$"):
+                certify_candidate(win, np.ones(len(win)), flow, cap)
+
 
 class TestEndToEnd:
     def test_negative_eigenvalue_certified(self):

@@ -473,8 +473,8 @@ class TestKernelMatchesReference:
 
 @pytest.mark.parametrize("cap", [1, 2, 7, 10 ** 3, 10 ** 6])
 def test_certify_candidate_rationalizes_every_entry(cap):
-    """Masking the entries that round to 0 gives the field that rationalizing
-    every entry with `limit_denominator` gives, term for term, in window order."""
+    """`nearest_fraction` gives the field that rationalizing every entry with
+    `limit_denominator` gives, term for term, in window order."""
     import numpy as np
 
     from kolmconj.spectral import SpectralWindow, certify_candidate
