@@ -174,8 +174,7 @@ def cmd_minimize(args) -> int:
     constraints = _parse_constraints(args.constrain, args.subspace)
     try:
         res = run_minimize(flow, p=args.p, N=args.N, subspace=args.subspace,
-                           constraints=constraints, tol=args.tol,
-                           max_denominator=args.cap)
+                           constraints=constraints, max_denominator=args.cap)
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return NUMERIC
@@ -201,8 +200,7 @@ def _sweep_line(flow: KolmogorovFlow, subspace: str, outcome) -> str:
 
 
 def cmd_sweep(args) -> int:
-    runs = run_sweep(args.mmax, args.nmax, p=args.p, N=args.N, tol=args.tol,
-                     max_denominator=args.cap)
+    runs = run_sweep(args.mmax, args.nmax, p=args.p, N=args.N, max_denominator=args.cap)
     lines = ["m,n,subspace,eigenvalue,certified_q,verdict"]
     lines += [_sweep_line(*run) for run in runs]
     text = "\n".join(lines) + "\n"
@@ -305,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--constrain", action="append", default=[],
                        metavar="[cos:|sin:]J,K",
                        help="force a Fourier coefficient to zero (repeatable)")
-    p_min.add_argument("--tol", type=float, default=1e-10)
     p_min.add_argument("--cap", type=int, default=10 ** 6,
                        help="denominator cap for certification")
     p_min.add_argument("--out", default=None, help="write the minimizer field file")
@@ -316,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--nmax", type=int, default=None)
     p_sweep.add_argument("--p", type=int, default=3)
     p_sweep.add_argument("--N", type=int, default=12)
-    p_sweep.add_argument("--tol", type=float, default=1e-10)
     p_sweep.add_argument("--cap", type=int, default=10 ** 6)
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)

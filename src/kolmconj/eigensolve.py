@@ -9,8 +9,12 @@ from typing import List, Tuple
 import numpy as np
 
 
+# an eigenpair of S passes if its residual is at most RESIDUAL_TOL * max|S| * dim
+RESIDUAL_TOL = 1e-10
+
+
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to meet the requested residual bound."""
+    """Eigensolver failed to meet the residual bound."""
 
 
 @dataclass
@@ -20,16 +24,6 @@ class EigenPair:
     residual: float     # ||S v - value * v||_2
 
 
-def check_tol(tol: float) -> None:
-    """Reject a residual tolerance that would disable the residual guard.
-
-    The residual is at most 2 ||S||_2 <= 2 * max|S| * dim, so a bound of
-    tol * max|S| * dim with tol >= 2 never fails; tol must lie in (0, 1).
-    """
-    if not 0 < tol < 1:  # False for nan
-        raise ValueError(f"tolerance must be positive and below 1, got {tol!r}")
-
-
 def _positive_first(v: np.ndarray) -> np.ndarray:
     """v (or each row of v) negated where its first significant entry is negative."""
     significant = np.abs(v) > 1e-12 * np.max(np.abs(v), axis=-1, keepdims=True)
@@ -37,19 +31,19 @@ def _positive_first(v: np.ndarray) -> np.ndarray:
     return np.where(first < 0, -v, v)
 
 
-def eigen_pair(S: np.ndarray, value: float, vector: np.ndarray, tol: float) -> EigenPair:
+def eigen_pair(S: np.ndarray, value: float, vector: np.ndarray) -> EigenPair:
     """The EigenPair of S's lowest eigenvalue, from its sign-fixed eigenvector.
 
     Normalizes the vector and raises ConvergenceError if the residual
-    exceeds tol * max|S| * dim.
+    exceeds RESIDUAL_TOL * max|S| * dim.
     """
     v = vector / np.linalg.norm(vector)
     residual = float(np.linalg.norm(S @ v - value * v))
-    bound = tol * max(float(np.max(np.abs(S))), 1e-300) * S.shape[0]
+    bound = RESIDUAL_TOL * max(float(np.max(np.abs(S))), 1e-300) * S.shape[0]
     if residual > bound:
         raise ConvergenceError(
             f"residual {residual:.3e} exceeds bound {bound:.3e} "
-            f"(dim={S.shape[0]}, tol={tol:.1e})")
+            f"(dim={S.shape[0]}, tol={RESIDUAL_TOL:.1e})")
     return EigenPair(value, v, residual)
 
 
@@ -84,20 +78,19 @@ def spectrum_above(S: np.ndarray, floor: float, rtol: float) -> bool:
     return True
 
 
-def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
+def lowest_eigenpairs(stack: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, Exception]]]:
     """Lowest eigenpair of each matrix of a stack (count, dim, dim), in one LAPACK call.
 
     Deterministic for fixed input (LAPACK dsyevd via numpy, fixed sign
     convention).  Raises ValueError if `stack` is not a stack of square
-    matrices or tol is not in (0, 1).  Each matrix is checked:
-    it must be symmetric, and its residual at most tol * max|S| * dim.
+    matrices.  Each matrix is checked: it must be symmetric, and its
+    residual at most RESIDUAL_TOL * max|S| * dim.
     Returns the lowest eigenvalues, row by row their eigenvectors with the
     first significant entry positive, and (i, error) for every matrix i
     that fails a check, by ascending i; `eigen_pair(stack[i], values[i],
-    vectors[i], tol)` is the EigenPair of matrix i.
+    vectors[i])` is the EigenPair of matrix i.
     """
-    check_tol(tol)
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
         raise ValueError("expected a square matrix or a stack of square matrices "
@@ -109,7 +102,7 @@ def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
     unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
     residual = np.linalg.norm((stack @ unit[:, :, None])[:, :, 0] - values[:, None] * unit,
                               axis=1)
-    bound = tol * np.maximum(scale, 1e-300) * stack.shape[1]
+    bound = RESIDUAL_TOL * np.maximum(scale, 1e-300) * stack.shape[1]
     # a flagged matrix fails if asymmetric, or if its own EigenPair does
     failures = []
     for i in np.flatnonzero(asymmetric | (residual > bound)).tolist():
@@ -117,7 +110,7 @@ def lowest_eigenpairs(stack: np.ndarray, tol: float = 1e-10
             failures.append((i, ValueError("matrix is not symmetric")))
             continue
         try:
-            eigen_pair(stack[i], values[i], vectors[i], tol)
+            eigen_pair(stack[i], values[i], vectors[i])
         except ConvergenceError as error:
             failures.append((i, error))
     return values, vectors, failures

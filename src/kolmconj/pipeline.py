@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .eigensolve import ConvergenceError, EigenPair, check_tol
+from .eigensolve import ConvergenceError, EigenPair
 from .spectral import CertificationError, SpectralWindow, certify_candidate, window_minimum
 from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, canonicalize
 
@@ -45,9 +45,8 @@ class MinimizeResult:
     block_mode: Mode      # first mode of the chain that holds the minimum
 
 
-def _check_options(p: int, N: int, tol: float, max_denominator: int) -> None:
+def _check_options(p: int, N: int, max_denominator: int) -> None:
     """Reject options that no window can use, before any window is built."""
-    check_tol(tol)
     if p < 0:
         raise ValueError("Sobolev order must be >= 0")
     if N < 1:
@@ -75,18 +74,18 @@ def _result(flow: KolmogorovFlow, window: SpectralWindow, p: int, found,
 
 def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
                  subspace: str = COS, constraints: Sequence[Mode] = (),
-                 tol: float = 1e-10, max_denominator: int = 10 ** 6) -> MinimizeResult:
+                 max_denominator: int = 10 ** 6) -> MinimizeResult:
     """Lowest eigenpair over the window's bracket chains, certified exactly."""
     if N is None:
         N = 2 * max(flow.m, flow.n) + 4
-    _check_options(p, N, tol, max_denominator)
+    _check_options(p, N, max_denominator)
     window = SpectralWindow(N, subspace)
-    [found] = window_minimum([flow], window, p, constraints, tol)
+    [found] = window_minimum([flow], window, p, constraints)
     return _result(flow, window, p, found, max_denominator)
 
 
 def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
-              tol: float = 1e-10, max_denominator: int = 10 ** 6
+              max_denominator: int = 10 ** 6
               ) -> List[Tuple[KolmogorovFlow, str, Union[MinimizeResult, Exception]]]:
     """One (flow, subspace, outcome) per minimization run: cosine subspace
     first, sine as fallback.
@@ -100,7 +99,7 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
     if nmax is None:
         nmax = mmax
     # bad options fail every run alike: reject them before the first
-    _check_options(p, N, tol, max_denominator)
+    _check_options(p, N, max_denominator)
     if min(mmax, nmax) < 1:
         raise ValueError("sweep bounds mmax and nmax must be >= 1")
     runs = []
@@ -109,7 +108,7 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
     for subspace in (COS, SIN):
         window = SpectralWindow(N, subspace)
         undetected = []
-        for flow, found in zip(flows, window_minimum(flows, window, p, (), tol)):
+        for flow, found in zip(flows, window_minimum(flows, window, p)):
             try:
                 outcome = _result(flow, window, p, found, max_denominator)
             except (CertificationError, ConvergenceError, ValueError) as exc:
@@ -125,18 +124,13 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
 
 # ------------------------------------------------------------ field files
 
-def field_to_document(flow: KolmogorovFlow, field: TrigPoly, description: str) -> dict:
-    modes = []
-    for mode in sorted(field.terms):
-        modes.append({"parity": mode.parity, "j": mode.j, "k": mode.k,
-                      "value": str(field.terms[mode])})
-    return {"m": flow.m, "n": flow.n, "description": description, "modes": modes}
-
-
 def write_field_file(path: str, flow: KolmogorovFlow, field: TrigPoly,
                      description: str) -> None:
+    modes = [{"parity": mode.parity, "j": mode.j, "k": mode.k, "value": str(field.terms[mode])}
+             for mode in sorted(field.terms)]
     with open(path, "w") as fh:
-        json.dump(field_to_document(flow, field, description), fh, indent=2)
+        json.dump({"m": flow.m, "n": flow.n, "description": description, "modes": modes},
+                  fh, indent=2)
         fh.write("\n")
 
 

@@ -26,8 +26,9 @@ FULL = "full"
 SUBSPACES = (COS, SIN, FULL)
 # two block minima this close, relative to the larger, are a tie
 TIE_RTOL = 1e-12
-# one stacked LAPACK call holds at most this many matrix entries, so blocks
-# of more than 45 modes are solved one at a time
+# one stacked LAPACK call holds at most this many matrix entries, so chains of
+# more than 45 modes share no stack: they are reduced last, and each is solved
+# alone unless `_FlowScan.beaten` screens it out
 STACK_ENTRIES = 4096
 
 
@@ -298,7 +299,7 @@ class _FlowScan:
     within 2 TIE_RTOL |low| of `low`, the lowest value so far.  The tie
     rule's winner lies within TIE_RTOL |min| (1 + 1e-12) of the minimum,
     so it is always kept, and its form is never built twice.  `large`
-    maps each chain of more than 45 modes to its (index, bracket, weights)
+    maps each chain that shares no stack to its (index, bracket, weights)
     from `_Chains.groups`, for `window_minimum` to reduce it last; a chain
     that `beaten` screens out then has no value and is never solved.
     """
@@ -325,7 +326,7 @@ class _FlowScan:
         TIE_RTOL dim max|S|.  False while the flow has no `low`."""
         return self.low < float("inf") and spectrum_above(S, _bar(self.low), TIE_RTOL)
 
-    def winner(self, window: SpectralWindow, p: int, tol: float
+    def winner(self, window: SpectralWindow, p: int
                ) -> Tuple[EigenPair, np.ndarray, int, int, int]:
         if self.failures:
             raise self.failures[min(self.failures)]
@@ -338,7 +339,7 @@ class _FlowScan:
             if value < lead - TIE_RTOL * max(abs(value), abs(lead)):
                 best = number
         value, index, S, vector = self.kept[best]
-        pair = eigen_pair(S, value, vector, tol)
+        pair = eigen_pair(S, value, vector)
         # Python's pow: numpy's SIMD power in `scale` can differ from it in the last bit
         coeffs = np.zeros(len(window))
         coeffs[index] = pair.vector * [d ** (-p / 2) for d in window.laplace[index].tolist()]
@@ -348,17 +349,17 @@ class _FlowScan:
         return pair, coeffs / peak, self.count, self.largest, int(self.firsts[best])
 
 
-def _solve(batch: List[tuple], tol: float) -> None:
+def _solve(batch: List[tuple]) -> None:
     """Solve the pooled chains (scan, number, index, S) of one size in one
     stacked eigensolve, and hand each eigenpair or failure to its flow's scan.
 
-    A chain solved alone is neither stacked nor copied: with more than 45
-    modes it comes alone, once every pooled stack is solved, and with
-    fewer, keeping it keeps at most one group of STACK_ENTRIES entries.
+    A chain solved alone is neither stacked nor copied: one that shares no
+    stack comes alone, once every pooled stack is solved, and keeping any
+    other keeps at most one group of STACK_ENTRIES entries.
     """
     shared = len(batch) > 1
     stack = np.stack([chain[3] for chain in batch]) if shared else batch[0][3][None]
-    values, vectors, failures = lowest_eigenpairs(stack, tol)
+    values, vectors, failures = lowest_eigenpairs(stack)
     for slot, error in failures:
         scan, number = batch[slot][:2]
         scan.failures[number] = error
@@ -369,7 +370,7 @@ def _solve(batch: List[tuple], tol: float) -> None:
 
 
 def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: int,
-                   zeroed: Iterable[Mode] = (), tol: float = 1e-10
+                   zeroed: Iterable[Mode] = ()
                    ) -> List[Union[Tuple[EigenPair, np.ndarray, int, int, int], Exception]]:
     """Lowest eigenpair over the reduced bracket chains of `window`, for each flow.
 
@@ -379,11 +380,11 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     reduction, leaving out the twins of earlier chains, whose spectra
     those chains share.  The reduced chains of all flows are then pooled
     by size and solved in stacks of at most STACK_ENTRIES entries, and
-    each chain's lowest eigenpair goes back to its flow.  A chain of more
-    than 45 modes, which fills a stack alone, is reduced only after every
-    pooled stack is solved, one at a time in ascending chain number per
-    flow.  It is solved unless its flow has a minimum so far and one
-    Cholesky factorization shows that it can neither win nor tie
+    each chain's lowest eigenpair goes back to its flow.  A chain that
+    shares no stack (see STACK_ENTRIES) is reduced only after every pooled
+    stack is solved, one at a time in ascending chain number per flow.  It
+    is solved unless its flow has a minimum so far and one Cholesky
+    factorization shows that it can neither win nor tie
     (`_FlowScan.beaten`); a chain screened out still meets the symmetry
     check, but has no eigenpair and so no residual to check.  Per flow, two
     minima within TIE_RTOL of each other (relative) are a tie, won by the
@@ -396,7 +397,7 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     largest magnitude 1; the number of chains and the modes in the
     largest, twins and zeroed modes included; and the window position of
     the winning chain's first mode, zeroed or not.  Errors of
-    the window or the options (a bad p, tol or zeroed mode) are raised.
+    the window or the options (a bad p or zeroed mode) are raised.
     """
     scale = _sobolev_scale(window.laplace, p)
     at = _positions(window, set(zeroed))
@@ -413,27 +414,27 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
         for positions, index, bracket in chains.groups(~chains.twins()):
             d = index.shape[1]
             step = STACK_ENTRIES // (d * d)
-            if not step:  # more than 45 modes: reduced last, and perhaps screened out
+            if step < 2:  # shares no stack: reduced last, and perhaps screened out
                 scan.large[positions[0]] = index, bracket, weights
                 continue
             stack = _reduce(_gram(index.shape, bracket, weights), scale[index])
             batch = waiting.setdefault(d, [])
             batch += zip([scan] * len(positions), positions, index, stack)
             while len(batch) >= step:
-                _solve(batch[:step], tol)
+                _solve(batch[:step])
                 del batch[:step]
     for batch in waiting.values():
         if batch:
-            _solve(batch, tol)
+            _solve(batch)
     for scan in scans:
         for number, (index, bracket, weights) in sorted(scan.large.items()):
             [S] = _reduce(_gram(index.shape, bracket, weights), scale[index])
             if not scan.beaten(S):
-                _solve([(scan, number, index[0], S)], tol)
+                _solve([(scan, number, index[0], S)])
     entries = []
     for scan in scans:
         try:
-            entries.append(scan.winner(window, p, tol))
+            entries.append(scan.winner(window, p))
         except (ConvergenceError, ValueError) as error:
             entries.append(error)
     return entries

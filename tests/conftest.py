@@ -243,17 +243,17 @@ def form_value(flow, window, v: np.ndarray) -> float:
     return sum(2 * float(v[index] @ B @ v[index]) for index, B in gram_blocks(flow, window))
 
 
-def lowest_pair(S: np.ndarray, tol: float = 1e-10):
+def lowest_pair(S: np.ndarray):
     """The EigenPair of one matrix, solved as a stack of one; raises its failure."""
-    values, vectors, failures = lowest_eigenpairs(S[None], tol)
+    values, vectors, failures = lowest_eigenpairs(S[None])
     if failures:
         raise failures[0][1]
-    return eigen_pair(S, values[0], vectors[0], tol)
+    return eigen_pair(S, values[0], vectors[0])
 
 
-def scan_one(flow, window, p, zeroed=(), tol=1e-10):
+def scan_one(flow, window, p, zeroed=()):
     """`window_minimum` of one flow: its result, or its error raised."""
-    [found] = spectral.window_minimum([flow], window, p, zeroed, tol)
+    [found] = spectral.window_minimum([flow], window, p, zeroed)
     if isinstance(found, Exception):
         raise found
     return found
@@ -264,9 +264,9 @@ def follow_groups(monkeypatch):
     return a list that holds, after each `_gram` call, the (chains,
     positions, index, B) of the group whose Gram product B it built.
 
-    A chain of more than 45 modes is reduced only once every group is laid
-    out, so each `_gram` call is matched to its group by the bracket it
-    gets, not by the group laid out last.
+    A chain that shares no stack (see `spectral.STACK_ENTRIES`) is reduced
+    only once every group is laid out, so each `_gram` call is matched to
+    its group by the bracket it gets, not by the group laid out last.
     """
     groups, gram = spectral._Chains.groups, spectral._gram
     layouts, current = {}, []
@@ -315,10 +315,10 @@ def spy_scan(monkeypatch):
         position, index, B = reduced[S.tobytes()].pop(0)
         chains[position] = S, index, B
 
-    def solve_spy(stack, tol):
+    def solve_spy(stack):
         for S in stack:
             record(solved, S)
-        return solve(stack, tol)
+        return solve(stack)
 
     def beaten_spy(self, S):
         if not beaten(self, S):

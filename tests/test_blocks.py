@@ -26,7 +26,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from kolmconj import pipeline, spectral
+from kolmconj import eigensolve, pipeline, spectral
 from kolmconj.eigensolve import ConvergenceError, eigen_pair, lowest_eigenpairs
 from kolmconj.pipeline import run_minimize
 from kolmconj.spectral import FULL, STACK_ENTRIES, CertificationError, SpectralWindow
@@ -220,7 +220,7 @@ def test_constraint_errors_unchanged():
         run_minimize(flow, N=3, constraints=[Mode(1, 0, SIN)])
 
 
-def _scan(monkeypatch, groups, tol=1e-10):
+def _scan(monkeypatch, groups):
     """`window_minimum` on (3,2) cos at N=6 over hand-built groups.
 
     `groups` stands in for `_Chains.groups`, as (positions, index, stack)
@@ -228,14 +228,15 @@ def _scan(monkeypatch, groups, tol=1e-10):
     Sobolev reduction multiplies by 1, so the scan solves the stacks as
     given.  Returns the window, the flow's entry of what `window_minimum`
     returns and the matrices its `eigen_pair` checks (see `spy_scan`), or
-    raises the entry's error.
+    raises the entry's error.  Every patch, the caller's too, is undone on
+    return.
     """
     window = SpectralWindow(6, COS)
     monkeypatch.setattr(spectral._Chains, "groups", lambda self, solve=None: iter(groups))
     monkeypatch.setattr(spectral, "_gram", lambda shape, stack, weights: stack)
     _, _, checked = spy_scan(monkeypatch)
     try:
-        return window, scan_one(KolmogorovFlow(3, 2), window, 0, tol=tol), checked
+        return window, scan_one(KolmogorovFlow(3, 2), window, 0), checked
     finally:
         monkeypatch.undo()
 
@@ -297,7 +298,7 @@ def test_stacked_eigensolve_matches_one_at_a_time_on_sweep_chains():
         values, vectors, failures = lowest_eigenpairs(np.stack(mats))
         assert failures == []
         for S, value, vector in zip(mats, values, vectors):
-            got, want = eigen_pair(S, value, vector, 1e-10), lowest_pair(S)
+            got, want = eigen_pair(S, value, vector), lowest_pair(S)
             assert got.value == want.value
             assert np.array_equal(got.vector, want.vector)
             assert got.residual == want.residual
@@ -358,9 +359,9 @@ def _break_chains(monkeypatch, targets):
                 stack[slot, 0, -1] += np.max(np.abs(stack[slot]))
         return stack
 
-    def solve_spy(stack, tol):
+    def solve_spy(stack):
         stacks.append(stack)
-        return solve(stack, tol)
+        return solve(stack)
 
     monkeypatch.setattr(spectral, "_reduce", reduce_spy)
     monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
@@ -693,6 +694,34 @@ def test_screen_keeps_the_symmetry_check(monkeypatch):
     assert np.array_equal(np.tril(broken), np.tril(S)) and not np.array_equal(broken, S)
 
 
+@pytest.mark.parametrize("m,n,subspace,screened_sizes", [
+    (3, 2, COS, {12: 60}),
+    (2, 2, FULL, {2: 55, 3: 55, 4: 60, 5: 60, 18: 50, 19: 50})])
+def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, screened_sizes):
+    # two chains of more than 45 modes exceed STACK_ENTRIES, so each such
+    # chain is reduced after every pooled stack is solved, and solved alone
+    # unless the screen shows that it can neither win nor tie; at N=20 the
+    # screen rules out these chains of 50-60 modes, which fit a stack alone
+    flow, window = KolmogorovFlow(m, n), SpectralWindow(20, subspace)
+    assert 2 * 45 ** 2 <= STACK_ENTRIES < 2 * 46 ** 2
+    solved, screened, _ = spy_scan(monkeypatch)
+    shapes, solve = [], spectral.lowest_eigenpairs
+    monkeypatch.setattr(spectral, "lowest_eigenpairs",
+                        lambda stack: shapes.append(stack.shape) or solve(stack))
+    scan_one(flow, window, 3)
+    monkeypatch.undo()
+    sizes = {number: len(index) for number, (_, index, _) in {**solved, **screened}.items()}
+    assert {number: len(screened[number][1]) for number in screened_sizes} == screened_sizes
+    # every stack of chains of more than 45 modes holds one, and comes last
+    large = [d > 45 for _, d, _ in shapes]
+    assert large == sorted(large)
+    assert all(count == 1 for count, d, _ in shapes if d > 45)
+    # every non-twin chain of more than 45 modes is solved or screened out
+    chains = spectral._Chains(flow, window, extended(flow, window))
+    wanted = np.flatnonzero(~chains.twins() & (chains.sizes > 45)).tolist()
+    assert sorted(number for number, size in sizes.items() if size > 45) == wanted
+
+
 def test_first_listed_failing_block_raises_its_error(monkeypatch):
     # chains 0, 2 and 3 hold 2 modes and share a stack that is solved
     # before chain 1 of 3 modes, yet chain 1, the first listed to fail,
@@ -701,24 +730,27 @@ def test_first_listed_failing_block_raises_its_error(monkeypatch):
     a = rng.standard_normal((3, 3))
     unsymmetric = np.array([[1.0, 2.0], [0.0, 1.0]])
     pairs = np.stack([np.diag([1.0, 2.0]), unsymmetric, np.diag([3.0, 1.0])])
-    with pytest.raises(ConvergenceError) as want:
-        lowest_pair(a + a.T, 1e-300)
+    monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 1e-300)
+    with pytest.raises(ConvergenceError, match=r"tol=1\.0e-300\)$") as want:
+        lowest_pair(a + a.T)
     with pytest.raises(ConvergenceError) as got:
         _scan(monkeypatch, [([0, 2, 3], np.zeros((3, 2), dtype=int), pairs),
-                            ([1], np.zeros((1, 3), dtype=int), (a + a.T)[None])], 1e-300)
+                            ([1], np.zeros((1, 3), dtype=int), (a + a.T)[None])])
     assert str(got.value) == str(want.value)
+    monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 1e-300)  # `_scan` undid it
     with pytest.raises(ValueError, match="matrix is not symmetric"):
-        _scan(monkeypatch, [([0, 1], np.zeros((2, 2), dtype=int), pairs[1:])], 1e-300)
+        _scan(monkeypatch, [([0, 1], np.zeros((2, 2), dtype=int), pairs[1:])])
 
 
 @pytest.mark.parametrize("m,n,options,dim", [(3, 2, {}, 15),
                                              (1, 1, dict(N=40, subspace=FULL), 820)])
-def test_failing_eigensolve_names_the_first_failing_chain(m, n, options, dim):
+def test_failing_eigensolve_names_the_first_failing_chain(monkeypatch, m, n, options, dim):
     # no chain meets tol = 1e-300; the error names the first listed one,
     # of 15 modes in a stack, or of 820 modes solved alone (the residual
     # digits depend on the BLAS build)
+    monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(ConvergenceError, match=rf"\(dim={dim}, tol=1\.0e-300\)$"):
-        run_minimize(KolmogorovFlow(m, n), tol=1e-300, **options)
+        run_minimize(KolmogorovFlow(m, n), **options)
 
 
 def test_minimize_result_records_blocks():

@@ -568,18 +568,13 @@ def test_any_field_file_ends_in_an_exit_code(capsys, tmp_path, doc):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1", "1e308"])
-def test_bad_minimize_tolerance_is_usage_error(capsys, tol):
-    code, out, err = run(capsys, "minimize", "--m", "2", "--n", "1", "--N", "4",
-                         "--tol", tol)
+@pytest.mark.parametrize("argv", [("minimize", "--m", "2", "--n", "1", "--N", "4"),
+                                  ("sweep", "--mmax", "2")])
+def test_tolerance_option_is_gone(capsys, argv):
+    # the residual tolerance is a constant: even its own value is an unknown option
+    code, out, err = run(capsys, *argv, "--tol", "1e-10")
     assert code == 2
-    assert "tolerance" in err and out == ""
-
-
-def test_bad_sweep_tolerance_is_usage_error(capsys):
-    code, out, err = run(capsys, "sweep", "--mmax", "2", "--tol", "nan")
-    assert code == 2
-    assert "tolerance" in err and out == ""
+    assert "--tol" in err and out == ""
 
 
 @pytest.mark.parametrize("option,value,word", [
@@ -598,8 +593,7 @@ def test_bad_sweep_option_is_usage_error(capsys, option, value, word):
 
 @pytest.mark.parametrize("option,value,word", [
     ("--cap", "0", "denominator cap must be >= 1"), ("--p", "-1", "Sobolev order"),
-    ("--N", "0", "window order"), ("--tol", "0", "tolerance"),
-    ("--p", "1000", "Sobolev order")])
+    ("--N", "0", "window order"), ("--p", "1000", "Sobolev order")])
 def test_bad_minimize_option_is_rejected_before_any_window(capsys, monkeypatch,
                                                           option, value, word):
     def window_minimum(*args, **kwargs):
