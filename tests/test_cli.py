@@ -568,11 +568,18 @@ def test_any_field_file_ends_in_an_exit_code(capsys, tmp_path, doc):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [("minimize", "--m", "2", "--n", "1", "--N", "4"),
-                                  ("sweep", "--mmax", "2")])
-def test_tolerance_option_is_gone(capsys, argv):
-    # the residual tolerance is a constant: even its own value is an unknown option
-    code, out, err = run(capsys, *argv, "--tol", "1e-10")
+@pytest.mark.parametrize("argv,tol", [
+    *((("minimize", "--m", "2", "--n", "1", "--N", "4"), tol)
+      for tol in ["1e-10", "nan", "0", "-1", "1e308"]),
+    *((("sweep", "--mmax", "2"), tol) for tol in ["1e-10", "nan"])])
+def test_tolerance_option_is_gone(capsys, monkeypatch, argv, tol):
+    # the residual tolerance is a constant: its own value and the values once
+    # rejected as bad tolerances are all an unknown option, before any window
+    def window_minimum(*args, **kwargs):
+        raise AssertionError("window_minimum called")
+
+    monkeypatch.setattr(pipeline, "window_minimum", window_minimum)
+    code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 2
     assert "--tol" in err and out == ""
 

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +88,39 @@ class TestLowestPair:
 
     def test_convergence_error_exported(self):
         assert issubclass(ConvergenceError, RuntimeError)
+
+
+# S = diag(1, 2, 3) at value 1 and vector (1, e, 0) has residual e / sqrt(1 + e^2),
+# against the bound RESIDUAL_TOL * max|S| * dim = 9e-10
+@pytest.mark.parametrize("e,passes", [(0.0, True), (8.5e-10, True), (9.5e-10, False),
+                                      (1e-6, False), (1.0, False)])
+def test_residual_guard_holds_at_the_constant_tolerance(monkeypatch, e, passes):
+    S, vector = np.diag([1.0, 2.0, 3.0]), np.array([1.0, e, 0.0])
+    assert eigensolve.RESIDUAL_TOL == 1e-10
+    # the stacked solve checks the same vector when LAPACK returns it
+    columns = np.eye(3)
+    columns[:, 0] = vector
+    monkeypatch.setattr(np.linalg, "eigh", lambda stack: (np.array([[1.0, 2.0, 3.0]]),
+                                                          columns[None]))
+    failures = lowest_eigenpairs(S[None])[2]
+    if passes:
+        assert eigen_pair(S, 1.0, vector).residual == pytest.approx(e, rel=1e-12, abs=0)
+        assert failures == []
+        return
+    with pytest.raises(ConvergenceError, match=r"bound 9\.000e-10 \(dim=3, tol=1\.0e-10\)$"):
+        eigen_pair(S, 1.0, vector)
+    [(i, error)] = failures
+    assert i == 0 and isinstance(error, ConvergenceError)
+    assert str(error).endswith("bound 9.000e-10 (dim=3, tol=1.0e-10)")
+
+
+def test_no_function_takes_a_tolerance():
+    # the residual tolerance is the constant RESIDUAL_TOL, not a parameter
+    for path in sorted(Path(eigensolve.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                assert "tol" not in [a.arg for a in arguments], (path.name, node.lineno)
 
 
 def assert_same_pair(got, want):
