@@ -93,8 +93,8 @@ def lowest_eigenpairs(stack: np.ndarray
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
-        raise ValueError("expected a square matrix or a stack of square matrices "
-                         "of dimension >= 1")
+        raise ValueError("expected a stack of square matrices (count, dim, dim) with "
+                         f"count, dim >= 1, got shape {stack.shape}")
     scale = np.max(np.abs(stack), axis=(1, 2))
     asymmetric = _asymmetric(stack, scale)
     values, vectors = np.linalg.eigh(stack)

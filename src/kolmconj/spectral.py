@@ -115,9 +115,9 @@ def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
     where A is the even (cosine) or odd (sine) extension of the input
     coefficients to the full integer lattice.  Returns (cols, coeffs), both
     of shape (len(out), 4): the window index each term folds to and its
-    coefficient.  A coefficient is 0 where the weight vanishes, the term
-    folds outside the window, or an earlier term of the row folds to the
-    same mode (that term then holds the sum).
+    coefficient.  A coefficient is 0 where the weight vanishes or the term
+    folds outside the window.  Two terms of a row can fold to one mode;
+    both are kept, and a consumer adds them.
     """
     m, n, N = flow.m, flow.n, window.N
     j, k, sin = out.j[:, None], out.k[:, None], out.sin[:, None]
@@ -129,11 +129,6 @@ def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
     inside = (jj <= N) & (np.abs(kk) <= N) & ((jj > 0) | (kk > 0))
     cols = np.where(inside, window.locate(jj, kk, sin), -1)
     coeffs = np.where(cols >= 0, 0.25 * weight * np.where(flip & sin, -1, 1), 0.0)
-    for t in range(1, 4):
-        for s in range(t):
-            same = (cols[:, s] == cols[:, t]) & (cols[:, t] >= 0)
-            coeffs[same, s] += coeffs[same, t]
-            coeffs[same, t] = 0.0
     return cols, coeffs
 
 
@@ -217,8 +212,9 @@ class _Chains:
         (slot, rows, local, coeffs) over the output rows the group
         reaches, ascending: the group member each row belongs to, its
         position in `ext`, and its four stencil terms as coefficients and
-        positions among that chain's kept modes (a term is absent where
-        its coefficient is 0, and its position then means nothing).
+        positions among that chain's kept modes (two terms may share a
+        position; a term is absent where its coefficient is 0, and its
+        position then means nothing).
         """
         kept = self.kept
         wanted = (kept > 0) if solve is None else solve & (kept > 0)
@@ -247,8 +243,9 @@ def _gram(shape: Tuple[int, int], bracket: Tuple[np.ndarray, ...],
     """B = L^T W L of each chain of a group (count, d), from its bracket's nonzeros.
 
     W = diag(j^2+k^2 - lambda^2) on the outputs.  Each pair of nonzeros
-    on one output row adds one product, summed by one bincount.  L's
-    entries are integers / 4 and W's integers, so every product and
+    on one output row adds one product, summed by one bincount; two terms
+    c, c' of a row on one column add c^2 w + 2 c c' w + c'^2 w = (c + c')^2 w.
+    L's entries are integers / 4 and W's integers, so every product and
     running sum is exact and B is the same in any summation order.
     """
     count, d = shape
@@ -468,14 +465,10 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray, flow: Kolmogor
     peak = np.max(np.abs(values))
     if peak == 0:
         raise ValueError("cannot certify the zero vector")
-    terms = {}
-    # modes outside the winning block are 0, and a zero is dropped anyway
+    # modes outside the winning block are 0, and TrigPoly drops a zero anyway
     nonzero = np.flatnonzero(values)
-    for mode, x in zip(window.modes_at(nonzero), (values[nonzero] / peak).tolist()):
-        c = nearest_fraction(x, max_denominator)
-        if c:
-            terms[mode] = c
-    f = TrigPoly(terms)
+    f = TrigPoly({mode: nearest_fraction(x, max_denominator) for mode, x in
+                  zip(window.modes_at(nonzero), (values[nonzero] / peak).tolist())})
     phi = bracket(flow.stream(), f)
     if phi.is_zero():
         raise CertificationError("rationalized candidate lies in the kernel of the "

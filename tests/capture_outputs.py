@@ -3,7 +3,12 @@
 Run it once per source tree, then compare the two records:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<tree>/src python tests/capture_outputs.py record OUT.json
-    python tests/capture_outputs.py compare PARENT.json CHANGE.json
+    python tests/capture_outputs.py compare PARENT.json CHANGE.json [EXPECTED]
+
+`compare` exits 0 only if the commands whose outputs differ are exactly
+the labels in the optional file EXPECTED, one per line (a change's
+intended output changes); a differing command not listed, or a listed one
+that does not differ, exits 1.
 
 A record holds, per command, a hash of everything it outputs and a short
 summary for reading a diff, and the directory of the `kolmconj` package it
@@ -258,7 +263,19 @@ def record():
             "outputs": entries}
 
 
-def compare(before, after):
+def _print_outputs(heading, keys, before, after):
+    if keys:
+        print(heading)
+    for key in keys:
+        print(key)
+        print(f"  before: {before.get(key, [None, 'absent'])[1]}")
+        print(f"  after:  {after.get(key, [None, 'absent'])[1]}")
+
+
+def compare(before, after, expected=()):
+    """Print the commands whose outputs differ; 0 if they are exactly the
+    `expected` labels, 1 if any other differs or a label does not, and 2
+    if the records' BLAS thread counts differ."""
     print(f"before: {before.get('package')}\nafter:  {after.get('package')}")
     settings = [r.get("settings", {}).get("blas_threads") for r in (before, after)]
     if None in settings or settings[0] != settings[1]:
@@ -269,18 +286,27 @@ def compare(before, after):
     before, after = before["outputs"], after["outputs"]
     differ = sorted(key for key in before.keys() | after.keys()
                     if before.get(key, [None])[0] != after.get(key, [None])[0])
-    for key in differ:
-        print(key)
-        print(f"  before: {before.get(key, [None, 'absent'])[1]}")
-        print(f"  after:  {after.get(key, [None, 'absent'])[1]}")
-    print(f"{len(differ)} of {len(before.keys() | after.keys())} commands differ")
-    return 1 if differ else 0
+    expected = set(expected)
+    unexpected = [key for key in differ if key not in expected]
+    stale = sorted(expected.difference(differ))
+    _print_outputs("differing and not expected:", unexpected, before, after)
+    _print_outputs("expected changes:", [key for key in differ if key in expected],
+                   before, after)
+    if stale:
+        print("expected to differ, but the same or absent:")
+        print("\n".join(stale))
+    print(f"{len(differ)} of {len(before.keys() | after.keys())} commands differ, "
+          f"{len(differ) - len(unexpected)} of them expected")
+    return 1 if unexpected or stale else 0
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "record":
         Path(sys.argv[2]).write_text(json.dumps(record(), indent=1) + "\n")
         sys.exit(0)
-    if len(sys.argv) == 4 and sys.argv[1] == "compare":
-        sys.exit(compare(*(json.loads(Path(p).read_text()) for p in sys.argv[2:])))
+    if len(sys.argv) in (4, 5) and sys.argv[1] == "compare":
+        before, after = (json.loads(Path(p).read_text()) for p in sys.argv[2:4])
+        expected = [line.strip() for line in Path(sys.argv[4]).read_text().splitlines()
+                    if line.strip()] if len(sys.argv) == 5 else []
+        sys.exit(compare(before, after, expected))
     sys.exit(__doc__)

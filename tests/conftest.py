@@ -178,7 +178,7 @@ def chain_brackets(flow, window):
 
     `index` holds the window positions of the chain's modes, `rows` the
     positions in the extended window of the outputs its bracket reaches,
-    and L the dense bracket block between them, scattered from the
+    and L the dense bracket block between them, summed from the
     nonzeros that `_Chains.groups` yields.
     """
     chains = {}
@@ -189,7 +189,7 @@ def chain_brackets(flow, window):
         for i, at in enumerate(np.split(by_slot, ends[:-1])):
             L = np.zeros((len(at), index.shape[1]))
             r, t = np.nonzero(coeffs[at])
-            L[r, local[at][r, t]] = coeffs[at][r, t]
+            np.add.at(L, (r, local[at][r, t]), coeffs[at][r, t])
             chains[positions[i]] = index[i], rows[at], L
     return [chains[number] for number in range(len(chains))]
 

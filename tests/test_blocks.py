@@ -138,12 +138,26 @@ def test_scattered_brackets_match_exact_bracket():
         assert np.max(np.abs(M @ v - want)) <= 1e-12
 
 
+def _rows_with_one_column_twice(flow, window):
+    """How many bracket rows that `_gram` reads hold two nonzero terms on one column."""
+    count = 0
+    for _, _, (_, _, local, coeffs) in spectral._Chains(
+            flow, window, extended(flow, window)).groups():
+        linked = coeffs != 0
+        twice = (local[:, :, None] == local[:, None, :]) & linked[:, :, None] & linked[:, None, :]
+        count += np.count_nonzero(np.triu(twice, 1).any(axis=(1, 2)))
+    return count
+
+
 def test_block_gram_equals_dense_gram():
     # B's entries are sums of a few products of quarter-integers, so every
-    # summation order gives them exactly
+    # summation order gives them exactly.  Each window has rows whose two
+    # terms fold onto one column (in cos they cancel, in sin they add), so
+    # `_gram` must add their cross products as the dense product does
     for m, n, N, subspace in [(3, 2, 6, COS), (1, 1, 5, FULL), (4, 3, 4, SIN)]:
         flow = KolmogorovFlow(m, n)
         window = SpectralWindow(N, subspace)
+        assert _rows_with_one_column_twice(flow, window) >= 2
         weights = np.array([md.laplace_weight for md in extended(flow, window).modes],
                            dtype=float) - flow.lambda2
         grams, blocks = gram_blocks(flow, window), chain_brackets(flow, window)

@@ -1,5 +1,10 @@
 """`capture_outputs.py` digests on small inputs: its minimize, sweep,
-golden and verify digests run on the current package."""
+golden and verify digests run on the current package, and `compare`
+gives its exit codes on hand-made records."""
+
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +51,31 @@ def test_cli_digest_is_the_command_output(capsys, tmp_path, argv):
     digest, summary = tool._cli(argv, str(tmp_path))
     assert digest == tool._digest(code, out, "")
     assert summary.startswith(f"exit {code}")
+
+
+def _record(threads, **outputs):
+    return {"settings": {"blas_threads": threads}, "package": "pkg",
+            "outputs": {key: [digest, f"summary {digest}"] for key, digest in outputs.items()}}
+
+
+@pytest.mark.parametrize("after, expected, code, listing", [
+    (_record(1, a="1", b="2"), None, 0, None),
+    (_record(1, a="1", b="3"), "b\n", 0, ("expected changes:", "b")),
+    (_record(1, a="1", b="3"), "", 1, ("differing and not expected:", "b")),
+    (_record(1, a="1", b="3"), "a\nb\n", 1, ("expected to differ, but the same or absent:", "a")),
+    (_record(2, a="1", b="2"), None, 2, None)])
+def test_compare_exit_code(tmp_path, after, expected, code, listing):
+    # `listing` is a heading `compare` prints and the first command under it
+    paths = [tmp_path / "before.json", tmp_path / "after.json"]
+    for path, record in zip(paths, (_record(1, a="1", b="2"), after)):
+        path.write_text(json.dumps(record))
+    if expected is not None:
+        paths.append(tmp_path / "expected.txt")
+        paths[-1].write_text(expected)
+    run = subprocess.run([sys.executable, tool.__file__, "compare", *map(str, paths)],
+                         capture_output=True, text=True)
+    assert run.returncode == code, run.stdout
+    if listing is not None:
+        heading, first = listing
+        lines = run.stdout.splitlines()
+        assert lines[lines.index(heading) + 1] == first

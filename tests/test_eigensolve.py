@@ -184,6 +184,8 @@ class TestLowestEigenpairs:
                                                                 (2, ValueError)]
         assert str(failures[1][1]) == "matrix is not symmetric"
 
-    def test_rejects_non_stack(self):
-        with pytest.raises(ValueError, match="stack of square matrices"):
-            lowest_eigenpairs(np.zeros((2, 3, 2)))
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2), (0, 2, 2)])
+    def test_rejects_non_stack(self, shape):
+        with pytest.raises(ValueError, match=r"stack of square matrices \(count, dim, dim\) "
+                                             r"with count, dim >= 1, got shape"):
+            lowest_eigenpairs(np.zeros(shape))
