@@ -1,5 +1,6 @@
-"""Lowest eigenpair of each symmetric matrix of a stack, with a residual
-guarantee, and a Cholesky test that a matrix's spectrum lies above a floor."""
+"""Lowest eigenpair of each symmetric matrix of a stack, with its residual,
+computed and checked once for the whole stack, and a Cholesky test that a
+matrix's spectrum lies above a floor."""
 
 from __future__ import annotations
 
@@ -20,31 +21,15 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class EigenPair:
     value: float
-    vector: np.ndarray  # unit Euclidean norm, first nonzero entry positive
+    vector: np.ndarray  # unit Euclidean norm, first significant entry positive
     residual: float     # ||S v - value * v||_2
 
 
 def _positive_first(v: np.ndarray) -> np.ndarray:
-    """v (or each row of v) negated where its first significant entry is negative."""
+    """Each row of v, negated where its first significant entry is negative."""
     significant = np.abs(v) > 1e-12 * np.max(np.abs(v), axis=-1, keepdims=True)
     first = np.take_along_axis(v, np.argmax(significant, axis=-1)[..., None], axis=-1)
     return np.where(first < 0, -v, v)
-
-
-def eigen_pair(S: np.ndarray, value: float, vector: np.ndarray) -> EigenPair:
-    """The EigenPair of S's lowest eigenvalue, from its sign-fixed eigenvector.
-
-    Normalizes the vector and raises ConvergenceError if the residual
-    exceeds RESIDUAL_TOL * max|S| * dim.
-    """
-    v = vector / np.linalg.norm(vector)
-    residual = float(np.linalg.norm(S @ v - value * v))
-    bound = RESIDUAL_TOL * max(float(np.max(np.abs(S))), 1e-300) * S.shape[0]
-    if residual > bound:
-        raise ConvergenceError(
-            f"residual {residual:.3e} exceeds bound {bound:.3e} "
-            f"(dim={S.shape[0]}, tol={RESIDUAL_TOL:.1e})")
-    return EigenPair(value, v, residual)
 
 
 def _asymmetric(stack: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -78,40 +63,34 @@ def spectrum_above(S: np.ndarray, floor: float, rtol: float) -> bool:
     return True
 
 
-def lowest_eigenpairs(stack: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, Exception]]]:
+def lowest_eigenpairs(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                List[Tuple[int, Exception]]]:
     """Lowest eigenpair of each matrix of a stack (count, dim, dim), in one LAPACK call.
 
     Deterministic for fixed input (LAPACK dsyevd via numpy, fixed sign
-    convention).  Raises ValueError if `stack` is not a stack of square
-    matrices.  Each matrix is checked: it must be symmetric, and its
-    residual at most RESIDUAL_TOL * max|S| * dim.
-    Returns the lowest eigenvalues, row by row their eigenvectors with the
-    first significant entry positive, and (i, error) for every matrix i
-    that fails a check, by ascending i; `eigen_pair(stack[i], values[i],
-    vectors[i])` is the EigenPair of matrix i.
+    convention), and each matrix's row is the same in any stack.  Raises
+    ValueError if `stack` is not a stack of square matrices.  Returns the
+    lowest eigenvalues; row by row their unit eigenvectors, first
+    significant entry positive; the residuals ||S v - value * v||_2; and
+    (i, error) for every matrix i that fails a check, by ascending i.  A
+    matrix fails if it is not symmetric, or if its residual exceeds
+    RESIDUAL_TOL * max|S| * dim.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
         raise ValueError("expected a stack of square matrices (count, dim, dim) with "
                          f"count, dim >= 1, got shape {stack.shape}")
+    dim = stack.shape[1]
     scale = np.max(np.abs(stack), axis=(1, 2))
     asymmetric = _asymmetric(stack, scale)
     values, vectors = np.linalg.eigh(stack)
     values, vectors = values[:, 0], _positive_first(vectors[:, :, 0])
-    unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-    residual = np.linalg.norm((stack @ unit[:, :, None])[:, :, 0] - values[:, None] * unit,
-                              axis=1)
-    bound = RESIDUAL_TOL * np.maximum(scale, 1e-300) * stack.shape[1]
-    # a flagged matrix fails if asymmetric, or if its own EigenPair does
-    failures = []
-    for i in np.flatnonzero(asymmetric | (residual > bound)).tolist():
-        if asymmetric[i]:
-            failures.append((i, ValueError("matrix is not symmetric")))
-            continue
-        try:
-            eigen_pair(stack[i], values[i], vectors[i])
-        except ConvergenceError as error:
-            failures.append((i, error))
-    return values, vectors, failures
-
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    residuals = np.linalg.norm((stack @ vectors[:, :, None])[:, :, 0] - values[:, None] * vectors,
+                               axis=1)
+    bound = RESIDUAL_TOL * np.maximum(scale, 1e-300) * dim
+    failures = [(i, ValueError("matrix is not symmetric") if asymmetric[i] else
+                 ConvergenceError(f"residual {residuals[i]:.3e} exceeds bound {bound[i]:.3e} "
+                                  f"(dim={dim}, tol={RESIDUAL_TOL:.1e})"))
+                for i in np.flatnonzero(asymmetric | (residuals > bound)).tolist()]
+    return values, vectors, residuals, failures

@@ -16,8 +16,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .eigensolve import (ConvergenceError, EigenPair, eigen_pair, lowest_eigenpairs,
-                         spectrum_above)
+from .eigensolve import ConvergenceError, EigenPair, lowest_eigenpairs, spectrum_above
 from .exactalg import nearest_fraction
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
                        misiolek_index)
@@ -282,88 +281,67 @@ def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
     return np.array(list(at.values()), dtype=int)
 
 
-def _bar(low: float) -> float:
-    """The largest chain minimum that can still win or tie against `low`."""
-    return low + 2 * TIE_RTOL * abs(low)
-
-
 class _FlowScan:
     """One flow's chains as the pooled eigensolves return them.
 
-    `values` maps each solved chain's number to its lowest eigenvalue and
-    `failures` each failing chain's number to its error.  `kept` holds the
-    (value, index, S, vector) of the chains that can still win: those
-    within 2 TIE_RTOL |low| of `low`, the lowest value so far.  The tie
-    rule's winner lies within TIE_RTOL |min| (1 + 1e-12) of the minimum,
-    so it is always kept, and its form is never built twice.  `large`
-    maps each chain that shares no stack to its (index, bracket, weights)
-    from `_Chains.groups`, for `window_minimum` to reduce it last; a chain
-    that `beaten` screens out then has no value and is never solved.
+    `solved` maps each solved chain's number to its row of the stacked
+    eigensolve, (value, index, vector, residual), `failures` each failing
+    chain's number to its error, and `low` is the lowest value so far.  No
+    reduced matrix is kept once solved.  `large` maps each chain that
+    shares no stack to its (index, bracket, weights) from
+    `_Chains.groups`, for `window_minimum` to reduce it last; a chain that
+    `beaten` screens out then has no row and is never solved.
     """
 
     def __init__(self, chains: _Chains):
         self.count, self.largest = len(chains.sizes), int(chains.sizes.max())
         self.firsts = chains.firsts
-        self.values, self.failures, self.kept, self.low = {}, {}, {}, float("inf")
-        self.large = {}
-
-    def take(self, number: int, value: float) -> bool:
-        """Record chain `number`'s minimum; True if the chain can still win."""
-        self.values[number] = value
-        low = min(self.low, value)
-        bar = _bar(low)
-        if low < self.low:
-            self.low = low
-            self.kept = {c: chain for c, chain in self.kept.items() if chain[0] <= bar}
-        return value <= bar
+        self.solved, self.failures, self.low, self.large = {}, {}, float("inf"), {}
 
     def beaten(self, S: np.ndarray) -> bool:
         """True if reduced chain S can neither win nor tie: one Cholesky
-        factorization puts its spectrum above the keep bar of `low` by
+        factorization puts its spectrum above low + 2 TIE_RTOL |low|, the
+        largest minimum that can still win or tie against `low`, by
         TIE_RTOL dim max|S|.  False while the flow has no `low`."""
-        return self.low < float("inf") and spectrum_above(S, _bar(self.low), TIE_RTOL)
+        low = self.low
+        return low < float("inf") and spectrum_above(S, low + 2 * TIE_RTOL * abs(low), TIE_RTOL)
 
     def winner(self, window: SpectralWindow, p: int
                ) -> Tuple[EigenPair, np.ndarray, int, int, int]:
         if self.failures:
             raise self.failures[min(self.failures)]
-        if not self.values:
+        if not self.solved:
             raise ValueError("constraining away every mode leaves nothing to minimize")
-        numbers = sorted(self.values)
+        numbers = sorted(self.solved)
         best = numbers[0]
         for number in numbers:
-            value, lead = self.values[number], self.values[best]
+            value, lead = self.solved[number][0], self.solved[best][0]
             if value < lead - TIE_RTOL * max(abs(value), abs(lead)):
                 best = number
-        value, index, S, vector = self.kept[best]
-        pair = eigen_pair(S, value, vector)
+        value, index, vector, residual = self.solved[best]
         # Python's pow: numpy's SIMD power in `scale` can differ from it in the last bit
         coeffs = np.zeros(len(window))
-        coeffs[index] = pair.vector * [d ** (-p / 2) for d in window.laplace[index].tolist()]
+        coeffs[index] = vector * [d ** (-p / 2) for d in window.laplace[index].tolist()]
         peak = np.max(np.abs(coeffs))
         if peak == 0:
             raise ValueError("zero eigenvector")
-        return pair, coeffs / peak, self.count, self.largest, int(self.firsts[best])
+        return (EigenPair(value, vector, residual), coeffs / peak, self.count, self.largest,
+                int(self.firsts[best]))
 
 
 def _solve(batch: List[tuple]) -> None:
     """Solve the pooled chains (scan, number, index, S) of one size in one
-    stacked eigensolve, and hand each eigenpair or failure to its flow's scan.
-
-    A chain solved alone is neither stacked nor copied: one that shares no
-    stack comes alone, once every pooled stack is solved, and keeping any
-    other keeps at most one group of STACK_ENTRIES entries.
-    """
-    shared = len(batch) > 1
-    stack = np.stack([chain[3] for chain in batch]) if shared else batch[0][3][None]
-    values, vectors, failures = lowest_eigenpairs(stack)
+    stacked eigensolve, and hand each chain's row, and its failure if it
+    fails a check, to its flow's scan.  A row is the same in any stack, so
+    where a chain is solved does not change its flow's result."""
+    values, vectors, residuals, failures = lowest_eigenpairs(np.stack([c[3] for c in batch]))
     for slot, error in failures:
         scan, number = batch[slot][:2]
         scan.failures[number] = error
-    for (scan, number, index, S), value, vector in zip(batch, values.tolist(), vectors):
-        if scan.take(number, value):
-            # a copy, so that a shared stack can be freed
-            scan.kept[number] = value, index, S.copy() if shared else S, vector
+    for (scan, number, index, _), value, vector, residual in zip(
+            batch, values.tolist(), vectors, residuals.tolist()):
+        scan.solved[number] = value, index, vector, residual
+        scan.low = min(scan.low, value)
 
 
 def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: int,
@@ -377,7 +355,9 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     reduction, leaving out the twins of earlier chains, whose spectra
     those chains share.  The reduced chains of all flows are then pooled
     by size and solved in stacks of at most STACK_ENTRIES entries, and
-    each chain's lowest eigenpair goes back to its flow.  A chain that
+    each chain's row of its stack (its lowest value, unit eigenvector and
+    residual) goes back to its flow; the flow's pair is its winning
+    chain's row, so its residual is the one checked.  A chain that
     shares no stack (see STACK_ENTRIES) is reduced only after every pooled
     stack is solved, one at a time in ascending chain number per flow.  It
     is solved unless its flow has a minimum so far and one Cholesky

@@ -8,7 +8,9 @@ Run it once per source tree, then compare the two records:
 `compare` exits 0 only if the commands whose outputs differ are exactly
 the labels in the optional file EXPECTED, one per line (a change's
 intended output changes); a differing command not listed, or a listed one
-that does not differ, exits 1.
+that does not differ, exits 1.  Float bits depend on the BLAS thread
+count, so a line `[threads=T] LABEL` lists LABEL only for records made at
+T threads; a line without the prefix lists it at every count.
 
 A record holds, per command, a hash of everything it outputs and a short
 summary for reading a diff, and the directory of the `kolmconj` package it
@@ -51,6 +53,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -272,10 +275,24 @@ def _print_outputs(heading, keys, before, after):
         print(f"  after:  {after.get(key, [None, 'absent'])[1]}")
 
 
+def expected_labels(lines, threads):
+    """The labels that lines of an EXPECTED file list for records made at
+    `threads` BLAS threads."""
+    labels = set()
+    for line in lines:
+        match = re.fullmatch(r"\[threads=(\d+)\] (.+)", line)
+        if match is None:
+            labels.add(line)
+        elif int(match[1]) == threads:
+            labels.add(match[2])
+    return labels
+
+
 def compare(before, after, expected=()):
     """Print the commands whose outputs differ; 0 if they are exactly the
-    `expected` labels, 1 if any other differs or a label does not, and 2
-    if the records' BLAS thread counts differ."""
+    labels that the `expected` lines list at the records' BLAS thread
+    count, 1 if any other differs or a label does not, and 2 if the
+    records' thread counts differ."""
     print(f"before: {before.get('package')}\nafter:  {after.get('package')}")
     settings = [r.get("settings", {}).get("blas_threads") for r in (before, after)]
     if None in settings or settings[0] != settings[1]:
@@ -286,7 +303,7 @@ def compare(before, after, expected=()):
     before, after = before["outputs"], after["outputs"]
     differ = sorted(key for key in before.keys() | after.keys()
                     if before.get(key, [None])[0] != after.get(key, [None])[0])
-    expected = set(expected)
+    expected = expected_labels(expected, settings[0])
     unexpected = [key for key in differ if key not in expected]
     stale = sorted(expected.difference(differ))
     _print_outputs("differing and not expected:", unexpected, before, after)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kolmconj import spectral
-from kolmconj.eigensolve import eigen_pair, lowest_eigenpairs
+from kolmconj.eigensolve import EigenPair, lowest_eigenpairs
 from kolmconj.exactalg import solve_linear
 from kolmconj.spectral import SpectralWindow
 from kolmconj.trigpoly import COS, SIN, Mode, TrigPoly
@@ -243,12 +243,13 @@ def form_value(flow, window, v: np.ndarray) -> float:
     return sum(2 * float(v[index] @ B @ v[index]) for index, B in gram_blocks(flow, window))
 
 
-def lowest_pair(S: np.ndarray):
-    """The EigenPair of one matrix, solved as a stack of one; raises its failure."""
-    values, vectors, failures = lowest_eigenpairs(S[None])
+def lowest_pair(S: np.ndarray) -> EigenPair:
+    """The row of one matrix, solved as a stack of one, as an EigenPair;
+    raises its failure."""
+    values, vectors, residuals, failures = lowest_eigenpairs(S[None])
     if failures:
         raise failures[0][1]
-    return eigen_pair(S, values[0], vectors[0])
+    return EigenPair(values[0], vectors[0], residuals[0])
 
 
 def scan_one(flow, window, p, zeroed=()):
@@ -291,17 +292,17 @@ def spy_scan(monkeypatch):
     """Record what a one-flow `window_minimum` solves and screens out until
     the patches are undone.
 
-    Returns (solved, screened, checked): `solved` maps the number of each
+    Returns (solved, screened, rows): `solved` maps the number of each
     chain solved to its reduced matrix as the pooled eigensolve gets it,
     its window positions and its Gram product; `screened` does the same for
     each chain that `_FlowScan.beaten` screens out, with the matrix it
-    gets; `checked` lists the matrices that `eigen_pair` checks, one per
-    scan, each the winner's form as kept from its reduction.  A matrix
-    solved or screened out that no reduction made fails.
+    gets; `rows` maps the number of each chain solved to its row of the
+    eigensolve's result, (value, vector, residual).  A matrix solved or
+    screened out that no reduction made fails.
     """
-    solved, screened, checked, reduced = {}, {}, [], defaultdict(list)
+    solved, screened, rows, reduced = {}, {}, {}, defaultdict(list)
     current = follow_groups(monkeypatch)
-    reduce, solve, pair = spectral._reduce, spectral.lowest_eigenpairs, spectral.eigen_pair
+    reduce, solve = spectral._reduce, spectral.lowest_eigenpairs
     beaten = spectral._FlowScan.beaten
 
     def reduce_spy(*args):
@@ -314,11 +315,13 @@ def spy_scan(monkeypatch):
     def record(chains, S):
         position, index, B = reduced[S.tobytes()].pop(0)
         chains[position] = S, index, B
+        return position
 
     def solve_spy(stack):
-        for S in stack:
-            record(solved, S)
-        return solve(stack)
+        numbers = [record(solved, S) for S in stack]
+        values, vectors, residuals, failures = solve(stack)
+        rows.update(zip(numbers, zip(values, vectors, residuals)))
+        return values, vectors, residuals, failures
 
     def beaten_spy(self, S):
         if not beaten(self, S):
@@ -326,21 +329,18 @@ def spy_scan(monkeypatch):
         record(screened, S)
         return True
 
-    def pair_spy(S, *args):
-        checked.append(S)
-        return pair(S, *args)
-
     monkeypatch.setattr(spectral, "_reduce", reduce_spy)
     monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
     monkeypatch.setattr(spectral._FlowScan, "beaten", beaten_spy)
-    monkeypatch.setattr(spectral, "eigen_pair", pair_spy)
-    return solved, screened, checked
+    return solved, screened, rows
 
 
-def assert_winner_solved(seen, checked, coeffs, number):
-    """The winner's form as checked equals chain `number`'s solved matrix,
-    and its coefficients are 0 off that chain's kept modes."""
-    stacked, index, _ = seen[number]
-    [S] = checked
-    assert np.array_equal(S, stacked)
+def assert_winner_solved(solved, rows, pair, coeffs, number):
+    """The winner's pair is chain `number`'s row of the eigensolve that
+    solved it, bit for bit, and its coefficients are 0 off that chain's
+    kept modes."""
+    _, index, _ = solved[number]
+    value, vector, residual = rows[number]
+    assert (pair.value.hex(), pair.residual.hex()) == (value.hex(), residual.hex())
+    assert pair.vector.tobytes() == vector.tobytes()
     assert not np.delete(coeffs, index).any()

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from kolmconj import eigensolve, pipeline, spectral
-from kolmconj.eigensolve import ConvergenceError, eigen_pair, lowest_eigenpairs
+from kolmconj.eigensolve import ConvergenceError, lowest_eigenpairs
 from kolmconj.pipeline import run_minimize
 from kolmconj.spectral import FULL, STACK_ENTRIES, CertificationError, SpectralWindow
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
@@ -241,16 +241,16 @@ def _scan(monkeypatch, groups):
     per group, and each stack for its group's Gram product; at p = 0 the
     Sobolev reduction multiplies by 1, so the scan solves the stacks as
     given.  Returns the window, the flow's entry of what `window_minimum`
-    returns and the matrices its `eigen_pair` checks (see `spy_scan`), or
-    raises the entry's error.  Every patch, the caller's too, is undone on
-    return.
+    returns and `spy_scan`'s record of the chains solved and their rows,
+    or raises the entry's error.  Every patch, the caller's too, is undone
+    on return.
     """
     window = SpectralWindow(6, COS)
     monkeypatch.setattr(spectral._Chains, "groups", lambda self, solve=None: iter(groups))
     monkeypatch.setattr(spectral, "_gram", lambda shape, stack, weights: stack)
-    _, _, checked = spy_scan(monkeypatch)
+    solved, _, rows = spy_scan(monkeypatch)
     try:
-        return window, scan_one(KolmogorovFlow(3, 2), window, 0), checked
+        return window, scan_one(KolmogorovFlow(3, 2), window, 0), solved, rows
     finally:
         monkeypatch.undo()
 
@@ -258,8 +258,8 @@ def _scan(monkeypatch, groups):
 def test_tie_goes_to_earlier_block(monkeypatch):
     # two chains of one shape, solved in one stack or the later one first:
     # the later one wins only if its minimum lies below the first's by
-    # more than TIE_RTOL, the winner's form is the stack it came from, and
-    # at p = 0 its coefficients are its eigenvector, 0 off its modes
+    # more than TIE_RTOL, the winner's pair is the row of the stack it came
+    # from, and at p = 0 its coefficients are its eigenvector, 0 off its modes
     flow, window = KolmogorovFlow(3, 2), SpectralWindow(6, COS)
     firsts = [index[0] for index, _ in chain_layout(flow, window)]
     positions, _, S = next(per_chain_products(flow, window, 3))
@@ -271,12 +271,14 @@ def test_tie_goes_to_earlier_block(monkeypatch):
         stack = np.stack([S, lowered])
         for groups in ([([0, 1], index, stack)],
                        [([1], index[1:], stack[1:]), ([0], index[:1], stack[:1])]):
-            got_window, (pair, coeffs, _, _, got_first), [checked] = _scan(monkeypatch, groups)
+            got_window, (pair, coeffs, _, _, got_first), solved, rows = _scan(monkeypatch,
+                                                                              groups)
             assert got_first == firsts[winner]
             want = np.zeros(len(got_window))
             want[first + winner] = pair.vector
             assert np.array_equal(coeffs, want / np.max(np.abs(want)))
-            assert np.array_equal(checked, stack[winner])
+            assert_winner_solved(solved, rows, pair, coeffs, winner)
+            assert np.array_equal(solved[winner][0], stack[winner])
             assert pair.value == np.linalg.eigh(stack[winner])[0][0]
 
 
@@ -309,13 +311,13 @@ def _sweep_chains(mmax):
 
 def test_stacked_eigensolve_matches_one_at_a_time_on_sweep_chains():
     for dim, mats in _sweep_chains(6).items():
-        values, vectors, failures = lowest_eigenpairs(np.stack(mats))
+        values, vectors, residuals, failures = lowest_eigenpairs(np.stack(mats))
         assert failures == []
-        for S, value, vector in zip(mats, values, vectors):
-            got, want = eigen_pair(S, value, vector), lowest_pair(S)
-            assert got.value == want.value
-            assert np.array_equal(got.vector, want.vector)
-            assert got.residual == want.residual
+        for S, value, vector, residual in zip(mats, values, vectors, residuals):
+            want = lowest_pair(S)
+            assert value == want.value
+            assert np.array_equal(vector, want.vector)
+            assert residual == want.residual
 
 
 SWEEP_FLOWS = [KolmogorovFlow(m, n) for m in range(1, 11) for n in range(1, m + 1)]
@@ -357,6 +359,25 @@ def test_many_flow_scan_equals_one_flow_scans(N):
             for flow, entry in zip(flows, many):
                 [one] = spectral.window_minimum([flow], window, p, zeroed)
                 assert _entry_bits(entry) == _entry_bits(one), (flow, subspace, p, zeroed)
+
+
+@pytest.mark.parametrize("N,subspace", [(4, COS), (12, COS), (7, SIN), (6, FULL)])
+def test_row_does_not_depend_on_its_stack(monkeypatch, N, subspace):
+    # each chain's (value, vector, residual) in a pooled stack of the
+    # sweep's pairs is, bit for bit, its row when solved alone; with one
+    # residual per chain, this keeps `sweep` and `minimize` in agreement
+    stacks, solve = [], spectral.lowest_eigenpairs
+    monkeypatch.setattr(spectral, "lowest_eigenpairs",
+                        lambda stack: stacks.append((stack, solve(stack))) or stacks[-1][1])
+    spectral.window_minimum(SWEEP_FLOWS, SpectralWindow(N, subspace), 3)
+    monkeypatch.undo()
+    shared = [(S, row) for stack, rows in stacks if len(stack) > 1
+              for S, row in zip(stack, zip(*rows[:3]))]
+    assert len(shared) > 900
+    for S, (value, vector, residual) in shared:
+        alone = lowest_pair(S)
+        assert (value.hex(), residual.hex()) == (alone.value.hex(), alone.residual.hex())
+        assert vector.tobytes() == alone.vector.tobytes()
 
 
 def _break_chains(monkeypatch, targets):
@@ -510,10 +531,10 @@ def _twins(flow, window, zeroed=()):
 
 def _solved_chains(monkeypatch, flow, **options):
     """`spy_scan`'s record of the scan `run_minimize` makes (solved,
-    screened, checked), what `window_minimum` returned (one entry), and the
+    screened, rows), what `window_minimum` returned (one entry), and the
     result (None if certification fails).  Asserts that the run never
     builds its window's whole mode tuple."""
-    solved, screened, checked = spy_scan(monkeypatch)
+    solved, screened, rows = spy_scan(monkeypatch)
     winner, windows, result = [], [], None
     minimum = pipeline.window_minimum
 
@@ -530,7 +551,7 @@ def _solved_chains(monkeypatch, flow, **options):
     monkeypatch.undo()
     [window] = windows
     assert window._modes is None
-    return solved, screened, checked, winner, result
+    return solved, screened, rows, winner, result
 
 
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
@@ -556,10 +577,10 @@ def _zeroings(flow, window):
 def test_grouped_products_equal_per_chain_products(monkeypatch):
     # every chain the scan receives, solved or screened out: its reduced
     # matrix as the eigensolve or the screen gets it and its Gram product,
-    # both restricted to the modes left after constraints, and the form
-    # built again for the winner; those left out are the chains zeroed
-    # entirely and the twins of earlier chains where neither chain holds a
-    # zeroed mode
+    # both restricted to the modes left after constraints, and the
+    # winner's pair, its chain's row of the eigensolve; those left out are
+    # the chains zeroed entirely and the twins of earlier chains where
+    # neither chain holds a zeroed mode
     cases = [(m, n, N, subspace, []) for m, n, N, subspace in GROUPED_WINDOWS]
     for m, n, N, subspace in CONSTRAINED_WINDOWS:
         window = SpectralWindow(N, subspace)
@@ -567,7 +588,7 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
                   for zeroed in _zeroings(KolmogorovFlow(m, n), window)]
     for m, n, N, subspace, zeroed in cases:
         flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-        solved, screened, checked, [(_, coeffs, _, _, first)], _ = _solved_chains(
+        solved, screened, rows, [(pair, coeffs, _, _, first)], _ = _solved_chains(
             monkeypatch, flow, N=N, subspace=subspace, constraints=zeroed)
         assert not solved.keys() & screened.keys()
         seen = {**solved, **screened}
@@ -587,7 +608,7 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
             assert np.array_equal(gram, B[np.ix_(keep, keep)])
             assert np.array_equal(stacked, S[np.ix_(keep, keep)])
             assert np.array_equal(gram, gram.T) and np.array_equal(stacked, stacked.T)
-        assert_winner_solved(solved, checked, coeffs, best)
+        assert_winner_solved(solved, rows, pair, coeffs, best)
 
 
 # (m, n, N, subspace) and the chain count and largest chain the window had

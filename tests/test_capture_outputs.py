@@ -58,16 +58,29 @@ def _record(threads, **outputs):
             "outputs": {key: [digest, f"summary {digest}"] for key, digest in outputs.items()}}
 
 
-@pytest.mark.parametrize("after, expected, code, listing", [
-    (_record(1, a="1", b="2"), None, 0, None),
-    (_record(1, a="1", b="3"), "b\n", 0, ("expected changes:", "b")),
-    (_record(1, a="1", b="3"), "", 1, ("differing and not expected:", "b")),
-    (_record(1, a="1", b="3"), "a\nb\n", 1, ("expected to differ, but the same or absent:", "a")),
-    (_record(2, a="1", b="2"), None, 2, None)])
-def test_compare_exit_code(tmp_path, after, expected, code, listing):
+@pytest.mark.parametrize("before, after, expected, code, listing", [
+    (_record(1, a="1", b="2"), _record(1, a="1", b="2"), None, 0, None),
+    (_record(1, a="1", b="2"), _record(1, a="1", b="3"), "b\n", 0, ("expected changes:", "b")),
+    (_record(1, a="1", b="2"), _record(1, a="1", b="3"), "", 1,
+     ("differing and not expected:", "b")),
+    (_record(1, a="1", b="2"), _record(1, a="1", b="3"), "a\nb\n", 1,
+     ("expected to differ, but the same or absent:", "a")),
+    (_record(1, a="1", b="2"), _record(2, a="1", b="2"), None, 2, None),
+    # a label that names a thread count is listed only at that count
+    (_record(1, a="1", b="2"), _record(1, a="1", b="3"), "[threads=1] b\n[threads=2] a\n", 0,
+     ("expected changes:", "b")),
+    (_record(2, a="1", b="2"), _record(2, a="2", b="2"), "[threads=1] b\n[threads=2] a\n", 0,
+     ("expected changes:", "a")),
+    (_record(2, a="1", b="2"), _record(2, a="1", b="3"), "[threads=1] b\n", 1,
+     ("differing and not expected:", "b")),
+    (_record(2, a="1", b="2"), _record(2, a="1", b="3"), "b\n[threads=2] a\n", 1,
+     ("expected to differ, but the same or absent:", "a")),
+    (_record(1, a="1", b="2"), _record(1, a="1", b="3"), "[threads=12] b\n", 1,
+     ("differing and not expected:", "b"))])
+def test_compare_exit_code(tmp_path, before, after, expected, code, listing):
     # `listing` is a heading `compare` prints and the first command under it
     paths = [tmp_path / "before.json", tmp_path / "after.json"]
-    for path, record in zip(paths, (_record(1, a="1", b="2"), after)):
+    for path, record in zip(paths, (before, after)):
         path.write_text(json.dumps(record))
     if expected is not None:
         paths.append(tmp_path / "expected.txt")

@@ -11,13 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kolmconj
-from kolmconj import pipeline
+from kolmconj import cli, pipeline
 from kolmconj.cli import build_parser, main
 from kolmconj.pipeline import (read_field_file, run_minimize, run_sweep,
                                write_field_file)
-from kolmconj.spectral import CertificationError
+from kolmconj.spectral import CertificationError, SpectralWindow
 from kolmconj.theorems import drivas_field
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, TrigPoly
+
+from conftest import assert_winner_solved, spy_scan
 
 
 def run(capsys, *argv):
@@ -566,6 +568,27 @@ def test_any_field_file_ends_in_an_exit_code(capsys, tmp_path, doc):
         code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("--m", "3", "--n", "2", "--N", "12"),
+                                  ("--m", "1", "--n", "1", "--N", "40", "--subspace", "full")])
+def test_minimize_prints_its_winning_rows_residual(capsys, monkeypatch, argv):
+    # the residual printed is the one the eigensolve checked: the winning
+    # chain's row, which also holds the eigenvalue and eigenvector behind the
+    # coefficients; (1,1) full at N=40 wins with a chain solved alone
+    solved, _, rows = spy_scan(monkeypatch)
+    results = []
+    monkeypatch.setattr(cli, "run_minimize",
+                        lambda *args, **kwargs: results.append(run_minimize(*args, **kwargs))
+                        or results[-1])
+    code, out, _ = run(capsys, "minimize", *argv)
+    monkeypatch.undo()
+    [res] = results
+    first = SpectralWindow(res.N, res.subspace).index_of(res.block_mode)
+    [number] = [c for c, (_, index, _) in solved.items() if index[0] == first]
+    assert_winner_solved(solved, rows, res.eigen, res.coeffs, number)
+    assert code == 0 and f"residual: {rows[number][2]:.3e}" in out.splitlines()
+    assert (len(solved[number][1]) > 45) == (res.N == 40)
 
 
 @pytest.mark.parametrize("argv,tol", [

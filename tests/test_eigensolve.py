@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kolmconj import eigensolve
-from kolmconj.eigensolve import ConvergenceError, eigen_pair, lowest_eigenpairs
+from kolmconj.eigensolve import ConvergenceError, lowest_eigenpairs
 
 from conftest import lowest_pair
 
@@ -97,21 +97,24 @@ class TestLowestPair:
 def test_residual_guard_holds_at_the_constant_tolerance(monkeypatch, e, passes):
     S, vector = np.diag([1.0, 2.0, 3.0]), np.array([1.0, e, 0.0])
     assert eigensolve.RESIDUAL_TOL == 1e-10
-    # the stacked solve checks the same vector when LAPACK returns it
+    # LAPACK returns the tilted vector, and the solve normalizes and checks it
     columns = np.eye(3)
     columns[:, 0] = vector
     monkeypatch.setattr(np.linalg, "eigh", lambda stack: (np.array([[1.0, 2.0, 3.0]]),
                                                           columns[None]))
-    failures = lowest_eigenpairs(S[None])[2]
+    _, vectors, residuals, failures = lowest_eigenpairs(S[None])
+    assert np.array_equal(vectors[0], vector / np.sqrt(1.0 + e * e))
+    assert residuals[0] == pytest.approx(e / np.sqrt(1.0 + e * e), rel=1e-12, abs=0)
     if passes:
-        assert eigen_pair(S, 1.0, vector).residual == pytest.approx(e, rel=1e-12, abs=0)
         assert failures == []
+        assert lowest_pair(S).residual == residuals[0]
         return
     with pytest.raises(ConvergenceError, match=r"bound 9\.000e-10 \(dim=3, tol=1\.0e-10\)$"):
-        eigen_pair(S, 1.0, vector)
+        lowest_pair(S)
     [(i, error)] = failures
     assert i == 0 and isinstance(error, ConvergenceError)
-    assert str(error).endswith("bound 9.000e-10 (dim=3, tol=1.0e-10)")
+    assert str(error) == (f"residual {residuals[0]:.3e} exceeds bound 9.000e-10 "
+                          "(dim=3, tol=1.0e-10)")
 
 
 def test_no_function_takes_a_tolerance():
@@ -123,17 +126,14 @@ def test_no_function_takes_a_tolerance():
                 assert "tol" not in [a.arg for a in arguments], (path.name, node.lineno)
 
 
-def assert_same_pair(got, want):
-    assert got.value == want.value
-    assert np.array_equal(got.vector, want.vector)
-    assert got.residual == want.residual
-
-
 def assert_stack_matches_one_at_a_time(stack):
-    values, vectors, failures = lowest_eigenpairs(stack)
+    # each row, bit for bit, is the matrix's row when solved alone
+    values, vectors, residuals, failures = lowest_eigenpairs(stack)
     assert failures == []
-    for S, value, vector in zip(stack, values, vectors):
-        assert_same_pair(eigen_pair(S, value, vector), lowest_pair(S))
+    for S, value, vector, residual in zip(stack, values, vectors, residuals):
+        want = lowest_pair(S)
+        assert (value.hex(), residual.hex()) == (want.value.hex(), want.residual.hex())
+        assert vector.tobytes() == want.vector.tobytes()
 
 
 class TestLowestEigenpairs:
@@ -147,14 +147,14 @@ class TestLowestEigenpairs:
 
     def test_sign_convention_per_matrix(self):
         stack = np.stack([np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([2.0, -1.0])])
-        _, vectors, _ = lowest_eigenpairs(stack)
+        vectors = lowest_eigenpairs(stack)[1]
         assert vectors[0, 0] > 0 and vectors[1, 1] > 0
 
     def test_one_nonsymmetric_matrix_raises(self):
         rng = random.Random(10)
         stack = np.stack([random_symmetric(rng, 4) for _ in range(5)])
         stack[3, 0, 1] += 1e-6
-        [(i, error)] = lowest_eigenpairs(stack)[2]
+        [(i, error)] = lowest_eigenpairs(stack)[-1]
         assert i == 3 and isinstance(error, ValueError)
         assert str(error) == "matrix is not symmetric"
 
@@ -165,7 +165,7 @@ class TestLowestEigenpairs:
         rng = random.Random(11)
         stack = np.stack([np.diag([1.0, 2.0, 3.0]), random_symmetric(rng, 3),
                           np.diag([4.0, 1.0, 2.0]), random_symmetric(rng, 3)])
-        failures = lowest_eigenpairs(stack)[2]
+        failures = lowest_eigenpairs(stack)[-1]
         assert [i for i, _ in failures] == [1, 3]
         for i, error in failures:
             with pytest.raises(ConvergenceError, match=r"tol=1\.0e-300\)$") as want:
@@ -179,7 +179,7 @@ class TestLowestEigenpairs:
         rng = random.Random(12)
         stack = np.stack([np.diag([1.0, 2.0]), random_symmetric(rng, 2),
                           np.array([[1.0, 2.0], [0.0, 1.0]])])
-        failures = lowest_eigenpairs(stack)[2]
+        failures = lowest_eigenpairs(stack)[-1]
         assert [(i, type(error)) for i, error in failures] == [(1, ConvergenceError),
                                                                 (2, ValueError)]
         assert str(failures[1][1]) == "matrix is not symmetric"

@@ -210,15 +210,15 @@ class TestQuadForm:
 
 
 def checked_minimum(monkeypatch, flow, window, p, zeroed=()):
-    """A one-flow `window_minimum`'s result and the matrix its `eigen_pair` checked,
-    once `assert_winner_solved` holds for them."""
-    seen, _, checked = spy_scan(monkeypatch)
+    """A one-flow `window_minimum`'s result and the reduced matrix of its
+    winning chain as solved, once `assert_winner_solved` holds for them."""
+    seen, _, rows = spy_scan(monkeypatch)
     result = scan_one(flow, window, p, zeroed)
     monkeypatch.undo()
     number = next(c for c, (index, _, _) in enumerate(chain_brackets(flow, window))
                   if index[0] == result[4])
-    assert_winner_solved(seen, checked, result[1], number)
-    return result, checked[0]
+    assert_winner_solved(seen, rows, result[0], result[1], number)
+    return result, seen[number][0]
 
 
 class TestReduceConstrain:
