@@ -1,4 +1,4 @@
-"""Command-line front end: verify, minimize, sweep, mi, field.
+"""Command-line front end: verify, minimize, sweep, mi.
 
 Exit codes: 0 success / verdict holds, 1 assertion failure, 2 usage error,
 3 numerical failure.
@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence
 
 from . import theorems
 from .eigensolve import ConvergenceError
-from .pipeline import (MinimizeResult, deformed_stream, read_field_file,
-                       run_minimize, run_sweep, write_field_file, write_grid_file)
+from .pipeline import (MinimizeResult, read_field_file, run_minimize, run_sweep,
+                       write_field_file)
 from .spectral import CertificationError
 from .theorems import VerificationError
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, bracket, canonicalize,
@@ -245,36 +245,6 @@ def cmd_mi(args) -> int:
     return OK
 
 
-def cmd_field(args) -> int:
-    if args.grid < 16:
-        raise UsageError("grid resolution must be >= 16")
-    if args.what != "deformed" and args.epsilon is not None:
-        raise UsageError(f"field {args.what} takes no --epsilon: "
-                         "only the deformed stream depends on it")
-    if args.what == "stream":
-        if args.m is None or args.n is None:
-            raise UsageError("field stream requires --m and --n")
-        if args.field is not None:
-            raise UsageError("field stream takes no --field: "
-                             "the grid is the flow's stream function")
-        values_at = KolmogorovFlow(args.m, args.n).stream().eval
-    else:
-        if not args.field:
-            raise UsageError(f"field {args.what} requires --field FILE")
-        flow, f, _ = read_field_file(args.field)
-        if args.what == "minimizer":
-            if args.m is not None or args.n is not None:
-                raise UsageError("field minimizer takes no --m or --n: "
-                                 "the grid does not depend on the flow")
-            values_at = f.eval
-        else:
-            epsilon = 0.3 if args.epsilon is None else args.epsilon
-            values_at = deformed_stream(_flow_override(args, flow), f, epsilon)
-    write_grid_file(args.out, args.grid, values_at)
-    print(f"wrote {args.out}")
-    return OK
-
-
 # ------------------------------------------------------------ parser
 
 @functools.cache  # the parser depends on no argument: `main` builds it once
@@ -323,18 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mi.add_argument("--n", type=int, default=None)
     p_mi.set_defaults(func=cmd_mi)
 
-    p_field = sub.add_parser("field", help="grid export of stream / minimizer / "
-                             "deformed stream")
-    p_field.add_argument("what", choices=["stream", "minimizer", "deformed"])
-    p_field.add_argument("--m", type=int, default=None)
-    p_field.add_argument("--n", type=int, default=None)
-    p_field.add_argument("--field", default=None, help="field file input")
-    p_field.add_argument("--grid", type=int, default=256)
-    p_field.add_argument("--epsilon", type=float, default=None,
-                         help="deformation amplitude (deformed only; default 0.3)")
-    p_field.add_argument("--out", required=True)
-    p_field.set_defaults(func=cmd_field)
-
     return parser
 
 
@@ -356,7 +314,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return FAIL
     except (ConvergenceError, CertificationError, OverflowError, MemoryError) as exc:
         # OverflowError: an exact value too large to print, as a float or in digits;
-        # MemoryError: a window or grid too large to allocate
+        # MemoryError: a window too large to index or allocate
         print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return NUMERIC
 

@@ -1,10 +1,9 @@
-"""The numerical route end to end, and the field and grid files around it.
+"""The numerical route end to end, and the field files around it.
 
 `run_minimize` proposes a minimizer on a Fourier window and certifies it
 exactly, into one `MinimizeResult`; `run_sweep` runs it over wavenumber
-pairs, one record or error per run.  Field files carry an
-exact rational field as JSON and are read against a strict schema; grid
-files sample a field on the uniform grid of the torus as CSV.
+pairs, one record or error per run.  Field files carry an exact
+rational field as JSON and are read against a strict schema.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -201,23 +200,3 @@ def read_field_file(path: str) -> Tuple[KolmogorovFlow, TrigPoly, str]:
         terms[mode] = sign * _rational(_member(entry, "value", where))
     return flow, TrigPoly(terms), doc.get("description", "")
 
-
-# ------------------------------------------------------------ grid files
-
-def deformed_stream(flow: KolmogorovFlow, field: TrigPoly,
-                    epsilon: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """psi at each point moved by epsilon times the skew gradient (-f_y, f_x)."""
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
-    psi, fx, fy = flow.stream(), field.dx(), field.dy()
-    return lambda X, Y: psi.eval(X - epsilon * fy.eval(X, Y), Y + epsilon * fx.eval(X, Y))
-
-
-def write_grid_file(path: str, grid: int,
-                    values_at: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
-    """CSV of values_at(x, y) on the grid x grid points of [0, 2pi)^2, x-major."""
-    xs = np.arange(grid) * (2.0 * np.pi / grid)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    V = np.broadcast_to(values_at(X, Y), X.shape)  # a zero field evaluates to 0.0
-    np.savetxt(path, np.column_stack([X.ravel(), Y.ravel(), V.ravel()]),
-               fmt="%.17g", delimiter=",", header="x,y,value", comments="")

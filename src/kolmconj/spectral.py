@@ -52,6 +52,8 @@ class SpectralWindow:
             raise ValueError("window order must be >= 1")
         if subspace not in SUBSPACES:
             raise ValueError(f"unknown subspace {subspace!r}")
+        if (N + 1) * (2 * N + 1) > np.iinfo(np.intp).max:
+            raise MemoryError(f"window order {N} is too large to index")
         parities = (False, True) if subspace == FULL else (subspace == SIN,)
         # C order of an ij-indexed grid is already (j, k, parity) order
         j, k, sin = np.meshgrid(np.arange(N + 1), np.arange(-N, N + 1),

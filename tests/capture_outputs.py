@@ -26,7 +26,9 @@ every `verify offdiag m n` (1 <= n < m <= 30) and `verify diag n`
 stdout, stderr and every `--out` file);
 one interleaved sequence of commands that share `main`'s parser, with
 argparse and usage errors, an unwritable `--out`, and commands run
-before and after others that set `--constrain` or `--epsilon`; the
+before and after others that set `--constrain`, or that name `field`,
+a command the parser no longer has (one of them with `--epsilon`), and
+so exit 2 in argparse; the
 NUMERICAL golden commands of `tests/test_golden.py`; and 150
 seeded random `run_minimize` calls (m, n <= 7, N 3-22, every subspace,
 p 0-4, 0-5 zeroed modes), hashed by eigenvalue and residual bits,

@@ -330,131 +330,6 @@ class TestSweepCommand:
         assert code == 3
 
 
-class TestFieldCommand:
-    def test_stream_grid(self, capsys, tmp_path):
-        out_file = tmp_path / "stream.csv"
-        code, _, _ = run(capsys, "field", "stream", "--m", "1", "--n", "1",
-                         "--grid", "16", "--out", str(out_file))
-        assert code == 0
-        lines = out_file.read_text().strip().splitlines()
-        assert lines[0] == "x,y,value"
-        assert len(lines) == 1 + 16 * 16
-        x0, y0, v0 = lines[1].split(",")
-        assert (float(x0), float(y0)) == (0.0, 0.0)
-        assert float(v0) == pytest.approx(-1.0)
-
-    def test_deformed_zero_epsilon_equals_stream(self, capsys, tmp_path):
-        stream_file = tmp_path / "s.csv"
-        run(capsys, "field", "stream", "--m", "2", "--n", "1",
-            "--grid", "16", "--out", str(stream_file))
-        field_file = tmp_path / "f.json"
-        write_field_file(str(field_file), KolmogorovFlow(2, 1),
-                         TrigPoly.cosine(1, 0), "probe")
-        deformed_file = tmp_path / "d.csv"
-        code, _, _ = run(capsys, "field", "deformed", "--field", str(field_file),
-                         "--epsilon", "0", "--grid", "16",
-                         "--out", str(deformed_file))
-        assert code == 0
-        assert deformed_file.read_text() == stream_file.read_text()
-
-    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
-    def test_deformed_non_finite_epsilon_is_usage_error(self, capsys, tmp_path, epsilon):
-        field_file = tmp_path / "f.json"
-        write_field_file(str(field_file), KolmogorovFlow(2, 1),
-                         TrigPoly.cosine(1, 0), "probe")
-        out_file = tmp_path / "d.csv"
-        code, out, err = run(capsys, "field", "deformed", "--field", str(field_file),
-                             "--epsilon", epsilon, "--grid", "16", "--out", str(out_file))
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "epsilon" in err and err.count("\n") == 1
-        assert not out_file.exists()
-
-    def test_minimizer_grid_matches_eval(self, capsys, tmp_path):
-        field_file = tmp_path / "f.json"
-        f = TrigPoly.cosine(1, 0) + TrigPoly.sine(2, 3, F(1, 4))
-        write_field_file(str(field_file), KolmogorovFlow(1, 1), f, "probe")
-        out_file = tmp_path / "g.csv"
-        code, _, _ = run(capsys, "field", "minimizer", "--field", str(field_file),
-                         "--grid", "16", "--out", str(out_file))
-        assert code == 0
-        for line in out_file.read_text().strip().splitlines()[1:9]:
-            x, y, v = (float(t) for t in line.split(","))
-            assert v == pytest.approx(f.eval(x, y), abs=1e-12)
-
-    def test_small_grid_is_usage_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "field", "stream", "--m", "1", "--n", "1",
-                           "--grid", "8", "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert "grid" in err
-
-    def test_deformed_partial_override_is_usage_error(self, capsys, tmp_path):
-        field_file = tmp_path / "f.json"
-        write_field_file(str(field_file), KolmogorovFlow(2, 1),
-                         TrigPoly.cosine(1, 0), "probe")
-        out_file = tmp_path / "d.csv"
-        code, _, err = run(capsys, "field", "deformed", "--field", str(field_file),
-                           "--m", "3", "--grid", "16", "--out", str(out_file))
-        assert code == 2
-        assert "--m and --n" in err
-        assert not out_file.exists()
-
-    @pytest.mark.parametrize("flag", ["--m", "--n"])
-    def test_minimizer_flow_flag_is_usage_error(self, capsys, tmp_path, flag):
-        field_file = tmp_path / "f.json"
-        write_field_file(str(field_file), KolmogorovFlow(2, 1),
-                         TrigPoly.cosine(1, 0), "probe")
-        out_file = tmp_path / "g.csv"
-        code, _, err = run(capsys, "field", "minimizer", "--field", str(field_file),
-                           flag, "7", "--grid", "16", "--out", str(out_file))
-        assert code == 2
-        assert flag in err
-        assert not out_file.exists()
-
-    def test_stream_field_flag_is_usage_error(self, capsys, tmp_path):
-        out_file = tmp_path / "g.csv"
-        code, out, err = run(capsys, "field", "stream", "--m", "2", "--n", "1",
-                             "--field", str(tmp_path / "x"), "--grid", "16",
-                             "--out", str(out_file))
-        assert code == 2 and out == ""
-        assert "--field" in err and err.count("\n") == 1
-        assert not out_file.exists()
-
-    @pytest.mark.parametrize("what,epsilon", [("stream", "5"), ("minimizer", "nan"),
-                                              ("minimizer", "0.3")])
-    def test_epsilon_outside_deformed_is_usage_error(self, capsys, tmp_path, what, epsilon):
-        field_file = tmp_path / "f.json"
-        write_field_file(str(field_file), KolmogorovFlow(2, 1),
-                         TrigPoly.cosine(1, 0), "probe")
-        source = (["--m", "2", "--n", "1"] if what == "stream"
-                  else ["--field", str(field_file)])
-        out_file = tmp_path / "g.csv"
-        code, out, err = run(capsys, "field", what, *source, "--epsilon", epsilon,
-                             "--grid", "16", "--out", str(out_file))
-        assert code == 2 and out == ""
-        assert "--epsilon" in err and err.count("\n") == 1
-        assert not out_file.exists()
-
-    def test_deformed_default_epsilon_is_0_3(self, capsys, tmp_path):
-        # --epsilon 5 runs first: the parser `main` shares across calls keeps
-        # no value from one call to the next
-        field_file = tmp_path / "f.json"
-        write_field_file(str(field_file), KolmogorovFlow(2, 1),
-                         TrigPoly.cosine(1, 0), "probe")
-        grids = []
-        for extra in (["--epsilon", "5"], [], ["--epsilon", "0.3"]):
-            out_file = tmp_path / f"d{len(grids)}.csv"
-            code, _, _ = run(capsys, "field", "deformed", "--field", str(field_file),
-                             *extra, "--grid", "16", "--out", str(out_file))
-            assert code == 0
-            grids.append(out_file.read_text())
-        assert grids[0] != grids[1] == grids[2]
-
-    def test_missing_field_arg_is_usage_error(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "field", "minimizer",
-                         "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-
-
 class TestFieldFiles:
     def test_round_trip_exact(self, tmp_path):
         f = (TrigPoly.cosine(1, 0, F(22, 7))
@@ -560,14 +435,9 @@ def _field_docs(draw):
 def test_any_field_file_ends_in_an_exit_code(capsys, tmp_path, doc):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(doc))
-    for argv in (["mi", str(path)],
-                 ["field", "minimizer", "--field", str(path), "--grid", "16",
-                  "--out", str(tmp_path / "grid.csv")],
-                 ["field", "deformed", "--field", str(path), "--grid", "16",
-                  "--out", str(tmp_path / "grid.csv")]):
-        code, _, err = run(capsys, *argv)
-        assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err
+    code, _, err = run(capsys, "mi", str(path))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [("--m", "3", "--n", "2", "--N", "12"),
@@ -605,6 +475,18 @@ def test_tolerance_option_is_gone(capsys, monkeypatch, argv, tol):
     code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 2
     assert "--tol" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [("stream", "--m", "2", "--n", "1"),
+                                  ("minimizer", "--field", "w.json"),
+                                  ("deformed", "--field", "w.json", "--epsilon", "0.3")],
+                         ids=["stream", "minimizer", "deformed"])
+def test_field_command_is_gone(capsys, tmp_path, argv):
+    out_file = tmp_path / "grid.csv"
+    code, out, err = run(capsys, "field", *argv, "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert "invalid choice: 'field'" in err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("option,value,word", [
@@ -732,23 +614,32 @@ def test_any_constraint_spec_ends_in_an_exit_code(capsys, spec):
 @pytest.mark.parametrize("message,printed", [
     (("Unable to allocate 7.45 TiB for an array",), "Unable to allocate 7.45 TiB for an array"),
     ((), "out of memory")])
-@pytest.mark.parametrize("target,command", [
-    ("run_minimize", ["minimize", "--m", "1", "--n", "1", "--N", "1000000"]),
-    ("write_grid_file", ["field", "stream", "--m", "1", "--n", "1", "--grid", "1000000"])])
-def test_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, target, command,
-                                            message, printed):
+def test_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, message, printed):
     # the allocation is faked: the stand-in raises what numpy raises when a
-    # window or grid this large does not fit in memory
+    # window this large does not fit in memory
     def exhausted(*args, **kwargs):
         raise MemoryError(*message)
 
-    monkeypatch.setattr(f"kolmconj.cli.{target}", exhausted)
-    out_file = tmp_path / "out.csv"
-    code, out, err = run(capsys, *command, "--out", str(out_file))
+    monkeypatch.setattr("kolmconj.cli.run_minimize", exhausted)
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, "minimize", "--m", "1", "--n", "1", "--N", "1000000",
+                         "--out", str(out_file))
     assert code == 3
     assert out == ""
     assert err == f"numerical failure: {printed}\n"
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("minimize", "--m", "2", "--n", "1", "--N", str(10 ** 20)),
+    ("minimize", "--m", str(10 ** 20), "--n", "1", "--N", "2"),  # the extended window
+    ("sweep", "--mmax", "2", "--N", str(10 ** 20))])
+def test_window_too_large_to_index_is_numerical_failure(capsys, argv):
+    # (N+1)(2N+1) grid points exceed the largest array index: numpy would
+    # refuse the grid with a ValueError before any allocation
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: window order ") and err.count("\n") == 1
 
 
 # exits 77 if a bare `import numpy` loads numpy.ma (numpy 1.x does)

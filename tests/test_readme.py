@@ -1,11 +1,14 @@
-"""README's Python example runs and gives the value its comment states, and
-every name its library overview quotes exists."""
+"""README's Python example runs and gives the value its comment states,
+every name its library overview quotes exists, and every command its usage
+block shows parses."""
 
 import builtins
 import importlib
 import re
 from fractions import Fraction
 from pathlib import Path
+
+from kolmconj.cli import build_parser
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -33,3 +36,11 @@ def test_overview_names_resolve():
     for module, name in names:
         assert (hasattr(importlib.import_module(module), name)
                 or hasattr(builtins, name) or name == "kolmconj"), (module, name)
+
+
+def test_usage_lines_parse():
+    [usage] = re.findall(r"## Command line\n\n```\n(.*?)```", README, re.S)
+    lines = [line.split("#", 1)[0].split() for line in usage.splitlines() if line.strip()]
+    assert len(lines) >= 9 and all(words[0] == "kolmconj" for words in lines)
+    for words in lines:
+        build_parser().parse_args(words[1:])
