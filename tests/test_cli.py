@@ -245,6 +245,15 @@ class TestMiCommand:
         code, _, _ = run(capsys, "mi", str(path), "--m", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--m", "--n"])
+    def test_lone_flow_flag_is_usage_error(self, capsys, tmp_path, flag):
+        path = tmp_path / "cosx.json"
+        write_field_file(str(path), KolmogorovFlow(3, 2),
+                         TrigPoly.cosine(1, 0), "plain cosine")
+        code, out, err = run(capsys, "mi", str(path), flag, "7")
+        assert code == 2 and out == ""
+        assert err == "provide both --m and --n to override the file\n"
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "mi", str(tmp_path / "nope.json"))
         assert code == 2
@@ -614,25 +623,46 @@ def test_any_constraint_spec_ends_in_an_exit_code(capsys, spec):
 @pytest.mark.parametrize("message,printed", [
     (("Unable to allocate 7.45 TiB for an array",), "Unable to allocate 7.45 TiB for an array"),
     ((), "out of memory")])
-def test_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, message, printed):
+@pytest.mark.parametrize("target,command", [
+    ("run_minimize", ["minimize", "--m", "1", "--n", "1", "--N", "1000000"]),
+    ("run_sweep", ["sweep", "--mmax", "1", "--N", "1000000"])])
+def test_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, target, command,
+                                            message, printed):
     # the allocation is faked: the stand-in raises what numpy raises when a
     # window this large does not fit in memory
     def exhausted(*args, **kwargs):
         raise MemoryError(*message)
 
-    monkeypatch.setattr("kolmconj.cli.run_minimize", exhausted)
-    out_file = tmp_path / "out.json"
-    code, out, err = run(capsys, "minimize", "--m", "1", "--n", "1", "--N", "1000000",
-                         "--out", str(out_file))
+    monkeypatch.setattr(f"kolmconj.cli.{target}", exhausted)
+    out_file = tmp_path / "out.txt"
+    code, out, err = run(capsys, *command, "--out", str(out_file))
     assert code == 3
     assert out == ""
     assert err == f"numerical failure: {printed}\n"
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("message,printed", [
+    (("Unable to allocate 7.45 TiB for an array",), "Unable to allocate 7.45 TiB for an array"),
+    ((), "out of memory")])
+def test_mi_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, message, printed):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*message)
+
+    path = tmp_path / "cosx.json"
+    write_field_file(str(path), KolmogorovFlow(3, 2), TrigPoly.cosine(1, 0), "plain cosine")
+    monkeypatch.setattr("kolmconj.cli.misiolek_index", exhausted)
+    code, out, err = run(capsys, "mi", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == f"numerical failure: {printed}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("minimize", "--m", "2", "--n", "1", "--N", str(10 ** 20)),
     ("minimize", "--m", str(10 ** 20), "--n", "1", "--N", "2"),  # the extended window
+    ("minimize", "--m", "2", "--n", "1", "--N", str(10 ** 20), "--subspace", "sin"),
+    ("minimize", "--m", "2", "--n", "1", "--N", str(10 ** 20), "--subspace", "full"),
     ("sweep", "--mmax", "2", "--N", str(10 ** 20))])
 def test_window_too_large_to_index_is_numerical_failure(capsys, argv):
     # (N+1)(2N+1) grid points exceed the largest array index: numpy would

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -72,6 +73,17 @@ class TestWindow:
             SpectralWindow(0, COS)
         with pytest.raises(ValueError):
             SpectralWindow(3, "weird")
+
+    @pytest.mark.parametrize("subspace", [COS, SIN, FULL])
+    def test_order_too_large_to_index_is_memory_error(self, subspace):
+        # the least order whose (N+1)(2N+1) grid exceeds the largest array
+        # index: the window refuses it before it allocates anything
+        largest = int(np.iinfo(np.intp).max)
+        N = math.isqrt(largest // 2)
+        while (N + 1) * (2 * N + 1) <= largest:
+            N += 1
+        with pytest.raises(MemoryError, match=f"window order {N} is too large to index"):
+            SpectralWindow(N, subspace)
 
 
 class TestFoldIndex:
