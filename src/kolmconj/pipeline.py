@@ -44,8 +44,10 @@ class MinimizeResult:
     block_mode: Mode      # first mode of the chain that holds the minimum
 
 
-def _check_options(p: int, N: int, max_denominator: int) -> None:
-    """Reject options that no window can use, before any window is built."""
+def _check_options(p: int, N: int) -> None:
+    """Reject options that no window can use, before any window is built:
+    a p that passes leaves every weight D^{-p/2} a normal double.  The
+    denominator cap is the constant `spectral.MAX_DENOMINATOR`."""
     if p < 0:
         raise ValueError("Sobolev order must be >= 0")
     if N < 1:
@@ -55,36 +57,31 @@ def _check_options(p: int, N: int, max_denominator: int) -> None:
     if p > -2 * math.log(sys.float_info.min) / math.log(2 * N * N):
         raise ValueError(f"Sobolev order {p} underflows the window's smallest weight "
                          f"(2N^2)^(-p/2) at N={N}")
-    if max_denominator < 1:
-        raise ValueError("denominator cap must be >= 1")
 
 
-def _result(flow: KolmogorovFlow, window: SpectralWindow, p: int, found,
-            max_denominator: int) -> MinimizeResult:
+def _result(flow: KolmogorovFlow, window: SpectralWindow, p: int, found) -> MinimizeResult:
     """The certified result of one flow's `window_minimum` entry; raises the entry's error."""
     if isinstance(found, Exception):
         raise found
     pair, coeffs, blocks, largest, first = found
-    field, q = certify_candidate(window, coeffs, flow, max_denominator)
+    field, q = certify_candidate(window, coeffs, flow)
     dominant, block_mode = window.modes_at([int(np.argmax(np.abs(coeffs))), first])
     return MinimizeResult(flow, window.subspace, p, window.N, pair, coeffs, dominant, field, q,
                           blocks, largest, block_mode)
 
 
 def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
-                 subspace: str = COS, constraints: Sequence[Mode] = (),
-                 max_denominator: int = 10 ** 6) -> MinimizeResult:
+                 subspace: str = COS, constraints: Sequence[Mode] = ()) -> MinimizeResult:
     """Lowest eigenpair over the window's bracket chains, certified exactly."""
     if N is None:
         N = 2 * max(flow.m, flow.n) + 4
-    _check_options(p, N, max_denominator)
+    _check_options(p, N)
     window = SpectralWindow(N, subspace)
     [found] = window_minimum([flow], window, p, constraints)
-    return _result(flow, window, p, found, max_denominator)
+    return _result(flow, window, p, found)
 
 
-def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
-              max_denominator: int = 10 ** 6
+def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12
               ) -> List[Tuple[KolmogorovFlow, str, Union[MinimizeResult, Exception]]]:
     """One (flow, subspace, outcome) per minimization run: cosine subspace
     first, sine as fallback.
@@ -98,7 +95,7 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
     if nmax is None:
         nmax = mmax
     # bad options fail every run alike: reject them before the first
-    _check_options(p, N, max_denominator)
+    _check_options(p, N)
     if min(mmax, nmax) < 1:
         raise ValueError("sweep bounds mmax and nmax must be >= 1")
     runs = []
@@ -109,7 +106,7 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12,
         undetected = []
         for flow, found in zip(flows, window_minimum(flows, window, p)):
             try:
-                outcome = _result(flow, window, p, found, max_denominator)
+                outcome = _result(flow, window, p, found)
             except (CertificationError, ConvergenceError, ValueError) as exc:
                 # without its traceback, a kept error holds none of the scan's frames
                 outcome = exc.with_traceback(None)

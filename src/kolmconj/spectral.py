@@ -29,6 +29,8 @@ TIE_RTOL = 1e-12
 # more than 45 modes share no stack: they are reduced last, and each is solved
 # alone unless `_FlowScan.beaten` screens it out
 STACK_ENTRIES = 4096
+# certification rounds each scaled coefficient to a denominator at most this
+MAX_DENOMINATOR = 10 ** 6
 
 
 class CertificationError(RuntimeError):
@@ -324,11 +326,9 @@ class _FlowScan:
         # Python's pow: numpy's SIMD power in `scale` can differ from it in the last bit
         coeffs = np.zeros(len(window))
         coeffs[index] = vector * [d ** (-p / 2) for d in window.laplace[index].tolist()]
-        peak = np.max(np.abs(coeffs))
-        if peak == 0:
-            raise ValueError("zero eigenvector")
-        return (EigenPair(value, vector, residual), coeffs / peak, self.count, self.largest,
-                int(self.firsts[best]))
+        # the peak is positive: the vector has unit norm, and no weight underflows
+        return (EigenPair(value, vector, residual), coeffs / np.max(np.abs(coeffs)),
+                self.count, self.largest, int(self.firsts[best]))
 
 
 def _solve(batch: List[tuple]) -> None:
@@ -373,10 +373,10 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     one entry per flow: its error, or the pair; the minimizer's
     coefficients, a float array over the window's modes, with
     S = D^{-p/2} B D^{-p/2} undone on the winning chain, 0 off it, and
-    largest magnitude 1; the number of chains and the modes in the
-    largest, twins and zeroed modes included; and the window position of
-    the winning chain's first mode, zeroed or not.  Errors of
-    the window or the options (a bad p or zeroed mode) are raised.
+    largest magnitude 1 while no weight underflows; the number of chains
+    and the modes in the largest, twins and zeroed modes included; and the
+    window position of the winning chain's first mode, zeroed or not.
+    Errors of the window or the options (a bad p or zeroed mode) are raised.
     """
     scale = _sobolev_scale(window.laplace, p)
     at = _positions(window, set(zeroed))
@@ -427,13 +427,13 @@ class Certificate(NamedTuple):
     q: Fraction
 
 
-def certify_candidate(window: SpectralWindow, values: np.ndarray, flow: KolmogorovFlow,
-                      max_denominator: int = 10 ** 6) -> Certificate:
+def certify_candidate(window: SpectralWindow, values: np.ndarray,
+                      flow: KolmogorovFlow) -> Certificate:
     """Rationalize a float coefficient vector on `window` and evaluate the index exactly.
 
     Coefficients are scaled so the largest magnitude is 1 and rounded to
-    the nearest rationals with denominator at most `max_denominator`: each
-    x to `Fraction(x).limit_denominator(max_denominator)`, computed in
+    the nearest rationals with denominator at most MAX_DENOMINATOR: each
+    x to `Fraction(x).limit_denominator(MAX_DENOMINATOR)`, computed in
     integers by `nearest_fraction`, one Fraction per coefficient.  The
     Misiolek index q = MI/pi^2 of the bracket of the rebuilt field is
     computed with exact arithmetic.  Returns (field, q); q < 0 is a
@@ -449,7 +449,7 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray, flow: Kolmogor
         raise ValueError("cannot certify the zero vector")
     # modes outside the winning block are 0, and TrigPoly drops a zero anyway
     nonzero = np.flatnonzero(values)
-    f = TrigPoly({mode: nearest_fraction(x, max_denominator) for mode, x in
+    f = TrigPoly({mode: nearest_fraction(x, MAX_DENOMINATOR) for mode, x in
                   zip(window.modes_at(nonzero), (values[nonzero] / peak).tolist())})
     phi = bracket(flow.stream(), f)
     if phi.is_zero():

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kolmconj
-from kolmconj import cli, pipeline
+from kolmconj import cli, pipeline, theorems
 from kolmconj.cli import build_parser, main
 from kolmconj.pipeline import (read_field_file, run_minimize, run_sweep,
                                write_field_file)
 from kolmconj.spectral import CertificationError, SpectralWindow
-from kolmconj.theorems import drivas_field
+from kolmconj.theorems import VerificationError, drivas_field
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, TrigPoly
 
 from conftest import assert_winner_solved, spy_scan
@@ -78,6 +78,25 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"usage: verify {argv[0]}\n"
 
+    @pytest.mark.parametrize("params,message", [
+        ((), "usage: verify diag N"), (("2", "3"), "usage: verify diag N"),
+        (("0",), "verify diag requires n >= 1")])
+    def test_bad_diag_params_are_usage_error(self, capsys, params, message):
+        code, out, err = run(capsys, "verify", "diag", *params)
+        assert code == 2 and out == ""
+        assert err == message + "\n"
+
+    @pytest.mark.parametrize("scope", ["signs", "all"])
+    def test_failing_sign_certificate_prints_nothing(self, capsys, monkeypatch, scope):
+        # a failing sign certificate ends the report as a failing family does
+        def sign_certificates():
+            raise VerificationError("edge polynomial disagrees with the pipeline")
+
+        monkeypatch.setattr(theorems, "sign_certificates", sign_certificates)
+        code, out, err = run(capsys, "verify", scope)
+        assert code == 1 and out == ""
+        assert err == "verification failed: edge polynomial disagrees with the pipeline\n"
+
 
 class TestMinimizeCommand:
     def test_detects_32(self, capsys, tmp_path):
@@ -135,6 +154,17 @@ class TestMinimizeCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_file.parent.exists()
+
+    def test_kernel_candidate_is_numerical_failure(self, capsys, tmp_path):
+        # (6,6) cos at N=12 has no negative direction, and its rationalized
+        # minimizer is constant on streamlines
+        out_file = tmp_path / "w.json"
+        code, out, err = run(capsys, "minimize", "--m", "6", "--n", "6", "--N", "12",
+                             "--out", str(out_file))
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: rationalized candidate lies in the kernel "
+                       "of the bracket operator\n")
+        assert not out_file.exists()
 
     def test_cos_subspace_11_not_detected(self, capsys):
         # the (1,1) cosine minimum is numerically zero; the rationalized
@@ -486,6 +516,22 @@ def test_tolerance_option_is_gone(capsys, monkeypatch, argv, tol):
     assert "--tol" in err and out == ""
 
 
+@pytest.mark.parametrize("cap", ["1000000", "0", "1000"])
+@pytest.mark.parametrize("argv", [("minimize", "--m", "2", "--n", "1", "--N", "4"),
+                                  ("sweep", "--mmax", "2")], ids=["minimize", "sweep"])
+def test_cap_option_is_gone(capsys, monkeypatch, argv, cap):
+    # the denominator cap is the constant spectral.MAX_DENOMINATOR: its own
+    # value and the values once rejected or accepted as caps are all an
+    # unknown option, before any window
+    def window_minimum(*args, **kwargs):
+        raise AssertionError("window_minimum called")
+
+    monkeypatch.setattr(pipeline, "window_minimum", window_minimum)
+    code, out, err = run(capsys, *argv, "--cap", cap)
+    assert code == 2
+    assert "--cap" in err and out == ""
+
+
 @pytest.mark.parametrize("argv", [("stream", "--m", "2", "--n", "1"),
                                   ("minimizer", "--field", "w.json"),
                                   ("deformed", "--field", "w.json", "--epsilon", "0.3")],
@@ -499,7 +545,7 @@ def test_field_command_is_gone(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("option,value,word", [
-    ("--cap", "0", "denominator cap"), ("--p", "-1", "Sobolev order"),
+    ("--p", "-1", "Sobolev order"),
     ("--N", "0", "window order"), ("--mmax", "0", "mmax and nmax"),
     ("--nmax", "-1", "mmax and nmax"), ("--nmax", "0", "mmax and nmax"),
     ("--p", "1000", "Sobolev order")])
@@ -513,8 +559,8 @@ def test_bad_sweep_option_is_usage_error(capsys, option, value, word):
 
 
 @pytest.mark.parametrize("option,value,word", [
-    ("--cap", "0", "denominator cap must be >= 1"), ("--p", "-1", "Sobolev order"),
-    ("--N", "0", "window order"), ("--p", "1000", "Sobolev order")])
+    ("--p", "-1", "Sobolev order"), ("--N", "0", "window order"),
+    ("--p", "1000", "Sobolev order")])
 def test_bad_minimize_option_is_rejected_before_any_window(capsys, monkeypatch,
                                                           option, value, word):
     def window_minimum(*args, **kwargs):

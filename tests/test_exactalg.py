@@ -97,5 +97,7 @@ class TestNearestFraction:
         assert nearest_fraction(0.25, 2) == 0 and nearest_fraction(-0.25, 2) == 0
 
     def test_rejects_a_cap_below_one(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            nearest_fraction(0.3, 0)
+        # the error `limit_denominator` raises
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="^max_denominator should be at least 1$"):
+                nearest_fraction(0.3, cap)

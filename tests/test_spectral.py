@@ -1,10 +1,13 @@
+import ast
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kolmconj import spectral
 from kolmconj.spectral import (FULL, CertificationError, SpectralWindow, _extended,
                                _reduce, _sobolev_scale, certify_candidate, window_minimum)
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
@@ -319,13 +322,20 @@ class TestCertify:
         with pytest.raises(ValueError, match="does not match"):
             certify_candidate(win, np.ones((1, len(win))), flow)
 
-    def test_cap_below_one_rejected(self):
-        # the error `limit_denominator` raises
-        flow = KolmogorovFlow(3, 2)
-        win = SpectralWindow(3, COS)
-        for cap in (0, -1):
-            with pytest.raises(ValueError, match="^max_denominator should be at least 1$"):
-                certify_candidate(win, np.ones(len(win)), flow, cap)
+
+def test_no_function_takes_a_denominator_cap():
+    # the certificate's cap is the constant MAX_DENOMINATOR; only the general
+    # rationalizer `exactalg.nearest_fraction` takes a cap
+    assert spectral.MAX_DENOMINATOR == 10 ** 6
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if (path.name, getattr(node, "name", None)) == ("exactalg.py", "nearest_fraction"):
+                continue
+            arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            names = {a.arg for a in arguments}
+            assert not names & {"cap", "max_denominator"}, (path.name, node.lineno)
 
 
 class TestEndToEnd:

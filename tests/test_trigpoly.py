@@ -472,13 +472,15 @@ class TestKernelMatchesReference:
 
 
 @pytest.mark.parametrize("cap", [1, 2, 7, 10 ** 3, 10 ** 6])
-def test_certify_candidate_rationalizes_every_entry(cap):
+def test_certify_candidate_rationalizes_every_entry(monkeypatch, cap):
     """`nearest_fraction` gives the field that rationalizing every entry with
     `limit_denominator` gives, term for term, in window order."""
     import numpy as np
 
+    from kolmconj import spectral
     from kolmconj.spectral import SpectralWindow, certify_candidate
 
+    monkeypatch.setattr(spectral, "MAX_DENOMINATOR", cap)
     rng = random.Random(cap)
     flow = KolmogorovFlow(3, 2)
     window = SpectralWindow(6, "full")
@@ -499,6 +501,6 @@ def test_certify_candidate_rationalizes_every_entry(cap):
                 c = F(float(val / peak)).limit_denominator(cap)
                 if c:
                     want[mode] = c
-            got, _ = certify_candidate(window, values, flow, cap)
+            got, _ = certify_candidate(window, values, flow)
             assert list(got.terms.items()) == list(want.items())
             assert all(type(c) is F for c in got.terms.values())
