@@ -7,9 +7,8 @@ of the Misiolek index.
 
 from .eigensolve import ConvergenceError, EigenPair
 from .spectral import CertificationError, SpectralWindow, certify_candidate
-from .theorems import (CriticalPoint, QuadraticFormInParams, SignReport,
-                       VerificationError, diag_candidate, diag_form,
-                       drivas_check, drivas_field, offdiag_candidate,
+from .theorems import (CriticalPoint, QuadraticFormInParams, diag_candidate,
+                       diag_form, drivas_check, drivas_field, offdiag_candidate,
                        offdiag_form, sign_certificates)
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
                        canonicalize, grad_energy, inner, misiolek_index)

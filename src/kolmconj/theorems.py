@@ -5,7 +5,9 @@ The scaled Misiolek index of the two-parameter (m > n) and four-parameter
 Rather than transcribing the known closed forms, each form is built here as
 the Gram matrix of the family's brackets under the exact Misiolek pairing;
 the published displays then serve purely as golden values, so a mismatch
-catches transcription errors on either side.
+catches transcription errors on either side.  Each block that `verify`
+prints is built here as data (`CheckBlock`): rows of (label, expected,
+computed), every one of which can fail.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from .trigpoly import (KolmogorovFlow, TrigPoly, bracket, misiolek_index,
 
 F = Fraction
 
-
-class VerificationError(Exception):
-    """An exact identity that the theory guarantees failed to hold."""
-
+# Golden exact index (over pi^2) of the (1,1) certificate field.
+DRIVAS_INDEX = F(-3, 200)
 
 # Golden coefficient values for the two sign certificates, ascending in k.
 OFFDIAG_EDGE_COEFFS = (-83, -520, -992, -896, -464, -128)
@@ -82,6 +82,24 @@ def _family_form(flow: KolmogorovFlow, variables: Tuple[str, ...], base: TrigPol
 
 
 @dataclass(frozen=True)
+class CheckBlock:
+    """One block of `verify`: a header, then rows (label, expected, computed),
+    each of which holds when its two values are equal; or, in place of rows,
+    a note that checks nothing."""
+
+    header: str
+    rows: Tuple[Tuple[str, object, object], ...] = ()
+    note: Optional[str] = None
+
+
+class Values(tuple):
+    """A tuple of exact values that prints as plain fractions: (-83, 1/2)."""
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(map(str, self)) + ")"
+
+
+@dataclass(frozen=True)
 class CriticalPoint:
     values: Dict[str, Fraction]
     value: Fraction  # the form evaluated at the point
@@ -119,18 +137,13 @@ def offdiag_reference(m: int, n: int) -> Dict[Tuple[int, int], Fraction]:
 def offdiag_candidate(m: int, n: int) -> CriticalPoint:
     """Axis-wise minimizers a0 (of H(a,0)) and b0 (of H(0,b)) and the value there.
 
-    The value is provably negative for every m > n >= 1; a nonnegative
-    result is a hard failure.
+    The value is provably negative for every m > n >= 1; the `minimum
+    negative` row of `family_block` checks it.
     """
     form = offdiag_form(m, n)
     g = form.gram
-    a0 = -g[0][1] / g[1][1]
-    b0 = -g[0][2] / g[2][2]
-    value = form.evaluate((a0, b0))
-    if value >= 0:
-        raise VerificationError(
-            f"off-diagonal candidate for (m,n)=({m},{n}) is not negative: {value}")
-    return CriticalPoint({"a": a0, "b": b0}, value, form)
+    point = (-g[0][1] / g[1][1], -g[0][2] / g[2][2])
+    return CriticalPoint(dict(zip(form.variables, point)), form.evaluate(point), form)
 
 
 def offdiag_reference_candidate(m: int, n: int) -> CriticalPoint:
@@ -197,17 +210,15 @@ def diag_reference(n: int) -> Dict[Tuple[int, int, int, int], Fraction]:
 def diag_candidate(n: int) -> CriticalPoint:
     """Unique critical point of the diagonal family, by exact 4x4 solve.
 
-    Negativity of the value is asserted for n >= 2 (where it is a theorem);
-    at n = 1 the value is reported without a sign assertion.
+    The value is negative for n >= 2, a theorem that the `critical value
+    negative` row of `family_block` checks; at n = 1 it is reported without
+    a sign assertion.
     """
     form = diag_form(n)
     # y^T G y is stationary in x where G[1:] y = 0
     g = form.gram
     sol = solve_linear([row[1:] for row in g[1:]], [-v for v in g[0][1:]])
-    value = form.evaluate(sol)
-    if n >= 2 and value >= 0:
-        raise VerificationError(f"diagonal candidate for n={n} is not negative: {value}")
-    return CriticalPoint(dict(zip(("a", "b", "c", "d"), sol)), value, form)
+    return CriticalPoint(dict(zip(form.variables, sol)), form.evaluate(sol), form)
 
 
 def diag_reference_candidate(n: int) -> CriticalPoint:
@@ -227,6 +238,34 @@ def diag_reference_candidate(n: int) -> CriticalPoint:
     return CriticalPoint({"a": a0, "b": b0, "c": c0, "d": d0}, value)
 
 
+def family_block(m: int, n: int) -> CheckBlock:
+    """The `verify` block of one closed-form family: off-diagonal if m > n,
+    diagonal if m = n.  It checks each coefficient of the family's form, each
+    critical coordinate and the value against the published closed forms,
+    then the value's sign."""
+    if m != n:
+        cand = offdiag_candidate(m, n)
+        header = f"off-diagonal family (m,n)=({m},{n})"
+        labels = ("minimum value", "minimum negative")
+        ref, ref_cand = offdiag_reference(m, n), offdiag_reference_candidate(m, n)
+    else:
+        cand = diag_candidate(n)
+        header = f"diagonal family n={n}"
+        if n == 1:
+            # the closed forms assume n >= 2 (mode collisions at n = 1 change
+            # the index form); report the exact value without comparisons
+            return CheckBlock(header, note=f"n=1 critical value reported without sign "
+                                           f"assertion: {cand.value}")
+        labels = ("critical value", "critical value negative")
+        ref, ref_cand = diag_reference(n), diag_reference_candidate(n)
+    variables = cand.form.variables
+    rows = [("coeff " + ("".join(v * e for v, e in zip(variables, mono)) or "1"),
+             ref[mono], cand.form.coefficient(mono)) for mono in sorted(ref, reverse=True)]
+    rows += [(f"{v}0", ref_cand.values[v], cand.values[v]) for v in variables]
+    rows += [(labels[0], ref_cand.value, cand.value), (labels[1], True, cand.value < 0)]
+    return CheckBlock(header, tuple(rows))
+
+
 # ---------------------------------------------------------------- m = n = 1
 
 def drivas_field() -> TrigPoly:
@@ -243,18 +282,14 @@ def drivas_check() -> Fraction:
     return misiolek_index(bracket(flow.stream(), drivas_field()), flow)
 
 
+def drivas_block() -> CheckBlock:
+    """The `verify` block of the (1,1) certificate field."""
+    return CheckBlock("m=n=1 certificate field", (("MI/pi^2", DRIVAS_INDEX, drivas_check()),))
+
+
 # ---------------------------------------------------------------- sign certificates
 
-@dataclass(frozen=True)
-class SignReport:
-    offdiag_edge_coeffs: Tuple[Fraction, ...]   # worst case n = m-1, m = k+1, in k
-    diag_min_numerator: Tuple[Fraction, ...]    # diagonal minimum, n^2 = 4+k, in k
-    diag_min_denominator: Tuple[Fraction, ...]
-    offdiag_spot_checks: Dict[int, Fraction]    # m -> scaled minimum at (m, m-1)
-    diag_spot_checks: Dict[int, Fraction]       # n -> diagonal minimum value
-
-
-def sign_certificates() -> SignReport:
+def sign_certificates() -> CheckBlock:
     """Polynomial sign certificates completing the negativity proofs.
 
     (i) The scaled off-diagonal minimum at the worst case n = m-1, written
@@ -262,30 +297,24 @@ def sign_certificates() -> SignReport:
     are all negative.  (ii) The diagonal minimum is the ratio
     DIAG_MIN_NUMERATOR / DIAG_MIN_DENOMINATOR of quartics in n^2 = 4+k, with
     numerator coefficients all negative and denominator coefficients all
-    positive.  Each golden polynomial is checked against the pipeline's
-    exact values at k = 1..7 (m = 2..8) and n = 2..12: one sample more than
-    a quintic's six coefficients, and two more than the nine unknowns of a
-    ratio of quartics whose denominator is 2 at n = 0.  The report's
-    coefficient tuples are the golden tuples, returned only after every
-    sample matched; the spot checks hold every value computed, for
-    m = 2..11 and n = 2..12.
+    positive.  A sign row expects a golden tuple and computes its
+    coefficients that have the required strict sign.  A sample row expects
+    the golden polynomial's values and computes the pipeline's exact values:
+    the quintic at k = 1..10 (m = 2..11) and the ratio at n = 2..12, more
+    samples than a quintic's six coefficients, and two more than the nine
+    unknowns of a ratio of quartics whose denominator is 2 at n = 0.
     """
-    edge, num, den = (tuple(F(c) for c in golden) for golden in
+    edge, num, den = (Values(map(F, golden)) for golden in
                       (OFFDIAG_EDGE_COEFFS, DIAG_MIN_NUMERATOR, DIAG_MIN_DENOMINATOR))
-    if any(c >= 0 for c in edge + num) or any(c <= 0 for c in den):
-        raise VerificationError("golden sign certificate coefficients have the wrong sign")
-
-    # both candidates raise VerificationError on a nonnegative value
-    offdiag = {m: offdiag_scaled_minimum(m, m - 1) for m in range(2, 12)}
-    for m in range(2, 9):
-        if poly_eval(edge, F(m - 1)) != offdiag[m]:
-            raise VerificationError("off-diagonal edge quintic disagrees with the "
-                                    f"pipeline at (m,n)=({m},{m - 1})")
-    diag = {n: diag_candidate(n).value for n in range(2, 13)}
-    for n in range(2, 13):
-        k = F(n * n - 4)
-        if poly_eval(num, k) != diag[n] * poly_eval(den, k):
-            raise VerificationError("diagonal minimum ratio disagrees with the "
-                                    f"pipeline at (m,n)=({n},{n})")
-
-    return SignReport(edge, num, den, offdiag, diag)
+    ms, ks = range(2, 12), [F(n * n - 4) for n in range(2, 13)]
+    return CheckBlock("polynomial sign certificates", (
+        ("worst-case coefficients negative (in k)", edge, Values(c for c in edge if c < 0)),
+        ("worst-case quintic at k=1..10, (m,n)=(k+1,k)",
+         Values(poly_eval(edge, F(m - 1)) for m in ms),
+         Values(offdiag_scaled_minimum(m, m - 1) for m in ms)),
+        ("diagonal numerator negative (in k)", num, Values(c for c in num if c < 0)),
+        ("diagonal denominator positive (in k)", den, Values(c for c in den if c > 0)),
+        ("diagonal ratio at n=2..12, k=n^2-4",
+         Values(poly_eval(num, k) / poly_eval(den, k) for k in ks),
+         Values(diag_candidate(n).value for n in range(2, 13))),
+    ))

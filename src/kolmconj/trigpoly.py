@@ -335,11 +335,9 @@ def misiolek_index(phi: TrigPoly, flow: KolmogorovFlow) -> Fraction:
 
     MI(phi) = integral of |grad phi|^2 - (m^2+n^2) phi^2.  A negative value
     certifies a conjugate point along the flow's geodesic.  The input must
-    be mean-zero; a nonzero constant coefficient is a caller bug and is
-    rejected rather than silently projected away.
+    be mean-zero; `misiolek_pairing` rejects a nonzero constant coefficient,
+    a caller bug, rather than silently projecting it away.
     """
-    if phi.constant_coeff:
-        raise ValueError("misiolek_index requires a mean-zero input")
     return misiolek_pairing(phi, phi, flow)
 
 
@@ -352,7 +350,7 @@ def misiolek_pairing(p: TrigPoly, q: TrigPoly, flow: KolmogorovFlow) -> Fraction
     over a running common denominator (the lcm of those seen), and one
     Fraction is built from the total; being normalized, it equals the sum
     taken one Fraction at a time.
-    Both inputs must be mean-zero, as for `misiolek_index`.
+    Both inputs must be mean-zero; a constant term raises ValueError.
     """
     if CONSTANT_MODE in p.terms or CONSTANT_MODE in q.terms:
         raise ValueError("misiolek_pairing requires mean-zero inputs")

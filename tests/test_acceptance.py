@@ -79,12 +79,15 @@ def test_criterion_3_diag_closed_forms():
 
 
 def test_criterion_4_sign_certificates():
-    rep = sign_certificates()
-    ok = (rep.offdiag_edge_coeffs == tuple(F(c) for c in OFFDIAG_EDGE_COEFFS)
-          and rep.diag_min_numerator == tuple(F(c) for c in DIAG_MIN_NUMERATOR)
-          and rep.diag_min_denominator == tuple(F(c) for c in DIAG_MIN_DENOMINATOR)
-          and all(v < 0 for v in rep.offdiag_spot_checks.values())
-          and all(v < 0 for v in rep.diag_spot_checks.values()))
+    # rows (label, expected, computed): each golden tuple's strict signs, and
+    # the golden quintic's and ratio's values against the pipeline's samples
+    edge, edge_samples, num, den, ratio = sign_certificates().rows
+    ok = (edge[1] == edge[2] == tuple(F(c) for c in OFFDIAG_EDGE_COEFFS)
+          and num[1] == num[2] == tuple(F(c) for c in DIAG_MIN_NUMERATOR)
+          and den[1] == den[2] == tuple(F(c) for c in DIAG_MIN_DENOMINATOR)
+          and all(c < 0 for c in edge[2] + num[2]) and all(c > 0 for c in den[2])
+          and edge_samples[1] == edge_samples[2] and all(v < 0 for v in edge_samples[2])
+          and ratio[1] == ratio[2] and all(v < 0 for v in ratio[2]))
     report(4, "polynomial sign certificates reproduce the golden coefficient "
               "tuples with the required strict signs (exact)", ok)
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from kolmconj.cli import build_parser, main
 from kolmconj.pipeline import (read_field_file, run_minimize, run_sweep,
                                write_field_file)
 from kolmconj.spectral import CertificationError, SpectralWindow
-from kolmconj.theorems import VerificationError, drivas_field
+from kolmconj.theorems import drivas_field
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, TrigPoly
 
 from conftest import assert_winner_solved, spy_scan
@@ -86,16 +87,18 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == message + "\n"
 
-    @pytest.mark.parametrize("scope", ["signs", "all"])
-    def test_failing_sign_certificate_prints_nothing(self, capsys, monkeypatch, scope):
-        # a failing sign certificate ends the report as a failing family does
-        def sign_certificates():
-            raise VerificationError("edge polynomial disagrees with the pipeline")
-
-        monkeypatch.setattr(theorems, "sign_certificates", sign_certificates)
+    @pytest.mark.parametrize("scope,blocks", [("signs", 1), ("all", 23)])
+    def test_failing_sign_certificate_prints_its_fail_row(self, capsys, monkeypatch, scope,
+                                                          blocks):
+        # a golden coefficient off by one: its samples row fails, every block is printed
+        monkeypatch.setattr(theorems, "OFFDIAG_EDGE_COEFFS",
+                            (-82,) + theorems.OFFDIAG_EDGE_COEFFS[1:])
         code, out, err = run(capsys, "verify", scope)
-        assert code == 1 and out == ""
-        assert err == "verification failed: edge polynomial disagrees with the pipeline\n"
+        lines = out.splitlines()
+        assert code == 1 and err == "" and lines[-1] == "FAIL"
+        assert [line.split(":")[0] for line in lines if line.endswith("[FAIL]")] == \
+            ["  worst-case quintic at k=1..10, (m,n)=(k+1,k)"]
+        assert sum(not line.startswith("  ") for line in lines[:-1]) == blocks
 
 
 class TestMinimizeCommand:
@@ -636,6 +639,84 @@ def test_verify_value_too_long_to_print_is_numerical_failure(capsys, argv, name)
     assert code == 3
     assert out == ""
     assert err == f"numerical failure: {name} has too many digits to print\n"
+
+
+def _shift_reference(name, key):
+    """Patch the published reference `theorems.name` so that one entry reads
+    1 more: a coefficient (by monomial), a critical coordinate or the value."""
+    def mutate(monkeypatch):
+        reference = getattr(theorems, name)
+
+        def shifted(*args):
+            ref = reference(*args)
+            if isinstance(ref, dict):
+                return {**ref, key: ref[key] + 1}
+            if key == "value":
+                return dataclasses.replace(ref, value=ref.value + 1)
+            return dataclasses.replace(ref, values={**ref.values, key: ref.values[key] + 1})
+
+        monkeypatch.setattr(theorems, name, shifted)
+    return mutate
+
+
+def _change_golden(name, position, change):
+    def mutate(monkeypatch):
+        golden = list(getattr(theorems, name))
+        golden[position] = change(golden[position])
+        monkeypatch.setattr(theorems, name, tuple(golden))
+    return mutate
+
+
+def _nonnegative_values(monkeypatch):
+    # every form evaluates to 0, so each candidate's value is not negative
+    monkeypatch.setattr(theorems.QuadraticFormInParams, "evaluate", lambda self, point: F(0))
+
+
+_EDGE_SAMPLES = "worst-case quintic at k=1..10, (m,n)=(k+1,k)"
+_RATIO_SAMPLES = "diagonal ratio at n=2..12, k=n^2-4"
+
+
+@pytest.mark.parametrize("argv,mutate,label", [
+    pytest.param(("offdiag", "3", "2"), _shift_reference("offdiag_reference", (1, 1)),
+                 "coeff ab", id="offdiag-coefficient"),
+    pytest.param(("diag", "2"), _shift_reference("diag_reference", (0, 0, 1, 1)),
+                 "coeff cd", id="diag-coefficient"),
+    pytest.param(("offdiag", "3", "2"), _shift_reference("offdiag_reference_candidate", "a"),
+                 "a0", id="a0"),
+    pytest.param(("diag", "2"), _shift_reference("diag_reference_candidate", "d"),
+                 "d0", id="d0"),
+    pytest.param(("offdiag", "3", "2"), _shift_reference("offdiag_reference_candidate", "value"),
+                 "minimum value", id="minimum-value"),
+    pytest.param(("diag", "2"), _shift_reference("diag_reference_candidate", "value"),
+                 "critical value", id="critical-value"),
+    pytest.param(("offdiag", "3", "2"), _nonnegative_values, "minimum negative",
+                 id="minimum-negative"),
+    pytest.param(("diag", "2"), _nonnegative_values, "critical value negative",
+                 id="critical-value-negative"),
+    pytest.param(("drivas",), lambda monkeypatch: monkeypatch.setattr(
+        theorems, "DRIVAS_INDEX", F(-3, 199)), "MI/pi^2", id="drivas"),
+    pytest.param(("signs",), _change_golden("OFFDIAG_EDGE_COEFFS", 0, lambda c: c + 1),
+                 _EDGE_SAMPLES, id="edge-quintic-plus-1"),
+    pytest.param(("signs",), _change_golden("OFFDIAG_EDGE_COEFFS", 3, lambda c: -c),
+                 "worst-case coefficients negative (in k)", id="edge-sign"),
+    pytest.param(("signs",), _change_golden("DIAG_MIN_NUMERATOR", 1, lambda c: c - 1),
+                 _RATIO_SAMPLES, id="numerator-minus-1"),
+    pytest.param(("signs",), _change_golden("DIAG_MIN_NUMERATOR", 4, lambda c: -c),
+                 "diagonal numerator negative (in k)", id="numerator-sign"),
+    pytest.param(("signs",), _change_golden("DIAG_MIN_DENOMINATOR", 2, lambda c: c + 1),
+                 _RATIO_SAMPLES, id="denominator-plus-1"),
+    pytest.param(("signs",), _change_golden("DIAG_MIN_DENOMINATOR", 0, lambda c: -c),
+                 "diagonal denominator positive (in k)", id="denominator-sign"),
+])
+def test_every_row_kind_can_fail(capsys, monkeypatch, argv, mutate, label):
+    # one reference or golden changed: its row prints [FAIL], then FAIL, exit 1
+    mutate(monkeypatch)
+    code, out, err = run(capsys, "verify", *argv)
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert lines[-1] == "FAIL"
+    [row] = [line for line in lines if line.startswith(f"  {label}: ")]
+    assert row.endswith("  [FAIL]")
 
 
 _SMALL_INTS = st.integers(-4, 4).map(str)
