@@ -1,5 +1,8 @@
 """Command-line front end: verify, minimize, sweep, mi.
 
+`sweep` writes its CSV on stdout, over every pair 1 <= n <= m <= mmax;
+`mi` scores a field file against the flow the file names.
+
 Exit codes: 0 success / verdict holds, 1 assertion failure, 2 usage error,
 3 numerical failure.
 """
@@ -146,30 +149,15 @@ def _sweep_line(flow: KolmogorovFlow, subspace: str, outcome) -> str:
 
 
 def cmd_sweep(args) -> int:
-    runs = run_sweep(args.mmax, args.nmax, p=args.p, N=args.N)
+    runs = run_sweep(args.mmax, p=args.p, N=args.N)
     lines = ["m,n,subspace,eigenvalue,certified_q,verdict"]
     lines += [_sweep_line(*run) for run in runs]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    print("\n".join(lines))
     return NUMERIC if any(isinstance(outcome, Exception) for _, _, outcome in runs) else OK
-
-
-def _flow_override(args, flow: KolmogorovFlow) -> KolmogorovFlow:
-    """The flow that --m and --n name when both are given, else `flow`."""
-    if args.m is None and args.n is None:
-        return flow
-    if args.m is None or args.n is None:
-        raise UsageError("provide both --m and --n to override the file")
-    return KolmogorovFlow(args.m, args.n)
 
 
 def cmd_mi(args) -> int:
     flow, field, _ = read_field_file(args.file)
-    flow = _flow_override(args, flow)
     phi = bracket(flow.stream(), field)
     if phi.is_zero():
         print("field is in the kernel of the bracket operator "
@@ -224,16 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="detection sweep over wavenumber pairs")
     p_sweep.add_argument("--mmax", type=int, required=True)
-    p_sweep.add_argument("--nmax", type=int, default=None)
     p_sweep.add_argument("--p", type=int, default=3)
     p_sweep.add_argument("--N", type=int, default=12)
-    p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_mi = sub.add_parser("mi", help="evaluate the index of a user field file")
     p_mi.add_argument("file")
-    p_mi.add_argument("--m", type=int, default=None)
-    p_mi.add_argument("--n", type=int, default=None)
     p_mi.set_defaults(func=cmd_mi)
 
     return parser

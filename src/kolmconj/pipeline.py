@@ -81,10 +81,10 @@ def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,
     return _result(flow, window, p, found)
 
 
-def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12
+def run_sweep(mmax: int, p: int = 3, N: int = 12
               ) -> List[Tuple[KolmogorovFlow, str, Union[MinimizeResult, Exception]]]:
-    """One (flow, subspace, outcome) per minimization run: cosine subspace
-    first, sine as fallback.
+    """One (flow, subspace, outcome) per minimization run over the pairs
+    1 <= n <= m <= mmax: cosine subspace first, sine as fallback.
 
     The outcome is the run's `MinimizeResult`, or the certification,
     convergence or value error that ended it.  One scan of the cosine
@@ -92,15 +92,13 @@ def run_sweep(mmax: int, nmax: Optional[int] = None, p: int = 3, N: int = 12
     it leaves without a certified q < 0.  Runs come by pair, the cosine
     run first.
     """
-    if nmax is None:
-        nmax = mmax
     # bad options fail every run alike: reject them before the first
     _check_options(p, N)
-    if min(mmax, nmax) < 1:
-        raise ValueError("sweep bounds mmax and nmax must be >= 1")
+    if mmax < 1:
+        raise ValueError("sweep bound mmax must be >= 1")
     runs = []
     flows = [KolmogorovFlow(m, n) for m in range(1, mmax + 1)
-             for n in range(1, min(m, nmax) + 1)]
+             for n in range(1, m + 1)]
     for subspace in (COS, SIN):
         window = SpectralWindow(N, subspace)
         undetected = []

@@ -43,11 +43,11 @@ class SpectralWindow:
     Each parity subspace holds exactly 2N^2 + 2N modes, ordered
     lexicographically by (j, k, parity) -- deterministic across runs.  The
     window is held as integer arrays `j`, `k`, a boolean `sin` and the
-    float `laplace` = j^2 + k^2; its `Mode` tuple is built on first use,
-    and `modes_at` builds only the modes asked for.
+    float `laplace` = j^2 + k^2; `modes_at` builds `Mode`s only for the
+    positions asked for.
     """
 
-    __slots__ = ("N", "subspace", "j", "k", "sin", "laplace", "_modes")
+    __slots__ = ("N", "subspace", "j", "k", "sin", "laplace")
 
     def __init__(self, N: int, subspace: str = COS):
         if N < 1:
@@ -65,13 +65,6 @@ class SpectralWindow:
         self.subspace = subspace
         self.j, self.k, self.sin = j[canonical], k[canonical], sin[canonical]
         self.laplace = (self.j * self.j + self.k * self.k).astype(float)
-        self._modes = None
-
-    @property
-    def modes(self) -> Tuple[Mode, ...]:
-        if self._modes is None:
-            self._modes = self.modes_at(np.arange(len(self)))
-        return self._modes
 
     def modes_at(self, index: Sequence[int]) -> Tuple[Mode, ...]:
         """The modes at the given window positions."""

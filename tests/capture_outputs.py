@@ -27,8 +27,8 @@ stdout, stderr and every `--out` file);
 one interleaved sequence of commands that share `main`'s parser, with
 argparse and usage errors, an unwritable `--out`, and commands run
 before and after others that set `--constrain`, or that name `field`,
-a command the parser no longer has (one of them with `--epsilon`), and
-so exit 2 in argparse; the
+a command the parser no longer has (one of them with `--epsilon`), or
+`mi --m --n`, options it no longer has, and so exit 2 in argparse; the
 NUMERICAL golden commands of `tests/test_golden.py`; and 150
 seeded random `run_minimize` calls (m, n <= 7, N 3-22, every subspace,
 p 0-4, 0-5 zeroed modes), hashed by eigenvalue and residual bits,
@@ -42,7 +42,7 @@ where most chains of more than 45 modes are screened out, not solved:
 (1,1) full at N=40, (2,1), (3,2) and (4,1) cos at N=40, (4,3) full at
 N=30 and (2,2) full at N=20, where the screen acts on chains of 50-60
 modes, each at p = 0 and 3; and 16 seeded
-`run_sweep` calls (mmax <= 8, nmax, N 1-16, p 0-4), hashed by each row's
+`run_sweep` calls (mmax <= 8, N 1-16, p 0-4), hashed by each row's
 pair, subspace, eigenvalue bits, Q and verdict, so that windows where few
 or many chain classes meet and rows that end in `error:` go through the
 pooled scan of many pairs.  pytest does not collect this file;
@@ -103,7 +103,7 @@ def _cli_commands(workdir):
     for n in range(1, EXACT_MMAX + 1):
         yield ("verify", "diag", str(n))
     yield from (("verify", scope) for scope in ("all", "signs", "drivas"))
-    yield ("sweep", "--mmax", "10", "--out", os.path.join(workdir, "sweep_10.csv"))
+    yield ("sweep", "--mmax", "10")
     yield ("sweep", "--mmax", "8", "--N", "16")
 
 
@@ -120,6 +120,7 @@ def _shared_parser_commands(workdir):
     yield ("minimize", "--m", "2", "--n", "1", "--N", "4",
            "--out", os.path.join(workdir, "missing", "x.json"))
     yield ("minimize", "--m", "2", "--n", "1", "--N", "4", "--out", field)
+    yield ("mi", field, "--m", "4", "--n", "1")
     yield deformed + (os.path.join(workdir, "deformed_5.csv"), "--epsilon", "5")
     yield deformed + (os.path.join(workdir, "deformed.csv"),)
     yield minimize
@@ -132,7 +133,8 @@ def _random_calls():
     for _ in range(RANDOM_CALLS):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         N, subspace, p = rng.randint(3, 22), rng.choice(SUBSPACES), rng.randint(0, 4)
-        zeroed = rng.sample(SpectralWindow(N, subspace).modes, rng.randint(0, 5))
+        window = SpectralWindow(N, subspace)
+        zeroed = rng.sample(window.modes_at(np.arange(len(window))), rng.randint(0, 5))
         yield KolmogorovFlow(m, n), dict(N=N, subspace=subspace, p=p, constraints=zeroed)
 
 
@@ -196,11 +198,13 @@ def _minimize(flow, options):
 
 
 def _sweep_calls():
+    """SWEEP_CALLS distinct seeded options: a repeated draw would share its label."""
     rng = random.Random(16)
-    for _ in range(SWEEP_CALLS):
-        mmax = rng.randint(1, 8)
-        yield dict(mmax=mmax, nmax=rng.choice((None, rng.randint(1, mmax))),
-                   N=rng.randint(1, 16), p=rng.randint(0, 4))
+    calls = {}
+    while len(calls) < SWEEP_CALLS:
+        options = dict(mmax=rng.randint(1, 8), N=rng.randint(1, 16), p=rng.randint(0, 4))
+        calls[str(options)] = options
+    return list(calls.values())
 
 
 def _sweep_digest(runs):

@@ -162,6 +162,11 @@ def extended(flow, window):
     return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
 
 
+def window_modes(window):
+    """Every mode of the window, in window order."""
+    return window.modes_at(np.arange(len(window)))
+
+
 def window_values(f: TrigPoly, window) -> np.ndarray:
     """f's coefficients laid out on the window, as floats; f must fit inside it."""
     values = np.zeros(len(window))

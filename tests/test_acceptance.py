@@ -26,7 +26,7 @@ from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, grad_energy, inner, misiolek_index)
 
 from conftest import (chain_brackets, extended, form_value, monomials,
-                      random_trigpoly, window_values)
+                      random_trigpoly, window_modes, window_values)
 
 
 def report(number, description, ok):
@@ -103,7 +103,7 @@ def test_criterion_5_matrix_matches_bracket():
         win = SpectralWindow(N, parity)
         v = np.zeros(len(win))
         f_terms = {}
-        for i, mode in enumerate(win.modes):
+        for i, mode in enumerate(window_modes(win)):
             c = F(rng.randint(-6, 6), 4)
             if c:
                 f_terms[mode] = c

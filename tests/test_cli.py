@@ -263,29 +263,14 @@ class TestMiCommand:
         assert code == 1
         assert "kernel" in out
 
-    def test_flow_override(self, capsys, tmp_path):
+    def test_scores_against_the_flow_the_file_names(self, capsys, tmp_path):
+        # cos x scores 2 against (3, 2) above, and 1/2 against (4, 1) here
         path = tmp_path / "cosx.json"
-        write_field_file(str(path), KolmogorovFlow(3, 2),
+        write_field_file(str(path), KolmogorovFlow(4, 1),
                          TrigPoly.cosine(1, 0), "plain cosine")
-        code, out, _ = run(capsys, "mi", str(path), "--m", "4", "--n", "1")
+        code, out, _ = run(capsys, "mi", str(path))
         assert code == 0
         assert "m=4 n=1" in out and "MI/pi^2 = 1/2 " in out
-
-    def test_partial_override_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "cosx.json"
-        write_field_file(str(path), KolmogorovFlow(3, 2),
-                         TrigPoly.cosine(1, 0), "plain cosine")
-        code, _, _ = run(capsys, "mi", str(path), "--m", "4")
-        assert code == 2
-
-    @pytest.mark.parametrize("flag", ["--m", "--n"])
-    def test_lone_flow_flag_is_usage_error(self, capsys, tmp_path, flag):
-        path = tmp_path / "cosx.json"
-        write_field_file(str(path), KolmogorovFlow(3, 2),
-                         TrigPoly.cosine(1, 0), "plain cosine")
-        code, out, err = run(capsys, "mi", str(path), flag, "7")
-        assert code == 2 and out == ""
-        assert err == "provide both --m and --n to override the file\n"
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "mi", str(tmp_path / "nope.json"))
@@ -324,12 +309,10 @@ class TestConjugateTimeBound:
 
 
 class TestSweepCommand:
-    def test_small_sweep(self, capsys, tmp_path):
-        out_file = tmp_path / "sweep.csv"
-        code, _, _ = run(capsys, "sweep", "--mmax", "2", "--N", "8",
-                         "--out", str(out_file))
-        assert code == 0
-        lines = out_file.read_text().strip().splitlines()
+    def test_small_sweep(self, capsys):
+        code, out, err = run(capsys, "sweep", "--mmax", "2", "--N", "8")
+        assert code == 0 and err == ""
+        lines = out.strip().splitlines()
         assert lines[0] == "m,n,subspace,eigenvalue,certified_q,verdict"
         detected = [ln for ln in lines[1:] if ln.endswith("conjugate point detected")]
         pairs = {tuple(ln.split(",")[:2]) for ln in detected}
@@ -339,6 +322,12 @@ class TestSweepCommand:
         runs = run_sweep(1, N=10)
         assert [subspace for _, subspace, _ in runs] == ["cos", "sin"]
         assert runs[0][2].q >= 0 and runs[1][2].q < 0
+
+    def test_run_sweep_covers_the_triangle(self):
+        runs = run_sweep(3, N=8)
+        pairs = list(dict.fromkeys((flow.m, flow.n) for flow, _, _ in runs))
+        assert pairs == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+        assert {(flow.m, flow.n) for flow, subspace, _ in runs if subspace == COS} == set(pairs)
 
     @staticmethod
     def _line(flow, subspace, res):
@@ -547,10 +536,28 @@ def test_field_command_is_gone(capsys, tmp_path, argv):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("sweep", "--mmax", "2", "--nmax", "1"), "--nmax"),
+    (("sweep", "--mmax", "2", "--out", "{out}"), "--out"),
+    (("mi", "{field}", "--m", "4", "--n", "1"), "--m"),
+    (("mi", "{field}", "--m", "4"), "--m"),
+    (("mi", "{field}", "--n", "1"), "--n")],
+    ids=["sweep-nmax", "sweep-out", "mi-m-n", "mi-m", "mi-n"])
+def test_removed_option_is_argparse_error(capsys, tmp_path, argv, option):
+    # `sweep` covers the whole triangle and writes to stdout, and `mi` scores
+    # a field against the flow its file names: each of these options exits 2
+    # in argparse, before any file is read or written
+    field, out_file = tmp_path / "cosx.json", tmp_path / "sweep.csv"
+    write_field_file(str(field), KolmogorovFlow(3, 2), TrigPoly.cosine(1, 0), "plain cosine")
+    code, out, err = run(capsys, *(arg.format(field=field, out=out_file) for arg in argv))
+    assert code == 2 and out == ""
+    assert f"error: unrecognized arguments: {option} " in err
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("option,value,word", [
     ("--p", "-1", "Sobolev order"),
-    ("--N", "0", "window order"), ("--mmax", "0", "mmax and nmax"),
-    ("--nmax", "-1", "mmax and nmax"), ("--nmax", "0", "mmax and nmax"),
+    ("--N", "0", "window order"), ("--mmax", "0", "bound mmax"),
     ("--p", "1000", "Sobolev order")])
 def test_bad_sweep_option_is_usage_error(capsys, option, value, word):
     # rejected before the first row, not reported as a failure of every row
@@ -751,7 +758,7 @@ def test_any_constraint_spec_ends_in_an_exit_code(capsys, spec):
     (("Unable to allocate 7.45 TiB for an array",), "Unable to allocate 7.45 TiB for an array"),
     ((), "out of memory")])
 @pytest.mark.parametrize("target,command", [
-    ("run_minimize", ["minimize", "--m", "1", "--n", "1", "--N", "1000000"]),
+    ("run_minimize", ["minimize", "--m", "1", "--n", "1", "--N", "1000000", "--out", "{out}"]),
     ("run_sweep", ["sweep", "--mmax", "1", "--N", "1000000"])])
 def test_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, target, command,
                                             message, printed):
@@ -762,7 +769,7 @@ def test_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, targe
 
     monkeypatch.setattr(f"kolmconj.cli.{target}", exhausted)
     out_file = tmp_path / "out.txt"
-    code, out, err = run(capsys, *command, "--out", str(out_file))
+    code, out, err = run(capsys, *(arg.format(out=out_file) for arg in command))
     assert code == 3
     assert out == ""
     assert err == f"numerical failure: {printed}\n"

@@ -1,14 +1,16 @@
 """README's Python example runs and gives the value its comment states,
-every name its library overview quotes exists, and every command its usage
-block shows parses."""
+every name its library overview quotes exists, every command its usage
+block shows parses, and its command-line section names the options the
+parser defines."""
 
+import argparse
 import builtins
 import importlib
 import re
 from fractions import Fraction
 from pathlib import Path
 
-from kolmconj.cli import build_parser
+from kolmconj.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -44,3 +46,26 @@ def test_usage_lines_parse():
     assert len(lines) >= 9 and all(words[0] == "kolmconj" for words in lines)
     for words in lines:
         build_parser().parse_args(words[1:])
+
+
+# options the command line section names as gone: each exits 2 in argparse
+REMOVED_OPTIONS = {"--cap", "--nmax"}
+
+
+def _subparser_options():
+    """Every long option that a subparser defines, `--help` aside."""
+    [commands] = [action.choices for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return {option for parser in commands.values() for action in parser._actions
+            for option in action.option_strings if option.startswith("--")} - {"--help"}
+
+
+def test_command_line_options_match_the_parser(capsys):
+    section = README.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z]\w*", section))
+    defined = _subparser_options()
+    assert defined <= named
+    assert named - defined == REMOVED_OPTIONS
+    for option in sorted(REMOVED_OPTIONS):
+        assert main(["sweep", "--mmax", "2", option, "1"]) == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
