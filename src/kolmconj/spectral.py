@@ -27,7 +27,7 @@ SUBSPACES = (COS, SIN, FULL)
 TIE_RTOL = 1e-12
 # one stacked LAPACK call holds at most this many matrix entries, so chains of
 # more than 45 modes share no stack: they are reduced last, and each is solved
-# alone unless `_FlowScan.beaten` screens it out
+# alone unless `_FlowScan.beaten` screens it out or `_Chains.settled` skips it
 STACK_ENTRIES = 4096
 # certification rounds each scaled coefficient to a denominator at most this
 MAX_DENOMINATOR = 10 ** 6
@@ -149,7 +149,9 @@ class _Chains:
     into the output window `ext`.  The modes at the window positions
     `zeroed` stay in their chains, but `kept` counts each chain's other
     modes, `held` marks the chains that lose one, and the bracket's terms
-    on them are 0.
+    on them are 0.  `settled` marks the chains whose rows all lie outside
+    the disc j^2+k^2 < lambda^2, compared in integers: their form
+    B = L^T W L has only weights w >= 0, so it has no negative eigenvalue.
     """
 
     def __init__(self, flow: KolmogorovFlow, window: SpectralWindow, ext: SpectralWindow,
@@ -174,6 +176,8 @@ class _Chains:
         # the output rows the bracket reaches, and the chain of each
         self.rows = np.flatnonzero(linked.any(axis=1))
         self.row_chain = self.chain[self.cols[self.rows, np.argmax(linked[self.rows], axis=1)]]
+        weight = ext.j[self.rows] ** 2 + ext.k[self.rows] ** 2 - flow.lambda2
+        self.settled = np.bincount(self.row_chain[weight < 0], minlength=len(self.sizes)) == 0
 
     def twins(self) -> np.ndarray:
         """The chains whose form an earlier chain repeats, as a mask.
@@ -284,10 +288,11 @@ class _FlowScan:
     `solved` maps each solved chain's number to its row of the stacked
     eigensolve, (value, index, vector, residual), `failures` each failing
     chain's number to its error, and `low` is the lowest value so far.  No
-    reduced matrix is kept once solved.  `large` maps each chain that
-    shares no stack to its (index, bracket, weights) from
-    `_Chains.groups`, for `window_minimum` to reduce it last; a chain that
-    `beaten` screens out then has no row and is never solved.
+    reduced matrix is kept once solved.  `large` maps (settled, number)
+    of each chain that shares no stack to its (index, bracket, weights)
+    from `_Chains.groups`, for `window_minimum` to reduce it last, the
+    `_Chains.settled` ones after the others; a chain that `beaten` screens
+    out, or a settled one skipped, then has no row and is never solved.
     """
 
     def __init__(self, chains: _Chains):
@@ -354,15 +359,19 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     residual) goes back to its flow; the flow's pair is its winning
     chain's row, so its residual is the one checked.  A chain that
     shares no stack (see STACK_ENTRIES) is reduced only after every pooled
-    stack is solved, one at a time in ascending chain number per flow.  It
-    is solved unless its flow has a minimum so far and one Cholesky
-    factorization shows that it can neither win nor tie
+    stack is solved, one at a time per flow: first those that reach a disc
+    row, then the `_Chains.settled` ones, each in ascending chain number.
+    A settled chain's form is PSD, so it is skipped, with no Gram product,
+    reduction or eigensolve, once its flow's minimum so far is negative.
+    Any other such chain is solved unless its flow has a minimum so far
+    and one Cholesky factorization shows that it can neither win nor tie
     (`_FlowScan.beaten`); a chain screened out still meets the symmetry
-    check, but has no eigenpair and so no residual to check.  Per flow, two
-    minima within TIE_RTOL of each other (relative) are a tie, won by the
-    chain with the lowest first mode, and the lowest-numbered chain that
-    fails an eigensolve check gives the flow's error.  The flows of one
-    max(m, n) share one `_extended` output window, built once.  Returns
+    check, but has no eigenpair and so no residual to check, and a settled
+    chain skipped meets neither.  Per flow, two minima within TIE_RTOL of
+    each other (relative) are a tie, won by the chain with the lowest
+    first mode, and the lowest-numbered chain that fails an eigensolve
+    check gives the flow's error.  The flows of one max(m, n) share one
+    `_extended` output window, built once.  Returns
     one entry per flow: its error, or the pair; the minimizer's
     coefficients, a float array over the window's modes, with
     S = D^{-p/2} B D^{-p/2} undone on the winning chain, 0 off it, and
@@ -387,7 +396,8 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
             d = index.shape[1]
             step = STACK_ENTRIES // (d * d)
             if step < 2:  # shares no stack: reduced last, and perhaps screened out
-                scan.large[positions[0]] = index, bracket, weights
+                number = positions[0]
+                scan.large[bool(chains.settled[number]), number] = index, bracket, weights
                 continue
             stack = _reduce(_gram(index.shape, bracket, weights), scale[index])
             batch = waiting.setdefault(d, [])
@@ -399,7 +409,9 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
         if batch:
             _solve(batch)
     for scan in scans:
-        for number, (index, bracket, weights) in sorted(scan.large.items()):
+        for (settled, number), (index, bracket, weights) in sorted(scan.large.items()):
+            if settled and scan.low < 0:  # B >= 0 can neither win nor tie
+                continue
             [S] = _reduce(_gram(index.shape, bracket, weights), scale[index])
             if not scan.beaten(S):
                 _solve([(scan, number, index[0], S)])

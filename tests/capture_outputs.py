@@ -41,11 +41,12 @@ few or none of the 2mn + 2 chain classes meet the window; large windows
 where most chains of more than 45 modes are screened out, not solved:
 (1,1) full at N=40, (2,1), (3,2) and (4,1) cos at N=40, (4,3) full at
 N=30 and (2,2) full at N=20, where the screen acts on chains of 50-60
-modes, each at p = 0 and 3; and 16 seeded
-`run_sweep` calls (mmax <= 8, N 1-16, p 0-4), hashed by each row's
-pair, subspace, eigenvalue bits, Q and verdict, so that windows where few
-or many chain classes meet and rows that end in `error:` go through the
-pooled scan of many pairs.  pytest does not collect this file;
+modes, and (1,1) cos at N=40 and (2,2) cos at N=30, where chains of
+112-840 modes that reach no disc row are skipped, each at p = 0 and 3;
+and 16 seeded `run_sweep` calls (mmax <= 8, N 1-16, p 0-4), hashed by
+each row's pair, subspace, eigenvalue bits, Q and verdict, so that
+windows where few or many chain classes meet and rows that end in
+`error:` go through the pooled scan of many pairs.  pytest does not collect this file;
 `tests/test_capture_outputs.py` runs its digests on small inputs.
 """
 
@@ -150,7 +151,8 @@ def _edge_calls():
 def _large_calls():
     from kolmconj.trigpoly import KolmogorovFlow
     windows = [((1, 1), 40, "full"), ((2, 1), 40, "cos"), ((3, 2), 40, "cos"),
-               ((4, 1), 40, "cos"), ((4, 3), 30, "full"), ((2, 2), 20, "full")]
+               ((4, 1), 40, "cos"), ((4, 3), 30, "full"), ((2, 2), 20, "full"),
+               ((1, 1), 40, "cos"), ((2, 2), 30, "cos")]
     for ((m, n), N, subspace), p in itertools.product(windows, (0, 3)):
         yield KolmogorovFlow(m, n), dict(N=N, subspace=subspace, p=p)
 

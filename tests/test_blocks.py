@@ -550,6 +550,24 @@ def _solved_chains(monkeypatch, flow, **options):
     return solved, screened, rows, winner, result
 
 
+def _settled_skips(flow, window, rows, zeroed=()):
+    """The chains that a one-flow scan whose solved chains have the eigensolve
+    `rows` (see `spy_scan`) skips by weight signs: the non-twin
+    `_Chains.settled` chains of more than 45 kept modes, taken after every
+    other chain in ascending number, once a chain solved before has a
+    negative value."""
+    chains = spectral._Chains(flow, window, extended(flow, window),
+                              [window.index_of(mode) for mode in zeroed])
+    settled = np.flatnonzero(chains.settled & ~chains.twins() & (chains.kept > 45)).tolist()
+    low, skips = min([rows[c][0] for c in rows if c not in settled], default=np.inf), set()
+    for c in settled:
+        if low < 0:
+            skips.add(c)
+        elif c in rows:
+            low = min(low, rows[c][0])
+    return skips
+
+
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
                     for subspace in (COS, SIN)]
                    + [(1, 1, 20, FULL), (4, 1, 40, COS)])
@@ -575,8 +593,8 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
     # matrix as the eigensolve or the screen gets it and its Gram product,
     # both restricted to the modes left after constraints, and the
     # winner's pair, its chain's row of the eigensolve; those left out are
-    # the chains zeroed entirely and the twins of earlier chains where
-    # neither chain holds a zeroed mode
+    # the chains zeroed entirely, the twins of earlier chains where
+    # neither chain holds a zeroed mode, and the settled chains skipped
     cases = [(m, n, N, subspace, []) for m, n, N, subspace in GROUPED_WINDOWS]
     for m, n, N, subspace in CONSTRAINED_WINDOWS:
         window = SpectralWindow(N, subspace)
@@ -594,7 +612,8 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
         held = {c for c, (index, _, _) in enumerate(reference) if zero_at & set(index)}
         gone = {c for c, (index, _, _) in enumerate(reference) if set(index) <= zero_at}
         twins = _twins(flow, window, zeroed)
-        assert sorted(seen) == sorted(set(range(len(reference))) - twins - gone)
+        skips = _settled_skips(flow, window, rows, zeroed)
+        assert sorted(seen) == sorted(set(range(len(reference))) - twins - gone - skips)
         assert held - gone <= seen.keys()
         assert not gone & seen.keys()
         for position, (stacked, index, gram) in seen.items():
@@ -618,10 +637,11 @@ TWIN_WINDOWS = [((3, 2, 20, COS), 14, 77), ((4, 4, 20, COS), 34, 30),
 def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, largest):
     m, n, N, subspace = case
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-    solved, screened, _, _, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
+    solved, screened, rows, _, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
     chains = chain_modes(flow, window)
     products = list(per_chain_products(flow, window, 3))
     skipped = set(range(len(chains))) - solved.keys() - screened.keys()
+    skipped -= _settled_skips(flow, window, rows)
     assert skipped and skipped == _twins(flow, window)
     for c in skipped:
         # some symmetry maps chain c onto an earlier chain t, and carries
@@ -725,17 +745,139 @@ def test_screen_keeps_the_symmetry_check(monkeypatch):
     assert np.array_equal(np.tril(broken), np.tril(S)) and not np.array_equal(broken, S)
 
 
-@pytest.mark.parametrize("m,n,subspace,screened_sizes", [
-    (3, 2, COS, {12: 60}),
-    (2, 2, FULL, {2: 55, 3: 55, 4: 60, 5: 60, 18: 50, 19: 50})])
-def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, screened_sizes):
+def _unsettle(monkeypatch):
+    """Make `_Chains` mark no chain settled until the patch is undone."""
+    init = spectral._Chains.__init__
+
+    def init_spy(self, *args):
+        init(self, *args)
+        self.settled = np.zeros_like(self.settled)
+
+    monkeypatch.setattr(spectral._Chains, "__init__", init_spy)
+
+
+def test_settled_chains_reach_no_disc_row():
+    # the weight-sign screen's premise, against the exact bracket on seeded
+    # windows: each kept mode of a chain that `_Chains.settled` marks has
+    # a bracket with psi on or outside the disc j^2+k^2 < lambda^2 only,
+    # and the chain's dense reduced form has no eigenvalue below rounding
+    # at p = 0 or 3.  A chain that the exact brackets settle but the mask
+    # does not holds cos(mx) or cos(ny): each sends two terms to the disc
+    # row (0, n) or (m, 0), which cancel in the exact bracket
+    rng = random.Random(30)
+    marked, last_marked, zeroed_marked, parities = 0, 0, 0, set()
+    for _ in range(30):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        flow = KolmogorovFlow(m, n)
+        psi = flow.stream()
+        window = SpectralWindow(rng.randint(1, 14), rng.choice((COS, SIN, FULL)))
+        zeroed = rng.sample(window_modes(window), min(rng.randint(0, 5), len(window) - 1))
+        zero_at = [window.index_of(mode) for mode in zeroed]
+        settled = spectral._Chains(flow, window, extended(flow, window), zero_at).settled
+        grams = dense_grams(flow, window)
+        assert settled.shape == (len(grams),)
+        for c, (index, B) in enumerate(grams):
+            keep = [i for i, at in enumerate(index) if at not in zero_at]
+            modes = window.modes_at([index[i] for i in keep])
+            reached = {out for mode in modes for out in bracket(psi, TrigPoly({mode: F(1)})).terms}
+            inside = any(out.laplace_weight < flow.lambda2 for out in reached)
+            if not settled[c]:
+                assert inside or {Mode(m, 0, COS), Mode(0, n, COS)} & set(modes), (flow, c)
+                continue
+            assert not inside, (flow, window, c)
+            for p in (0, 3):
+                S = dense_reduced(window, index, B, p)[np.ix_(keep, keep)]
+                if keep:
+                    assert np.linalg.eigvalsh(S)[0] >= -1e-12 * np.max(np.abs(S)) * len(keep)
+            marked += 1
+            last_marked += c == len(grams) - 1
+            zeroed_marked += len(keep) < len(index)
+            parities |= {mode.parity for mode in modes}
+    assert marked > 20 and last_marked and zeroed_marked and parities == {COS, SIN}
+
+
+def _outcome(res):
+    """A `run_minimize` outcome as exactly comparable values (its error's
+    type and text, or its eigenvalue's bits, q, block mode and coefficient
+    bytes), and whether it is a result with q >= 0."""
+    if isinstance(res, Exception):
+        return (type(res), str(res)), False
+    return (res.eigen.value.hex(), res.q, res.block_mode, res.coeffs.tobytes()), res.q >= 0
+
+
+def test_weight_screen_changes_no_verdict(monkeypatch):
+    # seeded sweeps and minimizations, with zeroed modes, give what a scan
+    # that marks no chain settled gives, bit for bit, except where q >= 0
+    # on both sides: a degenerate minimum at rounding level, whose float
+    # winner may be a PSD chain; and the screen skips Gram products
+    rng = random.Random(31)
+    runs = [dict(mmax=rng.randint(1, 8), N=rng.randint(1, 16), p=rng.randint(0, 4))
+            for _ in range(5)] + [dict(mmax=2, N=12, p=3)]
+    for _ in range(30):
+        N, subspace = rng.randint(1, 16), rng.choice((COS, SIN, FULL))
+        window = SpectralWindow(N, subspace)
+        runs.append(dict(flow=KolmogorovFlow(rng.randint(1, 8), rng.randint(1, 8)), N=N,
+                         subspace=subspace, p=rng.randint(0, 4), constraints=rng.sample(
+                             window_modes(window), min(rng.randint(0, 5), len(window) - 1))))
+    runs.append(dict(flow=KolmogorovFlow(1, 1), N=20))
+
+    def outcomes():
+        grams, gram, found = [], spectral._gram, []
+        monkeypatch.setattr(spectral, "_gram", lambda *args: grams.append(1) or gram(*args))
+        for options in runs:
+            if "mmax" in options:
+                found.append([_outcome(res) for _, _, res in pipeline.run_sweep(**options)])
+                continue
+            try:
+                found.append([_outcome(run_minimize(**options))])
+            except Exception as error:  # every outcome is compared, failures too
+                found.append([_outcome(error)])
+        monkeypatch.undo()
+        return found, len(grams)
+
+    screened, screened_grams = outcomes()
+    _unsettle(monkeypatch)
+    unscreened, unscreened_grams = outcomes()
+    for options, got, want in zip(runs, screened, unscreened):
+        assert len(got) == len(want)
+        for (a, a_open), (b, b_open) in zip(got, want):
+            assert a == b or (a_open and b_open), options
+    assert screened_grams < unscreened_grams
+
+
+@pytest.mark.parametrize("N,p", [(5, 3), (11, 0)])
+def test_flow_with_no_negative_minimum_solves_its_settled_chains(monkeypatch, N, p):
+    # (1,1) cos: at N=5 every chain shares a stack, and the winner, of about
+    # +3.5e-18, is a chain that reaches no disc row; at N=11 the chain that
+    # reaches one ends >= 0, so the settled chains of 84 and 72 modes are
+    # solved after it, and one of them wins.  Either entry is the entry of
+    # a scan that marks no chain settled, bit for bit
+    flow, window = KolmogorovFlow(1, 1), SpectralWindow(N, COS)
+    chains = spectral._Chains(flow, window, extended(flow, window))
+    solved, _, _ = spy_scan(monkeypatch)
+    entry = scan_one(flow, window, p)
+    monkeypatch.undo()
+    _unsettle(monkeypatch)
+    assert _entry_bits(entry) == _entry_bits(scan_one(flow, window, p))
+    winner = int(chains.chain[entry[4]])
+    assert chains.settled[winner] and winner in solved
+    assert (len(solved[winner][1]) > 45) == (N == 11)
+
+
+@pytest.mark.parametrize("m,n,subspace,screened_sizes,skipped_sizes", [
+    (3, 2, COS, {12: 60}, {}),
+    (2, 2, FULL, {2: 55, 3: 55}, {4: 60, 5: 60, 18: 50, 19: 50})])
+def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, screened_sizes,
+                                                 skipped_sizes):
     # two chains of more than 45 modes exceed STACK_ENTRIES, so each such
     # chain is reduced after every pooled stack is solved, and solved alone
-    # unless the screen shows that it can neither win nor tie; at N=20 the
-    # screen rules out these chains of 50-60 modes, which fit a stack alone
+    # unless the screen shows that it can neither win nor tie, or it is
+    # settled by weight signs once its flow's minimum is negative; at N=20
+    # the screen rules out these chains of 55-60 modes, which fit a stack
+    # alone, and the weight signs those of 50-60 modes
     flow, window = KolmogorovFlow(m, n), SpectralWindow(20, subspace)
     assert 2 * 45 ** 2 <= STACK_ENTRIES < 2 * 46 ** 2
-    solved, screened, _ = spy_scan(monkeypatch)
+    solved, screened, rows = spy_scan(monkeypatch)
     shapes, solve = [], spectral.lowest_eigenpairs
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: shapes.append(stack.shape) or solve(stack))
@@ -743,14 +885,17 @@ def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, sc
     monkeypatch.undo()
     sizes = {number: len(index) for number, (_, index, _) in {**solved, **screened}.items()}
     assert {number: len(screened[number][1]) for number in screened_sizes} == screened_sizes
+    chains = spectral._Chains(flow, window, extended(flow, window))
+    skips = _settled_skips(flow, window, rows)
+    assert {number: int(chains.sizes[number]) for number in skips} == skipped_sizes
     # every stack of chains of more than 45 modes holds one, and comes last
     large = [d > 45 for _, d, _ in shapes]
     assert large == sorted(large)
     assert all(count == 1 for count, d, _ in shapes if d > 45)
-    # every non-twin chain of more than 45 modes is solved or screened out
-    chains = spectral._Chains(flow, window, extended(flow, window))
+    # every non-twin chain of more than 45 modes is solved, screened out or skipped
     wanted = np.flatnonzero(~chains.twins() & (chains.sizes > 45)).tolist()
-    assert sorted(number for number, size in sizes.items() if size > 45) == wanted
+    assert sorted(number for number, size in sizes.items() if size > 45) == sorted(
+        set(wanted) - skips)
 
 
 def test_first_listed_failing_block_raises_its_error(monkeypatch):
