@@ -1,4 +1,4 @@
-"""Exact rational linear solves, polynomial evaluation and rationalization.
+"""Exact rational linear solves and polynomial evaluation.
 
 Polynomials are sequences of Fraction coefficients in ascending degree order.
 The module imports no numpy.
@@ -56,32 +56,3 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
         total = total * x + c
     return total
 
-
-def nearest_fraction(x: float, cap: int) -> Fraction:
-    """The fraction nearest the float x with denominator at most cap.
-
-    Equal to ``Fraction(x).limit_denominator(cap)``, by the same algorithm
-    in plain ints: the continued fraction of ``x.as_integer_ratio()`` gives
-    the last convergent p1/q1 within the cap and the semiconvergent beside
-    it, and the nearer one is returned, p1/q1 on a tie.  Only that one is
-    built as a Fraction, so the result is the same normalized value.
-    """
-    if cap < 1:
-        raise ValueError("max_denominator should be at least 1")
-    num, den = x.as_integer_ratio()
-    if den <= cap:
-        return Fraction(num, den)
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = num, den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > cap:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (cap - q0) // q1
-    # p1/q1 lies d/(q1 den) from x and 1/(q1 (q0 + k q1)) from the other candidate
-    if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)

@@ -47,7 +47,7 @@ class MinimizeResult:
 def _check_options(p: int, N: int) -> None:
     """Reject options that no window can use, before any window is built:
     a p that passes leaves every weight D^{-p/2} a normal double.  The
-    denominator cap is the constant `spectral.MAX_DENOMINATOR`."""
+    common denominator is the constant `spectral.MAX_DENOMINATOR`."""
     if p < 0:
         raise ValueError("Sobolev order must be >= 0")
     if N < 1:

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from .eigensolve import ConvergenceError, EigenPair, lowest_eigenpairs, spectrum_above
-from .exactalg import nearest_fraction
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
                        misiolek_index)
 
@@ -29,7 +28,7 @@ TIE_RTOL = 1e-12
 # more than 45 modes share no stack: they are reduced last, and each is solved
 # alone unless `_FlowScan.beaten` screens it out or `_Chains.settled` skips it
 STACK_ENTRIES = 4096
-# certification rounds each scaled coefficient to a denominator at most this
+# certification rounds each scaled coefficient to an integer over this
 MAX_DENOMINATOR = 10 ** 6
 
 
@@ -436,15 +435,16 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray,
                       flow: KolmogorovFlow) -> Certificate:
     """Rationalize a float coefficient vector on `window` and evaluate the index exactly.
 
-    Coefficients are scaled so the largest magnitude is 1 and rounded to
-    the nearest rationals with denominator at most MAX_DENOMINATOR: each
-    x to `Fraction(x).limit_denominator(MAX_DENOMINATOR)`, computed in
-    integers by `nearest_fraction`, one Fraction per coefficient.  The
-    Misiolek index q = MI/pi^2 of the bracket of the rebuilt field is
-    computed with exact arithmetic.  Returns (field, q); q < 0 is a
-    rigorous conjugate-point certificate, and the scaling does not affect
-    its sign (the index is homogeneous of degree 2).  A vector whose
-    length is not the window's, or that is 0, raises ValueError.
+    Coefficients are scaled so the largest magnitude is 1, and each scaled
+    float x is rounded onto the one common denominator D = MAX_DENOMINATOR:
+    `Fraction(round(Fraction(x) * D), D)`.  The product is exact, and
+    `round` sends ties to even.  The Misiolek index q = MI/pi^2 of the
+    bracket of the rebuilt field is computed with exact arithmetic; the
+    bracket's coefficients are integers over 4D, so q * 8 * D**2 is an
+    integer.  Returns (field, q); q < 0 is a rigorous conjugate-point
+    certificate, and the scaling does not affect its sign (the index is
+    homogeneous of degree 2).  A vector whose length is not the window's,
+    or that is 0, raises ValueError.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (len(window),):
@@ -454,7 +454,8 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray,
         raise ValueError("cannot certify the zero vector")
     # modes outside the winning block are 0, and TrigPoly drops a zero anyway
     nonzero = np.flatnonzero(values)
-    f = TrigPoly({mode: nearest_fraction(x, MAX_DENOMINATOR) for mode, x in
+    D = MAX_DENOMINATOR
+    f = TrigPoly({mode: Fraction(round(Fraction(x) * D), D) for mode, x in
                   zip(window.modes_at(nonzero), (values[nonzero] / peak).tolist())})
     phi = bracket(flow.stream(), f)
     if phi.is_zero():

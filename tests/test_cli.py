@@ -177,6 +177,16 @@ class TestMinimizeCommand:
         assert code == 0
         assert "not detected" in out
 
+    def test_large_11_window_prints_its_q(self, capsys):
+        # the certificate's field is over the common denominator 10^6, so Q's
+        # denominator divides 8 * 10^12 and prints at any window order
+        code, out, err = run(capsys, "minimize", "--m", "1", "--n", "1", "--N", "56")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[-1] == "verdict: not detected on this window"
+        [q] = [line.split()[3] for line in lines if line.startswith("certified MI/pi^2 = ")]
+        assert F(q) > 0 and 8 * 10 ** 12 % F(q).denominator == 0
+
     def test_sine_fallback_certifies_11(self, capsys):
         code, out, _ = run(capsys, "minimize", "--m", "1", "--n", "1",
                            "--subspace", "sin")
@@ -512,8 +522,8 @@ def test_tolerance_option_is_gone(capsys, monkeypatch, argv, tol):
 @pytest.mark.parametrize("argv", [("minimize", "--m", "2", "--n", "1", "--N", "4"),
                                   ("sweep", "--mmax", "2")], ids=["minimize", "sweep"])
 def test_cap_option_is_gone(capsys, monkeypatch, argv, cap):
-    # the denominator cap is the constant spectral.MAX_DENOMINATOR: its own
-    # value and the values once rejected or accepted as caps are all an
+    # the common denominator is the constant spectral.MAX_DENOMINATOR: its
+    # own value and the values once rejected or accepted as caps are all an
     # unknown option, before any window
     def window_minimum(*args, **kwargs):
         raise AssertionError("window_minimum called")

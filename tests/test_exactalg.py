@@ -3,8 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import nearest_fraction_cases
-from kolmconj.exactalg import nearest_fraction, poly_eval, solve_linear
+from kolmconj.exactalg import poly_eval, solve_linear
 
 
 def _gauss_jordan(matrix, rhs):
@@ -83,21 +82,3 @@ class TestPolynomials:
         # 1 + 2x + 3x^2 at x = 1/2
         assert poly_eval([F(1), F(2), F(3)], F(1, 2)) == F(11, 4)
 
-
-class TestNearestFraction:
-    def test_matches_limit_denominator(self):
-        pairs = list(nearest_fraction_cases.cases())
-        assert len(pairs) > 10 ** 5
-        assert nearest_fraction_cases.mismatches(nearest_fraction, pairs) == []
-
-    def test_ties_go_to_the_convergent(self):
-        # midway between two integers, or between 0 and 1/2, limit_denominator
-        # keeps the last convergent: the floor for cap 1
-        assert [nearest_fraction(x, 1) for x in (0.5, -0.5, 2.5)] == [0, -1, 2]
-        assert nearest_fraction(0.25, 2) == 0 and nearest_fraction(-0.25, 2) == 0
-
-    def test_rejects_a_cap_below_one(self):
-        # the error `limit_denominator` raises
-        for cap in (0, -1):
-            with pytest.raises(ValueError, match="^max_denominator should be at least 1$"):
-                nearest_fraction(0.3, cap)

@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,20 @@ def test_output_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(NUMERICAL))
 def test_numerical_route_matches_golden(name):
     assert NUMERICAL[name]() == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_numerical_goldens_fit_the_common_denominator():
+    # every certified coefficient is an integer over 10^6 and L's entries are
+    # integers over 4, so each pinned Q's denominator divides 8 * 10^12
+    qs = []
+    for name in NUMERICAL:
+        for line in (GOLDEN / f"{name}.out").read_text().splitlines():
+            if line.startswith("certified MI/pi^2 = "):
+                qs.append(Fraction(line.split()[-1]))
+            elif name.startswith("sweep") and ",error:" not in line:
+                qs.append(Fraction(line.split(",")[3]))
+    assert len(qs) > len(NUMERICAL)
+    assert all(8 * 10 ** 12 % q.denominator == 0 for q in qs)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from kolmconj import spectral
-from kolmconj.spectral import (FULL, CertificationError, SpectralWindow, _extended,
+from kolmconj.pipeline import run_minimize
+from kolmconj.spectral import (FULL, SUBSPACES, CertificationError, SpectralWindow, _extended,
                                _reduce, _sobolev_scale, certify_candidate, window_minimum)
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, canonicalize, misiolek_index)
@@ -299,8 +300,12 @@ class TestCertify:
         f = zeta32_field()
         win = SpectralWindow(7, COS)
         _, q = certify_candidate(win, window_values(f, win), flow)
-        # small denominators survive rationalization exactly
-        assert q == misiolek_index(bracket(flow.stream(), f), flow)
+        # small denominators are not recovered exactly: the certificate is
+        # the index of the field rounded to 1/10^6 (its peak, cos x, is 1)
+        assert max(map(abs, f.terms.values())) == f.terms[Mode(1, 0, COS)] == 1
+        rounded = TrigPoly({mode: F(round(c * 10 ** 6), 10 ** 6) for mode, c in f.terms.items()})
+        assert rounded != f
+        assert q == misiolek_index(bracket(flow.stream(), rounded), flow)
         assert q < 0
 
     def test_kernel_candidate_rejected(self):
@@ -325,15 +330,96 @@ class TestCertify:
             certify_candidate(win, np.ones((1, len(win))), flow)
 
 
+def _rounded(x: float) -> F:
+    """The scaled float x as the certificate rounds it: to an integer over
+    10^6, ties to even."""
+    return F(round(F(x) * 10 ** 6), 10 ** 6)
+
+
+def _assert_rounded_certificate(window, values, flow):
+    """`certify_candidate`'s field is `_rounded` of each scaled coefficient,
+    term for term in window order, its peak is exactly +-1, and
+    Q * 8 * 10^12 is an integer."""
+    field, q = certify_candidate(window, values, flow)
+    scaled = (values / np.max(np.abs(values))).tolist()
+    want = {mode: _rounded(x) for mode, x in zip(window_modes(window), scaled) if _rounded(x)}
+    assert list(field.terms.items()) == list(want.items())
+    assert all(type(c) is F for c in field.terms.values())
+    assert abs(field.terms[window_modes(window)[int(np.argmax(np.abs(values)))]]) == 1
+    assert (q * 8 * 10 ** 12).denominator == 1
+
+
+@pytest.mark.parametrize("subspace", [COS, SIN, FULL])
+def test_certificate_rounds_onto_one_denominator(subspace):
+    rng = random.Random(SUBSPACES.index(subspace))
+    window = SpectralWindow(6, subspace)
+    # scaled values at and beside (k + 1/2) / 10^6, and exact binary ties odd / 2^7
+    edges = [sign * x for t in ((k + 0.5) / 10 ** 6 for k in (0, 1, 7812))
+             for x in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)) for sign in (1, -1)]
+    edges += [sign * odd / 2 ** 7 for odd in (1, 3, 5, 127) for sign in (1, -1)]
+    for scale in (1.0, 3.7, -1e-5, 0.5):
+        for _ in range(3):
+            flow = KolmogorovFlow(rng.randint(1, 4), rng.randint(1, 4))
+            values = np.array([rng.choice([0.0, -0.0, rng.uniform(-1, 1), rng.choice(edges),
+                                           rng.uniform(-1e-6, 1e-6)])
+                               for _ in range(len(window))])
+            values[rng.randrange(len(window))] = 1.0
+            _assert_rounded_certificate(window, values * scale, flow)
+    # the minimizers of one scan of every pair m, n <= 4; a minimizer whose
+    # rounded field has a zero bracket raises
+    flows = [KolmogorovFlow(m, n) for m in range(1, 5) for n in range(1, 5)]
+    for flow, (_, coeffs, *_) in zip(flows, window_minimum(flows, window, 3, ())):
+        try:
+            _assert_rounded_certificate(window, coeffs, flow)
+        except CertificationError:
+            rounded = {mode: _rounded(x) for mode, x in zip(window_modes(window), coeffs.tolist())}
+            assert bracket(flow.stream(), TrigPoly(rounded)).is_zero()
+
+
+@pytest.mark.parametrize("peak", [1.0, -0.5, 8.0])
+def test_certificate_ties_go_to_even(peak):
+    # 2^-7 * 10^6 = 7812.5 and 3 * 2^-7 * 10^6 = 23437.5: exact binary ties;
+    # a power-of-two peak keeps the scaled values exact
+    flow = KolmogorovFlow(3, 2)
+    window = SpectralWindow(4, FULL)
+    modes = [Mode(1, 0, COS), Mode(2, 1, COS), Mode(1, 3, SIN), Mode(3, -2, SIN)]
+    values = np.zeros(len(window))
+    for mode, x in zip(modes, (1.0, 2.0 ** -7, -2.0 ** -7, 3 * 2.0 ** -7)):
+        values[window.index_of(mode)] = peak * x
+    field, _ = certify_candidate(window, values, flow)
+    sign = 1 if peak > 0 else -1
+    assert field.terms == {mode: sign * F(a, 10 ** 6) for mode, a in
+                           zip(modes, (10 ** 6, 7812, -7812, 23438))}
+
+
+def test_minimizer_in_the_bracket_kernel_is_rejected():
+    # (1,1) cos at N=8 with five modes zeroed: the float minimizer is
+    # -cos(x-y) - cos(x+y) + a (four cos(1,3)-type modes) + a/3 (cos(3,3) + cos(3,-3)),
+    # that is c psi + d psi^3 for the stream psi = -cos x cos y, a function of
+    # psi.  One common denominator keeps the 3:1 ratio, so the rounded field
+    # has an exactly zero bracket and certification raises
+    flow = KolmogorovFlow(1, 1)
+    window = SpectralWindow(8, COS)
+    zeroed = [Mode(5, 1, COS), Mode(4, -2, COS), Mode(2, 1, COS), Mode(4, -6, COS),
+              Mode(5, -3, COS)]
+    with pytest.raises(CertificationError, match="kernel of the bracket operator"):
+        run_minimize(flow, N=8, subspace=COS, constraints=zeroed)
+    [found] = window_minimum([flow], window, 3, zeroed)
+    field = TrigPoly({mode: _rounded(x) for mode, x in
+                      zip(window_modes(window), found[1].tolist())})
+    a, b = F(603, 10 ** 6), F(201, 10 ** 6)
+    assert field == TrigPoly.from_terms(
+        [(COS, 1, 1, -1), (COS, 1, -1, -1), (COS, 3, 3, b), (COS, 3, -3, b)]
+        + [(COS, j, k, a) for j, k in ((1, 3), (1, -3), (3, 1), (3, -1))])
+    assert bracket(flow.stream(), field).is_zero()
+
+
 def test_no_function_takes_a_denominator_cap():
-    # the certificate's cap is the constant MAX_DENOMINATOR; only the general
-    # rationalizer `exactalg.nearest_fraction` takes a cap
+    # the certificate's common denominator is the constant MAX_DENOMINATOR
     assert spectral.MAX_DENOMINATOR == 10 ** 6
     for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if (path.name, getattr(node, "name", None)) == ("exactalg.py", "nearest_fraction"):
                 continue
             arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
             names = {a.arg for a in arguments}

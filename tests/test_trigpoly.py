@@ -9,7 +9,7 @@ from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode,
                                misiolek_index, misiolek_pairing)
 
 from conftest import (random_trigpoly, reference_bracket_sums, reference_pairing,
-                      reference_poly, reference_product_sums, window_modes)
+                      reference_poly, reference_product_sums)
 
 
 def grid_values(p, size=64):
@@ -469,38 +469,3 @@ class TestKernelMatchesReference:
             for a, b in ((p, q), (q, p), (p, p)):
                 got = misiolek_pairing(a, b, flow)
                 assert type(got) is F and got == reference_pairing(a, b, flow)
-
-
-@pytest.mark.parametrize("cap", [1, 2, 7, 10 ** 3, 10 ** 6])
-def test_certify_candidate_rationalizes_every_entry(monkeypatch, cap):
-    """`nearest_fraction` gives the field that rationalizing every entry with
-    `limit_denominator` gives, term for term, in window order."""
-    import numpy as np
-
-    from kolmconj import spectral
-    from kolmconj.spectral import SpectralWindow, certify_candidate
-
-    monkeypatch.setattr(spectral, "MAX_DENOMINATOR", cap)
-    rng = random.Random(cap)
-    flow = KolmogorovFlow(3, 2)
-    window = SpectralWindow(6, "full")
-    # scaled values at and beside 1/(4 cap), 1/(2 cap) (where rounding to 0 ends) and 1/cap
-    edges = [sign * math.nextafter(t / cap, toward) for t in (0.25, 0.5, 1.0)
-             for toward in (0.0, t / cap, 1.0) for sign in (1, -1)]
-    peak_at = window.index_of(Mode(1, 0))
-    for scale in (1.0, 3.7, -1e-5):
-        for _ in range(4):
-            values = np.array([rng.choice([0.0, -0.0, rng.uniform(-1, 1), rng.choice(edges),
-                                           rng.uniform(-1e-7, 1e-7)])
-                               for _ in range(len(window))])
-            values[peak_at] = 1.0
-            values *= scale
-            peak = np.max(np.abs(values))
-            want = {}
-            for mode, val in zip(window_modes(window), values):
-                c = F(float(val / peak)).limit_denominator(cap)
-                if c:
-                    want[mode] = c
-            got, _ = certify_candidate(window, values, flow)
-            assert list(got.terms.items()) == list(want.items())
-            assert all(type(c) is F for c in got.terms.values())
