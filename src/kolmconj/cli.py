@@ -117,7 +117,7 @@ def _minimize_lines(res: MinimizeResult) -> List[str]:
             f"min eigenvalue: {res.eigen.value:.12e}",
             f"residual: {res.eigen.residual:.3e}",
             f"dominant mode: {res.dominant_mode!r}",
-            f"certified MI/pi^2 = {_exact_str(res.q, 'MI/pi^2')} (~ {float(res.q):.6e})",
+            f"certified MI/pi^2 = {res.q} (~ {float(res.q):.6e})",
             "verdict: conjugate point detected" if res.q < 0
             else "verdict: not detected on this window"]
 
@@ -127,8 +127,7 @@ def cmd_minimize(args) -> int:
     constraints = _parse_constraints(args.constrain, args.subspace)
     res = run_minimize(flow, p=args.p, N=args.N, subspace=args.subspace,
                        constraints=constraints)
-    # format every line, then write the file, then print: a value too long
-    # to print writes no file, and a failed write prints nothing
+    # format every line, then write the file, then print: a failed write prints nothing
     lines = _minimize_lines(res)
     if args.out:
         description = (f"rationalized minimizer, subspace={res.subspace}, "
@@ -145,7 +144,7 @@ def _sweep_line(flow: KolmogorovFlow, subspace: str, outcome) -> str:
         return f"{flow.m},{flow.n},{subspace},,,error: {outcome}"
     verdict = "conjugate point detected" if outcome.q < 0 else "not detected"
     return (f"{flow.m},{flow.n},{subspace},{outcome.eigen.value:.12e},"
-            f"{_exact_str(outcome.q, 'certified_q')},{verdict}")
+            f"{outcome.q},{verdict}")
 
 
 def cmd_sweep(args) -> int:

@@ -108,11 +108,12 @@ def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
               + (mk+nj)(A[j-m,k+n] - A[j+m,k-n]) ]
 
     where A is the even (cosine) or odd (sine) extension of the input
-    coefficients to the full integer lattice.  Returns (cols, coeffs), both
-    of shape (len(out), 4): the window index each term folds to and its
-    coefficient.  A coefficient is 0 where the weight vanishes or the term
-    folds outside the window.  Two terms of a row can fold to one mode;
-    both are kept, and a consumer adds them.
+    coefficients to the full integer lattice.  Returns (cols, terms), both
+    integer arrays of shape (len(out), 4): the window index each term folds
+    to and 4 times its coefficient, so that the bracket's rows are the
+    integers `terms` over 4.  A term is 0 where the weight vanishes or the
+    term folds outside the window.  Two terms of a row can fold to one
+    mode; both are kept, and a consumer adds them.
     """
     m, n, N = flow.m, flow.n, window.N
     j, k, sin = out.j[:, None], out.k[:, None], out.sin[:, None]
@@ -123,8 +124,8 @@ def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
     jj, kk, flip = _fold(jj, kk)
     inside = (jj <= N) & (np.abs(kk) <= N) & ((jj > 0) | (kk > 0))
     cols = np.where(inside, window.locate(jj, kk, sin), -1)
-    coeffs = np.where(cols >= 0, 0.25 * weight * np.where(flip & sin, -1, 1), 0.0)
-    return cols, coeffs
+    terms = np.where(cols >= 0, weight * np.where(flip & sin, -1, 1), 0)
+    return cols, terms
 
 
 def _extended(flow: KolmogorovFlow, window: SpectralWindow) -> SpectralWindow:
@@ -144,13 +145,16 @@ class _Chains:
     link them unless one is the origin, and likewise for (0, 2n).  So a
     window with N > 2 max(m, n) holds 2mn + 2 chains per parity.  `chain`
     holds each window mode's chain number, `sizes` each chain's mode count
-    and `firsts` its first mode.  The bracket's rows come from `_stencil`
-    into the output window `ext`.  The modes at the window positions
+    and `firsts` its first mode.  The modes at the window positions
     `zeroed` stay in their chains, but `kept` counts each chain's other
     modes, `held` marks the chains that lose one, and the bracket's terms
-    on them are 0.  `settled` marks the chains whose rows all lie outside
-    the disc j^2+k^2 < lambda^2, compared in integers: their form
-    B = L^T W L has only weights w >= 0, so it has no negative eigenvalue.
+    on them are 0.  One integer table holds the rows that the bracket
+    (`_stencil` into the output window `ext`) reaches, ascending: `rows`
+    their positions in `ext`, `row_chain` the chain of each, `cols` and
+    `terms` its four folded columns and stencil terms 4L, and `weight` its
+    w = j^2+k^2 - lambda^2.  `settled` marks the chains with no row of
+    w < 0, inside the disc j^2+k^2 < lambda^2: their form B = L^T W L has
+    no negative eigenvalue.
     """
 
     def __init__(self, flow: KolmogorovFlow, window: SpectralWindow, ext: SpectralWindow,
@@ -169,14 +173,14 @@ class _Chains:
         self.keep = ~np.isin(np.arange(size), zeroed)
         self.kept = np.bincount(self.chain[self.keep], minlength=len(self.sizes))
         self.held = self.kept < self.sizes
-        self.cols, coeffs = _stencil(flow, window, ext)
-        self.coeffs = np.where(self.keep[self.cols], coeffs, 0.0)
-        linked = self.coeffs != 0
-        # the output rows the bracket reaches, and the chain of each
-        self.rows = np.flatnonzero(linked.any(axis=1))
-        self.row_chain = self.chain[self.cols[self.rows, np.argmax(linked[self.rows], axis=1)]]
-        weight = ext.j[self.rows] ** 2 + ext.k[self.rows] ** 2 - flow.lambda2
-        self.settled = np.bincount(self.row_chain[weight < 0], minlength=len(self.sizes)) == 0
+        cols, terms = _stencil(flow, window, ext)
+        terms = np.where(self.keep[cols], terms, 0)
+        self.rows = np.flatnonzero(terms.any(axis=1))
+        self.cols, self.terms = cols[self.rows], terms[self.rows]
+        # a row's inputs lie in one class, so any column in the window names its chain
+        self.row_chain = self.chain[self.cols.max(axis=1)]
+        self.weight = ext.j[self.rows] ** 2 + ext.k[self.rows] ** 2 - flow.lambda2
+        self.settled = np.bincount(self.row_chain[self.weight < 0], minlength=len(self.sizes)) == 0
 
     def twins(self) -> np.ndarray:
         """The chains whose form an earlier chain repeats, as a mask.
@@ -208,12 +212,12 @@ class _Chains:
         never fewer than one: `positions` are their numbers and `index`
         (count, d) the window positions of their kept modes, ascending per
         chain.  Chains with no kept mode are left out.  `bracket` is
-        (slot, rows, local, coeffs) over the output rows the group
-        reaches, ascending: the group member each row belongs to, its
-        position in `ext`, and its four stencil terms as coefficients and
-        positions among that chain's kept modes (two terms may share a
-        position; a term is absent where its coefficient is 0, and its
-        position then means nothing).
+        (slot, local, terms, weight), the rows of the chains' table that
+        the group reaches, in order: the group member each row belongs to,
+        its four stencil terms' positions among that chain's kept modes and
+        the terms 4L themselves, and its weight.  Two terms may share a
+        position; a term is absent where it is 0, and its position then
+        means nothing.
         """
         kept = self.kept
         wanted = (kept > 0) if solve is None else solve & (kept > 0)
@@ -231,36 +235,28 @@ class _Chains:
                 slot = np.full(len(kept), -1)  # each chain's place in the group, or -1
                 slot[members] = np.arange(len(members))
                 at = np.flatnonzero(slot[self.row_chain] >= 0)
-                rows = self.rows[at]
                 yield (members.tolist(), order[mode_starts[members][:, None] + np.arange(d)],
-                       (slot[self.row_chain[at]], rows, local[self.cols[rows]],
-                        self.coeffs[rows]))
+                       (slot[self.row_chain[at]], local[self.cols[at]], self.terms[at],
+                        self.weight[at]))
 
 
-def _gram(shape: Tuple[int, int], bracket: Tuple[np.ndarray, ...],
-          weights: np.ndarray) -> np.ndarray:
+def _gram(shape: Tuple[int, int], bracket: Tuple[np.ndarray, ...]) -> np.ndarray:
     """B = L^T W L of each chain of a group (count, d), from its bracket's nonzeros.
 
-    W = diag(j^2+k^2 - lambda^2) on the outputs.  Each pair of nonzeros
-    on one output row adds one product, summed by one bincount; two terms
-    c, c' of a row on one column add c^2 w + 2 c c' w + c'^2 w = (c + c')^2 w.
-    L's entries are integers / 4 and W's integers, so every product and
-    running sum is exact and B is the same in any summation order.
+    The bracket holds the integers 4L and W = diag(w) of `_Chains`' table.
+    Each pair of nonzeros on one output row adds one integer product
+    c w c' of 16 B, summed by one bincount; two terms c, c' of a row on
+    one column add c^2 w + 2 c c' w + c'^2 w = (c + c')^2 w.  Every partial
+    sum is an integer far below 2^53, so the sums are exact in any order,
+    and B is 16 B divided by 16 once, also exactly.
     """
     count, d = shape
-    slot, rows, local, coeffs = bracket
-    linked = coeffs != 0
+    slot, local, terms, weight = bracket
+    linked = terms != 0
     r, s, t = np.nonzero(linked[:, :, None] & linked[:, None, :])
     at = (slot[r] * d + local[r, s]) * d + local[r, t]
-    products = coeffs[r, s] * weights[rows[r]] * coeffs[r, t]
-    return np.bincount(at, products, count * d * d).reshape(count, d, d)
-
-
-def _sobolev_scale(laplace: np.ndarray, p: int) -> np.ndarray:
-    """D^{-p/2} on the diagonal, D = j^2+k^2."""
-    if p < 0:
-        raise ValueError("Sobolev order must be >= 0")
-    return laplace ** (-p / 2)
+    products = terms[r, s] * weight[r] * terms[r, t]
+    return np.bincount(at, products, count * d * d).reshape(count, d, d) / 16
 
 
 def _reduce(B: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -288,8 +284,8 @@ class _FlowScan:
     eigensolve, (value, index, vector, residual), `failures` each failing
     chain's number to its error, and `low` is the lowest value so far.  No
     reduced matrix is kept once solved.  `large` maps (settled, number)
-    of each chain that shares no stack to its (index, bracket, weights)
-    from `_Chains.groups`, for `window_minimum` to reduce it last, the
+    of each chain that shares no stack to its (index, bracket) from
+    `_Chains.groups`, for `window_minimum` to reduce it last, the
     `_Chains.settled` ones after the others; a chain that `beaten` screens
     out, or a settled one skipped, then has no row and is never solved.
     """
@@ -377,18 +373,16 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     largest magnitude 1 while no weight underflows; the number of chains
     and the modes in the largest, twins and zeroed modes included; and the
     window position of the winning chain's first mode, zeroed or not.
-    Errors of the window or the options (a bad p or zeroed mode) are raised.
+    The callers check p >= 0; a zeroed mode outside the window raises.
     """
-    scale = _sobolev_scale(window.laplace, p)
+    scale = window.laplace ** (-p / 2)
     at = _positions(window, set(zeroed))
     scans, waiting, extended = [], {}, {}
     for flow in flows:
         reach = max(flow.m, flow.n)
         if reach not in extended:
             extended[reach] = _extended(flow, window)
-        ext = extended[reach]
-        weights = ext.laplace - flow.lambda2
-        chains = _Chains(flow, window, ext, at)
+        chains = _Chains(flow, window, extended[reach], at)
         scan = _FlowScan(chains)
         scans.append(scan)
         for positions, index, bracket in chains.groups(~chains.twins()):
@@ -396,9 +390,9 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
             step = STACK_ENTRIES // (d * d)
             if step < 2:  # shares no stack: reduced last, and perhaps screened out
                 number = positions[0]
-                scan.large[bool(chains.settled[number]), number] = index, bracket, weights
+                scan.large[bool(chains.settled[number]), number] = index, bracket
                 continue
-            stack = _reduce(_gram(index.shape, bracket, weights), scale[index])
+            stack = _reduce(_gram(index.shape, bracket), scale[index])
             batch = waiting.setdefault(d, [])
             batch += zip([scan] * len(positions), positions, index, stack)
             while len(batch) >= step:
@@ -408,10 +402,10 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
         if batch:
             _solve(batch)
     for scan in scans:
-        for (settled, number), (index, bracket, weights) in sorted(scan.large.items()):
+        for (settled, number), (index, bracket) in sorted(scan.large.items()):
             if settled and scan.low < 0:  # B >= 0 can neither win nor tie
                 continue
-            [S] = _reduce(_gram(index.shape, bracket, weights), scale[index])
+            [S] = _reduce(_gram(index.shape, bracket), scale[index])
             if not scan.beaten(S):
                 _solve([(scan, number, index[0], S)])
     entries = []

@@ -182,20 +182,22 @@ def chain_brackets(flow, window):
     """(index, rows, L) of each chain of `_Chains`, by chain number.
 
     `index` holds the window positions of the chain's modes, `rows` the
-    positions in the extended window of the outputs its bracket reaches,
-    and L the dense bracket block between them, summed from the
-    nonzeros that `_Chains.groups` yields.
+    positions in the extended window of the outputs its bracket reaches
+    (the chain's rows of the `_Chains` table, in order), and L the dense
+    bracket block between them, summed from the integer terms 4L that
+    `_Chains.groups` yields, each divided by 4.
     """
-    chains = {}
-    for positions, index, (slot, rows, local, coeffs) in spectral._Chains(
-            flow, window, extended(flow, window)).groups():
+    layout, chains = spectral._Chains(flow, window, extended(flow, window)), {}
+    for positions, index, (slot, local, terms, _) in layout.groups():
         by_slot = np.argsort(slot, kind="stable")
         ends = np.searchsorted(slot[by_slot], np.arange(len(positions)), side="right")
         for i, at in enumerate(np.split(by_slot, ends[:-1])):
             L = np.zeros((len(at), index.shape[1]))
-            r, t = np.nonzero(coeffs[at])
-            np.add.at(L, (r, local[at][r, t]), coeffs[at][r, t])
-            chains[positions[i]] = index[i], rows[at], L
+            r, t = np.nonzero(terms[at])
+            np.add.at(L, (r, local[at][r, t]), terms[at][r, t] / 4)
+            rows = layout.rows[layout.row_chain == positions[i]]
+            assert len(rows) == len(at)
+            chains[positions[i]] = index[i], rows, L
     return [chains[number] for number in range(len(chains))]
 
 
@@ -235,11 +237,10 @@ def per_chain_products(flow, window, p):
 def gram_blocks(flow, window):
     """(index, B) of each chain, by chain number, B as the numerical route builds it
     with `_gram`."""
-    ext = extended(flow, window)
-    weights = ext.laplace - flow.lambda2
     chains = {}
-    for positions, index, bracket in spectral._Chains(flow, window, ext).groups():
-        chains.update(zip(positions, zip(index, spectral._gram(index.shape, bracket, weights))))
+    for positions, index, bracket in spectral._Chains(
+            flow, window, extended(flow, window)).groups():
+        chains.update(zip(positions, zip(index, spectral._gram(index.shape, bracket))))
     return [chains[number] for number in range(len(chains))]
 
 
@@ -283,9 +284,9 @@ def follow_groups(monkeypatch):
             layouts[id(bracket)] = self, positions, index, bracket
             yield positions, index, bracket
 
-    def gram_spy(shape, bracket, weights):
+    def gram_spy(shape, bracket):
         chains, positions, index, _ = layouts[id(bracket)]
-        current[:] = chains, positions, index, gram(shape, bracket, weights)
+        current[:] = chains, positions, index, gram(shape, bracket)
         return current[-1]
 
     monkeypatch.setattr(spectral._Chains, "groups", groups_spy)

@@ -100,8 +100,8 @@ def test_chains_are_the_connected_classes(m):
             window = SpectralWindow(N, subspace)
             ext = extended(flow, window)
             chains = spectral._Chains(flow, window, ext)
-            cols, coeffs = spectral._stencil(flow, window, ext)
-            linked = coeffs != 0
+            cols, terms = spectral._stencil(flow, window, ext)
+            linked = terms != 0
             row_chains = np.where(linked, chains.chain[cols], -1)
             assert np.all((row_chains == row_chains.max(axis=1)[:, None]) | ~linked)
             assert np.array_equal(chains.firsts[chains.chain],
@@ -141,9 +141,9 @@ def test_scattered_brackets_match_exact_bracket():
 def _rows_with_one_column_twice(flow, window):
     """How many bracket rows that `_gram` reads hold two nonzero terms on one column."""
     count = 0
-    for _, _, (_, _, local, coeffs) in spectral._Chains(
+    for _, _, (_, local, terms, _) in spectral._Chains(
             flow, window, extended(flow, window)).groups():
-        linked = coeffs != 0
+        linked = terms != 0
         twice = (local[:, :, None] == local[:, None, :]) & linked[:, :, None] & linked[:, None, :]
         count += np.count_nonzero(np.triu(twice, 1).any(axis=(1, 2)))
     return count
@@ -165,6 +165,33 @@ def test_block_gram_equals_dense_gram():
         for (index, B), (want, rows, L) in zip(grams, blocks):
             assert np.array_equal(index, want)
             assert np.array_equal(B, L.T @ (weights[rows][:, None] * L))
+
+
+@pytest.mark.parametrize("m,n,N,subspace", [(1, 1, 80, COS), (30, 29, 61, COS),
+                                             (30, 30, 61, COS), (4, 1, 40, FULL)])
+def test_gram_sums_integers_exactly(m, n, N, subspace):
+    # `_gram` sums the integer products c w c' of 16 B as floats and divides
+    # by 16 once, exact while the magnitudes summed into one entry stay below
+    # 2^53: the largest such sum here is about 2e11, at (30,30) N=61
+    flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
+    chains = spectral._Chains(flow, window, extended(flow, window))
+    assert all(np.issubdtype(a.dtype, np.integer) for a in (chains.terms, chains.weight))
+    for _, index, bracket in chains.groups():
+        slot, local, terms, weight = bracket
+        assert all(np.issubdtype(a.dtype, np.integer) for a in (terms, weight))
+        d = index.shape[1]
+        linked = terms != 0
+        r, s, t = np.nonzero(linked[:, :, None] & linked[:, None, :])
+        at, inverse = np.unique((slot[r] * d + local[r, s]) * d + local[r, t],
+                                return_inverse=True)
+        products = terms[r, s] * weight[r] * terms[r, t]
+        gram, magnitude = np.zeros(len(at), dtype=np.int64), np.zeros(len(at), dtype=np.int64)
+        np.add.at(gram, inverse, products)
+        np.add.at(magnitude, inverse, np.abs(products))
+        assert magnitude.max() < 2 ** 53
+        B = spectral._gram(index.shape, bracket).ravel()
+        assert np.array_equal(16 * B[at], gram)
+        assert np.count_nonzero(B) == np.count_nonzero(gram)
 
 
 def _dense_minimum(flow, window, p, zeroed):
@@ -243,7 +270,7 @@ def _scan(monkeypatch, groups):
     """
     window = SpectralWindow(6, COS)
     monkeypatch.setattr(spectral._Chains, "groups", lambda self, solve=None: iter(groups))
-    monkeypatch.setattr(spectral, "_gram", lambda shape, stack, weights: stack)
+    monkeypatch.setattr(spectral, "_gram", lambda shape, stack: stack)
     solved, _, rows = spy_scan(monkeypatch)
     try:
         return window, scan_one(KolmogorovFlow(3, 2), window, 0), solved, rows
@@ -465,23 +492,22 @@ def test_sweep_builds_each_window_once(monkeypatch):
 def test_chain_groups_hold_one_shape_within_the_stack_cap(m, n, N, subspace):
     flow = KolmogorovFlow(m, n)
     window = SpectralWindow(N, subspace)
-    ext = extended(flow, window)
-    weights = ext.laplace - flow.lambda2
-    scales = [spectral._sobolev_scale(window.laplace, p) for p in (0, 1, 3)]
+    scales = [window.laplace ** (-p / 2) for p in (0, 1, 3)]
     firsts, groups, held = {}, defaultdict(list), []
-    for positions, index, bracket in spectral._Chains(flow, window, ext).groups():
-        slot, rows, local, coeffs = bracket
+    for positions, index, bracket in spectral._Chains(
+            flow, window, extended(flow, window)).groups():
+        slot, local, terms, weight = bracket
         count, d = index.shape
         assert 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
         assert positions == sorted(positions)
         assert set(slot.tolist()) == set(range(count))
-        assert rows.shape == slot.shape and local.shape == coeffs.shape == (len(rows), 4)
+        assert weight.shape == slot.shape and local.shape == terms.shape == (len(slot), 4)
         assert not firsts.keys() & set(positions)
         firsts.update(zip(positions, index[:, 0].tolist()))
         held += index.ravel().tolist()
         groups[d].append(count)
         # B and S are exactly symmetric: the eigensolve takes them as they are
-        B = spectral._gram(index.shape, bracket, weights)
+        B = spectral._gram(index.shape, bracket)
         assert np.array_equal(B, B.swapaxes(-1, -2))
         for scale in scales:
             S = spectral._reduce(B, scale[index])

@@ -618,35 +618,6 @@ def test_time_bound_too_long_to_print_is_numerical_failure(capsys, tmp_path):
     assert err == "numerical failure: T*^2/pi^2 has too many digits to print\n"
 
 
-# past CPython's 4300-digit limit for int strings, yet a float (0.0)
-_Q_TOO_LONG = F(-1, 10 ** 4400)
-
-
-def test_minimize_q_too_long_to_print_is_numerical_failure(capsys, monkeypatch, tmp_path):
-    res = run_minimize(KolmogorovFlow(2, 1), N=4)
-    res.q = _Q_TOO_LONG
-    monkeypatch.setattr("kolmconj.cli.run_minimize", lambda *args, **kwargs: res)
-    out_file = tmp_path / "min.json"
-    code, out, err = run(capsys, "minimize", "--m", "2", "--n", "1", "--out", str(out_file))
-    assert code == 3
-    assert out == ""
-    assert err == "numerical failure: MI/pi^2 has too many digits to print\n"
-    assert not out_file.exists()
-
-
-def test_sweep_q_too_long_to_print_is_numerical_failure(capsys, monkeypatch):
-    res = run_minimize(KolmogorovFlow(1, 1), N=4)
-    res.q = _Q_TOO_LONG
-    runs = [(res.flow, COS, res),
-            (KolmogorovFlow(2, 1), COS, CertificationError("rationalized candidate lies "
-                                                           "in the kernel"))]
-    monkeypatch.setattr("kolmconj.cli.run_sweep", lambda *args, **kwargs: runs)
-    code, out, err = run(capsys, "sweep", "--mmax", "1")
-    assert code == 3
-    assert out == ""
-    assert err == "numerical failure: certified_q has too many digits to print\n"
-
-
 @pytest.mark.parametrize("argv,name", [
     (("offdiag", str(10 ** 800 + 1), str(10 ** 800)), "minimum value"),
     (("diag", str(10 ** 800)), "a0")])

@@ -10,7 +10,7 @@ import pytest
 from kolmconj import spectral
 from kolmconj.pipeline import run_minimize
 from kolmconj.spectral import (FULL, SUBSPACES, CertificationError, SpectralWindow, _extended,
-                               _reduce, _sobolev_scale, certify_candidate, window_minimum)
+                               _reduce, certify_candidate, window_minimum)
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, canonicalize, misiolek_index)
 
@@ -243,7 +243,7 @@ class TestReduceConstrain:
     def test_p_zero_identity(self):
         win = SpectralWindow(4, COS)
         for index, B in gram_blocks(KolmogorovFlow(2, 1), win):
-            assert np.array_equal(_reduce(B, _sobolev_scale(win.laplace[index], 0)), B)
+            assert np.array_equal(_reduce(B, win.laplace[index] ** 0.0), B)
 
     def test_unit_weight_mode_unchanged(self):
         win = SpectralWindow(4, COS)
@@ -251,7 +251,8 @@ class TestReduceConstrain:
         [(index, B)] = [(index, B) for index, B in gram_blocks(KolmogorovFlow(2, 1), win)
                         if i in index]
         at = index.tolist().index(i)
-        assert _reduce(B, _sobolev_scale(win.laplace[index], 2))[at, at] == B[at, at]
+        # D^{-p/2} at p = 2
+        assert _reduce(B, win.laplace[index] ** -1.0)[at, at] == B[at, at]
 
     def test_sign_independent_of_p(self):
         win = SpectralWindow(8, COS)
@@ -412,6 +413,39 @@ def test_minimizer_in_the_bracket_kernel_is_rejected():
         [(COS, 1, 1, -1), (COS, 1, -1, -1), (COS, 3, 3, b), (COS, 3, -3, b)]
         + [(COS, j, k, a) for j, k in ((1, 3), (1, -3), (3, 1), (3, -1))])
     assert bracket(flow.stream(), field).is_zero()
+
+
+def _integer_index(flow, window, field, zeroed=()):
+    """Q = MI/pi^2 of `field`, summed in Python ints from `_Chains`' integer
+    table: Q = sum_r w_r (sum_t (4L)_rt a_t)^2 / (8 * 10^12), a_t the field's
+    numerators over 10^6."""
+    chains = spectral._Chains(flow, window, extended(flow, window),
+                              [window.index_of(mode) for mode in zeroed])
+    a = [0] * len(window)
+    for mode, c in field.terms.items():
+        a[window.index_of(mode)] = int(c * 10 ** 6)
+    total = sum(w * sum(t * a[col] for col, t in zip(cols, terms) if t) ** 2
+                for w, cols, terms in zip(chains.weight.tolist(), chains.cols.tolist(),
+                                          chains.terms.tolist()))
+    return F(total, 8 * 10 ** 12)
+
+
+def test_integer_table_index_equals_exact_index():
+    # the chains' integer rows and weights give the certificate's exact
+    # index, with no float and no trigpoly: every sine sign, every term
+    # that folds outside the window and every weight of the table counts
+    cases = [(3, 2, 12, COS, ()), (2, 2, 10, SIN, ()), (1, 1, 8, FULL, ()),
+             (3, 3, 10, COS, (Mode(0, 1, COS),)), (4, 1, 20, COS, ())]
+    rng = random.Random(32)
+    for _ in range(6):
+        m, n, N, subspace = rng.randint(1, 4), rng.randint(1, 4), rng.randint(3, 10), \
+            rng.choice(SUBSPACES)
+        modes = window_modes(SpectralWindow(N, subspace))
+        cases.append((m, n, N, subspace, tuple(rng.sample(modes, rng.randint(0, 3)))))
+    for m, n, N, subspace, zeroed in cases:
+        flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
+        res = run_minimize(flow, N=N, subspace=subspace, constraints=zeroed)
+        assert _integer_index(flow, window, res.field, zeroed) == res.q
 
 
 def test_no_function_takes_a_denominator_cap():
