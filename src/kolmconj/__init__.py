@@ -5,8 +5,6 @@ and a spectral Galerkin pipeline finds and certifies numerical minimizers
 of the Misiolek index.
 """
 
-from .eigensolve import ConvergenceError, EigenPair
-from .spectral import CertificationError, SpectralWindow, certify_candidate
 from .theorems import (CriticalPoint, QuadraticFormInParams, diag_candidate,
                        diag_form, drivas_check, drivas_field, offdiag_candidate,
                        offdiag_form, sign_certificates)

@@ -4,7 +4,8 @@
 `mi` scores a field file against the flow the file names.
 
 Exit codes: 0 success / verdict holds, 1 assertion failure, 2 usage error,
-3 numerical failure.
+3 numerical failure.  Only `minimize` and `sweep` import the numerical
+route, and with it numpy.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import theorems
-from .eigensolve import ConvergenceError
-from .pipeline import (MinimizeResult, read_field_file, run_minimize, run_sweep,
-                       write_field_file)
-from .spectral import CertificationError
+from .fieldfile import read_field_file, write_field_file
 from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, bracket, canonicalize,
                        grad_energy, misiolek_index)
 
@@ -111,7 +109,8 @@ def _parse_constraints(specs: Sequence[str], subspace: str) -> List[Mode]:
     return modes
 
 
-def _minimize_lines(res: MinimizeResult) -> List[str]:
+def _minimize_lines(res) -> List[str]:
+    """`minimize`'s report of one `pipeline.MinimizeResult`."""
     return [f"flow: m={res.flow.m} n={res.flow.n} (lambda^2={res.flow.lambda2})",
             f"subspace: {res.subspace}  p: {res.p}  N: {res.N}  dim: {len(res.coeffs)}",
             f"min eigenvalue: {res.eigen.value:.12e}",
@@ -123,6 +122,7 @@ def _minimize_lines(res: MinimizeResult) -> List[str]:
 
 
 def cmd_minimize(args) -> int:
+    from .pipeline import run_minimize
     flow = KolmogorovFlow(args.m, args.n)
     constraints = _parse_constraints(args.constrain, args.subspace)
     res = run_minimize(flow, p=args.p, N=args.N, subspace=args.subspace,
@@ -148,6 +148,7 @@ def _sweep_line(flow: KolmogorovFlow, subspace: str, outcome) -> str:
 
 
 def cmd_sweep(args) -> int:
+    from .pipeline import run_sweep
     runs = run_sweep(args.mmax, p=args.p, N=args.N)
     lines = ["m,n,subspace,eigenvalue,certified_q,verdict"]
     lines += [_sweep_line(*run) for run in runs]
@@ -235,9 +236,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (ConvergenceError, CertificationError, OverflowError, MemoryError) as exc:
-        # OverflowError: an exact value too large to print, as a float or in digits;
-        # MemoryError: a window too large to index or allocate
+    except (RuntimeError, OverflowError, MemoryError) as exc:
+        # RuntimeError: a failed eigensolve or certification, whose error classes
+        # subclass it; OverflowError: an exact value too large to print, as a float
+        # or in digits; MemoryError: a window too large to index or allocate
         print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return NUMERIC
 

@@ -1,16 +1,13 @@
-"""The numerical route end to end, and the field files around it.
+"""The numerical route end to end.
 
 `run_minimize` proposes a minimizer on a Fourier window and certifies it
 exactly, into one `MinimizeResult`; `run_sweep` runs it over wavenumber
-pairs, one record or error per run.  Field files carry an exact
-rational field as JSON and are read against a strict schema.
+pairs, one record or error per run.  Field files live in `fieldfile`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,9 +17,8 @@ import numpy as np
 
 from .eigensolve import ConvergenceError, EigenPair
 from .spectral import CertificationError, SpectralWindow, certify_candidate, window_minimum
-from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, canonicalize
+from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly
 
-# ------------------------------------------------------------ minimize
 
 @dataclass
 class MinimizeResult:
@@ -114,84 +110,3 @@ def run_sweep(mmax: int, p: int = 3, N: int = 12
         flows = undetected
     # stable: each pair's cosine run stays before its sine run
     return sorted(runs, key=lambda run: (run[0].m, run[0].n))
-
-
-# ------------------------------------------------------------ field files
-
-def write_field_file(path: str, flow: KolmogorovFlow, field: TrigPoly,
-                     description: str) -> None:
-    modes = [{"parity": mode.parity, "j": mode.j, "k": mode.k, "value": str(field.terms[mode])}
-             for mode in sorted(field.terms)]
-    with open(path, "w") as fh:
-        json.dump({"m": flow.m, "n": flow.n, "description": description, "modes": modes},
-                  fh, indent=2)
-        fh.write("\n")
-
-
-def _member(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ValueError(f"field file: {where} has no {key!r}")
-    return obj[key]
-
-
-def _integer(obj: dict, key: str, where: str) -> int:
-    value = _member(obj, key, where)
-    if type(value) is not int:  # JSON true/false load as bool, an int subclass
-        raise ValueError(f"field file: {where} {key!r} must be an integer, got {value!r}")
-    return value
-
-
-_MAX_EXPONENT = 4300  # CPython's default digit limit for int strings
-
-
-def _rational(value) -> Fraction:
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        # Fraction("1e1000000") would build 10**1000000: bound the exponent
-        exponent = re.search(r"[eE][-+]?([\d_]+)\s*$", str(value))
-        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-        if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
-            raise ValueError(f"field file: value {value!r} has a decimal exponent "
-                             f"beyond {_MAX_EXPONENT} in magnitude")
-        try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"field file: value {value!r} is not a finite rational")
-
-
-def read_field_file(path: str) -> Tuple[KolmogorovFlow, TrigPoly, str]:
-    """Read a field file; any departure from the schema raises ValueError.
-
-    The top level is an object with integers `m`, `n` and a `modes` list;
-    each mode is an object with `parity` "cos" or "sin", integers `j`, `k`
-    and a `value` that is a finite rational ("p/q" string, int or float).
-    Entries fold (j, k) and (-j, -k) onto one mode; a mode twice, or sin(0,0), is rejected.
-    """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError("field file: JSON nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise ValueError("field file: top level must be a JSON object")
-    flow = KolmogorovFlow(_integer(doc, "m", "top level"), _integer(doc, "n", "top level"))
-    entries = _member(doc, "modes", "top level")
-    if not isinstance(entries, list):
-        raise ValueError("field file: 'modes' must be a list")
-    terms = {}
-    for i, entry in enumerate(entries):
-        where = f"mode {i}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"field file: {where} must be a JSON object")
-        parity = _member(entry, "parity", where)
-        if parity not in (COS, SIN):
-            raise ValueError(f"field file: {where} parity must be 'cos' or 'sin', "
-                             f"got {parity!r}")
-        mode, sign = canonicalize(parity, _integer(entry, "j", where), _integer(entry, "k", where))
-        if mode is None:
-            raise ValueError(f"field file: {where} is sin(0x+0y), the zero function")
-        if mode in terms:
-            raise ValueError(f"field file: {where} repeats the mode of an earlier entry")
-        terms[mode] = sign * _rational(_member(entry, "value", where))
-    return flow, TrigPoly(terms), doc.get("description", "")
-

@@ -5,7 +5,7 @@ c * sin(j x + k y) with rational coefficients c.  All operations here
 (products, derivatives, Poisson brackets, inner products) are exact:
 coefficients are `fractions.Fraction` values and never touch floating
 point.  Integrals over the torus come out as rational multiples of pi^2,
-and only that rational factor is returned.
+and only that rational factor is returned.  The module imports no numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
-
-import numpy as np
 
 COS = "cos"
 SIN = "sin"
@@ -236,14 +234,6 @@ class TrigPoly:
     @property
     def constant_coeff(self) -> Fraction:
         return self.terms.get(CONSTANT_MODE, Fraction(0))
-
-    def eval(self, x, y):
-        """Float value at (x, y); x and y may be numpy arrays of one shape."""
-        total = 0.0
-        for m, c in self.terms.items():
-            fn = np.cos if m.parity == COS else np.sin
-            total = total + float(c) * fn(m.j * x + m.k * y)
-        return total
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TrigPoly) and self.terms == other.terms

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -108,6 +109,15 @@ def reference_product_sums(p: TrigPoly, q: TrigPoly) -> dict:
 def reference_poly(sums: dict) -> TrigPoly:
     """The TrigPoly of per-mode sums, in their insertion order, zeros dropped."""
     return TrigPoly({mode: c for mode, c in sums.items() if c})
+
+
+def evaluate(p: TrigPoly, x: float, y: float) -> float:
+    """Float value of `p` at the point (x, y)."""
+    total = 0.0
+    for m, c in p.terms.items():
+        fn = math.cos if m.parity == COS else math.sin
+        total = total + float(c) * fn(m.j * x + m.k * y)
+    return total
 
 
 def reference_pairing(p: TrigPoly, q: TrigPoly, flow) -> Fraction:

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kolmconj
-from kolmconj import cli, pipeline, theorems
+from kolmconj import eigensolve, pipeline, theorems
 from kolmconj.cli import build_parser, main
-from kolmconj.pipeline import (read_field_file, run_minimize, run_sweep,
-                               write_field_file)
+from kolmconj.fieldfile import read_field_file, write_field_file
+from kolmconj.pipeline import run_minimize, run_sweep
 from kolmconj.spectral import CertificationError, SpectralWindow
 from kolmconj.theorems import drivas_field
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, TrigPoly
 
+import test_golden
 from conftest import assert_winner_solved, spy_scan
 
 
@@ -489,7 +490,7 @@ def test_minimize_prints_its_winning_rows_residual(capsys, monkeypatch, argv):
     # coefficients; (1,1) full at N=40 wins with a chain solved alone
     solved, _, rows = spy_scan(monkeypatch)
     results = []
-    monkeypatch.setattr(cli, "run_minimize",
+    monkeypatch.setattr(pipeline, "run_minimize",
                         lambda *args, **kwargs: results.append(run_minimize(*args, **kwargs))
                         or results[-1])
     code, out, _ = run(capsys, "minimize", *argv)
@@ -748,7 +749,7 @@ def test_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, targe
     def exhausted(*args, **kwargs):
         raise MemoryError(*message)
 
-    monkeypatch.setattr(f"kolmconj.cli.{target}", exhausted)
+    monkeypatch.setattr(f"kolmconj.pipeline.{target}", exhausted)
     out_file = tmp_path / "out.txt"
     code, out, err = run(capsys, *(arg.format(out=out_file) for arg in command))
     assert code == 3
@@ -787,6 +788,27 @@ def test_window_too_large_to_index_is_numerical_failure(capsys, argv):
     assert err.startswith("numerical failure: window order ") and err.count("\n") == 1
 
 
+def test_convergence_failure_is_numerical_failure(capsys, monkeypatch, tmp_path):
+    # a negative tolerance fails every residual's bound: the eigensolve's
+    # ConvergenceError ends `minimize` before it formats or writes anything
+    monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", -1)
+    out_file = tmp_path / "F"
+    code, out, err = run(capsys, "minimize", "--m", "2", "--n", "1", "--N", "4",
+                         "--out", str(out_file))
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: residual ") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def _fresh_interpreter(code, *args):
+    """Run `code` in a new interpreter that imports this tree's package."""
+    src = str(Path(kolmconj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 # exits 77 if a bare `import numpy` loads numpy.ma (numpy 1.x does)
 _NUMPY_MA_PROBE = """
 import contextlib, io, sys
@@ -804,12 +826,42 @@ print(codes, "numpy.ma" in sys.modules)
 def test_commands_leave_numpy_ma_unloaded():
     # numpy 2 loads numpy.ma on first use (np.unique loads it), which costs
     # about 1 MB and 10 ms of import time on every command
-    src = str(Path(kolmconj.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = _fresh_interpreter(_NUMPY_MA_PROBE)
     if done.returncode == 77:
         pytest.skip("a bare `import numpy` loads numpy.ma")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0, 0] False\n"
+
+
+# runs each command named in argv[1] with numpy made unimportable; prints
+# every exit code and output, and the numpy modules loaded at the end
+_NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from kolmconj.cli import main
+outputs = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outputs[name] = [main(argv), out.getvalue()]
+loaded = [key for key, module in sys.modules.items()
+          if key.split(".")[0] == "numpy" and module is not None]
+print(json.dumps({"outputs": outputs, "numpy": loaded}))
+"""
+
+
+def test_exact_commands_run_without_numpy():
+    # `verify` and `mi` are exact arithmetic: neither may load numpy, and
+    # each gives its golden output in an interpreter where numpy cannot load
+    cases = {name: list(argv) for name, argv in test_golden.CASES.items()
+             if argv[0] in ("verify", "mi")}
+    assert cases
+    done = _fresh_interpreter(_NO_NUMPY_PROBE, json.dumps(cases))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["numpy"] == []
+    codes = json.loads((test_golden.GOLDEN / "exit_codes.json").read_text())
+    assert sorted(result["outputs"]) == sorted(cases)
+    for name, (code, out) in result["outputs"].items():
+        assert code == codes[name], name
+        assert out == (test_golden.GOLDEN / f"{name}.out").read_text(), name

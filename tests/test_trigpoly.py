@@ -8,12 +8,12 @@ from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode,
                                TrigPoly, bracket, canonicalize, grad_energy, inner,
                                misiolek_index, misiolek_pairing)
 
-from conftest import (random_trigpoly, reference_bracket_sums, reference_pairing,
+from conftest import (evaluate, random_trigpoly, reference_bracket_sums, reference_pairing,
                       reference_poly, reference_product_sums)
 
 
 def grid_values(p, size=64):
-    return [p.eval(2 * math.pi * i / size, 2 * math.pi * j / size)
+    return [evaluate(p, 2 * math.pi * i / size, 2 * math.pi * j / size)
             for i in range(size) for j in range(size)]
 
 
@@ -90,7 +90,7 @@ class TestProducts:
                 x = 2 * math.pi * i / size
                 y = 2 * math.pi * j / size
                 direct = n * math.sin(x) * math.cos(m * x) * math.sin(n * y)
-                assert p.eval(x, y) == pytest.approx(direct, abs=1e-12)
+                assert evaluate(p, x, y) == pytest.approx(direct, abs=1e-12)
 
     def test_product_matches_pointwise_oracle(self, rng):
         for _ in range(20):
@@ -100,8 +100,8 @@ class TestProducts:
             for _ in range(5):
                 x = rng.uniform(0, 2 * math.pi)
                 y = rng.uniform(0, 2 * math.pi)
-                assert prod.eval(x, y) == pytest.approx(p.eval(x, y) * q.eval(x, y),
-                                                        abs=1e-10)
+                assert evaluate(prod, x, y) == pytest.approx(
+                    evaluate(p, x, y) * evaluate(q, x, y), abs=1e-10)
 
 
 class TestCalculus:
@@ -168,8 +168,9 @@ class TestBracket:
             for _ in range(10):
                 x = rng.uniform(0, 2 * math.pi)
                 y = rng.uniform(0, 2 * math.pi)
-                direct = px.eval(x, y) * qy.eval(x, y) - py.eval(x, y) * qx.eval(x, y)
-                assert br.eval(x, y) == pytest.approx(direct, abs=1e-9)
+                direct = (evaluate(px, x, y) * evaluate(qy, x, y)
+                          - evaluate(py, x, y) * evaluate(qx, x, y))
+                assert evaluate(br, x, y) == pytest.approx(direct, abs=1e-9)
 
     def test_steady_state(self):
         for m in range(1, 5):
@@ -252,7 +253,7 @@ class TestGradEnergy:
             for j in range(size):
                 x = 2 * math.pi * i / size
                 y = 2 * math.pi * j / size
-                total += fx.eval(x, y) ** 2 + fy.eval(x, y) ** 2
+                total += evaluate(fx, x, y) ** 2 + evaluate(fy, x, y) ** 2
         total *= (2 * math.pi / size) ** 2
         assert total / math.pi ** 2 == pytest.approx(float(F(43, 20)), rel=1e-12)
 
@@ -269,8 +270,8 @@ class TestKolmogorovFlow:
 
     def test_stream_values(self):
         psi = KolmogorovFlow(1, 1).stream()
-        assert psi.eval(0.0, 0.0) == pytest.approx(-1.0)
-        assert psi.eval(math.pi / 2, 1.234) == pytest.approx(0.0, abs=1e-15)
+        assert evaluate(psi, 0.0, 0.0) == pytest.approx(-1.0)
+        assert evaluate(psi, math.pi / 2, 1.234) == pytest.approx(0.0, abs=1e-15)
 
 
 def _textbook_bracket(p, q):
