@@ -17,12 +17,16 @@ from .trigpoly import COS, SIN, KolmogorovFlow, TrigPoly, canonicalize
 
 def write_field_file(path: str, flow: KolmogorovFlow, field: TrigPoly,
                      description: str) -> None:
-    modes = [{"parity": mode.parity, "j": mode.j, "k": mode.k, "value": str(field.terms[mode])}
-             for mode in sorted(field.terms)]
+    """The bytes of `json.dump(..., indent=2)` and a newline, formatted directly:
+    the description goes through `json.dumps`, and the rest is integers,
+    parities and rationals "p/q", none of which JSON escapes."""
+    modes = ",\n".join(f'    {{\n      "parity": "{mode.parity}",\n      "j": {mode.j},\n'
+                       f'      "k": {mode.k},\n      "value": "{field.terms[mode]}"\n    }}'
+                       for mode in sorted(field.terms))
+    modes = f"[\n{modes}\n  ]" if modes else "[]"
     with open(path, "w") as fh:
-        json.dump({"m": flow.m, "n": flow.n, "description": description, "modes": modes},
-                  fh, indent=2)
-        fh.write("\n")
+        fh.write(f'{{\n  "m": {flow.m},\n  "n": {flow.n},\n  "description": '
+                 f'{json.dumps(description)},\n  "modes": {modes}\n}}\n')
 
 
 def _member(obj: dict, key: str, where: str):

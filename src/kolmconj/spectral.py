@@ -26,7 +26,8 @@ SUBSPACES = (COS, SIN, FULL)
 TIE_RTOL = 1e-12
 # one stacked LAPACK call holds at most this many matrix entries, so chains of
 # more than 45 modes share no stack: they are reduced last, and each is solved
-# alone unless `_FlowScan.beaten` screens it out or `_Chains.settled` skips it
+# alone unless weight bounds or `_Chains.settled` skip it or `_FlowScan.beaten`
+# screens it out
 STACK_ENTRIES = 4096
 # certification rounds each scaled coefficient to an integer over this
 MAX_DENOMINATOR = 10 ** 6
@@ -259,6 +260,22 @@ def _gram(shape: Tuple[int, int], bracket: Tuple[np.ndarray, ...]) -> np.ndarray
     return np.bincount(at, products, count * d * d).reshape(count, d, d) / 16
 
 
+def _weight_bounds(chains: _Chains, scale: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(N, A) per chain, from `_Chains`' table alone: lambda_min(S) >= -N and ||S||_2 <= A.
+
+    On a chain, S = sum_r w_r u_r u_r^T over its rows, u_r = D^{-p/2} L_r^T
+    with `scale` = D^{-p/2}, so with q_r = |u_r|^2 (the terms of a row on
+    one column summed before squaring), N = sum_{w_r < 0} |w_r| q_r and
+    A = sum_r |w_r| q_r.  No Gram product is built.
+    """
+    x = chains.terms * scale[chains.cols]
+    same = chains.cols[:, :, None] == chains.cols[:, None, :]
+    q = np.einsum("rs,rt,rst->r", x, x, same) / 16
+    weighted, count = np.abs(chains.weight) * q, len(chains.sizes)
+    return (np.bincount(chains.row_chain, np.where(chains.weight < 0, weighted, 0), count),
+            np.bincount(chains.row_chain, weighted, count))
+
+
 def _reduce(B: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """S = D^{-p/2} B D^{-p/2} for B (..., d, d) and its scale (..., d).
 
@@ -286,22 +303,30 @@ class _FlowScan:
     reduced matrix is kept once solved.  `large` maps (settled, number)
     of each chain that shares no stack to its (index, bracket) from
     `_Chains.groups`, for `window_minimum` to reduce it last, the
-    `_Chains.settled` ones after the others; a chain that `beaten` screens
-    out, or a settled one skipped, then has no row and is never solved.
+    `_Chains.settled` ones after the others, and `floors`, set once the
+    flow has such a chain, each chain's -N - TIE_RTOL d A from
+    `_weight_bounds`, with d its kept modes: a floor under its spectrum
+    with `spectrum_above`'s margin, A in place of max|S|.  A chain that
+    `beaten` screens out, or that is skipped, then has no row and is never
+    solved.
     """
 
     def __init__(self, chains: _Chains):
         self.count, self.largest = len(chains.sizes), int(chains.sizes.max())
         self.firsts = chains.firsts
         self.solved, self.failures, self.low, self.large = {}, {}, float("inf"), {}
+        self.floors = None
+
+    def ceiling(self) -> float:
+        """low + 2 TIE_RTOL |low|, the largest minimum that can still win or
+        tie against `low`; infinite while the flow has no `low`."""
+        return self.low + 2 * TIE_RTOL * abs(self.low)
 
     def beaten(self, S: np.ndarray) -> bool:
         """True if reduced chain S can neither win nor tie: one Cholesky
-        factorization puts its spectrum above low + 2 TIE_RTOL |low|, the
-        largest minimum that can still win or tie against `low`, by
-        TIE_RTOL dim max|S|.  False while the flow has no `low`."""
-        low = self.low
-        return low < float("inf") and spectrum_above(S, low + 2 * TIE_RTOL * abs(low), TIE_RTOL)
+        factorization puts its spectrum above `ceiling`, by TIE_RTOL dim
+        max|S|.  False while the flow has no `low`: the floor is not finite."""
+        return spectrum_above(S, self.ceiling(), TIE_RTOL)
 
     def winner(self, window: SpectralWindow, p: int
                ) -> Tuple[EigenPair, np.ndarray, int, int, int]:
@@ -358,11 +383,14 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     row, then the `_Chains.settled` ones, each in ascending chain number.
     A settled chain's form is PSD, so it is skipped, with no Gram product,
     reduction or eigensolve, once its flow's minimum so far is negative.
-    Any other such chain is solved unless its flow has a minimum so far
-    and one Cholesky factorization shows that it can neither win nor tie
-    (`_FlowScan.beaten`); a chain screened out still meets the symmetry
-    check, but has no eigenpair and so no residual to check, and a settled
-    chain skipped meets neither.  Per flow, two minima within TIE_RTOL of
+    So is a chain whose weight floor (`_FlowScan.floors`, from the integer
+    table alone) lies above the largest minimum that can still win or tie
+    (`_FlowScan.ceiling`).  Any other such chain is solved unless its flow
+    has a minimum so far and one Cholesky factorization shows that it can
+    neither win nor tie (`_FlowScan.beaten`); a chain screened out still
+    meets the symmetry check, but has no eigenpair and so no residual to
+    check, and a chain skipped by weight signs or bounds is never reduced
+    and meets neither.  Per flow, two minima within TIE_RTOL of
     each other (relative) are a tie, won by the chain with the lowest
     first mode, and the lowest-numbered chain that fails an eigensolve
     check gives the flow's error.  The flows of one max(m, n) share one
@@ -398,12 +426,16 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
             while len(batch) >= step:
                 _solve(batch[:step])
                 del batch[:step]
+        if scan.large:
+            negative, total = _weight_bounds(chains, scale)
+            scan.floors = -negative - TIE_RTOL * chains.kept * total
     for batch in waiting.values():
         if batch:
             _solve(batch)
     for scan in scans:
         for (settled, number), (index, bracket) in sorted(scan.large.items()):
-            if settled and scan.low < 0:  # B >= 0 can neither win nor tie
+            # B >= 0, or a spectrum that weights alone put above any that can win or tie
+            if settled and scan.low < 0 or scan.floors[number] > scan.ceiling():
                 continue
             [S] = _reduce(_gram(index.shape, bracket), scale[index])
             if not scan.beaten(S):
@@ -425,20 +457,39 @@ class Certificate(NamedTuple):
     q: Fraction
 
 
+def _numerators(scaled: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """round(Fraction(x) * D) for D = MAX_DENOMINATOR at the positions of
+    `scaled` where it may be nonzero, and those positions.
+
+    An x with |x| <= 0.4 / D rounds to 0, and is dropped first.  The rest
+    round in integers: with x = a / b, q, r = divmod(a D, b), the integer
+    is q, plus 1 where 2r > b, or 2r = b and q is odd (ties to even).
+    """
+    D = MAX_DENOMINATOR
+    at = np.flatnonzero(np.abs(scaled) > 0.4 / D)
+    numerators = []
+    for x in scaled[at].tolist():
+        a, b = x.as_integer_ratio()
+        q, r = divmod(a * D, b)
+        numerators.append(q + (2 * r > b or (2 * r == b and q & 1)))
+    return at, numerators
+
+
 def certify_candidate(window: SpectralWindow, values: np.ndarray,
                       flow: KolmogorovFlow) -> Certificate:
     """Rationalize a float coefficient vector on `window` and evaluate the index exactly.
 
     Coefficients are scaled so the largest magnitude is 1, and each scaled
     float x is rounded onto the one common denominator D = MAX_DENOMINATOR:
-    `Fraction(round(Fraction(x) * D), D)`.  The product is exact, and
-    `round` sends ties to even.  The Misiolek index q = MI/pi^2 of the
-    bracket of the rebuilt field is computed with exact arithmetic; the
-    bracket's coefficients are integers over 4D, so q * 8 * D**2 is an
-    integer.  Returns (field, q); q < 0 is a rigorous conjugate-point
-    certificate, and the scaling does not affect its sign (the index is
-    homogeneous of degree 2).  A vector whose length is not the window's,
-    or that is 0, raises ValueError.
+    `Fraction(round(Fraction(x) * D), D)`, ties to even, computed in
+    integers by `_numerators`, which drops every |x| <= 0.4 / D (it rounds
+    to 0) before any `Mode` or `Fraction` is built.  The Misiolek index
+    q = MI/pi^2 of the bracket of the rebuilt field is computed with exact
+    arithmetic; the bracket's coefficients are integers over 4D, so
+    q * 8 * D**2 is an integer.  Returns (field, q); q < 0 is a rigorous
+    conjugate-point certificate, and the scaling does not affect its sign
+    (the index is homogeneous of degree 2).  A vector whose length is not
+    the window's, or that is 0, raises ValueError.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (len(window),):
@@ -446,11 +497,10 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray,
     peak = np.max(np.abs(values))
     if peak == 0:
         raise ValueError("cannot certify the zero vector")
-    # modes outside the winning block are 0, and TrigPoly drops a zero anyway
-    nonzero = np.flatnonzero(values)
-    D = MAX_DENOMINATOR
-    f = TrigPoly({mode: Fraction(round(Fraction(x) * D), D) for mode, x in
-                  zip(window.modes_at(nonzero), (values[nonzero] / peak).tolist())})
+    # no Mode or Fraction is built for a coefficient that rounds to 0
+    at, numerators = _numerators(values / peak)
+    f = TrigPoly({mode: Fraction(c, MAX_DENOMINATOR)
+                  for mode, c in zip(window.modes_at(at), numerators) if c})
     phi = bracket(flow.stream(), f)
     if phi.is_zero():
         raise CertificationError("rationalized candidate lies in the kernel of the "

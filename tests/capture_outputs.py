@@ -42,7 +42,9 @@ where most chains of more than 45 modes are screened out, not solved:
 (1,1) full at N=40, (2,1), (3,2) and (4,1) cos at N=40, (4,3) full at
 N=30 and (2,2) full at N=20, where the screen acts on chains of 50-60
 modes, and (1,1) cos at N=40 and (2,2) cos at N=30, where chains of
-112-840 modes that reach no disc row are skipped, each at p = 0 and 3;
+112-840 modes that reach no disc row are skipped, and (3,1) cos at N=30
+and (4,3) cos at N=40, where weight bounds skip chains before their Gram
+product, each at p = 0 and 3;
 and 16 seeded `run_sweep` calls (mmax <= 8, N 1-16, p 0-4), hashed by
 each row's pair, subspace, eigenvalue bits, Q and verdict, so that
 windows where few or many chain classes meet and rows that end in
@@ -152,7 +154,8 @@ def _large_calls():
     from kolmconj.trigpoly import KolmogorovFlow
     windows = [((1, 1), 40, "full"), ((2, 1), 40, "cos"), ((3, 2), 40, "cos"),
                ((4, 1), 40, "cos"), ((4, 3), 30, "full"), ((2, 2), 20, "full"),
-               ((1, 1), 40, "cos"), ((2, 2), 30, "cos")]
+               ((1, 1), 40, "cos"), ((2, 2), 30, "cos"), ((3, 1), 30, "cos"),
+               ((4, 3), 40, "cos")]
     for ((m, n), N, subspace), p in itertools.product(windows, (0, 3)):
         yield KolmogorovFlow(m, n), dict(N=N, subspace=subspace, p=p)
 

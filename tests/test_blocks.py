@@ -572,22 +572,42 @@ def _solved_chains(monkeypatch, flow, **options):
     return solved, screened, rows, winner, result
 
 
-def _settled_skips(flow, window, rows, zeroed=()):
-    """The chains that a one-flow scan whose solved chains have the eigensolve
-    `rows` (see `spy_scan`) skips by weight signs: the non-twin
-    `_Chains.settled` chains of more than 45 kept modes, taken after every
-    other chain in ascending number, once a chain solved before has a
-    negative value."""
+def _deferred_skips(flow, window, rows, zeroed=()):
+    """The chains that a one-flow scan at p = 3 whose solved chains have the
+    eigensolve `rows` (see `spy_scan`) skips before their Gram product, as
+    two sets: by weight signs and by weight bounds.  The deferred chains, the
+    non-twin ones of more than 45 kept modes, come after every other
+    chain, the `_Chains.settled` ones last, each in ascending number.  A
+    settled one is skipped once a chain solved before has a negative
+    value; any one whose floor -N - TIE_RTOL d A from `_weight_bounds`
+    lies above low + 2 TIE_RTOL |low| is skipped by weight bounds."""
     chains = spectral._Chains(flow, window, extended(flow, window),
                               [window.index_of(mode) for mode in zeroed])
-    settled = np.flatnonzero(chains.settled & ~chains.twins() & (chains.kept > 45)).tolist()
-    low, skips = min([rows[c][0] for c in rows if c not in settled], default=np.inf), set()
-    for c in settled:
-        if low < 0:
-            skips.add(c)
+    deferred = np.flatnonzero(~chains.twins() & (chains.kept > 45)).tolist()
+    negative, total = spectral._weight_bounds(chains, window.laplace ** (-3 / 2))
+    floors = -negative - spectral.TIE_RTOL * chains.kept * total
+    low = min([rows[c][0] for c in rows if c not in deferred], default=np.inf)
+    settled, bounded = set(), set()
+    for c in sorted(deferred, key=lambda c: (chains.settled[c], c)):
+        if chains.settled[c] and low < 0:
+            settled.add(c)
+        elif floors[c] > low + 2 * spectral.TIE_RTOL * abs(low):
+            bounded.add(c)
         elif c in rows:
             low = min(low, rows[c][0])
-    return skips
+    return settled, bounded
+
+
+def _assert_above(grams, window, p, chains, value, zeroed=()):
+    """Each of `chains` has its dense reduced minimum, less the zeroed modes,
+    above value + 2 TIE_RTOL |value|: it can neither win nor tie.  `grams`
+    are the window's `dense_grams`."""
+    zero_at = {window.index_of(mode) for mode in zeroed}
+    for c in chains:
+        full, B = grams[c]
+        keep = [i for i, at in enumerate(full) if at not in zero_at]
+        S = dense_reduced(window, full, B, p)[np.ix_(keep, keep)]
+        assert np.linalg.eigvalsh(S)[0] > value + 2 * spectral.TIE_RTOL * abs(value), c
 
 
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
@@ -616,12 +636,15 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
     # both restricted to the modes left after constraints, and the
     # winner's pair, its chain's row of the eigensolve; those left out are
     # the chains zeroed entirely, the twins of earlier chains where
-    # neither chain holds a zeroed mode, and the settled chains skipped
+    # neither chain holds a zeroed mode, the settled chains skipped, and
+    # the chains that weight bounds skip, each with its dense minimum above
+    # the winner's value
     cases = [(m, n, N, subspace, []) for m, n, N, subspace in GROUPED_WINDOWS]
     for m, n, N, subspace in CONSTRAINED_WINDOWS:
         window = SpectralWindow(N, subspace)
         cases += [(m, n, N, subspace, zeroed)
                   for zeroed in _zeroings(KolmogorovFlow(m, n), window)]
+    bounds = 0
     for m, n, N, subspace, zeroed in cases:
         flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
         solved, screened, rows, [(pair, coeffs, _, _, first)], _ = _solved_chains(
@@ -634,8 +657,13 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
         held = {c for c, (index, _, _) in enumerate(reference) if zero_at & set(index)}
         gone = {c for c, (index, _, _) in enumerate(reference) if set(index) <= zero_at}
         twins = _twins(flow, window, zeroed)
-        skips = _settled_skips(flow, window, rows, zeroed)
-        assert sorted(seen) == sorted(set(range(len(reference))) - twins - gone - skips)
+        settled, bounded = _deferred_skips(flow, window, rows, zeroed)
+        assert sorted(seen) == sorted(
+            set(range(len(reference))) - twins - gone - settled - bounded)
+        assert not bounded & (twins | gone | settled)
+        grams = [(full, B) for full, B, _ in reference]
+        _assert_above(grams, window, 3, bounded, pair.value, zeroed)
+        bounds += len(bounded)
         assert held - gone <= seen.keys()
         assert not gone & seen.keys()
         for position, (stacked, index, gram) in seen.items():
@@ -646,6 +674,7 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
             assert np.array_equal(stacked, S[np.ix_(keep, keep)])
             assert np.array_equal(gram, gram.T) and np.array_equal(stacked, stacked.T)
         assert_winner_solved(solved, rows, pair, coeffs, best)
+    assert bounds
 
 
 # (m, n, N, subspace) and the chain count and largest chain the window had
@@ -663,7 +692,10 @@ def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, larges
     chains = chain_modes(flow, window)
     products = list(per_chain_products(flow, window, 3))
     skipped = set(range(len(chains))) - solved.keys() - screened.keys()
-    skipped -= _settled_skips(flow, window, rows)
+    settled, bounded = _deferred_skips(flow, window, rows)
+    assert bounded <= skipped and not bounded & settled
+    _assert_above(dense_grams(flow, window), window, 3, bounded, res.eigen.value)
+    skipped -= settled | bounded
     assert skipped and skipped == _twins(flow, window)
     for c in skipped:
         # some symmetry maps chain c onto an earlier chain t, and carries
@@ -706,6 +738,11 @@ def _no_cholesky(*args):
     raise np.linalg.LinAlgError("screen off")
 
 
+def _no_bounds(chains, scale):
+    """`_weight_bounds` that bounds nothing: N infinite, so no chain is skipped by it."""
+    return np.full(len(chains.sizes), np.inf), np.zeros(len(chains.sizes))
+
+
 # the windows of GROUPED_WINDOWS, each scanned once over all its flows, and
 # four large ones where most chains of more than 45 modes are screened out
 SCREENED_WINDOWS = defaultdict(list)
@@ -716,8 +753,9 @@ for _m, _n, _N, _subspace in GROUPED_WINDOWS + [(1, 1, 40, FULL), (2, 1, 40, COS
 
 @pytest.mark.parametrize("N,subspace", list(SCREENED_WINDOWS))
 def test_screen_changes_no_entry(monkeypatch, N, subspace):
-    # with the Cholesky screen on, every flow's entry is bit for bit the
-    # entry of a scan that solves every chain; and each chain screened out
+    # with the Cholesky screen and the weight bounds on, every flow's entry
+    # is bit for bit the entry of a scan with both off, which solves every
+    # chain that weight signs do not settle; and each chain screened out
     # has, by the dense oracle, its lowest eigenvalue above the flow's
     # winning value by more than the tie window
     flows, window = SCREENED_WINDOWS[N, subspace], SpectralWindow(N, subspace)
@@ -728,6 +766,7 @@ def test_screen_changes_no_entry(monkeypatch, N, subspace):
         entries = spectral.window_minimum(flows, window, p, zeroed)
         monkeypatch.undo()
         monkeypatch.setattr(np.linalg, "cholesky", _no_cholesky)
+        monkeypatch.setattr(spectral, "_weight_bounds", _no_bounds)
         unscreened = spectral.window_minimum(flows, window, p, zeroed)
         monkeypatch.undo()
         zero_at = {window.index_of(mode) for mode in zeroed}
@@ -818,6 +857,61 @@ def test_settled_chains_reach_no_disc_row():
     assert marked > 20 and last_marked and zeroed_marked and parities == {COS, SIN}
 
 
+def test_weight_bounds_hold_on_every_chain():
+    # `_weight_bounds` against each chain's dense reduced form S, pooled and
+    # deferred chains alike, on seeded windows with zeroed modes, at p = 0
+    # and 3: lambda_min(S) >= -N and ||S||_2 <= A, and trace(S) = A - 2N,
+    # each up to 1e-12 A, so that q_r sums a row's terms on one column
+    # before squaring, carries the Sobolev scale, and N takes only the rows
+    # of w < 0; a settled chain has N = 0
+    rng = random.Random(34)
+    windows = [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 12),
+                rng.choice((COS, SIN, FULL))) for _ in range(20)]
+    windows += [(3, 2, 20, COS), (2, 2, 14, FULL), (1, 1, 5, FULL), (4, 3, 4, SIN)]
+    deferred, parities = 0, set()
+    for m, n, N, subspace in windows:
+        flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
+        zeroed = rng.sample(window_modes(window), min(rng.randint(0, 4), len(window) - 1))
+        zero_at = {window.index_of(mode) for mode in zeroed}
+        chains = spectral._Chains(flow, window, extended(flow, window), sorted(zero_at))
+        grams = dense_grams(flow, window)
+        for p in (0, 3):
+            negative, total = spectral._weight_bounds(chains, window.laplace ** (-p / 2))
+            assert negative.shape == total.shape == (len(grams),)
+            assert not negative[chains.settled].any()
+            for c, (full, B) in enumerate(grams):
+                keep = [i for i, at in enumerate(full) if at not in zero_at]
+                if not keep:
+                    continue
+                S = dense_reduced(window, full, B, p)[np.ix_(keep, keep)]
+                values, tol = np.linalg.eigvalsh(S), 1e-12 * total[c]
+                assert values[0] >= -negative[c] - tol, (flow, window, c, p)
+                assert max(-values[0], values[-1]) <= total[c] + tol, (flow, window, c, p)
+                assert abs(np.trace(S) - (total[c] - 2 * negative[c])) <= tol, (flow, window, c)
+                deferred += len(keep) > 45
+        parities |= set(window.sin.tolist())
+    assert deferred and parities == {False, True}
+
+
+@pytest.mark.parametrize("m,n,N,count", [(3, 1, 30, 4), (4, 3, 40, 6)])
+def test_weight_bounds_skip_chains_before_their_gram_product(monkeypatch, m, n, N, count):
+    # at p = 3 the weight floors of `count` chains of more than 45 modes
+    # (on (3,1), -0.155 to -0.0099 against a minimum of -0.291) lie above
+    # any minimum that can win or tie: the scan neither solves nor screens
+    # them, though weight signs do not settle them, and each one's dense
+    # minimum lies above the winning value
+    flow, window = KolmogorovFlow(m, n), SpectralWindow(N, COS)
+    solved, screened, rows = spy_scan(monkeypatch)
+    pair = scan_one(flow, window, 3)[0]
+    monkeypatch.undo()
+    chains = spectral._Chains(flow, window, extended(flow, window))
+    deferred = set(np.flatnonzero(~chains.twins() & (chains.kept > 45)).tolist())
+    settled, bounded = _deferred_skips(flow, window, rows)
+    skipped = deferred - solved.keys() - screened.keys() - settled
+    assert len(skipped) == count and skipped == bounded
+    _assert_above(dense_grams(flow, window), window, 3, skipped, pair.value)
+
+
 def _outcome(res):
     """A `run_minimize` outcome as exactly comparable values (its error's
     type and text, or its eigenvalue's bits, q, block mode and coefficient
@@ -886,30 +980,36 @@ def test_flow_with_no_negative_minimum_solves_its_settled_chains(monkeypatch, N,
     assert (len(solved[winner][1]) > 45) == (N == 11)
 
 
+# skipped_sizes: the sizes of the chains skipped by weight signs, and by weight bounds
 @pytest.mark.parametrize("m,n,subspace,screened_sizes,skipped_sizes", [
-    (3, 2, COS, {12: 60}, {}),
-    (2, 2, FULL, {2: 55, 3: 55}, {4: 60, 5: 60, 18: 50, 19: 50})])
+    (3, 2, COS, {12: 60}, ({}, {9: 70})),
+    (2, 2, FULL, {3: 55}, ({4: 60, 5: 60, 18: 50, 19: 50}, {2: 55}))])
 def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, screened_sizes,
                                                  skipped_sizes):
     # two chains of more than 45 modes exceed STACK_ENTRIES, so each such
     # chain is reduced after every pooled stack is solved, and solved alone
-    # unless the screen shows that it can neither win nor tie, or it is
-    # settled by weight signs once its flow's minimum is negative; at N=20
-    # the screen rules out these chains of 55-60 modes, which fit a stack
-    # alone, and the weight signs those of 50-60 modes
+    # unless weight bounds or the screen show that it can neither win nor
+    # tie, or it is settled by weight signs once its flow's minimum is
+    # negative; at N=20 the screen rules out these chains of 55-60 modes,
+    # which fit a stack alone, the weight signs those of 50-60 modes, and
+    # the weight bounds those of 55-70 modes, each before its Gram product
     flow, window = KolmogorovFlow(m, n), SpectralWindow(20, subspace)
     assert 2 * 45 ** 2 <= STACK_ENTRIES < 2 * 46 ** 2
     solved, screened, rows = spy_scan(monkeypatch)
     shapes, solve = [], spectral.lowest_eigenpairs
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: shapes.append(stack.shape) or solve(stack))
-    scan_one(flow, window, 3)
+    pair = scan_one(flow, window, 3)[0]
     monkeypatch.undo()
     sizes = {number: len(index) for number, (_, index, _) in {**solved, **screened}.items()}
     assert {number: len(screened[number][1]) for number in screened_sizes} == screened_sizes
     chains = spectral._Chains(flow, window, extended(flow, window))
-    skips = _settled_skips(flow, window, rows)
-    assert {number: int(chains.sizes[number]) for number in skips} == skipped_sizes
+    settled, bounded = _deferred_skips(flow, window, rows)
+    assert [{number: int(chains.sizes[number]) for number in skips}
+            for skips in (settled, bounded)] == list(skipped_sizes)
+    assert not bounded & sizes.keys()
+    _assert_above(dense_grams(flow, window), window, 3, bounded, pair.value)
+    skips = settled | bounded
     # every stack of chains of more than 45 modes holds one, and comes last
     large = [d > 45 for _, d, _ in shapes]
     assert large == sorted(large)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ from kolmconj.fieldfile import read_field_file, write_field_file
 from kolmconj.pipeline import run_minimize, run_sweep
 from kolmconj.spectral import CertificationError, SpectralWindow
 from kolmconj.theorems import drivas_field
-from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, TrigPoly
+from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, TrigPoly, canonicalize
 
 import test_golden
 from conftest import assert_winner_solved, spy_scan
@@ -389,6 +390,32 @@ class TestFieldFiles:
                          TrigPoly.cosine(1, 0, F(1, 3)), "fmt")
         doc = json.loads(path.read_text())
         assert doc["modes"][0]["value"] == "1/3"
+
+    def test_written_bytes_are_json_dump_with_indent(self, tmp_path):
+        # the writer formats what json.dumps(doc, indent=2) and a newline
+        # give: seeded fields with sine modes, j = 0, negative k and large
+        # numerators, and descriptions with quotes, backslashes and non-ASCII
+        rng = random.Random(34)
+        descriptions = ["", 'say "hi"', "back\\slash\\", "ψ = −cos mx cos ny, λ²",
+                        "tab\tand\nnewline"]
+        path, seen = tmp_path / "f.json", set()
+        for description in descriptions * 4:
+            terms = {}
+            for _ in range(rng.randint(1, 8)):
+                j, k = rng.randint(0, 9), rng.randint(-9, 9)
+                mode, _ = canonicalize(rng.choice((COS, SIN)), j, k if j or k else 1)
+                terms[mode] = F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 12))
+            field, flow = TrigPoly(terms), KolmogorovFlow(rng.randint(1, 30), rng.randint(1, 30))
+            write_field_file(str(path), flow, field, description)
+            modes = [{"parity": mode.parity, "j": mode.j, "k": mode.k,
+                      "value": str(field.terms[mode])} for mode in sorted(field.terms)]
+            doc = {"m": flow.m, "n": flow.n, "description": description, "modes": modes}
+            assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+            seen |= {(mode.parity, mode.j == 0, mode.k < 0) for mode in field.terms}
+        assert {(SIN, True, False), (COS, False, True), (SIN, False, True)} <= seen
+        write_field_file(str(path), KolmogorovFlow(1, 1), TrigPoly(), "empty")
+        assert path.read_text() == json.dumps({"m": 1, "n": 1, "description": "empty",
+                                               "modes": []}, indent=2) + "\n"
 
     def test_malformed_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -393,6 +393,29 @@ def test_certificate_ties_go_to_even(peak):
                            zip(modes, (10 ** 6, 7812, -7812, 23438))}
 
 
+def test_numerators_round_as_fractions_do():
+    # `_numerators` gives round(Fraction(x) * D), ties to even, at every
+    # position it keeps, and drops only x that round to 0: seeded x in
+    # [-1, 1] and near 0, the exact ties odd / 2^7, and the cut's edge,
+    # 0.4 / D and 0.5 / D with their neighbours
+    D = spectral.MAX_DENOMINATOR
+    rng = random.Random(34)
+    xs = [rng.uniform(-1, 1) for _ in range(500)]
+    xs += [rng.uniform(-2 / D, 2 / D) for _ in range(500)]
+    xs += [sign * odd / 2 ** 7 for odd in range(1, 128, 2) for sign in (1, -1)]
+    edges = [x for t in (0.4 / D, 0.5 / D)
+             for x in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0))]
+    xs += edges + [-x for x in edges] + [0.0, -0.0, 1.0, -1.0]
+    at, numerators = spectral._numerators(np.array(xs))
+    got = dict(zip(at.tolist(), numerators))
+    assert all(type(c) is int for c in numerators)
+    assert [got.get(i, 0) for i in range(len(xs))] == [round(F(x) * D) for x in xs]
+    assert (got[xs.index(1 / 2 ** 7)], got[xs.index(3 / 2 ** 7)]) == (7812, 23438)
+    assert got[xs.index(math.nextafter(0.5 / D, 1.0))] == 1
+    # the cut drops 0.4 / D and below; the next float up is kept, and rounds to 0
+    assert not {xs.index(x) for x in edges[:2]} & got.keys() and got[xs.index(edges[2])] == 0
+
+
 def test_minimizer_in_the_bracket_kernel_is_rejected():
     # (1,1) cos at N=8 with five modes zeroed: the float minimizer is
     # -cos(x-y) - cos(x+y) + a (four cos(1,3)-type modes) + a/3 (cos(3,3) + cos(3,-3)),

@@ -12,11 +12,6 @@ from conftest import (evaluate, random_trigpoly, reference_bracket_sums, referen
                       reference_poly, reference_product_sums)
 
 
-def grid_values(p, size=64):
-    return [evaluate(p, 2 * math.pi * i / size, 2 * math.pi * j / size)
-            for i in range(size) for j in range(size)]
-
-
 class TestCanonicalization:
     def test_negative_j_folds(self):
         mode, sign = canonicalize(COS, -2, 3)
