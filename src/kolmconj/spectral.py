@@ -25,9 +25,9 @@ SUBSPACES = (COS, SIN, FULL)
 # two block minima this close, relative to the larger, are a tie
 TIE_RTOL = 1e-12
 # one stacked LAPACK call holds at most this many matrix entries, so chains of
-# more than 45 modes share no stack: they are reduced last, and each is solved
-# alone unless weight bounds or `_Chains.settled` skip it or `_FlowScan.beaten`
-# screens it out
+# more than 45 modes share no stack: each is decided once its flow's pooled
+# chains are solved, and solved alone unless its floor skips it or
+# `_FlowScan.beaten` screens it out
 STACK_ENTRIES = 4096
 # certification rounds each scaled coefficient to an integer over this
 MAX_DENOMINATOR = 10 ** 6
@@ -300,22 +300,15 @@ class _FlowScan:
     `solved` maps each solved chain's number to its row of the stacked
     eigensolve, (value, index, vector, residual), `failures` each failing
     chain's number to its error, and `low` is the lowest value so far.  No
-    reduced matrix is kept once solved.  `large` maps (settled, number)
-    of each chain that shares no stack to its (index, bracket) from
-    `_Chains.groups`, for `window_minimum` to reduce it last, the
-    `_Chains.settled` ones after the others, and `floors`, set once the
-    flow has such a chain, each chain's -N - TIE_RTOL d A from
-    `_weight_bounds`, with d its kept modes: a floor under its spectrum
-    with `spectrum_above`'s margin, A in place of max|S|.  A chain that
-    `beaten` screens out, or that is skipped, then has no row and is never
-    solved.
+    reduced matrix is kept once solved.  A chain that `beaten` screens
+    out, or that `window_minimum` skips by its floor, has no row and is
+    never solved.
     """
 
     def __init__(self, chains: _Chains):
         self.count, self.largest = len(chains.sizes), int(chains.sizes.max())
         self.firsts = chains.firsts
-        self.solved, self.failures, self.low, self.large = {}, {}, float("inf"), {}
-        self.floors = None
+        self.solved, self.failures, self.low = {}, {}, float("inf")
 
     def ceiling(self) -> float:
         """low + 2 TIE_RTOL |low|, the largest minimum that can still win or
@@ -364,6 +357,14 @@ def _solve(batch: List[tuple]) -> None:
         scan.low = min(scan.low, value)
 
 
+def _flush(waiting: dict) -> None:
+    """Solve every pooled batch still waiting, by size, and empty `waiting`."""
+    for batch in waiting.values():
+        if batch:
+            _solve(batch)
+    waiting.clear()
+
+
 def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: int,
                    zeroed: Iterable[Mode] = ()
                    ) -> List[Union[Tuple[EigenPair, np.ndarray, int, int, int], Exception]]:
@@ -378,23 +379,25 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     each chain's row of its stack (its lowest value, unit eigenvector and
     residual) goes back to its flow; the flow's pair is its winning
     chain's row, so its residual is the one checked.  A chain that
-    shares no stack (see STACK_ENTRIES) is reduced only after every pooled
-    stack is solved, one at a time per flow: first those that reach a disc
-    row, then the `_Chains.settled` ones, each in ascending chain number.
-    A settled chain's form is PSD, so it is skipped, with no Gram product,
-    reduction or eigensolve, once its flow's minimum so far is negative.
-    So is a chain whose weight floor (`_FlowScan.floors`, from the integer
-    table alone) lies above the largest minimum that can still win or tie
-    (`_FlowScan.ceiling`).  Any other such chain is solved unless its flow
-    has a minimum so far and one Cholesky factorization shows that it can
-    neither win nor tie (`_FlowScan.beaten`); a chain screened out still
-    meets the symmetry check, but has no eigenpair and so no residual to
-    check, and a chain skipped by weight signs or bounds is never reduced
-    and meets neither.  Per flow, two minima within TIE_RTOL of
-    each other (relative) are a tie, won by the chain with the lowest
-    first mode, and the lowest-numbered chain that fails an eigensolve
-    check gives the flow's error.  The flows of one max(m, n) share one
-    `_extended` output window, built once.  Returns
+    shares no stack (see STACK_ENTRIES) is deferred: once its flow's
+    groups are laid out and every batch still waiting is solved, the
+    flow's deferred chains are decided one at a time, those that reach a
+    disc row first, then the `_Chains.settled` ones, each in ascending
+    number.  One whose floor lies above the largest minimum that can
+    still win or tie (`_FlowScan.ceiling`) is skipped, with no Gram
+    product, reduction or eigensolve: 0 for a settled chain, whose form
+    is PSD, else -N - TIE_RTOL d A from `_weight_bounds`, d its kept
+    modes (`spectrum_above`'s margin, A in place of max|S|).  Any other
+    is solved unless its flow has a minimum so far and one Cholesky
+    factorization shows that it can neither win nor tie
+    (`_FlowScan.beaten`); a chain screened out still meets the symmetry
+    check, but has no eigenpair and so no residual to check, and a chain
+    skipped by its floor is never reduced and meets neither.  So no
+    flow's deferred chains are held past its turn.  Per flow, two minima
+    within TIE_RTOL of each other (relative) are a tie, won by the chain
+    with the lowest first mode, and the lowest-numbered chain that fails
+    an eigensolve check gives the flow's error.  The flows of one
+    max(m, n) share one `_extended` output window, built once.  Returns
     one entry per flow: its error, or the pair; the minimizer's
     coefficients, a float array over the window's modes, with
     S = D^{-p/2} B D^{-p/2} undone on the winning chain, 0 off it, and
@@ -411,14 +414,14 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
         if reach not in extended:
             extended[reach] = _extended(flow, window)
         chains = _Chains(flow, window, extended[reach], at)
-        scan = _FlowScan(chains)
+        scan, deferred = _FlowScan(chains), {}
         scans.append(scan)
         for positions, index, bracket in chains.groups(~chains.twins()):
             d = index.shape[1]
             step = STACK_ENTRIES // (d * d)
-            if step < 2:  # shares no stack: reduced last, and perhaps screened out
+            if step < 2:  # shares no stack: decided once the pooled chains are solved
                 number = positions[0]
-                scan.large[bool(chains.settled[number]), number] = index, bracket
+                deferred[bool(chains.settled[number]), number] = index, bracket
                 continue
             stack = _reduce(_gram(index.shape, bracket), scale[index])
             batch = waiting.setdefault(d, [])
@@ -426,20 +429,17 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
             while len(batch) >= step:
                 _solve(batch[:step])
                 del batch[:step]
-        if scan.large:
+        if deferred:
+            _flush(waiting)
             negative, total = _weight_bounds(chains, scale)
-            scan.floors = -negative - TIE_RTOL * chains.kept * total
-    for batch in waiting.values():
-        if batch:
-            _solve(batch)
-    for scan in scans:
-        for (settled, number), (index, bracket) in sorted(scan.large.items()):
-            # B >= 0, or a spectrum that weights alone put above any that can win or tie
-            if settled and scan.low < 0 or scan.floors[number] > scan.ceiling():
-                continue
-            [S] = _reduce(_gram(index.shape, bracket), scale[index])
-            if not scan.beaten(S):
-                _solve([(scan, number, index[0], S)])
+            floors = np.where(chains.settled, 0, -negative - TIE_RTOL * chains.kept * total)
+            for (_, number), (index, bracket) in sorted(deferred.items()):
+                if floors[number] > scan.ceiling():  # cannot win or tie
+                    continue
+                [S] = _reduce(_gram(index.shape, bracket), scale[index])
+                if not scan.beaten(S):
+                    _solve([(scan, number, index[0], S)])
+    _flush(waiting)
     entries = []
     for scan in scans:
         try:

@@ -48,7 +48,9 @@ product, each at p = 0 and 3;
 and 16 seeded `run_sweep` calls (mmax <= 8, N 1-16, p 0-4), hashed by
 each row's pair, subspace, eigenvalue bits, Q and verdict, so that
 windows where few or many chain classes meet and rows that end in
-`error:` go through the pooled scan of many pairs.  pytest does not collect this file;
+`error:` go through the pooled scan of many pairs, and `run_sweep`
+with mmax 4 at N=30, p = 0 and 3, where every pair has chains of more
+than 45 modes, decided inside the pooled scan.  pytest does not collect this file;
 `tests/test_capture_outputs.py` runs its digests on small inputs.
 """
 
@@ -203,13 +205,14 @@ def _minimize(flow, options):
 
 
 def _sweep_calls():
-    """SWEEP_CALLS distinct seeded options: a repeated draw would share its label."""
+    """SWEEP_CALLS distinct seeded options (a repeated draw would share its
+    label), then mmax 4 at N=30, p = 0 and 3."""
     rng = random.Random(16)
     calls = {}
     while len(calls) < SWEEP_CALLS:
         options = dict(mmax=rng.randint(1, 8), N=rng.randint(1, 16), p=rng.randint(0, 4))
         calls[str(options)] = options
-    return list(calls.values())
+    return list(calls.values()) + [dict(mmax=4, N=30, p=p) for p in (0, 3)]
 
 
 def _sweep_digest(runs):

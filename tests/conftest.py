@@ -282,8 +282,9 @@ def follow_groups(monkeypatch):
     positions, index, B) of the group whose Gram product B it built.
 
     A chain that shares no stack (see `spectral.STACK_ENTRIES`) is reduced
-    only once every group is laid out, so each `_gram` call is matched to
-    its group by the bracket it gets, not by the group laid out last.
+    only once every group of its flow is laid out, so each `_gram` call is
+    matched to its group by the bracket it gets, not by the group laid out
+    last.
     """
     groups, gram = spectral._Chains.groups, spectral._gram
     layouts, current = {}, []
@@ -305,38 +306,41 @@ def follow_groups(monkeypatch):
 
 
 def spy_scan(monkeypatch):
-    """Record what a one-flow `window_minimum` solves and screens out until
+    """Record what `window_minimum` solves and screens out, per flow, until
     the patches are undone.
 
-    Returns (solved, screened, rows): `solved` maps the number of each
-    chain solved to its reduced matrix as the pooled eigensolve gets it,
-    its window positions and its Gram product; `screened` does the same for
-    each chain that `_FlowScan.beaten` screens out, with the matrix it
-    gets; `rows` maps the number of each chain solved to its row of the
-    eigensolve's result, (value, vector, residual).  A matrix solved or
-    screened out that no reduction made fails.
+    Returns (solved, screened, rows), each keyed by flow and then by chain
+    number, and each a defaultdict: a flow's dict, taken before the scan,
+    is the one the scan fills.  `solved` maps each chain solved to its
+    reduced matrix as the pooled eigensolve gets it, its window positions
+    and its Gram product; `screened` does the same for each chain that
+    `_FlowScan.beaten` screens out, with the matrix it gets; `rows` maps
+    each chain solved to its row of the eigensolve's result, (value,
+    vector, residual).  A matrix solved or screened out that no reduction
+    made fails.
     """
-    solved, screened, rows, reduced = {}, {}, {}, defaultdict(list)
-    current = follow_groups(monkeypatch)
+    solved, screened, rows = defaultdict(dict), defaultdict(dict), defaultdict(dict)
+    reduced, current = defaultdict(list), follow_groups(monkeypatch)
     reduce, solve = spectral._reduce, spectral.lowest_eigenpairs
     beaten = spectral._FlowScan.beaten
 
     def reduce_spy(*args):
         stack = reduce(*args)
-        _, positions, index, grams = current
+        chains, positions, index, grams = current
         for i, position in enumerate(positions):
-            reduced[stack[i].tobytes()].append((position, index[i], grams[i]))
+            reduced[stack[i].tobytes()].append((chains.flow, position, index[i], grams[i]))
         return stack
 
-    def record(chains, S):
-        position, index, B = reduced[S.tobytes()].pop(0)
-        chains[position] = S, index, B
-        return position
+    def record(records, S):
+        flow, position, index, B = reduced[S.tobytes()].pop(0)
+        records[flow][position] = S, index, B
+        return flow, position
 
     def solve_spy(stack):
-        numbers = [record(solved, S) for S in stack]
+        keys = [record(solved, S) for S in stack]
         values, vectors, residuals, failures = solve(stack)
-        rows.update(zip(numbers, zip(values, vectors, residuals)))
+        for (flow, number), row in zip(keys, zip(values, vectors, residuals)):
+            rows[flow][number] = row
         return values, vectors, residuals, failures
 
     def beaten_spy(self, S):

@@ -271,9 +271,9 @@ def _scan(monkeypatch, groups):
     window = SpectralWindow(6, COS)
     monkeypatch.setattr(spectral._Chains, "groups", lambda self, solve=None: iter(groups))
     monkeypatch.setattr(spectral, "_gram", lambda shape, stack: stack)
-    solved, _, rows = spy_scan(monkeypatch)
+    flow, (solved, _, rows) = KolmogorovFlow(3, 2), spy_scan(monkeypatch)
     try:
-        return window, scan_one(KolmogorovFlow(3, 2), window, 0), solved, rows
+        return window, scan_one(flow, window, 0), solved[flow], rows[flow]
     finally:
         monkeypatch.undo()
 
@@ -555,7 +555,7 @@ def _solved_chains(monkeypatch, flow, **options):
     """`spy_scan`'s record of the scan `run_minimize` makes (solved,
     screened, rows), what `window_minimum` returned (one entry), and the
     result (None if certification fails)."""
-    solved, screened, rows = spy_scan(monkeypatch)
+    solved, screened, rows = (record[flow] for record in spy_scan(monkeypatch))
     winner, result = [], None
     minimum = pipeline.window_minimum
 
@@ -638,8 +638,11 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
     # the chains zeroed entirely, the twins of earlier chains where
     # neither chain holds a zeroed mode, the settled chains skipped, and
     # the chains that weight bounds skip, each with its dense minimum above
-    # the winner's value
-    cases = [(m, n, N, subspace, []) for m, n, N, subspace in GROUPED_WINDOWS]
+    # the winner's value.  (2,1) cos at N=16 has no pooled chain, and its
+    # settled chain 1 of 76 modes is skipped only because it is decided
+    # after the chains 0 and 2 that reach a disc row
+    cases = [(m, n, N, subspace, [])
+             for m, n, N, subspace in GROUPED_WINDOWS + [(2, 1, 16, COS)]]
     for m, n, N, subspace in CONSTRAINED_WINDOWS:
         window = SpectralWindow(N, subspace)
         cases += [(m, n, N, subspace, zeroed)
@@ -794,7 +797,7 @@ def test_screen_keeps_the_symmetry_check(monkeypatch):
     # above its diagonal only, which Cholesky does not read, still ends its
     # flow with the eigensolve's symmetry error
     flow, window = KolmogorovFlow(3, 2), SpectralWindow(40, COS)
-    _, screened, _ = spy_scan(monkeypatch)
+    screened = spy_scan(monkeypatch)[1][flow]
     scan_one(flow, window, 3)
     monkeypatch.undo()
     number, (S, _, _) = max(screened.items())
@@ -901,7 +904,7 @@ def test_weight_bounds_skip_chains_before_their_gram_product(monkeypatch, m, n, 
     # them, though weight signs do not settle them, and each one's dense
     # minimum lies above the winning value
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, COS)
-    solved, screened, rows = spy_scan(monkeypatch)
+    solved, screened, rows = (record[flow] for record in spy_scan(monkeypatch))
     pair = scan_one(flow, window, 3)[0]
     monkeypatch.undo()
     chains = spectral._Chains(flow, window, extended(flow, window))
@@ -970,7 +973,7 @@ def test_flow_with_no_negative_minimum_solves_its_settled_chains(monkeypatch, N,
     # a scan that marks no chain settled, bit for bit
     flow, window = KolmogorovFlow(1, 1), SpectralWindow(N, COS)
     chains = spectral._Chains(flow, window, extended(flow, window))
-    solved, _, _ = spy_scan(monkeypatch)
+    solved = spy_scan(monkeypatch)[0][flow]
     entry = scan_one(flow, window, p)
     monkeypatch.undo()
     _unsettle(monkeypatch)
@@ -995,7 +998,7 @@ def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, sc
     # the weight bounds those of 55-70 modes, each before its Gram product
     flow, window = KolmogorovFlow(m, n), SpectralWindow(20, subspace)
     assert 2 * 45 ** 2 <= STACK_ENTRIES < 2 * 46 ** 2
-    solved, screened, rows = spy_scan(monkeypatch)
+    solved, screened, rows = (record[flow] for record in spy_scan(monkeypatch))
     shapes, solve = [], spectral.lowest_eigenpairs
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: shapes.append(stack.shape) or solve(stack))
@@ -1018,6 +1021,35 @@ def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, sc
     wanted = np.flatnonzero(~chains.twins() & (chains.sizes > 45)).tolist()
     assert sorted(number for number, size in sizes.items() if size > 45) == sorted(
         set(wanted) - skips)
+
+
+@pytest.mark.parametrize("mmax,N,p", [(4, 30, 0), (4, 30, 3), (6, 16, 0)])
+def test_deferred_decisions_do_not_depend_on_the_flows_scanned_with_them(monkeypatch, mmax,
+                                                                         N, p):
+    # one scan of every pair n <= m <= mmax on a cos window solves, screens
+    # out and skips per flow exactly the chains of more than 45 modes that
+    # the flow's one-flow scan does: every pooled chain of the flow is
+    # solved before its deferred chains are decided, whatever other flows'
+    # chains still wait with it.  At N=30 every pair has such chains; at
+    # N=16, (6,1)'s decisions rest on its pooled chains.  The entries alone
+    # cannot show this, since a screen or skip never changes a winner
+    flows = [KolmogorovFlow(m, n) for m in range(1, mmax + 1) for n in range(1, m + 1)]
+    window = SpectralWindow(N, COS)
+    solved, screened, _ = spy_scan(monkeypatch)
+    spectral.window_minimum(flows, window, p)
+    monkeypatch.undo()
+    skips = screens = 0
+    for flow in flows:
+        alone, alone_screened, _ = (record[flow] for record in spy_scan(monkeypatch))
+        scan_one(flow, window, p)
+        monkeypatch.undo()
+        assert (sorted(solved[flow]), sorted(screened[flow])) == (
+            sorted(alone), sorted(alone_screened)), flow
+        chains = spectral._Chains(flow, window, extended(flow, window))
+        deferred = set(np.flatnonzero(~chains.twins() & (chains.kept > 45)).tolist())
+        skips += len(deferred - alone.keys() - alone_screened.keys())
+        screens += len(alone_screened)
+    assert skips and screens
 
 
 def test_first_listed_failing_block_raises_its_error(monkeypatch):

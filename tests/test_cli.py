@@ -523,6 +523,7 @@ def test_minimize_prints_its_winning_rows_residual(capsys, monkeypatch, argv):
     code, out, _ = run(capsys, "minimize", *argv)
     monkeypatch.undo()
     [res] = results
+    solved, rows = solved[res.flow], rows[res.flow]
     first = SpectralWindow(res.N, res.subspace).index_of(res.block_mode)
     [number] = [c for c, (_, index, _) in solved.items() if index[0] == first]
     assert_winner_solved(solved, rows, res.eigen, res.coeffs, number)
