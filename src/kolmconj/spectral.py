@@ -17,8 +17,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from .eigensolve import ConvergenceError, EigenPair, lowest_eigenpairs, spectrum_above
-from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
-                       misiolek_index)
+from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket_index
 
 FULL = "full"
 SUBSPACES = (COS, SIN, FULL)
@@ -501,8 +500,8 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray,
     at, numerators = _numerators(values / peak)
     f = TrigPoly({mode: Fraction(c, MAX_DENOMINATOR)
                   for mode, c in zip(window.modes_at(at), numerators) if c})
-    phi = bracket(flow.stream(), f)
-    if phi.is_zero():
+    q = bracket_index(f, flow)
+    if q is None:
         raise CertificationError("rationalized candidate lies in the kernel of the "
                                  "bracket operator")
-    return Certificate(f, misiolek_index(phi, flow))
+    return Certificate(f, q)

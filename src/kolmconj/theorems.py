@@ -18,8 +18,8 @@ from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .exactalg import poly_eval, solve_linear
-from .trigpoly import (KolmogorovFlow, TrigPoly, bracket, misiolek_index,
-                       misiolek_pairing)
+from .trigpoly import (KolmogorovFlow, TrigPoly, bracket, bracket_sums, misiolek_gram,
+                       misiolek_index)
 
 F = Fraction
 
@@ -67,17 +67,14 @@ def _family_form(flow: KolmogorovFlow, variables: Tuple[str, ...], base: TrigPol
     """Scaled index MI * 4 / (pi^2 n^2) of f = base + sum_i x_i directions_i.
 
     The form is the Gram matrix of the family's brackets phi_0 = {psi, base},
-    phi_i = {psi, directions_i} under the bilinear `misiolek_pairing` P:
-    the index of sum_a y_a phi_a is y^T G y with G[a][b] = P(phi_a, phi_b),
-    one pairing per unordered pair, each scaled by 4 / n^2.
+    phi_i = {psi, directions_i} under the bilinear Misiolek pairing P: the
+    index of sum_a y_a phi_a is y^T G y with G[a][b] = P(phi_a, phi_b).
+    The bracket is linear in psi, so bracketing with (2/n) psi scales G by
+    4 / n^2.  The brackets stay integer sums (`bracket_sums`), and
+    `misiolek_gram` builds one Fraction per unordered pair.
     """
-    psi = flow.stream()
-    phis = [bracket(psi, f) for f in (base, *directions)]
-    scale = F(4, flow.n ** 2)
-    gram = [[F(0)] * len(phis) for _ in phis]
-    for a, p in enumerate(phis):
-        for b in range(a, len(phis)):
-            gram[a][b] = gram[b][a] = scale * misiolek_pairing(p, phis[b], flow)
+    psi = flow.stream().scaled(F(2, flow.n))
+    gram = misiolek_gram([bracket_sums(psi, f) for f in (base, *directions)], flow)
     return QuadraticFormInParams(variables, tuple(map(tuple, gram)))
 
 

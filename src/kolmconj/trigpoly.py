@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 COS = "cos"
@@ -249,13 +249,19 @@ class TrigPoly:
 
 
 def bracket(p: TrigPoly, q: TrigPoly) -> TrigPoly:
-    """Poisson bracket {p, q} = p_x q_y - p_y q_x, exact.
+    """Poisson bracket {p, q} = p_x q_y - p_y q_x, exact: the poly of `bracket_sums`."""
+    return TrigPoly._from_sums(bracket_sums(p, q))
+
+
+def bracket_sums(p: TrigPoly, q: TrigPoly) -> _Sums:
+    """{p, q} as integer sums: [numerator, denominator] per output mode, before
+    any Fraction is built; a mode whose terms cancelled holds numerator 0.
 
     Term by term, {c1 T1(a.x), c2 T2(b.x)} = c1 c2 (a1 b2 - a2 b1) T1'(a.x) T2'(b.x),
     so each pair of terms is one product; pairs with a1 b2 = a2 b1 vanish.
     Each output mode sums its products as integers over the lcm of their
-    denominators and becomes one Fraction at the end.  A Fraction is
-    normalized, so it equals the sum of the products taken one at a time.
+    denominators.  A Fraction is normalized, so the Fraction of a sum
+    equals the sum of the products taken one at a time.
     """
     acc: _Sums = {}
     others = [(j2, k2, *_DERIVATIVE[p2], c2.numerator, c2.denominator)
@@ -267,7 +273,7 @@ def bracket(p: TrigPoly, q: TrigPoly) -> TrigPoly:
             cross = j1 * k2 - k1 * j2
             if cross:
                 _accumulate_product(acc, d1, j1, k1, d2, j2, k2, n1 * n2 * s2 * cross, e1 * e2)
-    return TrigPoly._from_sums(acc)
+    return acc
 
 
 def inner(p: TrigPoly, q: TrigPoly) -> Fraction:
@@ -300,11 +306,13 @@ class KolmogorovFlow:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+        # bool is an int subclass, and True would silently read as 1
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.m, self.n)):
             raise TypeError("wavenumbers must be integers")
         if self.m < 1 or self.n < 1:
-            # pure shear flows (m or n zero) generate geodesics without
-            # conjugate points; they are rejected at construction
+            # the paper and this code cover m, n >= 1 only: `spectral._Chains`
+            # keys its classes by k mod 2n.  Whether pure shear flows (m or n
+            # zero) have conjugate points is unchecked here (ROADMAP item 23)
             raise ValueError("KolmogorovFlow requires m >= 1 and n >= 1")
 
     @property
@@ -325,38 +333,81 @@ def misiolek_index(phi: TrigPoly, flow: KolmogorovFlow) -> Fraction:
 
     MI(phi) = integral of |grad phi|^2 - (m^2+n^2) phi^2.  A negative value
     certifies a conjugate point along the flow's geodesic.  The input must
-    be mean-zero; `misiolek_pairing` rejects a nonzero constant coefficient,
-    a caller bug, rather than silently projecting it away.
+    be mean-zero; a nonzero constant coefficient, a caller bug, raises
+    ValueError rather than being silently projected away.
     """
-    return misiolek_pairing(phi, phi, flow)
+    [[q]] = misiolek_gram([_sums_of(phi)], flow)
+    return q
+
+
+def bracket_index(f: TrigPoly, flow: KolmogorovFlow) -> Optional[Fraction]:
+    """misiolek_index(bracket(psi, f), flow) for the flow's stream psi, taken
+    from the bracket's integer sums; None when the bracket is 0, that is
+    when f lies in the kernel of f -> {psi, f}."""
+    phi = bracket_sums(flow.stream(), f)
+    if not any(num for num, _ in phi.values()):
+        return None
+    [[q]] = misiolek_gram([phi], flow)
+    return q
 
 
 def misiolek_pairing(p: TrigPoly, q: TrigPoly, flow: KolmogorovFlow) -> Fraction:
     """Symmetric bilinear form of the Misiolek index: MI(phi) = pairing(phi, phi).
 
-    Returns Q with integral of grad p . grad q - (m^2+n^2) p q = Q * pi^2.
-    Only the modes p and q share contribute, 2 c_p c_q (w - lambda^2) each.
-    The contributions are summed as integers per denominator, those sums
-    over a running common denominator (the lcm of those seen), and one
-    Fraction is built from the total; being normalized, it equals the sum
-    taken one Fraction at a time.
-    Both inputs must be mean-zero; a constant term raises ValueError.
+    Returns Q with integral of grad p . grad q - (m^2+n^2) p q = Q * pi^2:
+    the off-diagonal entry of `misiolek_gram`.  Both inputs must be
+    mean-zero; a constant term raises ValueError.
     """
-    if CONSTANT_MODE in p.terms or CONSTANT_MODE in q.terms:
-        raise ValueError("misiolek_pairing requires mean-zero inputs")
-    if len(q.terms) < len(p.terms):
-        p, q = q, p
-    # sum numerator products * (w - lambda^2) in integers per denominator product
-    lam2 = flow.lambda2
-    other = q.terms
-    sums: Dict[int, int] = {}
-    for m, cp in p.terms.items():
-        cq = other.get(m)
-        if cq is not None:
-            d = cp.denominator * cq.denominator
-            sums[d] = sums.get(d, 0) + cp.numerator * cq.numerator * (m.laplace_weight - lam2)
-    total = [0, 1]
-    for d, s in sums.items():
-        _add_ratio(total, s, d)
-    return Fraction(2 * total[0], total[1])
+    return _pairing(_over_lcm(_sums_of(p)), _over_lcm(_sums_of(q)), flow.lambda2)
 
+
+def misiolek_gram(polys: List[_Sums], flow: KolmogorovFlow) -> List[List[Fraction]]:
+    """The pairing's Gram matrix G[a][b] = misiolek_pairing(poly_a, poly_b) of
+    integer sums such as `bracket_sums` gives, with one Fraction per entry.
+
+    Each poly is put over the lcm of its denominators once, and each entry
+    with a <= b is one integer sum; G[b][a] is the same Fraction.  Every
+    poly must be mean-zero; a nonzero constant term raises ValueError.
+    """
+    lam2 = flow.lambda2
+    scaled = [_over_lcm(acc) for acc in polys]
+    gram: List[List[Fraction]] = [[None] * len(scaled) for _ in scaled]
+    for a, p in enumerate(scaled):
+        for b in range(a, len(scaled)):
+            gram[a][b] = gram[b][a] = _pairing(p, scaled[b], lam2)
+    return gram
+
+
+def _sums_of(p: TrigPoly) -> Dict[Mode, Tuple[int, int]]:
+    """p's terms as (numerator, denominator) pairs, keyed as `_Sums` are."""
+    return {m: c.as_integer_ratio() for m, c in p.terms.items()}
+
+
+def _over_lcm(acc) -> Tuple[Dict[Tuple[int, int, str], int], int]:
+    """(numerators, d): the nonzero terms of integer sums over d, the lcm of
+    their denominators.  A nonzero constant term raises ValueError."""
+    const = acc.get(CONSTANT_MODE)
+    if const is not None and const[0]:
+        raise ValueError("misiolek_pairing requires mean-zero inputs")
+    d = lcm(*{den for _, den in acc.values()})
+    return {key: num * (d // den) for key, (num, den) in acc.items() if num}, d
+
+
+def _pairing(p, q, lam2: int) -> Fraction:
+    """The pairing of two polys over their lcms, from `_over_lcm`.
+
+    Only the modes p and q share contribute, 2 n_p n_q (w - lambda^2) over
+    d_p d_q each, with w = j^2 + k^2.  The numerators are summed in
+    integers and one Fraction is built from the total; being normalized,
+    it equals the sum taken one Fraction at a time.
+    """
+    (p, dp), (q, dq) = p, q
+    if len(q) < len(p):
+        p, q = q, p
+    total = 0
+    for key, n in p.items():
+        other = q.get(key)
+        if other is not None:
+            j, k, _ = key
+            total += n * other * (j * j + k * k - lam2)
+    return Fraction(2 * total, dp * dq)

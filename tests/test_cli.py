@@ -273,7 +273,7 @@ class TestMiCommand:
         write_field_file(str(path), flow, flow.stream(), "stream function")
         code, out, _ = run(capsys, "mi", str(path))
         assert code == 1
-        assert "kernel" in out
+        assert out == "field is in the kernel of the bracket operator (constant on streamlines)\n"
 
     def test_scores_against_the_flow_the_file_names(self, capsys, tmp_path):
         # cos x scores 2 against (3, 2) above, and 1/2 against (4, 1) here
@@ -795,7 +795,7 @@ def test_mi_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, me
 
     path = tmp_path / "cosx.json"
     write_field_file(str(path), KolmogorovFlow(3, 2), TrigPoly.cosine(1, 0), "plain cosine")
-    monkeypatch.setattr("kolmconj.cli.misiolek_index", exhausted)
+    monkeypatch.setattr("kolmconj.cli.bracket_index", exhausted)
     code, out, err = run(capsys, "mi", str(path))
     assert code == 3
     assert out == ""

@@ -312,7 +312,8 @@ class TestCertify:
     def test_kernel_candidate_rejected(self):
         flow = KolmogorovFlow(2, 1)
         win = SpectralWindow(3, COS)
-        with pytest.raises(CertificationError):
+        with pytest.raises(CertificationError, match="^rationalized candidate lies in the "
+                                                     "kernel of the bracket operator$"):
             certify_candidate(win, window_values(flow.stream(), win), flow)
 
     def test_zero_vector_rejected(self):
@@ -414,6 +415,25 @@ def test_numerators_round_as_fractions_do():
     assert got[xs.index(math.nextafter(0.5 / D, 1.0))] == 1
     # the cut drops 0.4 / D and below; the next float up is kept, and rounds to 0
     assert not {xs.index(x) for x in edges[:2]} & got.keys() and got[xs.index(edges[2])] == 0
+
+
+@pytest.mark.parametrize("N,subspace", [(4, COS), (6, SIN), (5, FULL), (12, COS)])
+def test_certificate_index_is_the_index_of_the_bracket(N, subspace):
+    # the index taken from the bracket's integer sums is the Fraction route's,
+    # on the minimizers of one scan of every pair m, n <= 4
+    window = SpectralWindow(N, subspace)
+    flows = [KolmogorovFlow(m, n) for m in range(1, 5) for n in range(1, 5)]
+    certified = 0
+    for flow, (_, coeffs, *_) in zip(flows, window_minimum(flows, window, 3, ())):
+        try:
+            field, q = certify_candidate(window, coeffs, flow)
+        except CertificationError as exc:
+            assert str(exc) == ("rationalized candidate lies in the kernel of the "
+                                "bracket operator")
+            continue
+        certified += 1
+        assert type(q) is F and q == misiolek_index(bracket(flow.stream(), field), flow)
+    assert certified >= 11
 
 
 def test_minimizer_in_the_bracket_kernel_is_rejected():

@@ -218,26 +218,49 @@ def _random_families(rng):
         yield flow, tuple("abcd"[:nvars]), base, directions
 
 
+def _published_family(m, n):
+    """(flow, variables, base, directions) of the off-diagonal family if
+    m > n, of the diagonal one if m = n, written out from their displays."""
+    cosx = TrigPoly.cosine(1, 0)
+    if m > n:
+        return (KolmogorovFlow(m, n), ("a", "b"), cosx,
+                [cosx * TrigPoly.cosine(2 * m, 0), cosx * TrigPoly.cosine(0, 2 * n)])
+    directions = [cosx * TrigPoly.cosine(0, 2 * n), cosx * TrigPoly.cosine(0, 4 * n),
+                  cosx * TrigPoly.cosine(2 * n, 0), TrigPoly.sine(1, 0) * TrigPoly.sine(2 * n, 0)]
+    return KolmogorovFlow(n, n), ("a", "b", "c", "d"), cosx, directions
+
+
+def _pairing_matrix(flow, base, directions):
+    """F(4, n^2) * misiolek_pairing of the family's brackets, entry by entry."""
+    psi = flow.stream()
+    phis = [bracket(psi, f) for f in (base, *directions)]
+    return tuple(tuple(F(4, flow.n ** 2) * misiolek_pairing(p, q, flow) for q in phis)
+                 for p in phis)
+
+
 class TestFamilyFormByPairing:
     """`_family_form` pairs the brackets; the polarized index is the reference."""
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_offdiag_equals_polarization(self, m):
-        cosx = TrigPoly.cosine(1, 0)
         for n in range(1, m):
-            ref = _polarized_form(KolmogorovFlow(m, n), ("a", "b"), cosx,
-                                  [cosx * TrigPoly.cosine(2 * m, 0),
-                                   cosx * TrigPoly.cosine(0, 2 * n)])
+            ref = _polarized_form(*_published_family(m, n))
             assert monomials(offdiag_form(m, n)) == ref
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_diag_equals_polarization(self, n):
-        cosx = TrigPoly.cosine(1, 0)
-        directions = [cosx * TrigPoly.cosine(0, 2 * n), cosx * TrigPoly.cosine(0, 4 * n),
-                      cosx * TrigPoly.cosine(2 * n, 0),
-                      TrigPoly.sine(1, 0) * TrigPoly.sine(2 * n, 0)]
-        ref = _polarized_form(KolmogorovFlow(n, n), ("a", "b", "c", "d"), cosx, directions)
+        ref = _polarized_form(*_published_family(n, n))
         assert monomials(diag_form(n)) == ref
+
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_published_gram_is_the_pairing_matrix(self, m):
+        # every published family with m <= 30: the form's G is the pairing
+        # matrix of its brackets, entry for entry and in both halves
+        for n in range(1, m + 1):
+            flow, _, base, directions = _published_family(m, n)
+            form = offdiag_form(m, n) if m > n else diag_form(n)
+            assert form.gram == _pairing_matrix(flow, base, directions)
+            assert all(type(g) is F for row in form.gram for g in row)
 
     def test_random_directions_equal_polarization(self, rng):
         for flow, variables, base, directions in _random_families(rng):
@@ -248,11 +271,8 @@ class TestFamilyFormByPairing:
     def test_random_gram_is_the_pairing_matrix(self, rng):
         for flow, variables, base, directions in _random_families(rng):
             gram = theorems._family_form(flow, variables, base, directions).gram
-            psi = flow.stream()
-            phis = [bracket(psi, f) for f in (base, *directions)]
             assert gram == tuple(zip(*gram))
-            assert gram == tuple(tuple(F(4, flow.n ** 2) * misiolek_pairing(p, q, flow)
-                                       for q in phis) for p in phis)
+            assert gram == _pairing_matrix(flow, base, directions)
 
 
 class TestEvaluation:

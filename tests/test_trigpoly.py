@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode,
-                               TrigPoly, bracket, canonicalize, grad_energy, inner,
-                               misiolek_index, misiolek_pairing)
+                               TrigPoly, bracket, bracket_index, bracket_sums, canonicalize,
+                               grad_energy, inner, misiolek_gram, misiolek_index,
+                               misiolek_pairing)
 
 from conftest import (evaluate, random_trigpoly, reference_bracket_sums, reference_pairing,
                       reference_poly, reference_product_sums)
@@ -260,6 +261,12 @@ class TestKolmogorovFlow:
         with pytest.raises(ValueError):
             KolmogorovFlow(0, 1)
 
+    @pytest.mark.parametrize("m,n", [(True, True), (True, 2), (3, False)])
+    def test_rejects_bool(self, m, n):
+        # bool is an int subclass: True must not be read as 1
+        with pytest.raises(TypeError, match="^wavenumbers must be integers$"):
+            KolmogorovFlow(m, n)
+
     def test_lambda2(self):
         assert KolmogorovFlow(3, 2).lambda2 == 13
 
@@ -322,6 +329,18 @@ class TestMisiolekPairing:
             phi = bracket(flow.stream(), _big_poly(rng, rng.randint(1, 20), 8, 1000))
             assert misiolek_pairing(phi, phi, flow) == misiolek_index(phi, flow)
             assert misiolek_pairing(phi, TrigPoly.zero(), flow) == 0
+
+    def test_bracket_index_is_the_index_of_the_bracket(self, rng):
+        for flow in self._flows(rng):
+            f = _big_poly(rng, rng.randint(1, 20), 8, 10 ** 6)
+            phi = bracket(flow.stream(), f)
+            got = bracket_index(f, flow)
+            assert type(got) is F and got == misiolek_index(phi, flow)
+        # a function of psi is constant on streamlines: its bracket is 0
+        flow = KolmogorovFlow(2, 1)
+        psi = flow.stream()
+        for f in (psi, psi * psi + psi.scaled(F(1, 3)), TrigPoly.zero()):
+            assert bracket(psi, f).is_zero() and bracket_index(f, flow) is None
 
     @pytest.mark.parametrize("constant_first", [True, False])
     def test_rejects_constants(self, constant_first):
@@ -457,6 +476,35 @@ class TestKernelMatchesReference:
             f = _big_poly(rng, 60, 8, 10 ** 6)
             psi = flow.stream()
             self._assert_same(bracket(psi, f), reference_bracket_sums(psi, f))
+
+    def test_gram(self, rng):
+        # the integer core on bracket sums, whose cancelled modes hold
+        # numerator 0, and on the plain sums of mean-zero polys; every entry
+        # against the one-Fraction-at-a-time reference
+        pairs = list(self._pairs(rng))
+        cancelled = 0
+        for start in range(0, len(pairs), 3):
+            flow = KolmogorovFlow(rng.randint(1, 5), rng.randint(1, 5))
+            polys, sums = [], []
+            for p, q in pairs[start:start + 3]:
+                acc = bracket_sums(p, q)
+                cancelled += sum(num == 0 for num, _ in acc.values())
+                r = p - TrigPoly.constant(p.constant_coeff)
+                polys += [bracket(p, q), r]
+                sums += [acc, {m: [c.numerator, c.denominator] for m, c in r.terms.items()}]
+            gram = misiolek_gram(sums, flow)
+            assert [len(row) for row in gram] == [len(polys)] * len(polys)
+            for row, p in zip(gram, polys):
+                for got, q in zip(row, polys):
+                    assert type(got) is F and got == reference_pairing(p, q, flow)
+        assert cancelled > 50
+
+    def test_gram_rejects_only_a_nonzero_constant(self):
+        flow = KolmogorovFlow(2, 1)
+        cosx = {(1, 0, COS): [1, 2]}
+        assert misiolek_gram([cosx, {(0, 0, COS): [0, 3], **cosx}], flow) == [[-2, -2], [-2, -2]]
+        with pytest.raises(ValueError, match="mean-zero"):
+            misiolek_gram([cosx, {(0, 0, COS): [1, 3], **cosx}], flow)
 
     def test_pairing(self, rng):
         for p, q in self._pairs(rng):
