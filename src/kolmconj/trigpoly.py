@@ -73,13 +73,14 @@ def _add_ratio(total: List[int], num: int, den: int) -> None:
         total[1] = old // g * den
 
 
-# the sums `_accumulate` collects: [numerator, denominator] under each
+# a trig polynomial as integer sums: [numerator, denominator] under each
 # canonical mode's plain (j, k, parity) tuple, which hashes and compares as
-# the Mode does and is cheaper to build
-_Sums = Dict[Tuple[int, int, str], List[int]]
+# the Mode does and is cheaper to build.  `_accumulate` collects them, and
+# `bracket_sums` and `misiolek_gram` read any (numerator, denominator) pair
+Sums = Dict[Tuple[int, int, str], List[int]]
 
 
-def _accumulate(acc: _Sums, parity: str, j: int, k: int, num: int, den: int) -> None:
+def _accumulate(acc: Sums, parity: str, j: int, k: int, num: int, den: int) -> None:
     """Add (num / den) T(jx + ky) to acc."""
     j, k, sign = _fold(parity, j, k)
     if not sign:
@@ -91,7 +92,7 @@ def _accumulate(acc: _Sums, parity: str, j: int, k: int, num: int, den: int) -> 
         _add_ratio(old, num * sign, den)
 
 
-def _accumulate_product(acc: _Sums, p1: str, j1: int, k1: int,
+def _accumulate_product(acc: Sums, p1: str, j1: int, k1: int,
                         p2: str, j2: int, k2: int, num: int, den: int) -> None:
     """Add 2 (num / den) T1(j1 x + k1 y) * T2(j2 x + k2 y) by product-to-sum.
 
@@ -114,6 +115,14 @@ def _accumulate_product(acc: _Sums, p1: str, j1: int, k1: int,
         _accumulate(acc, SIN, jd, kd, -num, den)
 
 
+def product_sums(p1: str, j1: int, k1: int, p2: str = COS, j2: int = 0, k2: int = 0) -> Sums:
+    """T1(j1 x + k1 y) * T2(j2 x + k2 y) as integer sums, by `_accumulate_product`.
+    The second factor defaults to the constant 1, which leaves T1 alone."""
+    acc: Sums = {}
+    _accumulate_product(acc, p1, j1, k1, p2, j2, k2, 1, 2)
+    return acc
+
+
 # the derivative of each basis function: cos' = -sin, sin' = cos
 _DERIVATIVE = {COS: (SIN, -1), SIN: (COS, 1)}
 
@@ -133,7 +142,7 @@ class TrigPoly:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _from_sums(cls, acc: _Sums) -> "TrigPoly":
+    def _from_sums(cls, acc: Sums) -> "TrigPoly":
         """The poly of `_accumulate`'s integer sums: one Fraction per mode, in
         first-touch order, and no term for a mode whose sum cancelled to 0.
         These are already the clean terms, so `__init__`'s pass is skipped."""
@@ -165,7 +174,7 @@ class TrigPoly:
 
     @classmethod
     def from_terms(cls, items: Iterable[Tuple[str, int, int, Fraction]]) -> "TrigPoly":
-        acc: _Sums = {}
+        acc: Sums = {}
         for parity, j, k, coeff in items:
             c = Fraction(coeff)
             _accumulate(acc, parity, j, k, c.numerator, c.denominator)
@@ -196,7 +205,7 @@ class TrigPoly:
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
             return self.scaled(other)
-        acc: _Sums = {}
+        acc: Sums = {}
         for (j1, k1, p1), c1 in self.terms.items():
             n1, d1 = c1.numerator, 2 * c1.denominator
             for (j2, k2, p2), c2 in other.terms.items():
@@ -231,6 +240,10 @@ class TrigPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def sums(self) -> Dict[Mode, Tuple[int, int]]:
+        """The terms as (numerator, denominator) pairs, keyed as `Sums` are."""
+        return {m: c.as_integer_ratio() for m, c in self.terms.items()}
+
     @property
     def constant_coeff(self) -> Fraction:
         return self.terms.get(CONSTANT_MODE, Fraction(0))
@@ -250,12 +263,13 @@ class TrigPoly:
 
 def bracket(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     """Poisson bracket {p, q} = p_x q_y - p_y q_x, exact: the poly of `bracket_sums`."""
-    return TrigPoly._from_sums(bracket_sums(p, q))
+    return TrigPoly._from_sums(bracket_sums(p.sums(), q.sums()))
 
 
-def bracket_sums(p: TrigPoly, q: TrigPoly) -> _Sums:
-    """{p, q} as integer sums: [numerator, denominator] per output mode, before
-    any Fraction is built; a mode whose terms cancelled holds numerator 0.
+def bracket_sums(p: Sums, q: Sums) -> Sums:
+    """{p, q} of two polys given as integer sums, as integer sums: [numerator,
+    denominator] per output mode, before any Fraction is built; a mode whose
+    terms cancelled holds numerator 0.
 
     Term by term, {c1 T1(a.x), c2 T2(b.x)} = c1 c2 (a1 b2 - a2 b1) T1'(a.x) T2'(b.x),
     so each pair of terms is one product; pairs with a1 b2 = a2 b1 vanish.
@@ -263,12 +277,11 @@ def bracket_sums(p: TrigPoly, q: TrigPoly) -> _Sums:
     denominators.  A Fraction is normalized, so the Fraction of a sum
     equals the sum of the products taken one at a time.
     """
-    acc: _Sums = {}
-    others = [(j2, k2, *_DERIVATIVE[p2], c2.numerator, c2.denominator)
-              for (j2, k2, p2), c2 in q.terms.items()]
-    for (j1, k1, p1), c1 in p.terms.items():
+    acc: Sums = {}
+    others = [(j2, k2, *_DERIVATIVE[p2], n2, e2) for (j2, k2, p2), (n2, e2) in q.items()]
+    for (j1, k1, p1), (n1, e1) in p.items():
         d1, s1 = _DERIVATIVE[p1]
-        n1, e1 = s1 * c1.numerator, 2 * c1.denominator
+        n1, e1 = s1 * n1, 2 * e1
         for j2, k2, d2, s2, n2, e2 in others:
             cross = j1 * k2 - k1 * j2
             if cross:
@@ -319,13 +332,14 @@ class KolmogorovFlow:
     def lambda2(self) -> int:
         return self.m * self.m + self.n * self.n
 
+    def stream_sums(self) -> Sums:
+        """psi = -cos(mx)cos(ny) = -(1/2)[cos(mx+ny) + cos(mx-ny)] as integer
+        sums; with m, n >= 1 both modes are canonical and distinct."""
+        return {(self.m, self.n, COS): [-1, 2], (self.m, -self.n, COS): [-1, 2]}
+
     def stream(self) -> TrigPoly:
-        """psi = -cos(mx)cos(ny) = -(1/2)[cos(mx+ny) + cos(mx-ny)]."""
-        half = Fraction(-1, 2)
-        return TrigPoly.from_terms([
-            (COS, self.m, self.n, half),
-            (COS, self.m, -self.n, half),
-        ])
+        """psi = -cos(mx)cos(ny), the poly of `stream_sums`."""
+        return TrigPoly._from_sums(self.stream_sums())
 
 
 def misiolek_index(phi: TrigPoly, flow: KolmogorovFlow) -> Fraction:
@@ -336,7 +350,7 @@ def misiolek_index(phi: TrigPoly, flow: KolmogorovFlow) -> Fraction:
     be mean-zero; a nonzero constant coefficient, a caller bug, raises
     ValueError rather than being silently projected away.
     """
-    [[q]] = misiolek_gram([_sums_of(phi)], flow)
+    [[q]] = misiolek_gram([phi.sums()], flow)
     return q
 
 
@@ -344,7 +358,7 @@ def bracket_index(f: TrigPoly, flow: KolmogorovFlow) -> Optional[Fraction]:
     """misiolek_index(bracket(psi, f), flow) for the flow's stream psi, taken
     from the bracket's integer sums; None when the bracket is 0, that is
     when f lies in the kernel of f -> {psi, f}."""
-    phi = bracket_sums(flow.stream(), f)
+    phi = bracket_sums(flow.stream_sums(), f.sums())
     if not any(num for num, _ in phi.values()):
         return None
     [[q]] = misiolek_gram([phi], flow)
@@ -358,10 +372,10 @@ def misiolek_pairing(p: TrigPoly, q: TrigPoly, flow: KolmogorovFlow) -> Fraction
     the off-diagonal entry of `misiolek_gram`.  Both inputs must be
     mean-zero; a constant term raises ValueError.
     """
-    return _pairing(_over_lcm(_sums_of(p)), _over_lcm(_sums_of(q)), flow.lambda2)
+    return _pairing(_over_lcm(p.sums()), _over_lcm(q.sums()), flow.lambda2)
 
 
-def misiolek_gram(polys: List[_Sums], flow: KolmogorovFlow) -> List[List[Fraction]]:
+def misiolek_gram(polys: List[Sums], flow: KolmogorovFlow) -> List[List[Fraction]]:
     """The pairing's Gram matrix G[a][b] = misiolek_pairing(poly_a, poly_b) of
     integer sums such as `bracket_sums` gives, with one Fraction per entry.
 
@@ -376,11 +390,6 @@ def misiolek_gram(polys: List[_Sums], flow: KolmogorovFlow) -> List[List[Fractio
         for b in range(a, len(scaled)):
             gram[a][b] = gram[b][a] = _pairing(p, scaled[b], lam2)
     return gram
-
-
-def _sums_of(p: TrigPoly) -> Dict[Mode, Tuple[int, int]]:
-    """p's terms as (numerator, denominator) pairs, keyed as `_Sums` are."""
-    return {m: c.as_integer_ratio() for m, c in p.terms.items()}
 
 
 def _over_lcm(acc) -> Tuple[Dict[Tuple[int, int, str], int], int]:
@@ -399,15 +408,20 @@ def _pairing(p, q, lam2: int) -> Fraction:
     Only the modes p and q share contribute, 2 n_p n_q (w - lambda^2) over
     d_p d_q each, with w = j^2 + k^2.  The numerators are summed in
     integers and one Fraction is built from the total; being normalized,
-    it equals the sum taken one Fraction at a time.
+    it equals the sum taken one Fraction at a time.  A poly paired with
+    itself shares every mode, so its sum needs no lookup.
     """
     (p, dp), (q, dq) = p, q
-    if len(q) < len(p):
-        p, q = q, p
     total = 0
-    for key, n in p.items():
-        other = q.get(key)
-        if other is not None:
-            j, k, _ = key
-            total += n * other * (j * j + k * k - lam2)
+    if p is q:
+        for (j, k, _), n in p.items():
+            total += n * n * (j * j + k * k - lam2)
+    else:
+        if len(q) < len(p):
+            p, q = q, p
+        for key, n in p.items():
+            other = q.get(key)
+            if other is not None:
+                j, k, _ = key
+                total += n * other * (j * j + k * k - lam2)
     return Fraction(2 * total, dp * dq)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import json
 import math
@@ -893,3 +894,16 @@ def test_exact_commands_run_without_numpy():
     for name, (code, out) in result["outputs"].items():
         assert code == codes[name], name
         assert out == (test_golden.GOLDEN / f"{name}.out").read_text(), name
+
+
+def test_no_module_imports_a_private_name():
+    # a leading underscore keeps a name to its own module: a module that
+    # needs another's helper imports a public name
+    def private(name):
+        return any(part.startswith("_") and not part.endswith("__") for part in name.split("."))
+
+    for path in sorted(Path(kolmconj.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                assert not [name for name in names if private(name)], (path.name, node.lineno)

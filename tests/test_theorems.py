@@ -262,15 +262,32 @@ class TestFamilyFormByPairing:
             assert form.gram == _pairing_matrix(flow, base, directions)
             assert all(type(g) is F for row in form.gram for g in row)
 
+    def test_published_forms_build_no_trigpoly(self, monkeypatch):
+        # the fields, the scaled stream and the brackets stay integer sums up
+        # to G, for every published family with m <= 30
+        def refuse(*args):
+            raise AssertionError("TrigPoly built")
+
+        monkeypatch.setattr(TrigPoly, "__init__", refuse)
+        monkeypatch.setattr(TrigPoly, "_from_sums", classmethod(refuse))
+        with pytest.raises(AssertionError, match="TrigPoly built"):
+            TrigPoly.cosine(1, 0)
+        for m in range(1, 31):
+            for n in range(1, m):
+                offdiag_form(m, n)
+            diag_form(m)
+
     def test_random_directions_equal_polarization(self, rng):
         for flow, variables, base, directions in _random_families(rng):
-            form = theorems._family_form(flow, variables, base, directions)
+            form = theorems._family_form(flow, variables, base.sums(),
+                                         [d.sums() for d in directions])
             assert form.variables == variables
             assert monomials(form) == _polarized_form(flow, variables, base, directions)
 
     def test_random_gram_is_the_pairing_matrix(self, rng):
         for flow, variables, base, directions in _random_families(rng):
-            gram = theorems._family_form(flow, variables, base, directions).gram
+            gram = theorems._family_form(flow, variables, base.sums(),
+                                         [d.sums() for d in directions]).gram
             assert gram == tuple(zip(*gram))
             assert gram == _pairing_matrix(flow, base, directions)
 

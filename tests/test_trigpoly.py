@@ -7,7 +7,7 @@ import pytest
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode,
                                TrigPoly, bracket, bracket_index, bracket_sums, canonicalize,
                                grad_energy, inner, misiolek_gram, misiolek_index,
-                               misiolek_pairing)
+                               misiolek_pairing, product_sums)
 
 from conftest import (evaluate, random_trigpoly, reference_bracket_sums, reference_pairing,
                       reference_poly, reference_product_sums)
@@ -270,10 +270,32 @@ class TestKolmogorovFlow:
     def test_lambda2(self):
         assert KolmogorovFlow(3, 2).lambda2 == 13
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (2, 5)])
+    def test_stream_is_its_sums(self, m, n):
+        flow = KolmogorovFlow(m, n)
+        half = F(-1, 2)
+        want = TrigPoly.from_terms([(COS, m, n, half), (COS, m, -n, half)])
+        assert list(flow.stream().terms.items()) == list(want.terms.items())
+
     def test_stream_values(self):
         psi = KolmogorovFlow(1, 1).stream()
         assert evaluate(psi, 0.0, 0.0) == pytest.approx(-1.0)
         assert evaluate(psi, math.pi / 2, 1.234) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestProductSums:
+    def test_is_the_product(self, rng):
+        # a narrow band, so the two output modes often collide, cancel or
+        # reach sin(0,0); the second factor defaults to the constant 1
+        for _ in range(300):
+            (p1, j1, k1), (p2, j2, k2) = ((rng.choice((COS, SIN)), rng.randint(-2, 2),
+                                           rng.randint(-2, 2)) for _ in range(2))
+            got = product_sums(p1, j1, k1, p2, j2, k2)
+            want = TrigPoly.from_terms([(p1, j1, k1, 1)]) * TrigPoly.from_terms([(p2, j2, k2, 1)])
+            assert reference_poly({Mode(*key): F(*v) for key, v in got.items()}) == want
+            alone = reference_poly({Mode(*key): F(*v) for key, v in
+                                    product_sums(p1, j1, k1).items()})
+            assert alone == TrigPoly.from_terms([(p1, j1, k1, 1)])
 
 
 def _textbook_bracket(p, q):
@@ -487,7 +509,7 @@ class TestKernelMatchesReference:
             flow = KolmogorovFlow(rng.randint(1, 5), rng.randint(1, 5))
             polys, sums = [], []
             for p, q in pairs[start:start + 3]:
-                acc = bracket_sums(p, q)
+                acc = bracket_sums(p.sums(), q.sums())
                 cancelled += sum(num == 0 for num, _ in acc.values())
                 r = p - TrigPoly.constant(p.constant_coeff)
                 polys += [bracket(p, q), r]
