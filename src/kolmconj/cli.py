@@ -18,8 +18,8 @@ from typing import List, Optional, Sequence
 
 from . import theorems
 from .fieldfile import read_field_file, write_field_file
-from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, bracket_index, canonicalize,
-                       grad_energy)
+from .trigpoly import (COS, SIN, KolmogorovFlow, Mode, bracket, canonicalize, grad_energy,
+                       misiolek_index)
 
 OK, FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 
@@ -158,11 +158,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_mi(args) -> int:
     flow, field, _ = read_field_file(args.file)
-    q = bracket_index(field, flow)
-    if q is None:
+    phi = bracket(flow.stream(), field)
+    if phi.is_zero():
         print("field is in the kernel of the bracket operator "
               "(constant on streamlines)")
         return FAIL
+    q = misiolek_index(phi, flow)
     # every value is formatted before the first print: a failure prints nothing
     lines = [f"flow: m={flow.m} n={flow.n}",
              f"MI/pi^2 = {_exact_str(q, 'MI/pi^2')} (~ {float(q):.6e})"]

@@ -21,8 +21,8 @@ def write_field_file(path: str, flow: KolmogorovFlow, field: TrigPoly,
     the description goes through `json.dumps`, and the rest is integers,
     parities and rationals "p/q", none of which JSON escapes."""
     modes = ",\n".join(f'    {{\n      "parity": "{mode.parity}",\n      "j": {mode.j},\n'
-                       f'      "k": {mode.k},\n      "value": "{field.terms[mode]}"\n    }}'
-                       for mode in sorted(field.terms))
+                       f'      "k": {mode.k},\n      "value": "{value}"\n    }}'
+                       for mode, value in sorted(field.terms.items()))
     modes = f"[\n{modes}\n  ]" if modes else "[]"
     with open(path, "w") as fh:
         fh.write(f'{{\n  "m": {flow.m},\n  "n": {flow.n},\n  "description": '

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from .eigensolve import ConvergenceError, EigenPair, lowest_eigenpairs, spectrum_above
-from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket_index
+from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket, misiolek_index
 
 FULL = "full"
 SUBSPACES = (COS, SIN, FULL)
@@ -482,7 +482,8 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray,
     float x is rounded onto the one common denominator D = MAX_DENOMINATOR:
     `Fraction(round(Fraction(x) * D), D)`, ties to even, computed in
     integers by `_numerators`, which drops every |x| <= 0.4 / D (it rounds
-    to 0) before any `Mode` or `Fraction` is built.  The Misiolek index
+    to 0) before any `Mode` is built; the field is those integers over D,
+    with no per-coefficient `Fraction`.  The Misiolek index
     q = MI/pi^2 of the bracket of the rebuilt field is computed with exact
     arithmetic; the bracket's coefficients are integers over 4D, so
     q * 8 * D**2 is an integer.  Returns (field, q); q < 0 is a rigorous
@@ -496,12 +497,11 @@ def certify_candidate(window: SpectralWindow, values: np.ndarray,
     peak = np.max(np.abs(values))
     if peak == 0:
         raise ValueError("cannot certify the zero vector")
-    # no Mode or Fraction is built for a coefficient that rounds to 0
+    # no Mode is built for a coefficient that rounds to 0
     at, numerators = _numerators(values / peak)
-    f = TrigPoly({mode: Fraction(c, MAX_DENOMINATOR)
-                  for mode, c in zip(window.modes_at(at), numerators) if c})
-    q = bracket_index(f, flow)
-    if q is None:
+    f = TrigPoly.over(dict(zip(window.modes_at(at), numerators)), MAX_DENOMINATOR)
+    phi = bracket(flow.stream(), f)
+    if phi.is_zero():
         raise CertificationError("rationalized candidate lies in the kernel of the "
                                  "bracket operator")
-    return Certificate(f, q)
+    return Certificate(f, misiolek_index(phi, flow))

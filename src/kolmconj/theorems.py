@@ -18,8 +18,7 @@ from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .exactalg import poly_eval, solve_linear
-from .trigpoly import (COS, SIN, KolmogorovFlow, Sums, TrigPoly, bracket, bracket_sums,
-                       misiolek_gram, misiolek_index, product_sums)
+from .trigpoly import KolmogorovFlow, TrigPoly, bracket, misiolek_gram, misiolek_index
 
 F = Fraction
 
@@ -62,20 +61,19 @@ class QuadraticFormInParams:
         return self.gram[a][b] if a == b else 2 * self.gram[a][b]
 
 
-def _family_form(flow: KolmogorovFlow, variables: Tuple[str, ...], base: Sums,
-                 directions: Sequence[Sums]) -> QuadraticFormInParams:
+def _family_form(flow: KolmogorovFlow, variables: Tuple[str, ...], base: TrigPoly,
+                 directions: Sequence[TrigPoly]) -> QuadraticFormInParams:
     """Scaled index MI * 4 / (pi^2 n^2) of f = base + sum_i x_i directions_i.
 
     The form is the Gram matrix of the family's brackets phi_0 = {psi, base},
     phi_i = {psi, directions_i} under the bilinear Misiolek pairing P: the
     index of sum_a y_a phi_a is y^T G y with G[a][b] = P(phi_a, phi_b).
     The bracket is linear in psi, so bracketing with (2/n) psi scales G by
-    4 / n^2.  The fields, (2/n) psi and the brackets are integer sums
-    (`bracket_sums`): the first Fractions are those `misiolek_gram` builds,
-    one per unordered pair.
+    4 / n^2.  The only Fractions built are 2/n and the entries of G, one
+    per unordered pair (`misiolek_gram`).
     """
-    psi = {key: (2 * num, flow.n * den) for key, (num, den) in flow.stream_sums().items()}
-    gram = misiolek_gram([bracket_sums(psi, f) for f in (base, *directions)], flow)
+    psi = flow.stream().scaled(F(2, flow.n))
+    gram = misiolek_gram([bracket(psi, f) for f in (base, *directions)], flow)
     return QuadraticFormInParams(variables, tuple(map(tuple, gram)))
 
 
@@ -114,9 +112,9 @@ def offdiag_form(m: int, n: int) -> QuadraticFormInParams:
     """
     if not (m > n >= 1):
         raise ValueError("off-diagonal family requires m > n >= 1")
-    cosx = (COS, 1, 0)
-    return _family_form(KolmogorovFlow(m, n), ("a", "b"), product_sums(*cosx),
-                        [product_sums(*cosx, COS, 2 * m, 0), product_sums(*cosx, COS, 0, 2 * n)])
+    cosx = TrigPoly.cosine(1, 0)
+    return _family_form(KolmogorovFlow(m, n), ("a", "b"), cosx,
+                        [cosx * TrigPoly.cosine(2 * m, 0), cosx * TrigPoly.cosine(0, 2 * n)])
 
 
 def offdiag_reference(m: int, n: int) -> Dict[Tuple[int, int], Fraction]:
@@ -177,11 +175,10 @@ def diag_form(n: int) -> QuadraticFormInParams:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cosx = (COS, 1, 0)
-    directions = [product_sums(*cosx, COS, 0, 2 * n), product_sums(*cosx, COS, 0, 4 * n),
-                  product_sums(*cosx, COS, 2 * n, 0), product_sums(SIN, 1, 0, SIN, 2 * n, 0)]
-    return _family_form(KolmogorovFlow(n, n), ("a", "b", "c", "d"), product_sums(*cosx),
-                        directions)
+    cosx = TrigPoly.cosine(1, 0)
+    directions = [cosx * TrigPoly.cosine(0, 2 * n), cosx * TrigPoly.cosine(0, 4 * n),
+                  cosx * TrigPoly.cosine(2 * n, 0), TrigPoly.sine(1, 0) * TrigPoly.sine(2 * n, 0)]
+    return _family_form(KolmogorovFlow(n, n), ("a", "b", "c", "d"), cosx, directions)
 
 
 def diag_reference(n: int) -> Dict[Tuple[int, int, int, int], Fraction]:

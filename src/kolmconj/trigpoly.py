@@ -2,17 +2,21 @@
 
 A trig polynomial is a finite sum of terms c * cos(j x + k y) and
 c * sin(j x + k y) with rational coefficients c.  All operations here
-(products, derivatives, Poisson brackets, inner products) are exact:
-coefficients are `fractions.Fraction` values and never touch floating
-point.  Integrals over the torus come out as rational multiples of pi^2,
-and only that rational factor is returned.  The module imports no numpy.
+(products, derivatives, Poisson brackets, inner products) are exact and
+never touch floating point: a `TrigPoly` holds its coefficients as
+integer numerators over one common positive denominator, and every
+operation sums integers.  A `fractions.Fraction` appears only where a
+rational leaves the module: in `TrigPoly.terms` and in the results of
+`inner`, `grad_energy` and the Misiolek pairing.  Integrals over the
+torus come out as rational multiples of pi^2, and only that rational
+factor is returned.  The module imports no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 COS = "cos"
@@ -61,40 +65,22 @@ def _fold(parity: str, j: int, k: int) -> Tuple[int, int, int]:
     return j, k, 0 if parity == SIN and j == 0 and k == 0 else 1
 
 
-def _add_ratio(total: List[int], num: int, den: int) -> None:
-    """total[0] / total[1] += num / den, in integers; total[1] becomes the lcm
-    of the two denominators, so a sum of many terms stays small."""
-    old = total[1]
-    if den == old:
-        total[0] += num
-    else:
-        g = gcd(old, den)
-        total[0] = total[0] * (den // g) + num * (old // g)
-        total[1] = old // g * den
+# integer numerators under each canonical mode's plain (j, k, parity) tuple,
+# which hashes and compares as the Mode does and is cheaper to build
+Nums = Dict[Tuple[int, int, str], int]
 
 
-# a trig polynomial as integer sums: [numerator, denominator] under each
-# canonical mode's plain (j, k, parity) tuple, which hashes and compares as
-# the Mode does and is cheaper to build.  `_accumulate` collects them, and
-# `bracket_sums` and `misiolek_gram` read any (numerator, denominator) pair
-Sums = Dict[Tuple[int, int, str], List[int]]
-
-
-def _accumulate(acc: Sums, parity: str, j: int, k: int, num: int, den: int) -> None:
-    """Add (num / den) T(jx + ky) to acc."""
+def _accumulate(acc: Nums, parity: str, j: int, k: int, num: int) -> None:
+    """Add num T(jx + ky) to acc."""
     j, k, sign = _fold(parity, j, k)
-    if not sign:
-        return
-    old = acc.get((j, k, parity))
-    if old is None:
-        acc[j, k, parity] = [num * sign, den]
-    else:
-        _add_ratio(old, num * sign, den)
+    if sign:
+        key = (j, k, parity)
+        acc[key] = acc.get(key, 0) + sign * num
 
 
-def _accumulate_product(acc: Sums, p1: str, j1: int, k1: int,
-                        p2: str, j2: int, k2: int, num: int, den: int) -> None:
-    """Add 2 (num / den) T1(j1 x + k1 y) * T2(j2 x + k2 y) by product-to-sum.
+def _accumulate_product(acc: Nums, p1: str, j1: int, k1: int,
+                        p2: str, j2: int, k2: int, num: int) -> None:
+    """Add 2 num T1(j1 x + k1 y) * T2(j2 x + k2 y) by product-to-sum.
 
     With a, b the two arguments: 2 cos a cos b = cos(a-b) + cos(a+b),
     2 sin a sin b = cos(a-b) - cos(a+b), 2 sin a cos b = sin(a+b) + sin(a-b)
@@ -102,25 +88,22 @@ def _accumulate_product(acc: Sums, p1: str, j1: int, k1: int,
     """
     js, ks, jd, kd = j1 + j2, k1 + k2, j1 - j2, k1 - k2
     if p1 == COS and p2 == COS:
-        _accumulate(acc, COS, jd, kd, num, den)
-        _accumulate(acc, COS, js, ks, num, den)
+        _accumulate(acc, COS, jd, kd, num)
+        _accumulate(acc, COS, js, ks, num)
     elif p1 == SIN and p2 == SIN:
-        _accumulate(acc, COS, jd, kd, num, den)
-        _accumulate(acc, COS, js, ks, -num, den)
+        _accumulate(acc, COS, jd, kd, num)
+        _accumulate(acc, COS, js, ks, -num)
     elif p1 == SIN:  # sin * cos
-        _accumulate(acc, SIN, js, ks, num, den)
-        _accumulate(acc, SIN, jd, kd, num, den)
+        _accumulate(acc, SIN, js, ks, num)
+        _accumulate(acc, SIN, jd, kd, num)
     else:  # cos * sin
-        _accumulate(acc, SIN, js, ks, num, den)
-        _accumulate(acc, SIN, jd, kd, -num, den)
+        _accumulate(acc, SIN, js, ks, num)
+        _accumulate(acc, SIN, jd, kd, -num)
 
 
-def product_sums(p1: str, j1: int, k1: int, p2: str = COS, j2: int = 0, k2: int = 0) -> Sums:
-    """T1(j1 x + k1 y) * T2(j2 x + k2 y) as integer sums, by `_accumulate_product`.
-    The second factor defaults to the constant 1, which leaves T1 alone."""
-    acc: Sums = {}
-    _accumulate_product(acc, p1, j1, k1, p2, j2, k2, 1, 2)
-    return acc
+def _rational(value):
+    """An int or a Fraction as it is; any other rational as a Fraction."""
+    return value if type(value) in (int, Fraction) else Fraction(value)
 
 
 # the derivative of each basis function: cos' = -sin, sin' = cos
@@ -128,28 +111,20 @@ _DERIVATIVE = {COS: (SIN, -1), SIN: (COS, 1)}
 
 
 class TrigPoly:
-    """Immutable finite trig polynomial with rational coefficients."""
+    """Immutable finite trig polynomial with rational coefficients.
 
-    __slots__ = ("terms",)
+    `nums` maps each canonical mode with a nonzero coefficient, as a plain
+    (j, k, parity) tuple, to an integer numerator over the one positive
+    denominator `den`.  The pair is not normalized: the same poly may be
+    held over different denominators, so equality and the hash go through
+    `terms`.  `TrigPoly(terms)` is the poly of a {mode: rational} dict such
+    as `terms` gives.
+    """
 
-    def __init__(self, terms: Optional[Dict[Mode, Fraction]] = None):
-        clean: Dict[Mode, Fraction] = {}
-        if terms:
-            for mode, coeff in terms.items():
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
-                if c:
-                    clean[mode] = c
-        object.__setattr__(self, "terms", clean)
+    __slots__ = ("nums", "den")
 
-    @classmethod
-    def _from_sums(cls, acc: Sums) -> "TrigPoly":
-        """The poly of `_accumulate`'s integer sums: one Fraction per mode, in
-        first-touch order, and no term for a mode whose sum cancelled to 0.
-        These are already the clean terms, so `__init__`'s pass is skipped."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", {Mode(*key): Fraction(num, den)
-                                           for key, (num, den) in acc.items() if num})
-        return poly
+    def __new__(cls, terms: Optional[Dict[Mode, Fraction]] = None):
+        return cls.from_terms((p, j, k, c) for (j, k, p), c in (terms or {}).items())
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("TrigPoly is immutable")
@@ -157,38 +132,56 @@ class TrigPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def over(cls, nums: Nums, den: int) -> "TrigPoly":
+        """The poly with numerators `nums` over the positive denominator `den`;
+        a zero numerator is dropped, and the keys keep their order."""
+        return _of(dict(nums), den)
+
+    @classmethod
     def zero(cls) -> "TrigPoly":
-        return cls()
+        return _of({}, 1)
 
     @classmethod
     def constant(cls, c) -> "TrigPoly":
-        return cls({CONSTANT_MODE: Fraction(c)})
+        return _basis(COS, 0, 0, c)
 
     @classmethod
     def cosine(cls, j: int, k: int, coeff=1) -> "TrigPoly":
-        return cls.from_terms([(COS, j, k, coeff)])
+        return _basis(COS, j, k, coeff)
 
     @classmethod
     def sine(cls, j: int, k: int, coeff=1) -> "TrigPoly":
-        return cls.from_terms([(SIN, j, k, coeff)])
+        return _basis(SIN, j, k, coeff)
 
     @classmethod
     def from_terms(cls, items: Iterable[Tuple[str, int, int, Fraction]]) -> "TrigPoly":
-        acc: Sums = {}
+        """The sum of coeff T(jx + ky) over (parity, j, k, coeff) items, each
+        folded onto its canonical mode, over the lcm of the denominators."""
+        folded, den = [], 1
         for parity, j, k, coeff in items:
-            c = Fraction(coeff)
-            _accumulate(acc, parity, j, k, c.numerator, c.denominator)
-        return cls._from_sums(acc)
+            c = _rational(coeff)
+            j, k, sign = _fold(parity, j, k)
+            if sign:
+                d = c.denominator
+                folded.append(((j, k, parity), sign * c.numerator, d))
+                if den % d:
+                    den = lcm(den, d)
+        nums: Nums = {}
+        for key, num, d in folded:
+            nums[key] = nums.get(key, 0) + num * (den // d)
+        return _of(nums, den)
 
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        acc = dict(self.terms)
-        for mode, coeff in other.terms.items():
-            acc[mode] = acc.get(mode, Fraction(0)) + coeff
-        return TrigPoly(acc)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = {key: n * a for key, n in self.nums.items()}
+        for key, n in other.nums.items():
+            nums[key] = nums.get(key, 0) + n * b
+        return _of(nums, den)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
@@ -196,22 +189,22 @@ class TrigPoly:
         return self + (-other)
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly({m: -c for m, c in self.terms.items()})
+        return _of({key: -n for key, n in self.nums.items()}, self.den)
 
     def scaled(self, factor) -> "TrigPoly":
-        f = Fraction(factor)
-        return TrigPoly({m: c * f for m, c in self.terms.items()})
+        f = _rational(factor)
+        return _of({key: n * f.numerator for key, n in self.nums.items()},
+                             self.den * f.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
             return self.scaled(other)
-        acc: Sums = {}
-        for (j1, k1, p1), c1 in self.terms.items():
-            n1, d1 = c1.numerator, 2 * c1.denominator
-            for (j2, k2, p2), c2 in other.terms.items():
-                _accumulate_product(acc, p1, j1, k1, p2, j2, k2,
-                                    n1 * c2.numerator, d1 * c2.denominator)
-        return TrigPoly._from_sums(acc)
+        acc: Nums = {}
+        others = list(other.nums.items())
+        for (j1, k1, p1), n1 in self.nums.items():
+            for (j2, k2, p2), n2 in others:
+                _accumulate_product(acc, p1, j1, k1, p2, j2, k2, n1 * n2)
+        return _of(acc, 2 * self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -219,12 +212,12 @@ class TrigPoly:
 
     def _derivative(self, axis: int) -> "TrigPoly":
         # each canonical mode with a nonzero wavenumber on the axis maps to its own mode
-        terms = {}
-        for m, c in self.terms.items():
-            if m[axis]:
-                d, s = _DERIVATIVE[m.parity]
-                terms[Mode(m.j, m.k, d)] = c * (s * m[axis])
-        return TrigPoly(terms)
+        nums = {}
+        for key, n in self.nums.items():
+            if key[axis]:
+                d, s = _DERIVATIVE[key[2]]
+                nums[key[0], key[1], d] = n * s * key[axis]
+        return _of(nums, self.den)
 
     def dx(self) -> "TrigPoly":
         return self._derivative(0)
@@ -233,20 +226,22 @@ class TrigPoly:
         return self._derivative(1)
 
     def laplacian(self) -> "TrigPoly":
-        return TrigPoly({m: -c * m.laplace_weight for m, c in self.terms.items()})
+        return _of({(j, k, p): -n * (j * j + k * k)
+                              for (j, k, p), n in self.nums.items()}, self.den)
 
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
-    def sums(self) -> Dict[Mode, Tuple[int, int]]:
-        """The terms as (numerator, denominator) pairs, keyed as `Sums` are."""
-        return {m: c.as_integer_ratio() for m, c in self.terms.items()}
+    @property
+    def terms(self) -> Dict[Mode, Fraction]:
+        """The coefficients as {Mode: Fraction}, in `nums`' order, built on each read."""
+        return {Mode(*key): Fraction(n, self.den) for key, n in self.nums.items()}
 
     @property
     def constant_coeff(self) -> Fraction:
-        return self.terms.get(CONSTANT_MODE, Fraction(0))
+        return Fraction(self.nums.get(CONSTANT_MODE, 0), self.den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TrigPoly) and self.terms == other.terms
@@ -255,38 +250,51 @@ class TrigPoly:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
+        if not self.nums:
             return "TrigPoly(0)"
         parts = [f"{c}*{m!r}" for m, c in sorted(self.terms.items())]
         return "TrigPoly(" + " + ".join(parts) + ")"
 
 
+# the slots' own setters, by which `_of` passes the immutable __setattr__
+_new = object.__new__
+_set_nums, _set_den = TrigPoly.nums.__set__, TrigPoly.den.__set__
+
+
+def _of(nums: Nums, den: int) -> TrigPoly:
+    """`TrigPoly.over`, keeping `nums` itself rather than a copy: each caller
+    passes a dict it has just built and holds no longer."""
+    poly = _new(TrigPoly)
+    _set_nums(poly, nums if 0 not in nums.values() else {key: n for key, n in nums.items() if n})
+    _set_den(poly, den)
+    return poly
+
+
+def _basis(parity: str, j: int, k: int, coeff) -> TrigPoly:
+    """coeff T(jx + ky): `TrigPoly.from_terms` of one term, built directly."""
+    c = _rational(coeff)
+    j, k, sign = _fold(parity, j, k)
+    return _of({(j, k, parity): sign * c.numerator}, c.denominator)
+
+
 def bracket(p: TrigPoly, q: TrigPoly) -> TrigPoly:
-    """Poisson bracket {p, q} = p_x q_y - p_y q_x, exact: the poly of `bracket_sums`."""
-    return TrigPoly._from_sums(bracket_sums(p.sums(), q.sums()))
-
-
-def bracket_sums(p: Sums, q: Sums) -> Sums:
-    """{p, q} of two polys given as integer sums, as integer sums: [numerator,
-    denominator] per output mode, before any Fraction is built; a mode whose
-    terms cancelled holds numerator 0.
+    """Poisson bracket {p, q} = p_x q_y - p_y q_x, exact.
 
     Term by term, {c1 T1(a.x), c2 T2(b.x)} = c1 c2 (a1 b2 - a2 b1) T1'(a.x) T2'(b.x),
     so each pair of terms is one product; pairs with a1 b2 = a2 b1 vanish.
-    Each output mode sums its products as integers over the lcm of their
-    denominators.  A Fraction is normalized, so the Fraction of a sum
-    equals the sum of the products taken one at a time.
+    With p over dp and q over dq, every product is an integer over
+    2 dp dq, so each output mode sums integers over that one denominator.
     """
-    acc: Sums = {}
-    others = [(j2, k2, *_DERIVATIVE[p2], n2, e2) for (j2, k2, p2), (n2, e2) in q.items()]
-    for (j1, k1, p1), (n1, e1) in p.items():
+    acc: Nums = {}
+    others = [(j2, k2, *_DERIVATIVE[p2], n2) for (j2, k2, p2), n2 in q.nums.items()]
+    for (j1, k1, p1), n1 in p.nums.items():
         d1, s1 = _DERIVATIVE[p1]
-        n1, e1 = s1 * n1, 2 * e1
-        for j2, k2, d2, s2, n2, e2 in others:
+        n1 *= s1
+        for j2, k2, d2, s2, n2 in others:
             cross = j1 * k2 - k1 * j2
             if cross:
-                _accumulate_product(acc, d1, j1, k1, d2, j2, k2, n1 * n2 * s2 * cross, e1 * e2)
-    return acc
+                _accumulate_product(acc, d1, j1, k1, d2, j2, k2, n1 * n2 * s2 * cross)
+    return _of(acc, 2 * p.den * q.den)
 
 
 def inner(p: TrigPoly, q: TrigPoly) -> Fraction:
@@ -296,19 +304,18 @@ def inner(p: TrigPoly, q: TrigPoly) -> Fraction:
     functions integrate to 2 pi^2 against themselves); the constant pair
     contributes 4*c_p*c_q (torus area 4 pi^2).
     """
-    total = Fraction(0)
-    for mode, cp in p.terms.items():
-        cq = q.terms.get(mode)
-        if cq is None:
-            continue
-        weight = 4 if mode == CONSTANT_MODE else 2
-        total += weight * cp * cq
-    return total
+    total = 0
+    for key, n in p.nums.items():
+        other = q.nums.get(key)
+        if other is not None:
+            total += (4 if key == CONSTANT_MODE else 2) * n * other
+    return Fraction(total, p.den * q.den)
 
 
 def grad_energy(f: TrigPoly) -> Fraction:
     """Dirichlet energy: returns Q with integral of |grad f|^2 = Q * pi^2."""
-    return sum((2 * c * c * m.laplace_weight for m, c in f.terms.items()), Fraction(0))
+    return Fraction(2 * sum(n * n * (j * j + k * k) for (j, k, _), n in f.nums.items()),
+                    f.den * f.den)
 
 
 @dataclass(frozen=True)
@@ -332,14 +339,10 @@ class KolmogorovFlow:
     def lambda2(self) -> int:
         return self.m * self.m + self.n * self.n
 
-    def stream_sums(self) -> Sums:
-        """psi = -cos(mx)cos(ny) = -(1/2)[cos(mx+ny) + cos(mx-ny)] as integer
-        sums; with m, n >= 1 both modes are canonical and distinct."""
-        return {(self.m, self.n, COS): [-1, 2], (self.m, -self.n, COS): [-1, 2]}
-
     def stream(self) -> TrigPoly:
-        """psi = -cos(mx)cos(ny), the poly of `stream_sums`."""
-        return TrigPoly._from_sums(self.stream_sums())
+        """psi = -cos(mx)cos(ny) = -(1/2)[cos(mx+ny) + cos(mx-ny)]; with
+        m, n >= 1 both modes are canonical and distinct."""
+        return _of({(self.m, self.n, COS): -1, (self.m, -self.n, COS): -1}, 2)
 
 
 def misiolek_index(phi: TrigPoly, flow: KolmogorovFlow) -> Fraction:
@@ -350,17 +353,6 @@ def misiolek_index(phi: TrigPoly, flow: KolmogorovFlow) -> Fraction:
     be mean-zero; a nonzero constant coefficient, a caller bug, raises
     ValueError rather than being silently projected away.
     """
-    [[q]] = misiolek_gram([phi.sums()], flow)
-    return q
-
-
-def bracket_index(f: TrigPoly, flow: KolmogorovFlow) -> Optional[Fraction]:
-    """misiolek_index(bracket(psi, f), flow) for the flow's stream psi, taken
-    from the bracket's integer sums; None when the bracket is 0, that is
-    when f lies in the kernel of f -> {psi, f}."""
-    phi = bracket_sums(flow.stream_sums(), f.sums())
-    if not any(num for num, _ in phi.values()):
-        return None
     [[q]] = misiolek_gram([phi], flow)
     return q
 
@@ -372,38 +364,30 @@ def misiolek_pairing(p: TrigPoly, q: TrigPoly, flow: KolmogorovFlow) -> Fraction
     the off-diagonal entry of `misiolek_gram`.  Both inputs must be
     mean-zero; a constant term raises ValueError.
     """
-    return _pairing(_over_lcm(p.sums()), _over_lcm(q.sums()), flow.lambda2)
+    return misiolek_gram([p, q], flow)[0][1]
 
 
-def misiolek_gram(polys: List[Sums], flow: KolmogorovFlow) -> List[List[Fraction]]:
-    """The pairing's Gram matrix G[a][b] = misiolek_pairing(poly_a, poly_b) of
-    integer sums such as `bracket_sums` gives, with one Fraction per entry.
+def misiolek_gram(polys: List[TrigPoly], flow: KolmogorovFlow) -> List[List[Fraction]]:
+    """The pairing's Gram matrix G[a][b] = misiolek_pairing(poly_a, poly_b),
+    with one Fraction per entry.
 
-    Each poly is put over the lcm of its denominators once, and each entry
-    with a <= b is one integer sum; G[b][a] is the same Fraction.  Every
-    poly must be mean-zero; a nonzero constant term raises ValueError.
+    Each entry with a <= b is one integer sum; G[b][a] is the same
+    Fraction.  Every poly must be mean-zero; a nonzero constant term
+    raises ValueError.
     """
+    for p in polys:
+        if CONSTANT_MODE in p.nums:
+            raise ValueError("misiolek_pairing requires mean-zero inputs")
     lam2 = flow.lambda2
-    scaled = [_over_lcm(acc) for acc in polys]
-    gram: List[List[Fraction]] = [[None] * len(scaled) for _ in scaled]
-    for a, p in enumerate(scaled):
-        for b in range(a, len(scaled)):
-            gram[a][b] = gram[b][a] = _pairing(p, scaled[b], lam2)
+    gram: List[List[Fraction]] = [[None] * len(polys) for _ in polys]
+    for a, p in enumerate(polys):
+        for b in range(a, len(polys)):
+            gram[a][b] = gram[b][a] = _pairing(p, polys[b], lam2)
     return gram
 
 
-def _over_lcm(acc) -> Tuple[Dict[Tuple[int, int, str], int], int]:
-    """(numerators, d): the nonzero terms of integer sums over d, the lcm of
-    their denominators.  A nonzero constant term raises ValueError."""
-    const = acc.get(CONSTANT_MODE)
-    if const is not None and const[0]:
-        raise ValueError("misiolek_pairing requires mean-zero inputs")
-    d = lcm(*{den for _, den in acc.values()})
-    return {key: num * (d // den) for key, (num, den) in acc.items() if num}, d
-
-
-def _pairing(p, q, lam2: int) -> Fraction:
-    """The pairing of two polys over their lcms, from `_over_lcm`.
+def _pairing(p: TrigPoly, q: TrigPoly, lam2: int) -> Fraction:
+    """The pairing of two mean-zero polys.
 
     Only the modes p and q share contribute, 2 n_p n_q (w - lambda^2) over
     d_p d_q each, with w = j^2 + k^2.  The numerators are summed in
@@ -411,7 +395,8 @@ def _pairing(p, q, lam2: int) -> Fraction:
     it equals the sum taken one Fraction at a time.  A poly paired with
     itself shares every mode, so its sum needs no lookup.
     """
-    (p, dp), (q, dq) = p, q
+    den = p.den * q.den
+    p, q = p.nums, q.nums
     total = 0
     if p is q:
         for (j, k, _), n in p.items():
@@ -424,4 +409,4 @@ def _pairing(p, q, lam2: int) -> Fraction:
             if other is not None:
                 j, k, _ = key
                 total += n * other * (j * j + k * k - lam2)
-    return Fraction(2 * total, dp * dq)
+    return Fraction(2 * total, den)

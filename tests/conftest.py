@@ -122,8 +122,9 @@ def evaluate(p: TrigPoly, x: float, y: float) -> float:
 
 def reference_pairing(p: TrigPoly, q: TrigPoly, flow) -> Fraction:
     """sum of 2 c_p c_q (w - lambda^2) over shared modes, one Fraction at a time."""
-    return sum((2 * cp * q.terms[m] * (m.laplace_weight - flow.lambda2)
-                for m, cp in p.terms.items() if m in q.terms), Fraction(0))
+    q_terms = q.terms
+    return sum((2 * cp * q_terms[m] * (m.laplace_weight - flow.lambda2)
+                for m, cp in p.terms.items() if m in q_terms), Fraction(0))
 
 
 def reference_evaluate(form, point) -> Fraction:

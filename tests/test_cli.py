@@ -796,7 +796,7 @@ def test_mi_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, me
 
     path = tmp_path / "cosx.json"
     write_field_file(str(path), KolmogorovFlow(3, 2), TrigPoly.cosine(1, 0), "plain cosine")
-    monkeypatch.setattr("kolmconj.cli.bracket_index", exhausted)
+    monkeypatch.setattr("kolmconj.cli.bracket", exhausted)
     code, out, err = run(capsys, "mi", str(path))
     assert code == 3
     assert out == ""
@@ -907,3 +907,13 @@ def test_no_module_imports_a_private_name():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
                 assert not [name for name in names if private(name)], (path.name, node.lineno)
+
+
+def test_only_trigpoly_reads_the_integer_representation():
+    # a TrigPoly's `nums` and `den` are trigpoly's own: every other module
+    # goes through its operations, and `terms` at the boundary
+    for path in sorted(Path(kolmconj.__file__).parent.glob("*.py")):
+        if path.name != "trigpoly.py":
+            reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and node.attr in ("nums", "den")]
+            assert not reads, (path.name, reads)

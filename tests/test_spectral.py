@@ -15,8 +15,8 @@ from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, canonicalize, misiolek_index)
 
 from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, extended,
-                      form_value, gram_blocks, scan_one, spy_scan, window_modes,
-                      window_values)
+                      form_value, gram_blocks, reference_bracket_sums, reference_pairing,
+                      reference_poly, scan_one, spy_scan, window_modes, window_values)
 
 
 def zeta32_field():
@@ -419,8 +419,9 @@ def test_numerators_round_as_fractions_do():
 
 @pytest.mark.parametrize("N,subspace", [(4, COS), (6, SIN), (5, FULL), (12, COS)])
 def test_certificate_index_is_the_index_of_the_bracket(N, subspace):
-    # the index taken from the bracket's integer sums is the Fraction route's,
-    # on the minimizers of one scan of every pair m, n <= 4
+    # the certified index is the one-Fraction-at-a-time reference's index of
+    # the returned field's bracket, on the minimizers of one scan of every
+    # pair m, n <= 4
     window = SpectralWindow(N, subspace)
     flows = [KolmogorovFlow(m, n) for m in range(1, 5) for n in range(1, 5)]
     certified = 0
@@ -432,7 +433,8 @@ def test_certificate_index_is_the_index_of_the_bracket(N, subspace):
                                 "bracket operator")
             continue
         certified += 1
-        assert type(q) is F and q == misiolek_index(bracket(flow.stream(), field), flow)
+        phi = reference_poly(reference_bracket_sums(flow.stream(), field))
+        assert type(q) is F and q == reference_pairing(phi, phi, flow)
     assert certified >= 11
 
 

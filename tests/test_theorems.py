@@ -1,3 +1,5 @@
+import fractions
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,10 +13,10 @@ from kolmconj.theorems import (DIAG_MIN_DENOMINATOR, DIAG_MIN_NUMERATOR,
                                offdiag_scaled_minimum,
                                offdiag_scaled_minimum_reference,
                                QuadraticFormInParams, sign_certificates)
-from kolmconj.trigpoly import (KolmogorovFlow, TrigPoly, bracket, misiolek_index,
-                               misiolek_pairing)
+from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, TrigPoly, bracket, misiolek_index
 
-from conftest import hessian_minors_positive, monomials, random_trigpoly, reference_evaluate
+from conftest import (hessian_minors_positive, monomials, random_trigpoly, reference_bracket_sums,
+                      reference_evaluate, reference_pairing, reference_poly)
 
 
 def _linear(form):
@@ -231,10 +233,11 @@ def _published_family(m, n):
 
 
 def _pairing_matrix(flow, base, directions):
-    """F(4, n^2) * misiolek_pairing of the family's brackets, entry by entry."""
+    """F(4, n^2) times the pairing of the family's brackets, entry by entry,
+    from conftest's one-Fraction-at-a-time references."""
     psi = flow.stream()
-    phis = [bracket(psi, f) for f in (base, *directions)]
-    return tuple(tuple(F(4, flow.n ** 2) * misiolek_pairing(p, q, flow) for q in phis)
+    phis = [reference_poly(reference_bracket_sums(psi, f)) for f in (base, *directions)]
+    return tuple(tuple(F(4, flow.n ** 2) * reference_pairing(p, q, flow) for q in phis)
                  for p in phis)
 
 
@@ -262,32 +265,48 @@ class TestFamilyFormByPairing:
             assert form.gram == _pairing_matrix(flow, base, directions)
             assert all(type(g) is F for row in form.gram for g in row)
 
-    def test_published_forms_build_no_trigpoly(self, monkeypatch):
-        # the fields, the scaled stream and the brackets stay integer sums up
-        # to G, for every published family with m <= 30
-        def refuse(*args):
-            raise AssertionError("TrigPoly built")
+    def test_published_forms_build_one_fraction_per_gram_entry(self, monkeypatch):
+        # every published family with m <= 30: the fields, the scaled stream
+        # and the brackets stay integers, so the only Fractions trigpoly
+        # builds are G's entries with a <= b, k (k + 1) / 2 for k brackets
+        built = []
 
-        monkeypatch.setattr(TrigPoly, "__init__", refuse)
-        monkeypatch.setattr(TrigPoly, "_from_sums", classmethod(refuse))
-        with pytest.raises(AssertionError, match="TrigPoly built"):
-            TrigPoly.cosine(1, 0)
+        def count(new):
+            def counting(cls, *args, **kwargs):
+                frame = sys._getframe(1)
+                while frame.f_code.co_filename == fractions.__file__:
+                    frame = frame.f_back  # Fraction arithmetic, on its caller's count
+                built.append(frame.f_globals.get("__name__"))
+                return new(cls, *args, **kwargs)
+            return counting
+
+        monkeypatch.setattr(F, "__new__", staticmethod(count(F.__new__)))
+        if hasattr(F, "_from_coprime_ints"):  # Python 3.12+ arithmetic
+            inner = F._from_coprime_ints.__func__
+            monkeypatch.setattr(F, "_from_coprime_ints", classmethod(count(inner)))
+
+        def fractions_in_trigpoly(build):
+            built.clear()
+            build()
+            return built.count("kolmconj.trigpoly")
+
+        assert fractions_in_trigpoly(lambda: TrigPoly.cosine(1, 0, F(1, 2)).terms) == 1
+        ints = [(COS, 1, 0, 1), (SIN, 0, 2, -3)]
+        assert fractions_in_trigpoly(lambda: TrigPoly.from_terms(ints)) == 0
         for m in range(1, 31):
             for n in range(1, m):
-                offdiag_form(m, n)
-            diag_form(m)
+                assert fractions_in_trigpoly(lambda: offdiag_form(m, n)) == 6, (m, n)
+            assert fractions_in_trigpoly(lambda: diag_form(m)) == 15, m
 
     def test_random_directions_equal_polarization(self, rng):
         for flow, variables, base, directions in _random_families(rng):
-            form = theorems._family_form(flow, variables, base.sums(),
-                                         [d.sums() for d in directions])
+            form = theorems._family_form(flow, variables, base, directions)
             assert form.variables == variables
             assert monomials(form) == _polarized_form(flow, variables, base, directions)
 
     def test_random_gram_is_the_pairing_matrix(self, rng):
         for flow, variables, base, directions in _random_families(rng):
-            gram = theorems._family_form(flow, variables, base.sums(),
-                                         [d.sums() for d in directions]).gram
+            gram = theorems._family_form(flow, variables, base, directions).gram
             assert gram == tuple(zip(*gram))
             assert gram == _pairing_matrix(flow, base, directions)
 

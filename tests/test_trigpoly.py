@@ -4,10 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode,
-                               TrigPoly, bracket, bracket_index, bracket_sums, canonicalize,
-                               grad_energy, inner, misiolek_gram, misiolek_index,
-                               misiolek_pairing, product_sums)
+from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket,
+                               canonicalize, grad_energy, inner, misiolek_gram, misiolek_index,
+                               misiolek_pairing)
 
 from conftest import (evaluate, random_trigpoly, reference_bracket_sums, reference_pairing,
                       reference_poly, reference_product_sums)
@@ -271,7 +270,7 @@ class TestKolmogorovFlow:
         assert KolmogorovFlow(3, 2).lambda2 == 13
 
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (2, 5)])
-    def test_stream_is_its_sums(self, m, n):
+    def test_stream_is_its_two_terms(self, m, n):
         flow = KolmogorovFlow(m, n)
         half = F(-1, 2)
         want = TrigPoly.from_terms([(COS, m, n, half), (COS, m, -n, half)])
@@ -281,21 +280,6 @@ class TestKolmogorovFlow:
         psi = KolmogorovFlow(1, 1).stream()
         assert evaluate(psi, 0.0, 0.0) == pytest.approx(-1.0)
         assert evaluate(psi, math.pi / 2, 1.234) == pytest.approx(0.0, abs=1e-15)
-
-
-class TestProductSums:
-    def test_is_the_product(self, rng):
-        # a narrow band, so the two output modes often collide, cancel or
-        # reach sin(0,0); the second factor defaults to the constant 1
-        for _ in range(300):
-            (p1, j1, k1), (p2, j2, k2) = ((rng.choice((COS, SIN)), rng.randint(-2, 2),
-                                           rng.randint(-2, 2)) for _ in range(2))
-            got = product_sums(p1, j1, k1, p2, j2, k2)
-            want = TrigPoly.from_terms([(p1, j1, k1, 1)]) * TrigPoly.from_terms([(p2, j2, k2, 1)])
-            assert reference_poly({Mode(*key): F(*v) for key, v in got.items()}) == want
-            alone = reference_poly({Mode(*key): F(*v) for key, v in
-                                    product_sums(p1, j1, k1).items()})
-            assert alone == TrigPoly.from_terms([(p1, j1, k1, 1)])
 
 
 def _textbook_bracket(p, q):
@@ -352,17 +336,11 @@ class TestMisiolekPairing:
             assert misiolek_pairing(phi, phi, flow) == misiolek_index(phi, flow)
             assert misiolek_pairing(phi, TrigPoly.zero(), flow) == 0
 
-    def test_bracket_index_is_the_index_of_the_bracket(self, rng):
-        for flow in self._flows(rng):
-            f = _big_poly(rng, rng.randint(1, 20), 8, 10 ** 6)
-            phi = bracket(flow.stream(), f)
-            got = bracket_index(f, flow)
-            assert type(got) is F and got == misiolek_index(phi, flow)
+    def test_functions_of_the_stream_are_in_the_kernel(self):
         # a function of psi is constant on streamlines: its bracket is 0
-        flow = KolmogorovFlow(2, 1)
-        psi = flow.stream()
+        psi = KolmogorovFlow(2, 1).stream()
         for f in (psi, psi * psi + psi.scaled(F(1, 3)), TrigPoly.zero()):
-            assert bracket(psi, f).is_zero() and bracket_index(f, flow) is None
+            assert bracket(psi, f).is_zero()
 
     @pytest.mark.parametrize("constant_first", [True, False])
     def test_rejects_constants(self, constant_first):
@@ -371,6 +349,21 @@ class TestMisiolekPairing:
         pair = (with_mean, TrigPoly.cosine(1, 0))
         with pytest.raises(ValueError, match="mean-zero"):
             misiolek_pairing(*(pair if constant_first else pair[::-1]), flow)
+
+
+class TestRepresentation:
+    def test_scaling_back_gives_the_same_poly(self, rng):
+        # scaling by 6 and then by 1/6 leaves numerators and denominator six
+        # times larger; the poly, its hash, its terms and its pairings are p's
+        flow = KolmogorovFlow(2, 1)
+        for _ in range(60):
+            p = _mean_zero_poly(rng)
+            q = p.scaled(6).scaled(F(1, 6))
+            assert q.is_zero() or (q.den, q.nums) != (p.den, p.nums)
+            assert q == p and hash(q) == hash(p)
+            assert list(q.terms.items()) == list(p.terms.items())
+            index = misiolek_index(p, flow)
+            assert misiolek_gram([p, q], flow) == [[index, index], [index, index]]
 
 
 def _assert_same_poly(got, want):
@@ -500,21 +493,18 @@ class TestKernelMatchesReference:
             self._assert_same(bracket(psi, f), reference_bracket_sums(psi, f))
 
     def test_gram(self, rng):
-        # the integer core on bracket sums, whose cancelled modes hold
-        # numerator 0, and on the plain sums of mean-zero polys; every entry
-        # against the one-Fraction-at-a-time reference
+        # the integer core on brackets, whose inputs cancel in many modes,
+        # and on mean-zero polys; every entry against the
+        # one-Fraction-at-a-time reference
         pairs = list(self._pairs(rng))
         cancelled = 0
         for start in range(0, len(pairs), 3):
             flow = KolmogorovFlow(rng.randint(1, 5), rng.randint(1, 5))
-            polys, sums = [], []
+            polys = []
             for p, q in pairs[start:start + 3]:
-                acc = bracket_sums(p.sums(), q.sums())
-                cancelled += sum(num == 0 for num, _ in acc.values())
-                r = p - TrigPoly.constant(p.constant_coeff)
-                polys += [bracket(p, q), r]
-                sums += [acc, {m: [c.numerator, c.denominator] for m, c in r.terms.items()}]
-            gram = misiolek_gram(sums, flow)
+                cancelled += sum(c == 0 for c in reference_bracket_sums(p, q).values())
+                polys += [bracket(p, q), p - TrigPoly.constant(p.constant_coeff)]
+            gram = misiolek_gram(polys, flow)
             assert [len(row) for row in gram] == [len(polys)] * len(polys)
             for row, p in zip(gram, polys):
                 for got, q in zip(row, polys):
@@ -522,11 +512,13 @@ class TestKernelMatchesReference:
         assert cancelled > 50
 
     def test_gram_rejects_only_a_nonzero_constant(self):
+        # a constant numerator of 0 is no constant term
         flow = KolmogorovFlow(2, 1)
-        cosx = {(1, 0, COS): [1, 2]}
-        assert misiolek_gram([cosx, {(0, 0, COS): [0, 3], **cosx}], flow) == [[-2, -2], [-2, -2]]
+        cosx = TrigPoly.cosine(1, 0, F(1, 2))
+        cancelled = TrigPoly.over({(0, 0, COS): 0, (1, 0, COS): 3}, 6)
+        assert misiolek_gram([cosx, cancelled], flow) == [[-2, -2], [-2, -2]]
         with pytest.raises(ValueError, match="mean-zero"):
-            misiolek_gram([cosx, {(0, 0, COS): [1, 3], **cosx}], flow)
+            misiolek_gram([cosx, TrigPoly.over({(0, 0, COS): 2, (1, 0, COS): 3}, 6)], flow)
 
     def test_pairing(self, rng):
         for p, q in self._pairs(rng):
