@@ -8,6 +8,7 @@ from the schema with a ValueError.  The module imports no numpy.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import Tuple
@@ -66,7 +67,8 @@ def read_field_file(path: str) -> Tuple[KolmogorovFlow, TrigPoly, str]:
     The top level is an object with integers `m`, `n` and a `modes` list;
     each mode is an object with `parity` "cos" or "sin", integers `j`, `k`
     and a `value` that is a finite rational ("p/q" string, int or float).
-    Entries fold (j, k) and (-j, -k) onto one mode; a mode twice, or sin(0,0), is rejected.
+    Entries fold (j, k) and (-j, -k) onto one mode; a mode twice, or sin(0,0), is rejected,
+    and so is a field whose values' common denominator exceeds 10**_MAX_EXPONENT.
     """
     with open(path) as fh:
         try:
@@ -94,4 +96,9 @@ def read_field_file(path: str) -> Tuple[KolmogorovFlow, TrigPoly, str]:
         if mode in terms:
             raise ValueError(f"field file: {where} repeats the mode of an earlier entry")
         terms[mode] = sign * _rational(_member(entry, "value", where))
+    common, bound = 1, 10 ** _MAX_EXPONENT  # the denominator every operation carries
+    for value in terms.values():  # a running lcm, refused as soon as it passes the bound
+        common = math.lcm(common, value.denominator)
+        if common > bound:
+            raise ValueError(f"field file: values' common denominator exceeds 10**{_MAX_EXPONENT}")
     return flow, TrigPoly(terms), doc.get("description", "")

@@ -173,6 +173,11 @@ class _Chains:
         self.keep = ~np.isin(np.arange(size), zeroed)
         self.kept = np.bincount(self.chain[self.keep], minlength=len(self.sizes))
         self.held = self.kept < self.sizes
+        # the kept modes chain by chain from `starts`, in window order within each
+        self.order = np.flatnonzero(self.keep)[np.argsort(self.chain[self.keep], kind="stable")]
+        self.starts = np.cumsum(self.kept) - self.kept
+        self.local = np.zeros(size, dtype=int)  # each kept mode's position in its chain
+        self.local[self.order] = np.arange(len(self.order)) - np.repeat(self.starts, self.kept)
         cols, terms = _stencil(flow, window, ext)
         terms = np.where(self.keep[cols], terms, 0)
         self.rows = np.flatnonzero(terms.any(axis=1))
@@ -202,61 +207,50 @@ class _Chains:
             twin |= (image < np.arange(len(first))) & ~held[image]
         return twin & ~held
 
-    def groups(self, solve: Optional[np.ndarray] = None
-               ) -> Iterator[Tuple[List[int], np.ndarray, Tuple[np.ndarray, ...]]]:
-        """The chains that `solve` marks (all if None), as (positions, index, bracket) per group.
+    def slabs(self, pooled: np.ndarray) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
+        """The Gram products of the chains that `pooled` marks, from one `_gram`
+        call, as (numbers, index, B) per kept-mode count d, ascending.  Ordered
+        by (d, number), each chain's d^2 entries follow those of the chains
+        before it in one flat buffer, so the chains of one d are one slab B
+        (count, d, d); `index` holds their kept modes' window positions."""
+        numbers = np.flatnonzero(pooled)
+        if not len(numbers):
+            return
+        numbers = numbers[np.argsort(self.kept[numbers], kind="stable")]
+        squares = self.kept[numbers] ** 2
+        offsets = np.zeros(len(self.kept), dtype=int)
+        offsets[numbers] = np.cumsum(squares) - squares
+        flat = _gram(self, np.flatnonzero(pooled[self.row_chain]), offsets, int(squares.sum()))
+        runs = np.unique(self.kept[numbers], return_index=True, return_counts=True)
+        for d, first, count in zip(*(run.tolist() for run in runs)):
+            members, start = numbers[first:first + count], offsets[numbers[first]]
+            yield (members.tolist(), self.order[self.starts[members][:, None] + np.arange(d)],
+                   flat[start:start + count * d * d].reshape(count, d, d))
 
-        A group holds chains of d kept modes, in numbered order, and the
-        groups come by ascending d.  The STACK_ENTRIES cap splits the
-        chains of one d into groups of at most STACK_ENTRIES // d^2 and
-        never fewer than one: `positions` are their numbers and `index`
-        (count, d) the window positions of their kept modes, ascending per
-        chain.  Chains with no kept mode are left out.  `bracket` is
-        (slot, local, terms, weight), the rows of the chains' table that
-        the group reaches, in order: the group member each row belongs to,
-        its four stencil terms' positions among that chain's kept modes and
-        the terms 4L themselves, and its weight.  Two terms may share a
-        position; a term is absent where it is 0, and its position then
-        means nothing.
-        """
-        kept = self.kept
-        wanted = (kept > 0) if solve is None else solve & (kept > 0)
-        # each chain's kept modes together, in window order, by one stable sort
-        order = np.flatnonzero(self.keep)
-        order = order[np.argsort(self.chain[order], kind="stable")]
-        mode_starts = np.cumsum(kept) - kept
-        local = np.zeros(len(self.keep), dtype=int)  # each kept mode's position in its chain
-        local[order] = np.arange(len(order)) - np.repeat(mode_starts, kept)
-        for d in np.flatnonzero(np.bincount(kept[wanted])).tolist():
-            shaped = np.flatnonzero(wanted & (kept == d))
-            step = max(1, STACK_ENTRIES // (d * d))
-            for start in range(0, len(shaped), step):
-                members = shaped[start:start + step]
-                slot = np.full(len(kept), -1)  # each chain's place in the group, or -1
-                slot[members] = np.arange(len(members))
-                at = np.flatnonzero(slot[self.row_chain] >= 0)
-                yield (members.tolist(), order[mode_starts[members][:, None] + np.arange(d)],
-                       (slot[self.row_chain[at]], local[self.cols[at]], self.terms[at],
-                        self.weight[at]))
+    def alone(self, number: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(index, B) of one chain, as a slab of one, from its own table rows only."""
+        d = int(self.kept[number])
+        rows = np.flatnonzero(self.row_chain == number)
+        B = _gram(self, rows, np.zeros(len(self.kept), dtype=int), d * d)
+        return self.order[self.starts[number] + np.arange(d)][None], B.reshape(1, d, d)
 
 
-def _gram(shape: Tuple[int, int], bracket: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """B = L^T W L of each chain of a group (count, d), from its bracket's nonzeros.
-
-    The bracket holds the integers 4L and W = diag(w) of `_Chains`' table.
-    Each pair of nonzeros on one output row adds one integer product
-    c w c' of 16 B, summed by one bincount; two terms c, c' of a row on
-    one column add c^2 w + 2 c c' w + c'^2 w = (c + c')^2 w.  Every partial
-    sum is an integer far below 2^53, so the sums are exact in any order,
-    and B is 16 B divided by 16 once, also exactly.
-    """
-    count, d = shape
-    slot, local, terms, weight = bracket
+def _gram(chains: _Chains, rows: np.ndarray, offsets: np.ndarray, size: int) -> np.ndarray:
+    """B = L^T W L of the chains that own the table `rows`, flat over `size`
+    entries: chain c's d x d, d its kept modes, row-major from offsets[c].
+    Each pair of nonzeros on one row adds one integer product c w c' of 16 B
+    (the table holds 4L and W = diag(w)), summed by one bincount; two terms
+    c, c' of a row on one column add (c + c')^2 w.  Every partial sum is an
+    integer far below 2^53, so the sums are exact in any order, and B is
+    16 B divided by 16 once, also exactly."""
+    chain, terms = chains.row_chain[rows], chains.terms[rows]
+    local = chains.local[chains.cols[rows]]
     linked = terms != 0
-    r, s, t = np.nonzero(linked[:, :, None] & linked[:, None, :])
-    at = (slot[r] * d + local[r, s]) * d + local[r, t]
-    products = terms[r, s] * weight[r] * terms[r, t]
-    return np.bincount(at, products, count * d * d).reshape(count, d, d) / 16
+    pairs = linked[:, :, None] & linked[:, None, :]
+    starts = offsets[chain][:, None] + local * chains.kept[chain][:, None]
+    at = (starts[:, :, None] + local[:, None, :])[pairs]
+    products = (terms[:, :, None] * (chains.weight[rows][:, None] * terms)[:, None, :])[pairs]
+    return np.bincount(at, products, size) / 16
 
 
 def _weight_bounds(chains: _Chains, scale: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -370,40 +364,40 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     """Lowest eigenpair over the reduced bracket chains of `window`, for each flow.
 
     The zeroed modes drop out of their chains as the chains are laid out,
-    and chains zeroed out entirely drop out of the scan.  Each group of
-    each flow's `_Chains` goes through the Gram product and the Sobolev
-    reduction, leaving out the twins of earlier chains, whose spectra
-    those chains share.  The reduced chains of all flows are then pooled
-    by size and solved in stacks of at most STACK_ENTRIES entries, and
-    each chain's row of its stack (its lowest value, unit eigenvector and
-    residual) goes back to its flow; the flow's pair is its winning
-    chain's row, so its residual is the one checked.  A chain that
-    shares no stack (see STACK_ENTRIES) is deferred: once its flow's
-    groups are laid out and every batch still waiting is solved, the
-    flow's deferred chains are decided one at a time, those that reach a
-    disc row first, then the `_Chains.settled` ones, each in ascending
-    number.  One whose floor lies above the largest minimum that can
-    still win or tie (`_FlowScan.ceiling`) is skipped, with no Gram
-    product, reduction or eigensolve: 0 for a settled chain, whose form
-    is PSD, else -N - TIE_RTOL d A from `_weight_bounds`, d its kept
-    modes (`spectrum_above`'s margin, A in place of max|S|).  Any other
-    is solved unless its flow has a minimum so far and one Cholesky
+    and chains zeroed out entirely drop out of the scan.  Each flow's chains
+    of at most 45 kept modes, less the twins of earlier chains, whose
+    spectra those chains share, go through one Gram product
+    (`_Chains.slabs`) and the Sobolev reduction.  The reduced chains of all
+    flows are pooled by size and solved in stacks of at most STACK_ENTRIES
+    entries, and each chain's row of its stack (its lowest value, unit
+    eigenvector and residual) goes back to its flow; the flow's pair is its
+    winning chain's row, so its residual is the one checked.  A chain that
+    shares no stack (see STACK_ENTRIES) is deferred: once its flow's slabs
+    are reduced and every batch still waiting is solved, the flow's deferred
+    chains are decided one at a time, those that reach a disc row first,
+    then the `_Chains.settled` ones, each in ascending number.  One whose
+    floor lies above the largest minimum that can still win or tie
+    (`_FlowScan.ceiling`) is skipped, with no Gram product
+    (`_Chains.alone`), reduction or eigensolve: 0 for a settled chain, whose
+    form is PSD, else -N - TIE_RTOL d A from `_weight_bounds`, d its kept
+    modes (`spectrum_above`'s margin, A in place of max|S|).  Any other is
+    solved unless its flow has a minimum so far and one Cholesky
     factorization shows that it can neither win nor tie
     (`_FlowScan.beaten`); a chain screened out still meets the symmetry
     check, but has no eigenpair and so no residual to check, and a chain
-    skipped by its floor is never reduced and meets neither.  So no
-    flow's deferred chains are held past its turn.  Per flow, two minima
-    within TIE_RTOL of each other (relative) are a tie, won by the chain
-    with the lowest first mode, and the lowest-numbered chain that fails
-    an eigensolve check gives the flow's error.  The flows of one
-    max(m, n) share one `_extended` output window, built once.  Returns
-    one entry per flow: its error, or the pair; the minimizer's
-    coefficients, a float array over the window's modes, with
-    S = D^{-p/2} B D^{-p/2} undone on the winning chain, 0 off it, and
-    largest magnitude 1 while no weight underflows; the number of chains
-    and the modes in the largest, twins and zeroed modes included; and the
-    window position of the winning chain's first mode, zeroed or not.
-    The callers check p >= 0; a zeroed mode outside the window raises.
+    skipped by its floor is never reduced and meets neither.  So no flow's
+    deferred chains are held past its turn.  Per flow, two minima within
+    TIE_RTOL of each other (relative) are a tie, won by the chain with the
+    lowest first mode, and the lowest-numbered chain that fails an
+    eigensolve check gives the flow's error.  The flows of one max(m, n)
+    share one `_extended` output window, built once.  Returns one entry per
+    flow: its error, or the pair; the minimizer's coefficients, a float
+    array over the window's modes, with S = D^{-p/2} B D^{-p/2} undone on
+    the winning chain, 0 off it, and largest magnitude 1 while no weight
+    underflows; the number of chains and the modes in the largest, twins and
+    zeroed modes included; and the window position of the winning chain's
+    first mode, zeroed or not.  The callers check p >= 0; a zeroed mode
+    outside the window raises.
     """
     scale = window.laplace ** (-p / 2)
     at = _positions(window, set(zeroed))
@@ -413,29 +407,27 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
         if reach not in extended:
             extended[reach] = _extended(flow, window)
         chains = _Chains(flow, window, extended[reach], at)
-        scan, deferred = _FlowScan(chains), {}
-        scans.append(scan)
-        for positions, index, bracket in chains.groups(~chains.twins()):
+        scans.append(scan := _FlowScan(chains))
+        wanted = ~chains.twins() & (chains.kept > 0)
+        pooled = wanted & (2 * chains.kept ** 2 <= STACK_ENTRIES)  # the chains that share stacks
+        for numbers, index, B in chains.slabs(pooled):
             d = index.shape[1]
             step = STACK_ENTRIES // (d * d)
-            if step < 2:  # shares no stack: decided once the pooled chains are solved
-                number = positions[0]
-                deferred[bool(chains.settled[number]), number] = index, bracket
-                continue
-            stack = _reduce(_gram(index.shape, bracket), scale[index])
             batch = waiting.setdefault(d, [])
-            batch += zip([scan] * len(positions), positions, index, stack)
+            batch += zip([scan] * len(numbers), numbers, index, _reduce(B, scale[index]))
             while len(batch) >= step:
                 _solve(batch[:step])
                 del batch[:step]
-        if deferred:
+        deferred = np.flatnonzero(wanted & ~pooled)
+        if len(deferred):
             _flush(waiting)
             negative, total = _weight_bounds(chains, scale)
             floors = np.where(chains.settled, 0, -negative - TIE_RTOL * chains.kept * total)
-            for (_, number), (index, bracket) in sorted(deferred.items()):
+            for number in sorted(deferred.tolist(), key=lambda c: (chains.settled[c], c)):
                 if floors[number] > scan.ceiling():  # cannot win or tie
                     continue
-                [S] = _reduce(_gram(index.shape, bracket), scale[index])
+                index, B = chains.alone(number)
+                [S] = _reduce(B, scale[index])
                 if not scan.beaten(S):
                     _solve([(scan, number, index[0], S)])
     _flush(waiting)

@@ -163,11 +163,13 @@ def hessian_minors_positive(form) -> bool:
 
 # ------------------------------------------------------------ test-side oracles
 #
-# The numerical route never builds a whole-window matrix: `_Chains.groups`
-# yields each chain's bracket nonzeros and `_gram` each chain's form.  The
-# helpers below lay those out densely, or rebuild them by dense products
-# that share no code with `_gram`, for the tests to check against the
-# exact bracket and index.
+# The numerical route never builds a whole-window matrix: `_Chains` keeps
+# each chain's bracket nonzeros in one integer table, and `_gram` sums the
+# chains' forms from it, a flow's pooled chains into one slab per kept-mode
+# count (`_Chains.slabs`) and each larger chain alone (`_Chains.alone`).
+# The helpers below lay the table out densely, or rebuild the forms by
+# dense products that share no code with `_gram`, for the tests to check
+# against the exact bracket and index.
 
 def extended(flow, window):
     return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
@@ -195,21 +197,20 @@ def chain_brackets(flow, window):
     `index` holds the window positions of the chain's modes, `rows` the
     positions in the extended window of the outputs its bracket reaches
     (the chain's rows of the `_Chains` table, in order), and L the dense
-    bracket block between them, summed from the integer terms 4L that
-    `_Chains.groups` yields, each divided by 4.
+    bracket block between them, summed from the table's integer terms 4L,
+    each divided by 4, at their columns' positions in the chain.
     """
-    layout, chains = spectral._Chains(flow, window, extended(flow, window)), {}
-    for positions, index, (slot, local, terms, _) in layout.groups():
-        by_slot = np.argsort(slot, kind="stable")
-        ends = np.searchsorted(slot[by_slot], np.arange(len(positions)), side="right")
-        for i, at in enumerate(np.split(by_slot, ends[:-1])):
-            L = np.zeros((len(at), index.shape[1]))
-            r, t = np.nonzero(terms[at])
-            np.add.at(L, (r, local[at][r, t]), terms[at][r, t] / 4)
-            rows = layout.rows[layout.row_chain == positions[i]]
-            assert len(rows) == len(at)
-            chains[positions[i]] = index[i], rows, L
-    return [chains[number] for number in range(len(chains))]
+    chains = spectral._Chains(flow, window, extended(flow, window))
+    blocks = []
+    for number in range(len(chains.sizes)):
+        at = np.flatnonzero(chains.row_chain == number)
+        terms, local = chains.terms[at], chains.local[chains.cols[at]]
+        index = np.flatnonzero(chains.chain == number)
+        L = np.zeros((len(at), len(index)))
+        r, t = np.nonzero(terms)
+        np.add.at(L, (r, local[r, t]), terms[r, t] / 4)
+        blocks.append((index, chains.rows[at], L))
+    return blocks
 
 
 def bracket_matrix(flow, window) -> np.ndarray:
@@ -246,12 +247,11 @@ def per_chain_products(flow, window, p):
 
 
 def gram_blocks(flow, window):
-    """(index, B) of each chain, by chain number, B as the numerical route builds it
-    with `_gram`."""
-    chains = {}
-    for positions, index, bracket in spectral._Chains(
-            flow, window, extended(flow, window)).groups():
-        chains.update(zip(positions, zip(index, spectral._gram(index.shape, bracket))))
+    """(index, B) of each chain, by chain number, B as the numerical route builds
+    it with `_gram`: one slab of every chain of the window."""
+    layout, chains = spectral._Chains(flow, window, extended(flow, window)), {}
+    for numbers, index, B in layout.slabs(layout.kept > 0):
+        chains.update(zip(numbers, zip(index, B)))
     return [chains[number] for number in range(len(chains))]
 
 
@@ -277,32 +277,26 @@ def scan_one(flow, window, p, zeroed=()):
     return found
 
 
-def follow_groups(monkeypatch):
-    """Patch `_Chains.groups` and `_gram` until the patches are undone, and
-    return a list that holds, after each `_gram` call, the (chains,
-    positions, index, B) of the group whose Gram product B it built.
+def follow_grams(monkeypatch):
+    """Patch `_Chains.slabs` and `_Chains.alone` until the patches are undone,
+    and return a list that holds, after each slab or lone chain is built,
+    its (chains, numbers, index, B): `window_minimum` reduces each one
+    before it builds the next."""
+    slabs, alone = spectral._Chains.slabs, spectral._Chains.alone
+    current = []
 
-    A chain that shares no stack (see `spectral.STACK_ENTRIES`) is reduced
-    only once every group of its flow is laid out, so each `_gram` call is
-    matched to its group by the bracket it gets, not by the group laid out
-    last.
-    """
-    groups, gram = spectral._Chains.groups, spectral._gram
-    layouts, current = {}, []
+    def slabs_spy(self, pooled):
+        for numbers, index, B in slabs(self, pooled):
+            current[:] = self, numbers, index, B
+            yield numbers, index, B
 
-    def groups_spy(self, wanted=None):
-        for positions, index, bracket in groups(self, wanted):
-            # the bracket stays referenced here, so its id is never reused
-            layouts[id(bracket)] = self, positions, index, bracket
-            yield positions, index, bracket
+    def alone_spy(self, number):
+        index, B = alone(self, number)
+        current[:] = self, [number], index, B
+        return index, B
 
-    def gram_spy(shape, bracket):
-        chains, positions, index, _ = layouts[id(bracket)]
-        current[:] = chains, positions, index, gram(shape, bracket)
-        return current[-1]
-
-    monkeypatch.setattr(spectral._Chains, "groups", groups_spy)
-    monkeypatch.setattr(spectral, "_gram", gram_spy)
+    monkeypatch.setattr(spectral._Chains, "slabs", slabs_spy)
+    monkeypatch.setattr(spectral._Chains, "alone", alone_spy)
     return current
 
 
@@ -321,7 +315,7 @@ def spy_scan(monkeypatch):
     made fails.
     """
     solved, screened, rows = defaultdict(dict), defaultdict(dict), defaultdict(dict)
-    reduced, current = defaultdict(list), follow_groups(monkeypatch)
+    reduced, current = defaultdict(list), follow_grams(monkeypatch)
     reduce, solve = spectral._reduce, spectral.lowest_eigenpairs
     beaten = spectral._FlowScan.beaten
 

@@ -5,8 +5,8 @@ Tolerances are pinned here and must not be loosened: exact (zero tolerance)
 for the closed-form criteria, 1e-12 per coefficient for the matrix/bracket
 agreement, 1e-10 relative for the quadratic-form/index agreement.  The
 numerical criteria check the code that `minimize` and `sweep` run: the
-chains' bracket blocks of `_Chains.groups`, their forms from `_gram`, and
-`run_minimize`.
+chains' bracket blocks of `_Chains`' table, their forms from `_gram` in
+`_Chains.slabs`, and `run_minimize`.
 """
 
 import math

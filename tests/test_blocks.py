@@ -3,12 +3,13 @@
 The bracket with psi = -cos mx cos ny sends mode (j, k) only to
 (j +- m, k +- n), so the window splits into chains that no bracket row and
 no entry of the index form couples.  The numerical route has one scan over
-them: `_Chains` lays the chains out, less their zeroed modes, in groups of
-one kept-mode count with their bracket's nonzeros, `_gram` builds each
-group's forms from those nonzeros, and `window_minimum` solves each group
-in one stacked eigensolve, leaving out the chains that a flow symmetry
-maps onto an earlier chain, then picks the winner among every chain's
-minimum.  These tests check that scan against the oracles of
+them: `_Chains` lays the chains out, less their zeroed modes, with their
+bracket's nonzeros in one integer table, `_gram` sums the forms of a
+flow's chains of at most 45 kept modes from that table into one slab per
+kept-mode count, and of each larger chain alone, and `window_minimum`
+solves the slabs in stacked eigensolves, leaving out the chains that a
+flow symmetry maps onto an earlier chain, then picks the winner among
+every chain's minimum.  These tests check that scan against the oracles of
 `conftest`: the chains' bracket blocks against the exact bracket, each
 chain's form against its dense product L^T W L (restricted to the kept
 modes), and each minimum against the whole window's form scattered from
@@ -33,7 +34,7 @@ from kolmconj.spectral import FULL, STACK_ENTRIES, CertificationError, SpectralW
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
 from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, dense_grams,
-                      dense_reduced, extended, follow_groups, gram_blocks, lowest_pair,
+                      dense_reduced, extended, follow_grams, gram_blocks, lowest_pair,
                       per_chain_products, scan_one, spy_scan, window_modes, window_values)
 
 
@@ -140,13 +141,10 @@ def test_scattered_brackets_match_exact_bracket():
 
 def _rows_with_one_column_twice(flow, window):
     """How many bracket rows that `_gram` reads hold two nonzero terms on one column."""
-    count = 0
-    for _, _, (_, local, terms, _) in spectral._Chains(
-            flow, window, extended(flow, window)).groups():
-        linked = terms != 0
-        twice = (local[:, :, None] == local[:, None, :]) & linked[:, :, None] & linked[:, None, :]
-        count += np.count_nonzero(np.triu(twice, 1).any(axis=(1, 2)))
-    return count
+    chains = spectral._Chains(flow, window, extended(flow, window))
+    local, linked = chains.local[chains.cols], chains.terms != 0
+    twice = (local[:, :, None] == local[:, None, :]) & linked[:, :, None] & linked[:, None, :]
+    return np.count_nonzero(np.triu(twice, 1).any(axis=(1, 2)))
 
 
 def test_block_gram_equals_dense_gram():
@@ -172,26 +170,75 @@ def test_block_gram_equals_dense_gram():
 def test_gram_sums_integers_exactly(m, n, N, subspace):
     # `_gram` sums the integer products c w c' of 16 B as floats and divides
     # by 16 once, exact while the magnitudes summed into one entry stay below
-    # 2^53: the largest such sum here is about 2e11, at (30,30) N=61
+    # 2^53: the largest such sum here is about 2e11, at (30,30) N=61.  Each
+    # chain is checked as the scan builds it, in a slab of the chains of at
+    # most 45 kept modes or alone
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
     chains = spectral._Chains(flow, window, extended(flow, window))
     assert all(np.issubdtype(a.dtype, np.integer) for a in (chains.terms, chains.weight))
-    for _, index, bracket in chains.groups():
-        slot, local, terms, weight = bracket
-        assert all(np.issubdtype(a.dtype, np.integer) for a in (terms, weight))
-        d = index.shape[1]
-        linked = terms != 0
-        r, s, t = np.nonzero(linked[:, :, None] & linked[:, None, :])
-        at, inverse = np.unique((slot[r] * d + local[r, s]) * d + local[r, t],
-                                return_inverse=True)
-        products = terms[r, s] * weight[r] * terms[r, t]
-        gram, magnitude = np.zeros(len(at), dtype=np.int64), np.zeros(len(at), dtype=np.int64)
-        np.add.at(gram, inverse, products)
-        np.add.at(magnitude, inverse, np.abs(products))
-        assert magnitude.max() < 2 ** 53
-        B = spectral._gram(index.shape, bracket).ravel()
-        assert np.array_equal(16 * B[at], gram)
-        assert np.count_nonzero(B) == np.count_nonzero(gram)
+    local, linked = chains.local[chains.cols], chains.terms != 0
+    r, s, t = np.nonzero(linked[:, :, None] & linked[:, None, :])
+    number, width = chains.row_chain[r], int(chains.kept.max()) ** 2
+    # each pair's entry (chain, row-major position in its B), as one key
+    at, inverse = np.unique(number * width + local[r, s] * chains.kept[number] + local[r, t],
+                            return_inverse=True)
+    products = chains.terms[r, s] * chains.weight[r] * chains.terms[r, t]
+    gram, magnitude = np.zeros(len(at), dtype=np.int64), np.zeros(len(at), dtype=np.int64)
+    np.add.at(gram, inverse, products)
+    np.add.at(magnitude, inverse, np.abs(products))
+    assert magnitude.max() < 2 ** 53
+    checked = []
+    pooled = 2 * chains.kept ** 2 <= STACK_ENTRIES
+    built = itertools.chain(((numbers, B) for numbers, _, B in chains.slabs(pooled)),
+                            (([c], chains.alone(c)[1]) for c in np.flatnonzero(~pooled)))
+    for numbers, slab in built:
+        for c, B in zip(numbers, slab):
+            lo, hi = np.searchsorted(at, [c * width, (c + 1) * width])
+            B = B.ravel()
+            assert np.array_equal(16 * B[at[lo:hi] - c * width], gram[lo:hi])
+            assert np.count_nonzero(B) == np.count_nonzero(gram[lo:hi])
+            checked.append(c)
+    assert sorted(checked) == list(range(len(chains.sizes)))
+
+
+def test_slab_is_the_dense_form():
+    # on seeded windows, with zeroed modes, twins and chains of more than 45
+    # modes: each chain's B from a slab, of every chain with a kept mode or
+    # of the chains that `window_minimum` pools, has the bytes of the same
+    # chain built alone, and is its dense L^T W L on the kept modes
+    rng = random.Random(39)
+    windows = [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 14),
+                rng.choice((COS, SIN, FULL))) for _ in range(16)]
+    windows += [(2, 2, 14, FULL), (1, 1, 12, FULL), (3, 3, 10, SIN), (3, 2, 20, COS)]
+    large = held = twins = 0
+    parities = set()
+    for m, n, N, subspace in windows:
+        flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
+        zeroed = rng.sample(range(len(window)), min(rng.randint(0, 4), len(window) - 1))
+        chains = spectral._Chains(flow, window, extended(flow, window), zeroed)
+        dense = dense_grams(flow, window)
+        twin = chains.twins()
+        some = chains.kept > 0
+        pooled = ~twin & some & (2 * chains.kept ** 2 <= STACK_ENTRIES)
+        for wanted in (some, pooled):
+            seen = []
+            for numbers, index, slab in chains.slabs(wanted):
+                for c, positions, B in zip(numbers, index, slab):
+                    alone_index, [alone] = chains.alone(c)
+                    assert np.array_equal(alone_index[0], positions)
+                    assert B.tobytes() == alone.tobytes(), (flow, window, c)
+                    full, want = dense[c]
+                    keep = [i for i, at in enumerate(full) if at not in zeroed]
+                    assert positions.tolist() == [full[i] for i in keep]
+                    assert np.array_equal(B, want[np.ix_(keep, keep)]), (flow, window, c)
+                    large += len(keep) > 45
+                    held += len(keep) < len(full)
+                    twins += bool(twin[c])
+                seen += numbers
+            assert seen == sorted(np.flatnonzero(wanted).tolist(),
+                                  key=lambda c: (chains.kept[c], c))
+        parities |= set(window.sin.tolist())
+    assert large and held and twins and parities == {False, True}
 
 
 def _dense_minimum(flow, window, p, zeroed):
@@ -257,11 +304,11 @@ def test_constraint_errors_unchanged():
         run_minimize(flow, N=3, constraints=[Mode(1, 0, SIN)])
 
 
-def _scan(monkeypatch, groups):
-    """`window_minimum` on (3,2) cos at N=6 over hand-built groups.
+def _scan(monkeypatch, slabs):
+    """`window_minimum` on (3,2) cos at N=6 over hand-built slabs.
 
-    `groups` stands in for `_Chains.groups`, as (positions, index, stack)
-    per group, and each stack for its group's Gram product; at p = 0 the
+    `slabs` stands in for `_Chains.slabs`, as (numbers, index, stack) per
+    slab, and each stack for its slab's Gram products; at p = 0 the
     Sobolev reduction multiplies by 1, so the scan solves the stacks as
     given.  Returns the window, the flow's entry of what `window_minimum`
     returns and `spy_scan`'s record of the chains solved and their rows,
@@ -269,8 +316,7 @@ def _scan(monkeypatch, groups):
     on return.
     """
     window = SpectralWindow(6, COS)
-    monkeypatch.setattr(spectral._Chains, "groups", lambda self, solve=None: iter(groups))
-    monkeypatch.setattr(spectral, "_gram", lambda shape, stack: stack)
+    monkeypatch.setattr(spectral._Chains, "slabs", lambda self, pooled: iter(slabs))
     flow, (solved, _, rows) = KolmogorovFlow(3, 2), spy_scan(monkeypatch)
     try:
         return window, scan_one(flow, window, 0), solved[flow], rows[flow]
@@ -292,10 +338,10 @@ def test_tie_goes_to_earlier_block(monkeypatch):
     for shift, winner in [(1e-14, 0), (1e-9, 1)]:
         lowered = S - shift * abs(value) * np.eye(len(first))
         stack = np.stack([S, lowered])
-        for groups in ([([0, 1], index, stack)],
-                       [([1], index[1:], stack[1:]), ([0], index[:1], stack[:1])]):
+        for slabs in ([([0, 1], index, stack)],
+                      [([1], index[1:], stack[1:]), ([0], index[:1], stack[:1])]):
             got_window, (pair, coeffs, _, _, got_first), solved, rows = _scan(monkeypatch,
-                                                                              groups)
+                                                                              slabs)
             assert got_first == firsts[winner]
             want = np.zeros(len(got_window))
             want[first + winner] = pair.vector
@@ -407,7 +453,7 @@ def _break_chains(monkeypatch, targets):
     """Make each chain (flow, subspace, number) in `targets` asymmetric as it
     is reduced, and record the stacks the pooled eigensolve gets."""
     reduce, solve = spectral._reduce, spectral.lowest_eigenpairs
-    current, stacks = follow_groups(monkeypatch), []
+    current, stacks = follow_grams(monkeypatch), []
 
     def reduce_spy(*args):
         stack = reduce(*args)
@@ -429,8 +475,8 @@ def _break_chains(monkeypatch, targets):
 def _solved_sizes(flow, window):
     """The kept-mode count of each chain a scan of `window` solves, by chain number."""
     chains = spectral._Chains(flow, window, extended(flow, window))
-    return {number: index.shape[1] for positions, index, _ in chains.groups(~chains.twins())
-            for number in positions}
+    return {number: int(chains.kept[number])
+            for number in np.flatnonzero(~chains.twins() & (chains.kept > 0)).tolist()}
 
 
 def test_failing_chain_errors_only_its_own_flow(monkeypatch):
@@ -473,6 +519,18 @@ def test_failing_chain_errors_only_its_own_flow(monkeypatch):
         assert sin_run[2].q == res.q
 
 
+def test_sweep_makes_66_stacked_eigensolves_of_2946_matrices(monkeypatch):
+    # `sweep --mmax 10` pools its chains into 66 LAPACK calls, each on one
+    # stack of one shape: at most STACK_ENTRIES entries, or one matrix
+    shapes, solve = [], spectral.lowest_eigenpairs
+    monkeypatch.setattr(spectral, "lowest_eigenpairs",
+                        lambda stack: shapes.append(stack.shape) or solve(stack))
+    pipeline.run_sweep(10)
+    assert (len(shapes), sum(count for count, _, _ in shapes)) == (66, 2946)
+    for count, d, width in shapes:
+        assert width == d and 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
+
+
 def test_sweep_builds_each_window_once(monkeypatch):
     # `sweep --mmax 10` scans one cosine and one sine window, and the flows
     # of one max(m, n) share their output window: 10 cosine and 6 sine sizes
@@ -489,25 +547,27 @@ def test_sweep_builds_each_window_once(monkeypatch):
 
 @pytest.mark.parametrize("m,n,N,subspace", [(30, 22, 64, COS), (5, 4, 20, COS),
                                              (1, 1, 20, FULL), (3, 3, 30, SIN)])
-def test_chain_groups_hold_one_shape_within_the_stack_cap(m, n, N, subspace):
+def test_slabs_and_stacks_hold_one_shape_within_the_stack_cap(monkeypatch, m, n, N, subspace):
+    # the slabs come by ascending kept-mode count, one count each, and with
+    # the chains built alone hold every chain once, with exactly symmetric
+    # B and S; each stack the scan solves holds one shape, at most
+    # STACK_ENTRIES // d^2 matrices and never fewer than one
     flow = KolmogorovFlow(m, n)
     window = SpectralWindow(N, subspace)
     scales = [window.laplace ** (-p / 2) for p in (0, 1, 3)]
-    firsts, groups, held = {}, defaultdict(list), []
-    for positions, index, bracket in spectral._Chains(
-            flow, window, extended(flow, window)).groups():
-        slot, local, terms, weight = bracket
+    chains = spectral._Chains(flow, window, extended(flow, window))
+    pooled = 2 * chains.kept ** 2 <= STACK_ENTRIES
+    slabs = list(chains.slabs(pooled))
+    sizes = [index.shape[1] for _, index, _ in slabs]
+    assert sizes == sorted(set(sizes)) and all(d <= 45 for d in sizes)
+    firsts, held = {}, []
+    for numbers, index, B in slabs + [([c], *chains.alone(c)) for c in np.flatnonzero(~pooled)]:
         count, d = index.shape
-        assert 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
-        assert positions == sorted(positions)
-        assert set(slot.tolist()) == set(range(count))
-        assert weight.shape == slot.shape and local.shape == terms.shape == (len(slot), 4)
-        assert not firsts.keys() & set(positions)
-        firsts.update(zip(positions, index[:, 0].tolist()))
+        assert B.shape == (count, d, d) and numbers == sorted(numbers)
+        assert not firsts.keys() & set(numbers)
+        firsts.update(zip(numbers, index[:, 0].tolist()))
         held += index.ravel().tolist()
-        groups[d].append(count)
         # B and S are exactly symmetric: the eigensolve takes them as they are
-        B = spectral._gram(index.shape, bracket)
         assert np.array_equal(B, B.swapaxes(-1, -2))
         for scale in scales:
             S = spectral._reduce(B, scale[index])
@@ -516,9 +576,22 @@ def test_chain_groups_hold_one_shape_within_the_stack_cap(m, n, N, subspace):
     assert sorted(firsts) == list(range(len(firsts)))
     assert [firsts[number] for number in range(len(firsts))] == sorted(firsts.values())
     assert sorted(held) == list(range(len(window)))
-    # each mode count fills as few stacks as the cap allows
-    for d, counts in groups.items():
-        assert len(counts) == -(-sum(counts) // max(1, STACK_ENTRIES // d ** 2))
+    shapes, solve = [], spectral.lowest_eigenpairs
+    monkeypatch.setattr(spectral, "lowest_eigenpairs",
+                        lambda stack: shapes.append(stack.shape) or solve(stack))
+    spectral.window_minimum([flow], window, 3)
+    monkeypatch.undo()
+    stacks = defaultdict(list)
+    for count, d, width in shapes:
+        assert width == d and 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
+        stacks[d].append(count)
+    # each pooled mode count fills as few stacks as the cap allows
+    solved = np.bincount(chains.kept[~chains.twins() & pooled])
+    for d, counts in stacks.items():
+        if d <= 45:
+            assert sum(counts) == solved[d]
+            assert len(counts) == -(-solved[d] // (STACK_ENTRIES // d ** 2))
+    assert {d for d in stacks if d <= 45} == set(np.flatnonzero(solved).tolist())
 
 
 def _symmetries(flow):
@@ -723,7 +796,7 @@ def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, larges
 def _screen_spy(monkeypatch):
     """Record, by flow and chain number, the kept positions and reduced
     matrix of each chain that `_FlowScan.beaten` screens out."""
-    current, screened = follow_groups(monkeypatch), defaultdict(dict)
+    current, screened = follow_grams(monkeypatch), defaultdict(dict)
     beaten = spectral._FlowScan.beaten
 
     def beaten_spy(self, S):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -633,6 +634,39 @@ def test_index_too_long_to_print_is_numerical_failure(capsys, tmp_path, value):
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def _long_denominators():
+    """100 cos modes whose values have distinct denominators of 3,900 digits."""
+    rng = random.Random(7)
+    return [{"parity": "cos", "j": j, "k": k,
+             "value": f"1/{rng.randrange(10 ** 3899, 10 ** 3900)}"}
+            for j in range(1, 11) for k in range(10)]
+
+
+@pytest.mark.parametrize("modes", [
+    _long_denominators(),
+    [{"parity": "cos", "j": 1, "k": 0, "value": "1e-2200"},
+     {"parity": "cos", "j": 0, "k": 1, "value": f"1/{10 ** 2200 + 1}"}]], ids=["100", "2"])
+def test_field_past_the_denominator_bound_is_refused_at_once(capsys, tmp_path, modes):
+    # each value alone reads, but the values' common denominator passes
+    # 10**4300; every bracket and pairing would carry it, so the file is
+    # refused before any field is built
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"m": 3, "n": 2, "description": "long", "modes": modes}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mi", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == "error: field file: values' common denominator exceeds 10**4300\n"
+
+
+def test_one_value_at_the_denominator_bound_reads(tmp_path):
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(_field_doc(value="1e-4300")))
+    _, field, _ = read_field_file(str(path))
+    assert field.terms == {canonicalize(COS, 1, 0)[0]: F(1, 10 ** 4300)}
 
 
 def test_time_bound_too_long_to_print_is_numerical_failure(capsys, tmp_path):
