@@ -1,6 +1,10 @@
-"""Lowest eigenpair of each symmetric matrix of a stack, with its residual,
-computed and checked once for the whole stack, and a Cholesky test that a
-matrix's spectrum lies above a floor."""
+"""Lowest eigenvalue of each symmetric matrix of a stack, alone or with its
+eigenvector and residual, computed and checked once for the whole stack,
+and a Cholesky test that a matrix's spectrum lies above a floor.
+
+Every matrix passed to either solver meets the symmetry check; the
+residual check needs an eigenvector, so only `lowest_eigenpairs` makes it.
+"""
 
 from __future__ import annotations
 
@@ -63,6 +67,33 @@ def spectrum_above(S: np.ndarray, floor: float, rtol: float) -> bool:
     return True
 
 
+def _checked(stack) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stack as floats, each matrix's largest magnitude, and which
+    matrices fail the symmetry check; ValueError if `stack` is not a stack of
+    square matrices."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
+        raise ValueError("expected a stack of square matrices (count, dim, dim) with "
+                         f"count, dim >= 1, got shape {stack.shape}")
+    scale = np.max(np.abs(stack), axis=(1, 2))
+    return stack, scale, _asymmetric(stack, scale)
+
+
+def lowest_eigenvalues(stack: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, Exception]]]:
+    """Lowest eigenvalue of each matrix of a stack (count, dim, dim), in one
+    values-only LAPACK call (dsyevd via numpy's eigvalsh).
+
+    Its values need not be `lowest_eigenpairs`' bits, but both solvers are
+    backward stable, so each lies within a small multiple of dim eps max|S|
+    of the other.  Each matrix's value is the same in any stack.  Raises
+    ValueError as `lowest_eigenpairs` does, and returns the values and
+    (i, error) for every matrix i that fails the symmetry check.
+    """
+    stack, _, asymmetric = _checked(stack)
+    return np.linalg.eigvalsh(stack)[:, 0], [(i, ValueError("matrix is not symmetric"))
+                                             for i in np.flatnonzero(asymmetric).tolist()]
+
+
 def lowest_eigenpairs(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                                 List[Tuple[int, Exception]]]:
     """Lowest eigenpair of each matrix of a stack (count, dim, dim), in one LAPACK call.
@@ -76,13 +107,8 @@ def lowest_eigenpairs(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.nda
     matrix fails if it is not symmetric, or if its residual exceeds
     RESIDUAL_TOL * max|S| * dim.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
-        raise ValueError("expected a stack of square matrices (count, dim, dim) with "
-                         f"count, dim >= 1, got shape {stack.shape}")
+    stack, scale, asymmetric = _checked(stack)
     dim = stack.shape[1]
-    scale = np.max(np.abs(stack), axis=(1, 2))
-    asymmetric = _asymmetric(stack, scale)
     values, vectors = np.linalg.eigh(stack)
     values, vectors = values[:, 0], _positive_first(vectors[:, :, 0])
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)

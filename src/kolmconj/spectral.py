@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .eigensolve import ConvergenceError, EigenPair, lowest_eigenpairs, spectrum_above
+from .eigensolve import (ConvergenceError, EigenPair, lowest_eigenpairs, lowest_eigenvalues,
+                         spectrum_above)
 from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket, misiolek_index
 
 FULL = "full"
@@ -25,8 +26,8 @@ SUBSPACES = (COS, SIN, FULL)
 TIE_RTOL = 1e-12
 # one stacked LAPACK call holds at most this many matrix entries, so chains of
 # more than 45 modes share no stack: each is decided once its flow's pooled
-# chains are solved, and solved alone unless its floor skips it or
-# `_FlowScan.beaten` screens it out
+# chains are screened and its contenders solved, and solved alone unless its
+# floor skips it or `_FlowScan.beaten` screens it out
 STACK_ENTRIES = 4096
 # certification rounds each scaled coefficient to an integer over this
 MAX_DENOMINATOR = 10 ** 6
@@ -287,32 +288,58 @@ def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
     return np.array(list(at.values()), dtype=int)
 
 
-class _FlowScan:
-    """One flow's chains as the pooled eigensolves return them.
+def _ceiling(low: float) -> float:
+    """low + 2 TIE_RTOL |low|, the largest minimum that can still win or tie
+    against a minimum `low`; infinite while `low` is."""
+    return low + 2 * TIE_RTOL * abs(low)
 
-    `solved` maps each solved chain's number to its row of the stacked
-    eigensolve, (value, index, vector, residual), `failures` each failing
-    chain's number to its error, and `low` is the lowest value so far.  No
-    reduced matrix is kept once solved.  A chain that `beaten` screens
-    out, or that `window_minimum` skips by its floor, has no row and is
-    never solved.
+
+class _FlowScan:
+    """One flow's chains as the screen and the eigensolves return them.
+
+    `contenders` maps each pooled chain that the value screen (`contend`)
+    has not ruled out to (screen value less margin, index, S) until
+    `_settle` solves them, and `bound` is the lowest screen value plus its
+    margin.  `solved` maps each solved chain's number to its row of the
+    stacked eigensolve, (value, index, vector, residual), `failures` each
+    failing chain's number to its error, and `low` is the lowest solved
+    value so far.  No reduced matrix is kept once solved.  A chain that
+    `beaten` or the value screen rules out, or that `window_minimum` skips
+    by its floor, has no row and is never solved.
     """
 
     def __init__(self, chains: _Chains):
         self.count, self.largest = len(chains.sizes), int(chains.sizes.max())
         self.firsts = chains.firsts
         self.solved, self.failures, self.low = {}, {}, float("inf")
+        self.contenders, self.bound = {}, float("inf")
 
     def ceiling(self) -> float:
-        """low + 2 TIE_RTOL |low|, the largest minimum that can still win or
-        tie against `low`; infinite while the flow has no `low`."""
-        return self.low + 2 * TIE_RTOL * abs(self.low)
+        """The largest minimum that can still win or tie against `low`."""
+        return _ceiling(self.low)
 
     def beaten(self, S: np.ndarray) -> bool:
         """True if reduced chain S can neither win nor tie: one Cholesky
         factorization puts its spectrum above `ceiling`, by TIE_RTOL dim
         max|S|.  False while the flow has no `low`: the floor is not finite."""
         return spectrum_above(S, self.ceiling(), TIE_RTOL)
+
+    def contend(self, number: int, index: np.ndarray, S: np.ndarray, value: float,
+                margin: float) -> None:
+        """Keep pooled chain `number` as a contender unless its screen value
+        less its margin TIE_RTOL dim max|S| lies above the ceiling of
+        `bound`, and drop the contenders that a lower `bound` rules out.
+        Both eigensolvers are backward stable, so either one's value lies
+        far inside that margin of S's minimum, as the factorization's error
+        does in `spectrum_above`: a chain dropped can neither win nor tie.
+        A NaN drops nothing."""
+        if value + margin < self.bound:
+            self.bound = value + margin
+            top = _ceiling(self.bound)
+            self.contenders = {c: kept for c, kept in self.contenders.items()
+                               if not kept[0] > top}
+        if not value - margin > _ceiling(self.bound):
+            self.contenders[number] = value - margin, index, S
 
     def winner(self, window: SpectralWindow, p: int
                ) -> Tuple[EigenPair, np.ndarray, int, int, int]:
@@ -336,10 +363,10 @@ class _FlowScan:
 
 
 def _solve(batch: List[tuple]) -> None:
-    """Solve the pooled chains (scan, number, index, S) of one size in one
-    stacked eigensolve, and hand each chain's row, and its failure if it
-    fails a check, to its flow's scan.  A row is the same in any stack, so
-    where a chain is solved does not change its flow's result."""
+    """Solve the chains (scan, number, index, S) of one size in one stacked
+    eigensolve, and hand each chain's row, and its failure if it fails a
+    check, to its flow's scan.  A row is the same in any stack, so where a
+    chain is solved does not change its flow's result."""
     values, vectors, residuals, failures = lowest_eigenpairs(np.stack([c[3] for c in batch]))
     for slot, error in failures:
         scan, number = batch[slot][:2]
@@ -350,12 +377,41 @@ def _solve(batch: List[tuple]) -> None:
         scan.low = min(scan.low, value)
 
 
+def _screen(batch: List[tuple]) -> None:
+    """Screen the pooled chains (scan, number, index, S) of one size by one
+    stacked values-only eigensolve: each chain's symmetry failure goes to
+    its flow's scan, and each chain to its scan's `contend`, with the margin
+    TIE_RTOL dim max|S| of `spectrum_above`."""
+    stack = np.stack([c[3] for c in batch])
+    values, failures = lowest_eigenvalues(stack)
+    for slot, error in failures:
+        scan, number = batch[slot][:2]
+        scan.failures[number] = error
+    margins = TIE_RTOL * stack.shape[1] * np.max(np.abs(stack), axis=(1, 2))
+    for (scan, number, index, S), value, margin in zip(batch, values.tolist(), margins.tolist()):
+        scan.contend(number, index, S, value, margin)
+
+
 def _flush(waiting: dict) -> None:
-    """Solve every pooled batch still waiting, by size, and empty `waiting`."""
+    """Screen every pooled batch still waiting, by size, and empty `waiting`."""
     for batch in waiting.values():
         if batch:
-            _solve(batch)
+            _screen(batch)
     waiting.clear()
+
+
+def _settle(scans: Sequence[_FlowScan]) -> None:
+    """Solve the contenders of `scans`, pooled by size, each flow's in
+    ascending number, and drop their matrices."""
+    pooled = {}
+    for scan in scans:
+        for number, (_, index, S) in sorted(scan.contenders.items()):
+            pooled.setdefault(len(S), []).append((scan, number, index, S))
+        scan.contenders = {}
+    for d, batch in sorted(pooled.items()):
+        step = STACK_ENTRIES // (d * d)
+        for start in range(0, len(batch), step):
+            _solve(batch[start:start + step])
 
 
 def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: int,
@@ -364,40 +420,49 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     """Lowest eigenpair over the reduced bracket chains of `window`, for each flow.
 
     The zeroed modes drop out of their chains as the chains are laid out,
-    and chains zeroed out entirely drop out of the scan.  Each flow's chains
-    of at most 45 kept modes, less the twins of earlier chains, whose
-    spectra those chains share, go through one Gram product
+    and chains zeroed out entirely drop out of the scan.  Each flow's
+    chains of at most 45 kept modes, less the twins of earlier chains,
+    whose spectra those chains share, go through one Gram product
     (`_Chains.slabs`) and the Sobolev reduction.  The reduced chains of all
-    flows are pooled by size and solved in stacks of at most STACK_ENTRIES
-    entries, and each chain's row of its stack (its lowest value, unit
-    eigenvector and residual) goes back to its flow; the flow's pair is its
-    winning chain's row, so its residual is the one checked.  A chain that
-    shares no stack (see STACK_ENTRIES) is deferred: once its flow's slabs
-    are reduced and every batch still waiting is solved, the flow's deferred
-    chains are decided one at a time, those that reach a disc row first,
-    then the `_Chains.settled` ones, each in ascending number.  One whose
-    floor lies above the largest minimum that can still win or tie
+    flows are pooled by size and screened in values-only stacks of at most
+    STACK_ENTRIES entries (`_screen`).  A chain whose screen value less its
+    margin TIE_RTOL d max|S| lies above the ceiling of its flow's lowest
+    screen value plus that value's margin can neither win nor tie, and is
+    dropped (`_FlowScan.contend`): it meets the symmetry check, but has no
+    eigenpair and so no residual to check.  The rest, the flow's
+    contenders, are solved for eigenpairs (`_settle`), pooled by size
+    across flows in stacks of the same cap, and each contender's row of its
+    stack (its lowest value, unit eigenvector and residual) goes back to
+    its flow; the flow's pair is its winning chain's row, so its residual
+    is the one checked.  A chain that shares no stack (see STACK_ENTRIES)
+    is deferred: once its flow's slabs are reduced, every batch still
+    waiting is screened and the flow's contenders are solved, so that its
+    `low` is an eigensolved value, the flow's deferred chains are decided
+    one at a time, those that reach a disc row first, then the
+    `_Chains.settled` ones, each in ascending number.  One whose floor lies
+    above the largest minimum that can still win or tie
     (`_FlowScan.ceiling`) is skipped, with no Gram product
-    (`_Chains.alone`), reduction or eigensolve: 0 for a settled chain, whose
-    form is PSD, else -N - TIE_RTOL d A from `_weight_bounds`, d its kept
-    modes (`spectrum_above`'s margin, A in place of max|S|).  Any other is
-    solved unless its flow has a minimum so far and one Cholesky
+    (`_Chains.alone`), reduction or eigensolve: 0 for a settled chain,
+    whose form is PSD, else -N - TIE_RTOL d A from `_weight_bounds`, d its
+    kept modes (`spectrum_above`'s margin, A in place of max|S|).  Any
+    other is solved unless its flow has a minimum so far and one Cholesky
     factorization shows that it can neither win nor tie
     (`_FlowScan.beaten`); a chain screened out still meets the symmetry
-    check, but has no eigenpair and so no residual to check, and a chain
-    skipped by its floor is never reduced and meets neither.  So no flow's
-    deferred chains are held past its turn.  Per flow, two minima within
-    TIE_RTOL of each other (relative) are a tie, won by the chain with the
-    lowest first mode, and the lowest-numbered chain that fails an
-    eigensolve check gives the flow's error.  The flows of one max(m, n)
-    share one `_extended` output window, built once.  Returns one entry per
-    flow: its error, or the pair; the minimizer's coefficients, a float
-    array over the window's modes, with S = D^{-p/2} B D^{-p/2} undone on
-    the winning chain, 0 off it, and largest magnitude 1 while no weight
-    underflows; the number of chains and the modes in the largest, twins and
-    zeroed modes included; and the window position of the winning chain's
-    first mode, zeroed or not.  The callers check p >= 0; a zeroed mode
-    outside the window raises.
+    check, but has no residual to check, and a chain skipped by its floor
+    is never reduced and meets neither.  So no flow's deferred chains are
+    held past its turn.  The contenders of flows with no deferred chain are
+    solved once every flow is screened.  Per flow, two eigensolved minima
+    within TIE_RTOL of each other (relative) are a tie, won by the chain
+    with the lowest first mode, and the lowest-numbered chain that fails a
+    check gives the flow's error.  The flows of one max(m, n) share one
+    `_extended` output window, built once.  Returns one entry per flow: its
+    error, or the pair; the minimizer's coefficients, a float array over
+    the window's modes, with S = D^{-p/2} B D^{-p/2} undone on the winning
+    chain, 0 off it, and largest magnitude 1 while no weight underflows;
+    the number of chains and the modes in the largest, twins and zeroed
+    modes included; and the window position of the winning chain's first
+    mode, zeroed or not.  The callers check p >= 0; a zeroed mode outside
+    the window raises.
     """
     scale = window.laplace ** (-p / 2)
     at = _positions(window, set(zeroed))
@@ -416,11 +481,12 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
             batch = waiting.setdefault(d, [])
             batch += zip([scan] * len(numbers), numbers, index, _reduce(B, scale[index]))
             while len(batch) >= step:
-                _solve(batch[:step])
+                _screen(batch[:step])
                 del batch[:step]
         deferred = np.flatnonzero(wanted & ~pooled)
         if len(deferred):
             _flush(waiting)
+            _settle([scan])
             negative, total = _weight_bounds(chains, scale)
             floors = np.where(chains.settled, 0, -negative - TIE_RTOL * chains.kept * total)
             for number in sorted(deferred.tolist(), key=lambda c: (chains.settled[c], c)):
@@ -431,6 +497,7 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
                 if not scan.beaten(S):
                     _solve([(scan, number, index[0], S)])
     _flush(waiting)
+    _settle(scans)
     entries = []
     for scan in scans:
         try:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import defaultdict
@@ -301,53 +302,112 @@ def follow_grams(monkeypatch):
 
 
 def spy_scan(monkeypatch):
-    """Record what `window_minimum` solves and screens out, per flow, until
-    the patches are undone.
+    """Record what `window_minimum` screens by value, solves and screens out
+    by Cholesky, per flow, until the patches are undone.
 
-    Returns (solved, screened, rows), each keyed by flow and then by chain
-    number, and each a defaultdict: a flow's dict, taken before the scan,
-    is the one the scan fills.  `solved` maps each chain solved to its
-    reduced matrix as the pooled eigensolve gets it, its window positions
-    and its Gram product; `screened` does the same for each chain that
-    `_FlowScan.beaten` screens out, with the matrix it gets; `rows` maps
-    each chain solved to its row of the eigensolve's result, (value,
-    vector, residual).  A matrix solved or screened out that no reduction
-    made fails.
+    Returns (solved, screened, rows, valued), each keyed by flow and then by
+    chain number, and each a defaultdict: a flow's dict, taken before the
+    scan, is the one the scan fills.  `solved` maps each chain solved to its
+    reduced matrix as the eigensolve gets it, its window positions and its
+    Gram product; `screened` does the same for each chain that
+    `_FlowScan.beaten` screens out, and `valued` for each pooled chain that
+    meets the value screen, solved later or not; `rows` maps each chain
+    solved to its row of the eigensolve's result, (value, vector,
+    residual).  A matrix screened or solved that is not its chain's
+    reduction, bit for bit, fails.
     """
-    solved, screened, rows = defaultdict(dict), defaultdict(dict), defaultdict(dict)
-    reduced, current = defaultdict(list), follow_grams(monkeypatch)
-    reduce, solve = spectral._reduce, spectral.lowest_eigenpairs
-    beaten = spectral._FlowScan.beaten
+    solved, screened, rows, valued = (defaultdict(dict) for _ in range(4))
+    reduced, flows, current = {}, {}, follow_grams(monkeypatch)
+    reduce, solve, screen = spectral._reduce, spectral._solve, spectral._screen
+    init, beaten = spectral._FlowScan.__init__, spectral._FlowScan.beaten
 
     def reduce_spy(*args):
         stack = reduce(*args)
-        chains, positions, index, grams = current
-        for i, position in enumerate(positions):
-            reduced[stack[i].tobytes()].append((chains.flow, position, index[i], grams[i]))
+        chains, numbers, index, grams = current
+        for i, number in enumerate(numbers):
+            reduced[chains.flow, number] = stack[i], index[i], grams[i]
         return stack
 
-    def record(records, S):
-        flow, position, index, B = reduced[S.tobytes()].pop(0)
-        records[flow][position] = S, index, B
-        return flow, position
+    def init_spy(self, chains):
+        init(self, chains)
+        flows[self] = chains.flow
 
-    def solve_spy(stack):
-        keys = [record(solved, S) for S in stack]
-        values, vectors, residuals, failures = solve(stack)
-        for (flow, number), row in zip(keys, zip(values, vectors, residuals)):
-            rows[flow][number] = row
-        return values, vectors, residuals, failures
+    def record(records, scan, number, S):
+        flow = flows[scan]
+        assert reduced[flow, number][0].tobytes() == S.tobytes()
+        records[flow][number] = reduced[flow, number]
+        return flow
+
+    def screen_spy(batch):
+        for scan, number, _, S in batch:
+            record(valued, scan, number, S)
+        screen(batch)
+
+    def solve_spy(batch):
+        solve(batch)
+        for scan, number, _, S in batch:
+            value, _, vector, residual = scan.solved[number]
+            rows[record(solved, scan, number, S)][number] = value, vector, residual
 
     def beaten_spy(self, S):
         if not beaten(self, S):
             return False
-        record(screened, S)
+        record(screened, self, current[1][0], S)
         return True
 
     monkeypatch.setattr(spectral, "_reduce", reduce_spy)
-    monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
+    monkeypatch.setattr(spectral, "_screen", screen_spy)
+    monkeypatch.setattr(spectral, "_solve", solve_spy)
+    monkeypatch.setattr(spectral._FlowScan, "__init__", init_spy)
     monkeypatch.setattr(spectral._FlowScan, "beaten", beaten_spy)
-    return solved, screened, rows
+    return solved, screened, rows, valued
+
+
+def _keep_every_chain(self, number, index, S, value, margin):
+    """`_FlowScan.contend` that drops no chain: every pooled chain is solved."""
+    self.contenders[number] = value - margin, index, S
+
+
+def _no_cholesky(*args):
+    raise np.linalg.LinAlgError("screen off")
+
+
+def _no_bounds(chains, scale):
+    """`_weight_bounds` that bounds nothing: N infinite, so no chain is skipped by it."""
+    return np.full(len(chains.sizes), np.inf), np.zeros(len(chains.sizes))
+
+
+@pytest.fixture(scope="session")
+def unscreened():
+    """`window_minimum` with the value screen, the Cholesky screen and the
+    weight bounds off, so that it eigensolves every chain that weight signs
+    do not settle.  Each (flows, window, p, zeroed) is scanned once per
+    session, and the tests that compare a screen against it share that
+    scan.  A chain solved alone is solved once per distinct matrix: its row
+    is LAPACK's for those bytes, whichever scan asks, and the scans of one
+    window and p share every such chain that no zeroed mode touches."""
+    scans, rows, solve = {}, {}, spectral.lowest_eigenpairs
+
+    def solve_once(stack):
+        if len(stack) > 1:
+            return solve(stack)
+        key = hashlib.sha256(stack.tobytes()).digest(), stack.shape
+        if key not in rows:
+            rows[key] = solve(stack)
+        return rows[key]
+
+    def scan(flows, window, p, zeroed):
+        key = tuple(flows), window.N, window.subspace, p, tuple(zeroed)
+        if key not in scans:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spectral._FlowScan, "contend", _keep_every_chain)
+                patch.setattr(np.linalg, "cholesky", _no_cholesky)
+                patch.setattr(spectral, "_weight_bounds", _no_bounds)
+                patch.setattr(spectral, "lowest_eigenpairs", solve_once)
+                scans[key] = spectral.window_minimum(flows, window, p, zeroed)
+        return scans[key]
+
+    return scan
 
 
 def assert_winner_solved(solved, rows, pair, coeffs, number):

@@ -7,9 +7,10 @@ them: `_Chains` lays the chains out, less their zeroed modes, with their
 bracket's nonzeros in one integer table, `_gram` sums the forms of a
 flow's chains of at most 45 kept modes from that table into one slab per
 kept-mode count, and of each larger chain alone, and `window_minimum`
-solves the slabs in stacked eigensolves, leaving out the chains that a
-flow symmetry maps onto an earlier chain, then picks the winner among
-every chain's minimum.  These tests check that scan against the oracles of
+screens the slabs in stacked values-only eigensolves and solves only the
+chains that can still win or tie for eigenpairs, leaving out the chains
+that a flow symmetry maps onto an earlier chain, then picks the winner
+among the solved chains' minima.  These tests check that scan against the oracles of
 `conftest`: the chains' bracket blocks against the exact bracket, each
 chain's form against its dense product L^T W L (restricted to the kept
 modes), and each minimum against the whole window's form scattered from
@@ -28,7 +29,7 @@ import numpy as np
 import pytest
 
 from kolmconj import eigensolve, pipeline, spectral
-from kolmconj.eigensolve import ConvergenceError, lowest_eigenpairs
+from kolmconj.eigensolve import ConvergenceError, lowest_eigenpairs, lowest_eigenvalues
 from kolmconj.pipeline import run_minimize
 from kolmconj.spectral import FULL, STACK_ENTRIES, CertificationError, SpectralWindow
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
@@ -317,7 +318,7 @@ def _scan(monkeypatch, slabs):
     """
     window = SpectralWindow(6, COS)
     monkeypatch.setattr(spectral._Chains, "slabs", lambda self, pooled: iter(slabs))
-    flow, (solved, _, rows) = KolmogorovFlow(3, 2), spy_scan(monkeypatch)
+    flow, (solved, _, rows, _) = KolmogorovFlow(3, 2), spy_scan(monkeypatch)
     try:
         return window, scan_one(flow, window, 0), solved[flow], rows[flow]
     finally:
@@ -432,17 +433,30 @@ def test_many_flow_scan_equals_one_flow_scans(N):
 
 @pytest.mark.parametrize("N,subspace", [(4, COS), (12, COS), (7, SIN), (6, FULL)])
 def test_row_does_not_depend_on_its_stack(monkeypatch, N, subspace):
-    # each chain's (value, vector, residual) in a pooled stack of the
-    # sweep's pairs is, bit for bit, its row when solved alone; with one
-    # residual per chain, this keeps `sweep` and `minimize` in agreement
+    # each chain's screen value in a pooled stack of the sweep's pairs, and
+    # its (value, vector, residual) in a stack of contenders pooled across
+    # pairs or in a whole pooled stack solved for eigenpairs, is, bit for
+    # bit, its value or row when solved alone; with one residual per chain,
+    # this keeps `sweep` and `minimize` in agreement
     stacks, solve = [], spectral.lowest_eigenpairs
+    screens, screen = [], spectral.lowest_eigenvalues
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: stacks.append((stack, solve(stack))) or stacks[-1][1])
+    monkeypatch.setattr(spectral, "lowest_eigenvalues",
+                        lambda stack: screens.append((stack, screen(stack))) or screens[-1][1])
     spectral.window_minimum(SWEEP_FLOWS, SpectralWindow(N, subspace), 3)
     monkeypatch.undo()
+    contenders = [stack for stack, _ in stacks if len(stack) > 1]
+    assert contenders
+    screened = [(S, value) for stack, (values, _) in screens if len(stack) > 1
+                for S, value in zip(stack, values)]
+    assert len(screened) > 900
+    for S, value in screened:
+        assert value.hex() == lowest_eigenvalues(S[None])[0][0].hex()
+    stacks += [(stack, solve(stack)) for stack, _ in screens]
     shared = [(S, row) for stack, rows in stacks if len(stack) > 1
               for S, row in zip(stack, zip(*rows[:3]))]
-    assert len(shared) > 900
+    assert len(shared) > 900 + sum(map(len, contenders))
     for S, (value, vector, residual) in shared:
         alone = lowest_pair(S)
         assert (value.hex(), residual.hex()) == (alone.value.hex(), alone.residual.hex())
@@ -450,10 +464,12 @@ def test_row_does_not_depend_on_its_stack(monkeypatch, N, subspace):
 
 
 def _break_chains(monkeypatch, targets):
-    """Make each chain (flow, subspace, number) in `targets` asymmetric as it
-    is reduced, and record the stacks the pooled eigensolve gets."""
+    """Make each chain (flow, subspace, number) in `targets` asymmetric above
+    its diagonal as it is reduced, and record the stacks the value screen
+    gets and those the eigensolve gets, as two lists."""
     reduce, solve = spectral._reduce, spectral.lowest_eigenpairs
-    current, stacks = follow_grams(monkeypatch), []
+    screen, screens, stacks = spectral.lowest_eigenvalues, [], []
+    current = follow_grams(monkeypatch)
 
     def reduce_spy(*args):
         stack = reduce(*args)
@@ -467,37 +483,49 @@ def _break_chains(monkeypatch, targets):
         stacks.append(stack)
         return solve(stack)
 
+    def screen_spy(stack):
+        screens.append(stack)
+        return screen(stack)
+
     monkeypatch.setattr(spectral, "_reduce", reduce_spy)
     monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
-    return stacks
+    monkeypatch.setattr(spectral, "lowest_eigenvalues", screen_spy)
+    return screens, stacks
 
 
-def _solved_sizes(flow, window):
-    """The kept-mode count of each chain a scan of `window` solves, by chain number."""
+def _asymmetric_counts(stacks):
+    """The number of matrices in each stack that differ from their transposes."""
+    return [int(np.sum(np.any(stack != stack.swapaxes(1, 2), axis=(1, 2)))) for stack in stacks]
+
+
+def _scanned_sizes(flow, window):
+    """The kept-mode count of each chain a scan of `window` screens or
+    solves, by chain number."""
     chains = spectral._Chains(flow, window, extended(flow, window))
     return {number: int(chains.kept[number])
             for number in np.flatnonzero(~chains.twins() & (chains.kept > 0)).tolist()}
 
 
 def test_failing_chain_errors_only_its_own_flow(monkeypatch):
-    # the smallest solved chain of 2 or more modes of (3,2) cos at N=12, and
+    # the smallest pooled chain of 2 or more modes of (3,2) cos at N=12, and
     # a chain of the same size of another pair, fail the symmetry check in
-    # one pooled stack: each pair's entry and cosine row carry its one-flow
-    # scan's error, its sine row is its own sine minimization, and every
-    # other entry and row is unchanged
+    # one pooled stack of the value screen: each pair's entry and cosine row
+    # carry its one-flow scan's error, its sine row is its own sine
+    # minimization, and every other entry and row is unchanged
     window = SpectralWindow(12, COS)
     first = KolmogorovFlow(3, 2)
-    d, number = min((d, c) for c, d in _solved_sizes(first, window).items() if d >= 2)
+    d, number = min((d, c) for c, d in _scanned_sizes(first, window).items() if d >= 2)
     other, other_number = next((flow, c) for flow in SWEEP_FLOWS if flow != first
-                               for c, size in _solved_sizes(flow, window).items() if size == d)
+                               for c, size in _scanned_sizes(flow, window).items() if size == d)
     targets = {(first, COS, number), (other, COS, other_number)}
     clean, clean_runs = spectral.window_minimum(SWEEP_FLOWS, window, 3), pipeline.run_sweep(10)
-    stacks = _break_chains(monkeypatch, targets)
+    screens, stacks = _break_chains(monkeypatch, targets)
     broken = spectral.window_minimum(SWEEP_FLOWS, window, 3)
-    asymmetric = [int(np.sum(np.any(stack != stack.swapaxes(1, 2), axis=(1, 2))))
-                  for stack in stacks]
+    asymmetric = _asymmetric_counts(screens)
     assert 2 in asymmetric and asymmetric.count(0) == len(asymmetric) - 1
-    assert len(stacks[asymmetric.index(2)]) > 2
+    assert len(screens[asymmetric.index(2)]) > 2
+    # a broken chain that contends fails the eigensolve's check again
+    assert sum(_asymmetric_counts(stacks)) <= 2
     failed = {first, other}
     for flow, got, want in zip(SWEEP_FLOWS, broken, clean):
         if flow in failed:
@@ -519,15 +547,23 @@ def test_failing_chain_errors_only_its_own_flow(monkeypatch):
         assert sin_run[2].q == res.q
 
 
-def test_sweep_makes_66_stacked_eigensolves_of_2946_matrices(monkeypatch):
-    # `sweep --mmax 10` pools its chains into 66 LAPACK calls, each on one
+def test_sweep_makes_61_screens_of_2941_matrices_and_29_solves_of_75(monkeypatch):
+    # `sweep --mmax 10` pools its 2,941 chains of at most 45 modes into 61
+    # values-only LAPACK calls, and solves the 70 that can still win or tie
+    # and 5 chains of more than 45 modes in 29 eigenpair calls, each on one
     # stack of one shape: at most STACK_ENTRIES entries, or one matrix
+    screens, screen = [], spectral.lowest_eigenvalues
     shapes, solve = [], spectral.lowest_eigenpairs
+    monkeypatch.setattr(spectral, "lowest_eigenvalues",
+                        lambda stack: screens.append(stack.shape) or screen(stack))
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: shapes.append(stack.shape) or solve(stack))
     pipeline.run_sweep(10)
-    assert (len(shapes), sum(count for count, _, _ in shapes)) == (66, 2946)
-    for count, d, width in shapes:
+    assert (len(screens), sum(count for count, _, _ in screens)) == (61, 2941)
+    assert (len(shapes), sum(count for count, _, _ in shapes)) == (29, 75)
+    assert sum(d > 45 for _, d, _ in shapes) == 5
+    assert all(d <= 45 for _, d, _ in screens)
+    for count, d, width in screens + shapes:
         assert width == d and 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
 
 
@@ -576,22 +612,31 @@ def test_slabs_and_stacks_hold_one_shape_within_the_stack_cap(monkeypatch, m, n,
     assert sorted(firsts) == list(range(len(firsts)))
     assert [firsts[number] for number in range(len(firsts))] == sorted(firsts.values())
     assert sorted(held) == list(range(len(window)))
+    screens, screen = [], spectral.lowest_eigenvalues
     shapes, solve = [], spectral.lowest_eigenpairs
+    monkeypatch.setattr(spectral, "lowest_eigenvalues",
+                        lambda stack: screens.append(stack.shape) or screen(stack))
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: shapes.append(stack.shape) or solve(stack))
     spectral.window_minimum([flow], window, 3)
     monkeypatch.undo()
-    stacks = defaultdict(list)
-    for count, d, width in shapes:
-        assert width == d and 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
-        stacks[d].append(count)
-    # each pooled mode count fills as few stacks as the cap allows
-    solved = np.bincount(chains.kept[~chains.twins() & pooled])
+    stacks, solves = defaultdict(list), defaultdict(list)
+    for found, calls in ((screens, stacks), (shapes, solves)):
+        for count, d, width in found:
+            assert width == d and 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
+            calls[d].append(count)
+    # each pooled mode count fills as few screen stacks as the cap allows,
+    # and so do its contenders, solved in one pass
+    pooled_counts = np.bincount(chains.kept[~chains.twins() & pooled])
+    assert set(stacks) == set(np.flatnonzero(pooled_counts).tolist())
     for d, counts in stacks.items():
+        assert sum(counts) == pooled_counts[d]
+        assert len(counts) == -(-pooled_counts[d] // (STACK_ENTRIES // d ** 2))
+    for d, counts in solves.items():
         if d <= 45:
-            assert sum(counts) == solved[d]
-            assert len(counts) == -(-solved[d] // (STACK_ENTRIES // d ** 2))
-    assert {d for d in stacks if d <= 45} == set(np.flatnonzero(solved).tolist())
+            assert sum(counts) <= pooled_counts[d]
+            assert len(counts) == -(-sum(counts) // (STACK_ENTRIES // d ** 2))
+    assert solves
 
 
 def _symmetries(flow):
@@ -626,9 +671,9 @@ def _twins(flow, window, zeroed=()):
 
 def _solved_chains(monkeypatch, flow, **options):
     """`spy_scan`'s record of the scan `run_minimize` makes (solved,
-    screened, rows), what `window_minimum` returned (one entry), and the
-    result (None if certification fails)."""
-    solved, screened, rows = (record[flow] for record in spy_scan(monkeypatch))
+    screened, rows, valued), what `window_minimum` returned (one entry),
+    and the result (None if certification fails)."""
+    solved, screened, rows, valued = (record[flow] for record in spy_scan(monkeypatch))
     winner, result = [], None
     minimum = pipeline.window_minimum
 
@@ -642,7 +687,7 @@ def _solved_chains(monkeypatch, flow, **options):
     except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
         pass
     monkeypatch.undo()
-    return solved, screened, rows, winner, result
+    return solved, screened, rows, valued, winner, result
 
 
 def _deferred_skips(flow, window, rows, zeroed=()):
@@ -671,16 +716,33 @@ def _deferred_skips(flow, window, rows, zeroed=()):
     return settled, bounded
 
 
+def _dense_kept(grams, window, p, c, zero_at):
+    """Chain c's dense reduced form from the window's `dense_grams`, less the
+    modes at the window positions `zero_at`."""
+    full, B = grams[c]
+    keep = [i for i, at in enumerate(full) if at not in zero_at]
+    return dense_reduced(window, full, B, p)[np.ix_(keep, keep)]
+
+
+def _assert_minima_above(chains):
+    """Each (label, S, floor) of `chains` has its lowest eigenvalue above
+    floor, by one dense `eigvalsh` stack per size; the failing labels are
+    reported."""
+    sizes = defaultdict(list)
+    for label, S, floor in chains:
+        sizes[len(S)].append((label, S, floor))
+    for group in sizes.values():
+        lowest = np.linalg.eigvalsh(np.stack([S for _, S, _ in group]))[:, 0]
+        assert not [label for (label, _, floor), low in zip(group, lowest) if not low > floor]
+
+
 def _assert_above(grams, window, p, chains, value, zeroed=()):
     """Each of `chains` has its dense reduced minimum, less the zeroed modes,
     above value + 2 TIE_RTOL |value|: it can neither win nor tie.  `grams`
     are the window's `dense_grams`."""
     zero_at = {window.index_of(mode) for mode in zeroed}
-    for c in chains:
-        full, B = grams[c]
-        keep = [i for i, at in enumerate(full) if at not in zero_at]
-        S = dense_reduced(window, full, B, p)[np.ix_(keep, keep)]
-        assert np.linalg.eigvalsh(S)[0] > value + 2 * spectral.TIE_RTOL * abs(value), c
+    floor = value + 2 * spectral.TIE_RTOL * abs(value)
+    _assert_minima_above([(c, _dense_kept(grams, window, p, c, zero_at), floor) for c in chains])
 
 
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
@@ -704,29 +766,33 @@ def _zeroings(flow, window):
 
 
 def test_grouped_products_equal_per_chain_products(monkeypatch):
-    # every chain the scan receives, solved or screened out: its reduced
-    # matrix as the eigensolve or the screen gets it and its Gram product,
-    # both restricted to the modes left after constraints, and the
-    # winner's pair, its chain's row of the eigensolve; those left out are
-    # the chains zeroed entirely, the twins of earlier chains where
-    # neither chain holds a zeroed mode, the settled chains skipped, and
-    # the chains that weight bounds skip, each with its dense minimum above
-    # the winner's value.  (2,1) cos at N=16 has no pooled chain, and its
-    # settled chain 1 of 76 modes is skipped only because it is decided
-    # after the chains 0 and 2 that reach a disc row
+    # every chain the scan receives, screened by value, solved or screened
+    # out by Cholesky: its reduced matrix as the value screen, the
+    # eigensolve or the Cholesky screen gets it and its Gram product, both
+    # restricted to the modes left after constraints, and the winner's
+    # pair, its chain's row of the eigensolve; those left out are the
+    # chains zeroed entirely, the twins of earlier chains where neither
+    # chain holds a zeroed mode, the settled chains skipped, and the chains
+    # that weight bounds skip, each with its dense minimum above the
+    # winner's value, as has each chain that the value screen drops.
+    # (2,1) cos at N=16 has no pooled chain, and its settled chain 1 of 76
+    # modes is skipped only because it is decided after the chains 0 and 2
+    # that reach a disc row
     cases = [(m, n, N, subspace, [])
              for m, n, N, subspace in GROUPED_WINDOWS + [(2, 1, 16, COS)]]
     for m, n, N, subspace in CONSTRAINED_WINDOWS:
         window = SpectralWindow(N, subspace)
         cases += [(m, n, N, subspace, zeroed)
                   for zeroed in _zeroings(KolmogorovFlow(m, n), window)]
-    bounds = 0
+    bounds = drops = 0
     for m, n, N, subspace, zeroed in cases:
         flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-        solved, screened, rows, [(pair, coeffs, _, _, first)], _ = _solved_chains(
+        solved, screened, rows, valued, [(pair, coeffs, _, _, first)], _ = _solved_chains(
             monkeypatch, flow, N=N, subspace=subspace, constraints=zeroed)
-        assert not solved.keys() & screened.keys()
-        seen = {**solved, **screened}
+        assert not solved.keys() & screened.keys() and not valued.keys() & screened.keys()
+        # every solved chain of at most 45 kept modes met the value screen first
+        assert {c for c, (_, index, _) in solved.items() if len(index) <= 45} <= valued.keys()
+        seen, dropped = {**valued, **solved, **screened}, valued.keys() - solved.keys()
         reference = list(per_chain_products(flow, window, 3))
         best = next(c for c, (full, _, _) in enumerate(reference) if full[0] == first)
         zero_at = {window.index_of(mode) for mode in zeroed}
@@ -738,8 +804,8 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
             set(range(len(reference))) - twins - gone - settled - bounded)
         assert not bounded & (twins | gone | settled)
         grams = [(full, B) for full, B, _ in reference]
-        _assert_above(grams, window, 3, bounded, pair.value, zeroed)
-        bounds += len(bounded)
+        _assert_above(grams, window, 3, bounded | dropped, pair.value, zeroed)
+        bounds, drops = bounds + len(bounded), drops + len(dropped)
         assert held - gone <= seen.keys()
         assert not gone & seen.keys()
         for position, (stacked, index, gram) in seen.items():
@@ -750,7 +816,7 @@ def test_grouped_products_equal_per_chain_products(monkeypatch):
             assert np.array_equal(stacked, S[np.ix_(keep, keep)])
             assert np.array_equal(gram, gram.T) and np.array_equal(stacked, stacked.T)
         assert_winner_solved(solved, rows, pair, coeffs, best)
-    assert bounds
+    assert bounds and drops
 
 
 # (m, n, N, subspace) and the chain count and largest chain the window had
@@ -764,13 +830,16 @@ TWIN_WINDOWS = [((3, 2, 20, COS), 14, 77), ((4, 4, 20, COS), 34, 30),
 def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, largest):
     m, n, N, subspace = case
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-    solved, screened, rows, _, res = _solved_chains(monkeypatch, flow, N=N, subspace=subspace)
+    solved, screened, rows, valued, _, res = _solved_chains(monkeypatch, flow, N=N,
+                                                            subspace=subspace)
     chains = chain_modes(flow, window)
     products = list(per_chain_products(flow, window, 3))
-    skipped = set(range(len(chains))) - solved.keys() - screened.keys()
+    # the chains that the value screen drops are screened, not skipped
+    dropped = valued.keys() - solved.keys()
+    skipped = set(range(len(chains))) - solved.keys() - screened.keys() - dropped
     settled, bounded = _deferred_skips(flow, window, rows)
     assert bounded <= skipped and not bounded & settled
-    _assert_above(dense_grams(flow, window), window, 3, bounded, res.eigen.value)
+    _assert_above(dense_grams(flow, window), window, 3, bounded | dropped, res.eigen.value)
     skipped -= settled | bounded
     assert skipped and skipped == _twins(flow, window)
     for c in skipped:
@@ -810,13 +879,13 @@ def _screen_spy(monkeypatch):
     return screened
 
 
-def _no_cholesky(*args):
-    raise np.linalg.LinAlgError("screen off")
-
-
-def _no_bounds(chains, scale):
-    """`_weight_bounds` that bounds nothing: N infinite, so no chain is skipped by it."""
-    return np.full(len(chains.sizes), np.inf), np.zeros(len(chains.sizes))
+def _screen_cases(window):
+    """(p, zeroed) of each scan that the screen tests compare against the
+    unscreened scan: p = 0 and 3, with no zeroed mode and with 1-3 seeded
+    ones."""
+    rng = random.Random(window.N)
+    return [(p, rng.sample(window_modes(window), count))
+            for p, count in itertools.product((0, 3), (0, rng.randint(1, 3)))]
 
 
 # the windows of GROUPED_WINDOWS, each scanned once over all its flows, and
@@ -828,25 +897,20 @@ for _m, _n, _N, _subspace in GROUPED_WINDOWS + [(1, 1, 40, FULL), (2, 1, 40, COS
 
 
 @pytest.mark.parametrize("N,subspace", list(SCREENED_WINDOWS))
-def test_screen_changes_no_entry(monkeypatch, N, subspace):
+def test_screen_changes_no_entry(monkeypatch, unscreened, N, subspace):
     # with the Cholesky screen and the weight bounds on, every flow's entry
-    # is bit for bit the entry of a scan with both off, which solves every
-    # chain that weight signs do not settle; and each chain screened out
-    # has, by the dense oracle, its lowest eigenvalue above the flow's
-    # winning value by more than the tie window
+    # is bit for bit the entry of a scan with both off (and the value screen
+    # too), which solves every chain that weight signs do not settle; and
+    # each chain screened out has, by the dense oracle, its lowest
+    # eigenvalue above the flow's winning value by more than the tie window
     flows, window = SCREENED_WINDOWS[N, subspace], SpectralWindow(N, subspace)
-    rng, screens, grams = random.Random(N), 0, {}
-    for p, count in itertools.product((0, 3), (0, rng.randint(1, 3))):
-        zeroed = rng.sample(window_modes(window), count)
+    screens, grams = 0, {}
+    for p, zeroed in _screen_cases(window):
         screened = _screen_spy(monkeypatch)
         entries = spectral.window_minimum(flows, window, p, zeroed)
         monkeypatch.undo()
-        monkeypatch.setattr(np.linalg, "cholesky", _no_cholesky)
-        monkeypatch.setattr(spectral, "_weight_bounds", _no_bounds)
-        unscreened = spectral.window_minimum(flows, window, p, zeroed)
-        monkeypatch.undo()
         zero_at = {window.index_of(mode) for mode in zeroed}
-        for flow, entry, want in zip(flows, entries, unscreened):
+        for flow, entry, want in zip(flows, entries, unscreened(flows, window, p, zeroed)):
             assert _entry_bits(entry) == _entry_bits(want), (flow, p, zeroed)
             if not screened[flow]:
                 continue
@@ -865,6 +929,61 @@ def test_screen_changes_no_entry(monkeypatch, N, subspace):
         assert screens
 
 
+def _raised(stack):
+    """`lowest_eigenvalues` with each value raised by half its margin
+    TIE_RTOL dim max|S|: a values-only solve as far off as the screen may
+    find one."""
+    values, failures = lowest_eigenvalues(stack)
+    margins = spectral.TIE_RTOL * stack.shape[1] * np.max(np.abs(stack), axis=(1, 2))
+    return values + margins / 2, failures
+
+
+@pytest.mark.parametrize("subspace", [COS, SIN])
+def test_value_screen_changes_no_entry(monkeypatch, unscreened, subspace):
+    # with the value screen on, every entry of a scan of the sweep's pairs
+    # is bit for bit the entry of a scan that eigensolves every pooled chain
+    # (with the Cholesky screen and the weight bounds off as well), and so
+    # it is when each screen value lies half its margin above LAPACK's; no
+    # flow decides a chain of more than 45 modes while it still has
+    # contenders, so its `low` there is an eigensolved value, and (3,1)
+    # screens some of its chains by Cholesky against it; and each pooled
+    # chain that the value screen drops has, by the dense oracle, its lowest
+    # eigenvalue above the flow's winning value by more than the tie window.
+    # (6,6), (7,6) and (7,7) have no negative minimum: in cos, (6,6) has
+    # two chains with minima at rounding level, -1.4e-10 and 0 at p = 0,
+    # whose raised screen values come in the opposite order
+    window, grams, pooled, screens = SpectralWindow(12, subspace), {}, 0, 0
+    ceiling, above = spectral._FlowScan.ceiling, {}
+
+    def ceiling_spy(self):
+        assert not self.contenders
+        return ceiling(self)
+
+    for (case, (p, zeroed)), raised in itertools.product(enumerate(_screen_cases(window)),
+                                                         (False, True)):
+        solved, screened, _, valued = spy_scan(monkeypatch)
+        monkeypatch.setattr(spectral._FlowScan, "ceiling", ceiling_spy)
+        if raised:
+            monkeypatch.setattr(spectral, "lowest_eigenvalues", _raised)
+        entries = spectral.window_minimum(SWEEP_FLOWS, window, p, zeroed)
+        monkeypatch.undo()
+        zero_at = {window.index_of(mode) for mode in zeroed}
+        for flow, entry, want in zip(SWEEP_FLOWS, entries,
+                                     unscreened(SWEEP_FLOWS, window, p, zeroed)):
+            assert _entry_bits(entry) == _entry_bits(want), (flow, p, zeroed, raised)
+            if flow not in grams:  # B does not depend on p or the zeroed modes
+                grams[flow] = dense_grams(flow, window)
+            floor = entry[0].value + 2 * spectral.TIE_RTOL * abs(entry[0].value)
+            for number in valued[flow].keys() - solved[flow].keys():
+                if (case, flow, number) not in above:
+                    above[case, flow, number] = (
+                        _dense_kept(grams[flow], window, p, number, zero_at), floor)
+            pooled += 0 if raised else len(valued[flow])
+            screens += len(screened[flow])
+    _assert_minima_above([(label, S, floor) for label, (S, floor) in above.items()])
+    assert screens and len(above) > 0.95 * pooled
+
+
 def test_screen_keeps_the_symmetry_check(monkeypatch):
     # a chain of more than 45 modes that the screen skips, made asymmetric
     # above its diagonal only, which Cholesky does not read, still ends its
@@ -875,11 +994,72 @@ def test_screen_keeps_the_symmetry_check(monkeypatch):
     monkeypatch.undo()
     number, (S, _, _) = max(screened.items())
     assert len(S) > 45
-    stacks = _break_chains(monkeypatch, {(flow, COS, number)})
+    _, stacks = _break_chains(monkeypatch, {(flow, COS, number)})
     with pytest.raises(ValueError, match="^matrix is not symmetric$"):
         scan_one(flow, window, 3)
     [broken] = [stack[0] for stack in stacks if not np.array_equal(stack, stack.swapaxes(1, 2))]
     assert np.array_equal(np.tril(broken), np.tril(S)) and not np.array_equal(broken, S)
+
+
+def test_value_screen_keeps_the_symmetry_check(monkeypatch):
+    # the last pooled chain that the value screen drops, made asymmetric
+    # above its diagonal only, which the values-only solve does not read,
+    # still ends its flow with the symmetry error, though it is still
+    # dropped and never eigensolved
+    flow, window = KolmogorovFlow(3, 2), SpectralWindow(12, COS)
+    solved, _, _, valued = (record[flow] for record in spy_scan(monkeypatch))
+    scan_one(flow, window, 3)
+    monkeypatch.undo()
+    number = max(valued.keys() - solved.keys())
+    S = valued[number][0]
+    screens, stacks = _break_chains(monkeypatch, {(flow, COS, number)})
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+        scan_one(flow, window, 3)
+    [broken] = [T for stack in screens for T in stack if not np.array_equal(T, T.T)]
+    assert np.array_equal(np.tril(broken), np.tril(S)) and not np.array_equal(broken, S)
+    assert stacks and _asymmetric_counts(stacks) == [0] * len(stacks)
+
+
+def _tilted(eigh, target):
+    """`np.linalg.eigh` that reports the lowest eigenvalue of the matrix
+    `target` 1e-6 max|S| too high, so that its residual fails the check."""
+    def tilted(stack):
+        values, vectors = eigh(stack)
+        for i, S in enumerate(stack):
+            if S.tobytes() == target.tobytes():
+                values[i, 0] += 1e-6 * np.max(np.abs(S))
+        return values, vectors
+    return tilted
+
+
+def test_failing_contender_errors_only_its_own_flow(monkeypatch):
+    # a contender that does not win its flow, solved in one stack with
+    # other flows' contenders, fails the residual check: its flow's entry
+    # is its one-flow scan's error, and every other entry is unchanged
+    window = SpectralWindow(12, COS)
+    solved, _, _, valued = spy_scan(monkeypatch)
+    stacks, solve = [], spectral.lowest_eigenpairs
+    monkeypatch.setattr(spectral, "lowest_eigenpairs",
+                        lambda stack: stacks.append(stack) or solve(stack))
+    clean = spectral.window_minimum(SWEEP_FLOWS, window, 3)
+    monkeypatch.undo()
+    owner = {solved[flow][c][0].tobytes(): (flow, c) for flow in SWEEP_FLOWS
+             for c in valued[flow].keys() & solved[flow].keys()}
+    winners = {flow: int(spectral._Chains(flow, window, extended(flow, window)).chain[entry[4]])
+               for flow, entry in zip(SWEEP_FLOWS, clean)}
+    shared = [[owner[S.tobytes()] + (S,) for S in stack] for stack in stacks
+              if stack.shape[1] <= 45 and len({owner[S.tobytes()][0] for S in stack}) > 1]
+    flow, _, target = next(row for stack in shared for row in stack if row[1] != winners[row[0]])
+    monkeypatch.setattr(np.linalg, "eigh", _tilted(np.linalg.eigh, target))
+    broken = spectral.window_minimum(SWEEP_FLOWS, window, 3)
+    [alone] = spectral.window_minimum([flow], window, 3)
+    monkeypatch.undo()
+    for other, got, want in zip(SWEEP_FLOWS, broken, clean):
+        if other == flow:
+            assert isinstance(got, ConvergenceError)
+            assert str(got).startswith("residual ") and _entry_bits(got) == _entry_bits(alone)
+        else:
+            assert _entry_bits(got) == _entry_bits(want)
 
 
 def _unsettle(monkeypatch):
@@ -977,7 +1157,7 @@ def test_weight_bounds_skip_chains_before_their_gram_product(monkeypatch, m, n, 
     # them, though weight signs do not settle them, and each one's dense
     # minimum lies above the winning value
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, COS)
-    solved, screened, rows = (record[flow] for record in spy_scan(monkeypatch))
+    solved, screened, rows, _ = (record[flow] for record in spy_scan(monkeypatch))
     pair = scan_one(flow, window, 3)[0]
     monkeypatch.undo()
     chains = spectral._Chains(flow, window, extended(flow, window))
@@ -1071,7 +1251,7 @@ def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, sc
     # the weight bounds those of 55-70 modes, each before its Gram product
     flow, window = KolmogorovFlow(m, n), SpectralWindow(20, subspace)
     assert 2 * 45 ** 2 <= STACK_ENTRIES < 2 * 46 ** 2
-    solved, screened, rows = (record[flow] for record in spy_scan(monkeypatch))
+    solved, screened, rows, _ = (record[flow] for record in spy_scan(monkeypatch))
     shapes, solve = [], spectral.lowest_eigenpairs
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: shapes.append(stack.shape) or solve(stack))
@@ -1108,12 +1288,12 @@ def test_deferred_decisions_do_not_depend_on_the_flows_scanned_with_them(monkeyp
     # cannot show this, since a screen or skip never changes a winner
     flows = [KolmogorovFlow(m, n) for m in range(1, mmax + 1) for n in range(1, m + 1)]
     window = SpectralWindow(N, COS)
-    solved, screened, _ = spy_scan(monkeypatch)
+    solved, screened, _, _ = spy_scan(monkeypatch)
     spectral.window_minimum(flows, window, p)
     monkeypatch.undo()
     skips = screens = 0
     for flow in flows:
-        alone, alone_screened, _ = (record[flow] for record in spy_scan(monkeypatch))
+        alone, alone_screened, _, _ = (record[flow] for record in spy_scan(monkeypatch))
         scan_one(flow, window, p)
         monkeypatch.undo()
         assert (sorted(solved[flow]), sorted(screened[flow])) == (

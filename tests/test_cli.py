@@ -517,7 +517,7 @@ def test_minimize_prints_its_winning_rows_residual(capsys, monkeypatch, argv):
     # the residual printed is the one the eigensolve checked: the winning
     # chain's row, which also holds the eigenvalue and eigenvector behind the
     # coefficients; (1,1) full at N=40 wins with a chain solved alone
-    solved, _, rows = spy_scan(monkeypatch)
+    solved, _, rows, _ = spy_scan(monkeypatch)
     results = []
     monkeypatch.setattr(pipeline, "run_minimize",
                         lambda *args, **kwargs: results.append(run_minimize(*args, **kwargs))

@@ -230,7 +230,7 @@ class TestQuadForm:
 def checked_minimum(monkeypatch, flow, window, p, zeroed=()):
     """A one-flow `window_minimum`'s result and the reduced matrix of its
     winning chain as solved, once `assert_winner_solved` holds for them."""
-    seen, _, rows = (record[flow] for record in spy_scan(monkeypatch))
+    seen, _, rows, _ = (record[flow] for record in spy_scan(monkeypatch))
     result = scan_one(flow, window, p, zeroed)
     monkeypatch.undo()
     number = next(c for c, (index, _, _) in enumerate(chain_brackets(flow, window))
