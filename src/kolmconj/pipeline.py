@@ -16,7 +16,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .eigensolve import ConvergenceError, EigenPair
-from .spectral import CertificationError, SpectralWindow, certify_candidate, window_minimum
+from .spectral import (CertificationError, ScanRecord, SpectralWindow, certify_candidate,
+                       window_minimum)
 from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly
 
 
@@ -38,6 +39,7 @@ class MinimizeResult:
     blocks: int           # bracket chains the window splits into
     block_dim_max: int    # modes in the largest chain
     block_mode: Mode      # first mode of the chain that holds the minimum
+    record: ScanRecord    # what the scan decided for each chain
 
 
 def _check_options(p: int, N: int) -> None:
@@ -59,11 +61,12 @@ def _result(flow: KolmogorovFlow, window: SpectralWindow, p: int, found) -> Mini
     """The certified result of one flow's `window_minimum` entry; raises the entry's error."""
     if isinstance(found, Exception):
         raise found
-    pair, coeffs, blocks, largest, first = found
+    pair, coeffs, record = found
     field, q = certify_candidate(window, coeffs, flow)
-    dominant, block_mode = window.modes_at([int(np.argmax(np.abs(coeffs))), first])
+    dominant, block_mode = window.modes_at([int(np.argmax(np.abs(coeffs))),
+                                            record.firsts[record.winner]])
     return MinimizeResult(flow, window.subspace, p, window.N, pair, coeffs, dominant, field, q,
-                          blocks, largest, block_mode)
+                          len(record.sizes), int(record.sizes.max()), block_mode, record)
 
 
 def run_minimize(flow: KolmogorovFlow, p: int = 3, N: Optional[int] = None,

@@ -16,8 +16,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .eigensolve import (ConvergenceError, EigenPair, lowest_eigenpairs, lowest_eigenvalues,
-                         spectrum_above)
+from .eigensolve import EigenPair, lowest_eigenpairs, lowest_eigenvalues, spectrum_above
 from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket, misiolek_index
 
 FULL = "full"
@@ -25,9 +24,7 @@ SUBSPACES = (COS, SIN, FULL)
 # two block minima this close, relative to the larger, are a tie
 TIE_RTOL = 1e-12
 # one stacked LAPACK call holds at most this many matrix entries, so chains of
-# more than 45 modes share no stack: each is decided once its flow's pooled
-# chains are screened and its contenders solved, and solved alone unless its
-# floor skips it or `_FlowScan.beaten` screens it out
+# more than 45 modes share no stack, and each is decided alone
 STACK_ENTRIES = 4096
 # certification rounds each scaled coefficient to an integer over this
 MAX_DENOMINATOR = 10 ** 6
@@ -35,6 +32,34 @@ MAX_DENOMINATOR = 10 ** 6
 
 class CertificationError(RuntimeError):
     """Raised when a numerical candidate cannot be certified exactly."""
+
+
+class ScanRecord(NamedTuple):
+    """What `window_minimum` decided for each chain of one flow, by chain number.
+
+    `codes` holds one decision per chain; `values` each solved chain's
+    lowest eigenvalue, NaN elsewhere; `firsts` the window position of each
+    chain's first mode and `sizes` its modes, zeroed ones included; and
+    `winner` the number of the chain whose row is the flow's pair, -1 if
+    the flow ends in an error.  The codes, in the order the scan meets them:
+
+    - TWIN: a twin of an earlier chain, whose spectrum that chain shares;
+    - ZEROED: every mode zeroed;
+    - SETTLED, BOUNDED: skipped by its floor, with no Gram product: 0 for a
+      chain that reaches no disc row, else its weight bound;
+    - DROPPED: ruled out by its lowest eigenvalue alone (the value screen);
+    - BEATEN: ruled out by one Cholesky factorization;
+    - SOLVED: solved for its lowest eigenpair;
+    - FAILED: failed the symmetry or the residual check.
+    """
+
+    codes: np.ndarray
+    values: np.ndarray
+    firsts: np.ndarray
+    sizes: np.ndarray
+    winner: int
+
+    TWIN, ZEROED, SETTLED, BOUNDED, DROPPED, BEATEN, SOLVED, FAILED = range(1, 9)
 
 
 class SpectralWindow:
@@ -213,27 +238,22 @@ class _Chains:
         call, as (numbers, index, B) per kept-mode count d, ascending.  Ordered
         by (d, number), each chain's d^2 entries follow those of the chains
         before it in one flat buffer, so the chains of one d are one slab B
-        (count, d, d); `index` holds their kept modes' window positions."""
+        (count, d, d); `index` holds their kept modes' window positions.  A
+        chain marked alone is a slab of one, built from its own rows only."""
         numbers = np.flatnonzero(pooled)
         if not len(numbers):
             return
         numbers = numbers[np.argsort(self.kept[numbers], kind="stable")]
-        squares = self.kept[numbers] ** 2
+        kept = self.kept[numbers]
+        squares = kept ** 2
         offsets = np.zeros(len(self.kept), dtype=int)
         offsets[numbers] = np.cumsum(squares) - squares
         flat = _gram(self, np.flatnonzero(pooled[self.row_chain]), offsets, int(squares.sum()))
-        runs = np.unique(self.kept[numbers], return_index=True, return_counts=True)
-        for d, first, count in zip(*(run.tolist() for run in runs)):
-            members, start = numbers[first:first + count], offsets[numbers[first]]
+        ends = [*(np.flatnonzero(np.diff(kept)) + 1).tolist(), len(numbers)]
+        for first, end in zip([0] + ends, ends):
+            members, d, start = numbers[first:end], int(kept[first]), offsets[numbers[first]]
             yield (members.tolist(), self.order[self.starts[members][:, None] + np.arange(d)],
-                   flat[start:start + count * d * d].reshape(count, d, d))
-
-    def alone(self, number: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(index, B) of one chain, as a slab of one, from its own table rows only."""
-        d = int(self.kept[number])
-        rows = np.flatnonzero(self.row_chain == number)
-        B = _gram(self, rows, np.zeros(len(self.kept), dtype=int), d * d)
-        return self.order[self.starts[number] + np.arange(d)][None], B.reshape(1, d, d)
+                   flat[start:start + (end - first) * d * d].reshape(end - first, d, d))
 
 
 def _gram(chains: _Chains, rows: np.ndarray, offsets: np.ndarray, size: int) -> np.ndarray:
@@ -297,20 +317,22 @@ def _ceiling(low: float) -> float:
 class _FlowScan:
     """One flow's chains as the screen and the eigensolves return them.
 
-    `contenders` maps each pooled chain that the value screen (`contend`)
-    has not ruled out to (screen value less margin, index, S) until
-    `_settle` solves them, and `bound` is the lowest screen value plus its
-    margin.  `solved` maps each solved chain's number to its row of the
-    stacked eigensolve, (value, index, vector, residual), `failures` each
-    failing chain's number to its error, and `low` is the lowest solved
-    value so far.  No reduced matrix is kept once solved.  A chain that
-    `beaten` or the value screen rules out, or that `window_minimum` skips
-    by its floor, has no row and is never solved.
+    `codes` and `values` are the flow's `ScanRecord` as far as the scan has
+    decided, 0 for a chain not yet decided.  `contenders` maps each pooled
+    chain that the value screen (`contend`) has not ruled out to (screen
+    value less margin, index, S) until `_settle` solves them, and `bound`
+    is the lowest screen value plus its margin.  `solved` maps each solved
+    chain's number to its row of the stacked eigensolve, (value, index,
+    vector, residual), `failures` each failing chain's number to its error,
+    and `low` is the lowest solved value so far.  No reduced matrix is kept
+    once solved.
     """
 
     def __init__(self, chains: _Chains):
-        self.count, self.largest = len(chains.sizes), int(chains.sizes.max())
-        self.firsts = chains.firsts
+        self.codes = np.where(chains.kept > 0, 0, ScanRecord.ZEROED)
+        self.codes[chains.twins()] = ScanRecord.TWIN
+        self.values = np.full(len(self.codes), np.nan)
+        self.layout = chains.firsts, chains.sizes
         self.solved, self.failures, self.low = {}, {}, float("inf")
         self.contenders, self.bound = {}, float("inf")
 
@@ -332,7 +354,8 @@ class _FlowScan:
         Both eigensolvers are backward stable, so either one's value lies
         far inside that margin of S's minimum, as the factorization's error
         does in `spectrum_above`: a chain dropped can neither win nor tie.
-        A NaN drops nothing."""
+        A NaN drops nothing.  The chain is coded DROPPED until it is solved."""
+        self.codes[number] = ScanRecord.DROPPED
         if value + margin < self.bound:
             self.bound = value + margin
             top = _ceiling(self.bound)
@@ -341,12 +364,17 @@ class _FlowScan:
         if not value - margin > _ceiling(self.bound):
             self.contenders[number] = value - margin, index, S
 
-    def winner(self, window: SpectralWindow, p: int
-               ) -> Tuple[EigenPair, np.ndarray, int, int, int]:
-        if self.failures:
-            raise self.failures[min(self.failures)]
-        if not self.solved:
-            raise ValueError("constraining away every mode leaves nothing to minimize")
+    def entry(self, window: SpectralWindow, p: int
+              ) -> Union[Tuple[EigenPair, np.ndarray, ScanRecord], Exception]:
+        """The flow's entry of `window_minimum`: its error, which carries the
+        flow's record as `record`, or its pair, coefficients and record."""
+        self.codes[list(self.failures)] = ScanRecord.FAILED
+        record = ScanRecord(self.codes, self.values, *self.layout, -1)
+        if self.failures or not self.solved:
+            error = (self.failures[min(self.failures)] if self.failures else
+                     ValueError("constraining away every mode leaves nothing to minimize"))
+            error.record = record
+            return error
         numbers = sorted(self.solved)
         best = numbers[0]
         for number in numbers:
@@ -359,7 +387,7 @@ class _FlowScan:
         coeffs[index] = vector * [d ** (-p / 2) for d in window.laplace[index].tolist()]
         # the peak is positive: the vector has unit norm, and no weight underflows
         return (EigenPair(value, vector, residual), coeffs / np.max(np.abs(coeffs)),
-                self.count, self.largest, int(self.firsts[best]))
+                record._replace(winner=best))
 
 
 def _solve(batch: List[tuple]) -> None:
@@ -374,6 +402,7 @@ def _solve(batch: List[tuple]) -> None:
     for (scan, number, index, _), value, vector, residual in zip(
             batch, values.tolist(), vectors, residuals.tolist()):
         scan.solved[number] = value, index, vector, residual
+        scan.codes[number], scan.values[number] = ScanRecord.SOLVED, value
         scan.low = min(scan.low, value)
 
 
@@ -416,53 +445,42 @@ def _settle(scans: Sequence[_FlowScan]) -> None:
 
 def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: int,
                    zeroed: Iterable[Mode] = ()
-                   ) -> List[Union[Tuple[EigenPair, np.ndarray, int, int, int], Exception]]:
+                   ) -> List[Union[Tuple[EigenPair, np.ndarray, ScanRecord], Exception]]:
     """Lowest eigenpair over the reduced bracket chains of `window`, for each flow.
 
-    The zeroed modes drop out of their chains as the chains are laid out,
-    and chains zeroed out entirely drop out of the scan.  Each flow's
-    chains of at most 45 kept modes, less the twins of earlier chains,
-    whose spectra those chains share, go through one Gram product
-    (`_Chains.slabs`) and the Sobolev reduction.  The reduced chains of all
-    flows are pooled by size and screened in values-only stacks of at most
-    STACK_ENTRIES entries (`_screen`).  A chain whose screen value less its
-    margin TIE_RTOL d max|S| lies above the ceiling of its flow's lowest
-    screen value plus that value's margin can neither win nor tie, and is
-    dropped (`_FlowScan.contend`): it meets the symmetry check, but has no
-    eigenpair and so no residual to check.  The rest, the flow's
-    contenders, are solved for eigenpairs (`_settle`), pooled by size
-    across flows in stacks of the same cap, and each contender's row of its
-    stack (its lowest value, unit eigenvector and residual) goes back to
-    its flow; the flow's pair is its winning chain's row, so its residual
-    is the one checked.  A chain that shares no stack (see STACK_ENTRIES)
-    is deferred: once its flow's slabs are reduced, every batch still
-    waiting is screened and the flow's contenders are solved, so that its
-    `low` is an eigensolved value, the flow's deferred chains are decided
-    one at a time, those that reach a disc row first, then the
-    `_Chains.settled` ones, each in ascending number.  One whose floor lies
-    above the largest minimum that can still win or tie
-    (`_FlowScan.ceiling`) is skipped, with no Gram product
-    (`_Chains.alone`), reduction or eigensolve: 0 for a settled chain,
-    whose form is PSD, else -N - TIE_RTOL d A from `_weight_bounds`, d its
-    kept modes (`spectrum_above`'s margin, A in place of max|S|).  Any
-    other is solved unless its flow has a minimum so far and one Cholesky
-    factorization shows that it can neither win nor tie
-    (`_FlowScan.beaten`); a chain screened out still meets the symmetry
-    check, but has no residual to check, and a chain skipped by its floor
-    is never reduced and meets neither.  So no flow's deferred chains are
-    held past its turn.  The contenders of flows with no deferred chain are
-    solved once every flow is screened.  Per flow, two eigensolved minima
-    within TIE_RTOL of each other (relative) are a tie, won by the chain
-    with the lowest first mode, and the lowest-numbered chain that fails a
-    check gives the flow's error.  The flows of one max(m, n) share one
-    `_extended` output window, built once.  Returns one entry per flow: its
-    error, or the pair; the minimizer's coefficients, a float array over
-    the window's modes, with S = D^{-p/2} B D^{-p/2} undone on the winning
-    chain, 0 off it, and largest magnitude 1 while no weight underflows;
-    the number of chains and the modes in the largest, twins and zeroed
-    modes included; and the window position of the winning chain's first
-    mode, zeroed or not.  The callers check p >= 0; a zeroed mode outside
-    the window raises.
+    Each chain is decided once, and its decision goes into its flow's
+    `ScanRecord` under the code named here.  Chains ZEROED out and the
+    TWINs of earlier chains drop out.  A flow's other chains of at most 45
+    kept modes go through one Gram product (`_Chains.slabs`) and the
+    Sobolev reduction, and are pooled by size across flows in values-only
+    stacks of at most STACK_ENTRIES entries (`_screen`).  A chain whose
+    screen value less its margin TIE_RTOL d max|S| lies above the ceiling
+    of its flow's lowest screen value plus that value's margin is DROPPED
+    (`_FlowScan.contend`); the rest are SOLVED for eigenpairs (`_settle`),
+    pooled by size across flows.  A chain that shares no stack (see
+    STACK_ENTRIES) waits until its flow's slabs are reduced; then every
+    waiting batch is screened and the flow's contenders are solved, so
+    that `low` is an eigensolved value, and the flow's deferred chains are
+    decided one at a time, those that reach a disc row first, then the
+    `_Chains.settled` ones, each in ascending number.  One whose floor
+    lies above `_FlowScan.ceiling` is skipped before its Gram product:
+    SETTLED at floor 0, its form being PSD, or BOUNDED at -N - TIE_RTOL d A
+    from `_weight_bounds` (`spectrum_above`'s margin, A in place of
+    max|S|).  Any other is BEATEN if one Cholesky factorization shows that
+    it can neither win nor tie (`_FlowScan.beaten`), else SOLVED alone.
+    Every reduced chain meets the symmetry check, and every solved one the
+    residual check; a chain that fails either is FAILED.  Per flow, two
+    solved minima within TIE_RTOL of each other (relative) are a tie, won
+    by the chain with the lowest first mode, and the lowest-numbered
+    FAILED chain gives the flow's error.  The flows of one max(m, n) share
+    one `_extended` output window, built once.
+
+    Returns one entry per flow: its error, which carries the flow's record
+    as `record`, or (pair, coeffs, record): the winning chain's row of its
+    eigensolve, and the minimizer's coefficients, a float array over the
+    window's modes, with S = D^{-p/2} B D^{-p/2} undone on the winning
+    chain, 0 off it, and largest magnitude 1 while no weight underflows.
+    The callers check p >= 0; a zeroed mode outside the window raises.
     """
     scale = window.laplace ** (-p / 2)
     at = _positions(window, set(zeroed))
@@ -473,7 +491,7 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
             extended[reach] = _extended(flow, window)
         chains = _Chains(flow, window, extended[reach], at)
         scans.append(scan := _FlowScan(chains))
-        wanted = ~chains.twins() & (chains.kept > 0)
+        wanted = scan.codes == 0
         pooled = wanted & (2 * chains.kept ** 2 <= STACK_ENTRIES)  # the chains that share stacks
         for numbers, index, B in chains.slabs(pooled):
             d = index.shape[1]
@@ -491,20 +509,18 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
             floors = np.where(chains.settled, 0, -negative - TIE_RTOL * chains.kept * total)
             for number in sorted(deferred.tolist(), key=lambda c: (chains.settled[c], c)):
                 if floors[number] > scan.ceiling():  # cannot win or tie
+                    scan.codes[number] = (ScanRecord.SETTLED if chains.settled[number]
+                                          else ScanRecord.BOUNDED)
                     continue
-                index, B = chains.alone(number)
+                [(_, index, B)] = chains.slabs(np.arange(len(chains.sizes)) == number)
                 [S] = _reduce(B, scale[index])
-                if not scan.beaten(S):
+                if scan.beaten(S):
+                    scan.codes[number] = ScanRecord.BEATEN
+                else:
                     _solve([(scan, number, index[0], S)])
     _flush(waiting)
     _settle(scans)
-    entries = []
-    for scan in scans:
-        try:
-            entries.append(scan.winner(window, p))
-        except (ConvergenceError, ValueError) as error:
-            entries.append(error)
-    return entries
+    return [scan.entry(window, p) for scan in scans]
 
 
 class Certificate(NamedTuple):

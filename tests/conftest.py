@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +9,8 @@ import pytest
 from kolmconj import spectral
 from kolmconj.eigensolve import EigenPair, lowest_eigenpairs
 from kolmconj.exactalg import solve_linear
-from kolmconj.spectral import SpectralWindow
-from kolmconj.trigpoly import COS, SIN, Mode, TrigPoly
+from kolmconj.spectral import ScanRecord, SpectralWindow
+from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly
 
 
 def random_trigpoly(rng: random.Random, bandwidth: int = 8, max_coeff: int = 10,
@@ -167,10 +166,10 @@ def hessian_minors_positive(form) -> bool:
 # The numerical route never builds a whole-window matrix: `_Chains` keeps
 # each chain's bracket nonzeros in one integer table, and `_gram` sums the
 # chains' forms from it, a flow's pooled chains into one slab per kept-mode
-# count (`_Chains.slabs`) and each larger chain alone (`_Chains.alone`).
-# The helpers below lay the table out densely, or rebuild the forms by
-# dense products that share no code with `_gram`, for the tests to check
-# against the exact bracket and index.
+# count (`_Chains.slabs`) and each larger chain as a slab of one.  The
+# helpers below lay the table out densely, or rebuild the forms by dense
+# products that share no code with `_gram`, for the tests to check against
+# the exact bracket and index, and against what the scan records.
 
 def extended(flow, window):
     return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
@@ -201,7 +200,7 @@ def chain_brackets(flow, window):
     bracket block between them, summed from the table's integer terms 4L,
     each divided by 4, at their columns' positions in the chain.
     """
-    chains = spectral._Chains(flow, window, extended(flow, window))
+    chains = scan_chains(flow, window)
     blocks = []
     for number in range(len(chains.sizes)):
         at = np.flatnonzero(chains.row_chain == number)
@@ -241,6 +240,15 @@ def dense_reduced(window, index, B, p):
     return 0.5 * (S + S.T)
 
 
+def dense_kept(grams, window, p, c, zero_at):
+    """(index, S) of chain c less the modes at the window positions `zero_at`:
+    the window positions of its kept modes and its dense reduced form on
+    them, from the window's `dense_grams`."""
+    full, B = grams[c]
+    keep = [i for i, at in enumerate(full) if at not in zero_at]
+    return [full[i] for i in keep], dense_reduced(window, full, B, p)[np.ix_(keep, keep)]
+
+
 def per_chain_products(flow, window, p):
     """Window positions, B and S of each chain, one chain at a time."""
     for index, B in dense_grams(flow, window):
@@ -250,7 +258,7 @@ def per_chain_products(flow, window, p):
 def gram_blocks(flow, window):
     """(index, B) of each chain, by chain number, B as the numerical route builds
     it with `_gram`: one slab of every chain of the window."""
-    layout, chains = spectral._Chains(flow, window, extended(flow, window)), {}
+    layout, chains = scan_chains(flow, window), {}
     for numbers, index, B in layout.slabs(layout.kept > 0):
         chains.update(zip(numbers, zip(index, B)))
     return [chains[number] for number in range(len(chains))]
@@ -271,96 +279,61 @@ def lowest_pair(S: np.ndarray) -> EigenPair:
 
 
 def scan_one(flow, window, p, zeroed=()):
-    """`window_minimum` of one flow: its result, or its error raised."""
+    """`window_minimum` of one flow: its entry (pair, coeffs, record), or its
+    error raised."""
     [found] = spectral.window_minimum([flow], window, p, zeroed)
     if isinstance(found, Exception):
         raise found
     return found
 
 
-def follow_grams(monkeypatch):
-    """Patch `_Chains.slabs` and `_Chains.alone` until the patches are undone,
-    and return a list that holds, after each slab or lone chain is built,
-    its (chains, numbers, index, B): `window_minimum` reduces each one
-    before it builds the next."""
-    slabs, alone = spectral._Chains.slabs, spectral._Chains.alone
-    current = []
-
-    def slabs_spy(self, pooled):
-        for numbers, index, B in slabs(self, pooled):
-            current[:] = self, numbers, index, B
-            yield numbers, index, B
-
-    def alone_spy(self, number):
-        index, B = alone(self, number)
-        current[:] = self, [number], index, B
-        return index, B
-
-    monkeypatch.setattr(spectral._Chains, "slabs", slabs_spy)
-    monkeypatch.setattr(spectral._Chains, "alone", alone_spy)
-    return current
+def assert_winner_solved(flow, window, p, pair, coeffs, record, zeroed=(), grams=None):
+    """The winning chain is coded SOLVED with the pair's value, and the pair
+    is, bit for bit, the row of the chain's dense reduced form (less the
+    zeroed modes) solved alone, so that the residual is the one the scan
+    checked; the coefficients are 0 off that chain's kept modes.  `grams`
+    are the window's `dense_grams`, built if not given.  Returns the form."""
+    zero_at = {window.index_of(mode) for mode in zeroed}
+    grams = grams if grams is not None else dense_grams(flow, window)
+    index, S = dense_kept(grams, window, p, record.winner, zero_at)
+    row = lowest_pair(S)
+    assert record.codes[record.winner] == ScanRecord.SOLVED
+    assert (pair.value.hex(), pair.residual.hex(), record.values[record.winner].hex()) == (
+        row.value.hex(), row.residual.hex(), row.value.hex())
+    assert pair.vector.tobytes() == row.vector.tobytes()
+    assert not np.delete(coeffs, index).any()
+    return S
 
 
-def spy_scan(monkeypatch):
-    """Record what `window_minimum` screens by value, solves and screens out
-    by Cholesky, per flow, until the patches are undone.
+# ------------------------------------------------------------ the scan's own parts
+#
+# This is the one test module that reads or patches `spectral`'s and
+# `eigensolve`'s private names (`test_cli.py::test_tests_read_no_private_scan_name`
+# holds every other test module to that).  The tests read what the scan
+# decided from the public `ScanRecord`; they reach the names below only to
+# check one part of the scan on its own, to turn its screens off for a
+# reference, or to inject a fault into it.
 
-    Returns (solved, screened, rows, valued), each keyed by flow and then by
-    chain number, and each a defaultdict: a flow's dict, taken before the
-    scan, is the one the scan fills.  `solved` maps each chain solved to its
-    reduced matrix as the eigensolve gets it, its window positions and its
-    Gram product; `screened` does the same for each chain that
-    `_FlowScan.beaten` screens out, and `valued` for each pooled chain that
-    meets the value screen, solved later or not; `rows` maps each chain
-    solved to its row of the eigensolve's result, (value, vector,
-    residual).  A matrix screened or solved that is not its chain's
-    reduction, bit for bit, fails.
-    """
-    solved, screened, rows, valued = (defaultdict(dict) for _ in range(4))
-    reduced, flows, current = {}, {}, follow_grams(monkeypatch)
-    reduce, solve, screen = spectral._reduce, spectral._solve, spectral._screen
-    init, beaten = spectral._FlowScan.__init__, spectral._FlowScan.beaten
+# parts checked on their own: the bracket's stencil, the output window, the
+# Sobolev reduction, the weight bounds and the certificate's rounding
+stencil = spectral._stencil
+extended_window = spectral._extended
+reduce_form = spectral._reduce
+weight_bounds = spectral._weight_bounds
+numerators = spectral._numerators
 
-    def reduce_spy(*args):
-        stack = reduce(*args)
-        chains, numbers, index, grams = current
-        for i, number in enumerate(numbers):
-            reduced[chains.flow, number] = stack[i], index[i], grams[i]
-        return stack
 
-    def init_spy(self, chains):
-        init(self, chains)
-        flows[self] = chains.flow
+def scan_chains(flow, window, zeroed=()):
+    """The scan's chain layout (`_Chains`) of `window` for `flow`, less the
+    modes at the window positions `zeroed`."""
+    return spectral._Chains(flow, window, spectral._extended(flow, window), zeroed)
 
-    def record(records, scan, number, S):
-        flow = flows[scan]
-        assert reduced[flow, number][0].tobytes() == S.tobytes()
-        records[flow][number] = reduced[flow, number]
-        return flow
 
-    def screen_spy(batch):
-        for scan, number, _, S in batch:
-            record(valued, scan, number, S)
-        screen(batch)
-
-    def solve_spy(batch):
-        solve(batch)
-        for scan, number, _, S in batch:
-            value, _, vector, residual = scan.solved[number]
-            rows[record(solved, scan, number, S)][number] = value, vector, residual
-
-    def beaten_spy(self, S):
-        if not beaten(self, S):
-            return False
-        record(screened, self, current[1][0], S)
-        return True
-
-    monkeypatch.setattr(spectral, "_reduce", reduce_spy)
-    monkeypatch.setattr(spectral, "_screen", screen_spy)
-    monkeypatch.setattr(spectral, "_solve", solve_spy)
-    monkeypatch.setattr(spectral._FlowScan, "__init__", init_spy)
-    monkeypatch.setattr(spectral._FlowScan, "beaten", beaten_spy)
-    return solved, screened, rows, valued
+def chain_alone(chains, number):
+    """(index, B) of one chain of a `scan_chains` layout as the scan builds a
+    chain of more than 45 kept modes: a slab of one, from its own rows only."""
+    [(_, index, B)] = chains.slabs(np.arange(len(chains.sizes)) == number)
+    return index, B
 
 
 def _keep_every_chain(self, number, index, S, value, margin):
@@ -381,11 +354,12 @@ def _no_bounds(chains, scale):
 def unscreened():
     """`window_minimum` with the value screen, the Cholesky screen and the
     weight bounds off, so that it eigensolves every chain that weight signs
-    do not settle.  Each (flows, window, p, zeroed) is scanned once per
-    session, and the tests that compare a screen against it share that
-    scan.  A chain solved alone is solved once per distinct matrix: its row
-    is LAPACK's for those bytes, whichever scan asks, and the scans of one
-    window and p share every such chain that no zeroed mode touches."""
+    do not settle: the reference that the screens must not change.  Each
+    (flows, window, p, zeroed) is scanned once per session, and the tests
+    that compare a screen against it share that scan.  A chain solved
+    alone is solved once per distinct matrix: its row is LAPACK's for those
+    bytes, whichever scan asks, and the scans of one window and p share
+    every such chain that no zeroed mode touches."""
     scans, rows, solve = {}, {}, spectral.lowest_eigenpairs
 
     def solve_once(stack):
@@ -410,12 +384,66 @@ def unscreened():
     return scan
 
 
-def assert_winner_solved(solved, rows, pair, coeffs, number):
-    """The winner's pair is chain `number`'s row of the eigensolve that
-    solved it, bit for bit, and its coefficients are 0 off that chain's
-    kept modes."""
-    _, index, _ = solved[number]
-    value, vector, residual = rows[number]
-    assert (pair.value.hex(), pair.residual.hex()) == (value.hex(), residual.hex())
-    assert pair.vector.tobytes() == vector.tobytes()
-    assert not np.delete(coeffs, index).any()
+def unsettle(monkeypatch):
+    """Make `_Chains` mark no chain settled until the patch is undone: the
+    scan without its weight-sign screen."""
+    init = spectral._Chains.__init__
+
+    def init_spy(self, *args):
+        init(self, *args)
+        self.settled = np.zeros_like(self.settled)
+
+    monkeypatch.setattr(spectral._Chains, "__init__", init_spy)
+
+
+def hand_built_scan(monkeypatch, slabs):
+    """`window_minimum` on (3,2) cos at N=6 over hand-built slabs.
+
+    `slabs` stands in for `_Chains.slabs`, as (numbers, index, stack) per
+    slab, and each stack for its slab's Gram products; at p = 0 the
+    Sobolev reduction multiplies by 1, so the scan solves the stacks as
+    given.  Returns the window and the flow's entry, or raises the entry's
+    error.  Every patch, the caller's too, is undone on return.
+    """
+    window = SpectralWindow(6, COS)
+    monkeypatch.setattr(spectral._Chains, "slabs", lambda self, pooled: iter(slabs))
+    try:
+        return window, scan_one(KolmogorovFlow(3, 2), window, 0)
+    finally:
+        monkeypatch.undo()
+
+
+def break_chains(monkeypatch, targets):
+    """Make each chain (flow, subspace, number) in `targets` asymmetric above
+    its diagonal as its Gram product is built, by max|B| in its top right
+    entry, and record the stacks the value screen gets and those the
+    eigensolve gets, as two lists, until the patches are undone."""
+    slabs, screen, solve = spectral._Chains.slabs, spectral.lowest_eigenvalues, \
+        spectral.lowest_eigenpairs
+    screens, stacks = [], []
+
+    def broken_slabs(self, pooled):
+        for numbers, index, B in slabs(self, pooled):
+            for slot, number in enumerate(numbers):
+                if (self.flow, self.window.subspace, number) in targets:
+                    B[slot, 0, -1] += np.max(np.abs(B[slot]))
+            yield numbers, index, B
+
+    monkeypatch.setattr(spectral._Chains, "slabs", broken_slabs)
+    monkeypatch.setattr(spectral, "lowest_eigenvalues",
+                        lambda stack: screens.append(stack) or screen(stack))
+    monkeypatch.setattr(spectral, "lowest_eigenpairs",
+                        lambda stack: stacks.append(stack) or solve(stack))
+    return screens, stacks
+
+
+def tilted(eigh, target):
+    """`np.linalg.eigh` that reports the lowest eigenvalue of the matrix
+    `target` 1e-6 max|S| too high, so that its residual fails the check."""
+    def tilted_eigh(stack):
+        values, vectors = eigh(stack)
+        for i, S in enumerate(stack):
+            if S.tobytes() == target.tobytes():
+                values[i, 0] += 1e-6 * np.max(np.abs(S))
+        return values, vectors
+    return tilted_eigh

@@ -10,33 +10,42 @@ kept-mode count, and of each larger chain alone, and `window_minimum`
 screens the slabs in stacked values-only eigensolves and solves only the
 chains that can still win or tie for eigenpairs, leaving out the chains
 that a flow symmetry maps onto an earlier chain, then picks the winner
-among the solved chains' minima.  These tests check that scan against the oracles of
-`conftest`: the chains' bracket blocks against the exact bracket, each
-chain's form against its dense product L^T W L (restricted to the kept
-modes), and each minimum against the whole window's form scattered from
-those products.  They also check the skipped twins against the chains
-they repeat, drive `window_minimum` with hand-built stacks for its tie
-and failure rules, and pin the certified values that the dense
-minimization gave before the split.
+among the solved chains' minima.  These tests check that scan against the
+oracles of `conftest`: the chains' bracket blocks against the exact
+bracket, each chain's form against its dense product L^T W L (restricted
+to the kept modes), each minimum against the whole window's form
+scattered from those products, and each decision of the scan's
+`ScanRecord` against the dense form of its chain.  They also check the
+skipped twins against the chains they repeat, drive `window_minimum` with
+hand-built stacks and injected faults for its tie and failure rules, and
+pin the certified values that the dense minimization gave before the
+split.
 """
 
 import itertools
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from kolmconj import eigensolve, pipeline, spectral
-from kolmconj.eigensolve import ConvergenceError, lowest_eigenpairs, lowest_eigenvalues
+from kolmconj.eigensolve import (ConvergenceError, lowest_eigenpairs, lowest_eigenvalues,
+                                 spectrum_above)
 from kolmconj.pipeline import run_minimize
-from kolmconj.spectral import FULL, STACK_ENTRIES, CertificationError, SpectralWindow
+from kolmconj.spectral import FULL, STACK_ENTRIES, TIE_RTOL, ScanRecord, SpectralWindow
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
-from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, dense_grams,
-                      dense_reduced, extended, follow_grams, gram_blocks, lowest_pair,
-                      per_chain_products, scan_one, spy_scan, window_modes, window_values)
+from conftest import (assert_winner_solved, bracket_matrix, break_chains, chain_alone,
+                      chain_brackets, dense_grams, dense_kept, dense_reduced, extended,
+                      gram_blocks, hand_built_scan, lowest_pair, per_chain_products, reduce_form,
+                      scan_chains, scan_one, stencil, tilted, unsettle, weight_bounds,
+                      window_modes, window_values)
+
+TWIN, ZEROED, SETTLED, BOUNDED, DROPPED, BEATEN, SOLVED, FAILED = (
+    ScanRecord.TWIN, ScanRecord.ZEROED, ScanRecord.SETTLED, ScanRecord.BOUNDED,
+    ScanRecord.DROPPED, ScanRecord.BEATEN, ScanRecord.SOLVED, ScanRecord.FAILED)
 
 
 def chain_layout(flow, window):
@@ -101,8 +110,8 @@ def test_chains_are_the_connected_classes(m):
         for N, subspace in itertools.product((1, 2, 3, 5, 2 * max(m, n) + 4), (COS, SIN, FULL)):
             window = SpectralWindow(N, subspace)
             ext = extended(flow, window)
-            chains = spectral._Chains(flow, window, ext)
-            cols, terms = spectral._stencil(flow, window, ext)
+            chains = scan_chains(flow, window)
+            cols, terms = stencil(flow, window, ext)
             linked = terms != 0
             row_chains = np.where(linked, chains.chain[cols], -1)
             assert np.all((row_chains == row_chains.max(axis=1)[:, None]) | ~linked)
@@ -119,7 +128,7 @@ def test_window_past_twice_the_wavenumbers_holds_every_class(m):
         flow, N = KolmogorovFlow(m, n), 2 * max(m, n) + 1
         for subspace, parities in ((COS, 1), (SIN, 1), (FULL, 2)):
             window = SpectralWindow(N, subspace)
-            chains = spectral._Chains(flow, window, extended(flow, window))
+            chains = scan_chains(flow, window)
             assert len(chains.sizes) == parities * (2 * m * n + 2)
 
 
@@ -142,7 +151,7 @@ def test_scattered_brackets_match_exact_bracket():
 
 def _rows_with_one_column_twice(flow, window):
     """How many bracket rows that `_gram` reads hold two nonzero terms on one column."""
-    chains = spectral._Chains(flow, window, extended(flow, window))
+    chains = scan_chains(flow, window)
     local, linked = chains.local[chains.cols], chains.terms != 0
     twice = (local[:, :, None] == local[:, None, :]) & linked[:, :, None] & linked[:, None, :]
     return np.count_nonzero(np.triu(twice, 1).any(axis=(1, 2)))
@@ -175,7 +184,7 @@ def test_gram_sums_integers_exactly(m, n, N, subspace):
     # chain is checked as the scan builds it, in a slab of the chains of at
     # most 45 kept modes or alone
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-    chains = spectral._Chains(flow, window, extended(flow, window))
+    chains = scan_chains(flow, window)
     assert all(np.issubdtype(a.dtype, np.integer) for a in (chains.terms, chains.weight))
     local, linked = chains.local[chains.cols], chains.terms != 0
     r, s, t = np.nonzero(linked[:, :, None] & linked[:, None, :])
@@ -191,7 +200,7 @@ def test_gram_sums_integers_exactly(m, n, N, subspace):
     checked = []
     pooled = 2 * chains.kept ** 2 <= STACK_ENTRIES
     built = itertools.chain(((numbers, B) for numbers, _, B in chains.slabs(pooled)),
-                            (([c], chains.alone(c)[1]) for c in np.flatnonzero(~pooled)))
+                            (([c], chain_alone(chains, c)[1]) for c in np.flatnonzero(~pooled)))
     for numbers, slab in built:
         for c, B in zip(numbers, slab):
             lo, hi = np.searchsorted(at, [c * width, (c + 1) * width])
@@ -216,7 +225,7 @@ def test_slab_is_the_dense_form():
     for m, n, N, subspace in windows:
         flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
         zeroed = rng.sample(range(len(window)), min(rng.randint(0, 4), len(window) - 1))
-        chains = spectral._Chains(flow, window, extended(flow, window), zeroed)
+        chains = scan_chains(flow, window, zeroed)
         dense = dense_grams(flow, window)
         twin = chains.twins()
         some = chains.kept > 0
@@ -225,7 +234,7 @@ def test_slab_is_the_dense_form():
             seen = []
             for numbers, index, slab in chains.slabs(wanted):
                 for c, positions, B in zip(numbers, index, slab):
-                    alone_index, [alone] = chains.alone(c)
+                    alone_index, [alone] = chain_alone(chains, c)
                     assert np.array_equal(alone_index[0], positions)
                     assert B.tobytes() == alone.tobytes(), (flow, window, c)
                     full, want = dense[c]
@@ -272,10 +281,11 @@ def test_zeroed_block_is_skipped():
     flow = KolmogorovFlow(3, 2)
     window = SpectralWindow(8, COS)
     chains = chain_modes(flow, window)
-    for modes in chains[:3]:
+    for number, modes in enumerate(chains[:3]):
         zeroed = list(modes)
-        pair, coeffs, _, _, first = scan_one(flow, window, 3, zeroed)
-        assert window.modes_at([first])[0] != modes[0]
+        pair, coeffs, record = scan_one(flow, window, 3, zeroed)
+        assert record.codes[number] == ZEROED
+        assert window.modes_at([record.firsts[record.winner]])[0] != modes[0]
         assert not any(coeffs[window.index_of(mode)] for mode in modes)
         want, scale = _dense_minimum(flow, window, 3, zeroed)
         assert abs(pair.value - want) <= 1e-12 * max(abs(want), scale)
@@ -305,31 +315,12 @@ def test_constraint_errors_unchanged():
         run_minimize(flow, N=3, constraints=[Mode(1, 0, SIN)])
 
 
-def _scan(monkeypatch, slabs):
-    """`window_minimum` on (3,2) cos at N=6 over hand-built slabs.
-
-    `slabs` stands in for `_Chains.slabs`, as (numbers, index, stack) per
-    slab, and each stack for its slab's Gram products; at p = 0 the
-    Sobolev reduction multiplies by 1, so the scan solves the stacks as
-    given.  Returns the window, the flow's entry of what `window_minimum`
-    returns and `spy_scan`'s record of the chains solved and their rows,
-    or raises the entry's error.  Every patch, the caller's too, is undone
-    on return.
-    """
-    window = SpectralWindow(6, COS)
-    monkeypatch.setattr(spectral._Chains, "slabs", lambda self, pooled: iter(slabs))
-    flow, (solved, _, rows, _) = KolmogorovFlow(3, 2), spy_scan(monkeypatch)
-    try:
-        return window, scan_one(flow, window, 0), solved[flow], rows[flow]
-    finally:
-        monkeypatch.undo()
-
-
 def test_tie_goes_to_earlier_block(monkeypatch):
     # two chains of one shape, solved in one stack or the later one first:
     # the later one wins only if its minimum lies below the first's by
-    # more than TIE_RTOL, the winner's pair is the row of the stack it came
-    # from, and at p = 0 its coefficients are its eigenvector, 0 off its modes
+    # more than TIE_RTOL, the winner's pair and recorded value are, bit for
+    # bit, the row of its stack solved alone, and at p = 0 its coefficients
+    # are its eigenvector, 0 off its modes
     flow, window = KolmogorovFlow(3, 2), SpectralWindow(6, COS)
     firsts = [index[0] for index, _ in chain_layout(flow, window)]
     positions, _, S = next(per_chain_products(flow, window, 3))
@@ -341,14 +332,16 @@ def test_tie_goes_to_earlier_block(monkeypatch):
         stack = np.stack([S, lowered])
         for slabs in ([([0, 1], index, stack)],
                       [([1], index[1:], stack[1:]), ([0], index[:1], stack[:1])]):
-            got_window, (pair, coeffs, _, _, got_first), solved, rows = _scan(monkeypatch,
-                                                                              slabs)
-            assert got_first == firsts[winner]
+            got_window, (pair, coeffs, record) = hand_built_scan(monkeypatch, slabs)
+            assert record.winner == winner and record.firsts[winner] == firsts[winner]
             want = np.zeros(len(got_window))
             want[first + winner] = pair.vector
             assert np.array_equal(coeffs, want / np.max(np.abs(want)))
-            assert_winner_solved(solved, rows, pair, coeffs, winner)
-            assert np.array_equal(solved[winner][0], stack[winner])
+            row = lowest_pair(stack[winner])
+            assert record.codes[winner] == SOLVED
+            assert (pair.value.hex(), pair.residual.hex(), record.values[winner].hex()) == (
+                row.value.hex(), row.residual.hex(), row.value.hex())
+            assert pair.vector.tobytes() == row.vector.tobytes()
             assert pair.value == np.linalg.eigh(stack[winner])[0][0]
 
 
@@ -393,15 +386,24 @@ def test_stacked_eigensolve_matches_one_at_a_time_on_sweep_chains():
 SWEEP_FLOWS = [KolmogorovFlow(m, n) for m in range(1, 11) for n in range(1, m + 1)]
 
 
-def _entry_bits(entry):
+def _record(entry):
+    """The `ScanRecord` of a `window_minimum` entry, or of its error."""
+    return entry.record if isinstance(entry, Exception) else entry[2]
+
+
+def _entry_bits(entry, decisions=True):
     """A `window_minimum` entry as exactly comparable values: its error's
-    type and text, or the eigenvalue, residual, eigenvector, coefficients,
-    chain count, largest chain and first position, floats as their bits."""
+    type and text, or the eigenvalue, residual, eigenvector and
+    coefficients, floats as their bits; then its record's chain layout and
+    winner, and with `decisions` its codes and values."""
+    record = _record(entry)
     if isinstance(entry, Exception):
-        return type(entry), str(entry)
-    pair, coeffs, count, largest, first = entry
-    return (pair.value.hex(), pair.residual.hex(), pair.vector.tobytes(),
-            coeffs.tobytes(), count, largest, first)
+        bits = type(entry), str(entry)
+    else:
+        pair, coeffs, _ = entry
+        bits = pair.value.hex(), pair.residual.hex(), pair.vector.tobytes(), coeffs.tobytes()
+    bits += record.firsts.tobytes(), record.sizes.tobytes(), record.winner
+    return bits + ((record.codes.tobytes(), record.values.tobytes()) if decisions else ())
 
 
 def _run_bits(run):
@@ -413,22 +415,42 @@ def _run_bits(run):
     return flow, subspace, outcome.eigen.value.hex(), outcome.q
 
 
-@pytest.mark.parametrize("N", [1, 2, 5, 12])
-def test_many_flow_scan_equals_one_flow_scans(N):
+@pytest.mark.parametrize("N,deferred", [pytest.param(N, None, id=str(N)) for N in (1, 2, 5, 12)]
+                         + [pytest.param(N, (mmax, p), id=f"{mmax}-{N}-{p}")
+                            for mmax, N, p in ((4, 30, 0), (4, 30, 3), (6, 16, 0))])
+def test_many_flow_scan_equals_one_flow_scans(N, deferred):
     # pooling the chains of every pair n <= m <= 10, and of three with
-    # n > m after pairs of their m, by size changes no flow's result in any
-    # bit, with and without zeroed modes
-    flows = SWEEP_FLOWS + [KolmogorovFlow(1, 2), KolmogorovFlow(3, 5), KolmogorovFlow(9, 10)]
-    rng = random.Random(N)
-    for subspace in (COS, SIN, FULL):
-        window = SpectralWindow(N, subspace)
-        for p, zeroed in itertools.product(
-                (0, 3), ([], rng.sample(window_modes(window), 1 if N == 1 else 3))):
-            many = spectral.window_minimum(flows, window, p, zeroed)
-            assert len(many) == len(flows)
-            for flow, entry in zip(flows, many):
-                [one] = spectral.window_minimum([flow], window, p, zeroed)
-                assert _entry_bits(entry) == _entry_bits(one), (flow, subspace, p, zeroed)
+    # n > m after pairs of their m, by size changes no flow's result or
+    # decision in any bit, with and without zeroed modes.  With `deferred`
+    # = (mmax, p), one scan of every pair n <= m <= mmax on a cos window
+    # decides per flow exactly what the flow's one-flow scan does with its
+    # chains of more than 45 modes: every pooled chain of the flow is
+    # solved before they are decided, whatever other flows' chains still
+    # wait with them.  At N=30 every pair has such chains; at N=16, (6,1)'s
+    # decisions rest on its pooled chains.  The pairs alone cannot show
+    # this, since a screen or skip never changes a winner
+    if deferred:
+        mmax, p = deferred
+        flows = [KolmogorovFlow(m, n) for m in range(1, mmax + 1) for n in range(1, m + 1)]
+        cases = [(SpectralWindow(N, COS), p, [])]
+    else:
+        flows = SWEEP_FLOWS + [KolmogorovFlow(1, 2), KolmogorovFlow(3, 5), KolmogorovFlow(9, 10)]
+        rng, cases = random.Random(N), []
+        for subspace in (COS, SIN, FULL):
+            window = SpectralWindow(N, subspace)
+            cases += [(window, p, zeroed) for p, zeroed in itertools.product(
+                (0, 3), ([], rng.sample(window_modes(window), 1 if N == 1 else 3)))]
+    decided = Counter()
+    for window, p, zeroed in cases:
+        many = spectral.window_minimum(flows, window, p, zeroed)
+        assert len(many) == len(flows)
+        for flow, entry in zip(flows, many):
+            [one] = spectral.window_minimum([flow], window, p, zeroed)
+            assert _entry_bits(entry) == _entry_bits(one), (flow, window.subspace, p, zeroed)
+            record = _record(one)
+            decided.update(record.codes[record.sizes > 45].tolist())
+    if deferred:
+        assert decided[BEATEN] and decided[SETTLED] + decided[BOUNDED]
 
 
 @pytest.mark.parametrize("N,subspace", [(4, COS), (12, COS), (7, SIN), (6, FULL)])
@@ -463,74 +485,45 @@ def test_row_does_not_depend_on_its_stack(monkeypatch, N, subspace):
         assert vector.tobytes() == alone.vector.tobytes()
 
 
-def _break_chains(monkeypatch, targets):
-    """Make each chain (flow, subspace, number) in `targets` asymmetric above
-    its diagonal as it is reduced, and record the stacks the value screen
-    gets and those the eigensolve gets, as two lists."""
-    reduce, solve = spectral._reduce, spectral.lowest_eigenpairs
-    screen, screens, stacks = spectral.lowest_eigenvalues, [], []
-    current = follow_grams(monkeypatch)
-
-    def reduce_spy(*args):
-        stack = reduce(*args)
-        chains, positions = current[:2]
-        for slot, number in enumerate(positions):
-            if (chains.flow, chains.window.subspace, number) in targets:
-                stack[slot, 0, -1] += np.max(np.abs(stack[slot]))
-        return stack
-
-    def solve_spy(stack):
-        stacks.append(stack)
-        return solve(stack)
-
-    def screen_spy(stack):
-        screens.append(stack)
-        return screen(stack)
-
-    monkeypatch.setattr(spectral, "_reduce", reduce_spy)
-    monkeypatch.setattr(spectral, "lowest_eigenpairs", solve_spy)
-    monkeypatch.setattr(spectral, "lowest_eigenvalues", screen_spy)
-    return screens, stacks
-
-
 def _asymmetric_counts(stacks):
     """The number of matrices in each stack that differ from their transposes."""
     return [int(np.sum(np.any(stack != stack.swapaxes(1, 2), axis=(1, 2)))) for stack in stacks]
 
 
-def _scanned_sizes(flow, window):
-    """The kept-mode count of each chain a scan of `window` screens or
-    solves, by chain number."""
-    chains = spectral._Chains(flow, window, extended(flow, window))
-    return {number: int(chains.kept[number])
-            for number in np.flatnonzero(~chains.twins() & (chains.kept > 0)).tolist()}
+def _scanned_sizes(record):
+    """The size of each chain that a scan with no zeroed mode screens or
+    solves, by chain number: each chain not a twin."""
+    return {c: int(record.sizes[c]) for c in np.flatnonzero(record.codes != TWIN).tolist()}
 
 
 def test_failing_chain_errors_only_its_own_flow(monkeypatch):
     # the smallest pooled chain of 2 or more modes of (3,2) cos at N=12, and
     # a chain of the same size of another pair, fail the symmetry check in
     # one pooled stack of the value screen: each pair's entry and cosine row
-    # carry its one-flow scan's error, its sine row is its own sine
-    # minimization, and every other entry and row is unchanged
+    # carry its one-flow scan's error, whose record codes the chain FAILED,
+    # its sine row is its own sine minimization, and every other entry and
+    # row is unchanged
     window = SpectralWindow(12, COS)
-    first = KolmogorovFlow(3, 2)
-    d, number = min((d, c) for c, d in _scanned_sizes(first, window).items() if d >= 2)
-    other, other_number = next((flow, c) for flow in SWEEP_FLOWS if flow != first
-                               for c, size in _scanned_sizes(flow, window).items() if size == d)
-    targets = {(first, COS, number), (other, COS, other_number)}
     clean, clean_runs = spectral.window_minimum(SWEEP_FLOWS, window, 3), pipeline.run_sweep(10)
-    screens, stacks = _break_chains(monkeypatch, targets)
+    sizes = {flow: _scanned_sizes(_record(entry)) for flow, entry in zip(SWEEP_FLOWS, clean)}
+    first = KolmogorovFlow(3, 2)
+    d, number = min((d, c) for c, d in sizes[first].items() if d >= 2)
+    other, other_number = next((flow, c) for flow in SWEEP_FLOWS if flow != first
+                               for c, size in sizes[flow].items() if size == d)
+    targets = {(first, COS, number), (other, COS, other_number)}
+    screens, stacks = break_chains(monkeypatch, targets)
     broken = spectral.window_minimum(SWEEP_FLOWS, window, 3)
     asymmetric = _asymmetric_counts(screens)
     assert 2 in asymmetric and asymmetric.count(0) == len(asymmetric) - 1
     assert len(screens[asymmetric.index(2)]) > 2
     # a broken chain that contends fails the eigensolve's check again
     assert sum(_asymmetric_counts(stacks)) <= 2
-    failed = {first, other}
+    failed = {first: number, other: other_number}
     for flow, got, want in zip(SWEEP_FLOWS, broken, clean):
         if flow in failed:
             [alone] = spectral.window_minimum([flow], window, 3)
             assert isinstance(got, ValueError) and str(got) == "matrix is not symmetric"
+            assert got.record.codes[failed[flow]] == FAILED
             assert _entry_bits(got) == _entry_bits(alone)
         else:
             assert _entry_bits(got) == _entry_bits(want)
@@ -591,13 +584,14 @@ def test_slabs_and_stacks_hold_one_shape_within_the_stack_cap(monkeypatch, m, n,
     flow = KolmogorovFlow(m, n)
     window = SpectralWindow(N, subspace)
     scales = [window.laplace ** (-p / 2) for p in (0, 1, 3)]
-    chains = spectral._Chains(flow, window, extended(flow, window))
+    chains = scan_chains(flow, window)
     pooled = 2 * chains.kept ** 2 <= STACK_ENTRIES
     slabs = list(chains.slabs(pooled))
     sizes = [index.shape[1] for _, index, _ in slabs]
     assert sizes == sorted(set(sizes)) and all(d <= 45 for d in sizes)
     firsts, held = {}, []
-    for numbers, index, B in slabs + [([c], *chains.alone(c)) for c in np.flatnonzero(~pooled)]:
+    alone = [([c], *chain_alone(chains, c)) for c in np.flatnonzero(~pooled)]
+    for numbers, index, B in slabs + alone:
         count, d = index.shape
         assert B.shape == (count, d, d) and numbers == sorted(numbers)
         assert not firsts.keys() & set(numbers)
@@ -606,7 +600,7 @@ def test_slabs_and_stacks_hold_one_shape_within_the_stack_cap(monkeypatch, m, n,
         # B and S are exactly symmetric: the eigensolve takes them as they are
         assert np.array_equal(B, B.swapaxes(-1, -2))
         for scale in scales:
-            S = spectral._reduce(B, scale[index])
+            S = reduce_form(B, scale[index])
             assert np.array_equal(S, S.swapaxes(-1, -2))
     # the chains are numbered by first mode, and together hold the window
     assert sorted(firsts) == list(range(len(firsts)))
@@ -669,59 +663,12 @@ def _twins(flow, window, zeroed=()):
                     for t in (number[_image(modes[0], g)[0]] for g in _symmetries(flow)))}
 
 
-def _solved_chains(monkeypatch, flow, **options):
-    """`spy_scan`'s record of the scan `run_minimize` makes (solved,
-    screened, rows, valued), what `window_minimum` returned (one entry),
-    and the result (None if certification fails)."""
-    solved, screened, rows, valued = (record[flow] for record in spy_scan(monkeypatch))
-    winner, result = [], None
-    minimum = pipeline.window_minimum
-
-    def minimum_spy(flows, window, *args):
-        winner.extend(minimum(flows, window, *args))
-        return winner
-
-    monkeypatch.setattr(pipeline, "window_minimum", minimum_spy)
-    try:
-        result = run_minimize(flow, **options)
-    except CertificationError:  # (6,6), (7,6), (7,7) cos at N=12
-        pass
-    monkeypatch.undo()
-    return solved, screened, rows, valued, winner, result
-
-
-def _deferred_skips(flow, window, rows, zeroed=()):
-    """The chains that a one-flow scan at p = 3 whose solved chains have the
-    eigensolve `rows` (see `spy_scan`) skips before their Gram product, as
-    two sets: by weight signs and by weight bounds.  The deferred chains, the
-    non-twin ones of more than 45 kept modes, come after every other
-    chain, the `_Chains.settled` ones last, each in ascending number.  A
-    settled one is skipped once a chain solved before has a negative
-    value; any one whose floor -N - TIE_RTOL d A from `_weight_bounds`
-    lies above low + 2 TIE_RTOL |low| is skipped by weight bounds."""
-    chains = spectral._Chains(flow, window, extended(flow, window),
-                              [window.index_of(mode) for mode in zeroed])
-    deferred = np.flatnonzero(~chains.twins() & (chains.kept > 45)).tolist()
-    negative, total = spectral._weight_bounds(chains, window.laplace ** (-3 / 2))
-    floors = -negative - spectral.TIE_RTOL * chains.kept * total
-    low = min([rows[c][0] for c in rows if c not in deferred], default=np.inf)
-    settled, bounded = set(), set()
-    for c in sorted(deferred, key=lambda c: (chains.settled[c], c)):
-        if chains.settled[c] and low < 0:
-            settled.add(c)
-        elif floors[c] > low + 2 * spectral.TIE_RTOL * abs(low):
-            bounded.add(c)
-        elif c in rows:
-            low = min(low, rows[c][0])
-    return settled, bounded
-
-
-def _dense_kept(grams, window, p, c, zero_at):
-    """Chain c's dense reduced form from the window's `dense_grams`, less the
-    modes at the window positions `zero_at`."""
-    full, B = grams[c]
-    keep = [i for i, at in enumerate(full) if at not in zero_at]
-    return dense_reduced(window, full, B, p)[np.ix_(keep, keep)]
+def _dense_forms(grams, window, p, zeroed=()):
+    """(index, S) of each chain by chain number, less the zeroed modes:
+    the window positions of its kept modes and its dense reduced form,
+    from the window's `dense_grams`."""
+    zero_at = {window.index_of(mode) for mode in zeroed}
+    return [dense_kept(grams, window, p, c, zero_at) for c in range(len(grams))]
 
 
 def _assert_minima_above(chains):
@@ -736,13 +683,63 @@ def _assert_minima_above(chains):
         assert not [label for (label, _, floor), low in zip(group, lowest) if not low > floor]
 
 
-def _assert_above(grams, window, p, chains, value, zeroed=()):
-    """Each of `chains` has its dense reduced minimum, less the zeroed modes,
-    above value + 2 TIE_RTOL |value|: it can neither win nor tie.  `grams`
-    are the window's `dense_grams`."""
-    zero_at = {window.index_of(mode) for mode in zeroed}
-    floor = value + 2 * spectral.TIE_RTOL * abs(value)
-    _assert_minima_above([(c, _dense_kept(grams, window, p, c, zero_at), floor) for c in chains])
+def _ceiling(value):
+    """value + 2 TIE_RTOL |value|: the largest minimum that can still win or
+    tie against `value`."""
+    return value + 2 * TIE_RTOL * abs(value)
+
+
+def _assert_record(flow, window, p, entry, zeroed=(), grams=None):
+    """Check a one-flow scan's entry (pair, coeffs, record), decision by
+    decision, against the dense oracles (`grams`, the window's
+    `dense_grams`, are built if not given), and return its record.
+
+    The record's chains are the oracle's, by first mode and size.  The
+    chains zeroed out, and the twins of earlier chains where neither chain
+    holds a zeroed mode, are coded so.  Only chains of at most 45 kept
+    modes meet the value screen, and only larger ones are skipped by a
+    floor or beaten by Cholesky.  Each solved chain's value is the lowest
+    value of its own dense form solved alone, bit for bit, and the winner's
+    pair is that form's row.  A chain skipped by floor 0 reaches no disc
+    row, and one skipped by its weight bound does; either floor lies above
+    the winner's tie window.  A chain of more than 45 modes is solved only
+    if the lowest value of the flow's pooled chains leaves it a chance to
+    win or tie, and is skipped by floor 0 once a negative winner that
+    reaches a disc row is solved.  Every chain ruled out by a screen or a
+    weight bound has its dense minimum above the winner's tie window.
+    """
+    pair, coeffs, record = entry
+    grams = grams if grams is not None else dense_grams(flow, window)
+    forms = _dense_forms(grams, window, p, zeroed)
+    codes, values = record.codes, record.values
+    assert record.firsts.tolist() == [full[0] for full, _ in grams]
+    assert record.sizes.tolist() == [len(full) for full, _ in grams]
+    kept = np.array([len(index) for index, _ in forms])
+    assert np.array_equal(codes == ZEROED, kept == 0)
+    assert set(np.flatnonzero(codes == TWIN).tolist()) == _twins(flow, window, zeroed)
+    assert set(codes.tolist()) <= {TWIN, ZEROED, SETTLED, BOUNDED, DROPPED, BEATEN, SOLVED}
+    assert (kept[codes == DROPPED] <= 45).all()
+    assert (kept[np.isin(codes, (SETTLED, BOUNDED, BEATEN))] > 45).all()
+    solved = np.flatnonzero(codes == SOLVED)
+    assert np.isnan(np.delete(values, solved)).all()
+    for c in solved:
+        assert values[c].hex() == lowest_pair(forms[c][1]).value.hex(), (flow, c)
+    assert_winner_solved(flow, window, p, pair, coeffs, record, zeroed, grams)
+    chains = scan_chains(flow, window, [window.index_of(mode) for mode in zeroed])
+    negative, total = weight_bounds(chains, window.laplace ** (-p / 2))
+    floors = np.where(chains.settled, 0, -negative - TIE_RTOL * chains.kept * total)
+    assert chains.settled[codes == SETTLED].all() and not chains.settled[codes == BOUNDED].any()
+    assert (floors[np.isin(codes, (SETTLED, BOUNDED))] > _ceiling(pair.value)).all()
+    pooled = values[(codes == SOLVED) & (kept <= 45)]
+    top = _ceiling(pooled.min()) if len(pooled) else np.inf
+    for c in solved[kept[solved] > 45]:
+        assert not floors[c] > top and not spectrum_above(forms[c][1], top, TIE_RTOL), (flow, c)
+    if pair.value < 0 and not chains.settled[record.winner]:
+        deferred = (kept > 45) & ~np.isin(codes, (TWIN, ZEROED))
+        assert (codes[deferred & chains.settled] == SETTLED).all()
+    _assert_minima_above([((flow, c), forms[c][1], _ceiling(pair.value))
+                          for c in np.flatnonzero(np.isin(codes, (BOUNDED, DROPPED, BEATEN)))])
+    return record
 
 
 GROUPED_WINDOWS = ([(m, n, 12, subspace) for m in range(1, 11) for n in range(1, m + 1)
@@ -765,58 +762,28 @@ def _zeroings(flow, window):
             [chains[repeated][0]]]
 
 
-def test_grouped_products_equal_per_chain_products(monkeypatch):
-    # every chain the scan receives, screened by value, solved or screened
-    # out by Cholesky: its reduced matrix as the value screen, the
-    # eigensolve or the Cholesky screen gets it and its Gram product, both
-    # restricted to the modes left after constraints, and the winner's
-    # pair, its chain's row of the eigensolve; those left out are the
-    # chains zeroed entirely, the twins of earlier chains where neither
-    # chain holds a zeroed mode, the settled chains skipped, and the chains
-    # that weight bounds skip, each with its dense minimum above the
-    # winner's value, as has each chain that the value screen drops.
-    # (2,1) cos at N=16 has no pooled chain, and its settled chain 1 of 76
-    # modes is skipped only because it is decided after the chains 0 and 2
-    # that reach a disc row
+def test_grouped_products_equal_per_chain_products():
+    # every decision of the scan on the sweep's windows, on two larger ones
+    # and on windows with zeroed modes and twins, checked by `_assert_record`
+    # against each chain's dense form, its reduced Gram product on the modes
+    # left after constraints: each code but FAILED occurs.  (2,1) cos at
+    # N=16 has no pooled chain, and its settled chain 1 of 76 modes is
+    # skipped only because it is decided after the chains 0 and 2 that
+    # reach a disc row
     cases = [(m, n, N, subspace, [])
              for m, n, N, subspace in GROUPED_WINDOWS + [(2, 1, 16, COS)]]
     for m, n, N, subspace in CONSTRAINED_WINDOWS:
         window = SpectralWindow(N, subspace)
         cases += [(m, n, N, subspace, zeroed)
                   for zeroed in _zeroings(KolmogorovFlow(m, n), window)]
-    bounds = drops = 0
+    decided = Counter()
     for m, n, N, subspace, zeroed in cases:
         flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-        solved, screened, rows, valued, [(pair, coeffs, _, _, first)], _ = _solved_chains(
-            monkeypatch, flow, N=N, subspace=subspace, constraints=zeroed)
-        assert not solved.keys() & screened.keys() and not valued.keys() & screened.keys()
-        # every solved chain of at most 45 kept modes met the value screen first
-        assert {c for c, (_, index, _) in solved.items() if len(index) <= 45} <= valued.keys()
-        seen, dropped = {**valued, **solved, **screened}, valued.keys() - solved.keys()
-        reference = list(per_chain_products(flow, window, 3))
-        best = next(c for c, (full, _, _) in enumerate(reference) if full[0] == first)
-        zero_at = {window.index_of(mode) for mode in zeroed}
-        held = {c for c, (index, _, _) in enumerate(reference) if zero_at & set(index)}
-        gone = {c for c, (index, _, _) in enumerate(reference) if set(index) <= zero_at}
-        twins = _twins(flow, window, zeroed)
-        settled, bounded = _deferred_skips(flow, window, rows, zeroed)
-        assert sorted(seen) == sorted(
-            set(range(len(reference))) - twins - gone - settled - bounded)
-        assert not bounded & (twins | gone | settled)
-        grams = [(full, B) for full, B, _ in reference]
-        _assert_above(grams, window, 3, bounded | dropped, pair.value, zeroed)
-        bounds, drops = bounds + len(bounded), drops + len(dropped)
-        assert held - gone <= seen.keys()
-        assert not gone & seen.keys()
-        for position, (stacked, index, gram) in seen.items():
-            full, B, S = reference[position]
-            keep = [i for i, at in enumerate(full) if at not in zero_at]
-            assert index.tolist() == [full[i] for i in keep]
-            assert np.array_equal(gram, B[np.ix_(keep, keep)])
-            assert np.array_equal(stacked, S[np.ix_(keep, keep)])
-            assert np.array_equal(gram, gram.T) and np.array_equal(stacked, stacked.T)
-        assert_winner_solved(solved, rows, pair, coeffs, best)
-    assert bounds and drops
+        record = _assert_record(flow, window, 3, scan_one(flow, window, 3, zeroed), zeroed)
+        decided.update(record.codes.tolist())
+    assert sorted(decided) == [TWIN, ZEROED, SETTLED, BOUNDED, DROPPED, BEATEN, SOLVED]
+    flow, window = KolmogorovFlow(2, 1), SpectralWindow(16, COS)
+    assert scan_one(flow, window, 3)[2].codes.tolist() == [SOLVED, SETTLED, SOLVED] + [BOUNDED] * 3
 
 
 # (m, n, N, subspace) and the chain count and largest chain the window had
@@ -827,20 +794,17 @@ TWIN_WINDOWS = [((3, 2, 20, COS), 14, 77), ((4, 4, 20, COS), 34, 30),
 
 
 @pytest.mark.parametrize("case,blocks,largest", TWIN_WINDOWS)
-def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, largest):
+def test_skipped_twins_repeat_an_earlier_chain(case, blocks, largest):
     m, n, N, subspace = case
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-    solved, screened, rows, valued, _, res = _solved_chains(monkeypatch, flow, N=N,
-                                                            subspace=subspace)
+    res = run_minimize(flow, N=N, subspace=subspace)
     chains = chain_modes(flow, window)
     products = list(per_chain_products(flow, window, 3))
-    # the chains that the value screen drops are screened, not skipped
-    dropped = valued.keys() - solved.keys()
-    skipped = set(range(len(chains))) - solved.keys() - screened.keys() - dropped
-    settled, bounded = _deferred_skips(flow, window, rows)
-    assert bounded <= skipped and not bounded & settled
-    _assert_above(dense_grams(flow, window), window, 3, bounded | dropped, res.eigen.value)
-    skipped -= settled | bounded
+    # every decision holds against the dense forms: the chains ruled out
+    # by a screen or a floor are not skipped as twins
+    record = _assert_record(flow, window, 3, (res.eigen, res.coeffs, res.record),
+                            grams=[(index, B) for index, B, _ in products])
+    skipped = set(np.flatnonzero(record.codes == TWIN).tolist())
     assert skipped and skipped == _twins(flow, window)
     for c in skipped:
         # some symmetry maps chain c onto an earlier chain t, and carries
@@ -862,23 +826,6 @@ def test_skipped_twins_repeat_an_earlier_chain(monkeypatch, case, blocks, larges
     assert (res.blocks, res.block_dim_max) == (blocks, largest)
 
 
-def _screen_spy(monkeypatch):
-    """Record, by flow and chain number, the kept positions and reduced
-    matrix of each chain that `_FlowScan.beaten` screens out."""
-    current, screened = follow_grams(monkeypatch), defaultdict(dict)
-    beaten = spectral._FlowScan.beaten
-
-    def beaten_spy(self, S):
-        if not beaten(self, S):
-            return False
-        chains, [number], [index], _ = current
-        screened[chains.flow][number] = index, S
-        return True
-
-    monkeypatch.setattr(spectral._FlowScan, "beaten", beaten_spy)
-    return screened
-
-
 def _screen_cases(window):
     """(p, zeroed) of each scan that the screen tests compare against the
     unscreened scan: p = 0 and 3, with no zeroed mode and with 1-3 seeded
@@ -886,6 +833,16 @@ def _screen_cases(window):
     rng = random.Random(window.N)
     return [(p, rng.sample(window_modes(window), count))
             for p, count in itertools.product((0, 3), (0, rng.randint(1, 3)))]
+
+
+def _assert_screened_alike(entry, want):
+    """A scan's entry is, bit for bit, the entry `want` of the scan with its
+    screens off, and every chain it solves is solved there alike."""
+    assert _entry_bits(entry, decisions=False) == _entry_bits(want, decisions=False)
+    record, reference = _record(entry), _record(want)
+    solved = record.codes == SOLVED
+    assert (reference.codes[solved] == SOLVED).all()
+    assert reference.values[solved].tobytes() == record.values[solved].tobytes()
 
 
 # the windows of GROUPED_WINDOWS, each scanned once over all its flows, and
@@ -897,36 +854,28 @@ for _m, _n, _N, _subspace in GROUPED_WINDOWS + [(1, 1, 40, FULL), (2, 1, 40, COS
 
 
 @pytest.mark.parametrize("N,subspace", list(SCREENED_WINDOWS))
-def test_screen_changes_no_entry(monkeypatch, unscreened, N, subspace):
+def test_screen_changes_no_entry(unscreened, N, subspace):
     # with the Cholesky screen and the weight bounds on, every flow's entry
     # is bit for bit the entry of a scan with both off (and the value screen
     # too), which solves every chain that weight signs do not settle; and
-    # each chain screened out has, by the dense oracle, its lowest
+    # each chain coded BEATEN has, by the dense oracle, its lowest
     # eigenvalue above the flow's winning value by more than the tie window
     flows, window = SCREENED_WINDOWS[N, subspace], SpectralWindow(N, subspace)
-    screens, grams = 0, {}
+    beaten, grams = [], {}
     for p, zeroed in _screen_cases(window):
-        screened = _screen_spy(monkeypatch)
         entries = spectral.window_minimum(flows, window, p, zeroed)
-        monkeypatch.undo()
-        zero_at = {window.index_of(mode) for mode in zeroed}
         for flow, entry, want in zip(flows, entries, unscreened(flows, window, p, zeroed)):
-            assert _entry_bits(entry) == _entry_bits(want), (flow, p, zeroed)
-            if not screened[flow]:
+            _assert_screened_alike(entry, want)
+            numbers = np.flatnonzero(_record(entry).codes == BEATEN)
+            if not len(numbers):
                 continue
-            value = entry[0].value
             if flow not in grams:  # B does not depend on p or the zeroed modes
                 grams[flow] = dense_grams(flow, window)
-            for number, (index, S) in screened[flow].items():
-                full, B = grams[flow][number]
-                keep = [i for i, at in enumerate(full) if at not in zero_at]
-                assert index.tolist() == [full[i] for i in keep]
-                dense = dense_reduced(window, full, B, p)
-                lowest = np.linalg.eigvalsh(dense[np.ix_(keep, keep)])[0]
-                assert lowest > value + 2 * spectral.TIE_RTOL * abs(value)
-                screens += 1
+            forms = _dense_forms(grams[flow], window, p, zeroed)
+            beaten += [((flow, p, c), forms[c][1], _ceiling(entry[0].value)) for c in numbers]
+    _assert_minima_above(beaten)
     if N >= 30:
-        assert screens
+        assert beaten
 
 
 def _raised(stack):
@@ -934,7 +883,7 @@ def _raised(stack):
     TIE_RTOL dim max|S|: a values-only solve as far off as the screen may
     find one."""
     values, failures = lowest_eigenvalues(stack)
-    margins = spectral.TIE_RTOL * stack.shape[1] * np.max(np.abs(stack), axis=(1, 2))
+    margins = TIE_RTOL * stack.shape[1] * np.max(np.abs(stack), axis=(1, 2))
     return values + margins / 2, failures
 
 
@@ -943,60 +892,56 @@ def test_value_screen_changes_no_entry(monkeypatch, unscreened, subspace):
     # with the value screen on, every entry of a scan of the sweep's pairs
     # is bit for bit the entry of a scan that eigensolves every pooled chain
     # (with the Cholesky screen and the weight bounds off as well), and so
-    # it is when each screen value lies half its margin above LAPACK's; no
-    # flow decides a chain of more than 45 modes while it still has
-    # contenders, so its `low` there is an eigensolved value, and (3,1)
-    # screens some of its chains by Cholesky against it; and each pooled
-    # chain that the value screen drops has, by the dense oracle, its lowest
-    # eigenvalue above the flow's winning value by more than the tie window.
-    # (6,6), (7,6) and (7,7) have no negative minimum: in cos, (6,6) has
-    # two chains with minima at rounding level, -1.4e-10 and 0 at p = 0,
-    # whose raised screen values come in the opposite order
-    window, grams, pooled, screens = SpectralWindow(12, subspace), {}, 0, 0
-    ceiling, above = spectral._FlowScan.ceiling, {}
-
-    def ceiling_spy(self):
-        assert not self.contenders
-        return ceiling(self)
-
+    # it is when each screen value lies half its margin above LAPACK's; a
+    # flow's chains of more than 45 modes are decided against the
+    # eigensolved values of its pooled chains (`_assert_record`), and (3,1)
+    # beats some of its chains by Cholesky against them; and each pooled
+    # chain coded DROPPED has, by the dense oracle, its lowest eigenvalue
+    # above the flow's winning value by more than the tie window.  (6,6),
+    # (7,6) and (7,7) have no negative minimum: in cos, (6,6) has two
+    # chains with minima at rounding level, -1.4e-10 and 0 at p = 0, whose
+    # raised screen values come in the opposite order
+    window, grams, forms, pooled, above = SpectralWindow(12, subspace), {}, {}, 0, {}
+    beaten = Counter()
     for (case, (p, zeroed)), raised in itertools.product(enumerate(_screen_cases(window)),
                                                          (False, True)):
-        solved, screened, _, valued = spy_scan(monkeypatch)
-        monkeypatch.setattr(spectral._FlowScan, "ceiling", ceiling_spy)
         if raised:
             monkeypatch.setattr(spectral, "lowest_eigenvalues", _raised)
         entries = spectral.window_minimum(SWEEP_FLOWS, window, p, zeroed)
         monkeypatch.undo()
-        zero_at = {window.index_of(mode) for mode in zeroed}
         for flow, entry, want in zip(SWEEP_FLOWS, entries,
                                      unscreened(SWEEP_FLOWS, window, p, zeroed)):
-            assert _entry_bits(entry) == _entry_bits(want), (flow, p, zeroed, raised)
-            if flow not in grams:  # B does not depend on p or the zeroed modes
-                grams[flow] = dense_grams(flow, window)
-            floor = entry[0].value + 2 * spectral.TIE_RTOL * abs(entry[0].value)
-            for number in valued[flow].keys() - solved[flow].keys():
-                if (case, flow, number) not in above:
-                    above[case, flow, number] = (
-                        _dense_kept(grams[flow], window, p, number, zero_at), floor)
-            pooled += 0 if raised else len(valued[flow])
-            screens += len(screened[flow])
+            _assert_screened_alike(entry, want)
+            record = _record(entry)
+            if not raised:
+                if flow not in grams:  # B does not depend on p or the zeroed modes
+                    grams[flow] = dense_grams(flow, window)
+                forms[flow] = _dense_forms(grams[flow], window, p, zeroed)
+                if record.sizes.max() > 45:
+                    _assert_record(flow, window, p, entry, zeroed, grams[flow])
+                kept = np.array([len(index) for index, _ in forms[flow]])
+                pooled += np.count_nonzero(np.isin(record.codes, (DROPPED, SOLVED)) & (kept <= 45))
+            for number in np.flatnonzero(record.codes == DROPPED).tolist():
+                above.setdefault((case, flow, number),
+                                 (forms[flow][number][1], _ceiling(entry[0].value)))
+            beaten[flow] += np.count_nonzero(record.codes == BEATEN)
     _assert_minima_above([(label, S, floor) for label, (S, floor) in above.items()])
-    assert screens and len(above) > 0.95 * pooled
+    assert beaten[KolmogorovFlow(3, 1)] and len(above) > 0.95 * pooled
 
 
 def test_screen_keeps_the_symmetry_check(monkeypatch):
-    # a chain of more than 45 modes that the screen skips, made asymmetric
+    # a chain of more than 45 modes that the screen beats, made asymmetric
     # above its diagonal only, which Cholesky does not read, still ends its
-    # flow with the eigensolve's symmetry error
+    # flow with the eigensolve's symmetry error, and is coded FAILED
     flow, window = KolmogorovFlow(3, 2), SpectralWindow(40, COS)
-    screened = spy_scan(monkeypatch)[1][flow]
-    scan_one(flow, window, 3)
-    monkeypatch.undo()
-    number, (S, _, _) = max(screened.items())
+    number = int(np.flatnonzero(scan_one(flow, window, 3)[2].codes == BEATEN).max())
+    index, S = dense_kept(dense_grams(flow, window), window, 3, number, set())
     assert len(S) > 45
-    _, stacks = _break_chains(monkeypatch, {(flow, COS, number)})
-    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+    _, stacks = break_chains(monkeypatch, {(flow, COS, number)})
+    with pytest.raises(ValueError, match="^matrix is not symmetric$") as error:
         scan_one(flow, window, 3)
+    monkeypatch.undo()
+    assert error.value.record.codes[number] == FAILED
     [broken] = [stack[0] for stack in stacks if not np.array_equal(stack, stack.swapaxes(1, 2))]
     assert np.array_equal(np.tril(broken), np.tril(S)) and not np.array_equal(broken, S)
 
@@ -1004,73 +949,50 @@ def test_screen_keeps_the_symmetry_check(monkeypatch):
 def test_value_screen_keeps_the_symmetry_check(monkeypatch):
     # the last pooled chain that the value screen drops, made asymmetric
     # above its diagonal only, which the values-only solve does not read,
-    # still ends its flow with the symmetry error, though it is still
-    # dropped and never eigensolved
+    # still ends its flow with the symmetry error, and is coded FAILED,
+    # though it is still dropped and never eigensolved
     flow, window = KolmogorovFlow(3, 2), SpectralWindow(12, COS)
-    solved, _, _, valued = (record[flow] for record in spy_scan(monkeypatch))
-    scan_one(flow, window, 3)
-    monkeypatch.undo()
-    number = max(valued.keys() - solved.keys())
-    S = valued[number][0]
-    screens, stacks = _break_chains(monkeypatch, {(flow, COS, number)})
-    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+    number = int(np.flatnonzero(scan_one(flow, window, 3)[2].codes == DROPPED).max())
+    _, S = dense_kept(dense_grams(flow, window), window, 3, number, set())
+    screens, stacks = break_chains(monkeypatch, {(flow, COS, number)})
+    with pytest.raises(ValueError, match="^matrix is not symmetric$") as error:
         scan_one(flow, window, 3)
+    monkeypatch.undo()
+    assert error.value.record.codes[number] == FAILED
     [broken] = [T for stack in screens for T in stack if not np.array_equal(T, T.T)]
     assert np.array_equal(np.tril(broken), np.tril(S)) and not np.array_equal(broken, S)
     assert stacks and _asymmetric_counts(stacks) == [0] * len(stacks)
 
 
-def _tilted(eigh, target):
-    """`np.linalg.eigh` that reports the lowest eigenvalue of the matrix
-    `target` 1e-6 max|S| too high, so that its residual fails the check."""
-    def tilted(stack):
-        values, vectors = eigh(stack)
-        for i, S in enumerate(stack):
-            if S.tobytes() == target.tobytes():
-                values[i, 0] += 1e-6 * np.max(np.abs(S))
-        return values, vectors
-    return tilted
-
-
 def test_failing_contender_errors_only_its_own_flow(monkeypatch):
     # a contender that does not win its flow, solved in one stack with
     # other flows' contenders, fails the residual check: its flow's entry
-    # is its one-flow scan's error, and every other entry is unchanged
+    # is its one-flow scan's error, whose record codes the contender
+    # FAILED, and every other entry is unchanged
     window = SpectralWindow(12, COS)
-    solved, _, _, valued = spy_scan(monkeypatch)
     stacks, solve = [], spectral.lowest_eigenpairs
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: stacks.append(stack) or solve(stack))
     clean = spectral.window_minimum(SWEEP_FLOWS, window, 3)
     monkeypatch.undo()
-    owner = {solved[flow][c][0].tobytes(): (flow, c) for flow in SWEEP_FLOWS
-             for c in valued[flow].keys() & solved[flow].keys()}
-    winners = {flow: int(spectral._Chains(flow, window, extended(flow, window)).chain[entry[4]])
-               for flow, entry in zip(SWEEP_FLOWS, clean)}
+    owner = {}
+    for flow, (_, _, record) in zip(SWEEP_FLOWS, clean):
+        forms = _dense_forms(dense_grams(flow, window), window, 3)
+        for c in np.flatnonzero((record.codes == SOLVED) & (record.sizes <= 45)).tolist():
+            owner[forms[c][1].tobytes()] = flow, c, record.winner
     shared = [[owner[S.tobytes()] + (S,) for S in stack] for stack in stacks
               if stack.shape[1] <= 45 and len({owner[S.tobytes()][0] for S in stack}) > 1]
-    flow, _, target = next(row for stack in shared for row in stack if row[1] != winners[row[0]])
-    monkeypatch.setattr(np.linalg, "eigh", _tilted(np.linalg.eigh, target))
+    flow, number, _, target = next(row for stack in shared for row in stack if row[1] != row[2])
+    monkeypatch.setattr(np.linalg, "eigh", tilted(np.linalg.eigh, target))
     broken = spectral.window_minimum(SWEEP_FLOWS, window, 3)
     [alone] = spectral.window_minimum([flow], window, 3)
     monkeypatch.undo()
     for other, got, want in zip(SWEEP_FLOWS, broken, clean):
         if other == flow:
-            assert isinstance(got, ConvergenceError)
+            assert isinstance(got, ConvergenceError) and got.record.codes[number] == FAILED
             assert str(got).startswith("residual ") and _entry_bits(got) == _entry_bits(alone)
         else:
             assert _entry_bits(got) == _entry_bits(want)
-
-
-def _unsettle(monkeypatch):
-    """Make `_Chains` mark no chain settled until the patch is undone."""
-    init = spectral._Chains.__init__
-
-    def init_spy(self, *args):
-        init(self, *args)
-        self.settled = np.zeros_like(self.settled)
-
-    monkeypatch.setattr(spectral._Chains, "__init__", init_spy)
 
 
 def test_settled_chains_reach_no_disc_row():
@@ -1090,7 +1012,7 @@ def test_settled_chains_reach_no_disc_row():
         window = SpectralWindow(rng.randint(1, 14), rng.choice((COS, SIN, FULL)))
         zeroed = rng.sample(window_modes(window), min(rng.randint(0, 5), len(window) - 1))
         zero_at = [window.index_of(mode) for mode in zeroed]
-        settled = spectral._Chains(flow, window, extended(flow, window), zero_at).settled
+        settled = scan_chains(flow, window, zero_at).settled
         grams = dense_grams(flow, window)
         assert settled.shape == (len(grams),)
         for c, (index, B) in enumerate(grams):
@@ -1129,10 +1051,10 @@ def test_weight_bounds_hold_on_every_chain():
         flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
         zeroed = rng.sample(window_modes(window), min(rng.randint(0, 4), len(window) - 1))
         zero_at = {window.index_of(mode) for mode in zeroed}
-        chains = spectral._Chains(flow, window, extended(flow, window), sorted(zero_at))
+        chains = scan_chains(flow, window, sorted(zero_at))
         grams = dense_grams(flow, window)
         for p in (0, 3):
-            negative, total = spectral._weight_bounds(chains, window.laplace ** (-p / 2))
+            negative, total = weight_bounds(chains, window.laplace ** (-p / 2))
             assert negative.shape == total.shape == (len(grams),)
             assert not negative[chains.settled].any()
             for c, (full, B) in enumerate(grams):
@@ -1150,22 +1072,15 @@ def test_weight_bounds_hold_on_every_chain():
 
 
 @pytest.mark.parametrize("m,n,N,count", [(3, 1, 30, 4), (4, 3, 40, 6)])
-def test_weight_bounds_skip_chains_before_their_gram_product(monkeypatch, m, n, N, count):
+def test_weight_bounds_skip_chains_before_their_gram_product(m, n, N, count):
     # at p = 3 the weight floors of `count` chains of more than 45 modes
     # (on (3,1), -0.155 to -0.0099 against a minimum of -0.291) lie above
-    # any minimum that can win or tie: the scan neither solves nor screens
-    # them, though weight signs do not settle them, and each one's dense
-    # minimum lies above the winning value
+    # any minimum that can win or tie: the scan codes them BOUNDED, neither
+    # solved nor screened, though weight signs do not settle them, and each
+    # one's dense minimum lies above the winning value (`_assert_record`)
     flow, window = KolmogorovFlow(m, n), SpectralWindow(N, COS)
-    solved, screened, rows, _ = (record[flow] for record in spy_scan(monkeypatch))
-    pair = scan_one(flow, window, 3)[0]
-    monkeypatch.undo()
-    chains = spectral._Chains(flow, window, extended(flow, window))
-    deferred = set(np.flatnonzero(~chains.twins() & (chains.kept > 45)).tolist())
-    settled, bounded = _deferred_skips(flow, window, rows)
-    skipped = deferred - solved.keys() - screened.keys() - settled
-    assert len(skipped) == count and skipped == bounded
-    _assert_above(dense_grams(flow, window), window, 3, skipped, pair.value)
+    record = _assert_record(flow, window, 3, scan_one(flow, window, 3))
+    assert np.count_nonzero(record.codes == BOUNDED) == count
 
 
 def _outcome(res):
@@ -1181,7 +1096,8 @@ def test_weight_screen_changes_no_verdict(monkeypatch):
     # seeded sweeps and minimizations, with zeroed modes, give what a scan
     # that marks no chain settled gives, bit for bit, except where q >= 0
     # on both sides: a degenerate minimum at rounding level, whose float
-    # winner may be a PSD chain; and the screen skips Gram products
+    # winner may be a PSD chain; and the screen skips chains before their
+    # Gram products, coded SETTLED, which the other scan never does
     rng = random.Random(31)
     runs = [dict(mmax=rng.randint(1, 8), N=rng.randint(1, 16), p=rng.randint(0, 4))
             for _ in range(5)] + [dict(mmax=2, N=12, p=3)]
@@ -1194,27 +1110,28 @@ def test_weight_screen_changes_no_verdict(monkeypatch):
     runs.append(dict(flow=KolmogorovFlow(1, 1), N=20))
 
     def outcomes():
-        grams, gram, found = [], spectral._gram, []
-        monkeypatch.setattr(spectral, "_gram", lambda *args: grams.append(1) or gram(*args))
+        found, settled = [], 0
         for options in runs:
             if "mmax" in options:
-                found.append([_outcome(res) for _, _, res in pipeline.run_sweep(**options)])
-                continue
-            try:
-                found.append([_outcome(run_minimize(**options))])
-            except Exception as error:  # every outcome is compared, failures too
-                found.append([_outcome(error)])
-        monkeypatch.undo()
-        return found, len(grams)
+                results = [res for _, _, res in pipeline.run_sweep(**options)]
+            else:
+                try:
+                    results = [run_minimize(**options)]
+                except Exception as error:  # every outcome is compared, failures too
+                    results = [error]
+            found.append([_outcome(res) for res in results])
+            settled += sum(np.count_nonzero(res.record.codes == SETTLED)
+                           for res in results if hasattr(res, "record"))
+        return found, settled
 
-    screened, screened_grams = outcomes()
-    _unsettle(monkeypatch)
-    unscreened, unscreened_grams = outcomes()
+    screened, settled = outcomes()
+    unsettle(monkeypatch)
+    unscreened, unsettled = outcomes()
     for options, got, want in zip(runs, screened, unscreened):
         assert len(got) == len(want)
         for (a, a_open), (b, b_open) in zip(got, want):
             assert a == b or (a_open and b_open), options
-    assert screened_grams < unscreened_grams
+    assert settled and not unsettled
 
 
 @pytest.mark.parametrize("N,p", [(5, 3), (11, 0)])
@@ -1222,26 +1139,26 @@ def test_flow_with_no_negative_minimum_solves_its_settled_chains(monkeypatch, N,
     # (1,1) cos: at N=5 every chain shares a stack, and the winner, of about
     # +3.5e-18, is a chain that reaches no disc row; at N=11 the chain that
     # reaches one ends >= 0, so the settled chains of 84 and 72 modes are
-    # solved after it, and one of them wins.  Either entry is the entry of
-    # a scan that marks no chain settled, bit for bit
+    # solved after it, and one of them wins.  Either entry is the entry of a
+    # scan that marks no chain settled, bit for bit
     flow, window = KolmogorovFlow(1, 1), SpectralWindow(N, COS)
-    chains = spectral._Chains(flow, window, extended(flow, window))
-    solved = spy_scan(monkeypatch)[0][flow]
+    settled = scan_chains(flow, window).settled
     entry = scan_one(flow, window, p)
-    monkeypatch.undo()
-    _unsettle(monkeypatch)
-    assert _entry_bits(entry) == _entry_bits(scan_one(flow, window, p))
-    winner = int(chains.chain[entry[4]])
-    assert chains.settled[winner] and winner in solved
-    assert (len(solved[winner][1]) > 45) == (N == 11)
+    unsettle(monkeypatch)
+    assert _entry_bits(entry, decisions=False) == _entry_bits(scan_one(flow, window, p),
+                                                              decisions=False)
+    record = entry[2]
+    assert settled[record.winner] and record.codes[record.winner] == SOLVED
+    assert (record.sizes[record.winner] > 45) == (N == 11)
 
 
-# skipped_sizes: the sizes of the chains skipped by weight signs, and by weight bounds
-@pytest.mark.parametrize("m,n,subspace,screened_sizes,skipped_sizes", [
-    (3, 2, COS, {12: 60}, ({}, {9: 70})),
-    (2, 2, FULL, {3: 55}, ({4: 60, 5: 60, 18: 50, 19: 50}, {2: 55}))])
-def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, screened_sizes,
-                                                 skipped_sizes):
+# the sizes of some chains that the screen beats, and of every chain skipped
+# by weight signs and by weight bounds
+@pytest.mark.parametrize("m,n,subspace,beaten,settled,bounded", [
+    (3, 2, COS, {12: 60}, {}, {9: 70}),
+    (2, 2, FULL, {3: 55}, {4: 60, 5: 60, 18: 50, 19: 50}, {2: 55})])
+def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, beaten, settled,
+                                                 bounded):
     # two chains of more than 45 modes exceed STACK_ENTRIES, so each such
     # chain is reduced after every pooled stack is solved, and solved alone
     # unless weight bounds or the screen show that it can neither win nor
@@ -1251,58 +1168,24 @@ def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, sc
     # the weight bounds those of 55-70 modes, each before its Gram product
     flow, window = KolmogorovFlow(m, n), SpectralWindow(20, subspace)
     assert 2 * 45 ** 2 <= STACK_ENTRIES < 2 * 46 ** 2
-    solved, screened, rows, _ = (record[flow] for record in spy_scan(monkeypatch))
     shapes, solve = [], spectral.lowest_eigenpairs
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: shapes.append(stack.shape) or solve(stack))
-    pair = scan_one(flow, window, 3)[0]
+    entry = scan_one(flow, window, 3)
     monkeypatch.undo()
-    sizes = {number: len(index) for number, (_, index, _) in {**solved, **screened}.items()}
-    assert {number: len(screened[number][1]) for number in screened_sizes} == screened_sizes
-    chains = spectral._Chains(flow, window, extended(flow, window))
-    settled, bounded = _deferred_skips(flow, window, rows)
-    assert [{number: int(chains.sizes[number]) for number in skips}
-            for skips in (settled, bounded)] == list(skipped_sizes)
-    assert not bounded & sizes.keys()
-    _assert_above(dense_grams(flow, window), window, 3, bounded, pair.value)
-    skips = settled | bounded
+    record = _assert_record(flow, window, 3, entry)
+    assert {c: int(record.sizes[c]) for c in beaten} == beaten
+    assert (record.codes[list(beaten)] == BEATEN).all()
+    assert [{c: int(record.sizes[c]) for c in np.flatnonzero(record.codes == code).tolist()}
+            for code in (SETTLED, BOUNDED)] == [settled, bounded]
     # every stack of chains of more than 45 modes holds one, and comes last
     large = [d > 45 for _, d, _ in shapes]
     assert large == sorted(large)
     assert all(count == 1 for count, d, _ in shapes if d > 45)
-    # every non-twin chain of more than 45 modes is solved, screened out or skipped
-    wanted = np.flatnonzero(~chains.twins() & (chains.sizes > 45)).tolist()
-    assert sorted(number for number, size in sizes.items() if size > 45) == sorted(
-        set(wanted) - skips)
-
-
-@pytest.mark.parametrize("mmax,N,p", [(4, 30, 0), (4, 30, 3), (6, 16, 0)])
-def test_deferred_decisions_do_not_depend_on_the_flows_scanned_with_them(monkeypatch, mmax,
-                                                                         N, p):
-    # one scan of every pair n <= m <= mmax on a cos window solves, screens
-    # out and skips per flow exactly the chains of more than 45 modes that
-    # the flow's one-flow scan does: every pooled chain of the flow is
-    # solved before its deferred chains are decided, whatever other flows'
-    # chains still wait with it.  At N=30 every pair has such chains; at
-    # N=16, (6,1)'s decisions rest on its pooled chains.  The entries alone
-    # cannot show this, since a screen or skip never changes a winner
-    flows = [KolmogorovFlow(m, n) for m in range(1, mmax + 1) for n in range(1, m + 1)]
-    window = SpectralWindow(N, COS)
-    solved, screened, _, _ = spy_scan(monkeypatch)
-    spectral.window_minimum(flows, window, p)
-    monkeypatch.undo()
-    skips = screens = 0
-    for flow in flows:
-        alone, alone_screened, _, _ = (record[flow] for record in spy_scan(monkeypatch))
-        scan_one(flow, window, p)
-        monkeypatch.undo()
-        assert (sorted(solved[flow]), sorted(screened[flow])) == (
-            sorted(alone), sorted(alone_screened)), flow
-        chains = spectral._Chains(flow, window, extended(flow, window))
-        deferred = set(np.flatnonzero(~chains.twins() & (chains.kept > 45)).tolist())
-        skips += len(deferred - alone.keys() - alone_screened.keys())
-        screens += len(alone_screened)
-    assert skips and screens
+    # every non-twin chain of more than 45 modes is solved, beaten or skipped
+    deferred = record.codes[(record.sizes > 45) & (record.codes != TWIN)]
+    assert set(deferred.tolist()) <= {SOLVED, BEATEN, SETTLED, BOUNDED}
+    assert sum(d > 45 for _, d, _ in shapes) == np.count_nonzero(deferred == SOLVED)
 
 
 def test_first_listed_failing_block_raises_its_error(monkeypatch):
@@ -1317,12 +1200,13 @@ def test_first_listed_failing_block_raises_its_error(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"tol=1\.0e-300\)$") as want:
         lowest_pair(a + a.T)
     with pytest.raises(ConvergenceError) as got:
-        _scan(monkeypatch, [([0, 2, 3], np.zeros((3, 2), dtype=int), pairs),
-                            ([1], np.zeros((1, 3), dtype=int), (a + a.T)[None])])
+        hand_built_scan(monkeypatch, [([0, 2, 3], np.zeros((3, 2), dtype=int), pairs),
+                                      ([1], np.zeros((1, 3), dtype=int), (a + a.T)[None])])
     assert str(got.value) == str(want.value)
-    monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 1e-300)  # `_scan` undid it
+    assert got.value.record.codes[1] == FAILED
+    monkeypatch.setattr(eigensolve, "RESIDUAL_TOL", 1e-300)  # `hand_built_scan` undid it
     with pytest.raises(ValueError, match="matrix is not symmetric"):
-        _scan(monkeypatch, [([0, 1], np.zeros((2, 2), dtype=int), pairs[1:])])
+        hand_built_scan(monkeypatch, [([0, 1], np.zeros((2, 2), dtype=int), pairs[1:])])
 
 
 @pytest.mark.parametrize("m,n,options,dim", [(3, 2, {}, 15),

@@ -9,14 +9,15 @@ import pytest
 
 from kolmconj import spectral
 from kolmconj.pipeline import run_minimize
-from kolmconj.spectral import (FULL, SUBSPACES, CertificationError, SpectralWindow, _extended,
-                               _reduce, certify_candidate, window_minimum)
+from kolmconj.spectral import (FULL, SUBSPACES, CertificationError, SpectralWindow,
+                               certify_candidate, window_minimum)
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, canonicalize, misiolek_index)
 
-from conftest import (assert_winner_solved, bracket_matrix, chain_brackets, extended,
-                      form_value, gram_blocks, reference_bracket_sums, reference_pairing,
-                      reference_poly, scan_one, spy_scan, window_modes, window_values)
+from conftest import (assert_winner_solved, bracket_matrix, extended, extended_window,
+                      form_value, gram_blocks, numerators, reduce_form, reference_bracket_sums,
+                      reference_pairing, reference_poly, scan_chains, scan_one, window_modes,
+                      window_values)
 
 
 def zeta32_field():
@@ -174,7 +175,7 @@ class TestBracketMatrix:
             flow = KolmogorovFlow(m, n)
             for N in range(1, 6):
                 win = SpectralWindow(N, parity)
-                ext = _extended(flow, win)
+                ext = extended_window(flow, win)
                 assert ext.subspace == parity
                 for mode in window_modes(win):
                     field = (TrigPoly.cosine if parity == COS else TrigPoly.sine)(mode.j, mode.k)
@@ -227,23 +228,18 @@ class TestQuadForm:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def checked_minimum(monkeypatch, flow, window, p, zeroed=()):
-    """A one-flow `window_minimum`'s result and the reduced matrix of its
-    winning chain as solved, once `assert_winner_solved` holds for them."""
-    seen, _, rows, _ = (record[flow] for record in spy_scan(monkeypatch))
-    result = scan_one(flow, window, p, zeroed)
-    monkeypatch.undo()
-    number = next(c for c, (index, _, _) in enumerate(chain_brackets(flow, window))
-                  if index[0] == result[4])
-    assert_winner_solved(seen, rows, result[0], result[1], number)
-    return result, seen[number][0]
+def checked_minimum(flow, window, p, zeroed=()):
+    """A one-flow `window_minimum`'s entry and the dense reduced form of its
+    winning chain, once `assert_winner_solved` holds for them."""
+    entry = scan_one(flow, window, p, zeroed)
+    return entry, assert_winner_solved(flow, window, p, *entry, zeroed)
 
 
 class TestReduceConstrain:
     def test_p_zero_identity(self):
         win = SpectralWindow(4, COS)
         for index, B in gram_blocks(KolmogorovFlow(2, 1), win):
-            assert np.array_equal(_reduce(B, win.laplace[index] ** 0.0), B)
+            assert np.array_equal(reduce_form(B, win.laplace[index] ** 0.0), B)
 
     def test_unit_weight_mode_unchanged(self):
         win = SpectralWindow(4, COS)
@@ -252,7 +248,7 @@ class TestReduceConstrain:
                         if i in index]
         at = index.tolist().index(i)
         # D^{-p/2} at p = 2
-        assert _reduce(B, win.laplace[index] ** -1.0)[at, at] == B[at, at]
+        assert reduce_form(B, win.laplace[index] ** -1.0)[at, at] == B[at, at]
 
     def test_sign_independent_of_p(self):
         win = SpectralWindow(8, COS)
@@ -260,14 +256,15 @@ class TestReduceConstrain:
                  for p in (0, 1, 2, 3)}
         assert signs == {True}
 
-    def test_constrain_empty_is_identity(self, monkeypatch):
+    def test_constrain_empty_is_identity(self):
         flow, win = KolmogorovFlow(2, 1), SpectralWindow(3, COS)
-        (pair, r, *counts), S = checked_minimum(monkeypatch, flow, win, 3)
-        (c_pair, c, *c_counts), c_S = checked_minimum(monkeypatch, flow, win, 3, [])
+        (pair, r, record), S = checked_minimum(flow, win, 3)
+        (c_pair, c, c_record), c_S = checked_minimum(flow, win, 3, [])
         assert c_pair.value == pair.value and np.array_equal(c_pair.vector, pair.vector)
         assert np.array_equal(c_S, S)
         assert np.array_equal(c, r)
-        assert c_counts == counts
+        assert ([np.asarray(field).tobytes() for field in c_record]
+                == [np.asarray(field).tobytes() for field in record])
 
     def test_constrain_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="outside the window"):
@@ -279,10 +276,9 @@ class TestReduceConstrain:
         with pytest.raises(ValueError, match="every mode"):
             scan_one(KolmogorovFlow(2, 1), win, 3, list(window_modes(win)))
 
-    def test_diag22_constrained_minimizer_shape(self, monkeypatch):
+    def test_diag22_constrained_minimizer_shape(self):
         win = SpectralWindow(8, COS)
-        (_, coeffs, *_), _ = checked_minimum(monkeypatch, KolmogorovFlow(2, 2), win, 3,
-                                             [Mode(0, 1, COS)])
+        (_, coeffs, _), _ = checked_minimum(KolmogorovFlow(2, 2), win, 3, [Mode(0, 1, COS)])
         assert win.modes_at([np.argmax(np.abs(coeffs))]) == (Mode(1, 0, COS),)
         assert coeffs[win.index_of(Mode(0, 1, COS))] == 0.0
 
@@ -407,9 +403,9 @@ def test_numerators_round_as_fractions_do():
     edges = [x for t in (0.4 / D, 0.5 / D)
              for x in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0))]
     xs += edges + [-x for x in edges] + [0.0, -0.0, 1.0, -1.0]
-    at, numerators = spectral._numerators(np.array(xs))
-    got = dict(zip(at.tolist(), numerators))
-    assert all(type(c) is int for c in numerators)
+    at, rounded = numerators(np.array(xs))
+    got = dict(zip(at.tolist(), rounded))
+    assert all(type(c) is int for c in rounded)
     assert [got.get(i, 0) for i in range(len(xs))] == [round(F(x) * D) for x in xs]
     assert (got[xs.index(1 / 2 ** 7)], got[xs.index(3 / 2 ** 7)]) == (7812, 23438)
     assert got[xs.index(math.nextafter(0.5 / D, 1.0))] == 1
@@ -464,8 +460,7 @@ def _integer_index(flow, window, field, zeroed=()):
     """Q = MI/pi^2 of `field`, summed in Python ints from `_Chains`' integer
     table: Q = sum_r w_r (sum_t (4L)_rt a_t)^2 / (8 * 10^12), a_t the field's
     numerators over 10^6."""
-    chains = spectral._Chains(flow, window, extended(flow, window),
-                              [window.index_of(mode) for mode in zeroed])
+    chains = scan_chains(flow, window, [window.index_of(mode) for mode in zeroed])
     a = [0] * len(window)
     for mode, c in field.terms.items():
         a[window.index_of(mode)] = int(c * 10 ** 6)
