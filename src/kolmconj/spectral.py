@@ -23,8 +23,9 @@ FULL = "full"
 SUBSPACES = (COS, SIN, FULL)
 # two block minima this close, relative to the larger, are a tie
 TIE_RTOL = 1e-12
-# one stacked LAPACK call holds at most this many matrix entries, so chains of
-# more than 45 modes share no stack, and each is decided alone
+# one values-only screen stack holds at most this many matrix entries; two
+# chains of more than 45 modes exceed it, so such a chain is not pooled, and
+# each is decided alone
 STACK_ENTRIES = 4096
 # certification rounds each scaled coefficient to an integer over this
 MAX_DENOMINATOR = 10 ** 6
@@ -320,12 +321,14 @@ class _FlowScan:
     `codes` and `values` are the flow's `ScanRecord` as far as the scan has
     decided, 0 for a chain not yet decided.  `contenders` maps each pooled
     chain that the value screen (`contend`) has not ruled out to (screen
-    value less margin, index, S) until `_settle` solves them, and `bound`
-    is the lowest screen value plus its margin.  `solved` maps each solved
-    chain's number to its row of the stacked eigensolve, (value, index,
-    vector, residual), `failures` each failing chain's number to its error,
-    and `low` is the lowest solved value so far.  No reduced matrix is kept
-    once solved.
+    value less margin, index, S) until `_settle` solves them, once every
+    flow's pooled chains are screened, and `bound` is the lowest screen
+    value plus its margin.  `solved` maps each solved chain's number
+    to its row of the stacked eigensolve, (value, index, vector, residual),
+    `failures` each failing chain's number to its error, and `low` is the
+    lowest solved value so far: once `_settle` returns, the lowest of the
+    flow's contenders, against which its chains of more than 45 modes are
+    decided.  No reduced matrix is kept once solved.
     """
 
     def __init__(self, chains: _Chains):
@@ -335,16 +338,6 @@ class _FlowScan:
         self.layout = chains.firsts, chains.sizes
         self.solved, self.failures, self.low = {}, {}, float("inf")
         self.contenders, self.bound = {}, float("inf")
-
-    def ceiling(self) -> float:
-        """The largest minimum that can still win or tie against `low`."""
-        return _ceiling(self.low)
-
-    def beaten(self, S: np.ndarray) -> bool:
-        """True if reduced chain S can neither win nor tie: one Cholesky
-        factorization puts its spectrum above `ceiling`, by TIE_RTOL dim
-        max|S|.  False while the flow has no `low`: the floor is not finite."""
-        return spectrum_above(S, self.ceiling(), TIE_RTOL)
 
     def contend(self, number: int, index: np.ndarray, S: np.ndarray, value: float,
                 margin: float) -> None:
@@ -421,26 +414,16 @@ def _screen(batch: List[tuple]) -> None:
         scan.contend(number, index, S, value, margin)
 
 
-def _flush(waiting: dict) -> None:
-    """Screen every pooled batch still waiting, by size, and empty `waiting`."""
-    for batch in waiting.values():
-        if batch:
-            _screen(batch)
-    waiting.clear()
-
-
 def _settle(scans: Sequence[_FlowScan]) -> None:
-    """Solve the contenders of `scans`, pooled by size, each flow's in
-    ascending number, and drop their matrices."""
+    """Solve the contenders of `scans` in one stacked eigensolve per size,
+    each flow's in ascending number, and drop their matrices."""
     pooled = {}
     for scan in scans:
         for number, (_, index, S) in sorted(scan.contenders.items()):
             pooled.setdefault(len(S), []).append((scan, number, index, S))
         scan.contenders = {}
-    for d, batch in sorted(pooled.items()):
-        step = STACK_ENTRIES // (d * d)
-        for start in range(0, len(batch), step):
-            _solve(batch[start:start + step])
+    for d in sorted(pooled):
+        _solve(pooled[d])
 
 
 def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: int,
@@ -449,25 +432,24 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     """Lowest eigenpair over the reduced bracket chains of `window`, for each flow.
 
     Each chain is decided once, and its decision goes into its flow's
-    `ScanRecord` under the code named here.  Chains ZEROED out and the
-    TWINs of earlier chains drop out.  A flow's other chains of at most 45
-    kept modes go through one Gram product (`_Chains.slabs`) and the
-    Sobolev reduction, and are pooled by size across flows in values-only
-    stacks of at most STACK_ENTRIES entries (`_screen`).  A chain whose
-    screen value less its margin TIE_RTOL d max|S| lies above the ceiling
-    of its flow's lowest screen value plus that value's margin is DROPPED
-    (`_FlowScan.contend`); the rest are SOLVED for eigenpairs (`_settle`),
-    pooled by size across flows.  A chain that shares no stack (see
-    STACK_ENTRIES) waits until its flow's slabs are reduced; then every
-    waiting batch is screened and the flow's contenders are solved, so
-    that `low` is an eigensolved value, and the flow's deferred chains are
-    decided one at a time, those that reach a disc row first, then the
-    `_Chains.settled` ones, each in ascending number.  One whose floor
-    lies above `_FlowScan.ceiling` is skipped before its Gram product:
+    `ScanRecord` under the code named here, in three phases.  First, per
+    flow, chains ZEROED out and the TWINs of earlier chains drop out, and
+    the other chains of at most 45 kept modes go through one Gram product
+    (`_Chains.slabs`) and the Sobolev reduction, and are pooled by size
+    across flows in values-only stacks of at most STACK_ENTRIES entries
+    (`_screen`).  A chain whose screen value less its margin TIE_RTOL d
+    max|S| lies above the ceiling of its flow's lowest screen value plus
+    that value's margin is DROPPED (`_FlowScan.contend`); larger chains
+    wait.  Second, the stacks still waiting are screened, and every flow's
+    remaining contenders are SOLVED for eigenpairs (`_settle`), so that
+    each flow's `low` is an eigensolved value.  Third, each flow's waiting
+    chains are decided one at a time, those that reach a disc row first,
+    then the `_Chains.settled` ones, each in ascending number.  One whose
+    floor lies above `_ceiling(low)` is skipped before its Gram product:
     SETTLED at floor 0, its form being PSD, or BOUNDED at -N - TIE_RTOL d A
     from `_weight_bounds` (`spectrum_above`'s margin, A in place of
     max|S|).  Any other is BEATEN if one Cholesky factorization shows that
-    it can neither win nor tie (`_FlowScan.beaten`), else SOLVED alone.
+    it can neither win nor tie (`spectrum_above`), else SOLVED alone.
     Every reduced chain meets the symmetry check, and every solved one the
     residual check; a chain that fails either is FAILED.  Per flow, two
     solved minima within TIE_RTOL of each other (relative) are a tie, won
@@ -484,7 +466,7 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     """
     scale = window.laplace ** (-p / 2)
     at = _positions(window, set(zeroed))
-    scans, waiting, extended = [], {}, {}
+    scans, deferred, waiting, extended = [], [], {}, {}
     for flow in flows:
         reach = max(flow.m, flow.n)
         if reach not in extended:
@@ -501,25 +483,28 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
             while len(batch) >= step:
                 _screen(batch[:step])
                 del batch[:step]
-        deferred = np.flatnonzero(wanted & ~pooled)
-        if len(deferred):
-            _flush(waiting)
-            _settle([scan])
-            negative, total = _weight_bounds(chains, scale)
-            floors = np.where(chains.settled, 0, -negative - TIE_RTOL * chains.kept * total)
-            for number in sorted(deferred.tolist(), key=lambda c: (chains.settled[c], c)):
-                if floors[number] > scan.ceiling():  # cannot win or tie
-                    scan.codes[number] = (ScanRecord.SETTLED if chains.settled[number]
-                                          else ScanRecord.BOUNDED)
-                    continue
-                [(_, index, B)] = chains.slabs(np.arange(len(chains.sizes)) == number)
-                [S] = _reduce(B, scale[index])
-                if scan.beaten(S):
-                    scan.codes[number] = ScanRecord.BEATEN
-                else:
-                    _solve([(scan, number, index[0], S)])
-    _flush(waiting)
+        numbers = np.flatnonzero(wanted & ~pooled)
+        if len(numbers):
+            deferred.append((scan, chains, numbers))
+    for batch in waiting.values():
+        if batch:
+            _screen(batch)
     _settle(scans)
+    for scan, chains, numbers in deferred:
+        negative, total = _weight_bounds(chains, scale)
+        floors = np.where(chains.settled, 0, -negative - TIE_RTOL * chains.kept * total)
+        for number in sorted(numbers.tolist(), key=lambda c: (chains.settled[c], c)):
+            top = _ceiling(scan.low)
+            if floors[number] > top:  # cannot win or tie
+                scan.codes[number] = (ScanRecord.SETTLED if chains.settled[number]
+                                      else ScanRecord.BOUNDED)
+                continue
+            [(_, index, B)] = chains.slabs(np.arange(len(chains.sizes)) == number)
+            [S] = _reduce(B, scale[index])
+            if spectrum_above(S, top, TIE_RTOL):
+                scan.codes[number] = ScanRecord.BEATEN
+            else:
+                _solve([(scan, number, index[0], S)])
     return [scan.entry(window, p) for scan in scans]
 
 

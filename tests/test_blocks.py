@@ -540,11 +540,12 @@ def test_failing_chain_errors_only_its_own_flow(monkeypatch):
         assert sin_run[2].q == res.q
 
 
-def test_sweep_makes_61_screens_of_2941_matrices_and_29_solves_of_75(monkeypatch):
-    # `sweep --mmax 10` pools its 2,941 chains of at most 45 modes into 61
-    # values-only LAPACK calls, and solves the 70 that can still win or tie
-    # and 5 chains of more than 45 modes in 29 eigenpair calls, each on one
-    # stack of one shape: at most STACK_ENTRIES entries, or one matrix
+def test_sweep_makes_54_screens_of_2941_matrices_and_28_solves_of_75(monkeypatch):
+    # `sweep --mmax 10` pools its 2,941 chains of at most 45 modes into 54
+    # values-only LAPACK calls, each on one stack of one shape of at most
+    # STACK_ENTRIES entries, and solves the 70 that can still win or tie in
+    # one eigenpair call per size in each of its two windows, and its 5
+    # chains of more than 45 modes alone: 75 in 28 calls
     screens, screen = [], spectral.lowest_eigenvalues
     shapes, solve = [], spectral.lowest_eigenpairs
     monkeypatch.setattr(spectral, "lowest_eigenvalues",
@@ -552,12 +553,14 @@ def test_sweep_makes_61_screens_of_2941_matrices_and_29_solves_of_75(monkeypatch
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: shapes.append(stack.shape) or solve(stack))
     pipeline.run_sweep(10)
-    assert (len(screens), sum(count for count, _, _ in screens)) == (61, 2941)
-    assert (len(shapes), sum(count for count, _, _ in shapes)) == (29, 75)
-    assert sum(d > 45 for _, d, _ in shapes) == 5
+    assert (len(screens), sum(count for count, _, _ in screens)) == (54, 2941)
+    assert (len(shapes), sum(count for count, _, _ in shapes)) == (28, 75)
+    assert [count for count, d, _ in shapes if d > 45] == [1] * 5
+    assert max(Counter(d for _, d, _ in shapes if d <= 45).values()) <= 2
     assert all(d <= 45 for _, d, _ in screens)
-    for count, d, width in screens + shapes:
+    for count, d, width in screens:
         assert width == d and 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
+    assert all(width == d for _, d, width in shapes)
 
 
 def test_sweep_builds_each_window_once(monkeypatch):
@@ -579,8 +582,9 @@ def test_sweep_builds_each_window_once(monkeypatch):
 def test_slabs_and_stacks_hold_one_shape_within_the_stack_cap(monkeypatch, m, n, N, subspace):
     # the slabs come by ascending kept-mode count, one count each, and with
     # the chains built alone hold every chain once, with exactly symmetric
-    # B and S; each stack the scan solves holds one shape, at most
-    # STACK_ENTRIES // d^2 matrices and never fewer than one
+    # B and S; each stack the scan screens holds one shape, at most
+    # STACK_ENTRIES // d^2 matrices and never fewer than one, and so does
+    # each stack it solves, one per contender size
     flow = KolmogorovFlow(m, n)
     window = SpectralWindow(N, subspace)
     scales = [window.laplace ** (-p / 2) for p in (0, 1, 3)]
@@ -615,12 +619,14 @@ def test_slabs_and_stacks_hold_one_shape_within_the_stack_cap(monkeypatch, m, n,
     spectral.window_minimum([flow], window, 3)
     monkeypatch.undo()
     stacks, solves = defaultdict(list), defaultdict(list)
-    for found, calls in ((screens, stacks), (shapes, solves)):
-        for count, d, width in found:
-            assert width == d and 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
-            calls[d].append(count)
+    for count, d, width in screens:
+        assert width == d and 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
+        stacks[d].append(count)
+    for count, d, width in shapes:
+        assert width == d and count >= 1
+        solves[d].append(count)
     # each pooled mode count fills as few screen stacks as the cap allows,
-    # and so do its contenders, solved in one pass
+    # and its contenders are solved in one stack
     pooled_counts = np.bincount(chains.kept[~chains.twins() & pooled])
     assert set(stacks) == set(np.flatnonzero(pooled_counts).tolist())
     for d, counts in stacks.items():
@@ -629,7 +635,7 @@ def test_slabs_and_stacks_hold_one_shape_within_the_stack_cap(monkeypatch, m, n,
     for d, counts in solves.items():
         if d <= 45:
             assert sum(counts) <= pooled_counts[d]
-            assert len(counts) == -(-sum(counts) // (STACK_ENTRIES // d ** 2))
+            assert len(counts) == 1
     assert solves
 
 
@@ -901,7 +907,7 @@ def test_value_screen_changes_no_entry(monkeypatch, unscreened, subspace):
     # (7,6) and (7,7) have no negative minimum: in cos, (6,6) has two
     # chains with minima at rounding level, -1.4e-10 and 0 at p = 0, whose
     # raised screen values come in the opposite order
-    window, grams, forms, pooled, above = SpectralWindow(12, subspace), {}, {}, 0, {}
+    window, grams, pooled, above = SpectralWindow(12, subspace), {}, 0, {}
     beaten = Counter()
     for (case, (p, zeroed)), raised in itertools.product(enumerate(_screen_cases(window)),
                                                          (False, True)):
@@ -909,6 +915,7 @@ def test_value_screen_changes_no_entry(monkeypatch, unscreened, subspace):
             monkeypatch.setattr(spectral, "lowest_eigenvalues", _raised)
         entries = spectral.window_minimum(SWEEP_FLOWS, window, p, zeroed)
         monkeypatch.undo()
+        zero_at = {window.index_of(mode) for mode in zeroed}
         for flow, entry, want in zip(SWEEP_FLOWS, entries,
                                      unscreened(SWEEP_FLOWS, window, p, zeroed)):
             _assert_screened_alike(entry, want)
@@ -916,14 +923,15 @@ def test_value_screen_changes_no_entry(monkeypatch, unscreened, subspace):
             if not raised:
                 if flow not in grams:  # B does not depend on p or the zeroed modes
                     grams[flow] = dense_grams(flow, window)
-                forms[flow] = _dense_forms(grams[flow], window, p, zeroed)
                 if record.sizes.max() > 45:
                     _assert_record(flow, window, p, entry, zeroed, grams[flow])
-                kept = np.array([len(index) for index, _ in forms[flow]])
+                kept = np.array([len(set(full) - zero_at) for full, _ in grams[flow]])
                 pooled += np.count_nonzero(np.isin(record.codes, (DROPPED, SOLVED)) & (kept <= 45))
             for number in np.flatnonzero(record.codes == DROPPED).tolist():
-                above.setdefault((case, flow, number),
-                                 (forms[flow][number][1], _ceiling(entry[0].value)))
+                if (case, flow, number) not in above:  # the dense form of each chain dropped
+                    above[case, flow, number] = (
+                        dense_kept(grams[flow], window, p, number, zero_at)[1],
+                        _ceiling(entry[0].value))
             beaten[flow] += np.count_nonzero(record.codes == BEATEN)
     _assert_minima_above([(label, S, floor) for label, (S, floor) in above.items()])
     assert beaten[KolmogorovFlow(3, 1)] and len(above) > 0.95 * pooled
