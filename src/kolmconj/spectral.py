@@ -23,10 +23,11 @@ FULL = "full"
 SUBSPACES = (COS, SIN, FULL)
 # two block minima this close, relative to the larger, are a tie
 TIE_RTOL = 1e-12
-# one values-only screen stack holds at most this many matrix entries; two
-# chains of more than 45 modes exceed it, so such a chain is not pooled, and
-# each is decided alone
-STACK_ENTRIES = 4096
+# a chain of at most this many kept modes is pooled and screened by its
+# lowest eigenvalue; a larger one is decided alone against its flow's
+# pooled minimum, where the weight bounds and one Cholesky factorization
+# cost less than its eigensolve
+POOLED_MODES = 45
 # certification rounds each scaled coefficient to an integer over this
 MAX_DENOMINATOR = 10 ** 6
 
@@ -48,7 +49,8 @@ class ScanRecord(NamedTuple):
     - ZEROED: every mode zeroed;
     - SETTLED, BOUNDED: skipped by its floor, with no Gram product: 0 for a
       chain that reaches no disc row, else its weight bound;
-    - DROPPED: ruled out by its lowest eigenvalue alone (the value screen);
+    - DROPPED: pooled, and ruled out by its lowest eigenvalue alone (the
+      value screen); each pooled chain holds this code until it is solved;
     - BEATEN: ruled out by one Cholesky factorization;
     - SOLVED: solved for its lowest eigenpair;
     - FAILED: failed the symmetry or the residual check.
@@ -309,9 +311,9 @@ def _positions(window: SpectralWindow, modes: Iterable[Mode]) -> np.ndarray:
     return np.array(list(at.values()), dtype=int)
 
 
-def _ceiling(low: float) -> float:
+def _ceiling(low):
     """low + 2 TIE_RTOL |low|, the largest minimum that can still win or tie
-    against a minimum `low`; infinite while `low` is."""
+    against a minimum `low`, elementwise; infinite while `low` is."""
     return low + 2 * TIE_RTOL * abs(low)
 
 
@@ -319,16 +321,13 @@ class _FlowScan:
     """One flow's chains as the screen and the eigensolves return them.
 
     `codes` and `values` are the flow's `ScanRecord` as far as the scan has
-    decided, 0 for a chain not yet decided.  `contenders` maps each pooled
-    chain that the value screen (`contend`) has not ruled out to (screen
-    value less margin, index, S) until `_settle` solves them, once every
-    flow's pooled chains are screened, and `bound` is the lowest screen
-    value plus its margin.  `solved` maps each solved chain's number
-    to its row of the stacked eigensolve, (value, index, vector, residual),
-    `failures` each failing chain's number to its error, and `low` is the
-    lowest solved value so far: once `_settle` returns, the lowest of the
-    flow's contenders, against which its chains of more than 45 modes are
-    decided.  No reduced matrix is kept once solved.
+    decided, 0 for a chain not yet decided.  `solved` maps each solved
+    chain's number to its row of the stacked eigensolve, (value, index,
+    vector, residual), `failures` each failing chain's number to its error,
+    and `low` is the lowest solved value so far: once `_screen` returns,
+    the lowest of the flow's contenders, against which its chains of more
+    than POOLED_MODES modes are decided.  No reduced matrix is kept once
+    solved.
     """
 
     def __init__(self, chains: _Chains):
@@ -337,25 +336,6 @@ class _FlowScan:
         self.values = np.full(len(self.codes), np.nan)
         self.layout = chains.firsts, chains.sizes
         self.solved, self.failures, self.low = {}, {}, float("inf")
-        self.contenders, self.bound = {}, float("inf")
-
-    def contend(self, number: int, index: np.ndarray, S: np.ndarray, value: float,
-                margin: float) -> None:
-        """Keep pooled chain `number` as a contender unless its screen value
-        less its margin TIE_RTOL dim max|S| lies above the ceiling of
-        `bound`, and drop the contenders that a lower `bound` rules out.
-        Both eigensolvers are backward stable, so either one's value lies
-        far inside that margin of S's minimum, as the factorization's error
-        does in `spectrum_above`: a chain dropped can neither win nor tie.
-        A NaN drops nothing.  The chain is coded DROPPED until it is solved."""
-        self.codes[number] = ScanRecord.DROPPED
-        if value + margin < self.bound:
-            self.bound = value + margin
-            top = _ceiling(self.bound)
-            self.contenders = {c: kept for c, kept in self.contenders.items()
-                               if not kept[0] > top}
-        if not value - margin > _ceiling(self.bound):
-            self.contenders[number] = value - margin, index, S
 
     def entry(self, window: SpectralWindow, p: int
               ) -> Union[Tuple[EigenPair, np.ndarray, ScanRecord], Exception]:
@@ -383,47 +363,50 @@ class _FlowScan:
                 record._replace(winner=best))
 
 
-def _solve(batch: List[tuple]) -> None:
-    """Solve the chains (scan, number, index, S) of one size in one stacked
-    eigensolve, and hand each chain's row, and its failure if it fails a
-    check, to its flow's scan.  A row is the same in any stack, so where a
+def _solve(owners: Sequence[_FlowScan], numbers: List[int], index: np.ndarray,
+           stack: np.ndarray) -> None:
+    """Solve the chains `numbers` of one size, each with its window positions
+    `index` and reduced matrix in `stack`, in one stacked eigensolve, and
+    hand each chain's row, and its failure if it fails a check, to its
+    flow's scan in `owners`.  A row is the same in any stack, so where a
     chain is solved does not change its flow's result."""
-    values, vectors, residuals, failures = lowest_eigenpairs(np.stack([c[3] for c in batch]))
+    values, vectors, residuals, failures = lowest_eigenpairs(stack)
     for slot, error in failures:
-        scan, number = batch[slot][:2]
-        scan.failures[number] = error
-    for (scan, number, index, _), value, vector, residual in zip(
-            batch, values.tolist(), vectors, residuals.tolist()):
-        scan.solved[number] = value, index, vector, residual
+        owners[slot].failures[numbers[slot]] = error
+    for scan, number, at, value, vector, residual in zip(
+            owners, numbers, index, values.tolist(), vectors, residuals.tolist()):
+        scan.solved[number] = value, at, vector, residual
         scan.codes[number], scan.values[number] = ScanRecord.SOLVED, value
         scan.low = min(scan.low, value)
 
 
-def _screen(batch: List[tuple]) -> None:
-    """Screen the pooled chains (scan, number, index, S) of one size by one
-    stacked values-only eigensolve: each chain's symmetry failure goes to
-    its flow's scan, and each chain to its scan's `contend`, with the margin
-    TIE_RTOL dim max|S| of `spectrum_above`."""
-    stack = np.stack([c[3] for c in batch])
-    values, failures = lowest_eigenvalues(stack)
-    for slot, error in failures:
-        scan, number = batch[slot][:2]
-        scan.failures[number] = error
-    margins = TIE_RTOL * stack.shape[1] * np.max(np.abs(stack), axis=(1, 2))
-    for (scan, number, index, S), value, margin in zip(batch, values.tolist(), margins.tolist()):
-        scan.contend(number, index, S, value, margin)
-
-
-def _settle(scans: Sequence[_FlowScan]) -> None:
-    """Solve the contenders of `scans` in one stacked eigensolve per size,
-    each flow's in ascending number, and drop their matrices."""
-    pooled = {}
-    for scan in scans:
-        for number, (_, index, S) in sorted(scan.contenders.items()):
-            pooled.setdefault(len(S), []).append((scan, number, index, S))
-        scan.contenders = {}
-    for d in sorted(pooled):
-        _solve(pooled[d])
+def _screen(scans: Sequence[_FlowScan], pools: dict) -> None:
+    """Screen the pooled chains of `scans` and solve those that can still
+    win or tie, from `pools`, which maps each size d to its slabs as arrays
+    (flow ids, numbers, index, S) and is emptied.  Per size, one values-only
+    eigensolve of the whole pool gives each chain a value, its symmetry
+    failure goes to its flow's scan, and its margin is TIE_RTOL d max|S|,
+    as in `spectrum_above`.  Both eigensolvers are backward stable, so
+    either one's value lies far inside that margin of S's minimum.  Each
+    flow's bound is its lowest value plus margin over every size, and a
+    chain whose value less its margin lies above the ceiling of that bound
+    can neither win nor tie, and stays DROPPED.  A NaN value bounds nothing
+    and drops nothing.  The rest, the flow's contenders, are solved in one
+    eigensolve per size, ascending."""
+    bound, screened = np.full(len(scans), np.inf), []
+    for d in sorted(pools):
+        flow, numbers, index, S = map(np.concatenate, zip(*pools.pop(d)))
+        values, failures = lowest_eigenvalues(S)
+        for slot, error in failures:
+            scans[flow[slot]].failures[int(numbers[slot])] = error
+        margins = TIE_RTOL * d * np.max(np.abs(S), axis=(1, 2))
+        np.fmin.at(bound, flow, values + margins)
+        screened.append((flow, numbers, index, S, values - margins))
+    for flow, numbers, index, S, lows in screened:
+        keep = ~(lows > _ceiling(bound[flow]))
+        if keep.any():
+            _solve([scans[f] for f in flow[keep].tolist()], numbers[keep].tolist(), index[keep],
+                   S[keep])
 
 
 def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: int,
@@ -434,23 +417,23 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     Each chain is decided once, and its decision goes into its flow's
     `ScanRecord` under the code named here, in three phases.  First, per
     flow, chains ZEROED out and the TWINs of earlier chains drop out, and
-    the other chains of at most 45 kept modes go through one Gram product
-    (`_Chains.slabs`) and the Sobolev reduction, and are pooled by size
-    across flows in values-only stacks of at most STACK_ENTRIES entries
-    (`_screen`).  A chain whose screen value less its margin TIE_RTOL d
-    max|S| lies above the ceiling of its flow's lowest screen value plus
-    that value's margin is DROPPED (`_FlowScan.contend`); larger chains
-    wait.  Second, the stacks still waiting are screened, and every flow's
-    remaining contenders are SOLVED for eigenpairs (`_settle`), so that
-    each flow's `low` is an eigensolved value.  Third, each flow's waiting
-    chains are decided one at a time, those that reach a disc row first,
-    then the `_Chains.settled` ones, each in ascending number.  One whose
-    floor lies above `_ceiling(low)` is skipped before its Gram product:
-    SETTLED at floor 0, its form being PSD, or BOUNDED at -N - TIE_RTOL d A
-    from `_weight_bounds` (`spectrum_above`'s margin, A in place of
-    max|S|).  Any other is BEATEN if one Cholesky factorization shows that
-    it can neither win nor tie (`spectrum_above`), else SOLVED alone.
-    Every reduced chain meets the symmetry check, and every solved one the
+    the other chains of at most POOLED_MODES kept modes go through one Gram
+    product (`_Chains.slabs`) and the Sobolev reduction, and are pooled by
+    size across flows, coded DROPPED until they are solved; larger chains
+    wait.  Second, once every flow is pooled, `_screen` makes one
+    values-only eigensolve per size: a chain whose value less its margin
+    TIE_RTOL d max|S| lies above the ceiling of its flow's lowest value
+    plus margin stays DROPPED, and every flow's other pooled chains are
+    SOLVED for eigenpairs in one eigensolve per size, so that each flow's
+    `low` is an eigensolved value.  Third, each flow's waiting chains are
+    decided one at a time, those that reach a disc row first, then the
+    `_Chains.settled` ones, each in ascending number.  One whose floor lies
+    above `_ceiling(low)` is skipped before its Gram product: SETTLED at
+    floor 0, its form being PSD, or BOUNDED at -N - TIE_RTOL d A from
+    `_weight_bounds` (`spectrum_above`'s margin, A in place of max|S|).
+    Any other is BEATEN if one Cholesky factorization shows that it can
+    neither win nor tie (`spectrum_above`), else SOLVED alone.  Every
+    reduced chain meets the symmetry check, and every solved one the
     residual check; a chain that fails either is FAILED.  Per flow, two
     solved minima within TIE_RTOL of each other (relative) are a tie, won
     by the chain with the lowest first mode, and the lowest-numbered
@@ -466,30 +449,23 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     """
     scale = window.laplace ** (-p / 2)
     at = _positions(window, set(zeroed))
-    scans, deferred, waiting, extended = [], [], {}, {}
-    for flow in flows:
+    scans, deferred, pools, extended = [], [], {}, {}
+    for f, flow in enumerate(flows):
         reach = max(flow.m, flow.n)
         if reach not in extended:
             extended[reach] = _extended(flow, window)
         chains = _Chains(flow, window, extended[reach], at)
         scans.append(scan := _FlowScan(chains))
         wanted = scan.codes == 0
-        pooled = wanted & (2 * chains.kept ** 2 <= STACK_ENTRIES)  # the chains that share stacks
+        pooled = wanted & (chains.kept <= POOLED_MODES)
+        scan.codes[pooled] = ScanRecord.DROPPED
         for numbers, index, B in chains.slabs(pooled):
-            d = index.shape[1]
-            step = STACK_ENTRIES // (d * d)
-            batch = waiting.setdefault(d, [])
-            batch += zip([scan] * len(numbers), numbers, index, _reduce(B, scale[index]))
-            while len(batch) >= step:
-                _screen(batch[:step])
-                del batch[:step]
+            pools.setdefault(index.shape[1], []).append(
+                (np.full(len(numbers), f), numbers, index, _reduce(B, scale[index])))
         numbers = np.flatnonzero(wanted & ~pooled)
         if len(numbers):
             deferred.append((scan, chains, numbers))
-    for batch in waiting.values():
-        if batch:
-            _screen(batch)
-    _settle(scans)
+    _screen(scans, pools)
     for scan, chains, numbers in deferred:
         negative, total = _weight_bounds(chains, scale)
         floors = np.where(chains.settled, 0, -negative - TIE_RTOL * chains.kept * total)
@@ -500,11 +476,11 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
                                       else ScanRecord.BOUNDED)
                 continue
             [(_, index, B)] = chains.slabs(np.arange(len(chains.sizes)) == number)
-            [S] = _reduce(B, scale[index])
-            if spectrum_above(S, top, TIE_RTOL):
+            S = _reduce(B, scale[index])
+            if spectrum_above(S[0], top, TIE_RTOL):
                 scan.codes[number] = ScanRecord.BEATEN
             else:
-                _solve([(scan, number, index[0], S)])
+                _solve([scan], [number], index, S)
     return [scan.entry(window, p) for scan in scans]
 
 

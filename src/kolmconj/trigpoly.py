@@ -357,19 +357,11 @@ def misiolek_index(phi: TrigPoly, flow: KolmogorovFlow) -> Fraction:
     return q
 
 
-def misiolek_pairing(p: TrigPoly, q: TrigPoly, flow: KolmogorovFlow) -> Fraction:
-    """Symmetric bilinear form of the Misiolek index: MI(phi) = pairing(phi, phi).
-
-    Returns Q with integral of grad p . grad q - (m^2+n^2) p q = Q * pi^2:
-    the off-diagonal entry of `misiolek_gram`.  Both inputs must be
-    mean-zero; a constant term raises ValueError.
-    """
-    return misiolek_gram([p, q], flow)[0][1]
-
-
 def misiolek_gram(polys: List[TrigPoly], flow: KolmogorovFlow) -> List[List[Fraction]]:
-    """The pairing's Gram matrix G[a][b] = misiolek_pairing(poly_a, poly_b),
-    with one Fraction per entry.
+    """The Gram matrix G of the Misiolek index's symmetric bilinear form on
+    `polys`, with one Fraction per entry: G[a][b] * pi^2 is the integral
+    of grad p_a . grad p_b - (m^2+n^2) p_a p_b, so G[a][a] * pi^2 is
+    MI(p_a).
 
     Each entry with a <= b is one integer sum; G[b][a] is the same
     Fraction.  Every poly must be mean-zero; a nonzero constant term
@@ -377,7 +369,7 @@ def misiolek_gram(polys: List[TrigPoly], flow: KolmogorovFlow) -> List[List[Frac
     """
     for p in polys:
         if CONSTANT_MODE in p.nums:
-            raise ValueError("misiolek_pairing requires mean-zero inputs")
+            raise ValueError("misiolek_gram requires mean-zero inputs")
     lam2 = flow.lambda2
     gram: List[List[Fraction]] = [[None] * len(polys) for _ in polys]
     for a, p in enumerate(polys):

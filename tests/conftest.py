@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kolmconj import spectral
-from kolmconj.eigensolve import EigenPair, lowest_eigenpairs
+from kolmconj.eigensolve import EigenPair, lowest_eigenpairs, lowest_eigenvalues
 from kolmconj.exactalg import solve_linear
 from kolmconj.spectral import ScanRecord, SpectralWindow
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly
@@ -336,9 +336,12 @@ def chain_alone(chains, number):
     return index, B
 
 
-def _keep_every_chain(self, number, index, S, value, margin):
-    """`_FlowScan.contend` that drops no chain: every pooled chain is solved."""
-    self.contenders[number] = value - margin, index, S
+def _no_values(stack):
+    """`lowest_eigenvalues` that reads every value as NaN and keeps the
+    symmetry failures: the value screen then drops no chain, and every
+    pooled chain is solved."""
+    values, failures = lowest_eigenvalues(stack)
+    return np.full_like(values, np.nan), failures
 
 
 def _no_cholesky(*args):
@@ -374,7 +377,7 @@ def unscreened():
         key = tuple(flows), window.N, window.subspace, p, tuple(zeroed)
         if key not in scans:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(spectral._FlowScan, "contend", _keep_every_chain)
+                patch.setattr(spectral, "lowest_eigenvalues", _no_values)
                 patch.setattr(np.linalg, "cholesky", _no_cholesky)
                 patch.setattr(spectral, "_weight_bounds", _no_bounds)
                 patch.setattr(spectral, "lowest_eigenpairs", solve_once)

@@ -34,7 +34,7 @@ from kolmconj import eigensolve, pipeline, spectral
 from kolmconj.eigensolve import (ConvergenceError, lowest_eigenpairs, lowest_eigenvalues,
                                  spectrum_above)
 from kolmconj.pipeline import run_minimize
-from kolmconj.spectral import FULL, STACK_ENTRIES, TIE_RTOL, ScanRecord, SpectralWindow
+from kolmconj.spectral import FULL, POOLED_MODES, TIE_RTOL, ScanRecord, SpectralWindow
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
 from conftest import (assert_winner_solved, bracket_matrix, break_chains, chain_alone,
@@ -198,7 +198,7 @@ def test_gram_sums_integers_exactly(m, n, N, subspace):
     np.add.at(magnitude, inverse, np.abs(products))
     assert magnitude.max() < 2 ** 53
     checked = []
-    pooled = 2 * chains.kept ** 2 <= STACK_ENTRIES
+    pooled = chains.kept <= POOLED_MODES
     built = itertools.chain(((numbers, B) for numbers, _, B in chains.slabs(pooled)),
                             (([c], chain_alone(chains, c)[1]) for c in np.flatnonzero(~pooled)))
     for numbers, slab in built:
@@ -229,7 +229,7 @@ def test_slab_is_the_dense_form():
         dense = dense_grams(flow, window)
         twin = chains.twins()
         some = chains.kept > 0
-        pooled = ~twin & some & (2 * chains.kept ** 2 <= STACK_ENTRIES)
+        pooled = ~twin & some & (chains.kept <= POOLED_MODES)
         for wanted in (some, pooled):
             seen = []
             for numbers, index, slab in chains.slabs(wanted):
@@ -353,7 +353,7 @@ def test_tie_goes_to_block_with_lowest_first_mode():
         assert res.block_mode.parity == COS
         assert res.dominant_mode == Mode(1, 0, COS)
         assert res.q < 0
-    assert 2 * 21 ** 2 <= STACK_ENTRIES
+    assert 21 <= POOLED_MODES
     assert res.block_mode == Mode(1, -6, COS)
     winner = [modes for modes in chain_modes(KolmogorovFlow(2, 1), SpectralWindow(6, FULL))
               if modes[0] in (Mode(1, -6, COS), Mode(1, -6, SIN))]
@@ -540,27 +540,40 @@ def test_failing_chain_errors_only_its_own_flow(monkeypatch):
         assert sin_run[2].q == res.q
 
 
-def test_sweep_makes_54_screens_of_2941_matrices_and_28_solves_of_75(monkeypatch):
-    # `sweep --mmax 10` pools its 2,941 chains of at most 45 modes into 54
-    # values-only LAPACK calls, each on one stack of one shape of at most
-    # STACK_ENTRIES entries, and solves the 70 that can still win or tie in
-    # one eigenpair call per size in each of its two windows, and its 5
-    # chains of more than 45 modes alone: 75 in 28 calls
-    screens, screen = [], spectral.lowest_eigenvalues
-    shapes, solve = [], spectral.lowest_eigenpairs
+def test_sweep_makes_34_screens_of_2941_matrices_and_28_solves_of_75(monkeypatch):
+    # `sweep --mmax 10` screens its 2,941 chains of at most 45 modes in one
+    # values-only LAPACK call per pooled size in each of its two windows,
+    # 34 in all, and solves the 70 that can still win or tie in one
+    # eigenpair call per size in each window, and its 5 chains of more than
+    # 45 modes alone: 75 in 28 calls
+    screens, solves, pooled, scan = [], [], [], pipeline.window_minimum
+    screen, solve = spectral.lowest_eigenvalues, spectral.lowest_eigenpairs
+
+    def scan_spy(*args):
+        screens.append([])
+        solves.append([])
+        entries = scan(*args)
+        records = [_record(entry) for entry in entries]
+        pooled.append(sorted({d for record in records for d in record.sizes[
+            np.isin(record.codes, (DROPPED, SOLVED)) & (record.sizes <= 45)].tolist()}))
+        return entries
+
+    monkeypatch.setattr(pipeline, "window_minimum", scan_spy)
     monkeypatch.setattr(spectral, "lowest_eigenvalues",
-                        lambda stack: screens.append(stack.shape) or screen(stack))
+                        lambda stack: screens[-1].append(stack.shape) or screen(stack))
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
-                        lambda stack: shapes.append(stack.shape) or solve(stack))
+                        lambda stack: solves[-1].append(stack.shape) or solve(stack))
     pipeline.run_sweep(10)
-    assert (len(screens), sum(count for count, _, _ in screens)) == (54, 2941)
-    assert (len(shapes), sum(count for count, _, _ in shapes)) == (28, 75)
-    assert [count for count, d, _ in shapes if d > 45] == [1] * 5
-    assert max(Counter(d for _, d, _ in shapes if d <= 45).values()) <= 2
-    assert all(d <= 45 for _, d, _ in screens)
-    for count, d, width in screens:
-        assert width == d and 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
-    assert all(width == d for _, d, width in shapes)
+    every_screen, every_solve = sum(screens, []), sum(solves, [])
+    assert (len(every_screen), sum(count for count, _, _ in every_screen)) == (34, 2941)
+    assert (len(every_solve), sum(count for count, _, _ in every_solve)) == (28, 75)
+    assert [count for count, d, _ in every_solve if d > 45] == [1] * 5
+    assert all(width == d for _, d, width in every_screen + every_solve)
+    assert len(pooled) == 2
+    for window_screens, window_solves, sizes in zip(screens, solves, pooled):
+        assert [d for _, d, _ in window_screens] == sizes
+        small = [d for _, d, _ in window_solves if d <= 45]
+        assert small == sorted(set(small))
 
 
 def test_sweep_builds_each_window_once(monkeypatch):
@@ -579,17 +592,17 @@ def test_sweep_builds_each_window_once(monkeypatch):
 
 @pytest.mark.parametrize("m,n,N,subspace", [(30, 22, 64, COS), (5, 4, 20, COS),
                                              (1, 1, 20, FULL), (3, 3, 30, SIN)])
-def test_slabs_and_stacks_hold_one_shape_within_the_stack_cap(monkeypatch, m, n, N, subspace):
+def test_slabs_and_stacks_hold_one_shape_and_one_screen_per_pooled_size(monkeypatch, m, n, N, subspace):
     # the slabs come by ascending kept-mode count, one count each, and with
     # the chains built alone hold every chain once, with exactly symmetric
-    # B and S; each stack the scan screens holds one shape, at most
-    # STACK_ENTRIES // d^2 matrices and never fewer than one, and so does
-    # each stack it solves, one per contender size
+    # B and S; each stack the scan screens holds one shape, and every
+    # pooled chain of its size, and each stack it solves holds one shape,
+    # one per contender size
     flow = KolmogorovFlow(m, n)
     window = SpectralWindow(N, subspace)
     scales = [window.laplace ** (-p / 2) for p in (0, 1, 3)]
     chains = scan_chains(flow, window)
-    pooled = 2 * chains.kept ** 2 <= STACK_ENTRIES
+    pooled = chains.kept <= POOLED_MODES
     slabs = list(chains.slabs(pooled))
     sizes = [index.shape[1] for _, index, _ in slabs]
     assert sizes == sorted(set(sizes)) and all(d <= 45 for d in sizes)
@@ -620,18 +633,17 @@ def test_slabs_and_stacks_hold_one_shape_within_the_stack_cap(monkeypatch, m, n,
     monkeypatch.undo()
     stacks, solves = defaultdict(list), defaultdict(list)
     for count, d, width in screens:
-        assert width == d and 1 <= count <= max(1, STACK_ENTRIES // d ** 2)
+        assert width == d and count >= 1
         stacks[d].append(count)
     for count, d, width in shapes:
         assert width == d and count >= 1
         solves[d].append(count)
-    # each pooled mode count fills as few screen stacks as the cap allows,
-    # and its contenders are solved in one stack
+    # each pooled mode count is screened in one stack, and its contenders
+    # are solved in one stack
     pooled_counts = np.bincount(chains.kept[~chains.twins() & pooled])
     assert set(stacks) == set(np.flatnonzero(pooled_counts).tolist())
     for d, counts in stacks.items():
-        assert sum(counts) == pooled_counts[d]
-        assert len(counts) == -(-pooled_counts[d] // (STACK_ENTRIES // d ** 2))
+        assert counts == [pooled_counts[d]]
     for d, counts in solves.items():
         if d <= 45:
             assert sum(counts) <= pooled_counts[d]
@@ -843,12 +855,14 @@ def _screen_cases(window):
 
 def _assert_screened_alike(entry, want):
     """A scan's entry is, bit for bit, the entry `want` of the scan with its
-    screens off, and every chain it solves is solved there alike."""
+    screens off, and every chain it solves is solved there alike; that scan
+    drops, beats and bounds no chain."""
     assert _entry_bits(entry, decisions=False) == _entry_bits(want, decisions=False)
     record, reference = _record(entry), _record(want)
     solved = record.codes == SOLVED
     assert (reference.codes[solved] == SOLVED).all()
     assert reference.values[solved].tobytes() == record.values[solved].tobytes()
+    assert not np.isin(reference.codes, (DROPPED, BEATEN, BOUNDED)).any()
 
 
 # the windows of GROUPED_WINDOWS, each scanned once over all its flows, and
@@ -970,6 +984,42 @@ def test_value_screen_keeps_the_symmetry_check(monkeypatch):
     [broken] = [T for stack in screens for T in stack if not np.array_equal(T, T.T)]
     assert np.array_equal(np.tril(broken), np.tril(S)) and not np.array_equal(broken, S)
     assert stacks and _asymmetric_counts(stacks) == [0] * len(stacks)
+
+
+def test_nan_screen_value_drops_and_bounds_nothing(monkeypatch):
+    # the last pooled chain of (3,2) that the value screen drops, read as
+    # NaN in the sweep's N=12 cos scan, is neither dropped nor a bound on
+    # its flow: it is SOLVED, the flow still drops other chains, and every
+    # entry is, bit for bit, the clean scan's, the NaN chain's code and
+    # value aside
+    flow, window = KolmogorovFlow(3, 2), SpectralWindow(12, COS)
+    clean = spectral.window_minimum(SWEEP_FLOWS, window, 3)
+    record = _record(clean[SWEEP_FLOWS.index(flow)])
+    number = int(np.flatnonzero(record.codes == DROPPED).max())
+    _, S = dense_kept(dense_grams(flow, window), window, 3, number, set())
+    screen, hits = spectral.lowest_eigenvalues, []
+
+    def nan_screen(stack):
+        values, failures = screen(stack)
+        at = [i for i, T in enumerate(stack) if T.shape == S.shape and np.array_equal(T, S)]
+        values[at] = np.nan
+        hits.extend(at)
+        return values, failures
+
+    monkeypatch.setattr(spectral, "lowest_eigenvalues", nan_screen)
+    entries = spectral.window_minimum(SWEEP_FLOWS, window, 3)
+    monkeypatch.undo()
+    assert len(hits) == 1
+    for other, got, want in zip(SWEEP_FLOWS, entries, clean):
+        if other != flow:
+            assert _entry_bits(got) == _entry_bits(want)
+            continue
+        assert _entry_bits(got, decisions=False) == _entry_bits(want, decisions=False)
+        codes, values = _record(got).codes, _record(got).values
+        assert codes[number] == SOLVED and DROPPED in codes
+        rest = np.arange(len(codes)) != number
+        assert np.array_equal(codes[rest], record.codes[rest])
+        assert values[rest].tobytes() == record.values[rest].tobytes()
 
 
 def test_failing_contender_errors_only_its_own_flow(monkeypatch):
@@ -1167,15 +1217,16 @@ def test_flow_with_no_negative_minimum_solves_its_settled_chains(monkeypatch, N,
     (2, 2, FULL, {3: 55}, {4: 60, 5: 60, 18: 50, 19: 50}, {2: 55})])
 def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, beaten, settled,
                                                  bounded):
-    # two chains of more than 45 modes exceed STACK_ENTRIES, so each such
-    # chain is reduced after every pooled stack is solved, and solved alone
+    # a chain of more than POOLED_MODES = 45 modes is not pooled, so each
+    # such chain is reduced after every pooled chain is screened and its
+    # flow's contenders are solved, and solved alone
     # unless weight bounds or the screen show that it can neither win nor
     # tie, or it is settled by weight signs once its flow's minimum is
     # negative; at N=20 the screen rules out these chains of 55-60 modes,
     # which fit a stack alone, the weight signs those of 50-60 modes, and
     # the weight bounds those of 55-70 modes, each before its Gram product
     flow, window = KolmogorovFlow(m, n), SpectralWindow(20, subspace)
-    assert 2 * 45 ** 2 <= STACK_ENTRIES < 2 * 46 ** 2
+    assert POOLED_MODES == 45
     shapes, solve = [], spectral.lowest_eigenpairs
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
                         lambda stack: shapes.append(stack.shape) or solve(stack))

@@ -1,7 +1,7 @@
 """README's Python example runs and gives the value its comment states,
-every name its library overview quotes exists, every command its usage
-block shows parses, and its command-line section names the options the
-parser defines."""
+every name its library overview quotes exists, every test it quotes is
+defined, every command its usage block shows parses, and its command-line
+section names the options the parser defines."""
 
 import argparse
 import builtins
@@ -12,7 +12,8 @@ from pathlib import Path
 
 from kolmconj.cli import build_parser, main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+TESTS = Path(__file__).resolve().parent
+README = (TESTS.parent / "README.md").read_text()
 
 
 def test_python_example_gives_the_stated_value():
@@ -38,6 +39,16 @@ def test_overview_names_resolve():
     for module, name in names:
         assert (hasattr(importlib.import_module(module), name)
                 or hasattr(builtins, name) or name == "kolmconj"), (module, name)
+
+
+def test_quoted_tests_are_defined():
+    # a test that README names in backticks, alone or as `module.py::name`,
+    # is defined in some module under tests/
+    quoted = {name for span in re.findall(r"`([^`]*)`", README)
+              for name in re.findall(r"\b(test_\w+)(?![\w.])", span)}
+    defined = {name for path in TESTS.rglob("*.py")
+               for name in re.findall(r"^\s*def (test_\w+)", path.read_text(), re.M)}
+    assert quoted and quoted <= defined, sorted(quoted - defined)
 
 
 def test_usage_lines_parse():
