@@ -124,12 +124,13 @@ class SpectralWindow:
 def _fold(j: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wavevectors (j, k) negated onto canonical ones, and where they were."""
     flip = (j < 0) | ((j == 0) & (k < 0))
-    return np.where(flip, -j, j), np.where(flip, -k, k), flip
+    return np.abs(j), np.where(flip, -k, k), flip
 
 
-def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
-             out: SpectralWindow) -> Tuple[np.ndarray, np.ndarray]:
-    """The bracket's input terms for each mode of `out`, folded into the window.
+def _stencil(m, n, window: SpectralWindow, j, k, sin) -> Tuple[np.ndarray, np.ndarray]:
+    """The bracket's input terms for outputs at canonical modes (j, k), sine
+    where `sin`, of the flows (m, n), folded into the window: m, n, j, k and
+    `sin` hold one entry per output.
 
     Output coefficient at canonical mode (j, k):
 
@@ -138,22 +139,25 @@ def _stencil(flow: KolmogorovFlow, window: SpectralWindow,
 
     where A is the even (cosine) or odd (sine) extension of the input
     coefficients to the full integer lattice.  Returns (cols, terms), both
-    integer arrays of shape (len(out), 4): the window index each term folds
-    to and 4 times its coefficient, so that the bracket's rows are the
-    integers `terms` over 4.  A term is 0 where the weight vanishes or the
-    term folds outside the window.  Two terms of a row can fold to one
-    mode; both are kept, and a consumer adds them.
+    integer arrays of shape (4, outputs) in the dtype of j and k: the window
+    index each term folds to and 4 times its coefficient, so that the
+    bracket's rows are the integers `terms` over 4.  A term is 0 where the
+    weight vanishes or the term folds outside the window, and its column
+    is then 0.  Two terms of a row can fold to one mode; both are kept, and
+    a consumer adds them.
     """
-    m, n, N = flow.m, flow.n, window.N
-    j, k, sin = out.j[:, None], out.k[:, None], out.sin[:, None]
-    weight = np.hstack([m * k - n * j, n * j - m * k, m * k + n * j, -(m * k + n * j)])
-    jj = j + np.array([-m, m, -m, m])
-    kk = k + np.array([-n, n, n, -n])
+    N = window.N
+    odd, cross = m * k - n * j, m * k + n * j
+    terms = np.stack([odd, -odd, cross, -cross])
+    jj = j + m * np.array([[-1], [1], [-1], [1]], dtype=j.dtype)
+    kk = k + n * np.array([[-1], [1], [1], [-1]], dtype=k.dtype)
     # fold onto canonical modes: cos(-t) = cos(t), sin(-t) = -sin(t)
     jj, kk, flip = _fold(jj, kk)
+    np.negative(terms, out=terms, where=flip & sin)
     inside = (jj <= N) & (np.abs(kk) <= N) & ((jj > 0) | (kk > 0))
-    cols = np.where(inside, window.locate(jj, kk, sin), -1)
-    terms = np.where(cols >= 0, weight * np.where(flip & sin, -1, 1), 0)
+    cols = window.locate(jj, kk, sin)
+    cols *= inside
+    terms *= inside
     return cols, terms
 
 
@@ -162,8 +166,28 @@ def _extended(flow: KolmogorovFlow, window: SpectralWindow) -> SpectralWindow:
     return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
 
 
+def _reach_boxes(m: np.ndarray, n: np.ndarray, N: int,
+                 ext: SpectralWindow) -> Tuple[np.ndarray, np.ndarray]:
+    """The positions in `ext` of the reach box of each flow (m, n), flow by
+    flow and ascending within each, and the flow g of each: the canonical
+    outputs (J, K) with max(0, m-N) <= J <= m+N and |K| <= N+n, the only
+    ones whose bracket row can hold an input of the window of order N.
+    Per flow and J, the box is one run of positions."""
+    low = np.maximum(m - N, 0)
+    runs = m + N - low + 1
+    owner = np.repeat(np.arange(len(m)), runs)
+    J = np.arange(len(owner)) - np.repeat(np.cumsum(runs) - runs - low, runs)
+    top = (N + n)[owner]
+    bottom = np.where(J > 0, -top, 1)
+    lengths = (top - bottom + 1) * (1 + (ext.subspace == FULL))
+    ends = np.cumsum(lengths)
+    rows = np.repeat(ext.locate(J, bottom, False) - ends + lengths, lengths) + np.arange(ends[-1])
+    return rows, np.repeat(owner, lengths)
+
+
 class _Chains:
-    """The bracket's mode chains on `window`, numbered by first mode.
+    """The bracket's mode chains on `window` of the flows `flows`, which share
+    the output window `ext`: flow by flow, each numbered by first mode.
 
     A chain is a set of modes that bracket rows link: no bracket row and
     no entry of the index form couples two chains.  The inputs on one row
@@ -172,52 +196,74 @@ class _Chains:
     per parity.  Each class meets the window in a single chain: of two
     class neighbours P and P + (2m, 0), the outputs P + (m, +-n) both
     link them unless one is the origin, and likewise for (0, 2n).  So a
-    window with N > 2 max(m, n) holds 2mn + 2 chains per parity.  `chain`
-    holds each window mode's chain number, `sizes` each chain's mode count
-    and `firsts` its first mode.  The modes at the window positions
-    `zeroed` stay in their chains, but `kept` counts each chain's other
-    modes, `held` marks the chains that lose one, and the bracket's terms
-    on them are 0.  One integer table holds the rows that the bracket
-    (`_stencil` into the output window `ext`) reaches, ascending: `rows`
-    their positions in `ext`, `row_chain` the chain of each, `cols` and
-    `terms` its four folded columns and stencil terms 4L, and `weight` its
-    w = j^2+k^2 - lambda^2.  `settled` marks the chains with no row of
-    w < 0, inside the disc j^2+k^2 < lambda^2: their form B = L^T W L has
-    no negative eigenvalue.
+    window with N > 2 max(m, n) holds 2mn + 2 chains per parity.
+
+    Flow g owns the chains `base[g]` to `base[g+1]`, and `owner` holds each
+    chain's g.  A column is a flat (flow, window position) index
+    g len(window) + position, and `chain` holds each column's chain number.
+    `sizes` holds each chain's mode count and `firsts` the window position
+    of its first mode.  The modes at the window positions `zeroed` stay in
+    their chains, but `kept` counts each chain's other modes, `held` marks
+    the chains that lose one, and the bracket's terms on them are 0.
+
+    One integer table holds the rows that the bracket (`_stencil` into
+    `ext`) reaches, flow by flow, each flow's found in its reach box alone
+    (`_reach_boxes`) and ascending: `rows` their positions in `ext`,
+    `row_chain` the chain of each, `cols` and `terms` its four folded
+    columns and stencil terms 4L (a 0 term's column is its flow's first),
+    and `weight` its w = j^2+k^2 - lambda^2, with its own flow's lambda.
+    `cols` and `terms` are int32 wherever their values fit.  `settled`
+    marks the chains with no row of w < 0, inside the disc
+    j^2+k^2 < lambda^2: their form B = L^T W L has no negative eigenvalue.
     """
 
-    def __init__(self, flow: KolmogorovFlow, window: SpectralWindow, ext: SpectralWindow,
-                 zeroed: Sequence[int] = ()):
-        size = len(window)
-        self.flow, self.window = flow, window
-        j, k, m2, n2 = window.j, window.k, 2 * flow.m, 2 * flow.n
-        # each mode's class, and the smallest window index in it
-        key = 2 * np.minimum(j % m2 * n2 + k % n2, -j % m2 * n2 + -k % n2) + window.sin
-        first = np.full(2 * m2 * n2, size)
-        np.minimum.at(first, key, np.arange(size))
+    def __init__(self, flows: Sequence[KolmogorovFlow], window: SpectralWindow,
+                 ext: SpectralWindow, zeroed: Sequence[int] = ()):
+        size, count = len(window), len(flows)
+        self.flows, self.window = flows, window
+        m, n, lambda2 = (np.array([getattr(flow, a) for flow in flows])
+                         for a in ("m", "n", "lambda2"))
+        # every flat column and term lies below these bounds
+        itype = np.int32 if max(count * size, 2 * ext.N ** 2) < 2 ** 31 else np.int64
+        rows, owner = _reach_boxes(m, n, window.N, ext)
+        cols, terms = _stencil(m.astype(itype)[owner], n.astype(itype)[owner], window,
+                               ext.j.astype(itype)[rows], ext.k.astype(itype)[rows],
+                               ext.sin[rows])
+        terms *= np.isin(cols, zeroed, invert=True)
+        live = np.flatnonzero(terms.any(axis=0))
+        self.rows, owner = rows[live], owner[live]
+        cols, terms = cols.take(live, axis=1), terms.take(live, axis=1)
+        cols += owner * size
+        self.cols, self.terms = np.ascontiguousarray(cols.T), np.ascontiguousarray(terms.T)
+        self.weight = ext.j[self.rows] ** 2 + ext.k[self.rows] ** 2 - lambda2[owner]
+        # each column's class, offset past the classes of the flows before it
+        m2, n2, classes = 2 * m[:, None], 2 * n[:, None], 8 * m * n
+        j, k = window.j, window.k
+        key = (2 * np.minimum(j % m2 * n2 + k % n2, -j % m2 * n2 + -k % n2) + window.sin
+               + (np.cumsum(classes) - classes)[:, None]).ravel()
+        first = np.full(int(classes.sum()), count * size, dtype=itype)
+        np.minimum.at(first, key, np.arange(count * size, dtype=itype))
         labels = first[key]
-        self.firsts = np.flatnonzero(labels == np.arange(size))
-        self.chain = np.searchsorted(self.firsts, labels)
+        firsts = np.flatnonzero(labels == np.arange(count * size))
+        self.chain = np.searchsorted(firsts, labels)
+        self.owner, self.firsts = np.divmod(firsts, size)
+        self.base = np.searchsorted(firsts, np.arange(count + 1) * size)
         self.sizes = np.bincount(self.chain)
-        self.keep = ~np.isin(np.arange(size), zeroed)
-        self.kept = np.bincount(self.chain[self.keep], minlength=len(self.sizes))
+        flat_keep = np.tile(~np.isin(np.arange(size), zeroed), count)
+        self.kept = np.bincount(self.chain[flat_keep], minlength=len(self.sizes))
         self.held = self.kept < self.sizes
         # the kept modes chain by chain from `starts`, in window order within each
-        self.order = np.flatnonzero(self.keep)[np.argsort(self.chain[self.keep], kind="stable")]
+        order = np.flatnonzero(flat_keep)[np.argsort(self.chain[flat_keep], kind="stable")]
+        self.order = order % size
         self.starts = np.cumsum(self.kept) - self.kept
-        self.local = np.zeros(size, dtype=int)  # each kept mode's position in its chain
-        self.local[self.order] = np.arange(len(self.order)) - np.repeat(self.starts, self.kept)
-        cols, terms = _stencil(flow, window, ext)
-        terms = np.where(self.keep[cols], terms, 0)
-        self.rows = np.flatnonzero(terms.any(axis=1))
-        self.cols, self.terms = cols[self.rows], terms[self.rows]
+        self.local = np.zeros(count * size, dtype=int)  # each kept mode's position in its chain
+        self.local[order] = np.arange(len(order)) - np.repeat(self.starts, self.kept)
         # a row's inputs lie in one class, so any column in the window names its chain
-        self.row_chain = self.chain[self.cols.max(axis=1)]
-        self.weight = ext.j[self.rows] ** 2 + ext.k[self.rows] ** 2 - flow.lambda2
+        self.row_chain = self.chain[cols.max(axis=0)]
         self.settled = np.bincount(self.row_chain[self.weight < 0], minlength=len(self.sizes)) == 0
 
     def twins(self) -> np.ndarray:
-        """The chains whose form an earlier chain repeats, as a mask.
+        """The chains whose form an earlier chain of their flow repeats, as a mask.
 
         psi = -cos mx cos ny is invariant under x -> -x and y -> -y, and
         when m = n also under x <-> y.  Each map sends mode (j, k) to the
@@ -226,14 +272,16 @@ class _Chains:
         A chain is a twin if one image of its first mode lies in an earlier
         chain; neither may be `held` (hold a zeroed mode).
         """
-        window, first, flow, held = self.window, self.firsts, self.flow, self.held
-        j, k = window.j[first], window.k[first]
-        images = [(j, -k)] + ([(k, j), (k, -j)] if flow.m == flow.n else [])
+        window, first, held = self.window, self.firsts, self.held
+        square = np.array([flow.m == flow.n for flow in self.flows])[self.owner]
+        j, k, sin = window.j[first], window.k[first], window.sin[first]
+        offset = self.owner * len(window)
+        numbers = np.arange(len(first))
         twin = np.zeros(len(first), dtype=bool)
-        for a, b in images:
+        for a, b, applies in ((j, -k, True), (k, j, square), (k, -j, square)):
             a, b, _ = _fold(a, b)
-            image = self.chain[window.locate(a, b, window.sin[first])]
-            twin |= (image < np.arange(len(first))) & ~held[image]
+            image = self.chain[offset + window.locate(a, b, sin)]
+            twin |= applies & (image < numbers) & ~held[image]
         return twin & ~held
 
     def slabs(self, pooled: np.ndarray) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
@@ -241,8 +289,9 @@ class _Chains:
         call, as (numbers, index, B) per kept-mode count d, ascending.  Ordered
         by (d, number), each chain's d^2 entries follow those of the chains
         before it in one flat buffer, so the chains of one d are one slab B
-        (count, d, d); `index` holds their kept modes' window positions.  A
-        chain marked alone is a slab of one, built from its own rows only."""
+        (count, d, d); `index` holds their kept modes' window positions, of
+        whichever flow owns each chain.  A chain marked alone is a slab of
+        one, built from its own rows only."""
         numbers = np.flatnonzero(pooled)
         if not len(numbers):
             return
@@ -281,8 +330,9 @@ def _weight_bounds(chains: _Chains, scale: np.ndarray) -> Tuple[np.ndarray, np.n
     """(N, A) per chain, from `_Chains`' table alone: lambda_min(S) >= -N and ||S||_2 <= A.
 
     On a chain, S = sum_r w_r u_r u_r^T over its rows, u_r = D^{-p/2} L_r^T
-    with `scale` = D^{-p/2}, so with q_r = |u_r|^2 (the terms of a row on
-    one column summed before squaring), N = sum_{w_r < 0} |w_r| q_r and
+    with `scale` = D^{-p/2} on the table's flat columns (one copy of the
+    window's per flow), so with q_r = |u_r|^2 (the terms of a row on one
+    column summed before squaring), N = sum_{w_r < 0} |w_r| q_r and
     A = sum_r |w_r| q_r.  No Gram product is built.
     """
     x = chains.terms * scale[chains.cols]
@@ -318,7 +368,9 @@ def _ceiling(low):
 
 
 class _FlowScan:
-    """One flow's chains as the screen and the eigensolves return them.
+    """One flow's chains as the screen and the eigensolves return them,
+    numbered within the flow: flow g's slice of its group's `_Chains` and of
+    the group's `codes`, which it writes through.
 
     `codes` and `values` are the flow's `ScanRecord` as far as the scan has
     decided, 0 for a chain not yet decided.  `solved` maps each solved
@@ -330,11 +382,11 @@ class _FlowScan:
     solved.
     """
 
-    def __init__(self, chains: _Chains):
-        self.codes = np.where(chains.kept > 0, 0, ScanRecord.ZEROED)
-        self.codes[chains.twins()] = ScanRecord.TWIN
+    def __init__(self, chains: _Chains, g: int, codes: np.ndarray):
+        chosen = slice(chains.base[g], chains.base[g + 1])
+        self.codes = codes[chosen]
         self.values = np.full(len(self.codes), np.nan)
-        self.layout = chains.firsts, chains.sizes
+        self.layout = chains.firsts[chosen], chains.sizes[chosen]
         self.solved, self.failures, self.low = {}, {}, float("inf")
 
     def entry(self, window: SpectralWindow, p: int
@@ -414,9 +466,12 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
                    ) -> List[Union[Tuple[EigenPair, np.ndarray, ScanRecord], Exception]]:
     """Lowest eigenpair over the reduced bracket chains of `window`, for each flow.
 
-    Each chain is decided once, and its decision goes into its flow's
-    `ScanRecord` under the code named here, in three phases.  First, per
-    flow, chains ZEROED out and the TWINs of earlier chains drop out, and
+    The flows of one max(m, n), a reach group, share one `_extended` output
+    window and one `_Chains` table, built in one pass over each flow's
+    reach box; each flow's scan reads its own slice of it.  Each chain is
+    decided once, and its decision goes into its flow's `ScanRecord` under
+    the code named here, in three phases.  First, per reach group, chains
+    ZEROED out and the TWINs of earlier chains of their flow drop out, and
     the other chains of at most POOLED_MODES kept modes go through one Gram
     product (`_Chains.slabs`) and the Sobolev reduction, and are pooled by
     size across flows, coded DROPPED until they are solved; larger chains
@@ -426,19 +481,18 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     plus margin stays DROPPED, and every flow's other pooled chains are
     SOLVED for eigenpairs in one eigensolve per size, so that each flow's
     `low` is an eigensolved value.  Third, each flow's waiting chains are
-    decided one at a time, those that reach a disc row first, then the
-    `_Chains.settled` ones, each in ascending number.  One whose floor lies
-    above `_ceiling(low)` is skipped before its Gram product: SETTLED at
-    floor 0, its form being PSD, or BOUNDED at -N - TIE_RTOL d A from
-    `_weight_bounds` (`spectrum_above`'s margin, A in place of max|S|).
-    Any other is BEATEN if one Cholesky factorization shows that it can
-    neither win nor tie (`spectrum_above`), else SOLVED alone.  Every
-    reduced chain meets the symmetry check, and every solved one the
-    residual check; a chain that fails either is FAILED.  Per flow, two
-    solved minima within TIE_RTOL of each other (relative) are a tie, won
-    by the chain with the lowest first mode, and the lowest-numbered
-    FAILED chain gives the flow's error.  The flows of one max(m, n) share
-    one `_extended` output window, built once.
+    decided one at a time, flow by flow in the order given, those that
+    reach a disc row first, then the `_Chains.settled` ones, each in
+    ascending number.  One whose floor lies above `_ceiling(low)` is
+    skipped before its Gram product: SETTLED at floor 0, its form being
+    PSD, or BOUNDED at -N - TIE_RTOL d A from `_weight_bounds`
+    (`spectrum_above`'s margin, A in place of max|S|).  Any other is BEATEN
+    if one Cholesky factorization shows that it can neither win nor tie
+    (`spectrum_above`), else SOLVED alone.  Every reduced chain meets the
+    symmetry check, and every solved one the residual check; a chain that
+    fails either is FAILED.  Per flow, two solved minima within TIE_RTOL of
+    each other (relative) are a tie, won by the chain with the lowest first
+    mode, and the lowest-numbered FAILED chain gives the flow's error.
 
     Returns one entry per flow: its error, which carries the flow's record
     as `record`, or (pair, coeffs, record): the winning chain's row of its
@@ -449,38 +503,46 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     """
     scale = window.laplace ** (-p / 2)
     at = _positions(window, set(zeroed))
-    scans, deferred, pools, extended = [], [], {}, {}
+    groups = {}
     for f, flow in enumerate(flows):
-        reach = max(flow.m, flow.n)
-        if reach not in extended:
-            extended[reach] = _extended(flow, window)
-        chains = _Chains(flow, window, extended[reach], at)
-        scans.append(scan := _FlowScan(chains))
-        wanted = scan.codes == 0
+        groups.setdefault(max(flow.m, flow.n), []).append(f)
+    scans, deferred, pools = [None] * len(flows), {}, {}
+    for members in groups.values():
+        chains = _Chains([flows[f] for f in members], window,
+                         _extended(flows[members[0]], window), at)
+        codes = np.where(chains.kept > 0, 0, ScanRecord.ZEROED)
+        codes[chains.twins()] = ScanRecord.TWIN
+        wanted = codes == 0
         pooled = wanted & (chains.kept <= POOLED_MODES)
-        scan.codes[pooled] = ScanRecord.DROPPED
+        codes[pooled] = ScanRecord.DROPPED
+        ids = np.array(members)
+        for g, f in enumerate(members):
+            scans[f] = _FlowScan(chains, g, codes)
         for numbers, index, B in chains.slabs(pooled):
+            owner = chains.owner[numbers]
             pools.setdefault(index.shape[1], []).append(
-                (np.full(len(numbers), f), numbers, index, _reduce(B, scale[index])))
-        numbers = np.flatnonzero(wanted & ~pooled)
-        if len(numbers):
-            deferred.append((scan, chains, numbers))
+                (ids[owner], numbers - chains.base[owner], index, _reduce(B, scale[index])))
+        if (wanted & ~pooled).any():
+            negative, total = _weight_bounds(chains, np.tile(scale, len(members)))
+            floors = np.where(chains.settled, 0, -negative - TIE_RTOL * chains.kept * total)
+            deferred.update((f, (chains, floors, chains.base[g])) for g, f in enumerate(members))
     _screen(scans, pools)
-    for scan, chains, numbers in deferred:
-        negative, total = _weight_bounds(chains, scale)
-        floors = np.where(chains.settled, 0, -negative - TIE_RTOL * chains.kept * total)
-        for number in sorted(numbers.tolist(), key=lambda c: (chains.settled[c], c)):
+    for f in sorted(deferred):
+        (chains, floors, base), scan = deferred[f], scans[f]
+        # the flow's chains that still wait, by number in the group's table
+        waiting = (np.flatnonzero(scan.codes == 0) + base).tolist()
+        for number in sorted(waiting, key=lambda c: (chains.settled[c], c)):
             top = _ceiling(scan.low)
             if floors[number] > top:  # cannot win or tie
-                scan.codes[number] = (ScanRecord.SETTLED if chains.settled[number]
-                                      else ScanRecord.BOUNDED)
+                scan.codes[number - base] = (ScanRecord.SETTLED if chains.settled[number]
+                                             else ScanRecord.BOUNDED)
                 continue
             [(_, index, B)] = chains.slabs(np.arange(len(chains.sizes)) == number)
             S = _reduce(B, scale[index])
             if spectrum_above(S[0], top, TIE_RTOL):
-                scan.codes[number] = ScanRecord.BEATEN
+                scan.codes[number - base] = ScanRecord.BEATEN
             else:
-                _solve([scan], [number], index, S)
+                _solve([scan], [number - base], index, S)
     return [scan.entry(window, p) for scan in scans]
 
 

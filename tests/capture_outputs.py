@@ -180,8 +180,11 @@ def _winner_calls():
         except Exception:  # the failure is recorded by the call above
             continue
         window = spectral.SpectralWindow(N, subspace)
-        chain = spectral._Chains(flow, window, spectral._extended(flow, window)).chain
-        modes = window.modes_at(np.flatnonzero(chain == chain[window.index_of(first)]))
+        # a chain is one class of (j mod 2m, k mod 2n) merged with its
+        # negation's, per parity, read from the window's public arrays
+        j, k, m2, n2 = window.j, window.k, 2 * flow.m, 2 * flow.n
+        key = 2 * np.minimum(j % m2 * n2 + k % n2, -j % m2 * n2 + -k % n2) + window.sin
+        modes = window.modes_at(np.flatnonzero(key == key[window.index_of(first)]))
         yield flow, dict(options, constraints=[first]), f"first mode {first!r}"
         yield flow, dict(options, constraints=list(modes)), f"chain of {first!r}"
 

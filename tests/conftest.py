@@ -164,9 +164,10 @@ def hessian_minors_positive(form) -> bool:
 # ------------------------------------------------------------ test-side oracles
 #
 # The numerical route never builds a whole-window matrix: `_Chains` keeps
-# each chain's bracket nonzeros in one integer table, and `_gram` sums the
-# chains' forms from it, a flow's pooled chains into one slab per kept-mode
-# count (`_Chains.slabs`) and each larger chain as a slab of one.  The
+# each chain's bracket nonzeros in one integer table per group of flows of
+# one max(m, n), and `_gram` sums the chains' forms from it, the group's
+# pooled chains into one slab per kept-mode count (`_Chains.slabs`) and
+# each larger chain as a slab of one.  The
 # helpers below lay the table out densely, or rebuild the forms by dense
 # products that share no code with `_gram`, for the tests to check against
 # the exact bracket and index, and against what the scan records.
@@ -316,17 +317,30 @@ def assert_winner_solved(flow, window, p, pair, coeffs, record, zeroed=(), grams
 
 # parts checked on their own: the bracket's stencil, the output window, the
 # Sobolev reduction, the weight bounds and the certificate's rounding
-stencil = spectral._stencil
 extended_window = spectral._extended
 reduce_form = spectral._reduce
 weight_bounds = spectral._weight_bounds
 numerators = spectral._numerators
 
 
+def stencil(flow, window, ext):
+    """`_stencil` of `flow` on every mode of `ext`, not only its reach box:
+    (cols, terms), each of shape (len(ext), 4)."""
+    m, n = (np.full(len(ext), value) for value in (flow.m, flow.n))
+    cols, terms = spectral._stencil(m, n, window, ext.j, ext.k, ext.sin)
+    return cols.T, terms.T
+
+
 def scan_chains(flow, window, zeroed=()):
-    """The scan's chain layout (`_Chains`) of `window` for `flow`, less the
-    modes at the window positions `zeroed`."""
-    return spectral._Chains(flow, window, spectral._extended(flow, window), zeroed)
+    """The scan's chain layout (`_Chains`) of `window` for `flow` alone, a
+    group of one, less the modes at the window positions `zeroed`."""
+    return group_chains([flow], window, zeroed)
+
+
+def group_chains(flows, window, zeroed=()):
+    """The scan's chain table (`_Chains`) of `window` for `flows`, which
+    share one max(m, n), less the modes at the window positions `zeroed`."""
+    return spectral._Chains(flows, window, spectral._extended(flows[0], window), zeroed)
 
 
 def chain_alone(chains, number):
@@ -417,10 +431,11 @@ def hand_built_scan(monkeypatch, slabs):
 
 
 def break_chains(monkeypatch, targets):
-    """Make each chain (flow, subspace, number) in `targets` asymmetric above
-    its diagonal as its Gram product is built, by max|B| in its top right
-    entry, and record the stacks the value screen gets and those the
-    eigensolve gets, as two lists, until the patches are undone."""
+    """Make each chain (flow, subspace, number) in `targets`, numbered within
+    its flow, asymmetric above its diagonal as its Gram product is built, by
+    max|B| in its top right entry, and record the stacks the value screen
+    gets and those the eigensolve gets, as two lists, until the patches are
+    undone."""
     slabs, screen, solve = spectral._Chains.slabs, spectral.lowest_eigenvalues, \
         spectral.lowest_eigenpairs
     screens, stacks = [], []
@@ -428,7 +443,8 @@ def break_chains(monkeypatch, targets):
     def broken_slabs(self, pooled):
         for numbers, index, B in slabs(self, pooled):
             for slot, number in enumerate(numbers):
-                if (self.flow, self.window.subspace, number) in targets:
+                g = self.owner[number]
+                if (self.flows[g], self.window.subspace, number - self.base[g]) in targets:
                     B[slot, 0, -1] += np.max(np.abs(B[slot]))
             yield numbers, index, B
 

@@ -3,10 +3,11 @@
 The bracket with psi = -cos mx cos ny sends mode (j, k) only to
 (j +- m, k +- n), so the window splits into chains that no bracket row and
 no entry of the index form couples.  The numerical route has one scan over
-them: `_Chains` lays the chains out, less their zeroed modes, with their
-bracket's nonzeros in one integer table, `_gram` sums the forms of a
-flow's chains of at most 45 kept modes from that table into one slab per
-kept-mode count, and of each larger chain alone, and `window_minimum`
+them: `_Chains` lays the chains of the flows of one max(m, n) out, less
+their zeroed modes, with their bracket's nonzeros in one integer table,
+`_gram` sums the forms of their chains of at most 45 kept modes from that
+table into one slab per kept-mode count, and of each larger chain alone,
+and `window_minimum`
 screens the slabs in stacked values-only eigensolves and solves only the
 chains that can still win or tie for eigenpairs, leaving out the chains
 that a flow symmetry maps onto an earlier chain, then picks the winner
@@ -39,9 +40,9 @@ from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
 from conftest import (assert_winner_solved, bracket_matrix, break_chains, chain_alone,
                       chain_brackets, dense_grams, dense_kept, dense_reduced, extended,
-                      gram_blocks, hand_built_scan, lowest_pair, per_chain_products, reduce_form,
-                      scan_chains, scan_one, stencil, tilted, unsettle, weight_bounds,
-                      window_modes, window_values)
+                      gram_blocks, group_chains, hand_built_scan, lowest_pair,
+                      per_chain_products, reduce_form, scan_chains, scan_one, stencil, tilted,
+                      unsettle, weight_bounds, window_modes, window_values)
 
 TWIN, ZEROED, SETTLED, BOUNDED, DROPPED, BEATEN, SOLVED, FAILED = (
     ScanRecord.TWIN, ScanRecord.ZEROED, ScanRecord.SETTLED, ScanRecord.BOUNDED,
@@ -249,6 +250,73 @@ def test_slab_is_the_dense_form():
                                   key=lambda c: (chains.kept[c], c))
         parities |= set(window.sin.tolist())
     assert large and held and twins and parities == {False, True}
+
+
+def _table_slice(chains, g):
+    """Flow g's part of a `_Chains` table, renumbered as its own table would
+    number it: per column its chain, per chain its layout and twin mark,
+    per row its output position, columns, terms, chain and weight, and per
+    chain its B, kept window positions and the bytes of both."""
+    size, base = len(chains.window), chains.base[g]
+    chosen = slice(base, chains.base[g + 1])
+    rows = np.flatnonzero(chains.owner[chains.row_chain] == g)
+    slabs = {}
+    for numbers, index, slab in chains.slabs(chains.owner == g):
+        slabs.update((c - base, (at.tobytes(), B.tobytes()))
+                     for c, at, B in zip(numbers, index, slab))
+    return dict(
+        chain=chains.chain[g * size:(g + 1) * size] - base, firsts=chains.firsts[chosen],
+        sizes=chains.sizes[chosen], kept=chains.kept[chosen], held=chains.held[chosen],
+        settled=chains.settled[chosen], twins=chains.twins()[chosen], rows=chains.rows[rows],
+        cols=np.where(chains.terms[rows] != 0, chains.cols[rows] - g * size, -1),
+        terms=chains.terms[rows], row_chain=chains.row_chain[rows] - base,
+        weight=chains.weight[rows], slabs=slabs)
+
+
+def test_group_table_slices_are_one_flow_tables():
+    # one `_Chains` table of a reach group, flows of one max(m, n) mixing
+    # m = n and m != n in the given order, holds each flow's own table:
+    # its slice equals the flow's table alone in every array, twin and slab
+    # byte.  The table alone holds exactly the rows of the stencil on the
+    # whole output window that keep a nonzero term, so the reach box loses
+    # none
+    rng = random.Random(44)
+    groups = [([(2, 2), (2, 1), (1, 2)], 4, COS, 0), ([(3, 1), (3, 3), (2, 3)], 6, SIN, 2),
+              ([(1, 1)], 3, FULL, 0)]
+    for _ in range(12):
+        r = rng.randint(2, 7)
+        pairs = rng.sample([(r, n) for n in range(1, r + 1)] + [(n, r) for n in range(1, r)],
+                           rng.randint(2, min(5, 2 * r - 1)))
+        pairs.insert(rng.randint(0, len(pairs)), (r, r))
+        groups.append((pairs, rng.randint(1, 12), rng.choice((COS, SIN, FULL)),
+                       rng.choice((0, 0, 3))))
+    seen = Counter()
+    for pairs, N, subspace, zero_count in groups:
+        flows, window = [KolmogorovFlow(m, n) for m, n in pairs], SpectralWindow(N, subspace)
+        zeroed = sorted(rng.sample(range(len(window)), min(zero_count, len(window) - 1)))
+        table = group_chains(flows, window, zeroed)
+        assert table.base[-1] == len(table.sizes)
+        for g, flow in enumerate(flows):
+            got, one = _table_slice(table, g), scan_chains(flow, window, zeroed)
+            want = _table_slice(one, 0)
+            for name, value in want.items():
+                if name == "slabs":
+                    assert got[name] == value, (flow, window, name)
+                else:
+                    assert value.dtype == got[name].dtype, (flow, window, name)
+                    assert np.array_equal(got[name], value), (flow, window, name)
+            ext = extended(flow, window)
+            cols, terms = stencil(flow, window, ext)
+            terms = np.where(np.isin(cols, zeroed), 0, terms)
+            live = np.flatnonzero(terms.any(axis=1))
+            assert np.array_equal(want["rows"], live), (flow, window)
+            assert np.array_equal(want["terms"], terms[live]), (flow, window)
+            assert np.array_equal(want["cols"], np.where(terms[live] != 0, cols[live], -1))
+            seen.update(square=flow.m == flow.n, twins=int(want["twins"].sum()),
+                        held=int(want["held"].sum()),
+                        top=int((ext.j[live] == flow.m + N).any()))
+        seen[subspace] += 1
+    assert all(seen[key] for key in ("square", "twins", "held", "top", COS, SIN, FULL))
 
 
 def _dense_minimum(flow, window, p, zeroed):
