@@ -161,33 +161,28 @@ def _stencil(m, n, window: SpectralWindow, j, k, sin) -> Tuple[np.ndarray, np.nd
     return cols, terms
 
 
-def _extended(flow: KolmogorovFlow, window: SpectralWindow) -> SpectralWindow:
-    """The output window, large enough that the bracket loses no mode."""
-    return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
-
-
-def _reach_boxes(m: np.ndarray, n: np.ndarray, N: int,
-                 ext: SpectralWindow) -> Tuple[np.ndarray, np.ndarray]:
-    """The positions in `ext` of the reach box of each flow (m, n), flow by
-    flow and ascending within each, and the flow g of each: the canonical
-    outputs (J, K) with max(0, m-N) <= J <= m+N and |K| <= N+n, the only
-    ones whose bracket row can hold an input of the window of order N.
-    Per flow and J, the box is one run of positions."""
+def _reach_boxes(m: np.ndarray, n: np.ndarray, window: SpectralWindow) -> Tuple[np.ndarray, ...]:
+    """The reach box of each flow (m, n) on `window`: the canonical outputs
+    (J, K), max(0, m-N) <= J <= m+N and |K| <= N+n, in the window's
+    parities, the only ones whose bracket row can hold an input.  Returns
+    (flow g, J, K, sin) per box row, flow by flow in (J, K, parity) order."""
+    N, parities = window.N, 1 + (window.subspace == FULL)
     low = np.maximum(m - N, 0)
     runs = m + N - low + 1
     owner = np.repeat(np.arange(len(m)), runs)
     J = np.arange(len(owner)) - np.repeat(np.cumsum(runs) - runs - low, runs)
     top = (N + n)[owner]
     bottom = np.where(J > 0, -top, 1)
-    lengths = (top - bottom + 1) * (1 + (ext.subspace == FULL))
-    ends = np.cumsum(lengths)
-    rows = np.repeat(ext.locate(J, bottom, False) - ends + lengths, lengths) + np.arange(ends[-1])
-    return rows, np.repeat(owner, lengths)
+    lengths = (top - bottom + 1) * parities
+    place = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    K = np.repeat(bottom, lengths) + place // parities
+    sin = (place % parities == 1) | (window.subspace == SIN)
+    return (np.repeat(owner, lengths), np.repeat(J.astype(np.int32), lengths),
+            K.astype(np.int32), sin)
 
 
 class _Chains:
-    """The bracket's mode chains on `window` of the flows `flows`, which share
-    the output window `ext`: flow by flow, each numbered by first mode.
+    """The bracket's mode chains of `flows` on `window`, each numbered by first mode.
 
     A chain is a set of modes that bracket rows link: no bracket row and
     no entry of the index form couples two chains.  The inputs on one row
@@ -206,43 +201,46 @@ class _Chains:
     their chains, but `kept` counts each chain's other modes, `held` marks
     the chains that lose one, and the bracket's terms on them are 0.
 
-    One integer table holds the rows that the bracket (`_stencil` into
-    `ext`) reaches, flow by flow, each flow's found in its reach box alone
-    (`_reach_boxes`) and ascending: `rows` their positions in `ext`,
-    `row_chain` the chain of each, `cols` and `terms` its four folded
-    columns and stencil terms 4L (a 0 term's column is its flow's first),
-    and `weight` its w = j^2+k^2 - lambda^2, with its own flow's lambda.
-    `cols` and `terms` are int32 wherever their values fit.  `settled`
-    marks the chains with no row of w < 0, inside the disc
-    j^2+k^2 < lambda^2: their form B = L^T W L has no negative eigenvalue.
+    One integer table holds the rows that the bracket (`_stencil`) reaches,
+    flow by flow, each flow's found in its reach box (`_reach_boxes`): `rows`
+    their output modes (J, K), `row_chain` the chain of each, whose parity
+    the row shares, `cols` and `terms` its four folded columns and stencil
+    terms 4L (a 0 term's column is its flow's first), and `weight` its
+    w = J^2+K^2 - lambda^2, with its own flow's lambda.  All but `weight`
+    are int32: every term and J^2+K^2 lies below 2 R^2, R = N + max(m, n),
+    and a table where that or its column count reaches 2^31 raises
+    MemoryError before any array is built.  `settled` marks the chains with
+    no row of w < 0, inside the disc j^2+k^2 < lambda^2: their form
+    B = L^T W L has no negative eigenvalue.
     """
 
     def __init__(self, flows: Sequence[KolmogorovFlow], window: SpectralWindow,
-                 ext: SpectralWindow, zeroed: Sequence[int] = ()):
+                 zeroed: Sequence[int] = ()):
         size, count = len(window), len(flows)
+        R = window.N + max(max(flow.m, flow.n) for flow in flows)
+        if max(2 * R * R, count * size) >= 2 ** 31:
+            raise MemoryError(f"window order {R} is too large to index")
         self.flows, self.window = flows, window
         m, n, lambda2 = (np.array([getattr(flow, a) for flow in flows])
                          for a in ("m", "n", "lambda2"))
-        # every flat column and term lies below these bounds
-        itype = np.int32 if max(count * size, 2 * ext.N ** 2) < 2 ** 31 else np.int64
-        rows, owner = _reach_boxes(m, n, window.N, ext)
-        cols, terms = _stencil(m.astype(itype)[owner], n.astype(itype)[owner], window,
-                               ext.j.astype(itype)[rows], ext.k.astype(itype)[rows],
-                               ext.sin[rows])
+        owner, J, K, sin = _reach_boxes(m, n, window)
+        cols, terms = _stencil(m.astype(np.int32)[owner], n.astype(np.int32)[owner], window,
+                               J, K, sin)
         terms *= np.isin(cols, zeroed, invert=True)
         live = np.flatnonzero(terms.any(axis=0))
-        self.rows, owner = rows[live], owner[live]
+        owner, J, K = owner[live], J[live], K[live]
         cols, terms = cols.take(live, axis=1), terms.take(live, axis=1)
         cols += owner * size
         self.cols, self.terms = np.ascontiguousarray(cols.T), np.ascontiguousarray(terms.T)
-        self.weight = ext.j[self.rows] ** 2 + ext.k[self.rows] ** 2 - lambda2[owner]
+        self.rows = np.stack([J, K], axis=1)
+        self.weight = J ** 2 + K ** 2 - lambda2[owner]
         # each column's class, offset past the classes of the flows before it
         m2, n2, classes = 2 * m[:, None], 2 * n[:, None], 8 * m * n
         j, k = window.j, window.k
         key = (2 * np.minimum(j % m2 * n2 + k % n2, -j % m2 * n2 + -k % n2) + window.sin
                + (np.cumsum(classes) - classes)[:, None]).ravel()
-        first = np.full(int(classes.sum()), count * size, dtype=itype)
-        np.minimum.at(first, key, np.arange(count * size, dtype=itype))
+        first = np.full(int(classes.sum()), count * size, dtype=np.int32)
+        np.minimum.at(first, key, np.arange(count * size, dtype=np.int32))
         labels = first[key]
         firsts = np.flatnonzero(labels == np.arange(count * size))
         self.chain = np.searchsorted(firsts, labels)
@@ -311,19 +309,22 @@ class _Chains:
 def _gram(chains: _Chains, rows: np.ndarray, offsets: np.ndarray, size: int) -> np.ndarray:
     """B = L^T W L of the chains that own the table `rows`, flat over `size`
     entries: chain c's d x d, d its kept modes, row-major from offsets[c].
-    Each pair of nonzeros on one row adds one integer product c w c' of 16 B
-    (the table holds 4L and W = diag(w)), summed by one bincount; two terms
-    c, c' of a row on one column add (c + c')^2 w.  Every partial sum is an
-    integer far below 2^53, so the sums are exact in any order, and B is
-    16 B divided by 16 once, also exactly."""
-    chain, terms = chains.row_chain[rows], chains.terms[rows]
+    Each pair of nonzeros on one row adds one product (c c') w of 16 B (the
+    table holds 4L and W = diag(w)), summed by one bincount; two terms c,
+    c' of a row on one column add (c + c')^2 w.  Formed in float64, no
+    product wraps (in int64 one passes 2^63 at large m), and (c, c') and
+    (c', c) add the same floats in the same order, so B is exactly
+    symmetric.  The sums are exact while every product and partial sum
+    stays below 2^53, and B is 16 B divided by 16 once, also exactly."""
+    chain, terms = chains.row_chain[rows], chains.terms[rows].astype(float)
     local = chains.local[chains.cols[rows]]
     linked = terms != 0
     pairs = linked[:, :, None] & linked[:, None, :]
     starts = offsets[chain][:, None] + local * chains.kept[chain][:, None]
     at = (starts[:, :, None] + local[:, None, :])[pairs]
-    products = (terms[:, :, None] * (chains.weight[rows][:, None] * terms)[:, None, :])[pairs]
-    return np.bincount(at, products, size) / 16
+    products = terms[:, :, None] * terms[:, None, :]
+    products *= chains.weight[rows][:, None, None]
+    return np.bincount(at, products[pairs], size) / 16
 
 
 def _weight_bounds(chains: _Chains, scale: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -466,33 +467,33 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
                    ) -> List[Union[Tuple[EigenPair, np.ndarray, ScanRecord], Exception]]:
     """Lowest eigenpair over the reduced bracket chains of `window`, for each flow.
 
-    The flows of one max(m, n), a reach group, share one `_extended` output
-    window and one `_Chains` table, built in one pass over each flow's
-    reach box; each flow's scan reads its own slice of it.  Each chain is
-    decided once, and its decision goes into its flow's `ScanRecord` under
-    the code named here, in three phases.  First, per reach group, chains
-    ZEROED out and the TWINs of earlier chains of their flow drop out, and
-    the other chains of at most POOLED_MODES kept modes go through one Gram
-    product (`_Chains.slabs`) and the Sobolev reduction, and are pooled by
-    size across flows, coded DROPPED until they are solved; larger chains
-    wait.  Second, once every flow is pooled, `_screen` makes one
-    values-only eigensolve per size: a chain whose value less its margin
-    TIE_RTOL d max|S| lies above the ceiling of its flow's lowest value
-    plus margin stays DROPPED, and every flow's other pooled chains are
-    SOLVED for eigenpairs in one eigensolve per size, so that each flow's
-    `low` is an eigensolved value.  Third, each flow's waiting chains are
-    decided one at a time, flow by flow in the order given, those that
-    reach a disc row first, then the `_Chains.settled` ones, each in
-    ascending number.  One whose floor lies above `_ceiling(low)` is
-    skipped before its Gram product: SETTLED at floor 0, its form being
-    PSD, or BOUNDED at -N - TIE_RTOL d A from `_weight_bounds`
-    (`spectrum_above`'s margin, A in place of max|S|).  Any other is BEATEN
-    if one Cholesky factorization shows that it can neither win nor tie
-    (`spectrum_above`), else SOLVED alone.  Every reduced chain meets the
-    symmetry check, and every solved one the residual check; a chain that
-    fails either is FAILED.  Per flow, two solved minima within TIE_RTOL of
-    each other (relative) are a tie, won by the chain with the lowest first
-    mode, and the lowest-numbered FAILED chain gives the flow's error.
+    The flows of one max(m, n), a reach group, share one `_Chains` table, built
+    in one pass over each flow's reach box; each flow's scan reads its own
+    slice of it.  Grouping only bounds the rows of one table: one table of
+    every flow would hold more at once and save no time.  Each chain is decided
+    once, and its decision goes into its flow's `ScanRecord` under the code
+    named here, in three phases.  First, per reach group, chains ZEROED out and
+    the TWINs of earlier chains of their flow drop out, and the other chains of
+    at most POOLED_MODES kept modes go through one Gram product
+    (`_Chains.slabs`) and the Sobolev reduction, and are pooled by size across
+    flows, coded DROPPED until they are solved; larger chains wait.  Second,
+    once every flow is pooled, `_screen` makes one values-only eigensolve per
+    size: a chain whose value less its margin TIE_RTOL d max|S| lies above the
+    ceiling of its flow's lowest value plus margin stays DROPPED, and every
+    flow's other pooled chains are SOLVED for eigenpairs in one eigensolve per
+    size, so that each flow's `low` is an eigensolved value.  Third, each
+    flow's waiting chains are decided one at a time, flow by flow in the order
+    given, those that reach a disc row first, then the `_Chains.settled` ones,
+    each in ascending number.  One whose floor lies above `_ceiling(low)` is
+    skipped before its Gram product: SETTLED at floor 0, its form being PSD, or
+    BOUNDED at -N - TIE_RTOL d A from `_weight_bounds` (`spectrum_above`'s
+    margin, A in place of max|S|).  Any other is BEATEN if one Cholesky
+    factorization shows that it can neither win nor tie (`spectrum_above`),
+    else SOLVED alone.  Every reduced chain meets the symmetry check, and every
+    solved one the residual check; a chain that fails either is FAILED.  Per
+    flow, two solved minima within TIE_RTOL of each other (relative) are a tie,
+    won by the chain with the lowest first mode, and the lowest-numbered FAILED
+    chain gives the flow's error.
 
     Returns one entry per flow: its error, which carries the flow's record
     as `record`, or (pair, coeffs, record): the winning chain's row of its
@@ -508,8 +509,7 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
         groups.setdefault(max(flow.m, flow.n), []).append(f)
     scans, deferred, pools = [None] * len(flows), {}, {}
     for members in groups.values():
-        chains = _Chains([flows[f] for f in members], window,
-                         _extended(flows[members[0]], window), at)
+        chains = _Chains([flows[f] for f in members], window, at)
         codes = np.where(chains.kept > 0, 0, ScanRecord.ZEROED)
         codes[chains.twins()] = ScanRecord.TWIN
         wanted = codes == 0

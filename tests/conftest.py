@@ -173,6 +173,8 @@ def hessian_minors_positive(form) -> bool:
 # the exact bracket and index, and against what the scan records.
 
 def extended(flow, window):
+    """The window of order N + max(m, n), which holds every output of the
+    bracket on `window`: the dense oracles lay their rows out on it."""
     return SpectralWindow(window.N + max(flow.m, flow.n), window.subspace)
 
 
@@ -196,8 +198,8 @@ def chain_brackets(flow, window):
     """(index, rows, L) of each chain of `_Chains`, by chain number.
 
     `index` holds the window positions of the chain's modes, `rows` the
-    positions in the extended window of the outputs its bracket reaches
-    (the chain's rows of the `_Chains` table, in order), and L the dense
+    output modes (J, K) its bracket reaches, in the chain's parity (the
+    chain's rows of the `_Chains` table, in order), and L the dense
     bracket block between them, summed from the table's integer terms 4L,
     each divided by 4, at their columns' positions in the chain.
     """
@@ -214,11 +216,18 @@ def chain_brackets(flow, window):
     return blocks
 
 
+def output_positions(ext, window, index, rows):
+    """The positions in `ext` of a chain's output modes `rows` (J, K), in
+    the parity of its modes, the window positions `index`."""
+    return ext.locate(rows[:, 0], rows[:, 1], window.sin[index[0]])
+
+
 def bracket_matrix(flow, window) -> np.ndarray:
     """The chains' bracket blocks scattered into one matrix, window to extended window."""
-    M = np.zeros((len(extended(flow, window)), len(window)))
+    ext = extended(flow, window)
+    M = np.zeros((len(ext), len(window)))
     for index, rows, L in chain_brackets(flow, window):
-        M[np.ix_(rows, index)] = L
+        M[np.ix_(output_positions(ext, window, index, rows), index)] = L
     return M
 
 
@@ -226,10 +235,10 @@ def dense_grams(flow, window):
     """Window positions and B of each chain, by chain number: the dense Gram
     product L^T W L of each chain's bracket block (checked against the exact
     bracket by `test_scattered_brackets_match_exact_bracket`), symmetrized."""
-    weights = extended(flow, window).laplace - flow.lambda2
     grams = []
     for index, rows, L in chain_brackets(flow, window):
-        B = L.T @ (weights[rows][:, None] * L)
+        weights = np.sum(rows.astype(float) ** 2, axis=1) - flow.lambda2
+        B = L.T @ (weights[:, None] * L)
         grams.append((index.tolist(), 0.5 * (B + B.T)))
     return grams
 
@@ -315,9 +324,8 @@ def assert_winner_solved(flow, window, p, pair, coeffs, record, zeroed=(), grams
 # check one part of the scan on its own, to turn its screens off for a
 # reference, or to inject a fault into it.
 
-# parts checked on their own: the bracket's stencil, the output window, the
+# parts checked on their own: the bracket's stencil, the reach box, the
 # Sobolev reduction, the weight bounds and the certificate's rounding
-extended_window = spectral._extended
 reduce_form = spectral._reduce
 weight_bounds = spectral._weight_bounds
 numerators = spectral._numerators
@@ -331,6 +339,13 @@ def stencil(flow, window, ext):
     return cols.T, terms.T
 
 
+def reach_box(flow, window):
+    """The rows of `flow`'s reach box on `window` (`_reach_boxes`), as
+    (J, K, sin) tuples in their order."""
+    _, J, K, sin = spectral._reach_boxes(np.array([flow.m]), np.array([flow.n]), window)
+    return list(zip(J.tolist(), K.tolist(), sin.tolist()))
+
+
 def scan_chains(flow, window, zeroed=()):
     """The scan's chain layout (`_Chains`) of `window` for `flow` alone, a
     group of one, less the modes at the window positions `zeroed`."""
@@ -340,7 +355,7 @@ def scan_chains(flow, window, zeroed=()):
 def group_chains(flows, window, zeroed=()):
     """The scan's chain table (`_Chains`) of `window` for `flows`, which
     share one max(m, n), less the modes at the window positions `zeroed`."""
-    return spectral._Chains(flows, window, spectral._extended(flows[0], window), zeroed)
+    return spectral._Chains(flows, window, zeroed)
 
 
 def chain_alone(chains, number):

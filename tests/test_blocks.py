@@ -24,6 +24,7 @@ split.
 """
 
 import itertools
+import math
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction as F
@@ -68,7 +69,7 @@ def test_blocks_partition_the_window(m, n, N, subspace):
     layout = chain_layout(flow, window)
     chains = chain_modes(flow, window)
     assert sorted(mode for modes in chains for mode in modes) == list(window_modes(window))
-    outputs = [row for _, rows in layout for row in rows.tolist()]
+    outputs = [(*row, window.sin[index[0]]) for index, rows in layout for row in rows.tolist()]
     assert len(outputs) == len(set(outputs))
     for modes, (_, rows) in zip(chains, layout):
         assert list(modes) == sorted(modes)
@@ -167,48 +168,99 @@ def test_block_gram_equals_dense_gram():
         flow = KolmogorovFlow(m, n)
         window = SpectralWindow(N, subspace)
         assert _rows_with_one_column_twice(flow, window) >= 2
-        weights = np.array([md.laplace_weight for md in window_modes(extended(flow, window))],
-                           dtype=float) - flow.lambda2
         grams, blocks = gram_blocks(flow, window), chain_brackets(flow, window)
         assert len(grams) == len(blocks)
         for (index, B), (want, rows, L) in zip(grams, blocks):
+            weights = np.array([Mode(j, k, COS).laplace_weight for j, k in rows.tolist()],
+                               dtype=float) - flow.lambda2
             assert np.array_equal(index, want)
-            assert np.array_equal(B, L.T @ (weights[rows][:, None] * L))
+            assert np.array_equal(B, L.T @ (weights[:, None] * L))
 
 
-@pytest.mark.parametrize("m,n,N,subspace", [(1, 1, 80, COS), (30, 29, 61, COS),
-                                             (30, 30, 61, COS), (4, 1, 40, FULL)])
-def test_gram_sums_integers_exactly(m, n, N, subspace):
-    # `_gram` sums the integer products c w c' of 16 B as floats and divides
-    # by 16 once, exact while the magnitudes summed into one entry stay below
-    # 2^53: the largest such sum here is about 2e11, at (30,30) N=61.  Each
-    # chain is checked as the scan builds it, in a slab of the chains of at
-    # most 45 kept modes or alone
-    flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
-    chains = scan_chains(flow, window)
-    assert all(np.issubdtype(a.dtype, np.integer) for a in (chains.terms, chains.weight))
+def _gram_pairs(chains):
+    """Every pair of nonzero terms on one table row, in `_gram`'s order, as
+    (width, at, inverse, products): the distinct entries of the pairs, each
+    keyed chain * width + its row-major position in the chain's B, each
+    pair's entry in `at`, and its product c c' w of 16 B as a Python int."""
     local, linked = chains.local[chains.cols], chains.terms != 0
     r, s, t = np.nonzero(linked[:, :, None] & linked[:, None, :])
     number, width = chains.row_chain[r], int(chains.kept.max()) ** 2
-    # each pair's entry (chain, row-major position in its B), as one key
     at, inverse = np.unique(number * width + local[r, s] * chains.kept[number] + local[r, t],
                             return_inverse=True)
-    products = chains.terms[r, s] * chains.weight[r] * chains.terms[r, t]
-    gram, magnitude = np.zeros(len(at), dtype=np.int64), np.zeros(len(at), dtype=np.int64)
-    np.add.at(gram, inverse, products)
-    np.add.at(magnitude, inverse, np.abs(products))
-    assert magnitude.max() < 2 ** 53
-    checked = []
+    products = chains.terms[r, s].astype(object) * chains.weight[r] * chains.terms[r, t]
+    return width, at, inverse, products
+
+
+def _scan_grams(chains):
+    """(c, B) of every chain as the scan builds it: in a slab of the chains
+    of at most 45 kept modes, or alone."""
     pooled = chains.kept <= POOLED_MODES
     built = itertools.chain(((numbers, B) for numbers, _, B in chains.slabs(pooled)),
                             (([c], chain_alone(chains, c)[1]) for c in np.flatnonzero(~pooled)))
     for numbers, slab in built:
-        for c, B in zip(numbers, slab):
-            lo, hi = np.searchsorted(at, [c * width, (c + 1) * width])
-            B = B.ravel()
-            assert np.array_equal(16 * B[at[lo:hi] - c * width], gram[lo:hi])
-            assert np.count_nonzero(B) == np.count_nonzero(gram[lo:hi])
-            checked.append(c)
+        yield from zip(numbers, slab)
+
+
+@pytest.mark.parametrize("m,n,N,subspace", [(1, 1, 80, COS), (30, 29, 61, COS),
+                                             (30, 30, 61, COS), (4, 1, 40, FULL),
+                                             (2000, 1, 60, COS), (30000, 1, 4, COS)])
+def test_gram_sums_integers_exactly(m, n, N, subspace):
+    # `_gram` sums the integer products c c' w of 16 B as floats and divides
+    # by 16 once, exact while every product and every partial sum, in the
+    # order its bincount adds them, stays below 2^53.  At (2000,1) N=60 and
+    # (30000,1) N=4 the partial sums reach about 6.7e15 and 6.9e15, though
+    # the magnitudes summed into one entry pass 2^53.  Each chain is
+    # checked as the scan builds it, in a slab of the chains of at most 45
+    # kept modes or alone
+    flow, window = KolmogorovFlow(m, n), SpectralWindow(N, subspace)
+    chains = scan_chains(flow, window)
+    assert all(np.issubdtype(a.dtype, np.integer) for a in (chains.terms, chains.weight))
+    width, at, inverse, products = _gram_pairs(chains)
+    # each entry's partial sums in the pairs' order, which is `_gram`'s
+    order = np.argsort(inverse, kind="stable")
+    running = np.cumsum(products[order])
+    counts = np.bincount(inverse)
+    partial = running - np.repeat(np.concatenate([[0], running])[np.cumsum(counts) - counts],
+                                  counts)
+    assert max(abs(x) for x in partial) < 2 ** 53
+    gram = np.zeros(len(at), dtype=object)
+    np.add.at(gram, inverse, products)
+    checked = []
+    for c, B in _scan_grams(chains):
+        lo, hi = np.searchsorted(at, [c * width, (c + 1) * width])
+        B = B.ravel()
+        assert (16 * B[at[lo:hi] - c * width]).astype(object).tolist() == gram[lo:hi].tolist()
+        assert np.count_nonzero(B) == np.count_nonzero(gram[lo:hi])
+        checked.append(c)
+    assert sorted(checked) == list(range(len(chains.sizes)))
+
+
+def test_gram_products_do_not_wrap():
+    # at (32000,1) N=60 a product c c' w of 16 B reaches 1.42e19 > 2^63, so
+    # in int64 it would wrap.  `_gram`'s B is exactly symmetric, and each
+    # entry of 16 B lies within 2k ulps of its summed magnitudes from the
+    # exact sum of its k products in Python ints: two roundings per product
+    # and one per addition, each of at most half an ulp
+    flow, window = KolmogorovFlow(32000, 1), SpectralWindow(60, COS)
+    chains = scan_chains(flow, window)
+    assert len(chains.rows) == 14883
+    width, at, inverse, products = _gram_pairs(chains)
+    assert max(abs(x) for x in products) > 2 ** 63
+    exact, magnitude = np.zeros(len(at), dtype=object), np.zeros(len(at), dtype=object)
+    np.add.at(exact, inverse, products)
+    np.add.at(magnitude, inverse, np.abs(products))
+    counts = np.bincount(inverse)
+    checked = []
+    for c, B in _scan_grams(chains):
+        assert np.array_equal(B, B.T)
+        lo, hi = np.searchsorted(at, [c * width, (c + 1) * width])
+        B = B.ravel()
+        got = 16 * B[at[lo:hi] - c * width]
+        for x, want, total, k in zip(got.tolist(), exact[lo:hi], magnitude[lo:hi],
+                                     counts[lo:hi].tolist()):
+            assert abs(int(x) - want) <= 2 * k * math.ulp(total)
+        assert not np.delete(B, at[lo:hi] - c * width).any()
+        checked.append(c)
     assert sorted(checked) == list(range(len(chains.sizes)))
 
 
@@ -255,7 +307,7 @@ def test_slab_is_the_dense_form():
 def _table_slice(chains, g):
     """Flow g's part of a `_Chains` table, renumbered as its own table would
     number it: per column its chain, per chain its layout and twin mark,
-    per row its output position, columns, terms, chain and weight, and per
+    per row its output mode, columns, terms, chain and weight, and per
     chain its B, kept window positions and the bytes of both."""
     size, base = len(chains.window), chains.base[g]
     chosen = slice(base, chains.base[g + 1])
@@ -309,7 +361,8 @@ def test_group_table_slices_are_one_flow_tables():
             cols, terms = stencil(flow, window, ext)
             terms = np.where(np.isin(cols, zeroed), 0, terms)
             live = np.flatnonzero(terms.any(axis=1))
-            assert np.array_equal(want["rows"], live), (flow, window)
+            assert np.array_equal(want["rows"], np.stack([ext.j[live], ext.k[live]], axis=1))
+            assert np.array_equal(window.sin[one.firsts[one.row_chain]], ext.sin[live])
             assert np.array_equal(want["terms"], terms[live]), (flow, window)
             assert np.array_equal(want["cols"], np.where(terms[live] != 0, cols[live], -1))
             seen.update(square=flow.m == flow.n, twins=int(want["twins"].sum()),
@@ -645,8 +698,9 @@ def test_sweep_makes_34_screens_of_2941_matrices_and_28_solves_of_75(monkeypatch
 
 
 def test_sweep_builds_each_window_once(monkeypatch):
-    # `sweep --mmax 10` scans one cosine and one sine window, and the flows
-    # of one max(m, n) share their output window: 10 cosine and 6 sine sizes
+    # `sweep --mmax 10` scans one cosine and one sine window and builds no
+    # other: each reach group's table is laid out from its flows' reach
+    # boxes, with no output window
     built, init = [], SpectralWindow.__init__
 
     def init_spy(self, N, subspace=COS):
@@ -655,7 +709,7 @@ def test_sweep_builds_each_window_once(monkeypatch):
 
     monkeypatch.setattr(SpectralWindow, "__init__", init_spy)
     pipeline.run_sweep(10)
-    assert len(built) == len(set(built)) == 18
+    assert built == [(12, COS), (12, SIN)]
 
 
 @pytest.mark.parametrize("m,n,N,subspace", [(30, 22, 64, COS), (5, 4, 20, COS),

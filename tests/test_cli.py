@@ -849,6 +849,22 @@ def test_window_too_large_to_index_is_numerical_failure(capsys, argv):
     assert err.startswith("numerical failure: window order ") and err.count("\n") == 1
 
 
+def test_window_order_at_the_int32_range_certifies(capsys):
+    # R = N + max(m, n) = 32767, the largest with 2 R^2 < 2^31, so that the
+    # chain table's stencil terms and weights fit int32: certified q < 0
+    code, out, err = run(capsys, "minimize", "--m", "32765", "--n", "1", "--N", "2")
+    assert code == 0 and err == ""
+    q = F(re.search(r"certified MI/pi\^2 = (\S+)", out)[1])
+    assert q < 0
+
+
+def test_window_order_past_the_int32_range_is_numerical_failure(capsys):
+    # R = 32768: 2 R^2 = 2^31, refused before any array of the table is built
+    code, out, err = run(capsys, "minimize", "--m", "32766", "--n", "1", "--N", "2")
+    assert code == 3 and out == ""
+    assert err == "numerical failure: window order 32768 is too large to index\n"
+
+
 def test_convergence_failure_is_numerical_failure(capsys, monkeypatch, tmp_path):
     # a negative tolerance fails every residual's bound: the eigensolve's
     # ConvergenceError ends `minimize` before it formats or writes anything

@@ -14,8 +14,8 @@ from kolmconj.spectral import (FULL, SUBSPACES, CertificationError, SpectralWind
 from kolmconj.trigpoly import (COS, SIN, KolmogorovFlow, Mode, TrigPoly,
                                bracket, canonicalize, misiolek_index)
 
-from conftest import (assert_winner_solved, bracket_matrix, extended, extended_window,
-                      form_value, gram_blocks, numerators, reduce_form, reference_bracket_sums,
+from conftest import (assert_winner_solved, bracket_matrix, extended, form_value, gram_blocks,
+                      numerators, reach_box, reduce_form, reference_bracket_sums,
                       reference_pairing, reference_poly, scan_chains, scan_one, window_modes,
                       window_values)
 
@@ -167,20 +167,26 @@ class TestBracketMatrix:
             assert np.max(np.abs(M @ v - want)) < 1e-12
 
 
-    @pytest.mark.parametrize("parity", [COS, SIN])
-    def test_extended_window_holds_every_bracket(self, parity):
-        # the chains' output rows live in `_extended`: the bracket of every
-        # window mode must land there, in the window's own parity
-        for m, n in [(1, 1), (2, 1), (3, 2), (2, 2), (4, 3)]:
+    @pytest.mark.parametrize("subspace", SUBSPACES)
+    def test_reach_box_holds_every_bracket(self, subspace):
+        # the chains' table rows come from `_reach_boxes`: the bracket of
+        # every window mode must land on a row of its flow's box, in the
+        # mode's own parity, also where m > N or n > N; the box's rows are
+        # distinct canonical modes, in (J, K, parity) order
+        for m, n in [(1, 1), (2, 1), (3, 2), (2, 2), (4, 3), (7, 1), (1, 7), (9, 8)]:
             flow = KolmogorovFlow(m, n)
             for N in range(1, 6):
-                win = SpectralWindow(N, parity)
-                ext = extended_window(flow, win)
-                assert ext.subspace == parity
+                win = SpectralWindow(N, subspace)
+                rows = reach_box(flow, win)
+                assert rows == sorted(set(rows))
+                assert all(j > 0 or k > 0 for j, k, _ in rows)
+                assert {sin for *_, sin in rows} == set(win.sin.tolist())
+                box = set(rows)
                 for mode in window_modes(win):
-                    field = (TrigPoly.cosine if parity == COS else TrigPoly.sine)(mode.j, mode.k)
-                    out = bracket(flow.stream(), field)
-                    assert all(ext.index_of(term) is not None for term in out.terms)
+                    make = TrigPoly.cosine if mode.parity == COS else TrigPoly.sine
+                    out = bracket(flow.stream(), make(mode.j, mode.k))
+                    assert all((t.j, t.k, t.parity == SIN) in box for t in out.terms), (
+                        flow, win, mode)
 
 
 class TestQuadForm:
