@@ -195,11 +195,12 @@ class _Chains:
 
     Flow g owns the chains `base[g]` to `base[g+1]`, and `owner` holds each
     chain's g.  A column is a flat (flow, window position) index
-    g len(window) + position, and `chain` holds each column's chain number.
-    `sizes` holds each chain's mode count and `firsts` the window position
-    of its first mode.  The modes at the window positions `zeroed` stay in
-    their chains, but `kept` counts each chain's other modes, `held` marks
-    the chains that lose one, and the bracket's terms on them are 0.
+    g len(window) + position, and `chain` holds each column's chain number,
+    found by one stable sort of the columns' class keys (no array is sized
+    by m n).  `sizes` holds each chain's mode count and `firsts` the window
+    position of its first mode.  The modes at the window positions `zeroed`
+    stay in their chains, but `kept` counts each chain's other modes, `held`
+    marks the chains that lose one, and the bracket's terms on them are 0.
 
     One integer table holds the rows that the bracket (`_stencil`) reaches,
     flow by flow, each flow's found in its reach box (`_reach_boxes`): `rows`
@@ -239,11 +240,10 @@ class _Chains:
         j, k = window.j, window.k
         key = (2 * np.minimum(j % m2 * n2 + k % n2, -j % m2 * n2 + -k % n2) + window.sin
                + (np.cumsum(classes) - classes)[:, None]).ravel()
-        first = np.full(int(classes.sum()), count * size, dtype=np.int32)
-        np.minimum.at(first, key, np.arange(count * size, dtype=np.int32))
-        labels = first[key]
-        firsts = np.flatnonzero(labels == np.arange(count * size))
-        self.chain = np.searchsorted(firsts, labels)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        firsts = first[by_first]
+        self.chain = np.argsort(by_first)[inverse]
         self.owner, self.firsts = np.divmod(firsts, size)
         self.base = np.searchsorted(firsts, np.arange(count + 1) * size)
         self.sizes = np.bincount(self.chain)

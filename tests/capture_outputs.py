@@ -38,8 +38,9 @@ the winning chain's first mode zeroed, and every mode of that chain
 zeroed; and fixed edge windows in every subspace: N = 1 and 2 for four
 small pairs, and (30, 29), (17, 11) and (1, 30) at N = 3 and 12, where
 few or none of the 2mn + 2 chain classes meet the window, and (1000, 1)
-and (1000, 999) at N = 2 and 4, where a small window meets a large m, so
-that the reach box lies far from the window; large windows
+and (1000, 999) at N = 2 and 4, and (3000, 2999) at N = 2, where a small
+window meets a large m, so that the reach box lies far from the window
+and the 8mn chain classes far outnumber the window's modes; large windows
 where most chains of more than 45 modes are screened out, not solved:
 (1,1) full at N=40, (2,1), (3,2) and (4,1) cos at N=40, (4,3) full at
 N=30 and (2,2) full at N=20, where the screen acts on chains of 50-60
@@ -151,6 +152,7 @@ def _edge_calls():
     pairs = [(pair, N) for N in (1, 2) for pair in ((1, 1), (2, 1), (1, 2), (3, 3))]
     pairs += [(pair, N) for N in (3, 12) for pair in ((30, 29), (17, 11), (1, 30))]
     pairs += [(pair, N) for N in (2, 4) for pair in ((1000, 1), (1000, 999))]
+    pairs += [((3000, 2999), 2)]
     for ((m, n), N), subspace in itertools.product(pairs, SUBSPACES):
         yield KolmogorovFlow(m, n), dict(N=N, subspace=subspace)
 

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -837,13 +838,15 @@ def test_mi_out_of_memory_is_numerical_failure(capsys, monkeypatch, tmp_path, me
 
 @pytest.mark.parametrize("argv", [
     ("minimize", "--m", "2", "--n", "1", "--N", str(10 ** 20)),
-    ("minimize", "--m", str(10 ** 20), "--n", "1", "--N", "2"),  # the extended window
+    ("minimize", "--m", str(10 ** 20), "--n", "1", "--N", "2"),  # the chain table's range
     ("minimize", "--m", "2", "--n", "1", "--N", str(10 ** 20), "--subspace", "sin"),
     ("minimize", "--m", "2", "--n", "1", "--N", str(10 ** 20), "--subspace", "full"),
     ("sweep", "--mmax", "2", "--N", str(10 ** 20))])
 def test_window_too_large_to_index_is_numerical_failure(capsys, argv):
-    # (N+1)(2N+1) grid points exceed the largest array index: numpy would
-    # refuse the grid with a ValueError before any allocation
+    # (N+1)(2N+1) grid points exceed the largest array index, where numpy
+    # would refuse the grid with a ValueError; or, at m = 10^20, the chain
+    # table's 2 R^2, R = N + max(m, n), passes 2^31: each is refused before
+    # any allocation
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("numerical failure: window order ") and err.count("\n") == 1
@@ -877,13 +880,42 @@ def test_convergence_failure_is_numerical_failure(capsys, monkeypatch, tmp_path)
     assert not out_file.exists()
 
 
-def _fresh_interpreter(code, *args):
-    """Run `code` in a new interpreter that imports this tree's package."""
+def _fresh_interpreter(code, *args, **options):
+    """Run `code` in a new interpreter that imports this tree's package;
+    `options` go to `subprocess.run`."""
     src = str(Path(kolmconj.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, **options)
+
+
+# runs `minimize` at (3000, 2999) on a 12-mode window at one BLAS thread,
+# then prints the interpreter's own peak RSS in kB to stderr.  Linux's
+# VmHWM counts from exec; ru_maxrss would keep the forking process's peak
+_LARGE_PAIR_PROBE = """
+import os, re, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+from kolmconj.cli import main
+code = main(["minimize", "--m", "3000", "--n", "2999", "--N", "2"])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _address_space_2gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+
+def test_large_pair_on_a_small_window_runs_in_small_memory():
+    # 8mn = 72M chain classes meet 12 modes: numbering the chains must cost
+    # memory by the window, not by m n (an int32 table over the classes
+    # alone is 288 MB); the address-space cap makes a regression fail fast
+    done = _fresh_interpreter(_LARGE_PAIR_PROBE, preexec_fn=_address_space_2gib)
+    assert done.returncode == 0, done.stderr
+    assert "certified MI/pi^2 = 287904016 " in done.stdout
+    assert int(done.stderr) < 80 * 1024
 
 
 # exits 77 if a bare `import numpy` loads numpy.ma (numpy 1.x does)
