@@ -1,6 +1,6 @@
 """Lowest eigenvalue of each symmetric matrix of a stack, alone or with its
 eigenvector and residual, computed and checked once for the whole stack,
-and a Cholesky test that a matrix's spectrum lies above a floor.
+and a Cholesky test that a shifted matrix is positive definite.
 
 Every matrix passed to either solver meets the symmetry check; the
 residual check needs an eigenvector, so only `lowest_eigenpairs` makes it.
@@ -43,20 +43,13 @@ def _asymmetric(stack: np.ndarray, scale: np.ndarray) -> np.ndarray:
             > 1e-12 * np.maximum(scale, 1.0))
 
 
-def spectrum_above(S: np.ndarray, floor: float, rtol: float) -> bool:
-    """True if one Cholesky factorization shows every eigenvalue of S above `floor`.
-
-    It factors S - tau I, tau = floor + rtol * dim * max|S|.  If that
-    succeeds, S - tau I is positive definite up to the factorization's
-    backward error, of order dim * eps * ||S||_2 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 10.1), which the
-    margin over `floor` exceeds for rtol far above eps.  False if the
-    factorization fails, if tau is not finite, or if S fails the symmetry
+def spectrum_above(S: np.ndarray, tau: float) -> bool:
+    """True if one Cholesky factorization of S - tau I succeeds: S - tau I
+    is then positive definite up to the factorization's backward error.
+    False if it fails, if tau is not finite, or if S fails the symmetry
     check of `lowest_eigenpairs`: the factorization reads one triangle only.
     """
-    scale = np.max(np.abs(S))
-    tau = floor + rtol * len(S) * scale
-    if not np.isfinite(tau) or _asymmetric(S[None], scale)[0]:
+    if not np.isfinite(tau) or _asymmetric(S[None], np.max(np.abs(S)))[0]:
         return False
     shifted = S.copy()
     shifted[np.diag_indices_from(shifted)] -= tau

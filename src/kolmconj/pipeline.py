@@ -58,11 +58,16 @@ def _check_options(p: int, N: int) -> None:
 
 
 def _result(flow: KolmogorovFlow, window: SpectralWindow, p: int, found) -> MinimizeResult:
-    """The certified result of one flow's `window_minimum` entry; raises the entry's error."""
+    """The certified result of one flow's `window_minimum` entry; raises the
+    entry's error or the certification's, each carrying the flow's record."""
     if isinstance(found, Exception):
         raise found
     pair, coeffs, record = found
-    field, q = certify_candidate(window, coeffs, flow)
+    try:
+        field, q = certify_candidate(window, coeffs, flow)
+    except CertificationError as error:
+        error.record = record
+        raise
     dominant, block_mode = window.modes_at([int(np.argmax(np.abs(coeffs))),
                                             record.firsts[record.winner]])
     return MinimizeResult(flow, window.subspace, p, window.N, pair, coeffs, dominant, field, q,
@@ -86,7 +91,8 @@ def run_sweep(mmax: int, p: int = 3, N: int = 12
     1 <= n <= m <= mmax: cosine subspace first, sine as fallback.
 
     The outcome is the run's `MinimizeResult`, or the certification,
-    convergence or value error that ended it.  One scan of the cosine
+    convergence or value error that ended it, with the flow's `ScanRecord`
+    as its `record`.  One scan of the cosine
     window minimizes every pair, and one scan of the sine window the pairs
     it leaves without a certified q < 0.  Runs come by pair, the cosine
     run first.

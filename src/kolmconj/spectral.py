@@ -2,11 +2,11 @@
 
 The bracket operator f -> {psi, f} is assembled on a canonical mode window
 one block per mode chain of its stencil (the bracket sends (j, k) only to
-(j +- m, k +- n)), the Misiolek quadratic form is built from each block on
-an enlarged window (so the form is exact on the span and negative
-eigenvalues are rigorous witnesses rather than truncation artifacts), and
-numerical minimizers are certified by rationalizing their coefficients and
-re-evaluating the index with exact arithmetic.
+(j +- m, k +- n)), the Misiolek quadratic form is built from each block
+on the rows it reaches in its flow's reach box (so the form is exact on
+the span and negative eigenvalues are rigorous witnesses rather than
+truncation artifacts), and numerical minimizers are certified by
+rationalizing their coefficients and re-evaluating the index exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,11 @@ from .trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket, misiole
 
 FULL = "full"
 SUBSPACES = (COS, SIN, FULL)
-# two block minima this close, relative to the larger, are a tie
+# two chain minima this close, relative to the larger, are a tie.  Every
+# screen keeps a margin of TIE_RTOL d max|S| too, for a chain of d modes and
+# reduced form S: it exceeds the backward error, of order d eps ||S||_2, of
+# the eigensolvers and of a Cholesky factorization of S - tau I (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., section 10.1)
 TIE_RTOL = 1e-12
 # a chain of at most this many kept modes is pooled and screened by its
 # lowest eigenvalue; a larger one is decided alone against its flow's
@@ -379,8 +383,9 @@ class _FlowScan:
     vector, residual), `failures` each failing chain's number to its error,
     and `low` is the lowest solved value so far: once `_screen` returns,
     the lowest of the flow's contenders, against which its chains of more
-    than POOLED_MODES modes are decided.  No reduced matrix is kept once
-    solved.
+    than POOLED_MODES modes are decided.  The winner is the lowest-numbered
+    solved chain whose value ties with the final `low`.  No reduced matrix
+    is kept once solved.
     """
 
     def __init__(self, chains: _Chains, g: int, codes: np.ndarray):
@@ -401,12 +406,8 @@ class _FlowScan:
                      ValueError("constraining away every mode leaves nothing to minimize"))
             error.record = record
             return error
-        numbers = sorted(self.solved)
-        best = numbers[0]
-        for number in numbers:
-            value, lead = self.solved[number][0], self.solved[best][0]
-            if value < lead - TIE_RTOL * max(abs(value), abs(lead)):
-                best = number
+        best = min(number for number, (value, *_) in self.solved.items()
+                   if value - TIE_RTOL * max(abs(value), abs(self.low)) <= self.low)
         value, index, vector, residual = self.solved[best]
         # Python's pow: numpy's SIMD power in `scale` can differ from it in the last bit
         coeffs = np.zeros(len(window))
@@ -439,13 +440,11 @@ def _screen(scans: Sequence[_FlowScan], pools: dict) -> None:
     (flow ids, numbers, index, S) and is emptied.  Per size, one values-only
     eigensolve of the whole pool gives each chain a value, its symmetry
     failure goes to its flow's scan, and its margin is TIE_RTOL d max|S|,
-    as in `spectrum_above`.  Both eigensolvers are backward stable, so
-    either one's value lies far inside that margin of S's minimum.  Each
-    flow's bound is its lowest value plus margin over every size, and a
-    chain whose value less its margin lies above the ceiling of that bound
-    can neither win nor tie, and stays DROPPED.  A NaN value bounds nothing
-    and drops nothing.  The rest, the flow's contenders, are solved in one
-    eigensolve per size, ascending."""
+    as in the Cholesky screen.  Each flow's bound is its lowest value plus
+    margin over every size, and a chain whose value less its margin lies
+    above the ceiling of that bound can neither win nor tie, and stays
+    DROPPED.  A NaN value bounds nothing and drops nothing.  The rest, the
+    flow's contenders, are solved in one eigensolve per size, ascending."""
     bound, screened = np.full(len(scans), np.inf), []
     for d in sorted(pools):
         flow, numbers, index, S = map(np.concatenate, zip(*pools.pop(d)))
@@ -486,14 +485,15 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     given, those that reach a disc row first, then the `_Chains.settled` ones,
     each in ascending number.  One whose floor lies above `_ceiling(low)` is
     skipped before its Gram product: SETTLED at floor 0, its form being PSD, or
-    BOUNDED at -N - TIE_RTOL d A from `_weight_bounds` (`spectrum_above`'s
-    margin, A in place of max|S|).  Any other is BEATEN if one Cholesky
-    factorization shows that it can neither win nor tie (`spectrum_above`),
-    else SOLVED alone.  Every reduced chain meets the symmetry check, and every
-    solved one the residual check; a chain that fails either is FAILED.  Per
-    flow, two solved minima within TIE_RTOL of each other (relative) are a tie,
-    won by the chain with the lowest first mode, and the lowest-numbered FAILED
-    chain gives the flow's error.
+    BOUNDED at -N - TIE_RTOL d A from `_weight_bounds` (the Cholesky margin, A
+    in place of max|S|).  Any other is BEATEN if one Cholesky factorization of
+    S - tau I, tau = `_ceiling(low)` + TIE_RTOL d max|S|, shows that it can
+    neither win nor tie (`spectrum_above`), else SOLVED alone.  Every reduced
+    chain meets the symmetry check, and every solved one the residual check; a
+    chain that fails either is FAILED.  Per flow, the lowest-numbered solved
+    chain whose minimum ties with the flow's lowest (within TIE_RTOL of it,
+    relative to the larger) wins, and the lowest-numbered FAILED one gives the
+    flow's error.
 
     Returns one entry per flow: its error, which carries the flow's record
     as `record`, or (pair, coeffs, record): the winning chain's row of its
@@ -539,7 +539,7 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
                 continue
             [(_, index, B)] = chains.slabs(np.arange(len(chains.sizes)) == number)
             S = _reduce(B, scale[index])
-            if spectrum_above(S[0], top, TIE_RTOL):
+            if spectrum_above(S[0], top + TIE_RTOL * len(S[0]) * np.max(np.abs(S[0]))):
                 scan.codes[number - base] = ScanRecord.BEATEN
             else:
                 _solve([scan], [number - base], index, S)

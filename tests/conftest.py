@@ -471,6 +471,21 @@ def break_chains(monkeypatch, targets):
     return screens, stacks
 
 
+def shift_chain(monkeypatch, number, shift):
+    """Add shift I to the Gram product of chain `number` of every table as
+    its slab is built, until the patch is undone: in a one-flow scan at
+    p = 0, that chain's reduced form and spectrum move by `shift`."""
+    slabs = spectral._Chains.slabs
+
+    def shifted_slabs(self, pooled):
+        for numbers, index, B in slabs(self, pooled):
+            if number in numbers:
+                B[numbers.index(number)] += shift * np.eye(B.shape[1])
+            yield numbers, index, B
+
+    monkeypatch.setattr(spectral._Chains, "slabs", shifted_slabs)
+
+
 def tilted(eigh, target):
     """`np.linalg.eigh` that reports the lowest eigenvalue of the matrix
     `target` 1e-6 max|S| too high, so that its residual fails the check."""

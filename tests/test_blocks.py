@@ -36,14 +36,15 @@ from kolmconj import eigensolve, pipeline, spectral
 from kolmconj.eigensolve import (ConvergenceError, lowest_eigenpairs, lowest_eigenvalues,
                                  spectrum_above)
 from kolmconj.pipeline import run_minimize
-from kolmconj.spectral import FULL, POOLED_MODES, TIE_RTOL, ScanRecord, SpectralWindow
+from kolmconj.spectral import (FULL, POOLED_MODES, TIE_RTOL, CertificationError, ScanRecord,
+                               SpectralWindow)
 from kolmconj.trigpoly import COS, SIN, KolmogorovFlow, Mode, TrigPoly, bracket
 
 from conftest import (assert_winner_solved, bracket_matrix, break_chains, chain_alone,
                       chain_brackets, dense_grams, dense_kept, dense_reduced, extended,
                       gram_blocks, group_chains, hand_built_scan, lowest_pair,
-                      per_chain_products, reduce_form, scan_chains, scan_one, stencil, tilted,
-                      unsettle, weight_bounds, window_modes, window_values)
+                      per_chain_products, reduce_form, scan_chains, scan_one, shift_chain,
+                      stencil, tilted, unsettle, weight_bounds, window_modes, window_values)
 
 TWIN, ZEROED, SETTLED, BOUNDED, DROPPED, BEATEN, SOLVED, FAILED = (
     ScanRecord.TWIN, ScanRecord.ZEROED, ScanRecord.SETTLED, ScanRecord.BOUNDED,
@@ -466,6 +467,32 @@ def test_tie_goes_to_earlier_block(monkeypatch):
             assert pair.value == np.linalg.eigh(stack[winner])[0][0]
 
 
+def test_tie_is_with_the_minimum_not_a_running_lead(monkeypatch):
+    # three chains of one shape, numbered 0-2, at low + 1.2t, low + 0.6t and
+    # low, t = TIE_RTOL |low|: chain 1 ties with the minimum and chain 0 does
+    # not, so chain 1 wins, in one stack or solved last first.  Walking the
+    # chains against a running lead gives chain 2 (chain 1 ties with chain 0,
+    # which chain 2 beats), and so does a plain argmin
+    flow, window = KolmogorovFlow(3, 2), SpectralWindow(6, COS)
+    positions, _, S = next(per_chain_products(flow, window, 3))
+    first = np.array(positions)
+    t = TIE_RTOL * abs(lowest_pair(S).value)
+    stack = np.stack([S + shift * t * np.eye(len(first)) for shift in (1.2, 0.6, 0)])
+    values = [lowest_pair(form).value for form in stack]
+
+    def ties(value, low):
+        return value - TIE_RTOL * max(abs(value), abs(low)) <= low
+
+    assert [ties(value, values[2]) for value in values] == [False, True, True]
+    assert ties(values[0], values[1]) and not ties(values[0], values[2])
+    index = np.tile(first, (3, 1))
+    for slabs in ([([0, 1, 2], index, stack)],
+                  [([c], index[c:c + 1], stack[c:c + 1]) for c in (2, 1, 0)]):
+        _, (pair, _, record) = hand_built_scan(monkeypatch, slabs)
+        assert (record.codes[:3] == SOLVED).all() and record.winner == 1
+        assert pair.value.hex() == values[1].hex() == record.values[1].hex()
+
+
 def test_tie_goes_to_block_with_lowest_first_mode():
     # the cosine and sine chains of a full window have the same spectra; at
     # N=6 the two lowest hold 21 modes each and share one stacked eigensolve
@@ -712,6 +739,24 @@ def test_sweep_builds_each_window_once(monkeypatch):
     assert built == [(12, COS), (12, SIN)]
 
 
+def test_every_sweep_run_carries_its_scan_record():
+    # each run of `sweep --mmax 10`, an error too, carries its flow's record
+    # of its window's scan, bit for bit; on the 12 kernel rows, whose
+    # rationalized candidate lies in the bracket's kernel, that record's
+    # winner is a SOLVED chain
+    entries = {subspace: dict(zip(SWEEP_FLOWS, spectral.window_minimum(
+        SWEEP_FLOWS, SpectralWindow(12, subspace), 3))) for subspace in (COS, SIN)}
+    runs = pipeline.run_sweep(10)
+    for flow, subspace, outcome in runs:
+        got, want = outcome.record, _record(entries[subspace][flow])
+        assert [field.tobytes() for field in got[:4]] == [field.tobytes() for field in want[:4]]
+        assert got.winner == want.winner
+    kernel = [outcome.record for _, _, outcome in runs
+              if isinstance(outcome, CertificationError)]
+    assert len(kernel) == 12
+    assert all(record.codes[record.winner] == SOLVED for record in kernel)
+
+
 @pytest.mark.parametrize("m,n,N,subspace", [(30, 22, 64, COS), (5, 4, 20, COS),
                                              (1, 1, 20, FULL), (3, 3, 30, SIN)])
 def test_slabs_and_stacks_hold_one_shape_and_one_screen_per_pooled_size(monkeypatch, m, n, N, subspace):
@@ -873,7 +918,9 @@ def _assert_record(flow, window, p, entry, zeroed=(), grams=None):
     pooled = values[(codes == SOLVED) & (kept <= 45)]
     top = _ceiling(pooled.min()) if len(pooled) else np.inf
     for c in solved[kept[solved] > 45]:
-        assert not floors[c] > top and not spectrum_above(forms[c][1], top, TIE_RTOL), (flow, c)
+        S = forms[c][1]
+        tau = top + TIE_RTOL * len(S) * np.max(np.abs(S))
+        assert not floors[c] > top and not spectrum_above(S, tau), (flow, c)
     if pair.value < 0 and not chains.settled[record.winner]:
         deferred = (kept > 45) & ~np.isin(codes, (TWIN, ZEROED))
         assert (codes[deferred & chains.settled] == SETTLED).all()
@@ -1367,6 +1414,27 @@ def test_chains_that_share_no_stack_are_deferred(monkeypatch, m, n, subspace, be
     deferred = record.codes[(record.sizes > 45) & (record.codes != TWIN)]
     assert set(deferred.tolist()) <= {SOLVED, BEATEN, SETTLED, BOUNDED}
     assert sum(d > 45 for _, d, _ in shapes) == np.count_nonzero(deferred == SOLVED)
+
+
+def test_chain_inside_the_cholesky_margin_is_solved(monkeypatch):
+    # (3,2) cos at N=20, p=0 (the reduction multiplies by 1): the first
+    # deferred chain that reaches a disc row, shifted by a multiple of I so
+    # that its lowest eigenvalue lies above the ceiling of its flow's pooled
+    # minimum by half the margin TIE_RTOL d max|S|, is SOLVED, not BEATEN: the
+    # factorization of S - tau I, tau = ceiling + margin, fails
+    flow, window = KolmogorovFlow(3, 2), SpectralWindow(20, COS)
+    chains = scan_chains(flow, window)
+    record = scan_one(flow, window, 0)[2]
+    top = _ceiling(record.values[(record.codes == SOLVED) & (record.sizes <= 45)].min())
+    c = np.flatnonzero((record.sizes > 45) & (record.codes != TWIN) & ~chains.settled)[0]
+    _, [S] = chain_alone(chains, c)
+    shift = top + TIE_RTOL * len(S) * np.max(np.abs(S)) / 2 - lowest_pair(S).value
+    shift_chain(monkeypatch, c, shift)
+    shifted = scan_one(flow, window, 0)[2]
+    S = S + shift * np.eye(len(S))
+    assert 0 < shifted.values[c] - top < TIE_RTOL * len(S) * np.max(np.abs(S))
+    assert shifted.codes[c] == SOLVED and shifted.values[c] == lowest_pair(S).value
+    assert shifted.winner == record.winner
 
 
 def test_first_listed_failing_block_raises_its_error(monkeypatch):
