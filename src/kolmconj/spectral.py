@@ -2,11 +2,11 @@
 
 The bracket operator f -> {psi, f} is assembled on a canonical mode window
 one block per mode chain of its stencil (the bracket sends (j, k) only to
-(j +- m, k +- n)), the Misiolek quadratic form is built from each block
-on the rows it reaches in its flow's reach box (so the form is exact on
-the span and negative eigenvalues are rigorous witnesses rather than
-truncation artifacts), and numerical minimizers are certified by
-rationalizing their coefficients and re-evaluating the index exactly.
+(j +- m, k +- n)), the Misiolek quadratic form is built from each block on
+the rows it reaches in its flow's reach, ||J| - m| <= N and ||K| - n| <= N
+(so the form is exact on the span and negative eigenvalues are rigorous
+witnesses, not truncation artifacts), and numerical minimizers are
+certified by rationalizing them and re-evaluating the index exactly.
 """
 
 from __future__ import annotations
@@ -166,18 +166,18 @@ def _stencil(m, n, window: SpectralWindow, j, k, sin) -> Tuple[np.ndarray, np.nd
 
 
 def _reach_boxes(m: np.ndarray, n: np.ndarray, window: SpectralWindow) -> Tuple[np.ndarray, ...]:
-    """The reach box of each flow (m, n) on `window`: the canonical outputs
-    (J, K), max(0, m-N) <= J <= m+N and |K| <= N+n, in the window's
-    parities, the only ones whose bracket row can hold an input.  Returns
-    (flow g, J, K, sin) per box row, flow by flow in (J, K, parity) order."""
+    """The reach of each flow (m, n) on `window`, ||J| - m| <= N and
+    ||K| - n| <= N: the canonical rows that can hold an input.  Per (flow, J),
+    K runs -n-N..-max(0, n-N) (none at J = 0), then max(1, n-N)..n+N.  Returns
+    (flow g, J, K, sin) per row, flow by flow in (J, K, parity) order."""
     N, parities = window.N, 1 + (window.subspace == FULL)
-    low = np.maximum(m - N, 0)
-    runs = m + N - low + 1
+    runs = 2 * (N + np.minimum(m, N) + 1)
     owner = np.repeat(np.arange(len(m)), runs)
-    J = np.arange(len(owner)) - np.repeat(np.cumsum(runs) - runs - low, runs)
-    top = (N + n)[owner]
-    bottom = np.where(J > 0, -top, 1)
-    lengths = (top - bottom + 1) * parities
+    run = np.arange(len(owner)) - np.repeat(np.cumsum(runs) - runs, runs)
+    J, upper = run // 2 + np.maximum(m - N, 0)[owner], run % 2 == 1
+    top, near = (N + n)[owner], np.maximum(n - N, 0)[owner]
+    bottom = np.where(upper, np.maximum(near, 1), -top)
+    lengths = (np.where(upper, top, -near) - bottom + 1) * (upper | (J > 0)) * parities
     place = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     K = np.repeat(bottom, lengths) + place // parities
     sin = (place % parities == 1) | (window.subspace == SIN)
@@ -207,16 +207,16 @@ class _Chains:
     marks the chains that lose one, and the bracket's terms on them are 0.
 
     One integer table holds the rows that the bracket (`_stencil`) reaches,
-    flow by flow, each flow's found in its reach box (`_reach_boxes`): `rows`
-    their output modes (J, K), `row_chain` the chain of each, whose parity
-    the row shares, `cols` and `terms` its four folded columns and stencil
-    terms 4L (a 0 term's column is its flow's first), and `weight` its
-    w = J^2+K^2 - lambda^2, with its own flow's lambda.  All but `weight`
-    are int32: every term and J^2+K^2 lies below 2 R^2, R = N + max(m, n),
-    and a table where that or its column count reaches 2^31 raises
-    MemoryError before any array is built.  `settled` marks the chains with
-    no row of w < 0, inside the disc j^2+k^2 < lambda^2: their form
-    B = L^T W L has no negative eigenvalue.
+    flow by flow, each flow's found in its reach, ||J| - m| <= N and
+    ||K| - n| <= N (`_reach_boxes`): `rows` their output modes (J, K),
+    `row_chain` the chain of each, whose parity the row shares, `cols` and
+    `terms` its four folded columns and stencil terms 4L (a 0 term's column
+    is its flow's first), and `weight` its w = J^2+K^2 - lambda^2, with its
+    own flow's lambda.  All but `weight` are int32: every term and J^2+K^2
+    lies below 2 R^2, R = N + max(m, n), and a table where that or its
+    column count reaches 2^31 raises MemoryError before any array is built.
+    `settled` marks the chains with no row of w < 0, inside the disc
+    j^2+k^2 < lambda^2: their form B = L^T W L has no negative eigenvalue.
     """
 
     def __init__(self, flows: Sequence[KolmogorovFlow], window: SpectralWindow,
@@ -467,33 +467,33 @@ def window_minimum(flows: Sequence[KolmogorovFlow], window: SpectralWindow, p: i
     """Lowest eigenpair over the reduced bracket chains of `window`, for each flow.
 
     The flows of one max(m, n), a reach group, share one `_Chains` table, built
-    in one pass over each flow's reach box; each flow's scan reads its own
-    slice of it.  Grouping only bounds the rows of one table: one table of
-    every flow would hold more at once and save no time.  Each chain is decided
-    once, and its decision goes into its flow's `ScanRecord` under the code
-    named here, in three phases.  First, per reach group, chains ZEROED out and
-    the TWINs of earlier chains of their flow drop out, and the other chains of
-    at most POOLED_MODES kept modes go through one Gram product
-    (`_Chains.slabs`) and the Sobolev reduction, and are pooled by size across
-    flows, coded DROPPED until they are solved; larger chains wait.  Second,
-    once every flow is pooled, `_screen` makes one values-only eigensolve per
-    size: a chain whose value less its margin TIE_RTOL d max|S| lies above the
-    ceiling of its flow's lowest value plus margin stays DROPPED, and every
-    flow's other pooled chains are SOLVED for eigenpairs in one eigensolve per
-    size, so that each flow's `low` is an eigensolved value.  Third, each
-    flow's waiting chains are decided one at a time, flow by flow in the order
-    given, those that reach a disc row first, then the `_Chains.settled` ones,
-    each in ascending number.  One whose floor lies above `_ceiling(low)` is
-    skipped before its Gram product: SETTLED at floor 0, its form being PSD, or
-    BOUNDED at -N - TIE_RTOL d A from `_weight_bounds` (the Cholesky margin, A
-    in place of max|S|).  Any other is BEATEN if one Cholesky factorization of
-    S - tau I, tau = `_ceiling(low)` + TIE_RTOL d max|S|, shows that it can
-    neither win nor tie (`spectrum_above`), else SOLVED alone.  Every reduced
-    chain meets the symmetry check, and every solved one the residual check; a
-    chain that fails either is FAILED.  Per flow, the lowest-numbered solved
-    chain whose minimum ties with the flow's lowest (within TIE_RTOL of it,
-    relative to the larger) wins, and the lowest-numbered FAILED one gives the
-    flow's error.
+    in one pass over each flow's reach, ||J| - m| <= N and ||K| - n| <= N; each
+    flow's scan reads its own slice of it.  Grouping only bounds the rows of
+    one table: one table of every flow would hold more at once and save no
+    time.  Each chain is decided once, and its decision goes into its flow's
+    `ScanRecord` under the code named here, in three phases.  First, per reach
+    group, chains ZEROED out and the TWINs of earlier chains of their flow drop
+    out, and the other chains of at most POOLED_MODES kept modes go through one
+    Gram product (`_Chains.slabs`) and the Sobolev reduction, and are pooled by
+    size across flows, coded DROPPED until they are solved; larger chains wait.
+    Second, once every flow is pooled, `_screen` makes one values-only
+    eigensolve per size: a chain whose value less its margin TIE_RTOL d max|S|
+    lies above the ceiling of its flow's lowest value plus margin stays
+    DROPPED, and every flow's other pooled chains are SOLVED for eigenpairs in
+    one eigensolve per size, so that each flow's `low` is an eigensolved value.
+    Third, each flow's waiting chains are decided one at a time, flow by flow
+    in the order given, those that reach a disc row first, then the
+    `_Chains.settled` ones, each in ascending number.  One whose floor lies
+    above `_ceiling(low)` is skipped before its Gram product: SETTLED at floor
+    0, its form being PSD, or BOUNDED at -N - TIE_RTOL d A from
+    `_weight_bounds` (the Cholesky margin, A in place of max|S|).  Any other is
+    BEATEN if one Cholesky factorization of S - tau I, tau = `_ceiling(low)` +
+    TIE_RTOL d max|S|, shows that it can neither win nor tie
+    (`spectrum_above`), else SOLVED alone.  Every reduced chain meets the
+    symmetry check, and every solved one the residual check; a chain that fails
+    either is FAILED.  Per flow, the lowest-numbered solved chain whose minimum
+    ties with the flow's lowest (within TIE_RTOL of it, relative to the larger)
+    wins, and the lowest-numbered FAILED one gives the flow's error.
 
     Returns one entry per flow: its error, which carries the flow's record
     as `record`, or (pair, coeffs, record): the winning chain's row of its

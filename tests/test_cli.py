@@ -890,14 +890,15 @@ def _fresh_interpreter(code, *args, **options):
                           capture_output=True, text=True, timeout=300, **options)
 
 
-# runs `minimize` at (3000, 2999) on a 12-mode window at one BLAS thread,
-# then prints the interpreter's own peak RSS in kB to stderr.  Linux's
-# VmHWM counts from exec; ru_maxrss would keep the forking process's peak
+# runs `minimize` for the m, n and N in argv[1:] at one BLAS thread, then
+# prints the interpreter's own peak RSS in kB to stderr.  Linux's VmHWM
+# counts from exec; ru_maxrss would keep the forking process's peak
 _LARGE_PAIR_PROBE = """
 import os, re, sys
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from kolmconj.cli import main
-code = main(["minimize", "--m", "3000", "--n", "2999", "--N", "2"])
+m, n, N = sys.argv[1:]
+code = main(["minimize", "--m", m, "--n", n, "--N", N])
 with open("/proc/self/status") as status:
     print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1], file=sys.stderr)
 sys.exit(code)
@@ -909,13 +910,19 @@ def _address_space_2gib():
 
 
 def test_large_pair_on_a_small_window_runs_in_small_memory():
-    # 8mn = 72M chain classes meet 12 modes: numbering the chains must cost
-    # memory by the window, not by m n (an int32 table over the classes
-    # alone is 288 MB); the address-space cap makes a regression fail fast
-    done = _fresh_interpreter(_LARGE_PAIR_PROBE, preexec_fn=_address_space_2gib)
-    assert done.returncode == 0, done.stderr
-    assert "certified MI/pi^2 = 287904016 " in done.stdout
-    assert int(done.stderr) < 80 * 1024
+    # (3000, 2999) at N = 2: 8mn = 72M chain classes meet 12 modes, so
+    # numbering the chains must cost memory by the window, not by m n (an
+    # int32 table over the classes alone is 288 MB).  (3000, 3000) at
+    # N = 20, n > N: the table holds the 3,362 rows of the flow's reach and
+    # none of the 244,319 in the gap between its two K bands, which take the
+    # peak to 67 MB.  The address-space cap makes a regression fail fast
+    for pair, N, value, megabytes in [((3000, 2999), 2, "287904016", 80),
+                                      ((3000, 3000), 20, "2880000000000", 50)]:
+        done = _fresh_interpreter(_LARGE_PAIR_PROBE, *map(str, (*pair, N)),
+                                  preexec_fn=_address_space_2gib)
+        assert done.returncode == 0, done.stderr
+        assert f"certified MI/pi^2 = {value} " in done.stdout, pair
+        assert int(done.stderr) < megabytes * 1024, pair
 
 
 # exits 77 if a bare `import numpy` loads numpy.ma (numpy 1.x does)

@@ -170,9 +170,12 @@ class TestBracketMatrix:
     @pytest.mark.parametrize("subspace", SUBSPACES)
     def test_reach_box_holds_every_bracket(self, subspace):
         # the chains' table rows come from `_reach_boxes`: the bracket of
-        # every window mode must land on a row of its flow's box, in the
-        # mode's own parity, also where m > N or n > N; the box's rows are
-        # distinct canonical modes, in (J, K, parity) order
+        # every window mode must land on a row of its flow's reach, in the
+        # mode's own parity, also where m > N or n > N, and every row (J, K)
+        # must be an output of a mode (J - sm, K - tn), s, t = +-1, of the
+        # square |j|, |k| <= N, so that where n > N no row lies between the
+        # two K bands; the rows are distinct canonical modes, in (J, K,
+        # parity) order
         for m, n in [(1, 1), (2, 1), (3, 2), (2, 2), (4, 3), (7, 1), (1, 7), (9, 8)]:
             flow = KolmogorovFlow(m, n)
             for N in range(1, 6):
@@ -181,12 +184,21 @@ class TestBracketMatrix:
                 assert rows == sorted(set(rows))
                 assert all(j > 0 or k > 0 for j, k, _ in rows)
                 assert {sin for *_, sin in rows} == set(win.sin.tolist())
+                assert all(any(abs(J - s * m) <= N and abs(K - t * n) <= N
+                               for s in (-1, 1) for t in (-1, 1))
+                           for J, K, _ in rows), (flow, win)
                 box = set(rows)
                 for mode in window_modes(win):
                     make = TrigPoly.cosine if mode.parity == COS else TrigPoly.sine
                     out = bracket(flow.stream(), make(mode.j, mode.k))
                     assert all((t.j, t.k, t.parity == SIN) in box for t in out.terms), (
                         flow, win, mode)
+        # per parity, 2 (2N + 1)^2 rows for m, n > N: none in the gap
+        # between the two K bands
+        parities = 2 if subspace == FULL else 1
+        for (m, n), N, count in [((3000, 3000), 20, 3362), ((3000, 2999), 2, 50)]:
+            assert len(reach_box(KolmogorovFlow(m, n), SpectralWindow(N, subspace))) == (
+                count * parities)
 
 
 class TestQuadForm:
